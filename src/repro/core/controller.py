@@ -318,8 +318,8 @@ class Controller:
         self, assignment: np.ndarray
     ) -> Tuple[QcutState, Dict[Tuple[int, int], np.ndarray]]:
         """Array-backed snapshot: every per-query/per-cluster loop of the
-        reference path becomes a bincount/unique pass over the scope store's
-        incidence structure.  Produces the same fragments (and therefore the
+        reference path becomes a bincount/presence-mask pass over the scope
+        store's incidence structure.  Produces the same fragments (and therefore the
         same :class:`MovePlan`) as :meth:`_build_snapshot_reference`."""
         store: ScopeStore = self.scopes
         query_ids = self._nonempty_tracked_queries()
@@ -339,12 +339,16 @@ class Controller:
         weighted = np.zeros((num_units, self.k), dtype=np.int64)
         np.add.at(weighted, unit_of_row, sizes)
 
-        # distinct (unit, vertex) incidences via one encoded np.unique —
-        # the union mass is what a move actually relocates
+        # distinct (unit, vertex) incidences, encoded — the union mass is
+        # what a move actually relocates.  The codes are bounded by
+        # num_units * n, so a presence mask yields the sorted distinct codes
+        # without np.unique's hashing
         verts, scope_sizes, _qids = store.incidence(query_ids)
         units = np.repeat(unit_of_row, scope_sizes)
         n = assignment.size
-        uniq = np.unique(units * n + verts)
+        present = np.zeros(num_units * n, dtype=bool)
+        present[units * n + verts] = True
+        uniq = np.flatnonzero(present)
         unit_u = uniq // n
         vert_u = uniq % n
         owners = assignment[vert_u]
@@ -437,9 +441,13 @@ class Controller:
         fragments: List[Fragment],
         fragment_vertices: Dict[Tuple[int, int], np.ndarray],
     ) -> Tuple[QcutState, Dict[Tuple[int, int], np.ndarray]]:
-        scope_vertex_count = np.zeros(self.k, dtype=np.int64)
-        for (_unit, w), members in fragment_vertices.items():
-            scope_vertex_count[w] += members.size
+        # a fragment's union mass is its vertex count, so the per-worker
+        # scope vertex count is one weighted bincount over the fragments
+        scope_vertex_count = np.bincount(
+            np.array([f.origin_worker for f in fragments], dtype=np.int64),
+            weights=np.array([f.union_size for f in fragments], dtype=np.float64),
+            minlength=self.k,
+        )
         totals = np.bincount(assignment, minlength=self.k).astype(np.float64)
         base = np.maximum(totals - scope_vertex_count, 0.0)
         state = QcutState(

@@ -12,9 +12,11 @@
 Requirements from §3.2.2: (a) retrieve low-cost solutions effectively when
 given time, (b) provide the best found solution when interrupted, (c) avoid
 overfitting to specific workloads.  The implementation is interruptible
-(budget by rounds and/or wall-clock seconds, matching the paper's 2-second
-controller budget and its "terminate when a result is needed" criterion) and
-records a cost trace for the Figure 6g convergence plot.
+(a deterministic round budget standing in for the paper's 2-second
+controller budget, plus its "terminate when a result is needed" criterion as
+a callback) and records a cost trace for the Figure 6g convergence plot.  It
+never reads the host clock, so a plan depends on the inputs and the seed
+alone.
 
 One deliberate refinement: the initial solution is local-searched before the
 loop starts, so the incumbent after round 0 is already a local minimum (the
@@ -25,7 +27,6 @@ trace starts with a steep drop before the first perturbation marker).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -63,7 +64,6 @@ class IlsResult:
 def iterated_local_search(
     initial: QcutState,
     max_rounds: int = 50,
-    time_budget: Optional[float] = None,
     seed: int = 0,
     terminated: Optional[Callable[[], bool]] = None,
 ) -> IlsResult:
@@ -75,18 +75,13 @@ def iterated_local_search(
         Deterministic round budget (each round = perturbation + local
         search).  This is the reproducible stand-in for the paper's
         wall-clock budget.
-    time_budget:
-        Optional wall-clock cap in seconds (the paper uses 2 s); checked
-        between rounds, so the best-so-far solution is always available —
-        requirement (b) of §3.2.2.
     terminated:
         Optional external interrupt (the adaptivity module "interrupting the
-        computation as soon as a result is needed", Appendix A.3).
+        computation as soon as a result is needed", Appendix A.3); checked
+        between rounds, so the best-so-far solution is always available —
+        requirement (b) of §3.2.2.
     """
     rng = np.random.default_rng(seed)
-    # opt-in wall-clock budget (paper's 2 s cap, §3.2.2); off by default —
-    # the deterministic max_rounds budget is the reproducible bound
-    t_start = time.perf_counter()  # repro-lint: disable=wall-clock -- opt-in time_budget knob, off by default; max_rounds is the deterministic bound
 
     def better(a: QcutState, b: QcutState) -> bool:
         """Lexicographic acceptance: balance dominates, then cost.
@@ -110,16 +105,9 @@ def iterated_local_search(
     trace: List[Tuple[int, float]] = [(0, best_cost)]
     perturbation_rounds: List[int] = []
 
-    def out_of_budget() -> bool:
-        if terminated is not None and terminated():
-            return True
-        if time_budget is not None and time.perf_counter() - t_start >= time_budget:  # repro-lint: disable=wall-clock -- guarded by the opt-in time_budget knob
-            return True
-        return False
-
     rounds = 0
     for round_idx in range(1, max_rounds + 1):
-        if out_of_budget():
+        if terminated is not None and terminated():
             break
         rounds = round_idx
         candidate = perturb(incumbent, rng)

@@ -17,7 +17,8 @@ next local search without degenerating into a random restart.
 
 from __future__ import annotations
 
-from typing import Optional
+from bisect import insort
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -70,24 +71,80 @@ def perturb(
             if int(src) != target:
                 out.apply_move(unit, int(src), target)
 
-    # step III: rebalance max-loaded -> least-loaded until δ holds.  The
-    # moves are random (per the paper), so we keep the best state seen in
-    # case the walk never satisfies δ exactly.
-    best = out.copy()
-    best_imbalance = best.max_imbalance()
-    for _ in range(max_rebalance_moves):
-        if out.is_balanced():
-            return out
-        loads = out.loads()
-        w_max = int(np.argmax(loads))
-        w_min = int(np.argmin(loads))
-        movable = np.flatnonzero(out.weighted[:, w_max] > 0)
-        if movable.size == 0:
+    _rebalance(out, rng, max_rebalance_moves)
+    return out
+
+
+def _rebalance(state: QcutState, rng: np.random.Generator, max_moves: int) -> None:
+    """Step III on ``state`` in place: random scopes from the maximally to
+    the least loaded worker until δ holds.
+
+    The moves are random (per the paper), so the walk may never satisfy δ;
+    it then settles for the least imbalanced state it passed through.  The
+    walk runs on plain scalars — ``k`` loads, the two masses per
+    (worker, unit) and a sorted unit list per worker — and records a
+    journal of its moves; only the winning prefix of that journal is
+    applied to ``state``.  Loads are re-derived from integer-valued column
+    sums by the formula of :meth:`QcutState.loads`, so every comparison
+    sees the very floats a from-scratch recomputation would produce.
+
+    RNG contract: exactly one ``rng.integers(0, len(movable))`` per move,
+    indexing the units with scope on the maximally loaded worker in
+    ascending order; ties for the maximal/least loaded worker go to the
+    lowest worker id.
+    """
+    k = state.num_workers
+    delta = state.delta
+    base: List[float] = state.base.tolist()
+    union: List[List[float]] = state.union.T.tolist()  # [worker][unit]
+    weighted: List[List[float]] = state.weighted.T.tolist()
+    union_mass = [sum(column) for column in union]
+    weighted_mass = [sum(column) for column in weighted]
+    loads = [(base[w] + union_mass[w] + weighted_mass[w]) / 2.0 for w in range(k)]
+    # units with scope on each worker, ascending; filled on first use
+    members: List[Optional[List[int]]] = [None] * k
+
+    journal: List[Tuple[int, int, int]] = []
+    top, low = max(loads), min(loads)
+    imbalance = (top - low) / top if top > 0 else 0.0
+    best_imbalance = imbalance
+    best_len = 0
+    draw = rng.integers
+    for _ in range(max_moves):
+        if imbalance < delta:
+            break  # the first balanced state is also the best one seen
+        w_max = loads.index(top)
+        w_min = loads.index(low)
+        movable = members[w_max]
+        if movable is None:
+            column = weighted[w_max]
+            movable = members[w_max] = [u for u in range(len(column)) if column[u] > 0]
+        if not movable:
             break
-        choice = int(movable[int(rng.integers(0, movable.size))])
-        out.apply_move(choice, w_max, w_min)
-        imbalance = out.max_imbalance()
+        unit = movable.pop(draw(0, len(movable)))
+        journal.append((unit, w_max, w_min))
+
+        xu = union[w_max][unit]
+        xw = weighted[w_max][unit]
+        union[w_max][unit] = 0.0
+        weighted[w_max][unit] = 0.0
+        target = members[w_min]
+        if target is not None and weighted[w_min][unit] <= 0:
+            insort(target, unit)
+        union[w_min][unit] += xu
+        weighted[w_min][unit] += xw
+        union_mass[w_max] -= xu
+        union_mass[w_min] += xu
+        weighted_mass[w_max] -= xw
+        weighted_mass[w_min] += xw
+        loads[w_max] = (base[w_max] + union_mass[w_max] + weighted_mass[w_max]) / 2.0
+        loads[w_min] = (base[w_min] + union_mass[w_min] + weighted_mass[w_min]) / 2.0
+
+        top, low = max(loads), min(loads)
+        imbalance = (top - low) / top if top > 0 else 0.0
         if imbalance < best_imbalance:
-            best = out.copy()
             best_imbalance = imbalance
-    return best
+            best_len = len(journal)
+
+    for unit, src, dst in journal[:best_len]:
+        state.apply_move(unit, src, dst)

@@ -30,12 +30,26 @@ keep ``|(L_w - x) - (L_w' + x)| / max(L_w - x, L_w' + x) < delta``.
 Because non-scope vertices never move, we store ``base[w]`` (vertices on
 ``w`` outside every tracked scope); ``|V(w)| = base[w] + U[w]`` with ``U``
 the union mass per worker.
+
+Incremental planning state
+--------------------------
+The ILS probes loads, imbalance and cost far more often than it moves mass,
+so the state maintains them instead of re-deriving them from the dense
+matrices: :meth:`QcutState.apply_move` updates the per-worker column sums
+of both matrices in O(1) and drops the cached imbalance/cost, which are
+recomputed on the next read.  Fragment masses are integers (stored as
+float64), so the maintained column sums equal the from-scratch
+``matrix.sum(axis=0)`` *bit for bit*, and every quantity derived from them
+by the same formula — loads, imbalance, balance verdicts — is identical to
+the from-scratch value, not merely close.  All mutation must therefore go
+through :meth:`QcutState.apply_move`; writing to ``weighted``/``union``
+directly desynchronises the maintained sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -129,21 +143,28 @@ class QcutState:
             self.unit_keys.setdefault(frag.unit, []).append(key)
             self.union[frag.unit, frag.origin_worker] += frag.union_size
             self.weighted[frag.unit, frag.origin_worker] += frag.weighted_size
+        #: maintained column sums of ``union`` / ``weighted`` (integer-valued,
+        #: hence exact under :meth:`apply_move`'s O(1) update)
+        self._union_mass = self.union.sum(axis=0)
+        self._weighted_mass = self.weighted.sum(axis=0)
+        #: lazily cached imbalance / cost, dropped by :meth:`apply_move`
+        self._imbalance: Optional[float] = None
+        self._cost: Optional[float] = None
 
     # ------------------------------------------------------------------
     # load / balance
     # ------------------------------------------------------------------
     def scope_mass(self) -> np.ndarray:
         """Query-weighted scope mass ``sum_q |LS(q, w)|`` per worker."""
-        return self.weighted.sum(axis=0)
+        return self._weighted_mass.copy()
 
     def vertex_counts(self) -> np.ndarray:
         """``|V(w)| = base[w] + union mass``."""
-        return self.base + self.union.sum(axis=0)
+        return self.base + self._union_mass
 
     def loads(self) -> np.ndarray:
         """``L_w = (|V(w)| + sum_q |LS(q, w)|) / 2`` (Appendix A.1)."""
-        return (self.vertex_counts() + self.scope_mass()) / 2.0
+        return (self.base + self._union_mass + self._weighted_mass) / 2.0
 
     def move_load(self, unit: int, worker: int) -> float:
         """Load change a move of this unit-worker mass would cause."""
@@ -162,10 +183,12 @@ class QcutState:
 
     def max_imbalance(self) -> float:
         """Worst pairwise imbalance ``|L_w - L_w'| / max(...)`` of the state."""
-        loads = self.loads()
-        top = loads.max() - loads.min()
-        bottom = loads.max()
-        return float(top / bottom) if bottom > 0 else 0.0
+        if self._imbalance is None:
+            loads = self.loads()
+            bottom = loads.max()
+            top = bottom - loads.min()
+            self._imbalance = float(top / bottom) if bottom > 0 else 0.0
+        return self._imbalance
 
     def is_balanced(self) -> bool:
         """Whether every worker pair satisfies the δ constraint."""
@@ -180,11 +203,14 @@ class QcutState:
         ``sum_u sum_{w != argmax_w' weighted[u, w']} weighted[u, w]`` — zero
         when every cluster is fully local somewhere.
         """
-        if self.num_units == 0:
-            return 0.0
-        totals = self.weighted.sum(axis=1)
-        maxima = self.weighted.max(axis=1)
-        return float((totals - maxima).sum())
+        if self._cost is None:
+            if self.num_units == 0:
+                self._cost = 0.0
+            else:
+                totals = self.weighted.sum(axis=1)
+                maxima = self.weighted.max(axis=1)
+                self._cost = float((totals - maxima).sum())
+        return self._cost
 
     def unit_cost(self, unit: int) -> float:
         """Cost contribution of one cluster."""
@@ -208,6 +234,12 @@ class QcutState:
         self.union[unit, w_to] += xu
         self.weighted[unit, w_from] = 0.0
         self.weighted[unit, w_to] += xw
+        self._union_mass[w_from] -= xu
+        self._union_mass[w_to] += xu
+        self._weighted_mass[w_from] -= xw
+        self._weighted_mass[w_to] += xw
+        self._imbalance = None
+        self._cost = None
         for key in self.unit_keys.get(unit, ()):
             if self.placement[key] == w_from:
                 self.placement[key] = w_to
@@ -224,6 +256,10 @@ class QcutState:
         clone.base = self.base  # immutable by convention
         clone.weighted = self.weighted.copy()
         clone.union = self.union.copy()
+        clone._union_mass = self._union_mass.copy()
+        clone._weighted_mass = self._weighted_mass.copy()
+        clone._imbalance = self._imbalance
+        clone._cost = self._cost
         clone.placement = dict(self.placement)
         clone.fragment_sizes = self.fragment_sizes  # immutable by convention
         clone.unit_keys = self.unit_keys  # immutable by convention

@@ -62,7 +62,9 @@ class GraphBuilder:
         self._src: List[int] = []
         self._dst: List[int] = []
         self._w: List[float] = []
-        self._coords: Dict[int, Tuple[float, float]] = {}
+        #: coordinates by vertex id (zero where never set), grown on
+        #: demand; ``None`` until the first coordinate arrives
+        self._coords: Optional[np.ndarray] = None
         self._tags: Dict[int, bool] = {}
 
     # ------------------------------------------------------------------
@@ -104,11 +106,57 @@ class GraphBuilder:
         for u, v, w in edges:
             self.add_edge(u, v, w)
 
+    def add_edge_arrays(
+        self, src: np.ndarray, dst: np.ndarray, weights: np.ndarray
+    ) -> None:
+        """Add the directed edges ``src[i] -> dst[i]`` in one call.
+
+        Same validation and same resulting edge order as calling
+        :meth:`add_edge` once per element.
+        """
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.float64)
+        if not (src.ndim == 1 and src.shape == dst.shape == weights.shape):
+            raise GraphError("src, dst and weights must be 1-d arrays of equal length")
+        if src.size == 0:
+            return
+        if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= self._n:
+            raise GraphError("edge array references unknown vertex")
+        if np.any(weights < 0):
+            raise GraphError("negative edge weights are not supported")
+        self._src.extend(src.tolist())
+        self._dst.extend(dst.tolist())
+        self._w.extend(weights.tolist())
+
+    def _coord_rows(self) -> np.ndarray:
+        """The coordinate array, grown to cover every current vertex."""
+        coords = self._coords
+        if coords is None:
+            coords = self._coords = np.zeros((self._n, 2))
+        elif coords.shape[0] < self._n:
+            grown = np.zeros((max(self._n, 2 * coords.shape[0]), 2))
+            grown[: coords.shape[0]] = coords
+            coords = self._coords = grown
+        return coords
+
     def set_coord(self, v: int, x: float, y: float) -> None:
         """Attach a planar coordinate to vertex ``v``."""
         if not 0 <= v < self._n:
             raise GraphError(f"vertex {v} out of range")
-        self._coords[v] = (float(x), float(y))
+        self._coord_rows()[v] = (x, y)
+
+    def set_coords(self, vertices: np.ndarray, xy: np.ndarray) -> None:
+        """Attach the planar coordinates ``xy[i]`` to ``vertices[i]``."""
+        vertices = np.asarray(vertices, dtype=np.int64)
+        xy = np.asarray(xy, dtype=np.float64)
+        if xy.shape != (vertices.size, 2):
+            raise GraphError("xy must have one (x, y) row per vertex")
+        if vertices.size == 0:
+            return
+        if vertices.min() < 0 or vertices.max() >= self._n:
+            raise GraphError("coordinate array references unknown vertex")
+        self._coord_rows()[vertices] = xy
 
     def set_tag(self, v: int, tagged: bool = True) -> None:
         """Mark vertex ``v`` as a point of interest."""
@@ -145,11 +193,8 @@ class GraphBuilder:
         indptr, dst, w = csr_arrays_from_edges(src, dst, w, n)
 
         coords: Optional[np.ndarray] = None
-        if self._coords:
-            coords = np.zeros((n, 2), dtype=np.float64)
-            for v, (x, y) in self._coords.items():
-                coords[v, 0] = x
-                coords[v, 1] = y
+        if self._coords is not None:
+            coords = self._coord_rows()[:n].copy()
 
         tags: Optional[np.ndarray] = None
         if self._tags:

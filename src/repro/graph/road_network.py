@@ -151,6 +151,67 @@ def _urban_grid_offsets(count: int) -> np.ndarray:
     return offs[order[:count]]
 
 
+def _urban_streets(
+    ids: np.ndarray,
+    offsets: np.ndarray,
+    rng: np.random.Generator,
+    urban_spacing: float,
+    urban_speed: float,
+    diagonal_fraction: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One city's streets as directed ``(src, dst, minutes)`` edge arrays,
+    each street followed by its reverse.
+
+    4-neighbour streets plus a sprinkle of diagonals between the grid slots
+    ``offsets`` (slot ``j`` is vertex ``ids[j]``).  Consumes ``rng`` the way a
+    slot-by-slot loop would — per slot one street-length double for the
+    right neighbour, one for the upper neighbour (each only if it exists),
+    then the diagonal coin — and lists the streets in that same order.
+    """
+    # dense offset -> vertex grid (-1 = no junction), padded by one so the
+    # +1 neighbour lookups stay in range
+    ix = offsets[:, 0] - offsets[:, 0].min()
+    iy = offsets[:, 1] - offsets[:, 1].min()
+    grid = np.full((ix.max() + 2, iy.max() + 2), -1, dtype=np.int64)
+    grid[ix, iy] = ids
+    right = grid[ix + 1, iy]
+    up = grid[ix, iy + 1]
+    diagonal = grid[ix + 1, iy + 1]
+    has_right = right >= 0
+    has_up = up >= 0
+
+    draws_per_slot = has_right.astype(np.int64) + has_up + 1
+    first_draw = np.cumsum(draws_per_slot) - draws_per_slot
+    draws = rng.random(int(draws_per_slot.sum()))
+    coin = draws[first_draw + draws_per_slot - 1]
+    has_diagonal = (coin < diagonal_fraction) & (diagonal >= 0)
+
+    def street_minutes(stretch: np.ndarray) -> np.ndarray:
+        return urban_spacing * (1.0 + 0.2 * stretch) / urban_speed * 60.0
+
+    diagonal_minutes = urban_spacing * np.sqrt(2.0) / urban_speed * 60.0
+    kinds = (
+        (has_right, right, street_minutes(draws[first_draw[has_right]])),
+        (has_up, up, street_minutes(draws[(first_draw + has_right)[has_up]])),
+        (has_diagonal, diagonal, np.full(int(has_diagonal.sum()), diagonal_minutes)),
+    )
+    slots = np.arange(ids.size)
+    order = np.argsort(
+        np.concatenate(
+            [slots[mask] * 3 + kind for kind, (mask, _other, _m) in enumerate(kinds)]
+        ),
+        kind="stable",
+    )
+    u = np.concatenate([ids[mask] for mask, _other, _m in kinds])[order]
+    v = np.concatenate([other[mask] for mask, other, _m in kinds])[order]
+    minutes = np.concatenate([m for _mask, _other, m in kinds])[order]
+    return (
+        np.stack([u, v], axis=1).ravel(),
+        np.stack([v, u], axis=1).ravel(),
+        np.repeat(minutes, 2),
+    )
+
+
 def _delaunay_edges(centers: np.ndarray) -> Set[Tuple[int, int]]:
     """Highway corridors between cities: Delaunay edges of the centres.
 
@@ -242,56 +303,46 @@ def generate_road_network(
 
     builder = GraphBuilder(0)
     city_vertex_ids: List[np.ndarray] = []
-    coords_accum: List[Tuple[float, float]] = []
+    city_coords: List[np.ndarray] = []
 
     # ------------------------------------------------------------------
     # 1. urban street grids
     # ------------------------------------------------------------------
+    # Batched per city, but drawing from ``rng`` exactly what a per-vertex
+    # loop would: ``count`` successive jitter pairs, then the street draws
+    # of ``_urban_streets``.
     for ci in range(num_cities):
         count = int(budgets[ci])
         offsets = _urban_grid_offsets(count)
         first = builder.add_vertices(count)
         ids = np.arange(first, first + count, dtype=np.int64)
         city_vertex_ids.append(ids)
-        slot_to_vid = {}
-        for j in range(count):
-            ox, oy = int(offsets[j, 0]), int(offsets[j, 1])
-            jitter = rng.uniform(-0.15, 0.15, size=2) * urban_spacing
-            x = centers[ci, 0] + ox * urban_spacing + jitter[0]
-            y = centers[ci, 1] + oy * urban_spacing + jitter[1]
-            builder.set_coord(first + j, x, y)
-            coords_accum.append((x, y))
-            slot_to_vid[(ox, oy)] = first + j
-        # 4-neighbour streets + a sprinkle of diagonals
-        for (ox, oy), vid in slot_to_vid.items():
-            for dx, dy in ((1, 0), (0, 1)):
-                other = slot_to_vid.get((ox + dx, oy + dy))
-                if other is not None:
-                    length = urban_spacing * (1.0 + rng.uniform(0.0, 0.2))
-                    minutes = length / urban_speed * 60.0
-                    builder.add_bidirectional_edge(vid, other, minutes)
-            if rng.random() < diagonal_fraction:
-                other = slot_to_vid.get((ox + 1, oy + 1))
-                if other is not None:
-                    length = urban_spacing * np.sqrt(2.0)
-                    minutes = length / urban_speed * 60.0
-                    builder.add_bidirectional_edge(vid, other, minutes)
+        jitter = rng.uniform(-0.15, 0.15, size=(count, 2)) * urban_spacing
+        xy = centers[ci] + offsets * urban_spacing + jitter
+        builder.set_coords(ids, xy)
+        city_coords.append(xy)
+
+        builder.add_edge_arrays(
+            *_urban_streets(
+                ids, offsets, rng, urban_spacing, urban_speed, diagonal_fraction
+            )
+        )
+    urban_coords = np.concatenate(city_coords)  # urban ids are 0..total-1
 
     # ------------------------------------------------------------------
     # 2. inter-city highways along Delaunay corridors
     # ------------------------------------------------------------------
     def nearest_urban_vertex(ci: int, toward: np.ndarray) -> int:
-        ids = city_vertex_ids[ci]
-        pts = np.array([coords_accum[v] for v in ids])
+        pts = city_coords[ci]
         d = np.hypot(pts[:, 0] - toward[0], pts[:, 1] - toward[1])
-        return int(ids[int(np.argmin(d))])
+        return int(city_vertex_ids[ci][int(np.argmin(d))])
 
     highway_ids: List[int] = []
     for (a, b) in sorted(_delaunay_edges(centers)):
         start = nearest_urban_vertex(a, centers[b])
         end = nearest_urban_vertex(b, centers[a])
-        p0 = np.array(coords_accum[start])
-        p1 = np.array(coords_accum[end])
+        p0 = urban_coords[start]
+        p1 = urban_coords[end]
         dist = float(np.linalg.norm(p1 - p0))
         segments = max(int(dist / highway_spacing), 1)
         prev = start
@@ -301,7 +352,6 @@ def generate_road_network(
             pos = pos + rng.uniform(-0.3, 0.3, size=2)
             vid = builder.add_vertices(1)
             builder.set_coord(vid, pos[0], pos[1])
-            coords_accum.append((float(pos[0]), float(pos[1])))
             highway_ids.append(vid)
             seg_len = dist / segments
             minutes = seg_len / highway_speed * 60.0

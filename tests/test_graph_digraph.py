@@ -161,6 +161,62 @@ class TestAttributes:
         assert g.subgraph_edge_count([0]) == 0
 
 
+class TestBuilderArrays:
+    def test_add_edge_arrays_equals_add_edge_loop(self):
+        src = np.array([0, 2, 0, 3, 0])
+        dst = np.array([1, 3, 1, 0, 2])
+        w = np.array([5.0, 1.0, 2.0, 0.0, 4.0])
+        one_by_one, batched = GraphBuilder(4), GraphBuilder(4)
+        one_by_one.add_edge(1, 2, 7.0)
+        batched.add_edge(1, 2, 7.0)
+        for u, v, x in zip(src, dst, w):
+            one_by_one.add_edge(int(u), int(v), float(x))
+        batched.add_edge_arrays(src, dst, w)
+        assert batched.num_edges == one_by_one.num_edges == 6
+        a, b = one_by_one.build(), batched.build()
+        assert a == b
+        # parallel edges keep their insertion order in the CSR arrays
+        assert b.weights[b.indptr[0] : b.indptr[1]].tolist() == [5.0, 2.0, 4.0]
+
+    def test_add_edge_arrays_validates_like_add_edge(self):
+        b = GraphBuilder(3)
+        with pytest.raises(GraphError):
+            b.add_edge_arrays(np.array([0, 3]), np.array([1, 0]), np.array([1.0, 1.0]))
+        with pytest.raises(GraphError):
+            b.add_edge_arrays(np.array([0, -1]), np.array([1, 0]), np.array([1.0, 1.0]))
+        with pytest.raises(GraphError):
+            b.add_edge_arrays(np.array([0]), np.array([1]), np.array([-0.5]))
+        with pytest.raises(GraphError):
+            b.add_edge_arrays(np.array([0, 1]), np.array([1]), np.array([1.0]))
+        assert b.num_edges == 0  # a rejected batch adds nothing
+        b.add_edge_arrays(np.array([], dtype=np.int64), np.array([], dtype=np.int64), np.array([]))
+        assert b.num_edges == 0
+
+    def test_set_coords_matches_set_coord_and_survives_growth(self):
+        one_by_one, batched = GraphBuilder(2), GraphBuilder(2)
+        one_by_one.set_coord(1, 3.0, 4.0)
+        batched.set_coords(np.array([1]), np.array([[3.0, 4.0]]))
+        for b in (one_by_one, batched):
+            first = b.add_vertices(3)
+            b.add_edge(0, first, 1.0)
+        one_by_one.set_coord(4, -1.0, 2.5)
+        one_by_one.set_coord(2, 9.0, 9.0)
+        batched.set_coords(np.array([4, 2]), np.array([[-1.0, 2.5], [9.0, 9.0]]))
+        a, b = one_by_one.build(), batched.build()
+        assert a == b
+        # vertices without a coordinate read as the origin, as before
+        assert b.coords.tolist() == [[0, 0], [3, 4], [9, 9], [0, 0], [-1, 2.5]]
+
+    def test_set_coords_validates(self):
+        b = GraphBuilder(2)
+        with pytest.raises(GraphError):
+            b.set_coords(np.array([0, 2]), np.zeros((2, 2)))
+        with pytest.raises(GraphError):
+            b.set_coords(np.array([0, 1]), np.zeros((2, 3)))
+        b.add_edge(0, 1)
+        assert not b.build().has_coords()
+
+
 class TestEquality:
     def test_equal_graphs(self):
         assert small_graph() == small_graph()

@@ -35,8 +35,7 @@ def main():
     # group finished queries by the city their scope mostly lives in
     by_city = defaultdict(list)
     for rec in result.trace.finished_queries():
-        runtime = result.engine.runtimes[rec.query_id]
-        scope = np.fromiter(runtime.scope, dtype=np.int64, count=len(runtime.scope))
+        scope = result.engine.runtimes[rec.query_id].scope_vertices()
         cities = rn.city_of_vertex[scope]
         cities = cities[cities >= 0]
         if cities.size:

@@ -30,7 +30,7 @@
     :mod:`repro.analysis.protocol`): per dispatcher, the waiting states
     with their manifest classification, the declared barrier-ack
     couples, and per-handler transitions (enters/releases/guards/
-    schedules).  Fully generated — ``--protocol-diff`` reports drift
+    schedules).  Fully generated — ``--drift`` reports drift
     for review artifacts.
 
 Regenerate with ``python -m repro.analysis --write-baseline`` after an

@@ -12,10 +12,10 @@ fingerprints filter whole-program findings (so CI fails only on *new*
 hazards) and its ``state_manifest`` classifies the state inventory the
 lifecycle rules check.  ``--write-baseline`` regenerates the effect
 summaries and the manifest in place (carrying the hand-curated
-``accepted`` block and existing classifications); ``--effects-diff`` /
-``--manifest-diff`` / ``--protocol-diff`` print the drift between the
-checked-in baseline and HEAD for review artifacts, and
-``--protocol-tables`` renders the extracted protocol automata as the
+``accepted`` block and existing classifications); ``--drift`` prints the
+drift between the checked-in baseline and HEAD — effect summaries, state
+manifest, protocol automata, one section each — for the CI review
+artifact, and ``--protocol-tables`` renders the extracted protocol automata as the
 markdown block embedded in ``docs/engine.md``.
 """
 
@@ -100,19 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="regenerate the baseline's effect summaries and exit",
     )
     parser.add_argument(
-        "--effects-diff",
+        "--drift",
         action="store_true",
-        help="print effect-summary drift vs the baseline and exit 0",
-    )
-    parser.add_argument(
-        "--manifest-diff",
-        action="store_true",
-        help="print state-manifest drift vs the baseline and exit 0",
-    )
-    parser.add_argument(
-        "--protocol-diff",
-        action="store_true",
-        help="print protocol-automaton drift vs the baseline and exit 0",
+        help=(
+            "print effect-summary, state-manifest and protocol-automaton "
+            "drift vs the baseline and exit 0"
+        ),
     )
     parser.add_argument(
         "--protocol-tables",
@@ -197,13 +190,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"repro-lint: {exc}", file=sys.stderr)
             return 2
 
-    if (
-        args.write_baseline
-        or args.effects_diff
-        or args.manifest_diff
-        or args.protocol_diff
-        or args.protocol_tables
-    ):
+    if args.write_baseline or args.drift or args.protocol_tables:
         # the effect summary is defined over the library sources only —
         # benchmarks/tests neither declare handlers nor shift effect sets;
         # the curated manifest rides along so the protocol automata carry
@@ -226,31 +213,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.protocol_tables:
             print(render_protocol_tables(project), end="")
             return 0
-        if args.effects_diff:
-            drift = diff_effects(
-                baseline.effects,
-                effect_analysis_for(project).effect_summary(),
-            )
-            for line in drift:
-                print(line)
-            print(f"repro-lint: {len(drift)} effect-summary change(s) vs baseline")
-            return 0
-        if args.protocol_diff:
-            drift = diff_protocol(baseline.protocol, protocol_summary(project))
-            for line in drift:
-                print(line)
-            print(
-                f"repro-lint: {len(drift)} protocol-automaton change(s) "
-                "vs baseline"
-            )
-            return 0
-        drift = diff_manifest(
-            baseline.state_manifest,
-            render_manifest(project, curated=baseline.state_manifest),
+        sections = (
+            (
+                "effect-summary",
+                diff_effects(
+                    baseline.effects,
+                    effect_analysis_for(project).effect_summary(),
+                ),
+            ),
+            (
+                "state-manifest",
+                diff_manifest(
+                    baseline.state_manifest,
+                    render_manifest(project, curated=baseline.state_manifest),
+                ),
+            ),
+            (
+                "protocol-automaton",
+                diff_protocol(baseline.protocol, protocol_summary(project)),
+            ),
         )
-        for line in drift:
-            print(line)
-        print(f"repro-lint: {len(drift)} state-manifest change(s) vs baseline")
+        for what, drift in sections:
+            for line in drift:
+                print(line)
+            print(f"repro-lint: {len(drift)} {what} change(s) vs baseline")
         return 0
 
     violations = lint_project(

@@ -4,7 +4,7 @@ The engine routes every popped event through ``getattr(self,
 f"_on_{event.kind}")`` — the dispatch table is implicit in method names.
 This module recovers it statically and computes, for every handler, the
 *transitive* set of attributes it reads and writes across the call graph
-(attributed to the class owning the attribute: ``QGraphEngine._outstanding``,
+(attributed to the class owning the attribute: ``QGraphEngine.paused``,
 ``QueryRuntime.acked``, ``SimWorker.busy_until``, …), the *guard*
 attributes it tests in conditionals (epoch/phase fencing), and every
 event it schedules (with a coarse delay class).  The race rules in

@@ -12,7 +12,7 @@ automaton** whose
 
 states
     are the dispatcher's phase flags, epoch counters and parked-work
-    buffers (``paused``, ``_outstanding``, ``_held_tasks``,
+    buffers (``paused``, ``_bsp_outstanding``, ``_held_tasks``,
     ``barrier_epoch``, … — the waiting-shaped subset of PR 9's
     ``state_manifest`` inventory, each summarized with its manifest
     classification), plus the members of every declared barrier-ack
@@ -26,7 +26,7 @@ transitions
 
 The extracted automata are persisted in the ``protocol`` section of
 ``analysis_baseline.json`` (``--write-baseline`` regenerates,
-``--protocol-diff`` reports drift) and rendered as markdown tables for
+``--drift`` reports drift) and rendered as markdown tables for
 ``docs/engine.md`` via ``--protocol-tables``.  Four project rules prove
 the protocols over the automata:
 

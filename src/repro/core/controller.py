@@ -4,7 +4,9 @@ The controller owns the MAPE loop:
 
 * **Monitor** — workers piggyback stats on barrier messages; the controller
   tracks windowed query locality (:class:`~repro.core.monitoring.QueryMonitor`)
-  and global query scopes (:class:`~repro.core.scopes.QueryScopes`).
+  and global query scopes (:class:`~repro.core.scopes.ScopeStore`; the
+  set-based :class:`~repro.core.scopes.QueryScopes` only under
+  ``planning_backend="reference"``).
 * **Analyze** — when the average query locality over the window falls below
   the threshold Φ, repartitioning is warranted (§3.4).
 * **Plan** — queries are clustered (Karger variant, Appendix A.1) into

@@ -3,13 +3,13 @@
 Pregel-style fault tolerance (Malewicz et al. §4.2) adapted to the
 multi-query engine: at configurable barrier intervals
 (``EngineConfig.checkpoint_interval``) the engine snapshots each query's
-complete logical state — vertex data (sparse dict or dense kernel buffers),
-both mailbox generations, aggregator commits, scope, and the iteration
-counter.  A checkpoint is everything needed to replay the query from that
-barrier on a *different* vertex assignment: restore copies the buffers back,
-re-homes the mailboxes with :meth:`QueryRuntime.rebucket`, and resets the
-barrier protocol with an epoch bump so in-flight pre-crash traffic is fenced
-out.
+complete logical state — vertex data (sparse dict, or dense kernel buffers
+with their scope mask), both mailbox generations, aggregator commits, and
+the iteration counter.  A checkpoint is everything needed to replay the
+query from that barrier on a *different* vertex assignment: restore copies
+the buffers back, re-homes the mailboxes with :meth:`QueryRuntime.rebucket`,
+and resets the barrier protocol with an epoch bump so in-flight pre-crash
+traffic is fenced out.
 
 Checkpoints are aligned to barriers on purpose: at a barrier the query has
 no in-flight compute and ``next_mailboxes`` has just been rotated away, so
@@ -21,7 +21,7 @@ Timing is charged by the engine (each involved worker is occupied for
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class QueryCheckpoint:
         "next_mailboxes",
         "pending_remote_inbound",
         "agg_committed",
-        "scope",
         "kstate",
         "scope_mask",
         "fingerprint",
@@ -73,7 +72,6 @@ class QueryCheckpoint:
         next_mailboxes: Dict[int, Any],
         pending_remote_inbound: Dict[int, int],
         agg_committed: Dict[str, Any],
-        scope: Set[int],
         kstate: Any,
         scope_mask: Optional[np.ndarray],
         fingerprint: Optional[Tuple[Any, ...]] = None,
@@ -84,7 +82,6 @@ class QueryCheckpoint:
         self.next_mailboxes = next_mailboxes
         self.pending_remote_inbound = pending_remote_inbound
         self.agg_committed = agg_committed
-        self.scope = scope
         self.kstate = kstate
         self.scope_mask = scope_mask
         #: optional content fingerprint stamped by the sanitizer at capture;
@@ -102,7 +99,6 @@ class QueryCheckpoint:
             next_mailboxes=copy_mailboxes(qr.next_mailboxes),
             pending_remote_inbound=dict(qr.pending_remote_inbound),
             agg_committed=dict(qr.agg_committed),
-            scope=set(qr.scope),
             kstate=copy_kernel_state(qr.kstate),
             scope_mask=None if qr.scope_mask is None else qr.scope_mask.copy(),
         )
@@ -130,12 +126,10 @@ class QueryCheckpoint:
         qr.next_mailboxes = copy_mailboxes(self.next_mailboxes)
         qr.pending_remote_inbound = dict(self.pending_remote_inbound)
         qr.agg_committed = dict(self.agg_committed)
-        qr.scope = set(self.scope)
         qr.kstate = copy_kernel_state(self.kstate)
         qr.scope_mask = (
             None if self.scope_mask is None else self.scope_mask.copy()
         )
         qr.rebucket(assignment)
-        qr.involved = set(qr.mailboxes)
         qr.reset_barrier_protocol()
         return rolled

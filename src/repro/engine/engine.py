@@ -242,15 +242,9 @@ class QGraphEngine:
             self.config.scheduler, self.assignment
         )
         self.running: Set[int] = set()
-        #: per-query vertices activated since the last controller update
-        self._activated: Dict[int, List[int]] = {}
         # --- repartitioning state ---
         self.paused = False
         self._stop_scheduled = False
-        self._outstanding = 0
-        #: query id -> {worker: in-flight compute count} (computes whose
-        #: ``compute_done`` has not fired yet; partial STOP drains these)
-        self._inflight: Dict[int, Dict[int, int]] = {}
         self._held_resolutions: List[int] = []
         self._held_tasks: List[Tuple[int, int]] = []
         #: tasks of *non-halted* queries that landed on a halted worker
@@ -272,7 +266,6 @@ class QGraphEngine:
         # --- shared-BSP state ---
         self._bsp_in_progress = False
         self._bsp_outstanding = 0
-        self._bsp_waiting: List[Query] = []
         self._bsp_participants: Set[int] = set()
         self._events_processed = 0
         # --- fault-tolerance state (inert on fault-free runs) ---
@@ -301,12 +294,6 @@ class QGraphEngine:
         #: queries whose current iteration lost results to a crash; frozen
         #: until a recovery rolls them back (finishing one is a protocol bug)
         self._tainted_queries: Set[int] = set()
-        #: compute dispatches that landed on a dead worker, dropped at the
-        #: recovery rollback (the restored query re-dispatches from its
-        #: checkpoint)
-        self._held_dead_tasks: List[Tuple[int, int]] = []
-        #: query id -> latest barrier-aligned checkpoint
-        self._checkpoints: Dict[int, QueryCheckpoint] = {}
         if self.config.checkpoint_interval < 0:
             raise EngineError("checkpoint_interval must be >= 0")
         if faults is not None and (not faults.is_noop() or self._links_have_faults()):
@@ -449,7 +436,7 @@ class QGraphEngine:
             f"queue_len={len(self.queue)}",
             f"running={len(self.running)}",
             f"admission_queue={len(self.scheduler.pending_queries())}",
-            f"outstanding_computes={self._outstanding}",
+            f"outstanding_computes={self._inflight_computes()}",
             f"paused={self.paused}",
             f"held_tasks={len(self._held_tasks)}",
             f"held_resolutions={len(self._held_resolutions)}",
@@ -560,11 +547,10 @@ class QGraphEngine:
         handling cost for its shard; the initial checkpoint taken at query
         start is free (the submission itself materialized that state).
         """
-        query_id = qr.query.query_id
         ck = QueryCheckpoint.capture(qr)
         if self.sanitizer is not None:
             ck.fingerprint = self.sanitizer.checkpoint_fingerprint(qr)
-        self._checkpoints[query_id] = ck
+        qr.checkpoint = ck
         self.trace.checkpoints_taken += 1
         if not charge:
             return
@@ -597,21 +583,12 @@ class QGraphEngine:
             return True
         return query_id in self._stop_queries
 
-    def _inflight_add(self, query_id: int, worker: int) -> None:
-        per_worker = self._inflight.setdefault(query_id, {})
-        per_worker[worker] = per_worker.get(worker, 0) + 1
-
-    def _inflight_remove(self, query_id: int, worker: int) -> None:
-        per_worker = self._inflight.get(query_id)
-        if per_worker is None:
-            return
-        count = per_worker.get(worker, 0) - 1
-        if count > 0:
-            per_worker[worker] = count
-        else:
-            per_worker.pop(worker, None)
-        if not per_worker:
-            self._inflight.pop(query_id, None)
+    def _inflight_computes(self) -> int:
+        """Computes whose ``compute_done`` has not fired yet, cluster-wide."""
+        return sum(
+            sum(self.runtimes[query_id].inflight.values())
+            for query_id in self.running
+        )
 
     def _query_footprint(self, query_id: int) -> Set[int]:
         """Workers currently holding state of a running query: mailbox
@@ -619,7 +596,7 @@ class QGraphEngine:
         and workers with a compute in flight."""
         qr = self.runtimes[query_id]
         footprint = set(qr.mailboxes) | set(qr.next_mailboxes) | qr.involved
-        footprint.update(self._inflight.get(query_id, ()))
+        footprint.update(qr.inflight)
         return footprint
 
     def _plan_scope(self, plan: MovePlan) -> Tuple[Set[int], Set[int]]:
@@ -670,7 +647,6 @@ class QGraphEngine:
         qr = QueryRuntime(query, self.graph if self.config.use_kernels else None)
         self.runtimes[query.query_id] = qr
         self.running.add(query.query_id)
-        self._activated[query.query_id] = []
         self.scheduler.on_query_started(query)
         self.controller.on_query_started(query.query_id, now)
         self.trace.query_started(query.query_id, query.kind, now, query.phase)
@@ -692,7 +668,6 @@ class QGraphEngine:
             self._capture_checkpoint(qr, now, charge=False)
 
         if self.config.sync_mode is SyncMode.SHARED_BSP:
-            self._bsp_waiting.append(query)
             if not self._bsp_in_progress:
                 self._bsp_begin_superstep(now)
             return
@@ -721,7 +696,7 @@ class QGraphEngine:
     # event: a compute task becomes ready on a worker
     # ------------------------------------------------------------------
     def _on_task_ready(self, now: float, query_id: int, worker: int) -> None:
-        if self._dead_workers and worker in self._dead_workers:
+        if worker in self._dead_workers:
             # crash-stop: the worker process is gone, the dispatch is void.
             # If the dead worker owns this query's unconsumed shard the
             # query is tainted (recovery re-dispatches it from the restored
@@ -729,7 +704,6 @@ class QGraphEngine:
             qr = self.runtimes[query_id]
             if not qr.finished and qr.mailboxes.get(worker):
                 self._tainted_queries.add(query_id)
-            self._held_dead_tasks.append((query_id, worker))
             if self.paused:
                 self._maybe_begin_stop(now)
             return
@@ -790,9 +764,8 @@ class QGraphEngine:
                 # so the barrier stays live.  Workers whose compute is
                 # still running are skipped: their ack is stamped with the
                 # epoch current when compute_done fires, i.e. this one.
-                inflight = self._inflight.get(query_id, {})
                 for w in sorted((qr.computed & qr.involved) - qr.acked):
-                    if w in inflight:
+                    if w in qr.inflight:
                         continue
                     self.queue.schedule(
                         now + self._ctrl_latency(w),
@@ -834,8 +807,7 @@ class QGraphEngine:
             ),
         )
         start, finish = w.occupy(now, duration)
-        self._outstanding += 1
-        self._inflight_add(qr.query.query_id, worker)
+        qr.inflight[worker] = qr.inflight.get(worker, 0) + 1
         if result.executed_vertices:
             self.trace.vertices_executed(worker, start, result.executed_vertices)
         self.trace.local_messages += result.local_messages
@@ -847,8 +819,7 @@ class QGraphEngine:
             qr.inbox_ready[dest] = max(qr.inbox_ready.get(dest, 0.0), arrival)
             self.trace.remote_messages += count
             self.trace.remote_batches += link.num_batches(count)
-        if result.activated:
-            self._activated.setdefault(qr.query.query_id, []).extend(result.activated)
+        qr.activated.extend(result.activated)
         self.queue.schedule(
             finish,
             "compute_done",
@@ -863,9 +834,10 @@ class QGraphEngine:
     def _on_compute_done(
         self, now: float, query_id: int, worker: int, had_remote: bool
     ) -> None:
-        self._outstanding -= 1
-        self._inflight_remove(query_id, worker)
         qr = self.runtimes[query_id]
+        qr.inflight[worker] -= 1
+        if not qr.inflight[worker]:
+            del qr.inflight[worker]
 
         if self.faults is not None and worker in self._dead_workers:
             # the worker crashed mid-compute: its results (messages already
@@ -875,18 +847,14 @@ class QGraphEngine:
             self._tainted_queries.add(query_id)
             self.trace.lost_computes += 1
             if self.config.sync_mode is SyncMode.SHARED_BSP:
-                self._bsp_outstanding -= 1
-                if self._bsp_outstanding == 0:
-                    self._bsp_resolve_superstep(now)
+                self._bsp_task_settled(now)
             elif self.paused:
                 self._maybe_begin_stop(now)
             return
 
         if self.config.sync_mode is SyncMode.SHARED_BSP:
-            self._bsp_outstanding -= 1
             qr.acked.add(worker)
-            if self._bsp_outstanding == 0:
-                self._bsp_resolve_superstep(now)
+            self._bsp_task_settled(now)
             return
 
         local_candidate = (
@@ -955,16 +923,11 @@ class QGraphEngine:
         # iterations as local in the trace and controller statistics
         involved_count = len(qr.involved | qr.prior_participants)
         self._report_controller_iteration(
-            query_id,
-            involved_count,
-            self._activated.pop(query_id, []),
-            now,
+            query_id, involved_count, qr.take_activated(), now
         )
-        self._activated[query_id] = []
         self.trace.iteration_executed(query_id, involved_count)
 
         if self._query_paused(query_id):
-            qr.release_pending = True
             self._held_resolutions.append(query_id)
             return
 
@@ -977,11 +940,8 @@ class QGraphEngine:
         inbox_ready = dict(qr.inbox_ready)
         qr.rotate_mailboxes()
         qr.iteration += 1
-        qr.involved = next_involved
-        qr.acked = set()
-        qr.computed = set()
+        qr.open_generation(next_involved)
         qr.prior_participants = set()
-        qr.barrier_epoch += 1
         if self.sanitizer is not None:
             self.sanitizer.observe_epoch(query_id, qr.barrier_epoch, now)
         if (
@@ -1034,7 +994,7 @@ class QGraphEngine:
         global drain likewise processes in-flight acks).  Only graph
         compute is fenced off halted workers.
         """
-        if self._dead_workers and worker in self._dead_workers:
+        if worker in self._dead_workers:
             return  # crash-stop: a dead worker serves no control traffic
         qr = self.runtimes[query_id]
         if qr.finished:
@@ -1073,18 +1033,8 @@ class QGraphEngine:
                 f"query {query_id} finished with crash-lost results "
                 "(tainted by a worker failure but never rolled back)"
             )
-        # release every engine-side per-query entry (the finish-leak
-        # contract checked by repro.analysis.lifecycle): _activated kept an
-        # empty per-query list alive forever after finish, an unbounded leak
-        # across long multi-tenant runs; _inflight is empty by construction
-        # at a resolved barrier, popped here so the invariant is enforced on
-        # the finish path itself rather than assumed
-        self._checkpoints.pop(query_id, None)
-        self._activated.pop(query_id, None)
-        self._inflight.pop(query_id, None)
         qr = self.runtimes[query_id]
-        qr.finalize_state()
-        qr.finished = True
+        qr.release()
         if self.sanitizer is not None:
             self.sanitizer.on_query_finished(query_id)
         self.running.discard(query_id)
@@ -1152,23 +1102,21 @@ class QGraphEngine:
                 graph, new_ids, self.assignment
             )
             self.assignment = np.concatenate([self.assignment, owners])
-            for qr in self.runtimes.values():
-                if not qr.finished:
-                    qr.grow(graph.num_vertices)
+            for query_id in sorted(self.running):
+                self.runtimes[query_id].grow(graph.num_vertices)
             # placement-aware admission policies see the grown assignment
             self.scheduler.on_assignment_changed(self.assignment)
 
         dropped = 0
         if result.removed_vertices:
             dead = graph.dead_mask
-            for qr in self.runtimes.values():
-                if not qr.finished:
-                    dropped += qr.purge_dead_targets(dead)
+            for query_id in sorted(self.running):
+                dropped += self.runtimes[query_id].purge_dead_targets(dead)
 
         # controller hygiene: truncate scope-store entries of dead vertices
         # so Q-cut snapshots never plan moves of dead ids (the controller
         # also filters dead ids out of future activation reports, covering
-        # the engine's not-yet-reported _activated buffers)
+        # the runtimes' not-yet-reported ``activated`` buffers)
         self.controller.on_graph_mutation(result.removed_vertices)
 
         self.trace.graph_updated(
@@ -1195,28 +1143,24 @@ class QGraphEngine:
     def _bsp_begin_superstep(self, now: float) -> None:
         if self.paused:
             return
-        self._bsp_waiting.clear()
         participants: List[Tuple[int, int]] = []
-        self._bsp_participants: Set[int] = set()
+        self._bsp_participants = set()
         for query_id in sorted(self.running):
             qr = self.runtimes[query_id]
             if self.faults is not None and query_id in self._tainted_queries:
                 continue  # frozen until recovery rolls it back
             involved = set(qr.mailboxes)
-            if self._dead_workers and involved & self._dead_workers:
+            if involved & self._dead_workers:
                 # part of the frontier lives on a crashed worker: freeze the
                 # whole query (its mailboxes stay intact for the rollback)
                 self._tainted_queries.add(query_id)
                 continue
-            qr.acked = set()
-            qr.computed = set()
-            qr.prior_participants = set()
-            qr.involved = involved
             # every barrier generation is uniquely numbered, superstep
             # seeds included: recovery's stale-ack fencing (and the
             # ack-completeness proof) rely on a re-seeded ack set never
             # sharing an epoch with the generation it replaced
-            qr.barrier_epoch += 1
+            qr.open_generation(involved)
+            qr.prior_participants = set()
             if qr.involved:
                 self._bsp_participants.add(query_id)
             for w in sorted(qr.involved):
@@ -1234,28 +1178,31 @@ class QGraphEngine:
             )
 
     def _on_bsp_compute(self, now: float, query_id: int, worker: int) -> None:
-        if self._dead_workers and worker in self._dead_workers:
+        if worker in self._dead_workers:
             # the worker crashed after the superstep dispatched: its slice
             # of the superstep is lost, the query freezes until rollback
             self._tainted_queries.add(query_id)
             self.trace.lost_computes += 1
-            self._bsp_outstanding -= 1
-            if self._bsp_outstanding == 0:
-                self._bsp_resolve_superstep(now)
+            self._bsp_task_settled(now)
             return
         qr = self.runtimes[query_id]
         if worker not in qr.mailboxes:
-            self._bsp_outstanding -= 1
-            if self._bsp_outstanding == 0:
-                self._bsp_resolve_superstep(now)
+            self._bsp_task_settled(now)
             return
         self._execute_compute(qr, worker, now)
+
+    def _bsp_task_settled(self, now: float) -> None:
+        """One dispatched ``bsp_compute`` ran, was lost or was void; the
+        last one of the superstep resolves the shared barrier."""
+        self._bsp_outstanding -= 1
+        if self._bsp_outstanding == 0:
+            self._bsp_resolve_superstep(now)
 
     def _bsp_resolve_superstep(self, now: float) -> None:
         # every (live) worker participates in the shared barrier
         ack_finish = now
         for w in self.workers:
-            if self._dead_workers and w.wid in self._dead_workers:
+            if w.wid in self._dead_workers:
                 continue  # crash-stop: no ack from a dead worker
             _s, finish = w.occupy(w.busy_until, self.cluster.machine.barrier_ack_time)
             ack_finish = max(ack_finish, finish + self._ctrl_latency(w.wid))
@@ -1277,12 +1224,8 @@ class QGraphEngine:
             self._reduce_aggregators(qr)
             involved_count = len(qr.involved)
             self._report_controller_iteration(
-                query_id,
-                involved_count,
-                self._activated.pop(query_id, []),
-                resolve,
+                query_id, involved_count, qr.take_activated(), resolve
             )
-            self._activated[query_id] = []
             self.trace.iteration_executed(query_id, involved_count)
             qr.rotate_mailboxes()
             qr.iteration += 1
@@ -1349,23 +1292,25 @@ class QGraphEngine:
         if self._bsp_in_progress:
             # shared-BSP: the STOP aligns with the superstep barrier.  An
             # in-flight superstep finishes first (its computes may not even
-            # have started — ``_outstanding`` alone cannot see dispatched
+            # have started — the in-flight maps cannot see dispatched
             # ``bsp_compute`` events); ``_bsp_resolve_superstep`` re-calls
             # us once the barrier resolves.
             return
         if self._stop_workers is None:
             # global STOP: the whole cluster drains
-            if self._outstanding > 0:
+            if self._inflight_computes() > 0:
                 return
         else:
             # partial STOP: drain the halted queries' computes (wherever
             # they run — stage B's barrier reset at START must not race an
             # in-flight ack) and any compute on a halted worker; everyone
             # else keeps running
-            for query_id, per_worker in self._inflight.items():
-                if query_id in self._stop_queries:
-                    return
-                if not self._stop_workers.isdisjoint(per_worker):
+            for query_id in sorted(self.running):
+                inflight = self.runtimes[query_id].inflight
+                if inflight and (
+                    query_id in self._stop_queries
+                    or not self._stop_workers.isdisjoint(inflight)
+                ):
                     return
         self._stop_scheduled = True
         # STOP barrier: the halted workers ack the halt (a crashed worker
@@ -1377,7 +1322,7 @@ class QGraphEngine:
         )
         stop_time = now
         for w in halted:
-            if self._dead_workers and w.wid in self._dead_workers:
+            if w.wid in self._dead_workers:
                 continue
             _s, finish = w.occupy(
                 max(w.busy_until, now), self.cluster.machine.barrier_ack_time
@@ -1411,9 +1356,7 @@ class QGraphEngine:
         # transfer concurrently)
         link_payloads: Dict[Tuple[int, int], int] = {}
         for move in plan.moves:
-            if self._dead_workers and (
-                move.src in self._dead_workers or move.dst in self._dead_workers
-            ):
+            if move.src in self._dead_workers or move.dst in self._dead_workers:
                 # belt and braces with the controller-side filter: a crashed
                 # worker can neither ship nor receive migration state
                 continue
@@ -1432,9 +1375,10 @@ class QGraphEngine:
         for (src, dst), payload in link_payloads.items():
             link = self.cluster.link(src, dst)
             duration = max(duration, link.latency + payload / link.bandwidth)
-        for qr in self.runtimes.values():
-            if not qr.finished:
-                qr.rebucket(self.assignment, workers=self._stop_workers)
+        for query_id in sorted(self.running):
+            self.runtimes[query_id].rebucket(
+                self.assignment, workers=self._stop_workers
+            )
         if self.sanitizer is not None:
             self.sanitizer.check_rebucket(mailbox_snapshot, self.assignment, now)
         involved = (
@@ -1490,7 +1434,6 @@ class QGraphEngine:
             qr = self.runtimes[query_id]
             if qr.finished:
                 continue
-            qr.release_pending = False
             self._resolve_query_barrier(qr, now, local=False)
 
         # stage B: released queries whose compute dispatch was deferred.
@@ -1510,10 +1453,7 @@ class QGraphEngine:
             # remember who already computed part of this iteration (for the
             # iteration statistics) before dropping their stale acks
             qr.prior_participants |= ((qr.acked & qr.involved) | qr.computed) - owners
-            qr.acked = set()
-            qr.computed = set()
-            qr.involved = owners
-            qr.barrier_epoch += 1
+            qr.open_generation(owners)
             if not owners:
                 # every compute of the interrupted iteration already ran;
                 # its resolution is all that is left
@@ -1615,7 +1555,7 @@ class QGraphEngine:
         # queries merely *involving* the worker are not tainted.
         for query_id in sorted(self.running):
             qr = self.runtimes[query_id]
-            lost_compute = worker in self._inflight.get(query_id, ())
+            lost_compute = worker in qr.inflight
             lost_current = bool(qr.mailboxes.get(worker)) and worker not in qr.computed
             lost_next = bool(qr.next_mailboxes.get(worker))
             if lost_compute or lost_current or lost_next:
@@ -1742,12 +1682,15 @@ class QGraphEngine:
         # mailboxes bucketed for owners the assignment no longer names —
         # exactly the partial state the atomic-mutation contract on
         # STATE_INVARIANT_GROUPS forbids
+        checkpoints: Dict[int, QueryCheckpoint] = {}
         for query_id in sorted(self.running):
-            if query_id not in self._checkpoints:
+            ck = self.runtimes[query_id].checkpoint
+            if ck is None:
                 # _start_query always captures a baseline
                 raise EngineError(
                     f"running query {query_id} has no checkpoint at recovery"
                 )
+            checkpoints[query_id] = ck
         rehomed = 0
         duration = 0.0
         if dead_now:
@@ -1777,10 +1720,9 @@ class QGraphEngine:
         rolled_iters = 0
         for query_id in sorted(self.running):
             qr = self.runtimes[query_id]
-            ck = self._checkpoints[query_id]
+            ck = checkpoints[query_id]
             rolled_iters += ck.restore(qr, self.assignment)
             qr.grow(self.graph.num_vertices)
-            self._activated[query_id] = []
             restored.append(query_id)
             if self.sanitizer is not None:
                 self.sanitizer.on_query_restored(
@@ -1789,7 +1731,6 @@ class QGraphEngine:
         # every pre-crash dispatch/resolution is void: the rollback fenced
         # them with an epoch bump and stage R re-dispatches from scratch
         self._tainted_queries.clear()
-        self._held_dead_tasks.clear()
         self._held_resolutions.clear()
         self._held_tasks.clear()
         self._held_other_tasks.clear()

@@ -10,8 +10,18 @@ conflicts between parallel queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -19,6 +29,9 @@ from repro.errors import QueryError
 from repro.engine.kernels import ArrayMailbox, group_by_owner
 from repro.engine.vertex_program import VertexProgram
 from repro.graph.digraph import DiGraph
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.engine.checkpoint import QueryCheckpoint
 
 __all__ = ["Query", "QueryRuntime"]
 
@@ -55,7 +68,15 @@ class Query:
 
 
 class QueryRuntime:
-    """Mutable engine-side execution state of one running query.
+    """Everything the engine knows about one query, for exactly as long as
+    the query runs.
+
+    The runtime is the single owner of per-query state: vertex data,
+    mailboxes, barrier bookkeeping, the activation report buffer, the
+    in-flight compute counts and the latest checkpoint all live here (the
+    engine keeps no map keyed by query id besides ``runtimes`` itself).
+    :meth:`release` ends that lifetime at finish: the sparse answer in
+    ``state`` stays for ``query_result()``, every working structure goes.
 
     Two mailbox/state representations coexist:
 
@@ -67,6 +88,10 @@ class QueryRuntime:
       ``{worker: ArrayMailbox}`` and the vertex data lives in the kernel's
       dense numpy buffers (``kstate``) with scope tracked by ``scope_mask``;
       ``state`` is materialized back into dict form when the query finishes.
+
+    The query scope GS(q) has one representation per path — ``scope_mask``
+    while a kernel query runs, the keys of ``state`` otherwise — read
+    through :meth:`scope_vertices`.
     """
 
     __slots__ = (
@@ -84,9 +109,10 @@ class QueryRuntime:
         "barrier_epoch",
         "agg_committed",
         "agg_partials",
-        "scope",
+        "activated",
+        "inflight",
+        "checkpoint",
         "finished",
-        "release_pending",
         "kernel",
         "kstate",
         "scope_mask",
@@ -123,16 +149,19 @@ class QueryRuntime:
         self.agg_committed: Dict[str, Any] = {}
         #: per-worker aggregator partials gathered during the current iteration
         self.agg_partials: Dict[int, Dict[str, Any]] = {}
-        #: global query scope GS(q): every vertex activated so far
-        self.scope: Set[int] = set()
+        #: vertices activated since the last controller report
+        self.activated: List[int] = []
+        #: worker -> computes whose ``compute_done`` has not fired yet
+        #: (a partial STOP drains these)
+        self.inflight: Dict[int, int] = {}
+        #: latest barrier-aligned checkpoint (None until the first capture)
+        self.checkpoint: Optional["QueryCheckpoint"] = None
         self.finished = False
-        #: set when a barrier resolution was deferred by a global STOP
-        self.release_pending = False
         #: vectorized iteration kernel (None -> generic per-vertex path)
         self.kernel = query.program.make_kernel(graph) if graph is not None else None
         #: kernel-owned dense state buffers
         self.kstate: Any = None
-        #: dense activation flags replacing ``scope`` on the vectorized path
+        #: dense activation flags: the query scope on the vectorized path
         self.scope_mask: Optional[np.ndarray] = None
         if self.kernel is not None:
             self.kstate = self.kernel.make_state(graph)
@@ -221,21 +250,40 @@ class QueryRuntime:
             self.next_mailboxes, assignment, workers, combine
         )
 
+    def open_generation(self, involved: Set[int]) -> None:
+        """Start a fresh barrier generation over ``involved``.
+
+        The one writer of the ``(acked, involved, barrier_epoch)`` couple
+        (``BARRIER_ACK_PROTOCOLS``): membership, the ack set and the epoch
+        only ever change together, so an ack stamped with an older epoch
+        can never count toward a barrier it did not join.
+        """
+        self.involved = involved
+        self.acked = set()
+        self.computed = set()
+        self.barrier_epoch += 1
+
+    def take_activated(self) -> List[int]:
+        """Hand over (and clear) the activations gathered since the last
+        controller report."""
+        activated = self.activated
+        self.activated = []
+        return activated
+
     def reset_barrier_protocol(self) -> None:
         """Invalidate all in-flight barrier traffic for this query.
 
-        Used by crash recovery after a checkpoint restore: the epoch bump
-        makes every pre-rollback ack stale (the same mechanism that fences
-        acks across a STOP/START barrier), and the participant bookkeeping
-        restarts from the restored iteration.
+        Used by crash recovery after a checkpoint restore (and by
+        :meth:`release`): the epoch bump makes every earlier ack stale (the
+        same mechanism that fences acks across a STOP/START barrier), and
+        the participant bookkeeping restarts from the current — restored
+        and already re-homed — mailboxes.
         """
-        self.acked = set()
-        self.computed = set()
+        self.open_generation(set(self.mailboxes))
         self.prior_participants = set()
         self.inbox_ready = {}
         self.agg_partials = {}
-        self.barrier_epoch += 1
-        self.release_pending = False
+        self.activated = []
 
     def grow(self, new_n: int) -> None:
         """Extend the dense kernel buffers after a graph mutation appended
@@ -287,14 +335,40 @@ class QueryRuntime:
 
     def materialized_state(self) -> Dict[int, Any]:
         """The sparse ``{vertex: Dv}`` view, whichever path is active."""
-        if self.kernel is not None and not self.finished:
+        if self.scope_mask is not None:
             return self.kernel.state_dict(self.kstate, self.scope_mask)
         return self.state
 
-    def finalize_state(self) -> None:
-        """Freeze the kernel buffers back into the sparse dict (at finish)."""
-        if self.kernel is not None:
-            self.state = self.kernel.state_dict(self.kstate, self.scope_mask)
+    def scope_vertices(self) -> np.ndarray:
+        """The query scope GS(q): every vertex activated so far (sorted)."""
+        if self.scope_mask is not None:
+            return np.flatnonzero(self.scope_mask)
+        scope = np.fromiter(self.state, dtype=np.int64, count=len(self.state))
+        scope.sort()
+        return scope
+
+    def release(self) -> None:
+        """End of the query's lifetime: keep the answer, drop the rest.
+
+        Freezes the kernel buffers into the sparse ``state`` dict (what
+        ``query_result()`` answers from) and frees every working
+        structure — dense buffers, both mailbox generations, barrier
+        bookkeeping, activation buffer, in-flight map, checkpoint.  Event
+        handlers reach a finished runtime only behind their
+        ``qr.finished`` guard, and the barrier reset (over the now empty
+        mailboxes) fences whatever acks are still on the wire.
+        """
+        self.state = self.materialized_state()
+        self.finished = True
+        self.kstate = None
+        self.scope_mask = None
+        self.mailboxes = {}
+        self.next_mailboxes = {}
+        self.inbox_ready = {}
+        self.pending_remote_inbound = {}
+        self.reset_barrier_protocol()
+        self.inflight = {}
+        self.checkpoint = None
 
     def snapshot_result(self, graph: DiGraph) -> Any:
         """The query answer per the program's result extractor."""

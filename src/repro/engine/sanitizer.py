@@ -293,9 +293,8 @@ class SimulationSanitizer:
     def snapshot_mailboxes(self) -> Dict[int, Tuple[_BoxFingerprint, _BoxFingerprint]]:
         """Fingerprint every live runtime's mailboxes before a rebucket."""
         snapshot: Dict[int, Tuple[_BoxFingerprint, _BoxFingerprint]] = {}
-        for query_id, qr in self.engine.runtimes.items():
-            if qr.finished:
-                continue
+        for query_id in sorted(self.engine.running):
+            qr = self.engine.runtimes[query_id]
             snapshot[query_id] = (
                 _mailbox_fingerprint(qr.mailboxes),
                 _mailbox_fingerprint(qr.next_mailboxes),
@@ -499,8 +498,9 @@ class SimulationSanitizer:
                 time=now,
                 details={"assignment": engine.assignment.shape, "num_vertices": n},
             )
-        for query_id, qr in engine.runtimes.items():
-            if qr.finished or qr.kernel is None:
+        for query_id in sorted(engine.running):
+            qr = engine.runtimes[query_id]
+            if qr.kernel is None:
                 continue
             self.checks_performed += 1
             if qr.scope_mask is None or qr.scope_mask.size != n:

@@ -98,8 +98,7 @@ class SimWorker:
         ctx = ComputeContext(graph, qr.agg_committed, agg_partial)
 
         for vertex, message in mailbox.items():
-            if vertex not in qr.scope:
-                qr.scope.add(vertex)
+            if vertex not in qr.state:
                 result.activated.append(vertex)
             ctx._reset(vertex, qr.iteration)
             old_state = qr.state.get(vertex)
@@ -148,11 +147,7 @@ class SimWorker:
         newly = vertices[~qr.scope_mask[vertices]]
         if newly.size:
             qr.scope_mask[newly] = True
-            activated = newly.tolist()
-            result.activated.extend(activated)
-            # keep the sparse scope set in sync: external consumers (e.g.
-            # per-city grouping in the examples) read it on both paths
-            qr.scope.update(activated)
+            result.activated.extend(newly.tolist())
 
         agg_partial = qr.agg_partials.setdefault(self.wid, {})
         for name in qr.agg_committed:

@@ -356,15 +356,25 @@ class TestManifestWorkflow:
         baseline = load_baseline(REPO_ROOT / "analysis_baseline.json")
         manifest = baseline.state_manifest
         assert set(MANIFEST_KINDS) >= {e["kind"] for e in manifest.values()}
-        # the engine-side per-query maps released by _finish_query
+        # the one engine-side per-query set, released by _finish_query; the
+        # runtime owns every other per-query fact, so the engine keeps no
+        # map keyed by query id besides the runtimes registry itself
+        assert manifest["QGraphEngine.running"]["kind"] == "per-query"
+        assert manifest["QGraphEngine.runtimes"]["kind"] == "engine-global"
         for attr in (
             "QGraphEngine._checkpoints",
             "QGraphEngine._activated",
             "QGraphEngine._inflight",
-            "QGraphEngine.running",
         ):
-            assert manifest[attr]["kind"] == "per-query", attr
-        # the nine checkpointed runtime fields
+            assert attr not in manifest, attr
+        # ...as transients of the runtime, rebuilt or dropped, not captured
+        for attr in (
+            "QueryRuntime.checkpoint",
+            "QueryRuntime.activated",
+            "QueryRuntime.inflight",
+        ):
+            assert manifest[attr]["kind"] == "derived", attr
+        # the eight checkpointed runtime fields
         for attr in (
             "QueryRuntime.iteration",
             "QueryRuntime.state",
@@ -372,11 +382,11 @@ class TestManifestWorkflow:
             "QueryRuntime.next_mailboxes",
             "QueryRuntime.pending_remote_inbound",
             "QueryRuntime.agg_committed",
-            "QueryRuntime.scope",
             "QueryRuntime.kstate",
             "QueryRuntime.scope_mask",
         ):
             assert manifest[attr]["kind"] == "per-query", attr
+        assert "QueryRuntime.scope" not in manifest
         # barrier transients rebuilt by reset_barrier_protocol()
         assert manifest["QueryRuntime.barrier_epoch"]["kind"] == "derived"
         assert manifest["QueryRuntime.acked"]["kind"] == "derived"

@@ -620,6 +620,27 @@ def test_no_bytecode_is_tracked():
     assert dirty == [], dirty
 
 
+def test_cli_drift_reports_all_three_sections(monkeypatch, capsys, tmp_path):
+    """``--drift`` is one invocation for the CI review artifact: effect
+    summaries, state manifest and protocol automata, a section each."""
+    monkeypatch.chdir(REPO_ROOT)
+    raw = json.loads((REPO_ROOT / BASELINE_NAME).read_text(encoding="utf-8"))
+    del raw["effects"]["QGraphEngine"]["heartbeat"]
+    del raw["state_manifest"]["QueryRuntime.activated"]
+    del raw["protocol"]["QGraphEngine"]["transitions"]["heartbeat"]
+    doctored = tmp_path / BASELINE_NAME
+    doctored.write_text(json.dumps(raw), encoding="utf-8")
+    assert cli_main(["--drift", "--baseline", str(doctored)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "+ QGraphEngine.heartbeat: new handler",
+        "repro-lint: 1 effect-summary change(s) vs baseline",
+        "+ QueryRuntime.activated: new state (unclassified)",
+        "repro-lint: 1 state-manifest change(s) vs baseline",
+        "+ QGraphEngine.heartbeat: new transition",
+        "repro-lint: 1 protocol-automaton change(s) vs baseline",
+    ]
+
+
 def test_cli_rejects_unknown_rule(monkeypatch, capsys):
     monkeypatch.chdir(REPO_ROOT)
     assert cli_main(["--select", "no-such-rule"]) == 2

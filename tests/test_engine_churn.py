@@ -14,6 +14,8 @@ The contract of the mutation subsystem:
   paths and all three sync modes.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,18 @@ def _generated_churn(rn, rate=60.0, span=0.4, seed=5, num_queries=48):
     )
 
 
+#: digests of ``_fingerprint`` for the generated-churn run per sync mode,
+#: recorded at the commit before per-query state moved onto
+#: ``QueryRuntime`` (PR 15): that move, and any later host-side-only
+#: change, must reproduce these runs event for event.  A change that
+#: re-times events on purpose re-pins them.
+_CHURN_FINGERPRINTS = {
+    SyncMode.HYBRID: "7e7a136dafa703bf",
+    SyncMode.GLOBAL_PER_QUERY: "b1d37df8762f24ba",
+    SyncMode.SHARED_BSP: "a6c85915641e13ee",
+}
+
+
 class TestChurnExecution:
     @pytest.mark.parametrize("repartition_mode", ["global", "partial"])
     @pytest.mark.parametrize(
@@ -211,6 +225,8 @@ class TestChurnExecution:
         trace = engine.run()
         assert len(trace.finished_queries()) == 48
         assert trace.churn_events
+        digest = hashlib.sha256(repr(_fingerprint(engine, trace)).encode())
+        assert digest.hexdigest()[:16] == _CHURN_FINGERPRINTS[sync_mode]
 
     def test_churn_completes_generic_path(self):
         rn = _road_network()

@@ -14,6 +14,8 @@ The contract of the subsystem:
   sync modes, all four admission schedulers, and racing graph churn.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.engine.barriers import SyncMode
 from repro.engine.checkpoint import QueryCheckpoint
 from repro.engine.engine import EngineConfig, QGraphEngine
 from repro.engine.kernels import ArrayMailbox
+from repro.engine.query import QueryRuntime
 from repro.errors import EngineError, SimulationError
 from repro.graph import MutableDiGraph
 from repro.graph.road_network import generate_road_network
@@ -103,6 +106,22 @@ def _fingerprint(engine, trace):
         trace.barrier_releases,
         engine._events_processed,
     )
+
+
+def _digest(fingerprint):
+    return hashlib.sha256(repr(fingerprint).encode()).hexdigest()[:16]
+
+
+#: ``_digest(_fingerprint(...))`` of the crash runs below, recorded at the
+#: commit before per-query state moved onto ``QueryRuntime`` (PR 15): that
+#: move, and any later host-side-only change, must reproduce these runs
+#: event for event.  A change that re-times events on purpose re-pins them.
+_CRASH_FINGERPRINTS = {
+    SyncMode.HYBRID: "58c4c020e3c62b79",
+    SyncMode.GLOBAL_PER_QUERY: "8b0ee221c837175a",
+    SyncMode.SHARED_BSP: "32f23097e93b964d",
+    "adaptive-partial": "711cabdd35c62c19",
+}
 
 
 def _run(rn, graph=None, kind="sssp", num_queries=32, churn_rate=0.0,
@@ -306,13 +325,14 @@ class TestCrashRecovery:
         rn = _road_network()
         _, t_clean, r_clean = _run(rn, sync_mode=sync_mode, checkpoint_interval=2)
         plan = _crash_plan(t_clean.makespan())
-        _, t_fault, r_fault = _run(
+        engine, t_fault, r_fault = _run(
             rn, sync_mode=sync_mode, checkpoint_interval=2, faults=plan
         )
         assert t_fault.worker_crashes == 1
         assert len(t_fault.recoveries) == 1
         assert t_fault.recoveries[0].rehomed_vertices > 0
         _assert_identical_results(r_fault, r_clean)
+        assert _digest(_fingerprint(engine, t_fault)) == _CRASH_FINGERPRINTS[sync_mode]
 
     def test_permanent_crash_finishes_on_survivors(self):
         rn = _road_network()
@@ -350,7 +370,7 @@ class TestCrashRecovery:
             rn, adaptive=True, repartition_mode="partial", checkpoint_interval=2
         )
         plan = _crash_plan(t_clean.makespan(), at=0.4)
-        _, t_fault, r_fault = _run(
+        engine, t_fault, r_fault = _run(
             rn,
             adaptive=True,
             repartition_mode="partial",
@@ -360,6 +380,10 @@ class TestCrashRecovery:
         assert t_fault.worker_crashes == 1
         assert len(t_fault.recoveries) == 1
         _assert_identical_results(r_fault, r_clean)
+        assert (
+            _digest(_fingerprint(engine, t_fault))
+            == _CRASH_FINGERPRINTS["adaptive-partial"]
+        )
 
     def test_crash_racing_churn_flush(self):
         """Topology mutations land and flush before the crash; replay after
@@ -453,23 +477,63 @@ class TestControlPlaneFaults:
 
 # ----------------------------------------------------------------------
 # finish-path state release (regression for the finish-leak findings:
-# _checkpoints/_activated/_inflight survived their query's lifecycle)
+# a query's checkpoint, activation buffer and in-flight map survived its
+# lifecycle)
 # ----------------------------------------------------------------------
 class TestFinishReleasesPerQueryState:
     def test_finished_queries_leave_no_per_query_engine_state(self):
         rn = _road_network()
         engine, trace, results = _run(rn, num_queries=8, checkpoint_interval=2)
-        # the maps were populated during the run...
+        # the per-query fields were populated during the run...
         assert trace.checkpoints_taken > 0
         finished = set(results)
         assert finished and not engine.running
-        # ...and the finish path released every per-query keyed entry.  A
-        # leaked entry keeps dead checkpoints resident for the rest of a
-        # long multi-tenant run, and recovery would "restore" queries
-        # that already answered.
-        assert finished.isdisjoint(engine._checkpoints)
-        assert finished.isdisjoint(engine._activated)
-        assert finished.isdisjoint(engine._inflight)
+        # ...and the finish path released every one of them.  A leaked
+        # entry keeps dead checkpoints resident for the rest of a long
+        # multi-tenant run, and recovery would "restore" queries that
+        # already answered.
+        for qid in sorted(finished):
+            qr = engine.runtimes[qid]
+            assert qr.checkpoint is None, qid
+            assert qr.activated == [], qid
+            assert qr.inflight == {}, qid
+
+    def test_finished_runtime_keeps_only_its_answer(self):
+        """All seven programs with checkpoints on: after ``run()`` a
+        finished runtime holds no dense buffer and no working structure,
+        and every answer is the one the engine gave before ``release()``
+        existed (SHA-256 over ``repr``, recorded at the parent of PR 15)."""
+        rn = _small_network()
+        engine = _build_engine(rn.graph, checkpoint_interval=2)
+        workload = WorkloadGenerator(rn, seed=5).generate(
+            [
+                PhaseSpec(num_queries=3, kind=kind, label=kind)
+                for kind in _FIXED_POINT_KINDS
+            ]
+        )
+        workload.submit_all(engine)
+        trace = engine.run()
+        assert trace.checkpoints_taken > 0
+        assert not engine.running
+        answers = hashlib.sha256()
+        for query in workload.queries():
+            qr = engine.runtimes[query.query_id]
+            assert qr.finished
+            held = {name: getattr(qr, name) for name in QueryRuntime.__slots__}
+            assert held["kstate"] is None and held["checkpoint"] is None
+            assert not any(isinstance(v, np.ndarray) for v in held.values())
+            for name in (
+                "mailboxes", "next_mailboxes", "inbox_ready",
+                "pending_remote_inbound", "involved", "acked", "computed",
+                "prior_participants", "agg_partials", "activated", "inflight",
+            ):
+                assert not held[name], (query.query_id, name)
+            answers.update(
+                repr((query.query_id, engine.query_result(query.query_id))).encode()
+            )
+        assert answers.hexdigest() == (
+            "4dfa7620eff912bb4ebe95bbb89916d9b42ca5ae42b48fcce47a908308dcd54e"
+        )
 
     def test_recovery_after_finish_ignores_finished_queries(self):
         """A crash after queries finished must not roll them back."""
@@ -483,7 +547,7 @@ class TestFinishReleasesPerQueryState:
         )
         assert len(t_fault.recoveries) >= 1
         _assert_identical_results(r_fault, r_clean)
-        assert set(r_fault).isdisjoint(engine._checkpoints)
+        assert all(engine.runtimes[qid].checkpoint is None for qid in r_fault)
 
 
 # ----------------------------------------------------------------------
@@ -501,7 +565,7 @@ class TestRecoveryPrecondition:
         # leaving mailboxes bucketed for owners the assignment no longer
         # named (the STATE_INVARIANT_GROUPS couple, torn)
         engine.running.add(qid)
-        engine._checkpoints.pop(qid, None)
+        engine.runtimes[qid].checkpoint = None
         engine._dead_workers.add(1)
         engine._recovering = [(1, 0.9, 1.0)]
         before = engine.assignment.copy()
@@ -621,7 +685,13 @@ class TestCheckpointRestoreFixedPoint:
         permuted = (engine.assignment + 1) % engine.cluster.num_workers
         assert not np.array_equal(permuted, engine.assignment)
         for qid, qr in sorted(runtimes.items()):
+            scope = qr.scope_vertices()
             ck1 = QueryCheckpoint.capture(qr)
+            # wipe the live scope: the restore has to bring it back, not
+            # find it still lying there
+            qr.state = {}
+            if qr.scope_mask is not None:
+                qr.scope_mask[:] = False
             ck1.restore(qr, permuted)
             ck2 = QueryCheckpoint.capture(qr)
             label = f"{kind}/q{qid}"
@@ -631,7 +701,7 @@ class TestCheckpointRestoreFixedPoint:
                 ck2.pending_remote_inbound, ck1.pending_remote_inbound
             ), label
             assert _deep_equal(ck2.agg_committed, ck1.agg_committed), label
-            assert ck2.scope == ck1.scope, label
+            assert np.array_equal(qr.scope_vertices(), scope), label
             assert _deep_equal(ck2.scope_mask, ck1.scope_mask), label
             assert _deep_equal(ck2.kstate, ck1.kstate), label
             assert _mailbox_pairs(ck2.mailboxes) == _mailbox_pairs(

@@ -1,5 +1,7 @@
 """Vectorized kernel layer: equivalence with the generic path + unit tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -45,15 +47,49 @@ def build_engine(graph, k=3, use_kernels=True, sync_mode=SyncMode.HYBRID, **cfg)
     )
 
 
-def run_both(graph, queries, sync_mode=SyncMode.HYBRID, k=3):
+def run_both(graph, queries, sync_mode=SyncMode.HYBRID, k=3, until=None):
     engines = []
     for use_kernels in (True, False):
         eng = build_engine(graph, k=k, use_kernels=use_kernels, sync_mode=sync_mode)
         for q in queries:
             eng.submit(q)
-        eng.run()
+        eng.run(until)
         engines.append(eng)
     return engines
+
+
+#: case -> ((size, digest) half-way through the run, (size, digest) after
+#: finish) of ``sorted(qr.scope)``, recorded at the commit before the scope
+#: set was replaced by ``scope_vertices()`` (PR 15)
+PINNED_SCOPES = {
+    "bfs-depth": ((17, "290da41678cb1fa5"), (117, "32885f87b09214c5")),
+    "bfs-target": ((42, "26de57e3fd19476a"), (199, "e028d565a9c7d0a5")),
+    "khop": ((7, "a4a72a2ffd960a4d"), (57, "21e8e5365b433d27")),
+    "pagerank": ((300, "98e038d3a30a9917"), (300, "98e038d3a30a9917")),
+    "poi": ((10, "b6af4edf9073f5a7"), (36, "5b974b2a55b9be92")),
+    "reach": ((178, "8e7c8725d127c8c6"), (299, "680fffd342af0c43")),
+    "sssp-full": ((214, "b5b52db8fb05cb6c"), (300, "98e038d3a30a9917")),
+    "sssp-target": ((122, "4a5c7208c139c9c2"), (300, "98e038d3a30a9917")),
+    "wcc": ((33, "fd9f043cd444b264"), (167, "f1901c83c2d2e0db")),
+}
+
+
+def assert_same_scope(graph, query, vec, gen, case):
+    """``scope_vertices()`` is one more field the two paths agree on —
+    half-way through the run (kernel: ``scope_mask``; generic: ``state``
+    keys) and after finish (both: the materialized ``state``) — and equals
+    what the scope set it replaced held."""
+    qid = query.query_id
+    end = vec.trace.queries[qid].end_time
+    mid_vec, mid_gen = run_both(graph, [query], until=end / 2)
+    assert not mid_vec.runtimes[qid].finished
+    assert not mid_gen.runtimes[qid].finished
+    for a, b, pinned in zip((mid_vec, vec), (mid_gen, gen), PINNED_SCOPES[case]):
+        scope = a.runtimes[qid].scope_vertices()
+        assert scope.dtype == np.int64
+        assert np.array_equal(scope, b.runtimes[qid].scope_vertices())
+        digest = hashlib.sha256(scope.tobytes()).hexdigest()[:16]
+        assert (scope.size, digest) == pinned
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +117,7 @@ class TestEquivalence:
         assert vec.runtimes[0].kernel is not None
         assert gen.runtimes[0].kernel is None
         assert vec.query_result(0) == gen.query_result(0)
+        assert_same_scope(social, q, vec, gen, case)
 
     def test_identical_virtual_time(self, social):
         """Both paths produce the same counters, hence the same virtual time."""
@@ -111,6 +148,7 @@ class TestEquivalence:
         for v, score in rv["scores"].items():
             assert score == pytest.approx(rg["scores"][v])
         assert rv["residual_mass"] == pytest.approx(rg["residual_mass"])
+        assert_same_scope(social, q, vec, gen, "pagerank")
 
     def test_poi_identical(self):
         g = grid_graph(8, 8)
@@ -121,6 +159,7 @@ class TestEquivalence:
         vec, gen = run_both(tagged, [q])
         assert vec.runtimes[0].kernel is not None
         assert vec.query_result(0) == gen.query_result(0)
+        assert_same_scope(tagged, q, vec, gen, "poi")
 
     def test_rmat_multi_query_batch(self):
         graph = rmat_graph(2000, 6, seed=2)

@@ -18,6 +18,8 @@ Covers the plan-scoped barrier pipeline (``EngineConfig.repartition_mode ==
   START stall, excluding the overlapped async Q-cut planning time.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,54 @@ def _trace_fingerprint(engine, trace):
         trace.barrier_releases,
         engine._events_processed,
     )
+
+
+#: digests of ``_trace_fingerprint`` recorded at the commit before
+#: per-query state moved onto ``QueryRuntime`` (PR 15): that move, and any
+#: later host-side-only change, must reproduce these runs event for event.
+#: A change that re-times events on purpose re-pins them.
+_PINNED_FINGERPRINTS = {
+    ("workload", SyncMode.HYBRID): "afbfce6a63279640",
+    ("workload", SyncMode.GLOBAL_PER_QUERY): "04fbd969ffb2bdb0",
+    ("workload", SyncMode.SHARED_BSP): "9e5cc9768a648355",
+    ("path", False): "c7504e207fe6dee8",
+    ("path", True): "12d9a650ac5b8f2e",
+}
+
+
+def _digest(engine, trace):
+    fingerprint = _trace_fingerprint(engine, trace)
+    return hashlib.sha256(repr(fingerprint).encode()).hexdigest()[:16]
+
+
+class TestPinnedFingerprints:
+    @pytest.mark.parametrize("repartition_mode", ["global", "partial"])
+    @pytest.mark.parametrize(
+        "sync_mode",
+        [SyncMode.HYBRID, SyncMode.GLOBAL_PER_QUERY, SyncMode.SHARED_BSP],
+    )
+    def test_adaptive_workload(self, sync_mode, repartition_mode):
+        # every plan of this 4-worker run involves all workers, so partial
+        # mode reproduces global mode and both share one pin
+        engine, trace, _res = _run_workload(
+            adaptive=True, repartition_mode=repartition_mode, sync_mode=sync_mode
+        )
+        assert len(trace.repartitions) == 4
+        assert _digest(engine, trace) == _PINNED_FINGERPRINTS["workload", sync_mode]
+
+    @pytest.mark.parametrize(
+        "connected, vertex_state_bytes", [(False, 50_000), (True, 600_000)]
+    )
+    def test_scoped_partial_stop(self, connected, vertex_state_bytes):
+        """A STOP that halts two of four workers (and, when connected,
+        parks the live query's task on a halted worker — stage C)."""
+        engine, trace, _res = _path_engine(
+            adaptive=True,
+            connected=connected,
+            vertex_state_bytes=vertex_state_bytes,
+        )
+        assert len(engine.parked) == int(connected)
+        assert _digest(engine, trace) == _PINNED_FINGERPRINTS["path", connected]
 
 
 class TestPartialModeBasics:

@@ -104,6 +104,7 @@ def _seeded_runtime(engine, query_id=900, start=0):
     """A real kernel-backed QueryRuntime registered on the engine."""
     qr = QueryRuntime(Query(query_id, SsspProgram(start=start), (start,)), engine.graph)
     engine.runtimes[query_id] = qr
+    engine.running.add(query_id)
     return qr
 
 

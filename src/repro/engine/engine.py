@@ -233,6 +233,12 @@ class QGraphEngine:
         self.workers = [
             SimWorker(w, cluster.machine) for w in range(cluster.num_workers)
         ]
+        #: ``_links[src][dst]``: the cluster's link table, resolved once
+        #: (the cluster never changes; compute charging reads it per task)
+        self._links = [
+            [cluster.link(src, dst) for dst in range(cluster.num_workers)]
+            for src in range(cluster.num_workers)
+        ]
         self.runtimes: Dict[int, QueryRuntime] = {}
         #: every query id ever submitted (duplicate detection, including
         #: queries still waiting in the admission queue)
@@ -791,42 +797,83 @@ class QGraphEngine:
                         qr, now + self._dispatch_cost(), local=False
                     )
             return
-        self._execute_compute(qr, worker, now)
+        # Run coalescing: the tasks a barrier release hands to this query's
+        # workers become ready at one timestamp with consecutive sequence
+        # numbers, so they sit at the head of the queue back to back.  Pop
+        # the followers that would take this same plain path and execute
+        # the whole run as one fused kernel pass.  Nothing can run between
+        # two members: whatever a member's compute schedules gets a time
+        # >= now and a larger sequence number than the next member's
+        # (never cancelled) event.  The follower's guard is evaluated
+        # before the members ahead of it compute, which is evaluating it
+        # after: a compute changes only its own worker's mailbox entry and
+        # ``qr.computed``, none of which the guard of another worker reads
+        # (``finished`` was checked above and is per query).  A follower
+        # that fails the guard — or would exhaust the event budget — ends
+        # the run and stays queued for ``run()``: its side effects keep
+        # their sequence numbers behind the members' ``compute_done``.
+        run = [worker]
+        while not self.paused and self._events_processed < self.config.max_events:
+            follower = self.queue.peek()
+            if (
+                follower is None
+                or follower.kind != "task_ready"
+                or follower.time != now
+                or follower.payload["query_id"] != query_id
+            ):
+                break
+            w = follower.payload["worker"]
+            if w in run or w in self._dead_workers or w not in qr.mailboxes:
+                break
+            self.queue.pop()
+            self._events_processed += 1
+            run.append(w)
+        self._execute_compute(qr, run, now)
 
-    def _execute_compute(self, qr: QueryRuntime, worker: int, now: float) -> None:
-        if self.sanitizer is not None:
-            self.sanitizer.check_compute_allowed(qr.query.query_id, worker, now)
-        qr.computed.add(worker)
-        w = self.workers[worker]
-        result = w.execute_iteration(qr, self.graph, self.assignment)
-        duration = w.compute_duration(
-            result,
-            lambda dest, count: self.cluster.link(worker, dest).serialize_time(count),
-            deserialize_time=self.cluster.intra_node.deserialize_time(
-                result.remote_inbound
-            ),
+    def _execute_compute(self, qr: QueryRuntime, run: List[int], now: float) -> None:
+        """Execute one run (distinct workers of ``qr``, all ready ``now``)
+        as one kernel pass, then charge virtual time member by member."""
+        query_id = qr.query.query_id
+        for worker in run:
+            if self.sanitizer is not None:
+                self.sanitizer.check_compute_allowed(query_id, worker, now)
+            qr.computed.add(worker)
+        results = SimWorker.execute_iteration(
+            self.workers, run, qr, self.graph, self.assignment
         )
-        start, finish = w.occupy(now, duration)
-        qr.inflight[worker] = qr.inflight.get(worker, 0) + 1
-        if result.executed_vertices:
-            self.trace.vertices_executed(worker, start, result.executed_vertices)
-        self.trace.local_messages += result.local_messages
-        for dest, count in result.remote_messages.items():
-            link = self.cluster.link(worker, dest)
-            arrival = finish + link.transfer_time(count)
-            if self.faults is not None:
-                arrival = self._faulty_transfer(link, count, arrival)
-            qr.inbox_ready[dest] = max(qr.inbox_ready.get(dest, 0.0), arrival)
-            self.trace.remote_messages += count
-            self.trace.remote_batches += link.num_batches(count)
-        qr.activated.extend(result.activated)
-        self.queue.schedule(
-            finish,
-            "compute_done",
-            query_id=qr.query.query_id,
-            worker=worker,
-            had_remote=bool(result.remote_messages),
-        )
+        deserialize_time = self.cluster.intra_node.deserialize_time
+        trace = self.trace
+        inbox_ready = qr.inbox_ready
+        for worker, result in zip(run, results):
+            w = self.workers[worker]
+            links = self._links[worker]
+            duration = w.compute_duration(
+                result,
+                links,
+                deserialize_time=deserialize_time(result.remote_inbound),
+            )
+            start, finish = w.occupy(now, duration)
+            qr.inflight[worker] = qr.inflight.get(worker, 0) + 1
+            if result.executed_vertices:
+                trace.vertices_executed(worker, start, result.executed_vertices)
+            trace.local_messages += result.local_messages
+            for dest, count in result.remote_messages.items():
+                link = links[dest]
+                batches, wire_time = link.transfer(count)
+                arrival = finish + wire_time
+                if self.faults is not None:
+                    arrival = self._faulty_transfer(link, count, arrival)
+                inbox_ready[dest] = max(inbox_ready.get(dest, 0.0), arrival)
+                trace.remote_messages += count
+                trace.remote_batches += batches
+            qr.activated.extend(result.activated)
+            self.queue.schedule(
+                finish,
+                "compute_done",
+                query_id=query_id,
+                worker=worker,
+                had_remote=bool(result.remote_messages),
+            )
 
     # ------------------------------------------------------------------
     # event: compute finished -> barrier protocol
@@ -1189,7 +1236,7 @@ class QGraphEngine:
         if worker not in qr.mailboxes:
             self._bsp_task_settled(now)
             return
-        self._execute_compute(qr, worker, now)
+        self._execute_compute(qr, [worker], now)
 
     def _bsp_task_settled(self, now: float) -> None:
         """One dispatched ``bsp_compute`` ran, was lost or was void; the

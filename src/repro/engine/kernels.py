@@ -1,11 +1,12 @@
-"""Vectorized per-worker iteration kernels (the engine's hot path).
+"""Vectorized iteration kernels (the engine's hot path).
 
 The generic execution path runs :meth:`VertexProgram.compute` once per active
 vertex through Python dicts — flexible, but it caps every benchmark at toy
 scale.  For the built-in vertex programs the per-vertex work is a handful of
-arithmetic operations over the CSR arrays, so one iteration of one query on
-one worker can be expressed as a few numpy operations over the whole frontier
-at once.  That is what a :class:`QueryKernel` provides:
+arithmetic operations over the CSR arrays, so one iteration of one query —
+on one worker, or on all its workers that are ready at the same instant —
+can be expressed as a few numpy operations over the whole frontier at once.
+That is what a :class:`QueryKernel` provides:
 
 * dense per-query *state buffers* (``make_state``) replacing the sparse
   ``{vertex: state}`` dict,
@@ -28,7 +29,7 @@ user programs keep working unchanged.
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +56,13 @@ __all__ = [
 #: sentinel for "no state yet" in integer distance buffers
 _INT_UNSET = np.iinfo(np.int64).max
 
+#: aggregator name -> (frontier positions, values): one entry per
+#: contributing frontier vertex, unreduced (see :meth:`QueryKernel.step`)
+Contributions = Dict[str, Tuple[np.ndarray, np.ndarray]]
+
+#: what :meth:`QueryKernel.step` returns
+StepOutput = Tuple[np.ndarray, np.ndarray, np.ndarray, Contributions]
+
 
 def combine_by_vertex(
     vertices: np.ndarray, messages: np.ndarray, combine: np.ufunc
@@ -65,7 +73,10 @@ def combine_by_vertex(
     order = np.argsort(vertices, kind="stable")
     sv = vertices[order]
     sm = messages[order]
-    starts = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
+    first = np.empty(sv.size, dtype=bool)
+    first[0] = True
+    np.not_equal(sv[1:], sv[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
     return sv[starts], combine.reduceat(sm, starts)
 
 
@@ -83,21 +94,27 @@ def contribute_partial(agg_partial: Dict[str, Any], name: str, value: Any) -> No
 
 
 def group_by_owner(
-    assignment: np.ndarray, vertices: np.ndarray, messages: np.ndarray
+    owners: np.ndarray, vertices: np.ndarray, messages: np.ndarray
 ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-    """Yield ``(owner, vertex_chunk, message_chunk)`` grouped by owning worker."""
+    """Yield ``(owner, vertex_chunk, message_chunk)`` in ascending owner order.
+
+    ``owners[i]`` is the routing key of message ``i`` — the owning worker
+    (``assignment[vertices]``), or any other small non-negative integer the
+    caller wants the messages split by (the worker layer routes a fused
+    multi-worker iteration by ``source position * k + destination``).  The
+    sort is stable, so every chunk keeps the messages' original order.
+    """
     if vertices.size == 0:
         return
-    owners = assignment[vertices]
     order = np.argsort(owners, kind="stable")
-    ov = owners[order]
     sv = vertices[order]
     sm = messages[order]
-    starts = np.flatnonzero(np.r_[True, ov[1:] != ov[:-1]])
-    bounds = np.r_[starts, ov.size]
-    for i in range(starts.size):
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-        yield int(ov[lo]), sv[lo:hi], sm[lo:hi]
+    counts = np.bincount(owners)
+    present = np.flatnonzero(counts)
+    lo = 0
+    for owner, hi in zip(present.tolist(), np.cumsum(counts[present]).tolist()):
+        yield owner, sv[lo:hi], sm[lo:hi]
+        lo = hi
 
 
 def expand_edges(indptr: np.ndarray, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -148,15 +165,19 @@ class ArrayMailbox:
 
     def concat(self) -> Tuple[np.ndarray, np.ndarray]:
         """All chunks concatenated (duplicates not yet combined)."""
-        if not self._vertex_chunks:
+        return ArrayMailbox.concat_all((self,))
+
+    @staticmethod
+    def concat_all(boxes: Sequence["ArrayMailbox"]) -> Tuple[np.ndarray, np.ndarray]:
+        """The chunks of several mailboxes concatenated, box after box."""
+        vertex_chunks = [c for box in boxes for c in box._vertex_chunks]
+        if not vertex_chunks:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        if len(self._vertex_chunks) == 1:
-            return self._vertex_chunks[0], self._message_chunks[0]
-        return (
-            np.concatenate(self._vertex_chunks),
-            np.concatenate(self._message_chunks),
-        )
+        message_chunks = [c for box in boxes for c in box._message_chunks]
+        if len(vertex_chunks) == 1:
+            return vertex_chunks[0], message_chunks[0]
+        return np.concatenate(vertex_chunks), np.concatenate(message_chunks)
 
     def clone(self) -> "ArrayMailbox":
         """Deep copy for checkpointing: chunks are snapshotted, not shared.
@@ -234,12 +255,22 @@ class QueryKernel(abc.ABC):
         vertices: np.ndarray,
         messages: np.ndarray,
         agg_committed: Dict[str, Any],
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
+    ) -> StepOutput:
         """One iteration over a combined frontier.
 
-        Mutates ``state`` in place and returns ``(targets, out_messages,
-        aggregator_contributions)`` — raw (uncombined) outgoing messages plus
-        per-step aggregator contributions (already reduced per worker).
+        ``vertices`` are distinct; the frontier may span several workers
+        (the worker layer fuses all workers of a query that are ready at
+        the same instant into one call), so nothing here may reduce *across*
+        the frontier.  Mutates ``state`` in place and returns ``(targets,
+        out_messages, sources, contributions)``:
+
+        * ``targets`` / ``out_messages`` — the raw (uncombined) outgoing
+          messages, ordered by the position of their sender in ``vertices``;
+        * ``sources[i]`` — that position: the index into ``vertices`` of
+          the vertex that sent message ``i`` (so it is non-decreasing);
+        * ``contributions`` — aggregator name -> ``(positions, values)``,
+          one entry per contributing frontier vertex.  The worker layer
+          folds them per worker with the program's own reduce function.
         """
 
     @abc.abstractmethod
@@ -297,35 +328,36 @@ class _BoundedWavefrontKernel(QueryKernel):
         vertices: np.ndarray,
         messages: np.ndarray,
         agg_committed: Dict[str, Any],
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
+    ) -> StepOutput:
         best = np.minimum(messages, dist[vertices])
-        improved = best < dist[vertices]
+        ip = np.flatnonzero(best < dist[vertices])
         dist[vertices] = best
-        iv = vertices[improved]
-        ib = best[improved]
+        ib = best[ip]
 
-        contribs: Dict[str, Any] = {}
-        terminal = self.terminal_mask(graph, iv)
+        contribs: Contributions = {}
+        terminal = self.terminal_mask(graph, vertices[ip])
         if terminal is not None:
             if terminal.any():
-                contribs["bound"] = float(ib[terminal].min())
-            iv = iv[~terminal]
+                contribs["bound"] = (ip[terminal], ib[terminal])
+            ip = ip[~terminal]
             ib = ib[~terminal]
         bound = agg_committed.get("bound")
         if bound is not None:
             keep = ib < bound
-            iv = iv[keep]
+            ip = ip[keep]
             ib = ib[keep]
 
         csr = graph.csr()
-        edge_idx, src_pos = expand_edges(csr.indptr, iv)
+        edge_idx, src_pos = expand_edges(csr.indptr, vertices[ip])
         targets = csr.indices[edge_idx]
         candidates = ib[src_pos] + csr.weights[edge_idx]
+        sources = ip[src_pos]
         if bound is not None:
             keep = candidates < bound
             targets = targets[keep]
             candidates = candidates[keep]
-        return targets, candidates, contribs
+            sources = sources[keep]
+        return targets, candidates, sources, contribs
 
     def state_dict(self, dist: np.ndarray, scope_mask: np.ndarray) -> Dict[int, Any]:
         return {int(v): float(dist[v]) for v in np.flatnonzero(scope_mask)}
@@ -376,36 +408,34 @@ class BfsKernel(QueryKernel):
         vertices: np.ndarray,
         messages: np.ndarray,
         agg_committed: Dict[str, Any],
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
+    ) -> StepOutput:
         best = np.minimum(messages, depth[vertices])
-        improved = best < depth[vertices]
+        ip = np.flatnonzero(best < depth[vertices])
         depth[vertices] = best
-        iv = vertices[improved]
-        ib = best[improved]
+        ib = best[ip]
 
-        contribs: Dict[str, Any] = {}
+        contribs: Contributions = {}
         if self.target is not None:
-            at_target = iv == self.target
+            at_target = vertices[ip] == self.target
             if at_target.any():
-                contribs["bound"] = int(ib[at_target].min())
-            iv = iv[~at_target]
+                contribs["bound"] = (ip[at_target], ib[at_target])
+            ip = ip[~at_target]
             ib = ib[~at_target]
         bound = agg_committed.get("bound")
         if bound is not None:
             # a vertex whose relayed depth+1 cannot beat the bound stays silent
             keep = ib + 1 < bound
-            iv = iv[keep]
+            ip = ip[keep]
             ib = ib[keep]
         if self.max_depth is not None:
             keep = ib < self.max_depth
-            iv = iv[keep]
+            ip = ip[keep]
             ib = ib[keep]
 
         csr = graph.csr()
-        edge_idx, src_pos = expand_edges(csr.indptr, iv)
+        edge_idx, src_pos = expand_edges(csr.indptr, vertices[ip])
         targets = csr.indices[edge_idx]
-        out = ib[src_pos] + 1
-        return targets, out, contribs
+        return targets, ib[src_pos] + 1, ip[src_pos], contribs
 
     def state_dict(self, depth: np.ndarray, scope_mask: np.ndarray) -> Dict[int, Any]:
         return {int(v): int(depth[v]) for v in np.flatnonzero(scope_mask)}
@@ -431,21 +461,16 @@ class KHopKernel(QueryKernel):
         vertices: np.ndarray,
         messages: np.ndarray,
         agg_committed: Dict[str, Any],
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
+    ) -> StepOutput:
         best = np.minimum(messages, depth[vertices])
-        improved = best < depth[vertices]
+        ip = np.flatnonzero((best < depth[vertices]) & (best < self.k))
         depth[vertices] = best
-        iv = vertices[improved]
-        ib = best[improved]
-        keep = ib < self.k
-        iv = iv[keep]
-        ib = ib[keep]
+        ib = best[ip]
 
         csr = graph.csr()
-        edge_idx, src_pos = expand_edges(csr.indptr, iv)
+        edge_idx, src_pos = expand_edges(csr.indptr, vertices[ip])
         targets = csr.indices[edge_idx]
-        out = ib[src_pos] + 1
-        return targets, out, {}
+        return targets, ib[src_pos] + 1, ip[src_pos], {}
 
     def state_dict(self, depth: np.ndarray, scope_mask: np.ndarray) -> Dict[int, Any]:
         return {int(v): int(depth[v]) for v in np.flatnonzero(scope_mask)}
@@ -475,23 +500,24 @@ class ReachabilityKernel(QueryKernel):
         vertices: np.ndarray,
         messages: np.ndarray,
         agg_committed: Dict[str, Any],
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
-        fresh = vertices[~visited[vertices]]
+    ) -> StepOutput:
+        fp = np.flatnonzero(~visited[vertices])
         visited[vertices] = True
 
-        contribs: Dict[str, Any] = {}
-        at_target = fresh == self.target
+        contribs: Contributions = {}
+        at_target = vertices[fp] == self.target
         if at_target.any():
-            contribs["found"] = True
+            hits = fp[at_target]
+            contribs["found"] = (hits, np.ones(hits.size, dtype=bool))
         if agg_committed.get("found"):
             empty = np.empty(0, dtype=np.int64)
-            return empty, np.empty(0, dtype=bool), contribs
-        relays = fresh[~at_target]
+            return empty, np.empty(0, dtype=bool), empty, contribs
+        fp = fp[~at_target]
 
         csr = graph.csr()
-        edge_idx, _src_pos = expand_edges(csr.indptr, relays)
+        edge_idx, src_pos = expand_edges(csr.indptr, vertices[fp])
         targets = csr.indices[edge_idx]
-        return targets, np.ones(targets.size, dtype=bool), contribs
+        return targets, np.ones(targets.size, dtype=bool), fp[src_pos], contribs
 
     def state_dict(self, visited: np.ndarray, scope_mask: np.ndarray) -> Dict[int, Any]:
         return {int(v): True for v in np.flatnonzero(scope_mask)}
@@ -538,30 +564,30 @@ class LocalPageRankKernel(QueryKernel):
         vertices: np.ndarray,
         messages: np.ndarray,
         agg_committed: Dict[str, Any],
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
+    ) -> StepOutput:
         p, r = state
         r[vertices] += messages
         csr = graph.csr()
         degrees = csr.indptr[vertices + 1] - csr.indptr[vertices]
         thresholds = self.epsilon * np.maximum(degrees, 1)
-        push = r[vertices] >= thresholds
-        pv = vertices[push]
-        if pv.size == 0:
+        pp = np.flatnonzero(r[vertices] >= thresholds)
+        if pp.size == 0:
             empty = np.empty(0, dtype=np.int64)
-            return empty, np.empty(0, dtype=np.float64), {}
+            return empty, np.empty(0, dtype=np.float64), empty, {}
+        pv = vertices[pp]
         residual = r[pv]
         p[pv] += self.alpha * residual
-        pdeg = degrees[push]
+        pdeg = degrees[pp]
         dangling = pdeg == 0
         if dangling.any():
             p[pv[dangling]] += (1.0 - self.alpha) * residual[dangling]
-        senders = pv[~dangling]
+        sp = pp[~dangling]
         shares = (1.0 - self.alpha) * residual[~dangling] / pdeg[~dangling]
         r[pv] = 0.0
 
-        edge_idx, src_pos = expand_edges(csr.indptr, senders)
+        edge_idx, src_pos = expand_edges(csr.indptr, vertices[sp])
         targets = csr.indices[edge_idx]
-        return targets, shares[src_pos], {}
+        return targets, shares[src_pos], sp[src_pos], {}
 
     def state_dict(
         self, state: Tuple[np.ndarray, np.ndarray], scope_mask: np.ndarray
@@ -623,23 +649,21 @@ class LocalWccKernel(QueryKernel):
         vertices: np.ndarray,
         messages: np.ndarray,
         agg_committed: Dict[str, Any],
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
+    ) -> StepOutput:
         best = np.minimum(messages, keys[vertices])
-        improved = best < keys[vertices]
+        ip = np.flatnonzero(best < keys[vertices])
         keys[vertices] = best
-        iv = vertices[improved]
-        ib = best[improved]
+        ib = best[ip]
         hops = self.max_hops - ib % self._base
         keep = hops > 0
-        iv = iv[keep]
+        ip = ip[keep]
         ib = ib[keep]
 
         csr = graph.csr()
-        edge_idx, src_pos = expand_edges(csr.indptr, iv)
+        edge_idx, src_pos = expand_edges(csr.indptr, vertices[ip])
         targets = csr.indices[edge_idx]
         # relaying (label, hops - 1) increments the packed key by exactly 1
-        out = ib[src_pos] + 1
-        return targets, out, {}
+        return targets, ib[src_pos] + 1, ip[src_pos], {}
 
     def state_dict(self, keys: np.ndarray, scope_mask: np.ndarray) -> Dict[int, Any]:
         return {

@@ -206,7 +206,9 @@ class QueryRuntime:
             return
         vertices, messages = self.kernel.encode_messages(pairs)
         vertices, messages = self.kernel.combine_arrays(vertices, messages)
-        for owner, vchunk, mchunk in group_by_owner(assignment, vertices, messages):
+        for owner, vchunk, mchunk in group_by_owner(
+            assignment[vertices], vertices, messages
+        ):
             self.deliver_array(owner, vchunk, mchunk)
 
     def rotate_mailboxes(self) -> None:
@@ -404,7 +406,7 @@ def _rebucket_boxes(
         if isinstance(box, ArrayMailbox):
             vertices, messages = box.concat()
             for owner, vchunk, mchunk in group_by_owner(
-                assignment, vertices, messages
+                assignment[vertices], vertices, messages
             ):
                 dest = fresh.get(owner)
                 if dest is None:

@@ -12,21 +12,25 @@ queueing delays arise in the simulation.
 The *logical* effect of an iteration (which vertices execute, which messages
 go where) is computed eagerly by :meth:`execute_iteration`; the *temporal*
 cost is returned as counters so the engine can charge virtual time according
-to the machine and network models.
+to the machine and network models.  The logical half runs once per *run* —
+the workers of one query whose tasks are ready at the same instant share one
+kernel pass — the temporal half stays per worker: every member gets its own
+:class:`IterationResult` and is charged on its own clock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.engine.kernels import ArrayMailbox, contribute_partial, group_by_owner
 from repro.engine.query import QueryRuntime
-from repro.engine.vertex_program import ComputeContext
+from repro.engine.vertex_program import ComputeContext, reduce_aggregator
 from repro.graph.digraph import DiGraph
 from repro.simulation.cluster import MachineProfile
+from repro.simulation.network import NetworkModel
 
 __all__ = ["SimWorker", "IterationResult"]
 
@@ -67,28 +71,46 @@ class SimWorker:
         return start, finish
 
     # ------------------------------------------------------------------
+    @staticmethod
     def execute_iteration(
-        self,
+        workers: Sequence["SimWorker"],
+        run: Sequence[int],
         qr: QueryRuntime,
         graph: DiGraph,
         assignment: np.ndarray,
-    ) -> IterationResult:
-        """Run the vertex function on every locally active vertex.
+    ) -> List[IterationResult]:
+        """Run the vertex function on the active vertices of a *run*.
 
-        Consumes this worker's current mailbox for the query; routes produced
-        messages into ``qr.next_mailboxes`` (local targets) or returns them
-        per destination worker (remote targets are merged into the runtime's
-        next mailboxes too — the engine only needs the counts to charge
-        network time).
+        ``run`` names distinct workers (ids into ``workers``, the cluster's
+        executors) whose tasks for ``qr`` are ready at the same instant;
+        one task is a run of length 1.  Consumes each member's current
+        mailbox; routes produced messages into ``qr.next_mailboxes`` (remote
+        targets too — the engine only needs the counts to charge network
+        time).  Returns one :class:`IterationResult` per member, in run
+        order, equal to what executing the members one after the other
+        would produce.
         """
+        if qr.kernel is None:
+            results = [
+                workers[w]._execute_generic(qr, graph, assignment) for w in run
+            ]
+        else:
+            results = SimWorker._execute_vectorized(
+                run, qr, graph, assignment, len(workers)
+            )
+        for w, result in zip(run, results):
+            workers[w].vertex_executions += result.executed_vertices
+        return results
+
+    def _execute_generic(
+        self, qr: QueryRuntime, graph: DiGraph, assignment: np.ndarray
+    ) -> IterationResult:
+        """One worker's iteration through ``VertexProgram.compute`` (dict
+        mailboxes): the path of programs without a kernel."""
         result = IterationResult()
         result.remote_inbound = qr.pending_remote_inbound.pop(self.wid, 0)
         mailbox = qr.mailboxes.pop(self.wid, None)
         if not mailbox:
-            return result
-        if qr.kernel is not None:
-            self._execute_vectorized(qr, graph, assignment, mailbox, result)
-            self.vertex_executions += result.executed_vertices
             return result
 
         program = qr.query.program
@@ -118,71 +140,128 @@ class SimWorker:
                     qr.pending_remote_inbound[owner] = (
                         qr.pending_remote_inbound.get(owner, 0) + 1
                     )
-
-        self.vertex_executions += result.executed_vertices
         return result
 
     # ------------------------------------------------------------------
+    @staticmethod
     def _execute_vectorized(
-        self,
+        run: Sequence[int],
         qr: QueryRuntime,
         graph: DiGraph,
         assignment: np.ndarray,
-        mailbox: ArrayMailbox,
-        result: IterationResult,
-    ) -> None:
-        """Array-mailbox iteration through the program's QueryKernel.
+        k: int,
+    ) -> List[IterationResult]:
+        """One fused pass of ``qr``'s kernel over the mailboxes of a run.
 
-        Counter-for-counter equivalent to the generic loop: executed
-        vertices and visited edges are the combined frontier, message counts
-        are the raw (pre-combining) sends, so the virtual-time cost model
-        charges both paths identically.
+        Equal, member by member, to stepping the workers one after the
+        other.  **Vertex ownership is disjoint across the run**: every
+        message for a vertex sits in its owner's mailbox, so the fused
+        state writes (``kstate``, ``scope_mask``) touch the cells the
+        separate steps would, with the same values, and the stable
+        (run position, vertex) sort keeps each vertex's messages in their
+        mailbox order — which keeps ``np.add.reduceat`` (PageRank)
+        bit-identical, not only the ``min``/``or`` combiners.  **Every
+        per-task counter is a segment of the fused arrays**: executed
+        vertices and visited edges by run position of the frontier,
+        message counts by (source position, destination) of the sends.
+
+        Counter-for-counter equivalent to the generic loop too: executed
+        vertices and visited edges are the combined frontier, message
+        counts are the raw (pre-combining) sends, so the virtual-time cost
+        model charges both paths identically.
         """
         kernel = qr.kernel
-        vertices, messages = kernel.combine_arrays(*mailbox.concat())
-        result.executed_vertices = int(vertices.size)
-        indptr = graph.csr().indptr
-        result.visited_edges = int((indptr[vertices + 1] - indptr[vertices]).sum())
+        r = len(run)
+        results = [IterationResult() for _ in run]
+        boxes = []
+        for wid in run:
+            box = qr.mailboxes.pop(wid, None) or ArrayMailbox()
+            boxes.append(box)
+            if box:
+                agg_partial = qr.agg_partials.setdefault(wid, {})
+                for name in qr.agg_committed:
+                    agg_partial.setdefault(name, None)
 
-        newly = vertices[~qr.scope_mask[vertices]]
+        # combine: one stable sort on the (run position, vertex) key
+        n = qr.scope_mask.size
+        vertices, messages = ArrayMailbox.concat_all(boxes)
+        keys = np.repeat(np.arange(r) * n, [len(box) for box in boxes]) + vertices
+        keys, messages = kernel.combine_arrays(keys, messages)
+        member_of, vertices = np.divmod(keys, n)
+
+        indptr = graph.csr().indptr
+        degrees = indptr[vertices + 1] - indptr[vertices]
+        executed = np.bincount(member_of, minlength=r).tolist()
+        edges = np.bincount(member_of, weights=degrees, minlength=r).tolist()
+        for result, num_vertices, num_edges in zip(results, executed, edges):
+            result.executed_vertices = num_vertices
+            result.visited_edges = int(num_edges)
+
+        fresh = ~qr.scope_mask[vertices]
+        newly = vertices[fresh]
         if newly.size:
             qr.scope_mask[newly] = True
-            result.activated.extend(newly.tolist())
+            activated = newly.tolist()
+            hi = 0
+            for result, count in zip(
+                results, np.bincount(member_of[fresh], minlength=r).tolist()
+            ):
+                lo, hi = hi, hi + count
+                result.activated = activated[lo:hi]
 
-        agg_partial = qr.agg_partials.setdefault(self.wid, {})
-        for name in qr.agg_committed:
-            agg_partial.setdefault(name, None)
-
-        targets, out_messages, contribs = kernel.step(
+        targets, out_messages, sources, contribs = kernel.step(
             graph, qr.kstate, vertices, messages, qr.agg_committed
         )
-        for name, value in contribs.items():
-            contribute_partial(agg_partial, name, value)
+        # aggregator partials stay per worker: each member's contributions
+        # are folded with the program's own reduce function (they are rare —
+        # a target or tagged vertex improved — so this is a plain loop)
+        for name, (positions, values) in contribs.items():
+            spec = qr.query.program.aggregators()[name]
+            by_member: Dict[int, List[Any]] = {}
+            for member, value in zip(member_of[positions].tolist(), values.tolist()):
+                by_member.setdefault(member, []).append(value)
+            for member, member_values in by_member.items():
+                contribute_partial(
+                    qr.agg_partials[run[member]],
+                    name,
+                    reduce_aggregator(spec, None, tuple(member_values)),
+                )
 
-        for dest, vchunk, mchunk in group_by_owner(assignment, targets, out_messages):
+        # route: one stable sort on (source run position, destination owner).
+        # Chunks reach next_mailboxes source-major, destination-ascending,
+        # each in its original order: the order the members, run one after
+        # the other, append them in — so mailbox dict order, rebucket and
+        # checkpoints see the same bytes
+        route = member_of[sources] * k + assignment[targets]
+        for key, vchunk, mchunk in group_by_owner(route, targets, out_messages):
+            member, dest = divmod(key, k)
             qr.deliver_array(dest, vchunk, mchunk)
-            count = int(vchunk.size)
-            if dest == self.wid:
-                result.local_messages += count
+            if dest == run[member]:
+                results[member].local_messages = vchunk.size
             else:
-                result.remote_messages[dest] = (
-                    result.remote_messages.get(dest, 0) + count
-                )
-                qr.pending_remote_inbound[dest] = (
-                    qr.pending_remote_inbound.get(dest, 0) + count
-                )
+                results[member].remote_messages[dest] = vchunk.size
+
+        # replayed per member: member i pops its inbound count *after* the
+        # members before it added their next-iteration sends to it, as it
+        # does when it runs after them
+        pending = qr.pending_remote_inbound
+        for wid, result in zip(run, results):
+            result.remote_inbound = pending.pop(wid, 0)
+            for dest, count in result.remote_messages.items():
+                pending[dest] = pending.get(dest, 0) + count
+        return results
 
     # ------------------------------------------------------------------
     def compute_duration(
         self,
         result: IterationResult,
-        serialize_time_fn: Callable[[int, int], float],
+        links: Sequence[NetworkModel],
         deserialize_time: float = 0.0,
     ) -> float:
         """CPU seconds of the iteration under the machine cost model.
 
-        ``serialize_time_fn(dest_worker, count)`` supplies the sender-side
-        serialization cost for a remote batch (depends on the link);
+        ``links[dest_worker]`` is this worker's link to each destination
+        (it sets the sender-side serialization cost of a remote batch);
         ``deserialize_time`` is the receiver-side cost of the remote
         messages this task consumed from its inbox.
         """
@@ -195,8 +274,9 @@ class SimWorker:
             + deserialize_time
         )
         for dest, count in result.remote_messages.items():
-            duration += serialize_time_fn(dest, count)
+            duration += links[dest].serialize_time(count)
         return duration
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimWorker(wid={self.wid}, busy_until={self.busy_until:.6f})"
+

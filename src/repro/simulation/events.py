@@ -4,13 +4,16 @@ A thin wrapper over :mod:`heapq` with a monotonically increasing sequence
 number as tie-breaker so that events scheduled at the same virtual time pop
 in scheduling order — this makes the whole simulation deterministic and
 therefore testable bit-for-bit.
+
+The heap holds ``(time, seq, event)`` tuples: ``seq`` is unique, so a
+comparison never reaches the event and every sift compares in C.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -35,7 +38,7 @@ class EventQueue:
     """Priority queue of :class:`Event` with cancellation support."""
 
     def __init__(self) -> None:
-        self._heap: list = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._cancelled: set = set()
         #: seqs currently sitting in the heap (not yet popped, not cancelled);
@@ -59,10 +62,12 @@ class EventQueue:
             raise SimulationError(
                 f"cannot schedule {kind!r} at {time} before now={self._now}"
             )
-        event = Event(time=max(time, self._now), seq=self._seq, kind=kind, payload=payload)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
-        self._live.add(event.seq)
+        time = max(time, self._now)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time=time, seq=seq, kind=kind, payload=payload)
+        heapq.heappush(self._heap, (time, seq, event))
+        self._live.add(seq)
         return event
 
     def cancel(self, event: Event) -> None:
@@ -79,21 +84,26 @@ class EventQueue:
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest pending event, or None when empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.seq in self._cancelled:
-                self._cancelled.discard(event.seq)
+            time, seq, event = heapq.heappop(self._heap)
+            if seq in self._cancelled:
+                self._cancelled.discard(seq)
                 continue
-            self._live.discard(event.seq)
-            self._now = event.time
+            self._live.discard(seq)
+            self._now = time
             return event
         return None
 
+    def peek(self) -> Optional[Event]:
+        """The next pending event without popping it (None when empty)."""
+        heap = self._heap
+        while heap and heap[0][1] in self._cancelled:
+            self._cancelled.discard(heapq.heappop(heap)[1])
+        return heap[0][2] if heap else None
+
     def peek_time(self) -> Optional[float]:
         """Virtual time of the next pending event without popping it."""
-        while self._heap and self._heap[0].seq in self._cancelled:
-            event = heapq.heappop(self._heap)
-            self._cancelled.discard(event.seq)
-        return self._heap[0].time if self._heap else None
+        event = self.peek()
+        return None if event is None else event.time
 
     def drain(self) -> Tuple[Event, ...]:
         """Pop everything (mostly useful in tests)."""

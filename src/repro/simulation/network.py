@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Tuple
 
 __all__ = ["NetworkModel", "loopback_tcp", "ethernet_1g", "zero_cost"]
 
@@ -82,33 +84,40 @@ class NetworkModel:
             raise ValueError("duplicate_probability must be in [0, 1)")
 
     # ------------------------------------------------------------------
+    @cached_property
+    def messages_per_batch(self) -> int:
+        """Vertex messages one wire batch holds under the §4.1 limits."""
+        return min(
+            self.batch_messages, max(self.batch_bytes // self.message_bytes, 1)
+        )
+
     def num_batches(self, num_messages: int) -> int:
         """How many wire batches ``num_messages`` vertex messages need."""
         if num_messages <= 0:
             return 0
-        per_batch = min(
-            self.batch_messages, max(self.batch_bytes // self.message_bytes, 1)
-        )
-        return math.ceil(num_messages / per_batch)
+        return math.ceil(num_messages / self.messages_per_batch)
 
     def serialize_time(self, num_messages: int) -> float:
         """Sender-side CPU seconds to pack ``num_messages`` messages."""
         return self.serialize_per_message * max(num_messages, 0)
 
-    def transfer_time(self, num_messages: int) -> float:
-        """Wire seconds for ``num_messages`` messages.
+    def transfer(self, num_messages: int) -> Tuple[int, float]:
+        """``(wire batches, wire seconds)`` for ``num_messages`` messages.
 
         One propagation latency for the (pipelined) stream, a per-batch
         stack-traversal overhead, and the payload at line rate.
         """
-        if num_messages <= 0:
-            return 0.0
+        batches = self.num_batches(num_messages)
+        if not batches:
+            return 0, 0.0
         payload = num_messages * self.message_bytes
-        return (
-            self.latency
-            + self.num_batches(num_messages) * self.batch_overhead
-            + payload / self.bandwidth
+        return batches, (
+            self.latency + batches * self.batch_overhead + payload / self.bandwidth
         )
+
+    def transfer_time(self, num_messages: int) -> float:
+        """Wire seconds for ``num_messages`` messages (see :meth:`transfer`)."""
+        return self.transfer(num_messages)[1]
 
     def deserialize_time(self, num_messages: int) -> float:
         """Receiver-side CPU seconds to unpack ``num_messages`` messages."""

@@ -260,7 +260,7 @@ class TestKernelPrimitives:
         m = np.arange(5, dtype=np.float64)
         groups = {
             owner: (vc.tolist(), mc.tolist())
-            for owner, vc, mc in group_by_owner(assignment, v, m)
+            for owner, vc, mc in group_by_owner(assignment[v], v, m)
         }
         assert groups == {
             0: ([0, 2], [0.0, 2.0]),

@@ -31,6 +31,7 @@ from repro.engine import (
     QGraphEngine,
     Query,
     QueryRuntime,
+    SimWorker,
     SyncMode,
 )
 from repro.errors import EngineError
@@ -107,8 +108,8 @@ class InvariantEngine(QGraphEngine):
                 (qid, epoch, self.runtimes[qid].barrier_epoch)
             )
 
-    def _execute_compute(self, qr, worker, now):
-        if self.paused:
+    def _execute_compute(self, qr, run, now):
+        for worker in run if self.paused else ():
             if self._stop_workers is None:
                 self.violations.append(
                     ("compute-during-global-stop", qr.query.query_id, worker)
@@ -123,7 +124,7 @@ class InvariantEngine(QGraphEngine):
                 )
             else:
                 self.paused_progress += 1
-        return super()._execute_compute(qr, worker, now)
+        return super()._execute_compute(qr, run, now)
 
 def _run_workload(
     adaptive=True,
@@ -616,7 +617,7 @@ class TestRedirectAckLiveness:
             pass
         # worker 0 computes its seed box; its ack is *in flight* (scheduled
         # but not arrived) with the current epoch
-        eng.workers[0].execute_iteration(qr, eng.graph, eng.assignment)
+        SimWorker.execute_iteration(eng.workers, [0], qr, eng.graph, eng.assignment)
         qr.computed = {0}  # what _execute_compute records before dispatching
         eng.queue.schedule(
             eng.now + 1.0e-4,

@@ -22,6 +22,7 @@ from repro.engine import (
     QGraphEngine,
     Query,
     QueryRuntime,
+    SimWorker,
     SyncMode,
 )
 from repro.errors import EngineError
@@ -80,7 +81,9 @@ class TestGlobalStartStageB:
         w_done, w_held = sorted(qr.mailboxes)
         # simulate: w_done already computed its mailbox and acked, then a
         # global STOP paused the engine while w_held's task was in flight
-        eng.workers[w_done].execute_iteration(qr, eng.graph, eng.assignment)
+        SimWorker.execute_iteration(
+            eng.workers, [w_done], qr, eng.graph, eng.assignment
+        )
         qr.acked = {w_done}
         eng.paused = True
         eng._held_tasks.append((0, w_held))
@@ -138,7 +141,7 @@ class TestGlobalStartStageB:
         while eng.queue.pop() is not None:
             pass
         # ... w_a computes its seed box and acks ...
-        eng.workers[w_a].execute_iteration(qr, eng.graph, eng.assignment)
+        SimWorker.execute_iteration(eng.workers, [w_a], qr, eng.graph, eng.assignment)
         qr.acked = {w_a}
         assert w_a not in qr.mailboxes and w_b in qr.mailboxes
         # ... then a repartition moves every vertex to worker 0, re-homing

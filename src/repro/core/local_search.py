@@ -15,6 +15,7 @@ vertices", §1).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -22,6 +23,14 @@ import numpy as np
 from repro.core.state import QcutState
 
 __all__ = ["best_successor", "local_search"]
+
+
+@lru_cache(maxsize=None)
+def _off_diagonal(k: int) -> np.ndarray:
+    """Read-only ``(k, k)`` mask of the moves that change worker (a != b)."""
+    mask = ~np.eye(k, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _candidate_tensor(state: QcutState) -> Tuple[np.ndarray, np.ndarray]:
@@ -45,28 +54,24 @@ def _candidate_tensor(state: QcutState) -> Tuple[np.ndarray, np.ndarray]:
     xw = weighted[:, :, None]  # weighted mass moved, broadcast over targets
     # --- new per-unit row maxima of the weighted matrix after the move -----
     # new row = original with source zeroed and target incremented.
-    order = np.argsort(weighted, axis=1)
-    top1_idx = order[:, -1]
-    rows = np.arange(U)
-    top1 = weighted[rows, top1_idx]
-    top2 = weighted[rows, order[:, -2]] if k >= 2 else np.zeros(U)
+    if k >= 2:
+        largest = np.partition(weighted, k - 2, axis=1)
+        top1, top2 = largest[:, -1:], largest[:, -2:-1]  # (U, 1) each
+    else:
+        top1, top2 = weighted, 0.0
     # max of the row excluding column a: top1 unless a IS the argmax column
-    max_excl = np.repeat(top1[:, None], k, axis=1)
-    max_excl[rows, top1_idx] = top2
+    # (on a tie for the maximum top2 == top1, so either column will do)
+    max_excl = np.where(weighted == top1, top2, top1)
     target_val = weighted[:, None, :] + xw  # value at column b after the move
     # the max over w != a is covered by max_excl (with b's growth dominated
     # by target_val, since target_val >= weighted[u, b])
     new_max = np.maximum(max_excl[:, :, None], target_val)  # (U, a, b)
-
-    totals = weighted.sum(axis=1)  # invariant under moves
-    old_contrib = totals - top1
-    new_contrib = totals[:, None, None] - new_max
-    delta = new_contrib - old_contrib[:, None, None]
+    # a unit contributes (row total - row max) and a move keeps the total;
+    # on the integer-valued masses of a snapshot this difference of maxima
+    # is bit for bit the difference of the two contributions
+    delta = top1[:, :, None] - new_max
 
     # --- feasibility ---------------------------------------------------------
-    feasible = np.broadcast_to(weighted[:, :, None] > 0, (U, k, k)).copy()
-    diag = np.arange(k)
-    feasible[:, diag, diag] = False
     # balance check: the load change of the move is (union + weighted) / 2
     x_load = (union[:, :, None] + xw) / 2.0
     loads = state.loads()
@@ -76,7 +81,7 @@ def _candidate_tensor(state: QcutState) -> Tuple[np.ndarray, np.ndarray]:
     bottom = np.maximum(lf, lt)
     with np.errstate(divide="ignore", invalid="ignore"):
         imbalance = np.where(bottom > 0, top / bottom, 0.0)
-    feasible &= imbalance < state.delta
+    feasible = (xw > 0) & _off_diagonal(k) & (imbalance < state.delta)
     return delta, feasible
 
 

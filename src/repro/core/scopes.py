@@ -38,7 +38,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.util import concat_ranges
+from repro.util import concat_ranges, in_sorted, sorted_unique
 
 __all__ = [
     "QueryScopes",
@@ -206,25 +206,23 @@ class ScopeStore:
         anything changed.
         """
         if isinstance(vertices, np.ndarray):
-            dead = np.unique(vertices.astype(np.int64, copy=False))
+            dead = sorted_unique(vertices.astype(np.int64, copy=False))
         else:
-            dead = np.unique(np.asarray(list(vertices), dtype=np.int64))
+            dead = sorted_unique(np.asarray(list(vertices), dtype=np.int64))
         if dead.size == 0:
             return
         changed = False
         for qid, arr in self._arrays.items():
             if arr.size == 0:
                 continue
-            # arr is sorted and duplicate-free: membership via searchsorted
-            pos = np.searchsorted(dead, arr)
-            hit = (pos < dead.size) & (dead[np.minimum(pos, dead.size - 1)] == arr)
+            hit = in_sorted(arr, dead)
             if hit.any():
                 self._arrays[qid] = arr[~hit]
                 changed = True
         for qid, chunks in self._pending.items():
             fresh_chunks = []
             for chunk in chunks:
-                keep = ~np.isin(chunk, dead)
+                keep = ~in_sorted(chunk, dead)
                 if not keep.all():
                     chunk = chunk[keep]
                     changed = True
@@ -241,7 +239,7 @@ class ScopeStore:
         chunks = self._pending.pop(query_id, None)
         base = self._arrays.get(query_id, _EMPTY)
         if chunks:
-            base = np.unique(np.concatenate([base] + chunks))
+            base = sorted_unique(np.concatenate([base] + chunks))
             self._arrays[query_id] = base
         return base
 

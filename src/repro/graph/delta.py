@@ -45,8 +45,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.builder import csr_arrays_from_edges
+from repro.graph.builder import csr_arrays_from_edges, edge_keys
 from repro.graph.digraph import DiGraph
+from repro.util import in_sorted, sorted_unique
 
 __all__ = ["NewVertexSpec", "GraphDelta", "DeltaResult", "MutableDiGraph", "fresh_rebuild"]
 
@@ -286,6 +287,16 @@ class MutableDiGraph(DiGraph):
         old_n = self.num_vertices
         src, dst, w = self.edge_array()
         skipped = 0
+        # encoded (u, v) edge keys, ascending: the CSR is in canonical
+        # (src, dst) order (csr_arrays_from_edges), so weight updates and
+        # deletions binary-search them as they stand.  Only a graph handed
+        # to the constructor with unsorted rows, before its first flush,
+        # needs sorting — by the rebuild's own stable order, so the result
+        # is the same
+        keys = edge_keys(src, dst, old_n)
+        if (keys[1:] < keys[:-1]).any():
+            order = np.argsort(keys, kind="stable")
+            src, dst, w, keys = src[order], dst[order], w[order], keys[order]
 
         # --- weight updates: match encoded (u, v) keys against the edges
         updated = 0
@@ -295,20 +306,17 @@ class MutableDiGraph(DiGraph):
             skipped += int(np.count_nonzero(~valid))
             uu, uv, uw = uu[valid], uv[valid], uw[valid]
             if uu.size:
-                keys = src * old_n + dst
-                want = uu * old_n + uv
-                order = np.argsort(keys, kind="stable")
-                sorted_keys = keys[order]
+                want = edge_keys(uu, uv, old_n)
+                first = np.searchsorted(keys, want, side="left").tolist()
+                last = np.searchsorted(keys, want, side="right").tolist()
                 # applied in delta order: the last update to the same (u, v)
                 # within one flush wins
-                for i in range(uu.size):
-                    lo = np.searchsorted(sorted_keys, want[i], side="left")
-                    hi = np.searchsorted(sorted_keys, want[i], side="right")
+                for lo, hi, weight in zip(first, last, uw.tolist()):
                     if lo == hi:
                         skipped += 1
                         continue
-                    w[order[lo:hi]] = uw[i]
-                    updated += int(hi - lo)
+                    w[lo:hi] = weight
+                    updated += hi - lo
 
         # --- deletions (edges, then whole vertices)
         keep = np.ones(src.size, dtype=bool)
@@ -320,19 +328,18 @@ class MutableDiGraph(DiGraph):
             skipped += int(np.count_nonzero(~valid))
             du, dv = du[valid], dv[valid]
             if du.size:
-                keys = src * old_n + dst
-                want = np.unique(du * old_n + dv)
-                hit = np.isin(keys, want)
+                want = sorted_unique(edge_keys(du, dv, old_n))
+                hit = in_sorted(keys, want)
                 deleted += int(np.count_nonzero(hit & keep))
                 # deletions of already-absent edges are tolerated silently
                 # (counted per requested pair, not per matched edge)
-                present = np.isin(want, keys)
+                present = in_sorted(want, keys)
                 skipped += int(np.count_nonzero(~present))
                 keep &= ~hit
 
         newly_dead: Tuple[int, ...] = ()
         if delta.remove_vertices:
-            rv = np.unique(np.asarray(delta.remove_vertices, dtype=np.int64))
+            rv = sorted_unique(np.asarray(delta.remove_vertices, dtype=np.int64))
             valid = (rv >= 0) & (rv < old_n) & ~self._dead[rv]
             skipped += int(np.count_nonzero(~valid))
             rv = rv[valid]
@@ -447,7 +454,7 @@ def fresh_rebuild(graph: DiGraph) -> DiGraph:
     """An immutable :class:`DiGraph` built fresh from ``graph``'s edge list.
 
     Uses the same array pipeline as :class:`~repro.graph.builder.GraphBuilder`
-    (lexsort by ``(src, dst)``); the churn-equivalence tests assert a
+    (stable sort by ``(src, dst)``); the churn-equivalence tests assert a
     flushed :class:`MutableDiGraph` matches this array-for-array.
     """
     src, dst, w = graph.edge_array()

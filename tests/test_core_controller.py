@@ -192,6 +192,33 @@ class TestPlanningBackendEquivalence:
             plans["reference"]
         )
 
+    @pytest.mark.parametrize("k, stride", [(4, 17), (1100, 40)])
+    def test_identical_snapshots_fragment_for_fragment(self, k, stride):
+        """The same fragments in the same order with the same vertices, on
+        both sides of the snapshot's key width: the (unit, owner) group key
+        is sorted as 16-bit integers while it fits (k = 4: overlapping
+        scopes, 16 clusters, 64 key values) and as int64 beyond (k = 1100:
+        disjoint scopes, 64 clusters x 1100 workers)."""
+        n, num_queries, per_query = 4000, 64, 40
+        assignment = np.random.default_rng(k).integers(0, k, size=n).astype(np.int64)
+        snapshots = {}
+        for backend in ("vectorized", "reference"):
+            ctrl = Controller(k, ControllerConfig(planning_backend=backend, seed=3))
+            for qid in range(num_queries):
+                ctrl.on_query_started(qid, float(qid))
+                scope = range(qid * stride, qid * stride + per_query)
+                ctrl.on_iteration(qid, k, list(scope), float(qid) + 0.5)
+            ctrl.begin_qcut(assignment, 100.0)
+            snapshots[backend] = ctrl._snapshot
+        state, vertices = snapshots["vectorized"]
+        want_state, want_vertices = snapshots["reference"]
+        assert (state.num_units * k > 2**16) == (k == 1100)
+        assert list(state.fragment_sizes.items()) == list(want_state.fragment_sizes.items())
+        assert state.base.tolist() == want_state.base.tolist()
+        assert list(vertices) == list(want_vertices)
+        for key, members in vertices.items():
+            assert members.tolist() == sorted(want_vertices[key].tolist())
+
     def test_estimate_imbalance_matches_reference(self):
         assignment = np.zeros(32, dtype=np.int64)
         assignment[8:] = np.arange(24) % 3 + 1

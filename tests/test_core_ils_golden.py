@@ -6,7 +6,11 @@ probe, ``best = out.copy()`` in the perturbation walk) *before* the
 planning state became incremental.  The incremental planner is an identity
 transformation of that one: same RNG draws in the same order, same moves,
 same result — so every fingerprint must still match to the digit,
-including the position the random stream is left at.
+including the position the random stream is left at.  The planner has since
+moved from ``Generator.integers`` to the 32-bit words of the same PCG64
+stream (``WordStream``); the fixture did not move: its ``next_random``
+field, the recorded generator's next ``random()``, is derived here from the
+number of words the planner consumed.
 
 Re-record (only ever against a commit whose planner is the oracle)::
 
@@ -21,7 +25,7 @@ import numpy as np
 import pytest
 
 import repro.core.ils as ils_module
-from repro.core import Fragment, QcutState, iterated_local_search, perturb
+from repro.core import Fragment, QcutState, WordStream, iterated_local_search, perturb
 
 GOLDEN_PATH = Path(__file__).parent / "fixtures" / "ils_golden.json"
 
@@ -133,16 +137,25 @@ def _sha(value):
     return hashlib.sha256(repr(value).encode()).hexdigest()[:24]
 
 
+def next_random(seed, consumed):
+    """``random()`` of ``default_rng(seed)`` after bounded draws that took
+    ``consumed`` 32-bit words: the generator has drawn ⌈consumed / 2⌉ raw
+    outputs (a half-used one stays cached for the next 32-bit draw) and
+    ``random()`` takes the top 53 bits of a fresh one."""
+    raw = np.random.PCG64(seed).random_raw((consumed + 1) // 2 + 1)
+    return (int(raw[-1]) >> 11) * 2.0**-53
+
+
 def ils_fingerprint(state, seed):
     """Everything a caller can observe of one ILS run, plus the position
-    the run leaves its random stream at (read off the generator the ILS
+    the run leaves its random stream at (read off the word stream the ILS
     hands to ``perturb`` — it calls it through the module global)."""
     seen = []
     real_perturb = ils_module.perturb
 
-    def spy(st, rng, *args, **kwargs):
-        seen.append(rng)
-        return real_perturb(st, rng, *args, **kwargs)
+    def spy(st, words, *args, **kwargs):
+        seen.append(words)
+        return real_perturb(st, words, *args, **kwargs)
 
     ils_module.perturb = spy
     try:
@@ -158,13 +171,13 @@ def ils_fingerprint(state, seed):
         "initial_cost": res.initial_cost,
         "best_cost": res.best_cost,
         "best_imbalance": res.best_state.max_imbalance(),
-        "next_random": float(seen[-1].random()) if seen else None,
+        "next_random": next_random(seed, seen[-1].consumed) if seen else None,
     }
 
 
 def perturb_fingerprint(state, seed):
-    rng = np.random.default_rng(seed)
-    out = perturb(state, rng)
+    words = WordStream(np.random.PCG64(seed))
+    out = perturb(state, words)
     return {
         "state_sha": _sha(
             (out.weighted.tolist(), out.union.tolist(), sorted(out.placement.items()))
@@ -172,7 +185,7 @@ def perturb_fingerprint(state, seed):
         "moved": len(out.relocated_fragments()),
         "cost": out.cost(),
         "imbalance": out.max_imbalance(),
-        "next_random": float(rng.random()),
+        "next_random": next_random(seed, words.consumed),
     }
 
 

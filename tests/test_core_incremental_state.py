@@ -6,6 +6,9 @@ are identity transformations of the from-scratch formulas, which survive
 here as oracles: every maintained quantity must be ``==`` (exact, not
 approx) its from-scratch value, and ``perturb`` must return the state — and
 leave the random stream where — the original copy-per-improvement walk did.
+The original drew from ``Generator.integers`` and still does here; the
+library draws the same values from a ``WordStream`` over the same PCG64
+stream.
 """
 
 import numpy as np
@@ -13,8 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Fragment, QcutState, perturb
-from repro.core.perturbation import _pick_split_unit
+from repro.core import Fragment, QcutState, WordStream, perturb
 
 
 # ----------------------------------------------------------------------
@@ -60,8 +62,8 @@ def reference_walk(state, rng, max_rebalance_moves=200):
     k = out.num_workers
     if k < 2 or out.num_units == 0:
         return out, 0, 0
-    unit = _pick_split_unit(out, rng)
-    if unit is None:
+    split = np.flatnonzero((out.weighted > 0).sum(axis=1) >= 2)
+    if split.size == 0:
         unit = int(rng.integers(0, out.num_units))
         sources = np.flatnonzero(out.weighted[unit] > 0)
         if sources.size == 0:
@@ -71,6 +73,7 @@ def reference_walk(state, rng, max_rebalance_moves=200):
         dst = int(dst_choices[int(rng.integers(0, len(dst_choices)))])
         out.apply_move(unit, src, dst)
     else:
+        unit = int(split[int(rng.integers(0, split.size))])
         target = int(np.argmax(out.weighted[unit]))
         for src in np.flatnonzero(out.weighted[unit] > 0):
             if int(src) != target:
@@ -105,6 +108,18 @@ def observable(state):
         state.union.tolist(),
         sorted(state.placement.items()),
     )
+
+
+def streams(seed):
+    """The library's word stream and the oracle's generator, same seed."""
+    return WordStream(np.random.PCG64(seed)), np.random.default_rng(seed)
+
+
+def assert_same_stream_position(words, rng):
+    """Both sides took the same 32-bit words off the PCG64 stream: their
+    next draws agree (one word more or less on either side shifts all)."""
+    bounds = (2**31, 3, 2**31 - 1, 1000)
+    assert [words.below(n) for n in bounds] == [int(rng.integers(0, n)) for n in bounds]
 
 
 # ----------------------------------------------------------------------
@@ -198,12 +213,11 @@ class TestPerturbMatchesReference:
     @settings(max_examples=200, deadline=None)
     def test_same_state_and_same_stream_position(self, state, seed, max_moves):
         before = observable(state)
-        rng_new = np.random.default_rng(seed)
-        rng_ref = np.random.default_rng(seed)
-        got = perturb(state, rng_new, max_moves)
+        words, rng_ref = streams(seed)
+        got = perturb(state, words, max_moves)
         want = reference_perturb(state, rng_ref, max_moves)
         assert observable(got) == observable(want)
-        assert rng_new.random() == rng_ref.random()
+        assert_same_stream_position(words, rng_ref)
         assert_matches_scratch(got)
         assert observable(state) == before  # the incumbent is never touched
 
@@ -226,13 +240,13 @@ class TestJournalReplay:
         before = observable(state)
         masses = (state.loads().tolist(), state.cost(), state.max_imbalance())
         for seed in range(20):
-            rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = perturb(state, rng_new)
+            words, rng_ref = streams(seed)
+            got = perturb(state, words)
             want, walked, kept = reference_walk(state, rng_ref)
             # ran to the cap and ended away from the best state it saw
             assert walked == 200 and kept < walked
             assert observable(got) == observable(want)
-            assert rng_new.random() == rng_ref.random()
+            assert_same_stream_position(words, rng_ref)
             assert not got.is_balanced()
             assert_matches_scratch(got)
             assert observable(state) == before
@@ -244,14 +258,15 @@ class TestJournalReplay:
         frags = [Fragment(0, 0, 30, 30), Fragment(0, 1, 10, 10)]
         state = QcutState(1, 2, frags, np.array([0.0, 500.0]), delta=0.05)
         before = observable(state)
-        rng_new, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
-        got = perturb(state, rng_new)
+        words, rng_ref = streams(3)
+        got = perturb(state, words)
         want, walked, kept = reference_walk(state, rng_ref)
         assert (walked, kept) == (0, 0)  # broke out before the first move
         assert observable(got) == observable(want)
         assert got.weighted.tolist() == [[40.0, 0.0]]
         assert not got.is_balanced()
-        assert rng_new.random() == rng_ref.random()
+        assert words.consumed == 0  # the one split unit is picked without a draw
+        assert_same_stream_position(words, rng_ref)
         assert observable(state) == before
         assert_matches_scratch(state)
 
@@ -259,8 +274,8 @@ class TestJournalReplay:
     def test_every_walk_length_agrees_with_the_reference(self, max_moves):
         state = _unbalanceable_state()
         for seed in range(5):
-            rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = perturb(state, rng_new, max_moves)
+            words, rng_ref = streams(seed)
+            got = perturb(state, words, max_moves)
             want = reference_perturb(state, rng_ref, max_moves)
             assert observable(got) == observable(want)
-            assert rng_new.random() == rng_ref.random()
+            assert_same_stream_position(words, rng_ref)

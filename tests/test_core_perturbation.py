@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import Fragment, QcutState, perturb
+from repro.core import Fragment, QcutState, WordStream, perturb
+
+
+def stream(seed):
+    return WordStream(np.random.PCG64(seed))
 
 
 def split_state(delta=0.5):
@@ -20,24 +24,24 @@ class TestPerturb:
     def test_input_state_untouched(self):
         st = split_state()
         snapshot = st.weighted.copy()
-        perturb(st, np.random.default_rng(0))
+        perturb(st, stream(0))
         assert np.array_equal(st.weighted, snapshot)
 
     def test_fuses_a_split_unit(self):
         st = split_state()
-        out = perturb(st, np.random.default_rng(1))
+        out = perturb(st, stream(1))
         # unit 0 was the only split unit; afterwards it occupies one worker
         assert (out.weighted[0] > 0).sum() == 1
 
     def test_fusion_targets_largest_scope_worker(self):
         """Step II: move to the worker with the largest local scope (w1)."""
         st = split_state(delta=5.0)  # huge delta: no rebalancing kicks in
-        out = perturb(st, np.random.default_rng(2))
+        out = perturb(st, stream(2))
         assert out.weighted[0, 1] == pytest.approx(35.0)
 
     def test_mass_conserved(self):
         st = split_state()
-        out = perturb(st, np.random.default_rng(3))
+        out = perturb(st, stream(3))
         assert out.weighted.sum() == pytest.approx(st.weighted.sum())
         assert out.union.sum() == pytest.approx(st.union.sum())
 
@@ -51,7 +55,7 @@ class TestPerturb:
             Fragment(3, 2, 30, 30),
         ]
         st = QcutState(4, 3, frags, np.array([10.0] * 3), delta=0.4)
-        out = perturb(st, np.random.default_rng(4))
+        out = perturb(st, stream(4))
         raw = st.copy()
         target = int(np.argmax(raw.weighted[0]))
         for src in np.flatnonzero(raw.weighted[0] > 0):
@@ -63,18 +67,18 @@ class TestPerturb:
         frags = [Fragment(0, 0, 10, 10), Fragment(1, 1, 10, 10)]
         st = QcutState(2, 2, frags, np.array([100.0, 100.0]), delta=0.9)
         assert st.cost() == 0.0
-        out = perturb(st, np.random.default_rng(5))
+        out = perturb(st, stream(5))
         # a nudge happened: some unit changed worker
         assert not np.array_equal(out.weighted, st.weighted)
 
     def test_single_worker_noop(self):
         frags = [Fragment(0, 0, 10, 10)]
         st = QcutState(1, 1, frags, np.array([100.0]))
-        out = perturb(st, np.random.default_rng(6))
+        out = perturb(st, stream(6))
         assert np.array_equal(out.weighted, st.weighted)
 
     def test_deterministic_given_rng(self):
         st = split_state()
-        a = perturb(st, np.random.default_rng(42))
-        b = perturb(st, np.random.default_rng(42))
+        a = perturb(st, stream(42))
+        b = perturb(st, stream(42))
         assert np.array_equal(a.weighted, b.weighted)

@@ -164,6 +164,34 @@ class TestMutableBasics:
         assert not mg.has_edge(0, 1) and not mg.has_edge(1, 0)
 
 
+class TestRowsInAnyOrder:
+    """``flush`` binary-searches the edge keys in canonical CSR order; a
+    graph handed to the constructor with unsorted rows is valid CSR all the
+    same and must flush to what its canonical twin flushes to."""
+
+    def _twins(self):
+        indptr = np.array([0, 4, 5, 7, 7])
+        indices = np.array([3, 1, 2, 1, 0, 3, 1])  # rows 0 and 2 descend
+        weights = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+        unsorted = MutableDiGraph(indptr, indices, weights)
+        return unsorted, MutableDiGraph.from_digraph(fresh_rebuild(unsorted))
+
+    def test_updates_and_deletes_find_their_edges(self):
+        delta = GraphDelta(
+            update_weights=[(0, 1, 9.0), (2, 1, 8.0), (1, 3, 1.0)],
+            delete_edges=[(0, 3), (2, 3), (3, 0)],
+            insert_edges=[(3, 0, 0.5)],
+        )
+        unsorted, canonical = self._twins()
+        got, want = unsorted.apply_delta(delta), canonical.apply_delta(delta)
+        assert got == want
+        assert (got.updated_weights, got.deleted_edges, got.skipped) == (3, 2, 2)
+        assert unsorted == canonical
+        assert [(u, v, w) for u, v, w in unsorted.edges()] == [
+            (0, 1, 9.0), (0, 1, 9.0), (0, 2, 3.0), (1, 0, 5.0), (2, 1, 8.0), (3, 0, 0.5),
+        ]
+
+
 class TestRebuildEquivalence:
     """A flushed MutableDiGraph must be array-for-array identical to a
     DiGraph built fresh from the same edge list (the churn-epoch invariant)."""

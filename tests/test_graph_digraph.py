@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
-from repro.graph import DiGraph, GraphBuilder
+from repro.graph import DiGraph, GraphBuilder, csr_arrays_from_edges
 
 
 def small_graph():
@@ -215,6 +217,44 @@ class TestBuilderArrays:
             b.set_coords(np.array([0, 1]), np.zeros((2, 3)))
         b.add_edge(0, 1)
         assert not b.build().has_coords()
+
+
+def lexsort_csr_arrays(src, dst, weights, n):
+    """The canonical construction as first written: a two-key lexsort."""
+    order = np.lexsort((dst, src)) if src.size else np.empty(0, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    if src.size:
+        indptr[1:] = np.cumsum(np.bincount(src, minlength=n))
+    return indptr, dst[order], weights[order]
+
+
+@st.composite
+def multigraph_edges(draw):
+    """Edge lists over few vertices: parallel edges (told apart by their
+    weights), self loops and vertices without any edge are the rule."""
+    n = draw(st.integers(1, 12))
+    endpoints = st.integers(0, draw(st.integers(0, n - 1)))
+    pairs = draw(st.lists(st.tuples(endpoints, endpoints), max_size=60))
+    src = np.asarray([u for u, _v in pairs], dtype=np.int64)
+    dst = np.asarray([v for _u, v in pairs], dtype=np.int64)
+    return n, src, dst, np.arange(len(pairs), dtype=np.float64)
+
+
+class TestCanonicalCsrConstruction:
+    @given(multigraph_edges())
+    @settings(max_examples=300, deadline=None)
+    def test_encoded_key_sort_is_the_lexsort_construction(self, edges):
+        n, src, dst, weights = edges
+        got = csr_arrays_from_edges(src, dst, weights, n)
+        want = lexsort_csr_arrays(src, dst, weights, n)
+        for ours, theirs in zip(got, want):
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
+
+    def test_a_vertex_count_whose_square_overflows_the_key_is_rejected(self):
+        none = np.empty(0, dtype=np.int64)
+        with pytest.raises(GraphError, match="int64 key"):
+            csr_arrays_from_edges(none, none, np.empty(0), 3_037_000_500)
 
 
 class TestEquality:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core import Fragment, QcutState, iterated_local_search, local_search
 from repro.core.clustering import cluster_queries
 from repro.core.cost import assignment_cost
-from repro.core.perturbation import perturb
+from repro.core.perturbation import WordStream, perturb
 from repro.engine import EngineConfig, QGraphEngine, Query
 from repro.core import Controller
 from repro.graph import GraphBuilder
@@ -116,8 +116,7 @@ class TestQcutStateProperties:
     @given(qcut_states(), st.integers(0, 2**31 - 1))
     @settings(max_examples=50, deadline=None)
     def test_perturb_conserves_mass(self, state, seed):
-        rng = np.random.default_rng(seed)
-        out = perturb(state, rng)
+        out = perturb(state, WordStream(np.random.PCG64(seed)))
         assert out.weighted.sum() == pytest.approx(state.weighted.sum())
         assert out.union.sum() == pytest.approx(state.union.sum())
 

@@ -56,13 +56,30 @@ def test_differences_ignore_host_time_and_name_every_differing_key():
     ]
 
 
+def test_timing_lines_pair_by_seed_and_take_the_median_of_the_ratios():
+    pairs = [(1, 10.0, 5.0), (2, 8.0, 6.0), (3, 4.0, 4.4)]
+    assert tool.timing_lines("churn_recovery", pairs) == [
+        "churn_recovery seed 1: wall_run_s 10.00 -> 5.00 (-50%)",
+        "churn_recovery seed 2: wall_run_s 8.00 -> 6.00 (-25%)",
+        "churn_recovery seed 3: wall_run_s 4.00 -> 4.40 (+10%)",
+        # 0.75 is the middle ratio; 8.00 and 5.00 the middle walls
+        "churn_recovery: wall_run_s median 8.00 -> 5.00 s, "
+        "median change/parent 0.750 over 3 pairs",
+    ]
+
+
 def test_a_checkout_is_identical_to_itself(capsys):
     """End to end at smoke size: two children per (workload, seed), run in
     their checkouts, one line each, then the verdict."""
     status = tool.main(
-        [str(ROOT), str(ROOT), "--smoke", "--seeds", "7", "--workload", "open_mixed"]
+        [str(ROOT), str(ROOT), "--smoke", "--seeds", "7", "--workload", "open_mixed",
+         "--time"]
     )
     lines = capsys.readouterr().out.splitlines()
     assert status == 0
     assert lines[0].startswith("open_mixed seed 7: identical (engine.events ")
-    assert lines[-1] == "ALL IDENTICAL" and len(lines) == 2
+    # --time: one line per pair and the summary, between the runs and the verdict
+    assert lines[1].startswith("open_mixed seed 7: wall_run_s ")
+    assert lines[2].startswith("open_mixed: wall_run_s median ")
+    assert lines[2].endswith(" over 1 pairs")
+    assert lines[-1] == "ALL IDENTICAL" and len(lines) == 4

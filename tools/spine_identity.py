@@ -2,7 +2,7 @@
 """Is a change an identity transformation of the simulation?
 
     python3 tools/spine_identity.py PARENT_DIR CHANGE_DIR [--seeds 1-10]
-                                    [--workload W ...] [--smoke]
+                                    [--workload W ...] [--smoke] [--time]
 
 Runs the measurement spine's untraced child (``python3 -m
 benchmarks.spine.child <workload> <seed> 0 <smoke>``) in two checkouts —
@@ -15,6 +15,11 @@ repartitions, ...), ``answer_digest``, ``submitted``, ``unfinished`` and
 ``wrong``.  Prints one line per (workload, seed) and ``ALL IDENTICAL`` or
 the differing keys; exits non-zero on a difference.
 
+``--time`` adds what an identity transformation is made for: per workload,
+the ``wall_run_s`` of parent and change seed by seed (the two sides of a
+pair ran at the same moment, under the same load) and the median of the
+per-pair ratios.  It never changes the verdict or the exit status.
+
 The workload names come from ``CHANGE_DIR/BENCHMARK.json``; nothing of the
 spine is imported, it is only run.
 """
@@ -24,9 +29,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
 #: a run that takes longer than this is a failure, not a slow machine
 CHILD_TIMEOUT_S = 300
@@ -89,6 +95,24 @@ def differences(parent: Dict[str, Any], change: Dict[str, Any]) -> List[str]:
     return out
 
 
+def timing_lines(workload: str, pairs: Sequence[Tuple[int, float, float]]) -> List[str]:
+    """The ``--time`` report of one workload from its ``(seed, parent
+    wall_run_s, change wall_run_s)`` pairs."""
+    lines = [
+        f"{workload} seed {seed}: wall_run_s {parent:.2f} -> {change:.2f} "
+        f"({change / parent - 1.0:+.0%})"
+        for seed, parent, change in pairs
+    ]
+    ratio = statistics.median(change / parent for _seed, parent, change in pairs)
+    lines.append(
+        f"{workload}: wall_run_s median "
+        f"{statistics.median(p for _s, p, _c in pairs):.2f} -> "
+        f"{statistics.median(c for _s, _p, c in pairs):.2f} s, "
+        f"median change/parent {ratio:.3f} over {len(pairs)} pairs"
+    )
+    return lines
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_dir")
@@ -97,6 +121,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--workload", action="append", dest="workloads",
                         help="repeatable; default: every workload of BENCHMARK.json")
     parser.add_argument("--smoke", action="store_true", help="smoke-size workloads")
+    parser.add_argument("--time", action="store_true",
+                        help="also print the paired wall_run_s and their median ratio")
     args = parser.parse_args(argv)
 
     checkouts = [os.path.abspath(args.parent_dir), os.path.abspath(args.change_dir)]
@@ -106,6 +132,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     differing = 0
     for workload in workloads:
+        walls: List[Tuple[int, float, float]] = []
         for seed in args.seeds:
             children = [start_child(c, workload, seed, args.smoke) for c in checkouts]
             try:
@@ -117,6 +144,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     if child.poll() is None:
                         child.kill()
                         child.communicate()
+            walls.append((seed, parent["wall_run_s"], change["wall_run_s"]))
             diffs = differences(parent, change)
             if diffs:
                 differing += 1
@@ -131,6 +159,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                     f"digest {str(change['answer_digest'])[:12]})"
                 )
             sys.stdout.flush()
+        if args.time:
+            print("\n".join(timing_lines(workload, walls)), flush=True)
     if differing:
         print(f"{differing} of {len(workloads) * len(args.seeds)} runs DIFFER")
         return 1

@@ -26,7 +26,7 @@ def first_snapshot_state():
     )
     result = run_scenario(scenario)
     controller = result.controller
-    state, _fragments = controller._build_snapshot(result.engine.assignment)
+    state, _fragments, _held = controller._build_snapshot(result.engine.assignment)
     return state
 
 

@@ -37,6 +37,10 @@ from repro.graph.digraph import DiGraph
 
 __all__ = ["ControllerConfig", "MovePlan", "Controller"]
 
+#: a Q-cut snapshot: the ILS state, the vertices of each (unit, origin
+#: worker) fragment, and whether the snapshot is held (``_finalize_snapshot``)
+Snapshot = Tuple[QcutState, Dict[Tuple[int, int], np.ndarray], bool]
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -101,6 +105,15 @@ class MovePlan:
 
     @property
     def moved_vertices(self) -> int:
+        """Listed vertex-moves: the sum of the moves' sizes.
+
+        A vertex named by several moves counts once per move, so a plan over
+        overlapping units lists more than it migrates (a plan over units
+        covering the 12 k-vertex ``churn_recovery`` graph 4.5 times lists
+        54 k vertex-moves).  The engine
+        migrates such a vertex once, to the first move's destination in plan
+        order, and ``RepartitionRecord.moved_vertices`` counts it once.
+        """
         return int(sum(m.size for m in self.moves))
 
     def __bool__(self) -> bool:
@@ -129,7 +142,7 @@ class Controller:
         )
         self.last_qcut_time = -float("inf")
         self._qcut_running = False
-        self._snapshot: Optional[Tuple[QcutState, Dict[Tuple[int, int], np.ndarray]]] = None
+        self._snapshot: Optional[Snapshot] = None
         self._qcut_count = 0
         #: exponential backoff applied to the cooldown when consecutive
         #: Q-cuts stop improving (the workload's locality has plateaued at
@@ -299,9 +312,7 @@ class Controller:
         self._snapshot = self._build_snapshot(assignment)
         return self.config.qcut_compute_time
 
-    def _build_snapshot(
-        self, assignment: np.ndarray
-    ) -> Tuple[QcutState, Dict[Tuple[int, int], np.ndarray]]:
+    def _build_snapshot(self, assignment: np.ndarray) -> Snapshot:
         """High-level representation: clusters -> per-worker fragments."""
         if self.config.planning_backend == "vectorized" and isinstance(
             self.scopes, ScopeStore
@@ -316,9 +327,7 @@ class Controller:
             if self.scopes.global_scope_size(qid) > 0
         ]
 
-    def _build_snapshot_vectorized(
-        self, assignment: np.ndarray
-    ) -> Tuple[QcutState, Dict[Tuple[int, int], np.ndarray]]:
+    def _build_snapshot_vectorized(self, assignment: np.ndarray) -> Snapshot:
         """Array-backed snapshot: every per-query/per-cluster loop of the
         reference path becomes a bincount/presence-mask pass over the scope
         store's incidence structure.  Produces the same fragments (and therefore the
@@ -395,9 +404,7 @@ class Controller:
             assignment, num_units, fragments, fragment_vertices
         )
 
-    def _build_snapshot_reference(
-        self, assignment: np.ndarray
-    ) -> Tuple[QcutState, Dict[Tuple[int, int], np.ndarray]]:
+    def _build_snapshot_reference(self, assignment: np.ndarray) -> Snapshot:
         """Original set-based snapshot path (the equivalence oracle)."""
         query_ids = self._nonempty_tracked_queries()
         scope_map = {qid: self.scopes.global_scope(qid) for qid in query_ids}
@@ -451,7 +458,7 @@ class Controller:
         num_units: int,
         fragments: List[Fragment],
         fragment_vertices: Dict[Tuple[int, int], np.ndarray],
-    ) -> Tuple[QcutState, Dict[Tuple[int, int], np.ndarray]]:
+    ) -> Snapshot:
         # a fragment's union mass is its vertex count, so the per-worker
         # scope vertex count is one weighted bincount over the fragments
         scope_vertex_count = np.bincount(
@@ -461,6 +468,12 @@ class Controller:
         )
         totals = np.bincount(assignment, minlength=self.k).astype(np.float64)
         base = np.maximum(totals - scope_vertex_count, 0.0)
+        # hold a snapshot whose fragments list more vertices than the graph
+        # has: its units cannot be disjoint, so the clamp above is engaged on
+        # some worker and the load model |V(w)| = base[w] + U[w] the ILS
+        # optimises is already false — the realisability bound, not a tuned
+        # threshold
+        held = bool(scope_vertex_count.sum() > assignment.size)
         state = QcutState(
             num_units=num_units,
             num_workers=self.k,
@@ -468,13 +481,17 @@ class Controller:
             base_vertices=base,
             delta=self.config.delta,
         )
-        return state, fragment_vertices
+        return state, fragment_vertices, held
 
     def complete_qcut(self, now: float) -> MovePlan:
-        """Run the ILS on the snapshot and emit the low-level move plan."""
+        """Run the ILS on the snapshot and emit the low-level move plan.
+
+        A held snapshot runs no ILS (no rounds, no random draws) and yields
+        an empty plan, which backs off like every plan without moves.
+        """
         if not self._qcut_running or self._snapshot is None:
             raise ControllerError("no Q-cut computation in progress")
-        state, fragment_vertices = self._snapshot
+        state, fragment_vertices, held = self._snapshot
         self._snapshot = None
         self._qcut_running = False
         self.last_qcut_time = now
@@ -483,6 +500,23 @@ class Controller:
         if state.num_units == 0:
             return MovePlan()
 
+        plan = MovePlan() if held else self._plan(state, fragment_vertices)
+        # adaptive backoff: when the ILS stops finding substantial
+        # improvements, the partitioning has converged to its
+        # balance-constrained optimum — repartitioning again would only
+        # shuffle vertices and pay global barriers for nothing.  A held
+        # snapshot's empty plan backs off the same way.
+        result = plan.ils_result
+        if not plan.moves or result is None or result.improvement < 0.15:
+            self._backoff = min(self._backoff * 2.0, 16.0)
+        else:
+            self._backoff = 1.0
+        return plan
+
+    def _plan(
+        self, state: QcutState, fragment_vertices: Dict[Tuple[int, int], np.ndarray]
+    ) -> MovePlan:
+        """The ILS on ``state``, its best state translated into moves."""
         result = iterated_local_search(
             state,
             max_rounds=self.config.ils_rounds,
@@ -509,15 +543,6 @@ class Controller:
         plan.involved_workers = frozenset(
             w for m in plan.moves for w in (m.src, m.dst)
         )
-
-        # adaptive backoff: when the ILS stops finding substantial
-        # improvements, the partitioning has converged to its
-        # balance-constrained optimum — repartitioning again would only
-        # shuffle vertices and pay global barriers for nothing.
-        if not plan.moves or result.improvement < 0.15:
-            self._backoff = min(self._backoff * 2.0, 16.0)
-        else:
-            self._backoff = 1.0
         return plan
 
     @property

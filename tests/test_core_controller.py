@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.controller as controller_module
 from repro.core import Controller, ControllerConfig
 from repro.errors import ControllerError
 
@@ -145,6 +146,44 @@ class TestQcutPlan:
         assert ctrl.qcut_count == 1
 
 
+@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+class TestHeldSnapshot:
+    """A snapshot whose fragments list more vertices than the graph has is
+    held: no ILS, an empty plan, the back-off doubled — on both backends."""
+
+    def test_overlapping_scopes_are_held(self, backend, monkeypatch):
+        def no_ils(*_args, **_kwargs):
+            raise AssertionError("a held snapshot must not run the ILS")
+
+        monkeypatch.setattr(controller_module, "iterated_local_search", no_ils)
+        ctrl = make_controller(planning_backend=backend)
+        assignment = np.arange(64) % 4
+        # six queries over 40 of the 64 vertices each: sum of unions 240
+        for qid in range(6):
+            ctrl.on_query_started(qid, float(qid))
+            ctrl.on_iteration(qid, 4, list(range(4 * qid, 4 * qid + 40)), qid + 0.5)
+        ctrl.begin_qcut(assignment, 10.0)
+        state, _vertices, held = ctrl._snapshot
+        assert held and state.union.sum() == 240
+        plan = ctrl.complete_qcut(11.0)
+        assert not plan and plan.moved_vertices == 0 and plan.ils_result is None
+        assert ctrl._backoff == 2.0
+        assert ctrl.qcut_count == 1
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_disjoint_scopes_still_plan(self, backend, n):
+        """Up to and including a sum of unions equal to |V| (n = 8: eight
+        disjoint 8-vertex scopes cover the 64 vertices exactly)."""
+        ctrl = make_controller(planning_backend=backend)
+        assignment = np.arange(64) % 4
+        feed_scattered_queries(ctrl, assignment, n=n)
+        ctrl.begin_qcut(assignment, 10.0)
+        state, _vertices, held = ctrl._snapshot
+        assert not held and state.union.sum() == 8 * n
+        plan = ctrl.complete_qcut(11.0)
+        assert plan.moves and plan.ils_result is not None
+
+
 class TestEstimateImbalance:
     def test_balanced_zero(self):
         ctrl = make_controller()
@@ -210,8 +249,8 @@ class TestPlanningBackendEquivalence:
                 ctrl.on_iteration(qid, k, list(scope), float(qid) + 0.5)
             ctrl.begin_qcut(assignment, 100.0)
             snapshots[backend] = ctrl._snapshot
-        state, vertices = snapshots["vectorized"]
-        want_state, want_vertices = snapshots["reference"]
+        state, vertices, _held = snapshots["vectorized"]
+        want_state, want_vertices, _want_held = snapshots["reference"]
         assert (state.num_units * k > 2**16) == (k == 1100)
         assert list(state.fragment_sizes.items()) == list(want_state.fragment_sizes.items())
         assert state.base.tolist() == want_state.base.tolist()

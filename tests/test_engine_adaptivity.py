@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import Controller, ControllerConfig
 from repro.engine import EngineConfig, QGraphEngine, Query, SyncMode
-from repro.graph import generate_road_network
+from repro.graph import generate_road_network, grid_graph
 from repro.partitioning import HashPartitioner
 from repro.queries import SsspProgram
 from repro.simulation.cluster import make_cluster
@@ -127,3 +127,48 @@ class TestAdaptation:
         wl.submit_all(eng)
         trace = eng.run()
         assert len(trace.finished_queries()) == 48
+
+
+def graph_spanning_run(adaptive, sanitizer=None):
+    """Twelve SSSP queries on a 12 x 12 grid, each settling every vertex.
+
+    The first four finish before the rest arrive, and the controller waits
+    for a fifth query, so every snapshot holds at least four whole-graph
+    scopes."""
+    graph = grid_graph(12, 12)
+    k = 4
+    engine = QGraphEngine(
+        graph,
+        make_cluster("M2", k),
+        HashPartitioner(seed=0).partition(graph, k),
+        controller=Controller(
+            k,
+            ControllerConfig(
+                mu=10.0,
+                qcut_compute_time=1.0e-4,
+                qcut_cooldown=1.0e-4,
+                min_queries_for_qcut=5,
+            ),
+        ),
+        config=EngineConfig(adaptive=adaptive, sanitizer=sanitizer),
+    )
+    for qid in range(12):
+        source = (37 * qid) % graph.num_vertices
+        arrival = 0.0 if qid < 4 else 0.01 + qid * 1.0e-4
+        engine.submit(Query(qid, SsspProgram(source), (source,)), arrival)
+    trace = engine.run()
+    return engine, trace, {qid: engine.query_result(qid) for qid in range(12)}
+
+
+class TestHeldSnapshots:
+    def test_graph_spanning_queries_never_stop_the_cluster(self):
+        """Every tracked scope is the whole graph, so every snapshot's units
+        list the graph several times over and the controller holds it: the
+        adaptive run plans but never repartitions, and answers exactly as
+        the static run does (sanitized: the hold leaves no STOP half-open)."""
+        engine, trace, answers = graph_spanning_run(adaptive=True, sanitizer=True)
+        _static, _trace, static_answers = graph_spanning_run(adaptive=False)
+        assert engine.controller.qcut_count > 0
+        assert trace.repartitions == []
+        assert len(trace.finished_queries()) == 12
+        assert answers == static_answers

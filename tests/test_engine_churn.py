@@ -182,7 +182,10 @@ def _generated_churn(rn, rate=60.0, span=0.4, seed=5, num_queries=48):
 _CHURN_FINGERPRINTS = {
     SyncMode.HYBRID: "7e7a136dafa703bf",
     SyncMode.GLOBAL_PER_QUERY: "b1d37df8762f24ba",
-    SyncMode.SHARED_BSP: "a6c85915641e13ee",
+    # re-pinned when the controller began holding snapshots whose fragments
+    # list more vertices than the graph has: this run holds one and applies
+    # 2 plans instead of 3; the other two sync modes never snapshot one
+    SyncMode.SHARED_BSP: "a18c23878b1f8d6a",
 }
 
 

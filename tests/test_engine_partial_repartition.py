@@ -203,9 +203,12 @@ def _trace_fingerprint(engine, trace):
 #: later host-side-only change, must reproduce these runs event for event.
 #: A change that re-times events on purpose re-pins them.
 _PINNED_FINGERPRINTS = {
-    ("workload", SyncMode.HYBRID): "afbfce6a63279640",
-    ("workload", SyncMode.GLOBAL_PER_QUERY): "04fbd969ffb2bdb0",
-    ("workload", SyncMode.SHARED_BSP): "9e5cc9768a648355",
+    # re-pinned when the controller began holding snapshots whose fragments
+    # list more vertices than the graph has: this workload holds one and
+    # applies 3 plans instead of 4 in every sync mode
+    ("workload", SyncMode.HYBRID): "619b68c17c9a251e",
+    ("workload", SyncMode.GLOBAL_PER_QUERY): "e295505d601b37c3",
+    ("workload", SyncMode.SHARED_BSP): "9d00c823cf55b63e",
     ("path", False): "c7504e207fe6dee8",
     ("path", True): "12d9a650ac5b8f2e",
 }
@@ -228,7 +231,7 @@ class TestPinnedFingerprints:
         engine, trace, _res = _run_workload(
             adaptive=True, repartition_mode=repartition_mode, sync_mode=sync_mode
         )
-        assert len(trace.repartitions) == 4
+        assert len(trace.repartitions) == 3
         assert _digest(engine, trace) == _PINNED_FINGERPRINTS["workload", sync_mode]
 
     @pytest.mark.parametrize(
@@ -682,6 +685,30 @@ class TestMigrationLinkContention:
             link.latency + vb.size * engine.config.vertex_state_bytes / link.bandwidth,
         )
         assert event.time > per_move_max
+
+    def test_vertex_named_twice_migrates_once_to_the_first_destination(self):
+        """Overlapping units can name one vertex in several moves: the first
+        move in plan order takes it (a move migrates only the vertices still
+        on its source), so it is charged and counted once."""
+        engine = self._paused_engine(k=4)
+        first = MoveRequest(src=0, dst=1, vertices=np.arange(0, 20, dtype=np.int64))
+        second = MoveRequest(src=0, dst=2, vertices=np.arange(10, 30, dtype=np.int64))
+        plan = MovePlan(moves=[first, second])
+        engine.paused = True
+        engine._pending_plan = plan
+        engine._stop_begin_time = engine.now
+        engine._on_global_stop(0.0)
+        event = engine.queue.pop()
+        assert engine.assignment[:20].tolist() == [1] * 20
+        assert engine.assignment[20:30].tolist() == [2] * 10
+        assert plan.moved_vertices == 40  # listed
+        assert engine.trace.repartitions[0].moved_vertices == 30  # migrated
+        times = []
+        for dst, count in ((1, 20), (2, 10)):
+            link = engine.cluster.link(0, dst)
+            payload = count * engine.config.vertex_state_bytes
+            times.append(link.latency + payload / link.bandwidth)
+        assert event.time == pytest.approx(max(times), rel=1e-12)
 
     def test_disjoint_links_transfer_concurrently(self):
         engine = self._paused_engine(k=4)

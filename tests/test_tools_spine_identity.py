@@ -3,6 +3,7 @@
 import argparse
 import copy
 import importlib.util
+import os
 import pathlib
 
 import pytest
@@ -65,6 +66,59 @@ def test_timing_lines_pair_by_seed_and_take_the_median_of_the_ratios():
         # 0.75 is the middle ratio; 8.00 and 5.00 the middle walls
         "churn_recovery: wall_run_s median 8.00 -> 5.00 s, "
         "median change/parent 0.750 over 3 pairs",
+    ]
+
+
+def test_metric_lines_take_medians_and_count_seeds_by_declared_direction():
+    def table(makespan, locality, stall):
+        return {"vt_makespan_s": makespan, "vt_locality": locality,
+                "vt_stall_s": stall, "latency_samples": 9}
+
+    pairs = [
+        (table(1.0, 0.5, 0.2), table(0.8, 0.4, 0.0)),
+        (table(1.2, 0.6, 0.1), table(1.3, 0.6, 0.0)),
+        (table(1.1, 0.7, 0.3), table(0.9, 0.8, 0.1)),
+    ]
+    better = {"vt_makespan_s": "lower", "vt_locality": "higher", "wall_run_s": "lower"}
+    assert tool.metric_lines("churn_recovery", pairs, better) == [
+        "churn_recovery: vt_makespan_s median 1.1 -> 0.9, change better on 2/3 seeds",
+        # seed 2 is a tie: it counts for neither side
+        "churn_recovery: vt_locality median 0.6 -> 0.6, change better on 1/3 seeds",
+        # no declared direction: medians only
+        "churn_recovery: vt_stall_s median 0.2 -> 0",
+    ]
+
+
+def test_differing_runs_add_the_summary_and_keep_the_verdict(monkeypatch, capsys):
+    """Canned records instead of children: the change is faster on both
+    seeds, the summary follows the workload's seeds, the verdict and the
+    exit status are what they were."""
+    change_dir = os.path.abspath(ROOT)
+
+    class Finished:
+        def poll(self):
+            return 0
+
+    def finish(_child, checkout):
+        record = copy.deepcopy(RECORD)
+        if checkout == change_dir:
+            record["end_to_end"]["vt_makespan_s"] = 0.2
+        return record
+
+    monkeypatch.setattr(tool, "start_child", lambda *_args: Finished())
+    monkeypatch.setattr(tool, "finish_child", finish)
+    status = tool.main(
+        [str(ROOT / "tools"), change_dir, "--seeds", "1-2", "--workload", "churn_recovery"]
+    )
+    assert status == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "churn_recovery seed 1: DIFFERENT (1 keys)",
+        "    end_to_end.vt_makespan_s: 0.25 != 0.2",
+        "churn_recovery seed 2: DIFFERENT (1 keys)",
+        "    end_to_end.vt_makespan_s: 0.25 != 0.2",
+        "churn_recovery: vt_makespan_s median 0.25 -> 0.2, change better on 2/2 seeds",
+        "churn_recovery: vt_locality median 0.5 -> 0.5, change better on 0/2 seeds",
+        "2 of 2 runs DIFFER",
     ]
 
 

@@ -20,6 +20,12 @@ the ``wall_run_s`` of parent and change seed by seed (the two sides of a
 pair ran at the same moment, under the same load) and the median of the
 per-pair ratios.  It never changes the verdict or the exit status.
 
+A workload whose runs differ is followed by one line per ``vt_*`` metric:
+the median over the seeds at parent and change and, for the metrics
+``BENCHMARK.json`` gives a direction (``better``), on how many seeds the
+change is better.  That is what a change that means to move ``vt_*`` reads;
+it never changes the verdict or the exit status either.
+
 The workload names come from ``CHANGE_DIR/BENCHMARK.json``; nothing of the
 spine is imported, it is only run.
 """
@@ -113,6 +119,30 @@ def timing_lines(workload: str, pairs: Sequence[Tuple[int, float, float]]) -> Li
     return lines
 
 
+def metric_lines(
+    workload: str,
+    pairs: Sequence[Tuple[Dict[str, Any], Dict[str, Any]]],
+    better: Dict[str, str],
+) -> List[str]:
+    """The ``vt_*`` summary of one workload from its ``(parent, change)``
+    ``end_to_end`` tables, one pair per seed; ``better`` maps a metric to
+    ``"lower"`` or ``"higher"``.  A tie counts for neither side."""
+    lines = []
+    for key in [k for k in pairs[0][0] if k.startswith("vt_")]:
+        parent = [p[key] for p, _c in pairs]
+        change = [c[key] for _p, c in pairs]
+        line = (
+            f"{workload}: {key} median {statistics.median(parent):.6g} -> "
+            f"{statistics.median(change):.6g}"
+        )
+        if key in better:
+            sign = 1.0 if better[key] == "higher" else -1.0
+            wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+            line += f", change better on {wins}/{len(pairs)} seeds"
+        lines.append(line)
+    return lines
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_dir")
@@ -127,12 +157,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     checkouts = [os.path.abspath(args.parent_dir), os.path.abspath(args.change_dir)]
     with open(os.path.join(checkouts[1], "BENCHMARK.json")) as handle:
-        declared = [w["name"] for w in json.load(handle)["workloads"]]
-    workloads = args.workloads or declared
+        benchmark = json.load(handle)
+    workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
 
     differing = 0
     for workload in workloads:
         walls: List[Tuple[int, float, float]] = []
+        tables: List[Tuple[Dict[str, Any], Dict[str, Any]]] = []
+        workload_differs = False
         for seed in args.seeds:
             children = [start_child(c, workload, seed, args.smoke) for c in checkouts]
             try:
@@ -145,9 +178,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                         child.kill()
                         child.communicate()
             walls.append((seed, parent["wall_run_s"], change["wall_run_s"]))
+            tables.append((parent["end_to_end"], change["end_to_end"]))
             diffs = differences(parent, change)
             if diffs:
                 differing += 1
+                workload_differs = True
                 print(f"{workload} seed {seed}: DIFFERENT ({len(diffs)} keys)")
                 for line in diffs:
                     print(f"    {line}")
@@ -159,6 +194,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                     f"digest {str(change['answer_digest'])[:12]})"
                 )
             sys.stdout.flush()
+        if workload_differs:
+            print("\n".join(metric_lines(workload, tables, better)), flush=True)
         if args.time:
             print("\n".join(timing_lines(workload, walls)), flush=True)
     if differing:

@@ -143,6 +143,10 @@ class Controller:
         self.last_qcut_time = -float("inf")
         self._qcut_running = False
         self._snapshot: Optional[Snapshot] = None
+        #: whether a full admission round was waiting when the snapshot was
+        #: taken — the one condition under which its plan may trade cost
+        #: for balance (``iterated_local_search``'s ``balance_first``)
+        self._saturated = True
         self._qcut_count = 0
         #: exponential backoff applied to the cooldown when consecutive
         #: Q-cuts stop improving (the workload's locality has plateaued at
@@ -281,9 +285,11 @@ class Controller:
 
         §3.4 triggers "when the statistics indicate that the current
         partitioning is suboptimal": average query locality below Φ, or —
-        the balance half of the objective — windowed workload imbalance
-        beyond δ (this is what lets Q-cut repair Domain's straggler
-        problem even though Domain's locality is excellent).
+        the balance half of the objective — windowed workload imbalance of
+        at least 2δ (this is what lets Q-cut repair Domain's straggler
+        problem even though Domain's locality is excellent).  δ itself is
+        the ILS's balance bound, so a trigger fires only well outside what
+        a plan may leave.
         """
         if self._qcut_running:
             return False
@@ -300,16 +306,22 @@ class Controller:
     # ------------------------------------------------------------------
     # Plan
     # ------------------------------------------------------------------
-    def begin_qcut(self, assignment: np.ndarray, now: float) -> float:
+    def begin_qcut(
+        self, assignment: np.ndarray, now: float, saturated: bool = True
+    ) -> float:
         """Snapshot the high-level state; returns the virtual compute time.
 
         The engine should schedule the ``qcut_done`` event after the returned
-        duration and then call :meth:`complete_qcut`.
+        duration and then call :meth:`complete_qcut`.  ``saturated`` says
+        whether queries were queueing for admission (at least a full
+        admission round waiting): only then may the plan give up query-cut
+        to buy balance.
         """
         if self._qcut_running:
             raise ControllerError("a Q-cut computation is already running")
         self._qcut_running = True
         self._snapshot = self._build_snapshot(assignment)
+        self._saturated = saturated
         return self.config.qcut_compute_time
 
     def _build_snapshot(self, assignment: np.ndarray) -> Snapshot:
@@ -500,7 +512,11 @@ class Controller:
         if state.num_units == 0:
             return MovePlan()
 
-        plan = MovePlan() if held else self._plan(state, fragment_vertices)
+        plan = (
+            MovePlan()
+            if held
+            else self._plan(state, fragment_vertices, self._saturated)
+        )
         # adaptive backoff: when the ILS stops finding substantial
         # improvements, the partitioning has converged to its
         # balance-constrained optimum — repartitioning again would only
@@ -514,13 +530,23 @@ class Controller:
         return plan
 
     def _plan(
-        self, state: QcutState, fragment_vertices: Dict[Tuple[int, int], np.ndarray]
+        self,
+        state: QcutState,
+        fragment_vertices: Dict[Tuple[int, int], np.ndarray],
+        saturated: bool,
     ) -> MovePlan:
-        """The ILS on ``state``, its best state translated into moves."""
+        """The ILS on ``state``, its best state translated into moves.
+
+        Balance is worth query-cut only under saturation: when a full
+        admission round queues, latency is set by throughput, which balance
+        buys; otherwise it is the query's own service time, which locality
+        buys (``docs/controller.md``, "The MAPE loop").
+        """
         result = iterated_local_search(
             state,
             max_rounds=self.config.ils_rounds,
             seed=self.config.seed + self._qcut_count,
+            balance_first=saturated,
         )
         plan = MovePlan(
             cost_before=result.initial_cost,

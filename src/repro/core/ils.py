@@ -66,6 +66,7 @@ def iterated_local_search(
     max_rounds: int = 50,
     seed: int = 0,
     terminated: Optional[Callable[[], bool]] = None,
+    balance_first: bool = True,
 ) -> IlsResult:
     """Run Algorithm 1 starting from ``initial`` (which is not mutated).
 
@@ -80,6 +81,12 @@ def iterated_local_search(
         computation as soon as a result is needed", Appendix A.3); checked
         between rounds, so the best-so-far solution is always available —
         requirement (b) of §3.2.2.
+    balance_first:
+        Whether a candidate may give up cost to buy balance.  ``False``
+        accepts a candidate only if it is cheaper and no more unbalanced
+        than the incumbent (or δ-balanced): the controller's choice for a
+        snapshot taken while no admission round was waiting, where latency
+        is a query's own service time and balance does not buy it.
     """
     words = WordStream(np.random.PCG64(seed))
 
@@ -90,8 +97,13 @@ def iterated_local_search(
         a δ-balanced state therefore always beats an unbalanced one, and a
         less-unbalanced state beats a more-unbalanced one — which is what
         lets Q-cut *repair* an unbalanced initial partitioning (Domain)
-        rather than freezing on its low-cost but skewed incumbent.
+        rather than freezing on its low-cost but skewed incumbent.  Without
+        ``balance_first`` cost dominates and balance is a side condition.
         """
+        if not balance_first:
+            return a.cost() < b.cost() and (
+                a.is_balanced() or a.max_imbalance() <= b.max_imbalance()
+            )
         a_ok, b_ok = a.is_balanced(), b.is_balanced()
         if a_ok != b_ok:
             return a_ok
@@ -117,7 +129,9 @@ def iterated_local_search(
             incumbent = candidate
             best_cost = candidate.cost()
         trace.append((round_idx, best_cost))
-        if best_cost == 0.0 and incumbent.is_balanced():
+        # at zero cost nothing is cheaper: only a balance repair, which
+        # balance_first alone accepts, could still replace the incumbent
+        if best_cost == 0.0 and (not balance_first or incumbent.is_balanced()):
             break
 
     return IlsResult(

@@ -1326,7 +1326,12 @@ class QGraphEngine:
             # first barrier after the controller recovers
             return
         if self.controller.should_trigger_qcut(now, self.assignment):
-            duration = self.controller.begin_qcut(self.assignment, now)
+            # a full admission round waiting: only then may the plan trade
+            # locality for balance (Controller._plan)
+            saturated = len(self.scheduler) >= self.config.max_parallel_queries
+            duration = self.controller.begin_qcut(
+                self.assignment, now, saturated=saturated
+            )
             self._qcut_trigger_time = now
             self.queue.schedule(now + duration, "qcut_done")
 

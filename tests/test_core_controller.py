@@ -184,6 +184,40 @@ class TestHeldSnapshot:
         assert plan.moves and plan.ils_result is not None
 
 
+@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+class TestSaturation:
+    """Only a snapshot taken while a full admission round was waiting may
+    give up query-cut to buy balance."""
+
+    @staticmethod
+    def cut_free_skewed(backend):
+        """Four disjoint 4-vertex scopes, all on worker 0: cost 0, the
+        imbalance trigger at 2δ."""
+        ctrl = make_controller(planning_backend=backend)
+        assignment = np.zeros(64, dtype=np.int64)
+        assignment[16:] = np.arange(48) % 3 + 1
+        for qid in range(4):
+            ctrl.on_query_started(qid, 0.0)
+            ctrl.on_iteration(qid, 1, list(range(4 * qid, 4 * qid + 4)), 0.5)
+        assert ctrl.should_trigger_qcut(10.0, assignment)
+        return ctrl, assignment
+
+    def test_unsaturated_snapshot_keeps_locality(self, backend):
+        ctrl, assignment = self.cut_free_skewed(backend)
+        ctrl.begin_qcut(assignment, 10.0, saturated=False)
+        plan = ctrl.complete_qcut(11.0)
+        assert not plan and plan.ils_result.best_state.relocated_fragments() == []
+        assert ctrl._backoff == 2.0
+
+    def test_saturated_snapshot_still_plans(self, backend):
+        ctrl, assignment = self.cut_free_skewed(backend)
+        ctrl.begin_qcut(assignment, 10.0, saturated=True)
+        skew = ctrl._snapshot[0].max_imbalance()
+        plan = ctrl.complete_qcut(11.0)
+        assert plan.moves
+        assert plan.ils_result.best_state.max_imbalance() < skew
+
+
 class TestEstimateImbalance:
     def test_balanced_zero(self):
         ctrl = make_controller()

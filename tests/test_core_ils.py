@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import Fragment, QcutState, iterated_local_search
+from repro.core import Fragment, QcutState, iterated_local_search, local_search
 
 
 def hash_like_state(num_units=8, k=4, mass=12, base=2000.0, delta=0.3):
@@ -86,3 +88,57 @@ class TestIls:
         st = QcutState(0, 2, [], np.array([10.0, 10.0]))
         res = iterated_local_search(st, max_rounds=5)
         assert res.best_cost == 0.0
+
+
+def cut_free_skewed_state():
+    """Eight clusters, each wholly on worker 0: no query-cut, imbalance 0.5."""
+    frags = [Fragment(u, 0, 10, 10) for u in range(8)]
+    return QcutState(8, 4, frags, np.array([0.0, 80.0, 80.0, 80.0]), delta=0.25)
+
+
+@st.composite
+def integer_mass_states(draw):
+    """Q-cut states whose masses and base are integers, so costs compare
+    exactly."""
+    k = draw(st.integers(min_value=2, max_value=5))
+    num_units = draw(st.integers(min_value=1, max_value=6))
+    frags = []
+    for u in range(num_units):
+        for w in draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=k)):
+            union = draw(st.integers(min_value=1, max_value=30))
+            frags.append(Fragment(u, w, union, union + draw(st.integers(0, 20))))
+    base = draw(st.lists(st.integers(0, 300), min_size=k, max_size=k))
+    delta = draw(st.sampled_from([0.1, 0.25, 0.5]))
+    return QcutState(num_units, k, frags, np.array(base, dtype=np.float64), delta=delta)
+
+
+class TestCostFirst:
+    """``balance_first=False``: a candidate must cut cost and may not be
+    more unbalanced than the incumbent."""
+
+    def test_cut_free_state_relocates_nothing(self):
+        res = iterated_local_search(
+            cut_free_skewed_state(), max_rounds=20, seed=0, balance_first=False
+        )
+        assert res.rounds <= 1
+        assert res.best_cost == 0.0
+        assert res.best_state.relocated_fragments() == []
+
+    def test_balance_first_repairs_the_same_state(self):
+        state = cut_free_skewed_state()
+        assert not state.is_balanced()
+        res = iterated_local_search(state, max_rounds=20, seed=0)
+        assert res.best_state.relocated_fragments()
+        assert res.best_state.is_balanced()
+
+    @given(integer_mass_states(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_never_costlier_and_never_less_balanced_than_round_zero(
+        self, state, seed
+    ):
+        round_zero = local_search(state.copy())
+        res = iterated_local_search(state, max_rounds=8, seed=seed, balance_first=False)
+        assert res.best_state.cost() <= round_zero.cost()
+        assert res.best_state.max_imbalance() <= max(
+            round_zero.max_imbalance(), state.delta
+        )

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+import repro.core.controller as controller_module
 from repro.core import Controller, ControllerConfig
 from repro.engine import EngineConfig, QGraphEngine, Query, SyncMode
 from repro.graph import generate_road_network, grid_graph
-from repro.partitioning import HashPartitioner
+from repro.partitioning import DomainPartitioner, HashPartitioner
 from repro.queries import SsspProgram
 from repro.simulation.cluster import make_cluster
 from repro.workload import WorkloadGenerator, PhaseSpec
@@ -172,3 +173,96 @@ class TestHeldSnapshots:
         assert trace.repartitions == []
         assert len(trace.finished_queries()) == 12
         assert answers == static_answers
+
+
+class BacklogSpy(Controller):
+    """Records per Q-cut the admission backlog at the snapshot and the
+    ``balance_first`` its ILS ran with (``None``: no ILS ran)."""
+
+    engine = None
+
+    def __init__(self, k, config):
+        super().__init__(k, config)
+        self.records = []
+
+    def begin_qcut(self, assignment, now, saturated=True):
+        self.records.append(
+            {"backlog": len(self.engine.scheduler), "balance_first": None}
+        )
+        return super().begin_qcut(assignment, now, saturated)
+
+
+def domain_run(rn, monkeypatch, num_queries, arrival, adaptive=True, sanitizer=None):
+    """SSSP queries on a Domain partition (local, but skewed: the imbalance
+    trigger fires), with every ILS call's ``balance_first`` recorded."""
+    k = 4
+    controller = BacklogSpy(
+        k,
+        ControllerConfig(
+            mu=10.0,
+            max_tracked_queries=32,
+            qcut_compute_time=0.002,
+            ils_rounds=60,
+            qcut_cooldown=0.01,
+            min_queries_for_qcut=4,
+        ),
+    )
+    real_ils = controller_module.iterated_local_search
+
+    def spy(*args, **kwargs):
+        controller.records[-1]["balance_first"] = kwargs["balance_first"]
+        return real_ils(*args, **kwargs)
+
+    monkeypatch.setattr(controller_module, "iterated_local_search", spy)
+    engine = QGraphEngine(
+        rn.graph,
+        make_cluster("M2", k),
+        DomainPartitioner(road_network=rn, seed=0).partition(rn.graph, k),
+        controller=controller,
+        config=EngineConfig(adaptive=adaptive, sanitizer=sanitizer),
+    )
+    controller.engine = engine
+    wl = WorkloadGenerator(rn, seed=5).generate(
+        [
+            PhaseSpec(
+                num_queries=num_queries,
+                kind="sssp",
+                label="t",
+                arrival=arrival,
+                arrival_rate=500.0,
+            )
+        ]
+    )
+    wl.submit_all(engine)
+    trace = engine.run()
+    answers = {q.query_id: engine.query_result(q.query_id) for q, _t in wl.entries}
+    planned = [r for r in controller.records if r["balance_first"] is not None]
+    return trace, answers, planned
+
+
+class TestSaturationGate:
+    """A plan may trade query-cut for balance only when a full admission
+    round was waiting at its snapshot."""
+
+    def test_poisson_below_capacity_never_trades_locality(self, rn, monkeypatch):
+        trace, answers, planned = domain_run(
+            rn, monkeypatch, 128, "poisson", sanitizer=True
+        )
+        assert planned, "test needs at least one ILS run"
+        for record in planned:
+            assert record["backlog"] < 16
+            assert record["balance_first"] is False
+        # the cost-cutting plans still repartition, and answers (sanitized)
+        # are exactly the static run's
+        assert trace.repartitions
+        _trace, static_answers, _planned = domain_run(
+            rn, monkeypatch, 128, "poisson", adaptive=False
+        )
+        assert answers == static_answers
+
+    def test_batch_run_plans_balance_first(self, rn, monkeypatch):
+        _trace, _answers, planned = domain_run(rn, monkeypatch, 64, "batch")
+        assert planned, "test needs at least one ILS run"
+        for record in planned:
+            assert record["backlog"] >= 16
+            assert record["balance_first"] is True

@@ -120,7 +120,12 @@ _CRASH_FINGERPRINTS = {
     SyncMode.HYBRID: "58c4c020e3c62b79",
     SyncMode.GLOBAL_PER_QUERY: "8b0ee221c837175a",
     SyncMode.SHARED_BSP: "32f23097e93b964d",
-    "adaptive-partial": "711cabdd35c62c19",
+    # re-pinned when plans from snapshots taken with fewer than
+    # max_parallel_queries queries waiting stopped trading cost for balance:
+    # the post-recovery snapshot is such a one, and its zero-cost plan now
+    # keeps the first zero-cost state (33 relocated fragments, imbalance
+    # 0.40) rather than a better-balanced one (32, 0.22)
+    "adaptive-partial": "188c9cd42276665d",
 }
 
 

@@ -81,12 +81,30 @@ def test_metric_lines_take_medians_and_count_seeds_by_declared_direction():
     ]
     better = {"vt_makespan_s": "lower", "vt_locality": "higher", "wall_run_s": "lower"}
     assert tool.metric_lines("churn_recovery", pairs, better) == [
-        "churn_recovery: vt_makespan_s median 1.1 -> 0.9, change better on 2/3 seeds",
+        "churn_recovery: vt_makespan_s median 1.1 [1.05, 1.15] -> 0.9 [0.85, 1.1], "
+        "resolved (parent IQR 0.1), change better on 2/3 seeds",
         # seed 2 is a tie: it counts for neither side
-        "churn_recovery: vt_locality median 0.6 -> 0.6, change better on 1/3 seeds",
-        # no declared direction: medians only
-        "churn_recovery: vt_stall_s median 0.2 -> 0",
+        "churn_recovery: vt_locality median 0.6 [0.55, 0.65] -> 0.6 [0.5, 0.7], "
+        "unresolved (parent IQR 0.1), change better on 1/3 seeds",
+        # no declared direction: no seed count
+        "churn_recovery: vt_stall_s median 0.2 [0.15, 0.25] -> 0 [0, 0.05], "
+        "resolved (parent IQR 0.1)",
     ]
+
+
+def test_quartiles_interpolate_like_numpy_and_tolerate_one_seed():
+    assert tool.quartiles([4.0, 1.0, 3.0, 2.0]) == (1.75, 2.5, 3.25)
+    assert tool.quartiles([5.0]) == (5.0, 5.0, 5.0)
+
+
+def test_spread_text_calls_a_shift_resolved_only_beyond_the_parent_iqr():
+    parent = [1.0, 2.0, 3.0, 4.0]  # IQR 1.5 around a median of 2.5
+    assert tool.spread_text(parent, [4.0, 4.0, 4.0, 4.0]) == (
+        "2.5 [1.75, 3.25] -> 4 [4, 4], unresolved (parent IQR 1.5)"
+    )
+    assert tool.spread_text(parent, [0.5, 0.9, 1.0, 1.2]) == (
+        "2.5 [1.75, 3.25] -> 0.95 [0.8, 1.05], resolved (parent IQR 1.5)"
+    )
 
 
 def test_differing_runs_add_the_summary_and_keep_the_verdict(monkeypatch, capsys):
@@ -116,8 +134,10 @@ def test_differing_runs_add_the_summary_and_keep_the_verdict(monkeypatch, capsys
         "    end_to_end.vt_makespan_s: 0.25 != 0.2",
         "churn_recovery seed 2: DIFFERENT (1 keys)",
         "    end_to_end.vt_makespan_s: 0.25 != 0.2",
-        "churn_recovery: vt_makespan_s median 0.25 -> 0.2, change better on 2/2 seeds",
-        "churn_recovery: vt_locality median 0.5 -> 0.5, change better on 0/2 seeds",
+        "churn_recovery: vt_makespan_s median 0.25 [0.25, 0.25] -> 0.2 [0.2, 0.2], "
+        "resolved (parent IQR 0), change better on 2/2 seeds",
+        "churn_recovery: vt_locality median 0.5 [0.5, 0.5] -> 0.5 [0.5, 0.5], "
+        "unresolved (parent IQR 0), change better on 0/2 seeds",
         "2 of 2 runs DIFFER",
     ]
 

@@ -21,7 +21,9 @@ pair ran at the same moment, under the same load) and the median of the
 per-pair ratios.  It never changes the verdict or the exit status.
 
 A workload whose runs differ is followed by one line per ``vt_*`` metric:
-the median over the seeds at parent and change and, for the metrics
+the median and [Q1, Q3] over the seeds at parent and change, whether the
+medians are further apart than the parent's IQR (``resolved``, the
+convention ``docs/experiments.md`` reports by) and, for the metrics
 ``BENCHMARK.json`` gives a direction (``better``), on how many seeds the
 change is better.  That is what a change that means to move ``vt_*`` reads;
 it never changes the verdict or the exit status either.
@@ -119,6 +121,26 @@ def timing_lines(workload: str, pairs: Sequence[Tuple[int, float, float]]) -> Li
     return lines
 
 
+def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
+    """``(Q1, median, Q3)``, linearly interpolated (numpy's default)."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def spread_text(parent: Sequence[float], change: Sequence[float]) -> str:
+    """``median [Q1, Q3] -> median [Q1, Q3], (un)resolved (parent IQR x)``:
+    resolved when the medians are further apart than the parent's IQR."""
+    p1, pm, p3 = quartiles(parent)
+    c1, cm, c3 = quartiles(change)
+    verdict = "resolved" if abs(cm - pm) > p3 - p1 else "unresolved"
+    return (
+        f"{pm:.6g} [{p1:.6g}, {p3:.6g}] -> {cm:.6g} [{c1:.6g}, {c3:.6g}], "
+        f"{verdict} (parent IQR {p3 - p1:.6g})"
+    )
+
+
 def metric_lines(
     workload: str,
     pairs: Sequence[Tuple[Dict[str, Any], Dict[str, Any]]],
@@ -131,10 +153,7 @@ def metric_lines(
     for key in [k for k in pairs[0][0] if k.startswith("vt_")]:
         parent = [p[key] for p, _c in pairs]
         change = [c[key] for _p, c in pairs]
-        line = (
-            f"{workload}: {key} median {statistics.median(parent):.6g} -> "
-            f"{statistics.median(change):.6g}"
-        )
+        line = f"{workload}: {key} median {spread_text(parent, change)}"
         if key in better:
             sign = 1.0 if better[key] == "higher" else -1.0
             wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))

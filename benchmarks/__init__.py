@@ -1,1 +1,1 @@
-"""Benchmark suite: one module per paper table/figure (see DESIGN.md)."""
+"""Benchmark suite: one module per paper table/figure (see docs/experiments.md)."""

@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the controller parameters (see docs/experiments.md).
 
 Not figures from the paper — these sweep the parameters §4.1 discusses
 (δ, Φ, the Karger clustering granularity) to show each knob's effect:

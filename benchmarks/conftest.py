@@ -1,7 +1,7 @@
 """Shared helpers for the experiment benchmarks.
 
 Every file in this directory regenerates one table or figure of the paper's
-evaluation (see DESIGN.md's experiment index).  Benchmarks run each arm once
+evaluation (see docs/experiments.md).  Benchmarks run each arm once
 (``benchmark.pedantic(rounds=1)``) — the interesting output is the printed
 comparison table (also captured in ``bench_output.txt``), and each test
 attaches its headline ratios to ``benchmark.extra_info``.

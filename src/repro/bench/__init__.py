@@ -3,7 +3,6 @@
 from repro.bench.harness import (
     Scenario,
     ScenarioResult,
-    compare,
     default_controller_config,
     get_scale,
     graph_scale_for,
@@ -23,7 +22,6 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "run_scenario",
-    "compare",
     "get_scale",
     "scale_queries",
     "graph_scale_for",

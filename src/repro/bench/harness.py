@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -316,12 +316,3 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         wall_seconds=time.perf_counter() - t0,
     )
 
-
-def compare(
-    base: Scenario, variants: Dict[str, Dict[str, object]]
-) -> Dict[str, ScenarioResult]:
-    """Run the base scenario and named variations (``replace`` overrides)."""
-    results = {base.name: run_scenario(base)}
-    for name, overrides in variants.items():
-        results[name] = run_scenario(replace(base, name=name, **overrides))
-    return results

@@ -264,6 +264,7 @@ class TestPlanningBackendEquivalence:
         assert canonical_plan(plans["vectorized"]) == canonical_plan(
             plans["reference"]
         )
+        assert plans["vectorized"].moves, "equivalence instance planned no moves"
 
     @pytest.mark.parametrize("k, stride", [(4, 17), (1100, 40)])
     def test_identical_snapshots_fragment_for_fragment(self, k, stride):

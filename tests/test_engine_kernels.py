@@ -170,6 +170,8 @@ class TestEquivalence:
         ]
         vec, gen = run_both(graph, queries, k=4)
         for q in queries:
+            assert vec.runtimes[q.query_id].finished
+            assert gen.runtimes[q.query_id].finished
             assert vec.query_result(q.query_id) == gen.query_result(q.query_id)
 
 

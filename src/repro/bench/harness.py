@@ -137,11 +137,10 @@ class Scenario:
     """One experiment arm.
 
     ``scheduler`` selects the admission policy (``"fifo"`` — the
-    historical order — ``"locality"``, ``"shortest_scope"``,
-    ``"phase_round_robin"``); ``arrival``/``arrival_rate`` select the
-    arrival process of the workload phases (``"batch"`` — everything at
-    t=0, the paper's setup — ``"poisson"`` or ``"burst"``).  The
-    ``"mixed"`` workload blends all seven query programs.
+    historical order — or ``"locality"``); ``arrival``/``arrival_rate``
+    select the arrival process of the workload phases (``"batch"`` —
+    everything at t=0, the paper's setup — ``"poisson"`` or ``"burst"``).
+    The ``"mixed"`` workload blends all seven query programs.
     ``repartition_mode`` picks the STOP/START barrier scope
     (``"global"`` — the paper's whole-cluster drain — or ``"partial"``,
     which halts only the move plan's involved workers).

@@ -14,25 +14,12 @@ from repro.core.api import (
 )
 from repro.core.clustering import UnionFind, cluster_queries
 from repro.core.controller import Controller, ControllerConfig, MovePlan
-from repro.core.cost import (
-    assignment_cost,
-    assignment_cost_from_sizes,
-    query_cut,
-    query_cut_excess,
-    query_cut_excess_from_sizes,
-    query_cut_from_sizes,
-)
+from repro.core.cost import assignment_cost, query_cut, query_cut_excess
 from repro.core.ils import IlsResult, iterated_local_search
 from repro.core.local_search import best_successor, local_search
 from repro.core.monitoring import QueryMonitor, QueryStats
 from repro.core.perturbation import WordStream, perturb
-from repro.core.scopes import (
-    QueryScopes,
-    ScopeStore,
-    pairwise_intersections,
-    pairwise_intersections_arrays,
-    scope_worker_counts,
-)
+from repro.core.scopes import ScopeStore, scope_worker_counts
 from repro.core.state import Fragment, Move, QcutState
 
 __all__ = [
@@ -50,19 +37,13 @@ __all__ = [
     "WordStream",
     "cluster_queries",
     "UnionFind",
-    "QueryScopes",
     "ScopeStore",
-    "pairwise_intersections",
-    "pairwise_intersections_arrays",
     "scope_worker_counts",
     "QueryMonitor",
     "QueryStats",
     "query_cut",
     "query_cut_excess",
     "assignment_cost",
-    "query_cut_from_sizes",
-    "query_cut_excess_from_sizes",
-    "assignment_cost_from_sizes",
     "StatsMessage",
     "BarrierSynchMessage",
     "ScheduleQueryMessage",

@@ -89,8 +89,8 @@ def cluster_queries(
 
     if overlaps and uf.count > max_clusters:
         # sorted so the contraction order depends only on the overlap
-        # *contents*, not on dict insertion order — the vectorized and
-        # reference intersection paths then cluster identically
+        # *contents*, not on dict insertion order — two intersection counts
+        # with equal contents then cluster identically
         pairs = sorted(
             (index[a], index[b], w)
             for (a, b), w in overlaps.items()

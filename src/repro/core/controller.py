@@ -4,9 +4,7 @@ The controller owns the MAPE loop:
 
 * **Monitor** — workers piggyback stats on barrier messages; the controller
   tracks windowed query locality (:class:`~repro.core.monitoring.QueryMonitor`)
-  and global query scopes (:class:`~repro.core.scopes.ScopeStore`; the
-  set-based :class:`~repro.core.scopes.QueryScopes` only under
-  ``planning_backend="reference"``).
+  and global query scopes (:class:`~repro.core.scopes.ScopeStore`).
 * **Analyze** — when the average query locality over the window falls below
   the threshold Φ, repartitioning is warranted (§3.4).
 * **Plan** — queries are clustered (Karger variant, Appendix A.1) into
@@ -30,7 +28,7 @@ from repro.core.api import MoveRequest
 from repro.core.clustering import cluster_queries
 from repro.core.ils import IlsResult, iterated_local_search
 from repro.core.monitoring import QueryMonitor
-from repro.core.scopes import QueryScopes, ScopeStore, pairwise_intersections
+from repro.core.scopes import ScopeStore
 from repro.core.state import Fragment, QcutState
 from repro.errors import ControllerError
 from repro.graph.digraph import DiGraph
@@ -70,11 +68,6 @@ class ControllerConfig:
         Minimum virtual seconds between consecutive repartitionings.
     min_queries_for_qcut:
         Do not bother repartitioning with fewer observed queries.
-    planning_backend:
-        ``"vectorized"`` (default) runs Monitor/Plan on the array-backed
-        :class:`~repro.core.scopes.ScopeStore`; ``"reference"`` keeps the
-        original set-based path (used by the equivalence tests and the
-        planning benchmark).  Both produce the same :class:`MovePlan`.
     """
 
     mu: float = 240.0
@@ -87,7 +80,6 @@ class ControllerConfig:
     qcut_cooldown: float = 20.0
     min_queries_for_qcut: int = 4
     seed: int = 0
-    planning_backend: str = "vectorized"
 
 
 @dataclass
@@ -128,18 +120,10 @@ class Controller:
             raise ControllerError("need at least one worker")
         self.k = num_workers
         self.config = config or ControllerConfig()
-        if self.config.planning_backend not in ("vectorized", "reference"):
-            raise ControllerError(
-                f"unknown planning backend {self.config.planning_backend!r}"
-            )
         self.monitor = QueryMonitor(
             window=self.config.mu, max_queries=self.config.max_tracked_queries
         )
-        self.scopes = (
-            ScopeStore()
-            if self.config.planning_backend == "vectorized"
-            else QueryScopes()
-        )
+        self.scopes = ScopeStore()
         self.last_qcut_time = -float("inf")
         self._qcut_running = False
         self._snapshot: Optional[Snapshot] = None
@@ -255,19 +239,10 @@ class Controller:
         ``L_w = (|V(w)| + sum_q |LS(q, w)|) / 2`` computed from the scope
         table; returns ``(max - min) / max`` over workers.
         """
-        tracked = self.monitor.tracked_queries()
-        if isinstance(self.scopes, ScopeStore):
-            # one bincount over the incidence structure for all queries
-            scope_mass = self.scopes.scope_mass(
-                assignment, self.k, query_ids=tracked
-            ).astype(np.float64)
-        else:
-            scope_mass = np.zeros(self.k, dtype=np.float64)
-            for qid in tracked:
-                if self.scopes.global_scope_size(qid):
-                    scope_mass += self.scopes.local_scope_sizes(
-                        qid, assignment, self.k
-                    )
+        # one bincount over the incidence structure for all queries
+        scope_mass = self.scopes.scope_mass(
+            assignment, self.k, query_ids=self.monitor.tracked_queries()
+        ).astype(np.float64)
         vertices = np.bincount(assignment, minlength=self.k).astype(np.float64)
         loads = (vertices + scope_mass) / 2.0
         top = loads.max()
@@ -324,14 +299,6 @@ class Controller:
         self._saturated = saturated
         return self.config.qcut_compute_time
 
-    def _build_snapshot(self, assignment: np.ndarray) -> Snapshot:
-        """High-level representation: clusters -> per-worker fragments."""
-        if self.config.planning_backend == "vectorized" and isinstance(
-            self.scopes, ScopeStore
-        ):
-            return self._build_snapshot_vectorized(assignment)
-        return self._build_snapshot_reference(assignment)
-
     def _nonempty_tracked_queries(self) -> List[int]:
         return [
             qid
@@ -339,12 +306,13 @@ class Controller:
             if self.scopes.global_scope_size(qid) > 0
         ]
 
-    def _build_snapshot_vectorized(self, assignment: np.ndarray) -> Snapshot:
-        """Array-backed snapshot: every per-query/per-cluster loop of the
-        reference path becomes a bincount/presence-mask pass over the scope
-        store's incidence structure.  Produces the same fragments (and therefore the
-        same :class:`MovePlan`) as :meth:`_build_snapshot_reference`."""
-        store: ScopeStore = self.scopes
+    def _build_snapshot(self, assignment: np.ndarray) -> Snapshot:
+        """High-level representation: clusters -> per-worker fragments.
+
+        Every per-query/per-cluster quantity is one bincount or
+        presence-mask pass over the scope store's incidence structure.
+        """
+        store = self.scopes
         query_ids = self._nonempty_tracked_queries()
         overlaps = store.pairwise_intersections(query_ids=query_ids)
         max_clusters = max(self.config.clusters_per_worker * self.k, 1)
@@ -376,8 +344,8 @@ class Controller:
         vert_u = uniq % n
         owners = assignment[vert_u]
 
-        # group by (unit, owner): fragments come out sorted exactly like the
-        # reference path's sorted(cluster)/unique(owner) double loop.  uniq
+        # group by (unit, owner): fragments come out in (unit, owner) order,
+        # each one's vertices ascending.  uniq
         # is ascending, i.e. already in (unit, vertex) order, so one stable
         # sort on the encoded (unit, owner) key (owners lie in [0, k)) leaves
         # each group's vertices ascending — the permutation of
@@ -412,54 +380,6 @@ class Controller:
                 )
             )
             fragment_vertices[(unit, w)] = members
-        return self._finalize_snapshot(
-            assignment, num_units, fragments, fragment_vertices
-        )
-
-    def _build_snapshot_reference(self, assignment: np.ndarray) -> Snapshot:
-        """Original set-based snapshot path (the equivalence oracle)."""
-        query_ids = self._nonempty_tracked_queries()
-        scope_map = {qid: self.scopes.global_scope(qid) for qid in query_ids}
-        overlaps = pairwise_intersections(scope_map)
-        max_clusters = max(self.config.clusters_per_worker * self.k, 1)
-        labels = cluster_queries(
-            query_ids, overlaps, max_clusters, seed=self.config.seed + self._qcut_count
-        )
-        num_units = max(labels.values()) + 1 if labels else 0
-
-        # union scopes per cluster, then split into per-worker fragments;
-        # the weighted mass counts shared vertices once per member query
-        # (the paper's sum_q |LS(q, w)| workload term), the union mass counts
-        # distinct vertices (what a move actually relocates).
-        cluster_scopes: Dict[int, set] = {}
-        cluster_members: Dict[int, List[int]] = {}
-        for qid, unit in labels.items():
-            cluster_scopes.setdefault(unit, set()).update(scope_map[qid])
-            cluster_members.setdefault(unit, []).append(qid)
-
-        fragments: List[Fragment] = []
-        fragment_vertices: Dict[Tuple[int, int], np.ndarray] = {}
-        for unit, scope in sorted(cluster_scopes.items()):
-            vertices = np.fromiter(scope, dtype=np.int64, count=len(scope))
-            owners = assignment[vertices]
-            weighted_per_worker = np.zeros(self.k, dtype=np.int64)
-            for qid in cluster_members[unit]:
-                weighted_per_worker += self.scopes.local_scope_sizes(
-                    qid, assignment, self.k
-                )
-            for w in np.unique(owners):
-                members = vertices[owners == w]
-                fragments.append(
-                    Fragment(
-                        unit=unit,
-                        origin_worker=int(w),
-                        union_size=int(members.size),
-                        weighted_size=int(
-                            max(weighted_per_worker[int(w)], members.size)
-                        ),
-                    )
-                )
-                fragment_vertices[(unit, int(w))] = members
         return self._finalize_snapshot(
             assignment, num_units, fragments, fragment_vertices
         )

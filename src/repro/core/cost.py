@@ -13,11 +13,7 @@ Both are defined on raw ``(scopes, assignment)`` inputs so they can score
 real partitionings in tests and benchmarks; the incremental ILS-internal
 version lives on :class:`repro.core.state.QcutState`.
 
-The per-scope bincount lives in :func:`repro.core.scopes.scope_worker_counts`
-(one shared copy for this module and both scope stores).  The ``*_from_sizes``
-variants score a precomputed query × worker local-size matrix — the output of
-:meth:`repro.core.scopes.ScopeStore.local_size_matrix` — so the whole metric
-is two numpy reductions instead of a per-query Python loop.
+The per-scope bincount lives in :func:`repro.core.scopes.scope_worker_counts`.
 """
 
 from __future__ import annotations
@@ -28,40 +24,9 @@ import numpy as np
 
 from repro.core.scopes import scope_worker_counts
 
-__all__ = [
-    "query_cut",
-    "query_cut_excess",
-    "assignment_cost",
-    "query_cut_from_sizes",
-    "query_cut_excess_from_sizes",
-    "assignment_cost_from_sizes",
-]
+__all__ = ["query_cut", "query_cut_excess", "assignment_cost"]
 
 
-# ----------------------------------------------------------------------
-# matrix forms (rows = queries, columns = workers)
-# ----------------------------------------------------------------------
-def query_cut_from_sizes(sizes: np.ndarray) -> int:
-    """§2 metric from a ``(Q, k)`` local-size matrix."""
-    return int(np.count_nonzero(sizes))
-
-
-def query_cut_excess_from_sizes(sizes: np.ndarray) -> int:
-    """Query-cut excess from a ``(Q, k)`` local-size matrix."""
-    nonzero = np.count_nonzero(sizes, axis=1)
-    return int(nonzero.sum() - np.count_nonzero(nonzero))
-
-
-def assignment_cost_from_sizes(sizes: np.ndarray) -> float:
-    """§3.2.2 ILS cost from a ``(Q, k)`` local-size matrix."""
-    if sizes.size == 0:
-        return 0.0
-    return float((sizes.sum(axis=1) - sizes.max(axis=1)).sum())
-
-
-# ----------------------------------------------------------------------
-# reference forms on raw (scopes, assignment) inputs
-# ----------------------------------------------------------------------
 def query_cut(
     scopes: Dict[int, Set[int]], assignment: np.ndarray, k: int
 ) -> int:

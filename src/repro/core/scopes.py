@@ -9,23 +9,15 @@
   global intersections, which drive the query clustering of the Q-cut
   preprocessing step.
 
-Two implementations live here:
-
-:class:`ScopeStore`
-    The production store.  Each ``GS(q)`` is a sorted ``int64`` numpy array;
-    a lazily rebuilt CSR-style *query × vertex incidence* structure (row
-    pointer + concatenated vertex column) lets every scope statistic —
-    per-worker local-scope sizes, spanning workers, the query-cut metric,
-    the per-worker scope mass — be computed for **all queries at once** with
-    a single encoded ``bincount`` pass, and lets global pairwise
-    intersections be counted by sorting the incidence pairs and bincounting
-    co-occurring query pairs.  Ingestion is incremental: new activations are
-    buffered per query and merged into the sorted arrays on demand.
-
-:class:`QueryScopes`
-    The original set-based store, retained as the *reference
-    implementation*: the equivalence tests and the controller-planning
-    benchmark assert that the vectorized path reproduces it exactly.
+The store is :class:`ScopeStore`.  Each ``GS(q)`` is a sorted ``int64``
+numpy array; a lazily rebuilt CSR-style *query × vertex incidence* structure
+(row pointer + concatenated vertex column) lets every scope statistic —
+per-worker local-scope sizes, the query-cut metric, the per-worker scope
+mass — be computed for **all queries at once** with a single encoded
+``bincount`` pass, and lets global pairwise intersections be counted by
+sorting the incidence pairs and bincounting co-occurring query pairs.
+Ingestion is incremental: new activations are buffered per query and merged
+into the sorted arrays on demand.
 
 The controller stores each ``GS(q)`` once and *derives* the local scopes
 from the assignment array — a single source of truth that stays consistent
@@ -40,13 +32,7 @@ import numpy as np
 
 from repro.util import concat_ranges, in_sorted, sorted_unique
 
-__all__ = [
-    "QueryScopes",
-    "ScopeStore",
-    "scope_worker_counts",
-    "pairwise_intersections",
-    "pairwise_intersections_arrays",
-]
+__all__ = ["ScopeStore", "scope_worker_counts"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -70,87 +56,6 @@ def scope_worker_counts(
         return np.zeros(k, dtype=np.int64)
     counts = np.bincount(assignment[vertices], minlength=k)
     return counts[:k]
-
-
-class QueryScopes:
-    """Set-based reference store for global scopes and local-scope stats."""
-
-    def __init__(self) -> None:
-        self._scopes: Dict[int, Set[int]] = {}
-
-    # ------------------------------------------------------------------
-    def add_activations(self, query_id: int, vertices: Iterable[int]) -> None:
-        """Record vertices activated by a query (workers' stats messages)."""
-        self._scopes.setdefault(query_id, set()).update(int(v) for v in vertices)
-
-    def drop(self, query_id: int) -> None:
-        """Forget a query (window eviction)."""
-        self._scopes.pop(query_id, None)
-
-    def remove_vertices(self, vertices: Iterable[int]) -> None:
-        """Strip tombstoned vertex ids from every tracked scope (graph churn)."""
-        dead = {int(v) for v in vertices}
-        if not dead:
-            return
-        for scope in self._scopes.values():
-            scope.difference_update(dead)
-
-    def queries(self) -> List[int]:
-        """Ids of all tracked queries."""
-        return sorted(self._scopes)
-
-    def global_scope(self, query_id: int) -> Set[int]:
-        """``GS(q)`` — empty set when unknown."""
-        return self._scopes.get(query_id, set())
-
-    def global_scope_size(self, query_id: int) -> int:
-        """``|GS(q)|``."""
-        return len(self._scopes.get(query_id, ()))
-
-    # ------------------------------------------------------------------
-    def local_scope(self, query_id: int, worker: int, assignment: np.ndarray) -> Set[int]:
-        """``LS(q, w)`` under the given assignment."""
-        scope = self._scopes.get(query_id)
-        if not scope:
-            return set()
-        return {v for v in scope if assignment[v] == worker}
-
-    def local_scope_sizes(self, query_id: int, assignment: np.ndarray, k: int) -> np.ndarray:
-        """Vector of ``|LS(q, w)|`` for all workers."""
-        return scope_worker_counts(self._scopes.get(query_id, set()), assignment, k)
-
-    def spanning_workers(self, query_id: int, assignment: np.ndarray) -> Set[int]:
-        """Workers with non-empty local scope (the query-cut contribution)."""
-        scope = self._scopes.get(query_id)
-        if not scope:
-            return set()
-        owners = assignment[np.fromiter(scope, dtype=np.int64, count=len(scope))]
-        return set(int(w) for w in np.unique(owners))
-
-    # ------------------------------------------------------------------
-    def query_cut(self, assignment: np.ndarray) -> int:
-        """The query-cut metric of §2.
-
-        ``sum_q |{w in W : LS(q, w) != {}}|`` — the number of non-empty local
-        query scopes across all tracked queries.  A query fully local on one
-        worker contributes 1; the theoretical minimum is ``|Q|``.
-        """
-        return sum(
-            len(self.spanning_workers(q, assignment)) for q in self._scopes
-        )
-
-    def query_cut_excess(self, assignment: np.ndarray) -> int:
-        """Query-cut minus its minimum ``|Q|`` (the figure-1 counting).
-
-        Figure 1 labels a partitioning that splits no query with
-        ``|Query-cut| = 0``; that corresponds to this excess form.
-        """
-        nonempty = [
-            len(self.spanning_workers(q, assignment))
-            for q in self._scopes
-            if self._scopes[q]
-        ]
-        return int(sum(nonempty) - len(nonempty))
 
 
 class ScopeStore:
@@ -253,10 +158,6 @@ class ScopeStore:
             return _EMPTY
         return self._consolidate(query_id)
 
-    def global_scope(self, query_id: int) -> Set[int]:
-        """``GS(q)`` as a Python set (API parity with :class:`QueryScopes`)."""
-        return set(self.scope_array(query_id).tolist())
-
     def global_scope_size(self, query_id: int) -> int:
         """``|GS(q)|``."""
         return int(self.scope_array(query_id).size)
@@ -346,40 +247,6 @@ class ScopeStore:
             return np.zeros(k, dtype=np.int64)
         owners = assignment[verts]
         return np.bincount(owners[(owners >= 0) & (owners < k)], minlength=k)[:k]
-
-    def local_scope(self, query_id: int, worker: int, assignment: np.ndarray) -> Set[int]:
-        """``LS(q, w)`` under the given assignment."""
-        scope = self.scope_array(query_id)
-        if scope.size == 0:
-            return set()
-        return set(scope[assignment[scope] == worker].tolist())
-
-    def local_scope_sizes(self, query_id: int, assignment: np.ndarray, k: int) -> np.ndarray:
-        """Vector of ``|LS(q, w)|`` for all workers."""
-        return scope_worker_counts(self.scope_array(query_id), assignment, k)
-
-    def spanning_workers(self, query_id: int, assignment: np.ndarray) -> Set[int]:
-        """Workers with non-empty local scope (the query-cut contribution)."""
-        scope = self.scope_array(query_id)
-        if scope.size == 0:
-            return set()
-        return set(int(w) for w in np.unique(assignment[scope]))
-
-    def query_cut(self, assignment: np.ndarray) -> int:
-        """§2 metric ``sum_q |{w : LS(q, w) != {}}|`` in one vectorized pass."""
-        k = self._infer_k(assignment)
-        sizes, _ = self.local_size_matrix(assignment, k)
-        return int(np.count_nonzero(sizes))
-
-    def query_cut_excess(self, assignment: np.ndarray) -> int:
-        """Query-cut minus the number of non-empty queries (Figure 1 form)."""
-        k = self._infer_k(assignment)
-        sizes, _ = self.local_size_matrix(assignment, k)
-        nonzero = (sizes > 0).sum(axis=1)
-        return int(nonzero.sum() - np.count_nonzero(nonzero))
-
-    def _infer_k(self, assignment: np.ndarray) -> int:
-        return int(assignment.max()) + 1 if assignment.size else 1
 
     # ------------------------------------------------------------------
     # pairwise intersections
@@ -497,7 +364,7 @@ def _count_pair_overlaps(
     ib = (uniq % num_rows).astype(np.int64)
     # positions orient pairs by row order, which need not follow query-id
     # order when the caller selected an unsorted query subset — normalize
-    # to the reference (qi < qj) key convention
+    # to the (qi < qj) key convention
     qa = row_qids[ia]
     qb = row_qids[ib]
     lo = np.minimum(qa, qb)
@@ -505,58 +372,3 @@ def _count_pair_overlaps(
     return {
         (int(a), int(b)): int(c) for a, b, c in zip(lo, hi, totals)
     }
-
-
-def pairwise_intersections_arrays(
-    scopes: Dict[int, "np.ndarray | Set[int] | Sequence[int]"],
-    min_overlap: int = 1,
-) -> Dict[Tuple[int, int], int]:
-    """Vectorized ``pairwise_intersections`` over a plain scope mapping.
-
-    Accepts the same ``query_id -> vertices`` mapping as the reference
-    implementation (sets, sequences, or arrays; duplicates within one scope
-    are ignored) and produces identical contents via the encoded-pair
-    bincount path.
-    """
-    qids = sorted(scopes)
-    arrays = []
-    for qid in qids:
-        scope = scopes[qid]
-        if isinstance(scope, np.ndarray):
-            arrays.append(np.unique(scope.astype(np.int64, copy=False)))
-        else:
-            arrays.append(np.unique(np.asarray(list(scope), dtype=np.int64)))
-    sizes = np.array([a.size for a in arrays], dtype=np.int64)
-    if not qids or int(sizes.sum()) == 0:
-        return {}
-    verts = np.concatenate(arrays)
-    row_idx = np.repeat(np.arange(len(qids), dtype=np.int64), sizes)
-    return _count_pair_overlaps(
-        verts, row_idx, np.asarray(qids, dtype=np.int64), min_overlap
-    )
-
-
-def pairwise_intersections(
-    scopes: Dict[int, Set[int]], min_overlap: int = 1
-) -> Dict[Tuple[int, int], int]:
-    """Global intersection sizes ``|GS(qi) ∩ GS(qj)|`` for all query pairs.
-
-    Reference implementation: an inverted vertex -> queries index so the
-    cost is proportional to the total overlap rather than ``|Q|^2`` set
-    intersections.  Kept as the oracle for the vectorized
-    :func:`pairwise_intersections_arrays` / :meth:`ScopeStore.pairwise_intersections`.
-    """
-    inverted: Dict[int, List[int]] = {}
-    for qid, scope in scopes.items():
-        for v in scope:
-            inverted.setdefault(v, []).append(qid)
-    counts: Dict[Tuple[int, int], int] = {}
-    for members in inverted.values():
-        if len(members) < 2:
-            continue
-        members = sorted(members)
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                key = (members[i], members[j])
-                counts[key] = counts.get(key, 0) + 1
-    return {k: c for k, c in counts.items() if c >= min_overlap}

@@ -7,11 +7,8 @@ from repro.engine.query import Query, QueryRuntime
 from repro.engine.scheduler import (
     FifoScheduler,
     LocalityScheduler,
-    PhaseRoundRobinScheduler,
     Scheduler,
-    ShortestScopeScheduler,
     make_scheduler,
-    predicted_work,
 )
 from repro.engine.vertex_program import ComputeContext, VertexProgram
 from repro.engine.worker import IterationResult, SimWorker
@@ -24,10 +21,7 @@ __all__ = [
     "Scheduler",
     "FifoScheduler",
     "LocalityScheduler",
-    "ShortestScopeScheduler",
-    "PhaseRoundRobinScheduler",
     "make_scheduler",
-    "predicted_work",
     "Query",
     "QueryRuntime",
     "VertexProgram",

@@ -116,9 +116,9 @@ class EngineConfig:
         Queries executing concurrently (the paper runs "batches of 16
         parallel queries"); further queries wait in an admission queue.
     scheduler:
-        Admission policy for that queue — a policy name (``"fifo"``,
-        ``"locality"``, ``"shortest_scope"``, ``"phase_round_robin"``) or a
-        :class:`~repro.engine.scheduler.Scheduler` instance.  ``"fifo"``
+        Admission policy for that queue — a policy name (``"fifo"`` or
+        ``"locality"``) or a :class:`~repro.engine.scheduler.Scheduler`
+        instance.  ``"fifo"``
         is event-for-event identical to the historical deque.
     adaptive:
         Whether the controller's Q-cut adaptation loop is active.
@@ -133,11 +133,6 @@ class EngineConfig:
         ``SyncMode.SHARED_BSP`` the shared superstep barrier already
         synchronizes everyone, so ``"partial"`` degrades to global
         behaviour there.
-    use_kernels:
-        Whether programs that provide a vectorized
-        :class:`~repro.engine.kernels.QueryKernel` run through the
-        numpy iteration path (``False`` forces the generic per-vertex
-        path for every program — used by the equivalence benchmarks).
     vertex_state_bytes:
         Bytes transferred per vertex during repartitioning moves.
     local_barrier_cost:
@@ -184,7 +179,6 @@ class EngineConfig:
     scheduler: Union[str, Scheduler] = "fifo"
     adaptive: bool = True
     repartition_mode: str = "global"
-    use_kernels: bool = True
     vertex_state_bytes: int = 48
     local_barrier_cost: float = 1.0e-6
     max_events: int = 50_000_000
@@ -656,7 +650,7 @@ class QGraphEngine:
             self._start_query(self.scheduler.pop(), now)
 
     def _start_query(self, query: Query, now: float) -> None:
-        qr = QueryRuntime(query, self.graph if self.config.use_kernels else None)
+        qr = QueryRuntime(query, self.graph)
         self.runtimes[query.query_id] = qr
         self.running.add(query.query_id)
         self.scheduler.on_query_started(query)

@@ -451,11 +451,7 @@ class SimulationSanitizer:
         scopes = engine.controller.scopes
         for query_id in scopes.queries():
             self.checks_performed += 1
-            if hasattr(scopes, "scope_array"):
-                members = scopes.scope_array(query_id)
-            else:
-                scope = scopes.global_scope(query_id)
-                members = np.fromiter(scope, dtype=np.int64, count=len(scope))
+            members = scopes.scope_array(query_id)
             if members.size == 0:
                 continue
             if members.min() < 0 or members.max() >= n:

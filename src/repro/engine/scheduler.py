@@ -9,7 +9,7 @@ throughput swings from admission/parallelism policy alone; Quegel (Yan et
 al.) builds admission control into the framework itself.
 
 This module extracts the engine's admission queue (previously a bare FIFO
-``deque``) behind a :class:`Scheduler` interface and ships four policies:
+``deque``) behind a :class:`Scheduler` interface and ships two policies:
 
 ``fifo``
     Arrival order — event-for-event identical to the historical deque
@@ -21,13 +21,6 @@ This module extracts the engine's admission queue (previously a bare FIFO
     co-locate and run under cheap local barriers.  The home-worker index is
     refreshed after every repartition (STOP/START), so cohorts follow the
     Q-cut controller's moves.
-``shortest_scope``
-    Admits the query with the smallest *predicted* work first (a classic
-    SJF approximation over the program kind and its scope bound) —
-    minimizes mean waiting time when scope sizes vary widely.
-``phase_round_robin``
-    Fair interleave across workload phases (``Query.phase`` labels), so a
-    large main phase cannot starve a small disturbance phase.
 
 All policies are deterministic: ties break on arrival order (a
 monotonically increasing sequence number), never on hash or dict order.
@@ -35,8 +28,7 @@ monotonically increasing sequence number), never on hash or dict order.
 
 from __future__ import annotations
 
-import heapq
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -48,10 +40,7 @@ __all__ = [
     "Scheduler",
     "FifoScheduler",
     "LocalityScheduler",
-    "ShortestScopeScheduler",
-    "PhaseRoundRobinScheduler",
     "make_scheduler",
-    "predicted_work",
     "SCHEDULER_POLICIES",
 ]
 
@@ -213,112 +202,9 @@ class LocalityScheduler(Scheduler):
         return [q for _s, q in self._sorted_entries()]
 
 
-#: relative expansion factor per query kind: how much of the graph an
-#: unbounded program of that kind tends to touch before terminating.
-#: Target-pruned searches stop at the target's distance; push-style PPR is
-#: bounded by the residual threshold; POI stops at the nearest tag.
-_KIND_BASE: Dict[str, float] = {
-    "khop": 1.0,
-    "wcc-local": 1.0,
-    "ppr": 2.0,
-    "poi": 4.0,
-    "bfs": 6.0,
-    "reach": 6.0,
-    "sssp": 8.0,
-}
-#: branching factor assumed when converting a hop budget into work
-_FANOUT = 3.0
-
-
-def predicted_work(query: Query) -> float:
-    """Deterministic relative work estimate for shortest-job-first admission.
-
-    Uses only statically known facts — the program kind, its hop budget
-    (``k`` / ``max_depth`` / ``max_hops``) and the seed-set size — never
-    runtime state, so the estimate is available at arrival time.  The
-    absolute scale is meaningless; only the ordering matters.
-    """
-    program = query.program
-    base = _KIND_BASE.get(query.kind, 8.0)
-    depth = None
-    for attr in ("k", "max_depth", "max_hops"):
-        value = getattr(program, attr, None)
-        if value is not None:
-            depth = int(value)
-            break
-    if depth is not None:
-        # bounded exploration: geometric frontier growth up to the budget
-        base = min(base, _FANOUT ** min(depth, 8) / _FANOUT)
-    if getattr(program, "target", None) is not None:
-        base *= 0.5  # target pruning cuts the search roughly in half
-    return base * len(query.initial_vertices)
-
-
-class ShortestScopeScheduler(Scheduler):
-    """Cheapest predicted work first (SJF over :func:`predicted_work`)."""
-
-    name = "shortest_scope"
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Query]] = []
-        self._seq = 0
-
-    def add(self, query: Query) -> None:
-        heapq.heappush(self._heap, (predicted_work(query), self._seq, query))
-        self._seq += 1
-
-    def pop(self) -> Optional[Query]:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)[2]
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def pending_queries(self) -> List[Query]:
-        return [q for _c, _s, q in sorted(self._heap)]
-
-
-class PhaseRoundRobinScheduler(Scheduler):
-    """Round-robin across ``Query.phase`` labels (fair phase interleave)."""
-
-    name = "phase_round_robin"
-
-    def __init__(self) -> None:
-        #: phase -> FIFO, in first-seen phase order (OrderedDict keeps the
-        #: rotation deterministic)
-        self._phases: "OrderedDict[str, Deque[Query]]" = OrderedDict()
-        self._count = 0
-
-    def add(self, query: Query) -> None:
-        self._phases.setdefault(query.phase, deque()).append(query)
-        self._count += 1
-
-    def pop(self) -> Optional[Query]:
-        if self._count == 0:
-            return None
-        for phase in list(self._phases):
-            bucket = self._phases[phase]
-            if bucket:
-                query = bucket.popleft()
-                # rotate: this phase goes to the back of the cycle
-                self._phases.move_to_end(phase)
-                self._count -= 1
-                return query
-        return None  # pragma: no cover - count guarantees a hit
-
-    def __len__(self) -> int:
-        return self._count
-
-    def pending_queries(self) -> List[Query]:
-        return [q for bucket in self._phases.values() for q in bucket]
-
-
 SCHEDULER_POLICIES: Dict[str, type] = {
     FifoScheduler.name: FifoScheduler,
     LocalityScheduler.name: LocalityScheduler,
-    ShortestScopeScheduler.name: ShortestScopeScheduler,
-    PhaseRoundRobinScheduler.name: PhaseRoundRobinScheduler,
 }
 
 

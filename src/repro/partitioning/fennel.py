@@ -9,10 +9,8 @@ assigned to the partition maximising
 with the standard parameterisation ``gamma = 1.5`` and
 ``alpha = sqrt(k) * m / n^1.5``.
 
-Like LDG, the default :meth:`~FennelPartitioner.partition` is batched over
-pre-gathered CSR neighbourhood chunks (one ``bincount`` per vertex);
-:meth:`~FennelPartitioner.partition_reference` retains the per-neighbour
-loop as the equivalence oracle.
+Like LDG, :meth:`~FennelPartitioner.partition` is batched over
+pre-gathered CSR neighbourhood chunks (one ``bincount`` per vertex).
 """
 
 from __future__ import annotations
@@ -80,40 +78,4 @@ class FennelPartitioner(Partitioner):
                 choice = int(best[0])
                 assignment[chunk[i]] = choice
                 sizes[choice] += 1.0
-        return assignment
-
-    # ------------------------------------------------------------------
-    def partition_reference(self, graph: DiGraph, k: int) -> np.ndarray:
-        """Original per-neighbour scoring loop (equivalence oracle)."""
-        self._check_k(graph, k)
-        n = graph.num_vertices
-        m = graph.num_edges
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        alpha = np.sqrt(k) * m / max(n**1.5, 1.0)
-        capacity = (1.0 + self.balance_slack) * n / k
-
-        assignment = np.full(n, -1, dtype=np.int64)
-        sizes = np.zeros(k, dtype=np.float64)
-        for v in self._stream(graph):
-            neighbor_counts = np.zeros(k, dtype=np.float64)
-            for u in graph.out_neighbors(v):
-                a = assignment[u]
-                if a >= 0:
-                    neighbor_counts[a] += 1.0
-            for u in graph.in_neighbors(v):
-                a = assignment[u]
-                if a >= 0:
-                    neighbor_counts[a] += 1.0
-            penalty = alpha * self.gamma * np.power(
-                np.maximum(sizes, 0.0), self.gamma - 1.0
-            )
-            scores = neighbor_counts - penalty
-            scores[sizes >= capacity] = -np.inf
-            best = np.flatnonzero(scores == scores.max())
-            if best.size > 1:
-                best = best[np.argsort(sizes[best], kind="stable")]
-            choice = int(best[0])
-            assignment[v] = choice
-            sizes[choice] += 1.0
         return assignment

@@ -11,12 +11,10 @@ stream; vertex ``v`` goes to the partition maximising
 where ``C = (1 + slack) * n / k`` is the per-partition capacity.  Ties are
 broken toward the smaller partition, then the lower index (deterministic).
 
-The default :meth:`~LdgPartitioner.partition` is *batched*: the stream is
-processed in chunks whose undirected neighbourhoods are pre-gathered from
-the cached CSR views, and each vertex's neighbour-partition counts are one
-``bincount`` over its slice.  :meth:`~LdgPartitioner.partition_reference`
-keeps the original per-neighbour Python loop as the equivalence oracle —
-both paths produce identical assignments.
+:meth:`~LdgPartitioner.partition` is *batched*: the stream is processed in
+chunks whose undirected neighbourhoods are pre-gathered from the cached CSR
+views, and each vertex's neighbour-partition counts are one ``bincount``
+over its slice.
 """
 
 from __future__ import annotations
@@ -155,35 +153,4 @@ class LdgPartitioner(Partitioner):
                     choice = int(np.argmin(sizes))
                 assignment[chunk[i]] = choice
                 sizes[choice] += 1
-        return assignment
-
-    # ------------------------------------------------------------------
-    def partition_reference(self, graph: DiGraph, k: int) -> np.ndarray:
-        """Original per-neighbour scoring loop (equivalence oracle)."""
-        self._check_k(graph, k)
-        n = graph.num_vertices
-        assignment = np.full(n, -1, dtype=np.int64)
-        sizes = np.zeros(k, dtype=np.int64)
-        capacity = (1.0 + self.slack) * n / k if n else 1.0
-
-        for v in self._stream(graph):
-            neighbor_counts = np.zeros(k, dtype=np.float64)
-            for u in graph.out_neighbors(v):
-                a = assignment[u]
-                if a >= 0:
-                    neighbor_counts[a] += 1.0
-            for u in graph.in_neighbors(v):
-                a = assignment[u]
-                if a >= 0:
-                    neighbor_counts[a] += 1.0
-            penalty = 1.0 - sizes / capacity
-            scores = neighbor_counts * np.maximum(penalty, 0.0)
-            best = np.flatnonzero(scores == scores.max())
-            if best.size > 1:
-                best = best[np.argsort(sizes[best], kind="stable")]
-            choice = int(best[0])
-            if sizes[choice] >= capacity:
-                choice = int(np.argmin(sizes))
-            assignment[v] = choice
-            sizes[choice] += 1
         return assignment

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import repro.core.controller as controller_module
+from reference_impls import reference_controller
 from repro.core import Controller, ControllerConfig
 from repro.errors import ControllerError
 
 
-def make_controller(**overrides):
+def make_config(**overrides):
     cfg = dict(
         mu=100.0,
         phi=0.7,
@@ -20,7 +21,11 @@ def make_controller(**overrides):
         seed=0,
     )
     cfg.update(overrides)
-    return Controller(4, ControllerConfig(**cfg))
+    return ControllerConfig(**cfg)
+
+
+def make_controller(**overrides):
+    return Controller(4, make_config(**overrides))
 
 
 def feed_scattered_queries(ctrl, assignment, n=4, per_query=8):
@@ -33,6 +38,32 @@ def feed_scattered_queries(ctrl, assignment, n=4, per_query=8):
         v += per_query
         ctrl.on_iteration(qid, 4, vertices, float(qid) + 0.5)
         ctrl.on_iteration(qid, 4, [], float(qid) + 0.6)
+
+
+def feed_disjoint_queries(ctrl, n):
+    """``n`` disjoint 8-vertex scopes over the round-robin assignment."""
+    assignment = np.arange(64) % 4
+    feed_scattered_queries(ctrl, assignment, n=n)
+    return assignment
+
+
+def feed_overlapping_queries(ctrl):
+    """Six queries over 40 of the 64 vertices each: sum of unions 240."""
+    for qid in range(6):
+        ctrl.on_query_started(qid, float(qid))
+        ctrl.on_iteration(qid, 4, list(range(4 * qid, 4 * qid + 40)), qid + 0.5)
+    return np.arange(64) % 4
+
+
+def feed_cut_free_skewed(ctrl):
+    """Four disjoint 4-vertex scopes, all on worker 0: cost 0, the
+    imbalance trigger at 2δ."""
+    assignment = np.zeros(64, dtype=np.int64)
+    assignment[16:] = np.arange(48) % 3 + 1
+    for qid in range(4):
+        ctrl.on_query_started(qid, 0.0)
+        ctrl.on_iteration(qid, 1, list(range(4 * qid, 4 * qid + 4)), 0.5)
+    return assignment
 
 
 class TestTrigger:
@@ -104,7 +135,7 @@ class TestQcutPlan:
         plan = ctrl.complete_qcut(11.0)
         tracked = set()
         for qid in ctrl.scopes.queries():
-            tracked |= ctrl.scopes.global_scope(qid)
+            tracked |= set(ctrl.scopes.scope_array(qid).tolist())
         for move in plan.moves:
             assert set(move.vertices.tolist()) <= tracked
             # src must match the assignment at snapshot time
@@ -146,22 +177,17 @@ class TestQcutPlan:
         assert ctrl.qcut_count == 1
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "reference"])
 class TestHeldSnapshot:
     """A snapshot whose fragments list more vertices than the graph has is
-    held: no ILS, an empty plan, the back-off doubled — on both backends."""
+    held: no ILS, an empty plan, the back-off doubled."""
 
-    def test_overlapping_scopes_are_held(self, backend, monkeypatch):
+    def test_overlapping_scopes_are_held(self, monkeypatch):
         def no_ils(*_args, **_kwargs):
             raise AssertionError("a held snapshot must not run the ILS")
 
         monkeypatch.setattr(controller_module, "iterated_local_search", no_ils)
-        ctrl = make_controller(planning_backend=backend)
-        assignment = np.arange(64) % 4
-        # six queries over 40 of the 64 vertices each: sum of unions 240
-        for qid in range(6):
-            ctrl.on_query_started(qid, float(qid))
-            ctrl.on_iteration(qid, 4, list(range(4 * qid, 4 * qid + 40)), qid + 0.5)
+        ctrl = make_controller()
+        assignment = feed_overlapping_queries(ctrl)
         ctrl.begin_qcut(assignment, 10.0)
         state, _vertices, held = ctrl._snapshot
         assert held and state.union.sum() == 240
@@ -171,12 +197,11 @@ class TestHeldSnapshot:
         assert ctrl.qcut_count == 1
 
     @pytest.mark.parametrize("n", [6, 8])
-    def test_disjoint_scopes_still_plan(self, backend, n):
+    def test_disjoint_scopes_still_plan(self, n):
         """Up to and including a sum of unions equal to |V| (n = 8: eight
         disjoint 8-vertex scopes cover the 64 vertices exactly)."""
-        ctrl = make_controller(planning_backend=backend)
-        assignment = np.arange(64) % 4
-        feed_scattered_queries(ctrl, assignment, n=n)
+        ctrl = make_controller()
+        assignment = feed_disjoint_queries(ctrl, n)
         ctrl.begin_qcut(assignment, 10.0)
         state, _vertices, held = ctrl._snapshot
         assert not held and state.union.sum() == 8 * n
@@ -184,33 +209,26 @@ class TestHeldSnapshot:
         assert plan.moves and plan.ils_result is not None
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "reference"])
 class TestSaturation:
     """Only a snapshot taken while a full admission round was waiting may
     give up query-cut to buy balance."""
 
     @staticmethod
-    def cut_free_skewed(backend):
-        """Four disjoint 4-vertex scopes, all on worker 0: cost 0, the
-        imbalance trigger at 2δ."""
-        ctrl = make_controller(planning_backend=backend)
-        assignment = np.zeros(64, dtype=np.int64)
-        assignment[16:] = np.arange(48) % 3 + 1
-        for qid in range(4):
-            ctrl.on_query_started(qid, 0.0)
-            ctrl.on_iteration(qid, 1, list(range(4 * qid, 4 * qid + 4)), 0.5)
+    def cut_free_skewed():
+        ctrl = make_controller()
+        assignment = feed_cut_free_skewed(ctrl)
         assert ctrl.should_trigger_qcut(10.0, assignment)
         return ctrl, assignment
 
-    def test_unsaturated_snapshot_keeps_locality(self, backend):
-        ctrl, assignment = self.cut_free_skewed(backend)
+    def test_unsaturated_snapshot_keeps_locality(self):
+        ctrl, assignment = self.cut_free_skewed()
         ctrl.begin_qcut(assignment, 10.0, saturated=False)
         plan = ctrl.complete_qcut(11.0)
         assert not plan and plan.ils_result.best_state.relocated_fragments() == []
         assert ctrl._backoff == 2.0
 
-    def test_saturated_snapshot_still_plans(self, backend):
-        ctrl, assignment = self.cut_free_skewed(backend)
+    def test_saturated_snapshot_still_plans(self):
+        ctrl, assignment = self.cut_free_skewed()
         ctrl.begin_qcut(assignment, 10.0, saturated=True)
         skew = ctrl._snapshot[0].max_imbalance()
         plan = ctrl.complete_qcut(11.0)
@@ -244,15 +262,31 @@ def canonical_plan(plan):
     )
 
 
-class TestPlanningBackendEquivalence:
+BUILDERS = (("vectorized", Controller), ("reference", reference_controller))
+
+#: case -> (feeds a controller and returns the assignment, saturated flag):
+#: the snapshots ``TestHeldSnapshot`` and ``TestSaturation`` plan from
+HOLD_AND_SATURATION_CASES = {
+    "held": (feed_overlapping_queries, False),
+    "disjoint-6": (lambda ctrl: feed_disjoint_queries(ctrl, 6), False),
+    "disjoint-8": (lambda ctrl: feed_disjoint_queries(ctrl, 8), False),
+    "unsaturated": (feed_cut_free_skewed, False),
+    "saturated": (feed_cut_free_skewed, True),
+}
+
+
+class TestReferencePlannerEquivalence:
+    """The library's Monitor/Plan path against the set-based oracle
+    (``reference_impls.reference_controller``)."""
+
     @pytest.mark.parametrize("seed", range(5))
     def test_identical_move_plans(self, seed):
         rng = np.random.default_rng(seed)
         n, k, num_queries = 400, 4, 12
         assignment = rng.integers(0, k, size=n).astype(np.int64)
         plans = {}
-        for backend in ("vectorized", "reference"):
-            ctrl = make_controller(planning_backend=backend, seed=5)
+        for backend, build in BUILDERS:
+            ctrl = build(k, make_config(seed=5))
             feeder = np.random.default_rng(seed + 50)
             for qid in range(num_queries):
                 ctrl.on_query_started(qid, float(qid))
@@ -276,8 +310,8 @@ class TestPlanningBackendEquivalence:
         n, num_queries, per_query = 4000, 64, 40
         assignment = np.random.default_rng(k).integers(0, k, size=n).astype(np.int64)
         snapshots = {}
-        for backend in ("vectorized", "reference"):
-            ctrl = Controller(k, ControllerConfig(planning_backend=backend, seed=3))
+        for backend, build in BUILDERS:
+            ctrl = build(k, ControllerConfig(seed=3))
             for qid in range(num_queries):
                 ctrl.on_query_started(qid, float(qid))
                 scope = range(qid * stride, qid * stride + per_query)
@@ -293,29 +327,39 @@ class TestPlanningBackendEquivalence:
         for key, members in vertices.items():
             assert members.tolist() == sorted(want_vertices[key].tolist())
 
+    @pytest.mark.parametrize("case", list(HOLD_AND_SATURATION_CASES))
+    def test_hold_and_saturation_cases_match(self, case):
+        """Held, just-not-held and cut-free skewed snapshots: the same hold
+        decision, fragments, plan and back-off on both paths."""
+        feed, saturated = HOLD_AND_SATURATION_CASES[case]
+        outcomes = {}
+        for backend, build in BUILDERS:
+            ctrl = build(4, make_config())
+            assignment = feed(ctrl)
+            ctrl.begin_qcut(assignment, 10.0, saturated=saturated)
+            state, vertices, held = ctrl._snapshot
+            members = {key: sorted(v.tolist()) for key, v in vertices.items()}
+            plan = ctrl.complete_qcut(11.0)
+            outcomes[backend] = (
+                held,
+                list(state.fragment_sizes.items()),
+                members,
+                canonical_plan(plan),
+                ctrl._backoff,
+            )
+        assert outcomes["vectorized"] == outcomes["reference"]
+
     def test_estimate_imbalance_matches_reference(self):
         assignment = np.zeros(32, dtype=np.int64)
         assignment[8:] = np.arange(24) % 3 + 1
         values = []
-        for backend in ("vectorized", "reference"):
-            ctrl = make_controller(planning_backend=backend)
+        for _backend, build in BUILDERS:
+            ctrl = build(4, make_config())
             for qid in range(3):
                 ctrl.on_query_started(qid, 0.0)
                 ctrl.on_iteration(qid, 1, list(range(qid, qid + 10)), 0.5)
             values.append(ctrl.estimate_imbalance(assignment))
         assert values[0] == pytest.approx(values[1])
-
-    def test_backend_selects_store_type(self):
-        from repro.core import QueryScopes, ScopeStore
-
-        assert isinstance(make_controller().scopes, ScopeStore)
-        assert isinstance(
-            make_controller(planning_backend="reference").scopes, QueryScopes
-        )
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ControllerError):
-            make_controller(planning_backend="bogus")
 
 
 class TestLifecycle:
@@ -328,7 +372,7 @@ class TestLifecycle:
         ctrl.on_query_started(1, 50.0)
         ctrl.on_query_finished(1, 50.1)
         assert 0 not in ctrl.monitor.tracked_queries()
-        assert ctrl.scopes.global_scope(0) == set()
+        assert ctrl.scopes.scope_array(0).size == 0
 
     def test_worker_count_validation(self):
         with pytest.raises(ControllerError):

@@ -1,22 +1,26 @@
-"""Equivalence tests: array-backed ScopeStore vs set-based QueryScopes.
+"""Equivalence tests: array-backed ScopeStore vs the set-based QueryScopes
+oracle (``tests/reference_impls.py``).
 
 Seeded-random property tests proving the vectorized paths (incidence-CSR
-aggregates, encoded-pair intersection counting) reproduce the reference
-implementations exactly, across the edge cases named in the PR issue:
-empty scopes, single query, all-overlapping queries, and k=1.
+aggregates, encoded-pair intersection counting) reproduce the oracles
+exactly, across the edge cases: empty scopes, single query,
+all-overlapping queries, and k=1.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    QueryScopes,
-    ScopeStore,
-    pairwise_intersections,
-    pairwise_intersections_arrays,
-    scope_worker_counts,
-)
+from reference_impls import QueryScopes, pairwise_intersections
+from repro.core import ScopeStore, scope_worker_counts
 from repro.core.scopes import _count_pair_overlaps
+
+
+def store_of(scopes):
+    """A ScopeStore holding a ``query -> vertices`` mapping."""
+    store = ScopeStore()
+    for qid, scope in scopes.items():
+        store.add_activations(qid, sorted(scope))
+    return store
 
 
 def random_workload(seed):
@@ -51,29 +55,24 @@ class TestStoreEquivalence:
 
         assert store.queries() == ref.queries()
         for qid in ref.queries():
-            assert store.global_scope(qid) == ref.global_scope(qid)
+            assert set(store.scope_array(qid).tolist()) == ref.global_scope(qid)
             assert store.global_scope_size(qid) == ref.global_scope_size(qid)
-            assert np.array_equal(
-                store.local_scope_sizes(qid, assignment, k),
-                ref.local_scope_sizes(qid, assignment, k),
-            )
-            assert store.spanning_workers(qid, assignment) == ref.spanning_workers(
-                qid, assignment
-            )
-            for w in range(k):
-                assert store.local_scope(qid, w, assignment) == ref.local_scope(
-                    qid, w, assignment
-                )
-        assert store.query_cut(assignment) == ref.query_cut(assignment)
-        assert store.query_cut_excess(assignment) == ref.query_cut_excess(assignment)
 
-        # the one-pass matrix equals the per-query reference rows
+        # the one-pass matrix equals the per-query oracle rows
         sizes, qids = store.local_size_matrix(assignment, k)
         assert qids.tolist() == ref.queries()
         for row, qid in zip(sizes, qids):
             assert np.array_equal(row, ref.local_scope_sizes(int(qid), assignment, k))
-        expected_mass = sizes.sum(axis=0)
-        assert np.array_equal(store.scope_mass(assignment, k), expected_mass)
+            assert set(np.flatnonzero(row).tolist()) == ref.spanning_workers(
+                int(qid), assignment
+            )
+        spans = np.count_nonzero(sizes, axis=1)
+        assert int(spans.sum()) == ref.query_cut(assignment)
+        excess = int(spans.sum() - np.count_nonzero(spans))
+        assert excess == ref.query_cut_excess(assignment)
+        assert np.array_equal(
+            store.scope_mass(assignment, k), ref.scope_mass(assignment, k)
+        )
 
     @pytest.mark.parametrize("seed", range(15))
     def test_drop_consistency(self, seed):
@@ -86,7 +85,8 @@ class TestStoreEquivalence:
                 store.drop(qid)
         assignment = rng.integers(0, 3, size=n).astype(np.int64)
         assert store.queries() == ref.queries()
-        assert store.query_cut(assignment) == ref.query_cut(assignment)
+        sizes, _qids = store.local_size_matrix(assignment, 3)
+        assert int(np.count_nonzero(sizes)) == ref.query_cut(assignment)
         scope_map = {q: ref.global_scope(q) for q in ref.queries()}
         assert store.pairwise_intersections() == pairwise_intersections(scope_map)
 
@@ -94,9 +94,8 @@ class TestStoreEquivalence:
         store = ScopeStore()
         assignment = np.zeros(4, dtype=np.int64)
         assert store.queries() == []
-        assert store.global_scope(3) == set()
-        assert store.query_cut(assignment) == 0
-        assert store.query_cut_excess(assignment) == 0
+        assert store.scope_array(3).size == 0
+        assert store.local_size_matrix(assignment, 2)[0].shape == (0, 2)
         assert store.pairwise_intersections() == {}
         assert np.array_equal(store.scope_mass(assignment, 2), np.zeros(2, np.int64))
 
@@ -106,31 +105,32 @@ class TestStoreEquivalence:
         assignment = np.zeros(4, dtype=np.int64)
         assert store.queries() == ref.queries() == [7]
         assert store.global_scope_size(7) == 0
-        assert store.query_cut(assignment) == ref.query_cut(assignment) == 0
+        sizes, _qids = store.local_size_matrix(assignment, 1)
+        assert int(np.count_nonzero(sizes)) == ref.query_cut(assignment) == 0
 
     def test_single_query(self):
         ref, store = build_both([(1, [0, 2, 2, 3])])
         assignment = np.array([0, 0, 1, 1])
-        assert store.global_scope(1) == {0, 2, 3}
-        assert store.query_cut(assignment) == ref.query_cut(assignment) == 2
+        assert store.scope_array(1).tolist() == [0, 2, 3]
+        sizes, _qids = store.local_size_matrix(assignment, 2)
+        assert int(np.count_nonzero(sizes)) == ref.query_cut(assignment) == 2
         assert store.pairwise_intersections() == {}
 
     def test_all_overlapping(self):
         events = [(q, [0, 1, 2]) for q in range(5)]
         ref, store = build_both(events)
         assignment = np.array([0, 1, 0])
-        assert store.query_cut(assignment) == ref.query_cut(assignment)
+        sizes, _qids = store.local_size_matrix(assignment, 2)
+        assert int(np.count_nonzero(sizes)) == ref.query_cut(assignment)
         expected = {(a, b): 3 for a in range(5) for b in range(a + 1, 5)}
         assert store.pairwise_intersections() == expected
 
     def test_k_equals_one(self):
         ref, store = build_both([(0, [0, 1]), (1, [1, 2])])
         assignment = np.zeros(3, dtype=np.int64)
-        assert store.query_cut(assignment) == ref.query_cut(assignment) == 2
-        assert store.query_cut_excess(assignment) == 0
-        assert np.array_equal(
-            store.local_size_matrix(assignment, 1)[0], np.array([[2], [2]])
-        )
+        sizes, _qids = store.local_size_matrix(assignment, 1)
+        assert np.array_equal(sizes, np.array([[2], [2]]))
+        assert int(np.count_nonzero(sizes)) == ref.query_cut(assignment) == 2
 
     def test_query_id_subset_selection(self):
         ref, store = build_both([(0, [0, 1]), (1, [1, 2]), (2, [3])])
@@ -140,11 +140,7 @@ class TestStoreEquivalence:
         assert np.array_equal(sizes[0], ref.local_scope_sizes(2, assignment, 2))
         assert np.array_equal(sizes[1], ref.local_scope_sizes(0, assignment, 2))
         mass = store.scope_mass(assignment, 2, query_ids=[0, 2])
-        assert np.array_equal(
-            mass,
-            ref.local_scope_sizes(0, assignment, 2)
-            + ref.local_scope_sizes(2, assignment, 2),
-        )
+        assert np.array_equal(mass, ref.scope_mass(assignment, 2, query_ids=[0, 2]))
 
     def test_incremental_ingestion_matches_bulk(self):
         bulk = ScopeStore()
@@ -167,7 +163,7 @@ class TestStoreEquivalence:
         buffer = np.array([1, 2, 3], dtype=np.int64)
         store.add_activations(0, buffer)
         buffer[:] = 99  # caller reuses its buffer before the next read
-        assert store.global_scope(0) == {1, 2, 3}
+        assert store.scope_array(0).tolist() == [1, 2, 3]
 
     def test_incidence_alignment(self):
         _, store = build_both([(3, [5, 6]), (1, [7])])
@@ -185,9 +181,10 @@ class TestPairwiseEquivalence:
             q: set(rng.integers(0, 60, size=rng.integers(0, 50)).tolist())
             for q in range(rng.integers(0, 15))
         }
+        store = store_of(scopes)
         for min_overlap in (1, 2, 5):
-            assert pairwise_intersections_arrays(
-                scopes, min_overlap
+            assert store.pairwise_intersections(
+                min_overlap
             ) == pairwise_intersections(scopes, min_overlap)
 
     def test_store_restricted_to_query_subset(self):
@@ -223,15 +220,14 @@ class TestPairwiseEquivalence:
     def test_sparse_accumulator_fallback(self):
         """Above the dense-key threshold the sort-merge path must agree."""
         num_q = 3_000  # num_q^2 > the 4M dense accumulator cap
-        scopes = {q: {q, q + 1} for q in range(num_q)}
-        out = pairwise_intersections_arrays(scopes)
+        out = store_of({q: {q, q + 1} for q in range(num_q)}).pairwise_intersections()
         assert len(out) == num_q - 1
         assert out[(0, 1)] == 1
         assert out[(num_q - 2, num_q - 1)] == 1
 
     def test_disjoint_scopes_empty(self):
-        scopes = {0: {1}, 1: {2}}
-        assert pairwise_intersections_arrays(scopes, min_overlap=1) == {}
+        store = store_of({0: {1}, 1: {2}})
+        assert store.pairwise_intersections(min_overlap=1) == {}
 
 
 class TestScopeWorkerCounts:

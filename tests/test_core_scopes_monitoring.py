@@ -3,10 +3,66 @@
 import numpy as np
 import pytest
 
-from repro.core import QueryMonitor, QueryScopes, pairwise_intersections
+from reference_impls import QueryScopes, pairwise_intersections
+from repro.core import QueryMonitor, ScopeStore, query_cut, query_cut_excess
+
+
+class TestScopeStore:
+    """The §2 definitions on hand-computed cases."""
+
+    def test_add_and_query(self):
+        store = ScopeStore()
+        store.add_activations(1, [0, 1, 2])
+        store.add_activations(1, [2, 3])
+        assert store.scope_array(1).tolist() == [0, 1, 2, 3]
+        assert store.global_scope_size(1) == 4
+
+    def test_unknown_query_empty(self):
+        store = ScopeStore()
+        assert store.scope_array(9).size == 0
+        assert store.global_scope_size(9) == 0
+
+    def test_local_scope_derivation(self):
+        store = ScopeStore()
+        store.add_activations(1, [0, 1, 2, 3])
+        assignment = np.array([0, 0, 1, 1])
+        scope = store.scope_array(1)
+        assert scope[assignment[scope] == 0].tolist() == [0, 1]
+        sizes, qids = store.local_size_matrix(assignment, 2)
+        assert qids.tolist() == [1]
+        assert sizes.tolist() == [[2, 2]]
+
+    def test_spanning_workers(self):
+        store = ScopeStore()
+        store.add_activations(1, [0, 3])
+        assignment = np.array([0, 0, 1, 1])
+        sizes, _qids = store.local_size_matrix(assignment, 2)
+        assert np.flatnonzero(sizes[0]).tolist() == [0, 1]
+
+    def test_query_cut_metric(self):
+        store = ScopeStore()
+        store.add_activations(1, [0, 1])   # fully on worker 0
+        store.add_activations(2, [1, 2, 3])  # spans both workers
+        assignment = np.array([0, 0, 1, 1])
+        sizes, _qids = store.local_size_matrix(assignment, 2)
+        spans = np.count_nonzero(sizes, axis=1)
+        assert int(spans.sum()) == 3
+        assert int(spans.sum() - np.count_nonzero(spans)) == 1
+        scopes = {q: set(store.scope_array(q).tolist()) for q in store.queries()}
+        assert query_cut(scopes, assignment, 2) == 3
+        assert query_cut_excess(scopes, assignment, 2) == 1
+
+    def test_drop(self):
+        store = ScopeStore()
+        store.add_activations(1, [0])
+        store.drop(1)
+        assert store.queries() == []
 
 
 class TestQueryScopes:
+    """The same hand-computed cases on the set-based oracle the store is
+    checked against (``reference_impls.QueryScopes``)."""
+
     def test_add_and_query(self):
         qs = QueryScopes()
         qs.add_activations(1, [0, 1, 2])
@@ -23,7 +79,7 @@ class TestQueryScopes:
         qs = QueryScopes()
         qs.add_activations(1, [0, 1, 2, 3])
         assignment = np.array([0, 0, 1, 1])
-        assert qs.local_scope(1, 0, assignment) == {0, 1}
+        assert {v for v in qs.global_scope(1) if assignment[v] == 0} == {0, 1}
         assert qs.local_scope_sizes(1, assignment, 2).tolist() == [2, 2]
 
     def test_spanning_workers(self):
@@ -47,24 +103,37 @@ class TestQueryScopes:
         assert qs.queries() == []
 
 
+def store_intersections(scopes, min_overlap=1):
+    """``ScopeStore.pairwise_intersections`` of a ``query -> vertices`` map."""
+    store = ScopeStore()
+    for qid, scope in scopes.items():
+        store.add_activations(qid, sorted(scope))
+    return store.pairwise_intersections(min_overlap)
+
+
+@pytest.mark.parametrize(
+    "intersections",
+    [store_intersections, pairwise_intersections],
+    ids=["store", "oracle"],
+)
 class TestPairwiseIntersections:
-    def test_shared_vertices_counted(self):
+    def test_shared_vertices_counted(self, intersections):
         scopes = {1: {0, 1, 2}, 2: {1, 2, 3}, 3: {9}}
-        out = pairwise_intersections(scopes)
+        out = intersections(scopes)
         assert out == {(1, 2): 2}
 
-    def test_min_overlap_filter(self):
+    def test_min_overlap_filter(self, intersections):
         scopes = {1: {0}, 2: {0}, 3: {0}}
-        out = pairwise_intersections(scopes, min_overlap=2)
+        out = intersections(scopes, min_overlap=2)
         assert out == {}
 
-    def test_triple_overlap_counts_pairs(self):
+    def test_triple_overlap_counts_pairs(self, intersections):
         scopes = {1: {5}, 2: {5}, 3: {5}}
-        out = pairwise_intersections(scopes)
+        out = intersections(scopes)
         assert out == {(1, 2): 1, (1, 3): 1, (2, 3): 1}
 
-    def test_empty(self):
-        assert pairwise_intersections({}) == {}
+    def test_empty(self, intersections):
+        assert intersections({}) == {}
 
 
 class TestQueryMonitor:

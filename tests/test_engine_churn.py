@@ -10,8 +10,8 @@ The contract of the mutation subsystem:
 * **isolation** — queries whose scopes never touch the churned region
   return exactly the answers of a churn-free run;
 * **composability** — churn completes and stays consistent under both
-  ``repartition_mode``\\s, all four admission schedulers, both execution
-  paths and all three sync modes.
+  ``repartition_mode``\\s, both built-in admission policies and a custom
+  one, both execution paths and all three sync modes.
 """
 
 import hashlib
@@ -19,6 +19,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from admission_policies import POLICIES, scheduler_for
+from reference_impls import generic_path
 from repro.core.controller import Controller, ControllerConfig
 from repro.core.scopes import ScopeStore
 from repro.engine.barriers import SyncMode
@@ -71,7 +73,6 @@ def _build_engine(
     graph,
     k=4,
     adaptive=True,
-    use_kernels=True,
     sync_mode=SyncMode.HYBRID,
     repartition_mode="global",
     scheduler="fifo",
@@ -85,7 +86,6 @@ def _build_engine(
         controller=controller,
         config=EngineConfig(
             adaptive=adaptive,
-            use_kernels=use_kernels,
             sync_mode=sync_mode,
             repartition_mode=repartition_mode,
             scheduler=scheduler,
@@ -191,14 +191,14 @@ _CHURN_FINGERPRINTS = {
 
 class TestChurnExecution:
     @pytest.mark.parametrize("repartition_mode", ["global", "partial"])
-    @pytest.mark.parametrize(
-        "scheduler", ["fifo", "locality", "shortest_scope", "phase_round_robin"]
-    )
+    @pytest.mark.parametrize("scheduler", POLICIES)
     def test_churn_completes_under_all_modes(self, repartition_mode, scheduler):
         rn = _road_network()
         graph = MutableDiGraph.from_digraph(rn.graph)
         engine = _build_engine(
-            graph, repartition_mode=repartition_mode, scheduler=scheduler
+            graph,
+            repartition_mode=repartition_mode,
+            scheduler=scheduler_for(scheduler),
         )
         workload = _generated_churn(rn)
         assert workload.churn, "churn process produced no events"
@@ -234,10 +234,12 @@ class TestChurnExecution:
     def test_churn_completes_generic_path(self):
         rn = _road_network()
         graph = MutableDiGraph.from_digraph(rn.graph)
-        engine = _build_engine(graph, use_kernels=False)
+        engine = _build_engine(graph)
         workload = _generated_churn(rn)
         workload.submit_all(engine)
-        trace = engine.run()
+        with generic_path():
+            trace = engine.run()
+        assert all(qr.kernel is None for qr in engine.runtimes.values())
         assert len(trace.finished_queries()) == 48
         assert trace.churn_events
 
@@ -336,12 +338,12 @@ class TestControllerChurnHygiene:
         controller = Controller(2, _controller_config())
         controller.on_query_started(1, 0.0)
         controller.on_iteration(1, 1, [3, 4, 5], 0.0)
-        assert controller.scopes.global_scope(1) == {3, 4, 5}
+        assert controller.scopes.scope_array(1).tolist() == [3, 4, 5]
         controller.on_graph_mutation([4])
-        assert controller.scopes.global_scope(1) == {3, 5}
+        assert controller.scopes.scope_array(1).tolist() == [3, 5]
         # late activation reports of dead ids are filtered too
         controller.on_iteration(1, 1, [4, 6], 0.001)
-        assert controller.scopes.global_scope(1) == {3, 5, 6}
+        assert controller.scopes.scope_array(1).tolist() == [3, 5, 6]
 
     def test_scope_store_pending_buffers_truncated(self):
         store = ScopeStore()
@@ -349,7 +351,7 @@ class TestControllerChurnHygiene:
         _ = store.scope_array(7)  # consolidate
         store.add_activations(7, [4, 5])  # sits in the pending buffer
         store.remove_vertices(np.array([2, 5]))
-        assert store.global_scope(7) == {1, 3, 4}
+        assert store.scope_array(7).tolist() == [1, 3, 4]
 
     def test_snapshots_never_plan_moves_of_dead_ids(self):
         rn = _road_network()

@@ -11,14 +11,18 @@ The contract of the subsystem:
 * **reliable data plane** — message drop/duplication changes timing, never
   content;
 * **composability** — recovery works under both repartition modes, all
-  sync modes, all four admission schedulers, and racing graph churn.
+  sync modes, both built-in admission policies and a custom one, and racing
+  graph churn.
 """
 
+import contextlib
 import hashlib
 
 import numpy as np
 import pytest
 
+from admission_policies import POLICIES, scheduler_for
+from reference_impls import generic_path
 from repro.core.controller import Controller, ControllerConfig
 from repro.engine.barriers import SyncMode
 from repro.engine.checkpoint import QueryCheckpoint
@@ -70,7 +74,6 @@ def _build_engine(
     repartition_mode="global",
     scheduler="fifo",
     max_events=50_000_000,
-    use_kernels=True,
 ):
     assignment = HashPartitioner(seed=0).partition(graph, k)
     controller = Controller(k, _controller_config())
@@ -86,7 +89,6 @@ def _build_engine(
             scheduler=scheduler,
             checkpoint_interval=checkpoint_interval,
             max_events=max_events,
-            use_kernels=use_kernels,
         ),
         faults=faults,
     )
@@ -453,14 +455,14 @@ class TestMessageFaults:
 # control-plane faults
 # ----------------------------------------------------------------------
 class TestControlPlaneFaults:
-    @pytest.mark.parametrize(
-        "scheduler", ["fifo", "locality", "shortest_scope", "phase_round_robin"]
-    )
+    @pytest.mark.parametrize("scheduler", POLICIES)
     def test_control_loss_retries_and_preserves_answers(self, scheduler):
         rn = _road_network()
-        _, t_clean, r_clean = _run(rn, scheduler=scheduler)
+        _, t_clean, r_clean = _run(rn, scheduler=scheduler_for(scheduler))
         plan = FaultPlan(seed=0, control_loss=0.2, report_loss=0.2)
-        _, t_fault, r_fault = _run(rn, scheduler=scheduler, faults=plan)
+        _, t_fault, r_fault = _run(
+            rn, scheduler=scheduler_for(scheduler), faults=plan
+        )
         assert t_fault.control_retries > 0
         assert len(t_fault.finished_queries()) == len(t_clean.finished_queries())
         _assert_identical_results(r_fault, r_clean)
@@ -656,16 +658,11 @@ class TestCheckpointRestoreFixedPoint:
         "sync_mode",
         [SyncMode.HYBRID, SyncMode.GLOBAL_PER_QUERY, SyncMode.SHARED_BSP],
     )
-    @pytest.mark.parametrize("use_kernels", [True, False], ids=["kernels", "generic"])
+    @pytest.mark.parametrize("generic", [False, True], ids=["kernels", "generic"])
     @pytest.mark.parametrize("kind", _FIXED_POINT_KINDS)
-    def test_capture_restore_capture_identity(self, kind, use_kernels, sync_mode):
+    def test_capture_restore_capture_identity(self, kind, generic, sync_mode):
         rn = _small_network()
-        engine = _build_engine(
-            rn.graph,
-            checkpoint_interval=2,
-            sync_mode=sync_mode,
-            use_kernels=use_kernels,
-        )
+        engine = _build_engine(rn.graph, checkpoint_interval=2, sync_mode=sync_mode)
         workload = WorkloadGenerator(rn, seed=5).generate(
             [PhaseSpec(num_queries=4, kind=kind, label="fixed-point")]
         )
@@ -674,19 +671,21 @@ class TestCheckpointRestoreFixedPoint:
         # time until some running query holds undelivered messages, so the
         # captured state exercises the mailbox re-homing path
         runtimes = {}
-        while not runtimes:
-            next_time = engine.queue.peek_time()
-            if next_time is None:
-                break
-            engine.run(until=next_time)
-            runtimes = {
-                qid: qr
-                for qid in sorted(engine.running)
-                for qr in [engine.runtimes[qid]]
-                if any(len(box) for box in qr.mailboxes.values())
-                or any(len(box) for box in qr.next_mailboxes.values())
-            }
+        with generic_path() if generic else contextlib.nullcontext():
+            while not runtimes:
+                next_time = engine.queue.peek_time()
+                if next_time is None:
+                    break
+                engine.run(until=next_time)
+                runtimes = {
+                    qid: qr
+                    for qid in sorted(engine.running)
+                    for qr in [engine.runtimes[qid]]
+                    if any(len(box) for box in qr.mailboxes.values())
+                    or any(len(box) for box in qr.next_mailboxes.values())
+                }
         assert runtimes, "no query was ever mid-flight with live mailboxes"
+        assert all((qr.kernel is None) == generic for qr in runtimes.values())
         permuted = (engine.assignment + 1) % engine.cluster.num_workers
         assert not np.array_equal(permuted, engine.assignment)
         for qid, qr in sorted(runtimes.items()):

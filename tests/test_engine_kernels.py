@@ -1,10 +1,12 @@
 """Vectorized kernel layer: equivalence with the generic path + unit tests."""
 
+import contextlib
 import hashlib
 
 import numpy as np
 import pytest
 
+from reference_impls import generic_path
 from repro.core import Controller
 from repro.engine import (
     ArrayMailbox,
@@ -34,7 +36,7 @@ from repro.queries import (
 from repro.simulation.cluster import make_cluster
 
 
-def build_engine(graph, k=3, use_kernels=True, sync_mode=SyncMode.HYBRID, **cfg):
+def build_engine(graph, k=3, sync_mode=SyncMode.HYBRID, **cfg):
     assignment = HashPartitioner(seed=0).partition(graph, k)
     return QGraphEngine(
         graph,
@@ -42,18 +44,19 @@ def build_engine(graph, k=3, use_kernels=True, sync_mode=SyncMode.HYBRID, **cfg)
         assignment,
         controller=Controller(k),
         config=EngineConfig(
-            sync_mode=sync_mode, adaptive=False, use_kernels=use_kernels, **cfg
+            sync_mode=sync_mode, adaptive=False, **cfg
         ),
     )
 
 
 def run_both(graph, queries, sync_mode=SyncMode.HYBRID, k=3, until=None):
     engines = []
-    for use_kernels in (True, False):
-        eng = build_engine(graph, k=k, use_kernels=use_kernels, sync_mode=sync_mode)
+    for path in (contextlib.nullcontext(), generic_path()):
+        eng = build_engine(graph, k=k, sync_mode=sync_mode)
         for q in queries:
             eng.submit(q)
-        eng.run(until)
+        with path:
+            eng.run(until)
         engines.append(eng)
     return engines
 
@@ -192,21 +195,44 @@ class _TupleEcho(VertexProgram):
 
 class TestFallback:
     def test_custom_program_uses_generic_path(self, social):
-        eng = build_engine(social, use_kernels=True)
+        eng = build_engine(social)
         eng.submit(Query(0, _TupleEcho(), (0,)))
         eng.run()
         assert eng.runtimes[0].kernel is None
         assert eng.runtimes[0].finished
         assert eng.query_result(0)[0] >= 1
 
-    def test_use_kernels_false_forces_generic(self, social):
-        eng = build_engine(social, use_kernels=False)
+    def test_generic_path_helper_forces_generic(self, social):
+        eng = build_engine(social)
         eng.submit(Query(0, SsspProgram(0), (0,)))
-        eng.run()
+        with generic_path():
+            eng.run()
         assert eng.runtimes[0].kernel is None
 
+    def test_generic_path_helper_restores_kernels_on_error(self, social):
+        with pytest.raises(RuntimeError):
+            with generic_path():
+                raise RuntimeError("leave the block early")
+        eng = build_engine(social)
+        eng.submit(Query(0, SsspProgram(0), (0,)))
+        eng.run()
+        assert eng.runtimes[0].kernel is not None
+
+    def test_generic_path_helper_nests(self, social):
+        """An inner block's exit leaves the outer block in force."""
+        engines = [build_engine(social) for _ in range(2)]
+        for eng in engines:
+            eng.submit(Query(0, SsspProgram(0), (0,)))
+        with generic_path():
+            with generic_path():
+                pass
+            engines[0].run()
+        engines[1].run()
+        assert engines[0].runtimes[0].kernel is None
+        assert engines[1].runtimes[0].kernel is not None
+
     def test_state_materialized_after_finish(self, social):
-        eng = build_engine(social, use_kernels=True)
+        eng = build_engine(social)
         eng.submit(Query(0, SsspProgram(0), (0,)))
         eng.run()
         qr = eng.runtimes[0]

@@ -23,6 +23,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from admission_policies import POLICIES, scheduler_for
+from reference_impls import generic_path
 from repro.core import Controller, ControllerConfig
 from repro.core.api import MoveRequest
 from repro.core.controller import MovePlan
@@ -129,7 +131,6 @@ class InvariantEngine(QGraphEngine):
 def _run_workload(
     adaptive=True,
     repartition_mode="partial",
-    use_kernels=True,
     sync_mode=SyncMode.HYBRID,
     scheduler="fifo",
     k=4,
@@ -153,7 +154,6 @@ def _run_workload(
         controller=controller,
         config=EngineConfig(
             adaptive=adaptive,
-            use_kernels=use_kernels,
             sync_mode=sync_mode,
             repartition_mode=repartition_mode,
             scheduler=scheduler,
@@ -276,10 +276,9 @@ class TestPartialModeBasics:
         assert res == res_static
 
     def test_partial_mode_preserves_results_generic_path(self):
-        _e, trace, res = _run_workload(
-            adaptive=True, repartition_mode="partial", use_kernels=False
-        )
-        _es, _ts, res_static = _run_workload(adaptive=False, use_kernels=False)
+        with generic_path():
+            _e, trace, res = _run_workload(adaptive=True, repartition_mode="partial")
+            _es, _ts, res_static = _run_workload(adaptive=False)
         assert len(trace.repartitions) >= 1
         assert res == res_static
 
@@ -317,9 +316,7 @@ class TestPartialModeBasics:
             assert 0 < len(rec.involved_workers) <= k
             assert all(0 <= w < k for w in rec.involved_workers)
 
-    @pytest.mark.parametrize(
-        "policy", ["fifo", "locality", "shortest_scope", "phase_round_robin"]
-    )
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_scheduler_policies_under_partial_plans(self, policy):
         """on_assignment_changed rebuckets pending queries after partial
         STOP/STARTs too: every policy drains the workload with unchanged
@@ -327,11 +324,11 @@ class TestPartialModeBasics:
         _e, trace, res = _run_workload(
             adaptive=True,
             repartition_mode="partial",
-            scheduler=policy,
+            scheduler=scheduler_for(policy),
             max_parallel=6,
         )
         _es, _ts, res_static = _run_workload(
-            adaptive=False, scheduler=policy, max_parallel=6
+            adaptive=False, scheduler=scheduler_for(policy), max_parallel=6
         )
         assert len(trace.finished_queries()) == 48
         assert res == res_static
@@ -487,15 +484,13 @@ class TestAllWorkersEquivalence:
         )
 
     def test_partial_all_workers_generic_path(self):
-        eng_g, trace_g, _ = _run_workload(
-            adaptive=True, repartition_mode="global", use_kernels=False
-        )
-        eng_p, trace_p, _ = _run_workload(
-            adaptive=True,
-            repartition_mode="partial",
-            use_kernels=False,
-            controller_cls=AllWorkersController,
-        )
+        with generic_path():
+            eng_g, trace_g, _ = _run_workload(adaptive=True, repartition_mode="global")
+            eng_p, trace_p, _ = _run_workload(
+                adaptive=True,
+                repartition_mode="partial",
+                controller_cls=AllWorkersController,
+            )
         assert _trace_fingerprint(eng_g, trace_g) == _trace_fingerprint(
             eng_p, trace_p
         )

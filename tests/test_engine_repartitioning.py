@@ -16,6 +16,7 @@ kernel layer:
 import numpy as np
 import pytest
 
+from reference_impls import generic_path
 from repro.core import Controller, ControllerConfig
 from repro.engine import (
     EngineConfig,
@@ -33,14 +34,14 @@ from repro.simulation.cluster import make_cluster
 from repro.workload import PhaseSpec, WorkloadGenerator
 
 
-def build_engine(graph, k=2, adaptive=False, use_kernels=True, **cfg):
+def build_engine(graph, k=2, adaptive=False, **cfg):
     assignment = HashPartitioner(seed=0).partition(graph, k)
     return QGraphEngine(
         graph,
         make_cluster("M2", k),
         assignment,
         controller=Controller(k),
-        config=EngineConfig(adaptive=adaptive, use_kernels=use_kernels, **cfg),
+        config=EngineConfig(adaptive=adaptive, **cfg),
     )
 
 
@@ -222,9 +223,7 @@ class TestRebucket:
         assert sorted(v.tolist()) == [1, 2]
 
 
-def _adaptive_workload_run(
-    adaptive: bool, use_kernels: bool = True, sync_mode: SyncMode = SyncMode.HYBRID
-):
+def _adaptive_workload_run(adaptive: bool, sync_mode: SyncMode = SyncMode.HYBRID):
     rn = generate_road_network(
         num_cities=4,
         num_urban_vertices=1200,
@@ -250,9 +249,7 @@ def _adaptive_workload_run(
         make_cluster("M2", k),
         assignment,
         controller=controller,
-        config=EngineConfig(
-            adaptive=adaptive, use_kernels=use_kernels, sync_mode=sync_mode
-        ),
+        config=EngineConfig(adaptive=adaptive, sync_mode=sync_mode),
     )
     workload = WorkloadGenerator(rn, seed=5).generate(
         [PhaseSpec(num_queries=48, kind="sssp", label="repart")]
@@ -275,18 +272,16 @@ class TestAdaptiveEquivalence:
         assert res_a == res_s
 
     def test_repartitioning_preserves_results_generic_path(self):
-        eng_a, trace_a, res_a = _adaptive_workload_run(
-            adaptive=True, use_kernels=False
-        )
-        _eng_s, _trace_s, res_s = _adaptive_workload_run(
-            adaptive=False, use_kernels=False
-        )
+        with generic_path():
+            eng_a, trace_a, res_a = _adaptive_workload_run(adaptive=True)
+            _eng_s, _trace_s, res_s = _adaptive_workload_run(adaptive=False)
         assert len(trace_a.repartitions) >= 1
         assert res_a == res_s
 
     def test_kernel_and_generic_agree_under_adaptation(self):
-        _ek, _tk, res_k = _adaptive_workload_run(adaptive=True, use_kernels=True)
-        _eg, _tg, res_g = _adaptive_workload_run(adaptive=True, use_kernels=False)
+        _ek, _tk, res_k = _adaptive_workload_run(adaptive=True)
+        with generic_path():
+            _eg, _tg, res_g = _adaptive_workload_run(adaptive=True)
         assert res_k == res_g
 
     def test_global_per_query_adaptive_completes(self):

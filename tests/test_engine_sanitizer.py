@@ -60,7 +60,6 @@ def _road_network():
 def _build_engine(graph, k=4, sanitizer=True, **config_overrides):
     config = dict(
         adaptive=True,
-        use_kernels=True,
         sync_mode=SyncMode.HYBRID,
         repartition_mode="global",
         scheduler="fifo",

@@ -5,23 +5,22 @@ from collections import deque
 import numpy as np
 import pytest
 
+from admission_policies import POLICIES, LifoScheduler, scheduler_for
 from repro.core import Controller
 from repro.engine import (
     EngineConfig,
     FifoScheduler,
     LocalityScheduler,
-    PhaseRoundRobinScheduler,
     QGraphEngine,
     Query,
-    ShortestScopeScheduler,
     SyncMode,
     make_scheduler,
-    predicted_work,
 )
+from repro.engine.scheduler import SCHEDULER_POLICIES
 from repro.errors import EngineError
 from repro.graph import grid_graph
 from repro.partitioning import HashPartitioner
-from repro.queries import BfsProgram, KHopProgram, SsspProgram
+from repro.queries import BfsProgram, SsspProgram
 from repro.simulation.cluster import make_cluster
 
 
@@ -36,8 +35,8 @@ def build_engine(graph, k=2, engine_cls=QGraphEngine, **cfg):
     )
 
 
-def q(qid, start=0, target=None, phase="default"):
-    return Query(qid, BfsProgram(start, target), (start,), phase=phase)
+def q(qid, start=0, target=None):
+    return Query(qid, BfsProgram(start, target), (start,))
 
 
 # ----------------------------------------------------------------------
@@ -120,38 +119,23 @@ class TestPolicies:
         s.on_query_finished(running)  # decrements the *re-homed* count
         assert s._inflight[1] == 0
 
-    def test_shortest_scope_prefers_cheap_queries(self):
-        s = ShortestScopeScheduler()
-        expensive = Query(0, SsspProgram(0), (0,))  # unbounded batch SSSP
-        cheap = Query(1, KHopProgram(0, 1), (0,))
-        medium = Query(2, SsspProgram(0, target=5), (0,))  # target-pruned
-        for query in (expensive, cheap, medium):
-            s.add(query)
-        assert [s.pop().query_id for _ in range(3)] == [1, 2, 0]
-        assert predicted_work(cheap) < predicted_work(medium) < predicted_work(
-            expensive
-        )
-
-    def test_shortest_scope_fifo_tiebreak(self):
-        s = ShortestScopeScheduler()
-        for qid in range(3):
-            s.add(Query(qid, KHopProgram(qid, 2), (qid,)))
-        assert [s.pop().query_id for _ in range(3)] == [0, 1, 2]
-
-    def test_phase_round_robin_interleaves(self):
-        s = PhaseRoundRobinScheduler()
-        for qid in range(4):
-            s.add(q(qid, start=qid, phase="main"))
-        for qid in range(4, 6):
-            s.add(q(qid, start=qid, phase="disturbance"))
-        order = [s.pop().phase for _ in range(6)]
-        assert order == [
-            "main", "disturbance", "main", "disturbance", "main", "main",
-        ]
-
     def test_make_scheduler_rejects_unknown(self):
         with pytest.raises(EngineError):
             make_scheduler("bogus")
+
+    @pytest.mark.parametrize(
+        "name, cls", [("fifo", FifoScheduler), ("locality", LocalityScheduler)]
+    )
+    def test_make_scheduler_builds_named_policy(self, name, cls):
+        assert sorted(SCHEDULER_POLICIES) == ["fifo", "locality"]
+        assignment = np.arange(10, dtype=np.int64) % 2
+        s = make_scheduler(name, assignment)
+        assert type(s) is cls and s.name == name
+        s.add(q(0, start=3))
+        s.add(q(1, start=4))
+        # fifo keeps arrival order; locality, seeded with the assignment,
+        # takes the tie between the idle home workers 1 and 0 to worker 0
+        assert s.pop().query_id == (0 if name == "fifo" else 1)
 
     def test_make_scheduler_passes_instance_through(self):
         inst = FifoScheduler()
@@ -161,8 +145,6 @@ class TestPolicies:
         for s in (
             FifoScheduler(),
             LocalityScheduler(np.zeros(5, dtype=np.int64)),
-            ShortestScopeScheduler(),
-            PhaseRoundRobinScheduler(),
         ):
             assert not s and len(s) == 0
             s.add(q(0))
@@ -262,9 +244,6 @@ class InvariantEngine(QGraphEngine):
         self.max_running_seen = max(self.max_running_seen, len(self.running))
 
 
-POLICIES = ["fifo", "locality", "shortest_scope", "phase_round_robin"]
-
-
 class TestAdmissionInvariants:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_cap_respected_and_exactly_once_with_repartitions(self, policy):
@@ -277,7 +256,7 @@ class TestAdmissionInvariants:
             engine_cls=InvariantEngine,
             adaptive=True,  # exercises STOP/START pause/resume
             max_parallel_queries=3,
-            scheduler=policy,
+            scheduler=scheduler_for(policy),
         )
         phases = ["a", "b"]
         for qid in range(30):
@@ -303,7 +282,11 @@ class TestAdmissionInvariants:
         for _rep in range(2):
             g = grid_graph(8, 8)
             eng = build_engine(
-                g, k=4, adaptive=True, max_parallel_queries=4, scheduler=policy
+                g,
+                k=4,
+                adaptive=True,
+                max_parallel_queries=4,
+                scheduler=scheduler_for(policy),
             )
             rng = np.random.default_rng(11)
             for qid in range(20):
@@ -319,11 +302,26 @@ class TestAdmissionInvariants:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_all_queries_finish_under_every_policy(self, policy):
         g = grid_graph(6, 6)
-        eng = build_engine(g, k=2, max_parallel_queries=2, scheduler=policy)
+        eng = build_engine(
+            g, k=2, max_parallel_queries=2, scheduler=scheduler_for(policy)
+        )
         for qid in range(8):
             eng.submit(Query(qid, BfsProgram(qid, 35 - qid), (qid,)))
         trace = eng.run()
         assert len(trace.finished_queries()) == 8
+
+    def test_custom_policy_instance_orders_admissions(self):
+        """A caller's own ``Scheduler`` instance decides the admission order:
+        one slot, four queries arriving together, newest admitted first."""
+        g = grid_graph(6, 6)
+        eng = build_engine(
+            g, k=2, max_parallel_queries=1, scheduler=LifoScheduler()
+        )
+        for qid in range(4):
+            eng.submit(Query(qid, BfsProgram(qid, 35 - qid), (qid,)))
+        trace = eng.run()
+        records = sorted(trace.queries.values(), key=lambda r: r.start_time)
+        assert [r.query_id for r in records] == [0, 3, 2, 1]
 
     def test_scenario_scheduler_knob(self):
         from repro.bench.harness import Scenario, run_scenario

@@ -115,7 +115,8 @@ class TestHarness:
 
     def test_mixed_workload_scenario_all_kinds_finish(self):
         """All seven query programs blended in one adaptive run, admitted
-        shortest-predicted-work-first, arriving as a Poisson process."""
+        in co-located cohorts (the locality policy ``open_mixed`` runs),
+        arriving as a Poisson process."""
         r = run_scenario(
             Scenario(
                 name="mixed",
@@ -126,7 +127,7 @@ class TestHarness:
                 graph_scale=0.4,
                 main_queries=56,
                 max_parallel=8,
-                scheduler="shortest_scope",
+                scheduler="locality",
                 arrival="poisson",
                 arrival_rate=4000.0,
                 k=4,

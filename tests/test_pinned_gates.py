@@ -21,9 +21,10 @@ say nothing about other sizes or seeds.
   fault-free checkpointed run.
 
 The identities these arms rest on (zero churn, zero faults, crash
-recovery, kernels vs generic, vectorized vs reference planning) are held
-by ``test_engine_churn``, ``test_engine_faults``, ``test_engine_kernels``
-and ``test_core_controller``.
+recovery, kernels vs the generic path, the planner vs its set-based oracle
+in ``reference_impls``) are held by ``test_engine_churn``,
+``test_engine_faults``, ``test_engine_kernels`` and
+``test_core_controller``.
 """
 
 from __future__ import annotations

@@ -1,1 +1,1 @@
-"""Benchmark suite: one module per paper table/figure (see docs/experiments.md)."""
+"""Benchmarks: the measurement spine (``spine/``) and the paper's claims table (``claims.py``)."""

@@ -5,19 +5,18 @@ infrastructure, initial partitioner, synchronization mode, adaptivity,
 workload — and :func:`run_scenario` executes it deterministically, returning
 the metric trace plus derived statistics.
 
-Scaling: the benchmark suite honours the ``REPRO_SCALE`` environment
-variable (``small`` — default, ``medium``, ``paper``).  Query counts and
-graph sizes are scaled down so the whole suite runs in minutes; the
-experiment *shapes* (who wins, crossovers) are preserved.  Controller timing
-parameters are scaled with the graphs: our road networks are ~100x smaller
-than the OSM extracts, so virtual-time constants (monitoring window μ,
-Q-cut budget) shrink accordingly — the mapping is documented in
-``docs/experiments.md``, alongside the scheduler/arrival knobs.
+Sizes: a scenario names its query counts explicitly, and the graph presets
+default to the generated BW network at scale 1.0 and GY at 0.5 — roughly
+100x smaller than the paper's OSM extracts, so the paper's experiments run
+in minutes while keeping their *shapes* (who wins, crossovers).  Controller
+timing parameters shrink with the graphs (monitoring window μ, Q-cut
+budget); the mapping is documented in ``docs/experiments.md``, alongside
+the scheduler/arrival knobs.  ``benchmarks/claims.py`` holds the paper's
+claims as scenario arms over this harness.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -50,53 +49,21 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "run_scenario",
-    "get_scale",
-    "scale_queries",
-    "graph_scale_for",
     "default_controller_config",
     "road_network_for",
 ]
 
-_SCALE_ENV = "REPRO_SCALE"
-
-#: query-count multiplier and graph-size multiplier per scale level
-_SCALES: Dict[str, Tuple[float, float]] = {
-    "small": (1.0 / 8.0, 1.0),
-    "medium": (1.0 / 4.0, 1.25),
-    "paper": (1.0, 2.0),
-}
+#: graph-size multiplier per preset when the scenario does not pin one
+#: (GY is generated at half the BW scale)
+_DEFAULT_GRAPH_SCALE: Dict[str, float] = {"bw": 1.0, "gy": 0.5}
 
 _NETWORK_CACHE: Dict[Tuple[str, float, int], RoadNetwork] = {}
-
-
-def get_scale() -> str:
-    """The active scale level (``REPRO_SCALE`` env var, default ``small``)."""
-    level = os.environ.get(_SCALE_ENV, "small").lower()
-    if level not in _SCALES:
-        raise ReproError(
-            f"unknown {_SCALE_ENV}={level!r}; pick one of {sorted(_SCALES)}"
-        )
-    return level
-
-
-def scale_queries(paper_count: int, minimum: int = 16) -> int:
-    """Scale a paper query count to the active level."""
-    factor, _ = _SCALES[get_scale()]
-    return max(int(paper_count * factor), minimum)
-
-
-def graph_scale_for(preset: str) -> float:
-    """Graph-size multiplier for the active level (GY gets an extra cut)."""
-    _, gfactor = _SCALES[get_scale()]
-    if preset == "gy":
-        return gfactor * 0.5
-    return gfactor
 
 
 def road_network_for(preset: str, scale: Optional[float] = None, seed: int = 0) -> RoadNetwork:
     """Cached road-network construction (presets ``"bw"`` / ``"gy"``)."""
     if scale is None:
-        scale = graph_scale_for(preset)
+        scale = _DEFAULT_GRAPH_SCALE.get(preset, 1.0)
     key = (preset, round(float(scale), 4), seed)
     if key not in _NETWORK_CACHE:
         if preset == "bw":

@@ -1,18 +1,10 @@
-"""Plain-text reporting helpers for the benchmark harness.
-
-The paper's figures are latency bars/series; benchmarks print the same rows
-and series as aligned ASCII tables so the shape comparison (who wins, by
-what factor, where crossovers fall) is readable straight from the bench
-output and from ``bench_output.txt``.
-"""
+"""Aligned ASCII tables for the examples and the measurement spine's report."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
-import numpy as np
-
-__all__ = ["format_table", "format_series", "print_table", "print_series", "ratio"]
+__all__ = ["format_table"]
 
 
 def format_table(
@@ -44,44 +36,3 @@ def format_table(
     for row in str_rows:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_series(
-    series: Dict[str, Tuple[np.ndarray, np.ndarray]],
-    num_points: int = 12,
-    title: Optional[str] = None,
-    value_format: str = "{:.3f}",
-) -> str:
-    """Render several (time, value) series resampled on a shared time grid."""
-    if not series:
-        return title or ""
-    t_max = max(float(t[-1]) for (t, _v) in series.values() if len(t))
-    if t_max <= 0:
-        return title or ""
-    grid = np.linspace(0.0, t_max, num_points + 1)[1:]
-    headers = ["t"] + list(series.keys())
-    rows = []
-    for t in grid:
-        row: List[object] = [f"{t:.3f}"]
-        for name, (times, values) in series.items():
-            if len(times) == 0:
-                row.append("-")
-                continue
-            idx = np.searchsorted(times, t, side="right")
-            window = values[max(0, idx - 3) : idx]  # smooth over recent points
-            row.append(value_format.format(float(np.mean(window))) if len(window) else "-")
-        rows.append(row)
-    return format_table(headers, rows, title=title)
-
-
-def print_table(*args, **kwargs) -> None:
-    print("\n" + format_table(*args, **kwargs))
-
-
-def print_series(*args, **kwargs) -> None:
-    print("\n" + format_series(*args, **kwargs))
-
-
-def ratio(a: float, b: float) -> float:
-    """Safe ratio a/b (nan when b == 0)."""
-    return a / b if b else float("nan")

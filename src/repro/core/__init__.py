@@ -4,14 +4,7 @@ Q-cut query-aware partitioning (iterated local search over high-level query
 scopes), the centralized MAPE controller, and the monitoring machinery.
 """
 
-from repro.core.api import (
-    BarrierReadyMessage,
-    BarrierSynchMessage,
-    ExecuteQueryMessage,
-    MoveRequest,
-    ScheduleQueryMessage,
-    StatsMessage,
-)
+from repro.core.api import MoveRequest
 from repro.core.clustering import UnionFind, cluster_queries
 from repro.core.controller import Controller, ControllerConfig, MovePlan
 from repro.core.cost import assignment_cost, query_cut, query_cut_excess
@@ -44,10 +37,5 @@ __all__ = [
     "query_cut",
     "query_cut_excess",
     "assignment_cost",
-    "StatsMessage",
-    "BarrierSynchMessage",
-    "ScheduleQueryMessage",
     "MoveRequest",
-    "BarrierReadyMessage",
-    "ExecuteQueryMessage",
 ]

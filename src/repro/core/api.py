@@ -1,86 +1,29 @@
-"""The Q-Graph API (Table 2 of the paper).
+"""The one Table 2 message with a payload of its own: ``move``.
 
-These message types formalise the controller/worker protocol:
+Table 2 of the paper names the controller/worker protocol: ``stats``,
+``barrierSynch`` and ``scheduleQuery`` (worker or user -> controller),
+``move``, ``barrierReady`` and ``executeQuery`` (controller -> worker).
+In this simulation all but ``move`` are engine events and method calls
+rather than message objects: statistics ride on each iteration's barrier
+synchronization (:meth:`~repro.core.controller.Controller.on_iteration`,
+the piggybacking §3.4 describes), queries are submitted to and admitted by
+the engine's scheduler, and barrier releases are engine events.
 
-=====================  =========================================================
-Controller API          (worker -> controller)
-=====================  =========================================================
-``stats(q, |LS|, I, w)``       worker updates the controller with statistics
-``barrierSynch(q, w)``         worker finished the current iteration of q
-``scheduleQuery(q)``           user schedules a query
-=====================  =========================================================
-
-=====================  =========================================================
-Worker API              (controller -> worker)
-=====================  =========================================================
-``move(LS(q,w), w, w')``       move a local query scope to another worker
-``barrierReady(q)``            release a worker waiting on q's barrier
-``executeQuery(q)``            start executing query q
-=====================  =========================================================
-
-The simulation engine constructs these dataclasses at the corresponding
-protocol points; they double as a stable public API for users embedding the
-controller logic elsewhere.  Statistics are piggybacked onto barrier
-synchronization messages exactly as §3.4 describes ("to increase
-communication efficiency, we piggyback statistics messages with barrier
-synchronization messages").
+``move(LS(q, w), w, w')`` is the low-level translation of a Q-cut move: a
+concrete vertex set and its source and target worker.  The controller
+builds a :class:`~repro.core.controller.MovePlan` from these
+:class:`MoveRequest` objects, and the engine applies them under STOP/START.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Tuple
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "StatsMessage",
-    "BarrierSynchMessage",
-    "ScheduleQueryMessage",
-    "MoveRequest",
-    "BarrierReadyMessage",
-    "ExecuteQueryMessage",
-]
+__all__ = ["MoveRequest"]
 
 
-# ----------------------------------------------------------------------
-# Controller API (worker -> controller)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class StatsMessage:
-    """``stats(q, |LS(q, w)|, I_w, w)``.
-
-    ``intersections`` carries the local intersection function ``I_w``:
-    the number of vertices shared between combinations of local query scopes
-    on the sending worker, keyed by the (frozen) query-id sets.
-    """
-
-    query_id: int
-    local_scope_size: int
-    worker: int
-    intersections: Dict[FrozenSet[int], int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class BarrierSynchMessage:
-    """``barrierSynch(q, w)`` — iteration complete, optionally with stats."""
-
-    query_id: int
-    worker: int
-    iteration: int
-    stats: Tuple[StatsMessage, ...] = ()
-
-
-@dataclass(frozen=True)
-class ScheduleQueryMessage:
-    """``scheduleQuery(q)`` — user front-end request."""
-
-    query_id: int
-
-
-# ----------------------------------------------------------------------
-# Worker API (controller -> worker)
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class MoveRequest:
     """``move(LS(q, w), w, w')`` — reassign a local scope's vertices.
@@ -101,18 +44,3 @@ class MoveRequest:
     @property
     def size(self) -> int:
         return int(self.vertices.size)
-
-
-@dataclass(frozen=True)
-class BarrierReadyMessage:
-    """``barrierReady(q)`` — barrier released, start the next iteration."""
-
-    query_id: int
-    iteration: int
-
-
-@dataclass(frozen=True)
-class ExecuteQueryMessage:
-    """``executeQuery(q)`` — controller forwards a scheduled query."""
-
-    query_id: int

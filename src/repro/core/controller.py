@@ -492,10 +492,6 @@ class Controller:
         return plan
 
     @property
-    def qcut_running(self) -> bool:
-        return self._qcut_running
-
-    @property
     def qcut_count(self) -> int:
         """Completed Q-cut computations so far."""
         return self._qcut_count

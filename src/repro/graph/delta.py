@@ -243,11 +243,6 @@ class MutableDiGraph(DiGraph):
         self._pending.remove_vertices.append(int(v))
         self._maybe_auto_flush()
 
-    def buffer_delta(self, delta: GraphDelta) -> None:
-        """Merge a whole delta into the pending buffer (no flush)."""
-        self._pending.merge(delta)
-        self._maybe_auto_flush()
-
     def apply_delta(self, delta: GraphDelta) -> DeltaResult:
         """Buffer ``delta`` and flush immediately (one churn epoch)."""
         self._pending.merge(delta)

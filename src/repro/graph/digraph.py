@@ -244,12 +244,6 @@ class DiGraph:
         self._check_vertex(v)
         return self._weights[self._indptr[v] : self._indptr[v + 1]]
 
-    def out_edges(self, v: int) -> Iterator[Tuple[int, float]]:
-        """Iterate ``(neighbor, weight)`` pairs for the out-edges of ``v``."""
-        lo, hi = self._indptr[v], self._indptr[v + 1]
-        for i in range(lo, hi):
-            yield int(self._indices[i]), float(self._weights[i])
-
     def in_neighbors(self, v: int) -> np.ndarray:
         """In-neighbour ids of ``v`` as a numpy view."""
         self._check_vertex(v)

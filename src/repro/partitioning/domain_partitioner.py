@@ -16,7 +16,7 @@ translates into the workload imbalance the paper observes for Domain
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -147,12 +147,3 @@ class DomainPartitioner(Partitioner):
         for g in range(k):
             assignment[order[bounds[g] : bounds[g + 1]]] = g
         return assignment
-
-
-def hotspot_groups(
-    rn: RoadNetwork, k: int, seed: int = 0
-) -> List[Sequence[int]]:
-    """Convenience: the city ids grouped per worker (for inspection/tests)."""
-    centers = np.array([c.center for c in rn.cities])
-    groups = group_cities_geographically(centers, k, seed=seed)
-    return [list(np.flatnonzero(groups == g)) for g in range(k)]

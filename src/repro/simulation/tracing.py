@@ -281,15 +281,6 @@ class MetricsTrace:
             window,
         )
 
-    def locality_series(self, window: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Windowed average locality over completion time (Fig. 6f series)."""
-        finished = self.finished_queries()
-        return self._windowed_means(
-            np.array([q.end_time for q in finished], dtype=np.float64),
-            np.array([q.locality for q in finished], dtype=np.float64),
-            window,
-        )
-
     def workload_imbalance_series(self, num_workers: int) -> Tuple[np.ndarray, np.ndarray]:
         """Per-bucket workload imbalance (Fig. 6e).
 

@@ -173,8 +173,8 @@ class TestSolutionBalance:
         reason="iterated_local_search accepts its round-0 local search "
         "without its own `better` test, so a balanced input can end "
         "unbalanced; later rounds only accept less-unbalanced states and "
-        "never get back under δ (also fails "
-        "benchmarks/bench_fig6g_ils_convergence.py: 0.096 → 0.42 → 0.27)",
+        "never get back under δ (also the `fig6g-balance` row of the claims "
+        "table in docs/experiments.md: 0.096 → 0.42 → 0.27)",
     )
     @pytest.mark.parametrize("seed", range(3))
     def test_best_state_balanced_or_no_worse_than_input(self, seed):

@@ -16,7 +16,7 @@ from repro.workload import WorkloadGenerator, PhaseSpec
 @pytest.fixture(scope="module")
 def rn():
     # 2 cities per worker, window mass well below graph size: the regime in
-    # which consolidation is balance-feasible (see EXPERIMENTS.md)
+    # which moving a city's queries onto one worker stays within δ
     return generate_road_network(
         num_cities=8,
         num_urban_vertices=8000,

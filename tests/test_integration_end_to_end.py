@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bench import Scenario, run_scenario
-from repro.core import (
-    BarrierReadyMessage,
-    BarrierSynchMessage,
-    ExecuteQueryMessage,
-    MoveRequest,
-    ScheduleQueryMessage,
-    StatsMessage,
-)
+from repro.core import MoveRequest
 from repro.engine import SyncMode
 
 
@@ -142,28 +135,9 @@ class TestHarness:
 
 
 class TestApiMessages:
-    """Table 2 message constructors round-trip their payloads."""
-
-    def test_stats_message(self):
-        m = StatsMessage(
-            query_id=1,
-            local_scope_size=10,
-            worker=2,
-            intersections={frozenset({1, 2}): 3},
-        )
-        assert m.intersections[frozenset({1, 2})] == 3
-
-    def test_barrier_synch_piggyback(self):
-        stats = StatsMessage(query_id=1, local_scope_size=4, worker=0)
-        m = BarrierSynchMessage(query_id=1, worker=0, iteration=7, stats=(stats,))
-        assert m.stats[0].local_scope_size == 4
+    """The ``move`` message normalises its vertex payload."""
 
     def test_move_request(self):
         m = MoveRequest(src=0, dst=1, vertices=[3, 4, 5])
         assert m.size == 3
         assert m.vertices.dtype == np.int64
-
-    def test_simple_messages(self):
-        assert ScheduleQueryMessage(query_id=9).query_id == 9
-        assert ExecuteQueryMessage(query_id=9).query_id == 9
-        assert BarrierReadyMessage(query_id=9, iteration=1).iteration == 1

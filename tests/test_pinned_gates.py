@@ -5,10 +5,9 @@ SSSP queries, plus 32 inter-urban disturbance queries except in the
 checkpoint gate) on the BW road network, 8 workers, ``max_parallel=8``.
 The engine is deterministic in virtual time, so every comparison below is
 exact and independent of the host: a change that flips one re-times the
-simulation.  The instances are
-pinned (``graph_scale=1.0``, so ``REPRO_SCALE`` does not reach them); the
-margins are small and were measured on exactly these instances, so they
-say nothing about other sizes or seeds.
+simulation.  The instances are pinned (``graph_scale=1.0``); the margins
+are small and were measured on exactly these instances, so they say
+nothing about other sizes or seeds.
 
 * admission: ``locality`` ≤ ``fifo`` on makespan, ≥ on mean locality;
 * repartition scope: ``partial`` ≤ ``global`` on makespan, same answers;

@@ -250,16 +250,6 @@ class TestWindowedSeriesEquivalence:
             np.testing.assert_allclose(times, ref_t, rtol=0, atol=1e-9)
             np.testing.assert_allclose(values, ref_v, rtol=1e-12)
 
-    @pytest.mark.parametrize("seed", [3, 4])
-    def test_locality_series_matches_reference(self, seed):
-        t = self._random_trace(seed)
-        times, values = t.locality_series(1.3)
-        ref_t, ref_v = self._reference_series(
-            t.finished_queries(), 1.3, lambda q: q.locality
-        )
-        np.testing.assert_allclose(times, ref_t, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(values, ref_v, rtol=1e-12)
-
     def test_end_time_on_window_edge(self):
         t = MetricsTrace()
         for qid, end in enumerate([0.0, 2.5, 5.0]):

@@ -42,6 +42,7 @@ __all__ = [
     "group_by_owner",
     "contribute_partial",
     "copy_kernel_state",
+    "scope_columns",
     "SsspKernel",
     "BfsKernel",
     "KHopKernel",
@@ -197,11 +198,13 @@ class ArrayMailbox:
         return f"ArrayMailbox(pending={len(self)})"
 
 
-def _scope_lists(scope_mask: np.ndarray, *columns: np.ndarray) -> List[List[Any]]:
-    """The scope vertices (ascending) and their entries in each dense state
-    column, as lists of Python scalars: what ``state_dict`` zips together."""
+def scope_columns(state: Any, scope_mask: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The scope vertices (ascending ``int64``) and each dense state column
+    gathered at them: what :meth:`QueryKernel.answer_dict` zips together,
+    and all a finished query keeps of its state."""
     scope = np.flatnonzero(scope_mask)
-    return [scope.tolist(), *(column[scope].tolist() for column in columns)]
+    parts = state if isinstance(state, tuple) else (state,)
+    return (scope, *(column[scope] for column in parts))
 
 
 def copy_kernel_state(state: Any) -> Any:
@@ -286,9 +289,13 @@ class QueryKernel(abc.ABC):
           folds them per worker with the program's own reduce function.
         """
 
-    @abc.abstractmethod
-    def state_dict(self, state: Any, scope_mask: np.ndarray) -> Dict[int, Any]:
-        """Sparse ``{vertex: state}`` view matching the generic path's dict."""
+    def answer_dict(self, scope: np.ndarray, *columns: np.ndarray) -> Dict[int, Any]:
+        """Sparse ``{vertex: state}`` view matching the generic path's dict,
+        built from :func:`scope_columns`.  The default fits a single-column
+        state whose entries are the generic path's values; ``.tolist()``
+        gives the same Python types ``compute`` stores."""
+        (values,) = columns
+        return dict(zip(scope.tolist(), values.tolist()))
 
     # ------------------------------------------------------------------
     def encode_messages(
@@ -372,10 +379,6 @@ class _BoundedWavefrontKernel(QueryKernel):
             sources = sources[keep]
         return targets, candidates, sources, contribs
 
-    def state_dict(self, dist: np.ndarray, scope_mask: np.ndarray) -> Dict[int, Any]:
-        vertices, distances = _scope_lists(scope_mask, dist)
-        return dict(zip(vertices, distances))
-
 
 class SsspKernel(_BoundedWavefrontKernel):
     """Bellman-Ford wavefront with optional target pruning (mirrors
@@ -451,10 +454,6 @@ class BfsKernel(QueryKernel):
         targets = csr.indices[edge_idx]
         return targets, ib[src_pos] + 1, ip[src_pos], contribs
 
-    def state_dict(self, depth: np.ndarray, scope_mask: np.ndarray) -> Dict[int, Any]:
-        vertices, depths = _scope_lists(scope_mask, depth)
-        return dict(zip(vertices, depths))
-
 
 class KHopKernel(QueryKernel):
     """Bounded hop exploration (mirrors :class:`repro.queries.khop.KHopProgram`)."""
@@ -486,10 +485,6 @@ class KHopKernel(QueryKernel):
         edge_idx, src_pos = expand_edges(csr.indptr, vertices[ip])
         targets = csr.indices[edge_idx]
         return targets, ib[src_pos] + 1, ip[src_pos], {}
-
-    def state_dict(self, depth: np.ndarray, scope_mask: np.ndarray) -> Dict[int, Any]:
-        vertices, depths = _scope_lists(scope_mask, depth)
-        return dict(zip(vertices, depths))
 
 
 # ----------------------------------------------------------------------
@@ -535,8 +530,8 @@ class ReachabilityKernel(QueryKernel):
         targets = csr.indices[edge_idx]
         return targets, np.ones(targets.size, dtype=bool), fp[src_pos], contribs
 
-    def state_dict(self, visited: np.ndarray, scope_mask: np.ndarray) -> Dict[int, Any]:
-        return dict.fromkeys(np.flatnonzero(scope_mask).tolist(), True)
+    def answer_dict(self, scope: np.ndarray, *columns: np.ndarray) -> Dict[int, Any]:
+        return dict.fromkeys(scope.tolist(), True)
 
 
 # ----------------------------------------------------------------------
@@ -605,11 +600,9 @@ class LocalPageRankKernel(QueryKernel):
         targets = csr.indices[edge_idx]
         return targets, shares[src_pos], sp[src_pos], {}
 
-    def state_dict(
-        self, state: Tuple[np.ndarray, np.ndarray], scope_mask: np.ndarray
-    ) -> Dict[int, Any]:
-        vertices, ranks, residuals = _scope_lists(scope_mask, *state)
-        return dict(zip(vertices, zip(ranks, residuals)))
+    def answer_dict(self, scope: np.ndarray, *columns: np.ndarray) -> Dict[int, Any]:
+        ranks, residuals = columns
+        return dict(zip(scope.tolist(), zip(ranks.tolist(), residuals.tolist())))
 
 
 # ----------------------------------------------------------------------
@@ -679,6 +672,6 @@ class LocalWccKernel(QueryKernel):
         # relaying (label, hops - 1) increments the packed key by exactly 1
         return targets, ib[src_pos] + 1, ip[src_pos], {}
 
-    def state_dict(self, keys: np.ndarray, scope_mask: np.ndarray) -> Dict[int, Any]:
-        vertices, packed = _scope_lists(scope_mask, keys)
-        return dict(zip(vertices, map(self.decode_key, packed)))
+    def answer_dict(self, scope: np.ndarray, *columns: np.ndarray) -> Dict[int, Any]:
+        (keys,) = columns
+        return dict(zip(scope.tolist(), map(self.decode_key, keys.tolist())))

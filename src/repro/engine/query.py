@@ -26,7 +26,7 @@ from typing import (
 import numpy as np
 
 from repro.errors import QueryError
-from repro.engine.kernels import ArrayMailbox, group_by_owner
+from repro.engine.kernels import ArrayMailbox, group_by_owner, scope_columns
 from repro.engine.vertex_program import VertexProgram
 from repro.graph.digraph import DiGraph
 
@@ -75,8 +75,9 @@ class QueryRuntime:
     mailboxes, barrier bookkeeping, the activation report buffer, the
     in-flight compute counts and the latest checkpoint all live here (the
     engine keeps no map keyed by query id besides ``runtimes`` itself).
-    :meth:`release` ends that lifetime at finish: the sparse answer in
-    ``state`` stays for ``query_result()``, every working structure goes.
+    :meth:`release` ends that lifetime at finish: the answer stays for
+    ``query_result()`` — the sparse ``state`` dict on the generic path, the
+    ``answer`` columns on the vectorized path — every working structure goes.
 
     Two mailbox/state representations coexist:
 
@@ -87,11 +88,14 @@ class QueryRuntime:
       :class:`~repro.engine.kernels.QueryKernel`): mailboxes are
       ``{worker: ArrayMailbox}`` and the vertex data lives in the kernel's
       dense numpy buffers (``kstate``) with scope tracked by ``scope_mask``;
-      ``state`` is materialized back into dict form when the query finishes.
+      ``state`` stays empty, and at finish the dense buffers shrink to
+      ``answer``: the scope ids and each state column gathered at them.
 
-    The query scope GS(q) has one representation per path — ``scope_mask``
-    while a kernel query runs, the keys of ``state`` otherwise — read
-    through :meth:`scope_vertices`.
+    The query scope GS(q) has one representation per path and phase —
+    ``scope_mask`` while a kernel query runs, ``answer[0]`` once it has
+    finished, the keys of ``state`` on the generic path — read through
+    :meth:`scope_vertices`; the ``{vertex: Dv}`` view is built on demand by
+    :meth:`materialized_state`, from the same gather on both phases.
     """
 
     __slots__ = (
@@ -116,6 +120,7 @@ class QueryRuntime:
         "kernel",
         "kstate",
         "scope_mask",
+        "answer",
     )
 
     def __init__(self, query: Query, graph: Optional[DiGraph] = None) -> None:
@@ -166,6 +171,9 @@ class QueryRuntime:
         if self.kernel is not None:
             self.kstate = self.kernel.make_state(graph)
             self.scope_mask = np.zeros(graph.num_vertices, dtype=bool)
+        #: a finished kernel query's answer, written once by :meth:`release`:
+        #: ``(scope ids, *state columns gathered at them)``
+        self.answer: Optional[Tuple[np.ndarray, ...]] = None
 
         for name, (_fn, identity) in query.program.aggregators().items():
             self.agg_committed[name] = identity
@@ -337,14 +345,19 @@ class QueryRuntime:
 
     def materialized_state(self) -> Dict[int, Any]:
         """The sparse ``{vertex: Dv}`` view, whichever path is active."""
+        columns = self.answer
         if self.scope_mask is not None:
-            return self.kernel.state_dict(self.kstate, self.scope_mask)
-        return self.state
+            columns = scope_columns(self.kstate, self.scope_mask)
+        if columns is None:
+            return self.state
+        return self.kernel.answer_dict(*columns)
 
     def scope_vertices(self) -> np.ndarray:
         """The query scope GS(q): every vertex activated so far (sorted)."""
         if self.scope_mask is not None:
             return np.flatnonzero(self.scope_mask)
+        if self.answer is not None:
+            return self.answer[0].copy()
         scope = np.fromiter(self.state, dtype=np.int64, count=len(self.state))
         scope.sort()
         return scope
@@ -352,15 +365,20 @@ class QueryRuntime:
     def release(self) -> None:
         """End of the query's lifetime: keep the answer, drop the rest.
 
-        Freezes the kernel buffers into the sparse ``state`` dict (what
-        ``query_result()`` answers from) and frees every working
-        structure — dense buffers, both mailbox generations, barrier
-        bookkeeping, activation buffer, in-flight map, checkpoint.  Event
-        handlers reach a finished runtime only behind their
-        ``qr.finished`` guard, and the barrier reset (over the now empty
-        mailboxes) fences whatever acks are still on the wire.
+        A kernel query keeps its answer as columns in ``answer`` — the
+        ``int64`` scope ids and each dense state column gathered at them,
+        16 B per SSSP entry — and no dict: ``materialized_state()``,
+        ``query_result()`` and ``scope_vertices()`` rebuild their values
+        from the columns on demand.  A generic query keeps its sparse
+        ``state`` dict.  Every working structure is freed — dense buffers,
+        both mailbox generations, barrier bookkeeping, activation buffer,
+        in-flight map, checkpoint.  Event handlers reach a finished runtime
+        only behind their ``qr.finished`` guard, and the barrier reset
+        (over the now empty mailboxes) fences whatever acks are still on
+        the wire.
         """
-        self.state = self.materialized_state()
+        if self.scope_mask is not None:
+            self.answer = scope_columns(self.kstate, self.scope_mask)
         self.finished = True
         self.kstate = None
         self.scope_mask = None

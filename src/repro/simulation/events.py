@@ -20,18 +20,15 @@ from repro.errors import SimulationError
 __all__ = ["Event", "EventQueue"]
 
 
-@dataclass(order=True)
+@dataclass(slots=True)
 class Event:
-    """One scheduled occurrence.
-
-    Ordering is by ``(time, seq)``; ``kind`` and ``payload`` are excluded
-    from comparisons.
-    """
+    """One scheduled occurrence: a slotted record, never compared — the
+    heap orders the ``(time, seq, event)`` tuples by their unique ``seq``."""
 
     time: float
     seq: int
-    kind: str = field(compare=False)
-    payload: Dict[str, Any] = field(compare=False, default_factory=dict)
+    kind: str
+    payload: Dict[str, Any] = field(default_factory=dict)
 
 
 class EventQueue:
@@ -59,7 +56,7 @@ class EventQueue:
         time = max(time, self._now)
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time=time, seq=seq, kind=kind, payload=payload)
+        event = Event(time, seq, kind, payload)
         heapq.heappush(self._heap, (time, seq, event))
         return event
 

@@ -131,9 +131,9 @@ class TestMultiQueryIsolation:
         assert r0["distance"] == pytest.approx(8.0)
         assert r1["distance"] == pytest.approx(8.0)
         rt0, rt1 = eng.runtimes[0], eng.runtimes[1]
-        assert rt0.state is not rt1.state
-        assert rt0.state[0] == 0.0       # own start
-        assert rt1.state[24] == 0.0
+        assert rt0.answer[1] is not rt1.answer[1]
+        assert rt0.materialized_state()[0] == 0.0       # own start
+        assert rt1.materialized_state()[24] == 0.0
 
     def test_concurrent_queries_same_result_as_solo(self):
         g = grid_graph(6, 6)

@@ -22,7 +22,16 @@ from repro.engine.kernels import (
     expand_edges,
     group_by_owner,
 )
-from repro.graph import DiGraph, grid_graph, rmat_graph, watts_strogatz
+from repro.engine.query import QueryRuntime
+from repro.graph import (
+    DiGraph,
+    GraphDelta,
+    MutableDiGraph,
+    NewVertexSpec,
+    grid_graph,
+    rmat_graph,
+    watts_strogatz,
+)
 from repro.partitioning import HashPartitioner
 from repro.queries import (
     BfsProgram,
@@ -34,9 +43,10 @@ from repro.queries import (
     SsspProgram,
 )
 from repro.simulation.cluster import make_cluster
+from repro.simulation.faults import FaultPlan, WorkerCrash
 
 
-def build_engine(graph, k=3, sync_mode=SyncMode.HYBRID, **cfg):
+def build_engine(graph, k=3, sync_mode=SyncMode.HYBRID, faults=None, **cfg):
     assignment = HashPartitioner(seed=0).partition(graph, k)
     return QGraphEngine(
         graph,
@@ -46,6 +56,7 @@ def build_engine(graph, k=3, sync_mode=SyncMode.HYBRID, **cfg):
         config=EngineConfig(
             sync_mode=sync_mode, adaptive=False, **cfg
         ),
+        faults=faults,
     )
 
 
@@ -235,9 +246,111 @@ class TestFallback:
         eng = build_engine(social)
         eng.submit(Query(0, SsspProgram(0), (0,)))
         eng.run()
-        qr = eng.runtimes[0]
-        assert qr.state[0] == 0.0
-        assert len(qr.state) == eng.query_result(0)["settled"]
+        state = eng.runtimes[0].materialized_state()
+        assert state[0] == 0.0
+        assert len(state) == eng.query_result(0)["settled"]
+
+
+#: the seven kernel programs: factory, seeds, state bytes per scope entry
+KERNEL_PROGRAMS = {
+    "sssp": (lambda: SsspProgram(5), (5,), 8),
+    "poi": (lambda: PoiProgram(0), (0,), 8),
+    "bfs": (lambda: BfsProgram(1, target=200), (1,), 8),
+    "khop": (lambda: KHopProgram(7, 3), (7,), 8),
+    "reach": (lambda: ReachabilityProgram(9, 280), (9,), 1),
+    "pagerank": (lambda: LocalPageRankProgram(11, epsilon=1e-5), (11,), 16),
+    "wcc": (lambda: LocalWccProgram(4), (3, 8, 12), 8),
+}
+
+
+def run_scenario(graph, case, scenario, at, path):
+    """One query of ``case`` to the end on ``path``: ``"plain"``; ``"churn"``
+    (a vertex wired to every 25th vertex appended at ``at``); ``"crash"``
+    (worker 1 dies at ``at``, checkpoints every 2 iterations).  Returns the
+    engine and the query's ``materialized_state()`` as ``release()`` found it."""
+    factory, seeds, _bytes = KERNEL_PROGRAMS[case]
+    faults, cfg = None, {}
+    if scenario == "churn":
+        graph = MutableDiGraph.from_digraph(graph)
+    if scenario == "crash":
+        faults = FaultPlan(seed=0, crashes=(WorkerCrash(time=at, worker=1),))
+        cfg = dict(checkpoint_interval=2)
+    eng = build_engine(graph, faults=faults, **cfg)
+    eng.submit(Query(0, factory(), seeds))
+    if scenario == "churn":
+        edges = tuple((v, 1.0) for v in range(0, graph.num_vertices, 25))
+        spec = NewVertexSpec(x=0.0, y=0.0, edges=edges)
+        eng.submit_update(GraphDelta(new_vertices=[spec]), at)
+    running = {}
+    release = QueryRuntime.release
+
+    def recording_release(qr):
+        running[qr.query.query_id] = qr.materialized_state()
+        release(qr)
+
+    QueryRuntime.release = recording_release
+    try:
+        with path:
+            eng.run()
+    finally:
+        QueryRuntime.release = release
+    return eng, running[0]
+
+
+@pytest.fixture(scope="module")
+def tagged_social(social):
+    tags = np.zeros(social.num_vertices, dtype=bool)
+    tags[[27, 152]] = True
+    return DiGraph(
+        social.indptr, social.indices, social.weights, coords=social.coords, tags=tags
+    )
+
+
+class TestFinishedAnswerColumns:
+    """A finished kernel query keeps its answer as columns — the ``int64``
+    scope ids and each state column gathered at them — and answers
+    ``materialized_state()``, ``scope_vertices()`` and ``query_result()``
+    from them exactly as the running query and the generic path do, also
+    after a churn epoch and after a crash rolled it back."""
+
+    @pytest.mark.parametrize("scenario", ["plain", "churn", "crash"])
+    @pytest.mark.parametrize("case", sorted(KERNEL_PROGRAMS))
+    def test_answer_columns(self, tagged_social, case, scenario):
+        plain = run_scenario(
+            tagged_social, case, "plain", None, contextlib.nullcontext()
+        )
+        at = 0.3 * plain[0].trace.makespan()
+        vec, running = plain if scenario == "plain" else run_scenario(
+            tagged_social, case, scenario, at, contextlib.nullcontext()
+        )
+        gen, _ = run_scenario(tagged_social, case, scenario, at, generic_path())
+        qr, ref = vec.runtimes[0], gen.runtimes[0]
+        assert qr.finished and qr.kernel is not None and ref.kernel is None
+        assert qr.kstate is None and qr.scope_mask is None
+        assert vec.trace.queries[0].end_time > at
+        if scenario == "churn":
+            assert len(vec.trace.churn_events) == 1
+        if scenario == "crash":
+            assert [r.queries_rolled_back for r in vec.trace.recoveries] == [1]
+
+        scope = qr.scope_vertices()
+        _factory, _seeds, state_bytes = KERNEL_PROGRAMS[case]
+        assert scope.dtype == np.int64
+        assert sum(column.nbytes for column in qr.answer) == scope.size * (
+            8 + state_bytes
+        )
+        assert np.array_equal(scope, ref.scope_vertices())
+        # the finished answer is the running query's last snapshot
+        assert qr.materialized_state() == running
+        state, ref_state = qr.materialized_state(), ref.materialized_state()
+        if case == "pagerank":
+            # sum-combining reorders float additions: same scope, close values
+            assert state.keys() == ref_state.keys()
+            for v, (rank, residual) in state.items():
+                assert (rank, residual) == pytest.approx(ref_state[v])
+        else:
+            assert state == ref_state
+            assert vec.query_result(0) == gen.query_result(0)
 
 
 class TestKernelPrimitives:

@@ -23,7 +23,8 @@ def _load_tool():
 tool = _load_tool()
 
 RECORD = {
-    "wall_run_s": 1.5,  # host time: never compared
+    "wall_run_s": 1.5,  # host time and memory: never compared
+    "peak_rss_mb": 120.0,
     "answer_digest": "abc",
     "submitted": 20,
     "unfinished": [],
@@ -44,6 +45,7 @@ def test_parse_seeds():
 def test_differences_ignore_host_time_and_name_every_differing_key():
     other = copy.deepcopy(RECORD)
     other["wall_run_s"] = 9.0
+    other["peak_rss_mb"] = 90.0
     assert tool.differences(RECORD, other) == []
     other["layers"]["simulation.network.remote_batches"] = 8
     other["layers"]["engine.checkpoint.capture_calls"] = 3  # only on one side
@@ -66,6 +68,18 @@ def test_timing_lines_pair_by_seed_and_take_the_median_of_the_ratios():
         # 0.75 is the middle ratio; 8.00 and 5.00 the middle walls
         "churn_recovery: wall_run_s median 8.00 -> 5.00 s, "
         "median change/parent 0.750 over 3 pairs",
+    ]
+
+
+def test_timing_lines_report_peak_rss_in_mib():
+    pairs = [(1, 125.94, 89.71), (2, 126.2, 90.0), (3, 125.0, 100.0)]
+    assert tool.timing_lines("static_hotspot", pairs, "peak_rss_mb") == [
+        "static_hotspot seed 1: peak_rss_mb 125.9 -> 89.7 (-29%)",
+        "static_hotspot seed 2: peak_rss_mb 126.2 -> 90.0 (-29%)",
+        "static_hotspot seed 3: peak_rss_mb 125.0 -> 100.0 (-20%)",
+        # 90.0 / 126.2 is the middle ratio
+        "static_hotspot: peak_rss_mb median 125.9 -> 90.0 MiB, "
+        "median change/parent 0.713 over 3 pairs",
     ]
 
 
@@ -152,8 +166,13 @@ def test_a_checkout_is_identical_to_itself(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert status == 0
     assert lines[0].startswith("open_mixed seed 7: identical (engine.events ")
-    # --time: one line per pair and the summary, between the runs and the verdict
+    # --time: per host metric one line per pair and the summary, between
+    # the runs and the verdict
     assert lines[1].startswith("open_mixed seed 7: wall_run_s ")
     assert lines[2].startswith("open_mixed: wall_run_s median ")
     assert lines[2].endswith(" over 1 pairs")
-    assert lines[-1] == "ALL IDENTICAL" and len(lines) == 4
+    assert lines[3].startswith("open_mixed seed 7: peak_rss_mb ")
+    assert lines[4].startswith("open_mixed: peak_rss_mb median ")
+    assert " MiB, median change/parent " in lines[4]
+    assert lines[4].endswith(" over 1 pairs")
+    assert lines[-1] == "ALL IDENTICAL" and len(lines) == 6

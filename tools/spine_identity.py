@@ -16,9 +16,10 @@ repartitions, ...), ``answer_digest``, ``submitted``, ``unfinished`` and
 the differing keys; exits non-zero on a difference.
 
 ``--time`` adds what an identity transformation is made for: per workload,
-the ``wall_run_s`` of parent and change seed by seed (the two sides of a
-pair ran at the same moment, under the same load) and the median of the
-per-pair ratios.  It never changes the verdict or the exit status.
+the ``wall_run_s`` and ``peak_rss_mb`` of parent and change seed by seed
+(the two sides of a pair ran at the same moment, under the same load) and
+the median of the per-pair ratios.  It never changes the verdict or the
+exit status.
 
 A workload whose runs differ is followed by one line per ``vt_*`` metric:
 the median and [Q1, Q3] over the seeds at parent and change, whether the
@@ -44,6 +45,8 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 #: a run that takes longer than this is a failure, not a slow machine
 CHILD_TIMEOUT_S = 300
+#: host metrics ``--time`` pairs: record key -> (decimals, unit)
+HOST_METRICS = {"wall_run_s": (2, "s"), "peak_rss_mb": (1, "MiB")}
 #: record keys compared as a whole ...
 SCALARS = ("answer_digest", "submitted", "unfinished", "wrong")
 #: ... and entry by entry
@@ -103,19 +106,22 @@ def differences(parent: Dict[str, Any], change: Dict[str, Any]) -> List[str]:
     return out
 
 
-def timing_lines(workload: str, pairs: Sequence[Tuple[int, float, float]]) -> List[str]:
-    """The ``--time`` report of one workload from its ``(seed, parent
-    wall_run_s, change wall_run_s)`` pairs."""
+def timing_lines(
+    workload: str, pairs: Sequence[Tuple[int, float, float]], key: str = "wall_run_s"
+) -> List[str]:
+    """The ``--time`` report of one workload and one of :data:`HOST_METRICS`
+    from its ``(seed, parent value, change value)`` pairs."""
+    decimals, unit = HOST_METRICS[key]
     lines = [
-        f"{workload} seed {seed}: wall_run_s {parent:.2f} -> {change:.2f} "
-        f"({change / parent - 1.0:+.0%})"
+        f"{workload} seed {seed}: {key} {parent:.{decimals}f} -> "
+        f"{change:.{decimals}f} ({change / parent - 1.0:+.0%})"
         for seed, parent, change in pairs
     ]
     ratio = statistics.median(change / parent for _seed, parent, change in pairs)
     lines.append(
-        f"{workload}: wall_run_s median "
-        f"{statistics.median(p for _s, p, _c in pairs):.2f} -> "
-        f"{statistics.median(c for _s, _p, c in pairs):.2f} s, "
+        f"{workload}: {key} median "
+        f"{statistics.median(p for _s, p, _c in pairs):.{decimals}f} -> "
+        f"{statistics.median(c for _s, _p, c in pairs):.{decimals}f} {unit}, "
         f"median change/parent {ratio:.3f} over {len(pairs)} pairs"
     )
     return lines
@@ -171,7 +177,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="repeatable; default: every workload of BENCHMARK.json")
     parser.add_argument("--smoke", action="store_true", help="smoke-size workloads")
     parser.add_argument("--time", action="store_true",
-                        help="also print the paired wall_run_s and their median ratio")
+                        help="also print the paired wall_run_s and peak_rss_mb "
+                        "and their median ratios")
     args = parser.parse_args(argv)
 
     checkouts = [os.path.abspath(args.parent_dir), os.path.abspath(args.change_dir)]
@@ -182,7 +189,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     differing = 0
     for workload in workloads:
-        walls: List[Tuple[int, float, float]] = []
+        hosts: Dict[str, List[Tuple[int, float, float]]] = {k: [] for k in HOST_METRICS}
         tables: List[Tuple[Dict[str, Any], Dict[str, Any]]] = []
         workload_differs = False
         for seed in args.seeds:
@@ -196,7 +203,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                     if child.poll() is None:
                         child.kill()
                         child.communicate()
-            walls.append((seed, parent["wall_run_s"], change["wall_run_s"]))
+            for key, series in hosts.items():
+                series.append((seed, parent[key], change[key]))
             tables.append((parent["end_to_end"], change["end_to_end"]))
             diffs = differences(parent, change)
             if diffs:
@@ -216,7 +224,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if workload_differs:
             print("\n".join(metric_lines(workload, tables, better)), flush=True)
         if args.time:
-            print("\n".join(timing_lines(workload, walls)), flush=True)
+            for key, series in hosts.items():
+                print("\n".join(timing_lines(workload, series, key)), flush=True)
     if differing:
         print(f"{differing} of {len(workloads) * len(args.seeds)} runs DIFFER")
         return 1

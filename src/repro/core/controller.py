@@ -330,46 +330,53 @@ class Controller:
         weighted = np.zeros((num_units, self.k), dtype=np.int64)
         np.add.at(weighted, unit_of_row, sizes)
 
-        # distinct (unit, vertex) incidences, encoded — the union mass is
-        # what a move actually relocates.  The codes are bounded by
+        # distinct (unit, vertex) incidences, encoded in place — the union
+        # mass is what a move actually relocates.  The codes are bounded by
         # num_units * n, so a presence mask yields the sorted distinct codes
-        # without np.unique's hashing
+        # without np.unique's hashing.  Each incidence-sized array is
+        # dropped once read (docs/controller.md, "Snapshot construction")
         verts, scope_sizes, _qids = store.incidence(query_ids)
-        units = np.repeat(unit_of_row, scope_sizes)
         n = assignment.size
+        codes = np.repeat(unit_of_row * n, scope_sizes)
+        codes += verts
+        del verts
         present = np.zeros(num_units * n, dtype=bool)
-        present[units * n + verts] = True
+        present[codes] = True
+        del codes
         uniq = np.flatnonzero(present)
-        unit_u = uniq // n
-        vert_u = uniq % n
-        owners = assignment[vert_u]
+        del present
+        group_key, vert_u = np.divmod(uniq, n)
+        del uniq
 
         # group by (unit, owner): fragments come out in (unit, owner) order,
-        # each one's vertices ascending.  uniq
-        # is ascending, i.e. already in (unit, vertex) order, so one stable
-        # sort on the encoded (unit, owner) key (owners lie in [0, k)) leaves
-        # each group's vertices ascending — the permutation of
-        # lexsort((vert_u, owners, unit_u)).  The key has num_units * k
-        # values, 256 at the paper's settings: as 16-bit integers numpy
-        # radix-sorts them, a twentieth of the lexsort's cost
-        group_key = unit_u * self.k + owners
+        # each one's vertices ascending.  The distinct codes ascend, i.e.
+        # come in (unit, vertex) order, so one stable sort on the encoded
+        # (unit, owner) key (owners lie in [0, k)) leaves each group's
+        # vertices ascending — the permutation of lexsort((vert_u, owners,
+        # unit_u)).  The key has num_units * k values, 256 at the paper's
+        # settings: as 16-bit integers numpy radix-sorts them, a twentieth
+        # of the lexsort's cost.  Boundaries, units and owners all come
+        # from the sorted key
+        group_key *= self.k
+        group_key += assignment[vert_u]
         if num_units * self.k <= 2**16:
             group_key = group_key.astype(np.uint16)
         order = np.argsort(group_key, kind="stable")
-        u_s = unit_u[order]
-        w_s = owners[order]
+        key_s = group_key[order]
+        del group_key
         v_s = vert_u[order]
-        change = np.empty(u_s.size, dtype=bool)
+        del vert_u, order
+        change = np.empty(key_s.size, dtype=bool)
         change[0] = True
-        change[1:] = (u_s[1:] != u_s[:-1]) | (w_s[1:] != w_s[:-1])
+        np.not_equal(key_s[1:], key_s[:-1], out=change[1:])
         starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], u_s.size)
+        del change
+        ends = np.append(starts[1:], key_s.size)
 
         fragments: List[Fragment] = []
         fragment_vertices: Dict[Tuple[int, int], np.ndarray] = {}
         for s, e in zip(starts, ends):
-            unit = int(u_s[s])
-            w = int(w_s[s])
+            unit, w = divmod(int(key_s[s]), self.k)
             members = v_s[s:e]
             fragments.append(
                 Fragment(

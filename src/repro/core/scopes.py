@@ -173,7 +173,10 @@ class ScopeStore:
             sizes = np.array([a.size for a in arrays], dtype=np.int64)
             indptr = np.zeros(len(qids) + 1, dtype=np.int64)
             np.cumsum(sizes, out=indptr[1:])
-            vertices = np.concatenate(arrays) if arrays else _EMPTY
+            vertices = np.concatenate(arrays) if arrays else np.empty(0, np.int64)
+            # handed out as is by incidence(): read-only, so no caller can
+            # corrupt the cached view
+            vertices.flags.writeable = False
             self._flat = (np.asarray(qids, dtype=np.int64), indptr, vertices)
         return self._flat
 
@@ -202,11 +205,17 @@ class ScopeStore:
         the default is all tracked queries in sorted-id order.  This is the
         single gather every aggregate below (and the controller's snapshot
         builder) shares.
+
+        A selection of every non-empty row in order — the default, and the
+        snapshot's tracked queries — returns the cached flat column itself,
+        read-only, instead of a gathered copy.
         """
         rows, out_qids = self._rows_for(query_ids)
         _qids, indptr, vertices = self._flat_view()
         counts = indptr[rows + 1] - indptr[rows]
-        verts = vertices[_ranges(indptr[rows], counts)]
+        if int(counts.sum()) == vertices.size and bool(np.all(rows[1:] > rows[:-1])):
+            return vertices, counts, out_qids
+        verts = vertices[concat_ranges(indptr[rows], counts)]
         return verts, counts, out_qids
 
     def local_size_matrix(
@@ -225,14 +234,16 @@ class ScopeStore:
         sizes = np.zeros((counts.size, k), dtype=np.int64)
         if verts.size == 0:
             return sizes, out_qids
+        # the encoded cells row * k + owner, built in place: one
+        # incidence-sized array plus the owners being added
+        cells = np.repeat(np.arange(counts.size, dtype=np.int64) * k, counts)
         owners = assignment[verts]
-        row_idx = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
         valid = (owners >= 0) & (owners < k)
+        cells += owners
+        del owners
         if not valid.all():
-            owners = owners[valid]
-            row_idx = row_idx[valid]
-        flat = np.bincount(row_idx * k + owners, minlength=counts.size * k)
-        sizes[:, :] = flat.reshape(counts.size, k)
+            cells = cells[valid]
+        sizes[:, :] = np.bincount(cells, minlength=counts.size * k).reshape(counts.size, k)
         return sizes, out_qids
 
     def scope_mass(
@@ -266,12 +277,12 @@ class ScopeStore:
         verts, counts, out_qids = self.incidence(query_ids)
         if verts.size == 0:
             return {}
-        row_idx = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-        return _count_pair_overlaps(verts, row_idx, out_qids, min_overlap)
-
-
-# the shared range-expansion helper (also used by the batched partitioners)
-_ranges = concat_ranges
+        return _count_pair_overlaps(
+            verts,
+            np.repeat(np.arange(counts.size, dtype=np.int32), counts),
+            out_qids,
+            min_overlap,
+        )
 
 
 def _count_pair_overlaps(
@@ -279,32 +290,39 @@ def _count_pair_overlaps(
     row_idx: np.ndarray,
     row_qids: np.ndarray,
     min_overlap: int,
-    max_pairs_per_chunk: int = 1_000_000,
+    max_pairs_per_chunk: int = 65_536,
 ) -> Dict[Tuple[int, int], int]:
     """Count co-occurring query pairs from (vertex, query-row) incidences.
 
     ``verts``/``row_idx`` must contain each (vertex, row) pair at most once.
     Pair expansion is streamed in bounded chunks, so dense overlap cannot
     blow up peak memory and the chunk temporaries stay allocator-warm;
-    per-chunk key counts are merged at the end.
+    per-chunk key counts are merged at the end.  Each incidence-sized
+    array is dropped once read: the sort's transients aside, the expansion
+    holds 16 B per incidence (int32 rows and fan-outs, int64 running pair
+    count) plus one chunk.
     """
     num_rows = int(row_qids.size)
     if num_rows < 2 or verts.size == 0:
         return {}
     order = np.lexsort((row_idx, verts))
+    # int32 rows halve the bandwidth of the pair expansion; the incidence
+    # table is far below 2^31 entries by construction
+    r = row_idx.astype(np.int32, copy=False)[order]
+    del row_idx
     v = verts[order]
-    # int32 positions/rows halve the bandwidth of the pair expansion; the
-    # incidence table is far below 2^31 entries by construction
-    r = row_idx[order].astype(np.int32)
-    new_group = np.empty(v.size, dtype=bool)
-    new_group[0] = True
-    np.not_equal(v[1:], v[:-1], out=new_group[1:])
-    group_start = np.flatnonzero(new_group)
-    group_size = np.diff(np.append(group_start, v.size))
-    gi = np.cumsum(new_group) - 1
-    # successors of each entry inside its vertex group = its pair fan-out
-    pos = np.arange(v.size, dtype=np.int64) - group_start[gi]
-    fanout = group_size[gi] - 1 - pos
+    del order
+    # an entry's pair fan-out is the number of its successors inside its
+    # vertex group: group end - 1 - position
+    last = np.empty(v.size, dtype=bool)
+    last[-1] = True
+    np.not_equal(v[1:], v[:-1], out=last[:-1])
+    del v
+    ends = np.flatnonzero(last) + 1
+    del last
+    fanout = np.repeat(ends.astype(np.int32), np.diff(ends, prepend=0))
+    del ends
+    fanout -= np.arange(1, fanout.size + 1, dtype=np.int32)
 
     # accumulate encoded-pair counts chunk by chunk.  With Q rows the key
     # space is Q^2; for the controller's windowed query counts (<= a couple
@@ -316,8 +334,8 @@ def _count_pair_overlaps(
     acc = np.zeros(num_rows * num_rows, dtype=np.int64) if dense else None
     keys_parts: List[np.ndarray] = []
     counts_parts: List[np.ndarray] = []
-    cum = np.cumsum(fanout)
-    total_pairs = int(cum[-1]) if cum.size else 0
+    cum = np.cumsum(fanout, dtype=np.int64)
+    total_pairs = int(cum[-1])
     start = 0
     emitted = 0
     while emitted < total_pairs:
@@ -330,11 +348,10 @@ def _count_pair_overlaps(
             # row is always < its successors' rows.  right[j] enumerates the
             # successor positions: for pair j in the chunk it equals
             # (entry position + 1 + offset-within-the-entry's-fan-out).
-            rep32 = rep.astype(np.int32)
             idx = np.arange(start, stop, dtype=np.int32)
-            base = np.repeat(idx + 1 - (np.cumsum(rep32) - rep32), rep32)
+            base = np.repeat(idx + 1 - (np.cumsum(rep) - rep), rep)
             base += np.arange(n_pairs, dtype=np.int32)
-            keys = np.repeat(r[start:stop].astype(key_dtype), rep32)
+            keys = np.repeat(r[start:stop].astype(key_dtype), rep)
             keys *= num_rows
             keys += r[base]
             if dense:

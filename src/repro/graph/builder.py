@@ -1,7 +1,8 @@
 """Mutable builder producing immutable :class:`~repro.graph.digraph.DiGraph`.
 
-The builder accumulates edges in simple Python lists (cheap appends) and
-performs a single vectorised CSR conversion in :meth:`GraphBuilder.build`.
+The builder accumulates edges as numpy array chunks (24 B an edge; single
+edges are buffered in short Python lists and flushed to a chunk) and performs
+a single vectorised CSR conversion in :meth:`GraphBuilder.build`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
 
 __all__ = ["GraphBuilder", "csr_arrays_from_edges", "edge_keys"]
+
+#: single edges buffered as Python scalars before they become a chunk
+#: (~190 B an edge in lists, 24 B in a chunk)
+_SCALAR_FLUSH = 4096
 
 
 def edge_keys(src: np.ndarray, dst: np.ndarray, num_vertices: int) -> np.ndarray:
@@ -80,6 +85,11 @@ class GraphBuilder:
         if num_vertices < 0:
             raise GraphError("num_vertices must be non-negative")
         self._n = int(num_vertices)
+        #: the edges so far as ``(src, dst, weights)`` array chunks, in
+        #: insertion order ...
+        self._chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._chunk_edges = 0
+        #: ... followed by the single edges added since the last chunk
         self._src: List[int] = []
         self._dst: List[int] = []
         self._w: List[float] = []
@@ -97,7 +107,7 @@ class GraphBuilder:
     @property
     def num_edges(self) -> int:
         """Number of edges added so far."""
-        return len(self._src)
+        return self._chunk_edges + len(self._src)
 
     def add_vertices(self, count: int) -> int:
         """Append ``count`` fresh vertices; returns the id of the first one."""
@@ -116,6 +126,8 @@ class GraphBuilder:
         self._src.append(int(u))
         self._dst.append(int(v))
         self._w.append(float(weight))
+        if len(self._src) >= _SCALAR_FLUSH:
+            self._flush_scalars()
 
     def add_bidirectional_edge(self, u: int, v: int, weight: float = 1.0) -> None:
         """Add both ``u -> v`` and ``v -> u`` (road segments are two-way)."""
@@ -135,9 +147,11 @@ class GraphBuilder:
         Same validation and same resulting edge order as calling
         :meth:`add_edge` once per element.
         """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        weights = np.asarray(weights, dtype=np.float64)
+        # copies: the chunk is kept until build(), so an alias of a
+        # caller-reused buffer would corrupt the graph
+        src = np.array(src, dtype=np.int64)
+        dst = np.array(dst, dtype=np.int64)
+        weights = np.array(weights, dtype=np.float64)
         if not (src.ndim == 1 and src.shape == dst.shape == weights.shape):
             raise GraphError("src, dst and weights must be 1-d arrays of equal length")
         if src.size == 0:
@@ -146,9 +160,39 @@ class GraphBuilder:
             raise GraphError("edge array references unknown vertex")
         if np.any(weights < 0):
             raise GraphError("negative edge weights are not supported")
-        self._src.extend(src.tolist())
-        self._dst.extend(dst.tolist())
-        self._w.extend(weights.tolist())
+        self._flush_scalars()
+        self._append_chunk(src, dst, weights)
+
+    def _append_chunk(self, src: np.ndarray, dst: np.ndarray, weights: np.ndarray) -> None:
+        self._chunks.append((src, dst, weights))
+        self._chunk_edges += src.size
+
+    def _flush_scalars(self) -> None:
+        """Move the buffered single edges into a chunk, keeping edge order."""
+        if self._src:
+            self._append_chunk(
+                np.array(self._src, dtype=np.int64),
+                np.array(self._dst, dtype=np.int64),
+                np.array(self._w, dtype=np.float64),
+            )
+            self._src, self._dst, self._w = [], [], []
+
+    def _edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every edge so far as one ``(src, dst, weights)`` chunk.
+
+        The chunks are merged in place, so the builder never holds its
+        edges twice and a second :meth:`build` starts from the merged chunk.
+        """
+        self._flush_scalars()
+        if not self._chunks:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, np.empty(0, dtype=np.float64)
+        if len(self._chunks) > 1:
+            srcs, dsts, weights = zip(*self._chunks)
+            self._chunks = [
+                (np.concatenate(srcs), np.concatenate(dsts), np.concatenate(weights))
+            ]
+        return self._chunks[0]
 
     def _coord_rows(self) -> np.ndarray:
         """The coordinate array, grown to cover every current vertex."""
@@ -198,9 +242,7 @@ class GraphBuilder:
             minimum weight (shortest-path semantics).
         """
         n = self._n
-        src = np.asarray(self._src, dtype=np.int64)
-        dst = np.asarray(self._dst, dtype=np.int64)
-        w = np.asarray(self._w, dtype=np.float64)
+        src, dst, w = self._edge_arrays()
 
         if deduplicate and src.size:
             # Sort by (src, dst, weight) so the first of each (src, dst) group

@@ -216,7 +216,9 @@ def _delaunay_edges(centers: np.ndarray) -> Set[Tuple[int, int]]:
     """Highway corridors between cities: Delaunay edges of the centres.
 
     Falls back to a chain plus nearest-neighbour links when scipy is not
-    available or the point set is degenerate.
+    available (``ImportError``) or the point set is degenerate
+    (``QhullError``).  Any other error — a malformed centres array, say —
+    propagates instead of silently changing the highway topology.
     """
     n = centers.shape[0]
     if n <= 1:
@@ -224,29 +226,38 @@ def _delaunay_edges(centers: np.ndarray) -> Set[Tuple[int, int]]:
     if n == 2:
         return {(0, 1)}
     try:
-        from scipy.spatial import Delaunay  # local import keeps scipy optional
-
+        # local import keeps scipy optional
+        from scipy.spatial import Delaunay, QhullError
+    except ImportError:
+        return _fallback_corridors(centers)
+    try:
         tri = Delaunay(centers)
-        edges: Set[Tuple[int, int]] = set()
-        for simplex in tri.simplices:
-            for a in range(3):
-                u, v = int(simplex[a]), int(simplex[(a + 1) % 3])
-                edges.add((min(u, v), max(u, v)))
-        return edges
-    except Exception:
-        edges = set()
-        order = np.argsort(centers[:, 0])
-        for i in range(n - 1):
-            edges.add(
-                (min(int(order[i]), int(order[i + 1])),
-                 max(int(order[i]), int(order[i + 1])))
-            )
-        for u in range(n):
-            d = np.hypot(centers[:, 0] - centers[u, 0], centers[:, 1] - centers[u, 1])
-            d[u] = np.inf
-            v = int(np.argmin(d))
+    except QhullError:
+        return _fallback_corridors(centers)
+    edges: Set[Tuple[int, int]] = set()
+    for simplex in tri.simplices:
+        for a in range(3):
+            u, v = int(simplex[a]), int(simplex[(a + 1) % 3])
             edges.add((min(u, v), max(u, v)))
-        return edges
+    return edges
+
+
+def _fallback_corridors(centers: np.ndarray) -> Set[Tuple[int, int]]:
+    """A chain in x order plus each centre's nearest-neighbour link."""
+    n = centers.shape[0]
+    edges: Set[Tuple[int, int]] = set()
+    order = np.argsort(centers[:, 0])
+    for i in range(n - 1):
+        edges.add(
+            (min(int(order[i]), int(order[i + 1])),
+             max(int(order[i]), int(order[i + 1])))
+        )
+    for u in range(n):
+        d = np.hypot(centers[:, 0] - centers[u, 0], centers[:, 1] - centers[u, 1])
+        d[u] = np.inf
+        v = int(np.argmin(d))
+        edges.add((min(u, v), max(u, v)))
+    return edges
 
 
 def generate_road_network(

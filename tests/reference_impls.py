@@ -10,7 +10,9 @@ vectorized paths replaced, kept only to check those paths against.
   the per-neighbour scoring loops behind the batched LDG and FENNEL
   partitioners;
 * :func:`generic_path` — runs built-in vertex programs on the engine's
-  generic per-vertex path instead of their vectorized kernels.
+  generic per-vertex path instead of their vectorized kernels;
+* :class:`ListEdgeBuilder` — the three Python edge lists behind
+  :class:`~repro.graph.builder.GraphBuilder`'s array chunks.
 
 Each oracle must produce exactly what its library counterpart produces.
 """
@@ -27,6 +29,7 @@ from repro.core import Controller, ControllerConfig, cluster_queries
 from repro.core.scopes import scope_worker_counts
 from repro.core.state import Fragment
 from repro.engine import VertexProgram
+from repro.graph.builder import csr_arrays_from_edges
 from repro.graph.digraph import DiGraph
 from repro.partitioning import FennelPartitioner, LdgPartitioner
 
@@ -263,3 +266,61 @@ def generic_path() -> Iterator[None]:
     finally:
         for cls, make_kernel in saved.items():
             cls.make_kernel = make_kernel
+
+
+# ----------------------------------------------------------------------
+# graph builder
+# ----------------------------------------------------------------------
+class ListEdgeBuilder:
+    """``GraphBuilder``'s edge calls on three Python lists, one element per
+    edge, turned into CSR arrays in one go.  No validation: feed it only
+    the calls the library builder accepted."""
+
+    def __init__(self, num_vertices: int = 0) -> None:
+        self.num_vertices = num_vertices
+        self.src: List[int] = []
+        self.dst: List[int] = []
+        self.w: List[float] = []
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.src)
+
+    def add_vertices(self, count: int) -> int:
+        first = self.num_vertices
+        self.num_vertices += count
+        return first
+
+    def add_edge(self, u: int, v: int, weight: float = 1.0) -> None:
+        self.src.append(int(u))
+        self.dst.append(int(v))
+        self.w.append(float(weight))
+
+    def add_bidirectional_edge(self, u: int, v: int, weight: float = 1.0) -> None:
+        self.add_edge(u, v, weight)
+        self.add_edge(v, u, weight)
+
+    def add_edges(self, edges: Iterable[Tuple[int, int, float]]) -> None:
+        for u, v, w in edges:
+            self.add_edge(u, v, w)
+
+    def add_edge_arrays(self, src: np.ndarray, dst: np.ndarray, weights: np.ndarray) -> None:
+        self.src.extend(np.asarray(src).tolist())
+        self.dst.extend(np.asarray(dst).tolist())
+        self.w.extend(np.asarray(weights, dtype=np.float64).tolist())
+
+    def csr(self, deduplicate: bool = False) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, indices, weights)``; ``deduplicate`` keeps the minimum
+        weight of each parallel-edge group."""
+        src = np.asarray(self.src, dtype=np.int64)
+        dst = np.asarray(self.dst, dtype=np.int64)
+        w = np.asarray(self.w, dtype=np.float64)
+        if deduplicate and src.size:
+            best: Dict[Tuple[int, int], float] = {}
+            for u, v, x in zip(self.src, self.dst, self.w):
+                best[(u, v)] = min(best.get((u, v), x), x)
+            pairs = sorted(best)
+            src = np.asarray([u for u, _v in pairs], dtype=np.int64)
+            dst = np.asarray([v for _u, v in pairs], dtype=np.int64)
+            w = np.asarray([best[p] for p in pairs], dtype=np.float64)
+        return csr_arrays_from_edges(src, dst, w, self.num_vertices)

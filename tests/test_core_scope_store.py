@@ -4,14 +4,24 @@ oracle (``tests/reference_impls.py``).
 Seeded-random property tests proving the vectorized paths (incidence-CSR
 aggregates, encoded-pair intersection counting) reproduce the oracles
 exactly, across the edge cases: empty scopes, single query,
-all-overlapping queries, and k=1.
+all-overlapping queries, and k=1.  ``TestSnapshotMemory`` pins the Q-cut
+snapshot's transient memory per incidence and its output on a store of
+100 k incidences.
 """
+
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from reference_impls import QueryScopes, pairwise_intersections
-from repro.core import ScopeStore, scope_worker_counts
+from reference_impls import (
+    QueryScopes,
+    pairwise_intersections,
+    reference_controller,
+    reference_snapshot,
+)
+from repro.core import Controller, ControllerConfig, ScopeStore, scope_worker_counts
 from repro.core.scopes import _count_pair_overlaps
 
 
@@ -172,6 +182,24 @@ class TestStoreEquivalence:
         assert counts.tolist() == [1, 2]
         assert verts.tolist() == [7, 5, 6]
 
+    def test_all_rows_incidence_is_the_read_only_flat_column(self):
+        """Every non-empty row in order — the default and the snapshot's
+        selection — hands out the cached column itself, which no caller can
+        write; any other selection gets a gathered copy."""
+        _, store = build_both([(3, [5, 6]), (1, [7]), (4, [])])
+        for selection in (None, [1, 3], [1, 3, 4]):
+            verts, _counts, _qids = store.incidence(selection)
+            assert verts.tolist() == [7, 5, 6]
+            assert not verts.flags.writeable
+            with pytest.raises(ValueError):
+                verts[0] = 0
+        assert store.incidence([1, 3])[0] is store.incidence()[0]
+        for selection in ([3, 1], [3], [1, 1, 3]):
+            verts, _counts, _qids = store.incidence(selection)
+            assert verts.flags.writeable
+        assert store.incidence([3, 1])[0].tolist() == [5, 6, 7]
+        assert store.incidence([1, 1, 3])[0].tolist() == [7, 7, 5, 6]
+
 
 class TestPairwiseEquivalence:
     @pytest.mark.parametrize("seed", range(25))
@@ -257,3 +285,95 @@ class TestScopeWorkerCounts:
     def test_empty_scope(self):
         counts = scope_worker_counts(set(), np.zeros(3, np.int64), 4)
         assert counts.tolist() == [0, 0, 0, 0]
+
+
+def hotspot_controller(make=Controller, n=40_000, k=8, num_queries=64, seed=11):
+    """A controller tracking 64 queries around 8 hotspots (103 909
+    scope incidences, scopes overlapping within a hotspot) and an
+    assignment to plan it on."""
+    rng = np.random.default_rng(seed)
+    ctrl = make(k, ControllerConfig(seed=3))
+    hotspots = rng.integers(0, n, size=8)
+    for qid in range(num_queries):
+        ctrl.on_query_started(qid, float(qid))
+        size = int(rng.integers(2_100, 3_000))
+        spread = rng.normal(0.0, 700.0, size=size).astype(np.int64)
+        ctrl.scopes.add_activations(qid, (hotspots[qid % 8] + spread) % n)
+    assignment = rng.integers(0, k, size=n).astype(np.int64)
+    return ctrl, assignment
+
+
+def capture_fragments(monkeypatch, ctrl):
+    """Record the fragments and fragment vertices ``ctrl``'s next snapshot
+    is finalized from."""
+    seen = {}
+    finalize = ctrl._finalize_snapshot
+
+    def record(assignment, num_units, fragments, fragment_vertices):
+        seen["fragments"], seen["vertices"] = fragments, fragment_vertices
+        return finalize(assignment, num_units, fragments, fragment_vertices)
+
+    monkeypatch.setattr(ctrl, "_finalize_snapshot", record)
+    return seen
+
+
+def incidences(ctrl):
+    return sum(ctrl.scopes.global_scope_size(q) for q in ctrl.monitor.tracked_queries())
+
+
+class TestSnapshotMemory:
+    def test_transient_memory_is_a_few_words_per_incidence(self):
+        """The snapshot — flat view, pair counting, local sizes, fragment
+        grouping — peaks at <= 64 B per incidence plus 1 MiB (one pair
+        chunk, the presence mask, the clustering); the builder this
+        replaced took 151 B per incidence on this store."""
+        ctrl, assignment = hotspot_controller()
+        num_incidences = incidences(ctrl)
+        assert num_incidences >= 100_000
+        tracemalloc.start()
+        try:
+            ctrl._build_snapshot(assignment)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * num_incidences + 2**20
+
+    def test_snapshot_output_is_unchanged(self, monkeypatch):
+        """The overlaps, the fragments in order and each fragment's
+        ascending int64 vertices: equal to the set-based oracle's, and
+        byte for byte to the digest of the presence-mask builder before
+        its memory was bounded."""
+        ctrl, assignment = hotspot_controller()
+        seen = capture_fragments(monkeypatch, ctrl)
+        pairwise = ctrl.scopes.pairwise_intersections
+
+        def record_overlaps(*args, **kwargs):
+            seen["overlaps"] = pairwise(*args, **kwargs)
+            return seen["overlaps"]
+
+        monkeypatch.setattr(ctrl.scopes, "pairwise_intersections", record_overlaps)
+        ctrl._build_snapshot(assignment)
+        overlaps, fragments, vertices = seen["overlaps"], seen["fragments"], seen["vertices"]
+
+        oracle, _ = hotspot_controller(reference_controller)
+        scope_map = {q: oracle.scopes.global_scope(q) for q in oracle.scopes.queries()}
+        assert list(overlaps.items()) == sorted(pairwise_intersections(scope_map).items())
+        want = capture_fragments(monkeypatch, oracle)
+        reference_snapshot(oracle, assignment)
+        assert fragments == want["fragments"]
+        assert list(vertices) == list(want["vertices"])
+        for key, members in vertices.items():
+            assert members.dtype == np.int64
+            assert members.tolist() == sorted(want["vertices"][key].tolist())
+
+        digest = hashlib.sha256(repr(list(overlaps.items())).encode())
+        digest.update(repr([
+            (f.unit, f.origin_worker, f.union_size, f.weighted_size) for f in fragments
+        ]).encode())
+        for key, members in vertices.items():
+            digest.update(repr(key).encode())
+            digest.update(members.dtype.str.encode())
+            digest.update(members.tobytes())
+        assert digest.hexdigest() == (
+            "47cd308de8f22546d7f97a9dfe6b9e8b3b136ca44aacc47161ccf509613fdfb4"
+        )

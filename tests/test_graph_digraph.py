@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError
+import repro.graph.builder as builder_module
+from reference_impls import ListEdgeBuilder
 from repro.graph import DiGraph, GraphBuilder, csr_arrays_from_edges
 
 
@@ -193,6 +195,60 @@ class TestBuilderArrays:
         assert b.num_edges == 0  # a rejected batch adds nothing
         b.add_edge_arrays(np.array([], dtype=np.int64), np.array([], dtype=np.int64), np.array([]))
         assert b.num_edges == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_calls_match_the_list_reference(self, seed):
+        """Every edge call, interleaved at random — single edges past the
+        scalar buffer's flush size among them — gives the CSR of three
+        plain edge lists; ``num_edges`` is right after every call, and a
+        second build (after more edges) starts from what the first kept."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        builder, ref = GraphBuilder(n), ListEdgeBuilder(n)
+
+        def edge():
+            u, v = rng.integers(0, builder.num_vertices, size=2)
+            return int(u), int(v), float(rng.integers(0, 4))
+
+        def arrays():
+            size = int(rng.integers(0, 30))
+            return (rng.integers(0, builder.num_vertices, size=size),
+                    rng.integers(0, builder.num_vertices, size=size),
+                    rng.integers(0, 4, size=size).astype(np.float64))
+
+        calls = [
+            lambda: ("add_edge", edge()),
+            lambda: ("add_bidirectional_edge", edge()),
+            lambda: ("add_edges", ([edge() for _ in range(int(rng.integers(0, 8)))],)),
+            lambda: ("add_edge_arrays", arrays()),
+            lambda: ("add_vertices", (int(rng.integers(0, 3)),)),
+        ]
+        for step in range(60):
+            if step in (10, 40):
+                batch = [edge() for _ in range(builder_module._SCALAR_FLUSH + 3)]
+                name, args = "add_edges", (batch,)
+            else:
+                name, args = calls[int(rng.integers(0, len(calls)))]()
+            getattr(builder, name)(*args)
+            getattr(ref, name)(*args)
+            assert builder.num_edges == ref.num_edges
+            if step in (20, 59):
+                for dedup in (False, True):
+                    graph = builder.build(deduplicate=dedup)
+                    indptr, indices, weights = ref.csr(deduplicate=dedup)
+                    assert np.array_equal(graph.indptr, indptr)
+                    assert np.array_equal(graph.indices, indices)
+                    assert np.array_equal(graph.weights, weights)
+                    assert builder.num_edges == ref.num_edges
+
+    def test_add_edge_arrays_copies_its_input(self):
+        """Chunks are kept until build: a caller reusing its buffers must not
+        change the graph."""
+        src, dst, w = np.array([0, 1]), np.array([1, 2]), np.array([1.0, 2.0])
+        b = GraphBuilder(3)
+        b.add_edge_arrays(src, dst, w)
+        src[:], dst[:], w[:] = 2, 0, 9.0
+        assert list(b.build().edges()) == [(0, 1, 1.0), (1, 2, 2.0)]
 
     def test_set_coords_matches_set_coord_and_survives_growth(self):
         one_by_one, batched = GraphBuilder(2), GraphBuilder(2)

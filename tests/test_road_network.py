@@ -1,5 +1,6 @@
 """Tests for the synthetic road-network generator (the OSM substitute)."""
 
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graph import baden_wuerttemberg_like, generate_road_network, germany_like
+from repro.graph.road_network import _delaunay_edges
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +118,34 @@ class TestValidation:
     def test_rejects_too_few_vertices(self):
         with pytest.raises(GraphError):
             generate_road_network(10, 20)
+
+
+class TestHighwayCorridors:
+    def test_malformed_centres_raise(self):
+        """A NaN centre is a bug upstream, not a degenerate point set: it
+        must not turn into a silently different highway topology."""
+        centers = np.array([[0.0, 0.0], [1.0, np.nan], [2.0, 3.0]])
+        with pytest.raises(ValueError):
+            _delaunay_edges(centers)
+
+    def test_degenerate_centres_fall_back_to_a_chain(self):
+        """Collinear centres have no triangulation (Qhull's error): chain
+        plus nearest-neighbour links, as documented."""
+        centers = np.array([[2.0, 2.0], [0.0, 0.0], [1.0, 1.0], [3.0, 3.0]])
+        assert _delaunay_edges(centers) == {(0, 2), (0, 3), (1, 2)}
+
+
+class TestBuildMemory:
+    def test_bw_build_peaks_under_128_bytes_per_edge(self):
+        """The builder keeps its edges as array chunks (24 B an edge), not
+        three Python lists: the whole BW-like build peaks at <= 128 B per
+        edge under tracemalloc (193 B with the lists)."""
+        import scipy.spatial  # noqa: F401  # imported outside the measurement
+
+        tracemalloc.start()
+        try:
+            network = baden_wuerttemberg_like(scale=1.0)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * network.graph.num_edges

@@ -67,7 +67,7 @@ def test_timing_lines_pair_by_seed_and_take_the_median_of_the_ratios():
         "churn_recovery seed 3: wall_run_s 4.00 -> 4.40 (+10%)",
         # 0.75 is the middle ratio; 8.00 and 5.00 the middle walls
         "churn_recovery: wall_run_s median 8.00 -> 5.00 s, "
-        "median change/parent 0.750 over 3 pairs",
+        "median change/parent 0.750 over 3 pairs, lower on 2/3 pairs",
     ]
 
 
@@ -79,8 +79,20 @@ def test_timing_lines_report_peak_rss_in_mib():
         "static_hotspot seed 3: peak_rss_mb 125.0 -> 100.0 (-20%)",
         # 90.0 / 126.2 is the middle ratio
         "static_hotspot: peak_rss_mb median 125.9 -> 90.0 MiB, "
-        "median change/parent 0.713 over 3 pairs",
+        "median change/parent 0.713 over 3 pairs, lower on 3/3 pairs",
     ]
+
+
+def test_timing_lines_count_the_pairs_the_change_is_lower_on():
+    """The ≥ 9/10 win count a gain claim needs, read off the summary: a tie
+    counts as not lower."""
+    pairs = [(seed, 100.0, 90.0) for seed in range(1, 9)]
+    pairs += [(9, 100.0, 100.0), (10, 100.0, 101.0)]
+    summary = tool.timing_lines("adaptive_disturbance", pairs, "peak_rss_mb")[-1]
+    assert summary.endswith(", lower on 8/10 pairs")
+    pairs[8] = (9, 100.0, 99.9)
+    summary = tool.timing_lines("adaptive_disturbance", pairs, "peak_rss_mb")[-1]
+    assert summary.endswith(", lower on 9/10 pairs")
 
 
 def test_metric_lines_take_medians_and_count_seeds_by_declared_direction():
@@ -170,9 +182,11 @@ def test_a_checkout_is_identical_to_itself(capsys):
     # the runs and the verdict
     assert lines[1].startswith("open_mixed seed 7: wall_run_s ")
     assert lines[2].startswith("open_mixed: wall_run_s median ")
-    assert lines[2].endswith(" over 1 pairs")
+    assert " over 1 pairs, lower on " in lines[2]
+    assert lines[2].endswith("/1 pairs")
     assert lines[3].startswith("open_mixed seed 7: peak_rss_mb ")
     assert lines[4].startswith("open_mixed: peak_rss_mb median ")
     assert " MiB, median change/parent " in lines[4]
-    assert lines[4].endswith(" over 1 pairs")
+    assert " over 1 pairs, lower on " in lines[4]
+    assert lines[4].endswith("/1 pairs")
     assert lines[-1] == "ALL IDENTICAL" and len(lines) == 6

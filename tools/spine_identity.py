@@ -17,9 +17,10 @@ the differing keys; exits non-zero on a difference.
 
 ``--time`` adds what an identity transformation is made for: per workload,
 the ``wall_run_s`` and ``peak_rss_mb`` of parent and change seed by seed
-(the two sides of a pair ran at the same moment, under the same load) and
-the median of the per-pair ratios.  It never changes the verdict or the
-exit status.
+(the two sides of a pair ran at the same moment, under the same load), the
+median of the per-pair ratios and on how many pairs the change was lower
+(a gain is claimed only when it is lower on at least 9 of 10 pairs).  It
+never changes the verdict or the exit status.
 
 A workload whose runs differ is followed by one line per ``vt_*`` metric:
 the median and [Q1, Q3] over the seeds at parent and change, whether the
@@ -118,11 +119,13 @@ def timing_lines(
         for seed, parent, change in pairs
     ]
     ratio = statistics.median(change / parent for _seed, parent, change in pairs)
+    lower = sum(change < parent for _seed, parent, change in pairs)
     lines.append(
         f"{workload}: {key} median "
         f"{statistics.median(p for _s, p, _c in pairs):.{decimals}f} -> "
         f"{statistics.median(c for _s, _p, c in pairs):.{decimals}f} {unit}, "
-        f"median change/parent {ratio:.3f} over {len(pairs)} pairs"
+        f"median change/parent {ratio:.3f} over {len(pairs)} pairs, "
+        f"lower on {lower}/{len(pairs)} pairs"
     )
     return lines
 

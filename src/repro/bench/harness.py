@@ -106,7 +106,7 @@ class Scenario:
     ``scheduler`` selects the admission policy (``"fifo"`` — the
     historical order — or ``"locality"``); ``arrival``/``arrival_rate``
     select the arrival process of the workload phases (``"batch"`` —
-    everything at t=0, the paper's setup — ``"poisson"`` or ``"burst"``).
+    everything at t=0, the paper's setup — or ``"poisson"``).
     The ``"mixed"`` workload blends all seven query programs.
     ``repartition_mode`` picks the STOP/START barrier scope
     (``"global"`` — the paper's whole-cluster drain — or ``"partial"``,

@@ -16,7 +16,7 @@ no in-flight compute and ``next_mailboxes`` has just been rotated away, so
 the snapshot is a consistent cut without any marker protocol.
 
 Timing is charged by the engine (each involved worker is occupied for
-``EngineConfig.checkpoint_cost``); this module is purely logical state.
+``repro.engine.engine.CHECKPOINT_COST``); this module is purely logical state.
 """
 
 from __future__ import annotations

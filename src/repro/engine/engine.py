@@ -104,6 +104,28 @@ BARRIER_ACK_PROTOCOLS: Tuple[Tuple[str, str, str], ...] = (
 )
 
 
+#: CPU seconds a worker spends on a purely local barrier
+LOCAL_BARRIER_COST = 1.0e-6
+#: CPU seconds each involved worker spends writing its checkpoint shard,
+#: plus ``message_handling_time`` per checkpointed message on that worker
+#: (the simulated stable-storage write)
+CHECKPOINT_COST = 2.0e-5
+#: crash detection: the controller sweeps worker heartbeats every
+#: ``HEARTBEAT_INTERVAL`` seconds and declares a worker dead once it has
+#: been silent for ``HEARTBEAT_TIMEOUT`` (only while a fault plan
+#: schedules crashes)
+HEARTBEAT_INTERVAL = 0.002
+HEARTBEAT_TIMEOUT = 0.004
+#: control-plane hardening: a lost barrier ack is retransmitted after
+#: ``CONTROL_RETRY_TIMEOUT`` seconds, the timeout multiplied by
+#: ``CONTROL_RETRY_BACKOFF`` per attempt, for at most
+#: ``CONTROL_MAX_RETRIES`` attempts (the final attempt always lands, so
+#: control loss delays but never strands a barrier)
+CONTROL_RETRY_TIMEOUT = 1.0e-3
+CONTROL_RETRY_BACKOFF = 2.0
+CONTROL_MAX_RETRIES = 8
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Engine-level knobs.
@@ -135,8 +157,6 @@ class EngineConfig:
         behaviour there.
     vertex_state_bytes:
         Bytes transferred per vertex during repartitioning moves.
-    local_barrier_cost:
-        CPU seconds a worker spends on a purely local barrier.
     max_events:
         Runaway-simulation budget: a run that processes more events raises
         an :class:`EngineError` whose message carries a diagnostic snapshot
@@ -149,21 +169,6 @@ class EngineConfig:
         the interval; crash recovery rolls queries back to their latest
         snapshot.  Required (> 0) when a :class:`FaultPlan` schedules
         worker crashes.
-    checkpoint_cost:
-        CPU seconds each involved worker spends writing its checkpoint
-        shard, plus ``message_handling_time`` per checkpointed message on
-        that worker (the simulated stable-storage write).
-    heartbeat_interval / heartbeat_timeout:
-        Crash detection: the controller sweeps worker heartbeats every
-        ``heartbeat_interval`` seconds and declares a worker dead once it
-        has been silent for ``heartbeat_timeout``.  Only active while a
-        fault plan schedules crashes.
-    control_retry_timeout / control_retry_backoff / control_max_retries:
-        Control-plane hardening: a lost barrier ack is retransmitted after
-        ``control_retry_timeout`` seconds, with the timeout multiplied by
-        ``control_retry_backoff`` per attempt, for at most
-        ``control_max_retries`` attempts (the final attempt always lands,
-        so control loss delays but never strands a barrier).
     sanitizer:
         Runtime invariant checking (see :mod:`repro.engine.sanitizer`):
         ``True`` weaves epoch-guarded conservation/monotonicity/liveness
@@ -172,6 +177,10 @@ class EngineConfig:
         violation.  ``None`` (default) defers to the ``REPRO_SANITIZER``
         environment variable, which is how CI sanitizes the whole tier-1
         suite without touching test code.
+
+    The fault-tolerance and barrier costs are module constants
+    (``CHECKPOINT_COST``, ``HEARTBEAT_*``, ``CONTROL_*``,
+    ``LOCAL_BARRIER_COST``).
     """
 
     sync_mode: SyncMode = SyncMode.HYBRID
@@ -180,15 +189,8 @@ class EngineConfig:
     adaptive: bool = True
     repartition_mode: str = "global"
     vertex_state_bytes: int = 48
-    local_barrier_cost: float = 1.0e-6
     max_events: int = 50_000_000
     checkpoint_interval: int = 0
-    checkpoint_cost: float = 2.0e-5
-    heartbeat_interval: float = 0.002
-    heartbeat_timeout: float = 0.004
-    control_retry_timeout: float = 1.0e-3
-    control_retry_backoff: float = 2.0
-    control_max_retries: int = 8
     sanitizer: Optional[bool] = None
 
 
@@ -259,10 +261,10 @@ class QGraphEngine:
         #: which may still have computes in flight on live workers)
         self._held_other_tasks: List[Tuple[int, int]] = []
         self._pending_plan: Optional[MovePlan] = None
-        #: workers halted by the active STOP (None -> all of them: global
-        #: mode, or no STOP in progress)
-        self._stop_workers: Optional[Set[int]] = None
-        #: queries halted by the active partial STOP
+        #: the scope of the active STOP: the workers and the queries it
+        #: halts (every worker and every running query for a global STOP;
+        #: both empty when no STOP is in progress)
+        self._stop_workers: Set[int] = set()
         self._stop_queries: Set[int] = set()
         self._qcut_trigger_time = 0.0
         self._stop_begin_time = 0.0
@@ -302,7 +304,7 @@ class QGraphEngine:
         self._tainted_queries: Set[int] = set()
         if self.config.checkpoint_interval < 0:
             raise EngineError("checkpoint_interval must be >= 0")
-        if faults is not None and (not faults.is_noop() or self._links_have_faults()):
+        if faults is not None and not faults.is_noop():
             faults.validate_for(cluster.num_workers)
             if faults.has_crashes() and self.config.checkpoint_interval <= 0:
                 raise EngineError(
@@ -324,7 +326,7 @@ class QGraphEngine:
                 )
             self._pending_crash_events = len(faults.crashes)
             if faults.has_crashes():
-                self.queue.schedule(self.config.heartbeat_interval, "heartbeat")
+                self.queue.schedule(HEARTBEAT_INTERVAL, "heartbeat")
         #: runtime invariant checker (None -> disabled, the default)
         self.sanitizer: Optional[SimulationSanitizer] = (
             SimulationSanitizer(self)
@@ -417,24 +419,6 @@ class QGraphEngine:
     def _dispatch_cost(self) -> float:
         return self.cluster.machine.controller_dispatch_time
 
-    def _links_have_faults(self) -> bool:
-        """Whether any cluster link carries drop/duplication probabilities.
-
-        Link-level fault probabilities only take effect when a
-        :class:`FaultPlan` supplies the fault RNG stream — without a plan
-        the engine draws no fault randomness at all, keeping fault-free
-        runs bit-identical to builds that predate the fault layer.
-        """
-        k = self.cluster.num_workers
-        for src in range(k):
-            for dst in range(k):
-                if src == dst:
-                    continue
-                link = self.cluster.link(src, dst)
-                if link.drop_probability > 0.0 or link.duplicate_probability > 0.0:
-                    return True
-        return False
-
     def _budget_diagnostics(self) -> str:
         """One-line engine-state snapshot for the runaway-budget error."""
         parts = [
@@ -473,19 +457,20 @@ class QGraphEngine:
         if faults is None or rng is None or faults.control_loss <= 0.0:
             return 0.0
         delay = 0.0
-        timeout = self.config.control_retry_timeout
-        for _attempt in range(self.config.control_max_retries):
+        timeout = CONTROL_RETRY_TIMEOUT
+        for _attempt in range(CONTROL_MAX_RETRIES):
             if rng.random() >= faults.control_loss:
                 break
             self.trace.control_retries += 1
             delay += timeout
-            timeout *= self.config.control_retry_backoff
+            timeout *= CONTROL_RETRY_BACKOFF
         return delay
 
     def _faulty_transfer(
         self, link: NetworkModel, count: int, arrival: float
     ) -> float:
-        """Arrival time of a vertex-message batch train under link faults.
+        """Arrival time of a vertex-message batch train under the plan's
+        message faults.
 
         Reliable transport: a dropped batch is retransmitted after one
         link round-trip plus its transfer time (content is never lost, so
@@ -496,16 +481,8 @@ class QGraphEngine:
         rng = self._fault_rng
         if faults is None or rng is None:  # caller gates on self.faults
             return arrival
-        p_drop = (
-            faults.message_drop
-            if faults.message_drop is not None
-            else link.drop_probability
-        )
-        p_dup = (
-            faults.message_duplicate
-            if faults.message_duplicate is not None
-            else link.duplicate_probability
-        )
+        p_drop = faults.message_drop
+        p_dup = faults.message_duplicate
         if p_drop <= 0.0 and p_dup <= 0.0:
             return arrival
         batches = link.num_batches(count)
@@ -549,7 +526,7 @@ class QGraphEngine:
     ) -> None:
         """Snapshot a query at its current barrier (and charge the write).
 
-        Each involved worker pays ``checkpoint_cost`` plus a per-message
+        Each involved worker pays ``CHECKPOINT_COST`` plus a per-message
         handling cost for its shard; the initial checkpoint taken at query
         start is free (the submission itself materialized that state).
         """
@@ -566,7 +543,7 @@ class QGraphEngine:
             shard = len(box) if box is not None else 0
             self.workers[w].occupy(
                 max(self.workers[w].busy_until, now),
-                self.config.checkpoint_cost + handling * shard,
+                CHECKPOINT_COST + handling * shard,
             )
 
     def _partial_repartitioning(self) -> bool:
@@ -583,11 +560,7 @@ class QGraphEngine:
 
     def _query_paused(self, query_id: int) -> bool:
         """Whether this query is halted by the STOP in progress."""
-        if not self.paused:
-            return False
-        if self._stop_workers is None:  # global STOP halts everyone
-            return True
-        return query_id in self._stop_queries
+        return self.paused and query_id in self._stop_queries
 
     def _inflight_computes(self) -> int:
         """Computes whose ``compute_done`` has not fired yet, cluster-wide."""
@@ -604,6 +577,12 @@ class QGraphEngine:
         footprint = set(qr.mailboxes) | set(qr.next_mailboxes) | qr.involved
         footprint.update(qr.inflight)
         return footprint
+
+    def _halt_everyone(self) -> None:
+        """Scope the STOP in progress to the whole cluster: every worker and
+        every running query (a global repartition, a crash recovery)."""
+        self._stop_workers = set(range(self.cluster.num_workers))
+        self._stop_queries = set(self.running)
 
     def _plan_scope(self, plan: MovePlan) -> Tuple[Set[int], Set[int]]:
         """The (halted workers, halted queries) of a partial STOP.
@@ -718,7 +697,7 @@ class QGraphEngine:
                 self._held_tasks.append((query_id, worker))
                 self._maybe_begin_stop(now)
                 return
-            if self._stop_workers is not None and worker in self._stop_workers:
+            if worker in self._stop_workers:
                 # a non-halted query's frontier reached a halted worker
                 # mid-STOP: park the task; it resumes (or redirects, if the
                 # rebucket re-homed the mailbox) at START
@@ -925,7 +904,7 @@ class QGraphEngine:
         if local_candidate:
             # local query barrier: resolve on the worker, no controller trip
             w = self.workers[worker]
-            _start, finish = w.occupy(now, self.config.local_barrier_cost)
+            _start, finish = w.occupy(now, LOCAL_BARRIER_COST)
             self._resolve_query_barrier(qr, finish, local=True)
         else:
             self.trace.barrier_acks += 1
@@ -941,16 +920,16 @@ class QGraphEngine:
             self._maybe_begin_stop(now)
 
     def _on_barrier_ack(
-        self, now: float, query_id: int, worker: int, epoch: Optional[int] = None
+        self, now: float, query_id: int, worker: int, epoch: int
     ) -> None:
         qr = self.runtimes[query_id]
         if qr.finished:
             return
         if self.sanitizer is not None:
             self.sanitizer.observe_epoch(query_id, qr.barrier_epoch, now)
-        if epoch is not None and epoch != qr.barrier_epoch:
+        if epoch != qr.barrier_epoch:
             return  # ack from a previous barrier generation (e.g. pre-STOP)
-        if self.sanitizer is not None and epoch is not None:
+        if self.sanitizer is not None:
             self.sanitizer.observe_ack_accepted(query_id, epoch, now)
         qr.acked.add(worker)
         required = self._required_ackers(qr)
@@ -1010,7 +989,7 @@ class QGraphEngine:
 
         if local and len(next_involved) == 1:
             # stay in local mode: continue immediately on the same worker
-            # (the local_barrier_cost was already charged on the worker's
+            # (LOCAL_BARRIER_COST was already charged on the worker's
             # CPU clock in _on_compute_done before this resolution)
             only = next(iter(next_involved))
             self.queue.schedule(now, "task_ready", query_id=query_id, worker=only)
@@ -1345,8 +1324,7 @@ class QGraphEngine:
         if self._partial_repartitioning():
             self._stop_workers, self._stop_queries = self._plan_scope(plan)
         else:
-            self._stop_workers = None
-            self._stop_queries = set()
+            self._halt_everyone()
         self._maybe_begin_stop(now)
 
     def _maybe_begin_stop(self, now: float) -> None:
@@ -1359,33 +1337,24 @@ class QGraphEngine:
             # ``bsp_compute`` events); ``_bsp_resolve_superstep`` re-calls
             # us once the barrier resolves.
             return
-        if self._stop_workers is None:
-            # global STOP: the whole cluster drains
-            if self._inflight_computes() > 0:
+        # drain the halted queries' computes (wherever they run — stage B's
+        # barrier reset at START must not race an in-flight ack) and any
+        # compute on a halted worker; everyone else keeps running
+        for query_id in sorted(self.running):
+            inflight = self.runtimes[query_id].inflight
+            if inflight and (
+                query_id in self._stop_queries
+                or not self._stop_workers.isdisjoint(inflight)
+            ):
                 return
-        else:
-            # partial STOP: drain the halted queries' computes (wherever
-            # they run — stage B's barrier reset at START must not race an
-            # in-flight ack) and any compute on a halted worker; everyone
-            # else keeps running
-            for query_id in sorted(self.running):
-                inflight = self.runtimes[query_id].inflight
-                if inflight and (
-                    query_id in self._stop_queries
-                    or not self._stop_workers.isdisjoint(inflight)
-                ):
-                    return
         self._stop_scheduled = True
         # STOP barrier: the halted workers ack the halt (a crashed worker
-        # cannot ack — crash-stop counts as already halted)
-        halted = (
-            self.workers
-            if self._stop_workers is None
-            else [self.workers[w] for w in sorted(self._stop_workers)]
-        )
+        # cannot ack — crash-stop counts as already halted).  The loop runs
+        # over the worker objects themselves so their ``occupy`` writes stay
+        # visible to the static effect analysis
         stop_time = now
-        for w in halted:
-            if w.wid in self._dead_workers:
+        for w in self.workers:
+            if w.wid not in self._stop_workers or w.wid in self._dead_workers:
                 continue
             _s, finish = w.occupy(
                 max(w.busy_until, now), self.cluster.machine.barrier_ack_time
@@ -1444,11 +1413,6 @@ class QGraphEngine:
             )
         if self.sanitizer is not None:
             self.sanitizer.check_rebucket(mailbox_snapshot, self.assignment, now)
-        involved = (
-            tuple(range(self.cluster.num_workers))
-            if self._stop_workers is None
-            else tuple(sorted(self._stop_workers))
-        )
         self.trace.repartitioned(
             RepartitionRecord(
                 time=now,
@@ -1457,7 +1421,7 @@ class QGraphEngine:
                 barrier_duration=(now + duration) - self._qcut_trigger_time,
                 cost_before=plan.cost_before,
                 cost_after=plan.cost_after,
-                involved_workers=involved,
+                involved_workers=tuple(sorted(self._stop_workers)),
                 stall_duration=(now + duration) - self._stop_begin_time,
             )
         )
@@ -1466,7 +1430,7 @@ class QGraphEngine:
     def _on_global_start(self, now: float) -> None:
         self.paused = False
         self._stop_scheduled = False
-        self._stop_workers = None
+        self._stop_workers = set()
         self._stop_queries = set()
         # placement-aware admission policies re-bucket their pending queries
         # against the post-repartition assignment before anything is admitted
@@ -1601,7 +1565,7 @@ class QGraphEngine:
         are tainted (frozen) until a recovery barrier rolls them back to
         their last checkpoint.  Detection is *not* immediate: the
         controller only learns of the crash at a heartbeat sweep after
-        ``heartbeat_timeout`` of silence.
+        ``HEARTBEAT_TIMEOUT`` of silence.
         """
         self._pending_crash_events -= 1
         if worker in self._dead_workers:
@@ -1680,14 +1644,14 @@ class QGraphEngine:
         """Periodic crash-detection sweep (only active with crash plans).
 
         A crashed worker is declared dead once silent for
-        ``heartbeat_timeout``; detected crashes queue a recovery barrier.
+        ``HEARTBEAT_TIMEOUT``; detected crashes queue a recovery barrier.
         The sweep reschedules itself only while crashes are pending,
         undetected, or awaiting recovery, so the event queue still
         quiesces.
         """
         detected = False
         for worker, crash_time in sorted(self._undetected_crashes.items()):
-            if now - crash_time >= self.config.heartbeat_timeout:
+            if now - crash_time >= HEARTBEAT_TIMEOUT:
                 del self._undetected_crashes[worker]
                 self._recovering.append((worker, crash_time, now))
                 detected = True
@@ -1698,9 +1662,7 @@ class QGraphEngine:
             or self._undetected_crashes
             or self._recovering
         ):
-            self.queue.schedule(
-                now + self.config.heartbeat_interval, "heartbeat"
-            )
+            self.queue.schedule(now + HEARTBEAT_INTERVAL, "heartbeat")
 
     def _maybe_schedule_recovery(self, now: float) -> None:
         """Begin the recovery STOP once no other barrier owns the pause.
@@ -1714,8 +1676,7 @@ class QGraphEngine:
         self.paused = True
         self._recovery_active = True
         self._stop_scheduled = False
-        self._stop_workers = None
-        self._stop_queries = set()
+        self._halt_everyone()
         self._stop_begin_time = now
         self._maybe_begin_stop(now)
 

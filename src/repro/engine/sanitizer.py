@@ -260,18 +260,10 @@ class SimulationSanitizer:
                     worker=worker,
                 )
             return
-        if engine._stop_workers is None:
-            raise SanitizerError(
-                "halted-compute",
-                "compute executed during a global STOP (all workers halted)",
-                time=now,
-                query_id=query_id,
-                worker=worker,
-            )
         if worker in engine._stop_workers:
             raise SanitizerError(
                 "halted-compute",
-                "compute executed on a worker halted by a partial STOP",
+                "compute executed on a worker halted by a STOP",
                 time=now,
                 query_id=query_id,
                 worker=worker,
@@ -280,7 +272,7 @@ class SimulationSanitizer:
         if query_id in engine._stop_queries:
             raise SanitizerError(
                 "halted-compute",
-                "compute executed for a query halted by a partial STOP",
+                "compute executed for a query halted by a STOP",
                 time=now,
                 query_id=query_id,
                 worker=worker,

@@ -28,8 +28,8 @@ Semantics implemented by the engine (:mod:`repro.engine.engine`):
   construction on the data plane.
 * **Control loss** — barrier acks and per-barrier stats reports are lost
   with the given probabilities; the control plane retries with exponential
-  backoff (``EngineConfig.control_retry_*``), so a loss delays rather than
-  strands a barrier.
+  backoff (``CONTROL_RETRY_*`` in :mod:`repro.engine.engine`), so a loss
+  delays rather than strands a barrier.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ class ControllerCrash:
             raise SimulationError("controller downtime must be > 0 (or None)")
 
 
-def _check_probability(name: str, value: Optional[float]) -> None:
-    if value is not None and not 0.0 <= value < 1.0:
+def _check_probability(name: str, value: float) -> None:
+    if not 0.0 <= value < 1.0:
         raise SimulationError(f"{name} must be in [0, 1), got {value}")
 
 
@@ -108,9 +108,8 @@ class FaultPlan:
     crashes / controller_crashes:
         Pre-scheduled crash-stop failures, injected as ordinary events.
     message_drop / message_duplicate:
-        Global per-batch probabilities for vertex-message batches; ``None``
-        defers to the per-link :class:`~repro.simulation.network
-        .NetworkModel` fields, a float overrides every link.
+        Per-batch probabilities that a vertex-message batch is dropped (and
+        retransmitted) or delivered twice, on every link.
     control_loss:
         Per-message loss probability for barrier acks (including the
         redundant all-worker acks of ``GLOBAL_PER_QUERY``).
@@ -122,8 +121,8 @@ class FaultPlan:
     seed: int = 0
     crashes: Tuple[WorkerCrash, ...] = ()
     controller_crashes: Tuple[ControllerCrash, ...] = ()
-    message_drop: Optional[float] = None
-    message_duplicate: Optional[float] = None
+    message_drop: float = 0.0
+    message_duplicate: float = 0.0
     control_loss: float = 0.0
     report_loss: float = 0.0
 
@@ -143,15 +142,13 @@ class FaultPlan:
 
         A no-op plan must be indistinguishable from running without a fault
         layer; the engine normalizes it to ``None`` so not even RNG
-        construction differs.  (Per-link drop/duplicate probabilities on the
-        cluster's :class:`NetworkModel` links are checked separately by the
-        engine — the plan cannot see the cluster.)
+        construction differs.
         """
         return (
             not self.crashes
             and not self.controller_crashes
-            and (self.message_drop is None or self.message_drop == 0.0)
-            and (self.message_duplicate is None or self.message_duplicate == 0.0)
+            and self.message_drop == 0.0
+            and self.message_duplicate == 0.0
             and self.control_loss == 0.0
             and self.report_loss == 0.0
         )

@@ -68,14 +68,6 @@ class NetworkModel:
     message_bytes: int = 64
     batch_messages: int = 32
     batch_bytes: int = 32 * 1024
-    #: per-batch probability that a vertex-message batch is lost on the wire
-    #: and must be retransmitted (fault injection; sampled by the engine's
-    #: fault RNG stream, never here — the model stays stateless). A
-    #: :class:`~repro.simulation.faults.FaultPlan` may override it globally.
-    drop_probability: float = 0.0
-    #: per-batch probability that a batch is delivered twice (the receiver
-    #: detects and discards the duplicate, paying wire + dedup cost only)
-    duplicate_probability: float = 0.0
     name: str = "custom"
 
     def __post_init__(self) -> None:
@@ -83,10 +75,6 @@ class NetworkModel:
             raise ValueError("latency must be >= 0 and bandwidth > 0")
         if self.batch_messages < 1 or self.batch_bytes < self.message_bytes:
             raise ValueError("batching limits too small")
-        if not 0.0 <= self.drop_probability < 1.0:
-            raise ValueError("drop_probability must be in [0, 1)")
-        if not 0.0 <= self.duplicate_probability < 1.0:
-            raise ValueError("duplicate_probability must be in [0, 1)")
 
     # ------------------------------------------------------------------
     @cached_property

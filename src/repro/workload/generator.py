@@ -10,8 +10,7 @@ A phase covers one query kind (any of the seven programs — ``sssp``,
 ``poi``, ``bfs``, ``khop``, ``reachability``, ``pagerank_local``,
 ``wcc_local``) or a weighted *mix* of kinds, and its queries arrive either
 all at once (``batch`` — the paper's §4.2 setup, admission control then
-runs them in "batches of 16 parallel queries"), as a Poisson process, or
-in periodic bursts.
+runs them in "batches of 16 parallel queries") or as a Poisson process.
 
 Multiple generators compose: give each a distinct ``id_offset`` (or use
 :func:`namespaced_id_offset`) so their query ids never collide when their
@@ -65,7 +64,7 @@ _KIND_ALIASES: Dict[str, str] = {
     "wcc-local": "wcc_local",
 }
 
-_ARRIVALS = ("batch", "poisson", "burst")
+_ARRIVALS = ("batch", "poisson")
 
 #: churn-op mix of the graph-stream process: traffic-induced weight changes
 #: dominate, road closures and new segments are rarer, junction churn rarest
@@ -122,14 +121,10 @@ class PhaseSpec:
     arrival_offset:
         Virtual time at which this phase's arrival process begins.
     arrival:
-        ``"batch"`` (everything at ``arrival_offset``), ``"poisson"``
-        (exponential inter-arrivals at ``arrival_rate``), or ``"burst"``
-        (groups of ``burst_size`` queries every ``burst_gap`` seconds).
+        ``"batch"`` (everything at ``arrival_offset``) or ``"poisson"``
+        (exponential inter-arrivals at ``arrival_rate``).
     arrival_rate:
-        Mean arrivals per virtual second for ``poisson``; also derives
-        ``burst_gap`` (= ``burst_size / arrival_rate``) when that is 0.
-    burst_size / burst_gap:
-        Burst arrival shape (``burst`` only).
+        Mean arrivals per virtual second for ``poisson``.
     depth:
         Hop budget for bounded kinds — ``k`` for khop, ``max_hops`` for
         wcc_local, ``max_depth`` for bfs (``None`` leaves bfs unbounded;
@@ -146,8 +141,8 @@ class PhaseSpec:
     churn_span:
         Virtual-time horizon of the churn process after ``arrival_offset``.
         Required (> 0) for ``batch`` arrivals, whose queries give the phase
-        no intrinsic duration; for ``poisson``/``burst`` it defaults to the
-        arrival span when 0.
+        no intrinsic duration; for ``poisson`` it defaults to the arrival
+        span when 0.
     """
 
     num_queries: int
@@ -158,8 +153,6 @@ class PhaseSpec:
     arrival_offset: float = 0.0
     arrival: str = "batch"
     arrival_rate: float = 0.0
-    burst_size: int = 16
-    burst_gap: float = 0.0
     depth: Optional[int] = None
     churn_rate: float = 0.0
     churn_batch: int = 4
@@ -187,13 +180,6 @@ class PhaseSpec:
             )
         if self.arrival == "poisson" and self.arrival_rate <= 0:
             raise WorkloadError("poisson arrivals need arrival_rate > 0")
-        if self.arrival == "burst":
-            if self.burst_size <= 0:
-                raise WorkloadError("burst arrivals need burst_size > 0")
-            if self.burst_gap <= 0 and self.arrival_rate <= 0:
-                raise WorkloadError(
-                    "burst arrivals need burst_gap > 0 or arrival_rate > 0"
-                )
         if self.depth is not None and self.depth < 0:
             raise WorkloadError("depth must be non-negative")
         if self.churn_rate < 0:
@@ -329,14 +315,8 @@ class WorkloadGenerator:
         t0 = phase.arrival_offset
         if phase.arrival == "batch" or n == 0:
             return np.full(n, t0)
-        if phase.arrival == "poisson":
-            gaps = self._rng.exponential(1.0 / phase.arrival_rate, size=n)
-            return t0 + np.cumsum(gaps)
-        # burst: groups of burst_size every burst_gap seconds
-        gap = phase.burst_gap
-        if gap <= 0:
-            gap = phase.burst_size / phase.arrival_rate
-        return t0 + (np.arange(n) // phase.burst_size) * gap
+        gaps = self._rng.exponential(1.0 / phase.arrival_rate, size=n)
+        return t0 + np.cumsum(gaps)
 
     # ------------------------------------------------------------------
     # graph-churn process
@@ -458,8 +438,8 @@ class WorkloadGenerator:
         crashes: int = 1,
         window: Tuple[float, float] = (0.05, 0.5),
         downtime: Optional[float] = None,
-        message_drop: Optional[float] = None,
-        message_duplicate: Optional[float] = None,
+        message_drop: float = 0.0,
+        message_duplicate: float = 0.0,
         control_loss: float = 0.0,
         report_loss: float = 0.0,
     ) -> FaultPlan:

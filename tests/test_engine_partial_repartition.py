@@ -42,6 +42,7 @@ from repro.graph.builder import GraphBuilder
 from repro.partitioning import HashPartitioner
 from repro.queries import SsspProgram
 from repro.simulation.cluster import make_cluster
+from repro.simulation.faults import FaultPlan, WorkerCrash
 from repro.workload import PhaseSpec, WorkloadGenerator
 
 QCUT_COMPUTE_TIME = 0.001
@@ -112,11 +113,7 @@ class InvariantEngine(QGraphEngine):
 
     def _execute_compute(self, qr, run, now):
         for worker in run if self.paused else ():
-            if self._stop_workers is None:
-                self.violations.append(
-                    ("compute-during-global-stop", qr.query.query_id, worker)
-                )
-            elif worker in self._stop_workers:
+            if worker in self._stop_workers:
                 self.violations.append(
                     ("compute-on-halted-worker", qr.query.query_id, worker)
                 )
@@ -137,6 +134,8 @@ def _run_workload(
     engine_cls=QGraphEngine,
     controller_cls=Controller,
     max_parallel=16,
+    checkpoint_interval=0,
+    faults=None,
 ):
     rn = generate_road_network(
         num_cities=4,
@@ -158,7 +157,9 @@ def _run_workload(
             repartition_mode=repartition_mode,
             scheduler=scheduler,
             max_parallel_queries=max_parallel,
+            checkpoint_interval=checkpoint_interval,
         ),
+        faults=faults,
     )
     workload = WorkloadGenerator(rn, seed=5).generate(
         [PhaseSpec(num_queries=48, kind="sssp", label="repart")]
@@ -467,14 +468,78 @@ class TestPartialInvariants:
         assert engine.paused_progress == 0  # a global STOP halts everyone
 
 
+class ScopeProbeEngine(QGraphEngine):
+    """Records the STOP scope at every ``global_stop`` and once every
+    ``global_start`` has released the pause."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        #: (recovery STOP?, halted workers, halted queries, running queries)
+        self.stops = []
+        #: (halted workers, halted queries) after START
+        self.starts = []
+
+    def _on_global_stop(self, now):
+        self.stops.append(
+            (
+                self._recovery_active,
+                set(self._stop_workers),
+                set(self._stop_queries),
+                set(self.running),
+            )
+        )
+        super()._on_global_stop(now)
+
+    def _on_global_start(self, now):
+        super()._on_global_start(now)
+        if not self.paused:  # START may arm a deferred recovery's STOP
+            self.starts.append((set(self._stop_workers), set(self._stop_queries)))
+
+
+class TestStopScope:
+    """A global repartition and a crash recovery halt one scope: every
+    worker and exactly the running queries, both empty once START ran."""
+
+    @pytest.mark.parametrize("recovery", [False, True], ids=["repartition", "recovery"])
+    def test_global_stop_halts_every_worker_and_the_running_queries(self, recovery):
+        faults = None
+        if recovery:
+            _eng, clean, _res = _run_workload(
+                adaptive=False, repartition_mode="global", checkpoint_interval=2
+            )
+            faults = FaultPlan(
+                seed=0,
+                crashes=(WorkerCrash(time=0.3 * clean.makespan(), worker=1),),
+            )
+        engine, trace, _res = _run_workload(
+            adaptive=not recovery,
+            repartition_mode="global",
+            engine_cls=ScopeProbeEngine,
+            checkpoint_interval=2 if recovery else 0,
+            faults=faults,
+        )
+        if recovery:
+            assert len(trace.recoveries) == 1 and not trace.repartitions
+        else:
+            assert len(trace.repartitions) >= 1 and not trace.recoveries
+        assert [stop[0] for stop in engine.stops] == [recovery] * len(engine.stops)
+        assert len(engine.stops) == len(trace.repartitions) + len(trace.recoveries)
+        for _recovery, workers, queries, running in engine.stops:
+            assert workers == set(range(4))
+            assert queries == running and queries
+        assert engine.starts == [(set(), set())] * len(engine.stops)
+
+
 class TestAllWorkersEquivalence:
-    def test_partial_all_workers_plan_matches_global_event_for_event(self):
+    @pytest.mark.parametrize("sync_mode", [SyncMode.HYBRID, SyncMode.GLOBAL_PER_QUERY])
+    def test_partial_all_workers_plan_matches_global_event_for_event(self, sync_mode):
         eng_g, trace_g, res_g = _run_workload(
-            adaptive=True, repartition_mode="global"
+            adaptive=True, repartition_mode="global", sync_mode=sync_mode
         )
         eng_p, trace_p, res_p = _run_workload(
             adaptive=True,
             repartition_mode="partial",
+            sync_mode=sync_mode,
             controller_cls=AllWorkersController,
         )
         assert len(trace_g.repartitions) >= 1

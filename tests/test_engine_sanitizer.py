@@ -251,7 +251,7 @@ class TestHaltedCompute:
     def test_compute_during_global_stop_detected(self):
         engine = _build_engine(grid_graph(6, 6), k=2)
         engine.paused = True
-        engine._stop_workers = None  # global STOP halts everyone
+        engine._stop_workers = {0, 1}  # global STOP halts every worker
         with pytest.raises(SanitizerError) as err:
             engine.sanitizer.check_compute_allowed(4, 1, 0.2)
         assert err.value.invariant == "halted-compute"
@@ -265,7 +265,7 @@ class TestHaltedCompute:
         engine._stop_queries = {5}
         # uninvolved query on an uninvolved worker keeps running
         engine.sanitizer.check_compute_allowed(0, 2, 0.2)
-        with pytest.raises(SanitizerError, match="halted by a partial STOP"):
+        with pytest.raises(SanitizerError, match="worker halted by a STOP"):
             engine.sanitizer.check_compute_allowed(0, 1, 0.2)
         with pytest.raises(SanitizerError, match="query halted"):
             engine.sanitizer.check_compute_allowed(5, 2, 0.2)

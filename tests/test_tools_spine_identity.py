@@ -60,11 +60,11 @@ def test_differences_ignore_host_time_and_name_every_differing_key():
 
 
 def test_timing_lines_pair_by_seed_and_take_the_median_of_the_ratios():
-    pairs = [(1, 10.0, 5.0), (2, 8.0, 6.0), (3, 4.0, 4.4)]
+    pairs = [(1, 10.0, 5.0, "parent"), (2, 8.0, 6.0, "change"), (3, 4.0, 4.4, "parent")]
     assert tool.timing_lines("churn_recovery", pairs) == [
-        "churn_recovery seed 1: wall_run_s 10.00 -> 5.00 (-50%)",
-        "churn_recovery seed 2: wall_run_s 8.00 -> 6.00 (-25%)",
-        "churn_recovery seed 3: wall_run_s 4.00 -> 4.40 (+10%)",
+        "churn_recovery seed 1: wall_run_s 10.00 -> 5.00 (-50%), parent first",
+        "churn_recovery seed 2: wall_run_s 8.00 -> 6.00 (-25%), change first",
+        "churn_recovery seed 3: wall_run_s 4.00 -> 4.40 (+10%), parent first",
         # 0.75 is the middle ratio; 8.00 and 5.00 the middle walls
         "churn_recovery: wall_run_s median 8.00 -> 5.00 s, "
         "median change/parent 0.750 over 3 pairs, lower on 2/3 pairs",
@@ -72,11 +72,15 @@ def test_timing_lines_pair_by_seed_and_take_the_median_of_the_ratios():
 
 
 def test_timing_lines_report_peak_rss_in_mib():
-    pairs = [(1, 125.94, 89.71), (2, 126.2, 90.0), (3, 125.0, 100.0)]
+    pairs = [
+        (1, 125.94, 89.71, "parent"),
+        (2, 126.2, 90.0, "change"),
+        (3, 125.0, 100.0, "parent"),
+    ]
     assert tool.timing_lines("static_hotspot", pairs, "peak_rss_mb") == [
-        "static_hotspot seed 1: peak_rss_mb 125.9 -> 89.7 (-29%)",
-        "static_hotspot seed 2: peak_rss_mb 126.2 -> 90.0 (-29%)",
-        "static_hotspot seed 3: peak_rss_mb 125.0 -> 100.0 (-20%)",
+        "static_hotspot seed 1: peak_rss_mb 125.9 -> 89.7 (-29%), parent first",
+        "static_hotspot seed 2: peak_rss_mb 126.2 -> 90.0 (-29%), change first",
+        "static_hotspot seed 3: peak_rss_mb 125.0 -> 100.0 (-20%), parent first",
         # 90.0 / 126.2 is the middle ratio
         "static_hotspot: peak_rss_mb median 125.9 -> 90.0 MiB, "
         "median change/parent 0.713 over 3 pairs, lower on 3/3 pairs",
@@ -86,13 +90,49 @@ def test_timing_lines_report_peak_rss_in_mib():
 def test_timing_lines_count_the_pairs_the_change_is_lower_on():
     """The ≥ 9/10 win count a gain claim needs, read off the summary: a tie
     counts as not lower."""
-    pairs = [(seed, 100.0, 90.0) for seed in range(1, 9)]
-    pairs += [(9, 100.0, 100.0), (10, 100.0, 101.0)]
+    pairs = [(seed, 100.0, 90.0, "parent") for seed in range(1, 9)]
+    pairs += [(9, 100.0, 100.0, "parent"), (10, 100.0, 101.0, "change")]
     summary = tool.timing_lines("adaptive_disturbance", pairs, "peak_rss_mb")[-1]
     assert summary.endswith(", lower on 8/10 pairs")
-    pairs[8] = (9, 100.0, 99.9)
+    pairs[8] = (9, 100.0, 99.9, "parent")
     summary = tool.timing_lines("adaptive_disturbance", pairs, "peak_rss_mb")[-1]
     assert summary.endswith(", lower on 9/10 pairs")
+
+
+def test_pairs_alternate_which_side_starts_first(monkeypatch, capsys):
+    """The parent's child starts first on a workload's 1st, 3rd, ... pair
+    and the change's on its 2nd, 4th, ...; every ``--time`` line of a pair
+    names the side that started first."""
+    parent_dir, change_dir = str(ROOT / "tools"), os.path.abspath(ROOT)
+    started = []
+
+    class Finished:
+        def poll(self):
+            return 0
+
+    def start(checkout, _workload, seed, _smoke):
+        started.append((seed, "parent" if checkout == parent_dir else "change"))
+        return Finished()
+
+    monkeypatch.setattr(tool, "start_child", start)
+    monkeypatch.setattr(tool, "finish_child", lambda *_args: copy.deepcopy(RECORD))
+    status = tool.main(
+        [parent_dir, change_dir, "--seeds", "1-3", "--workload", "open_mixed", "--time"]
+    )
+    assert status == 0
+    assert started == [
+        (1, "parent"), (1, "change"),
+        (2, "change"), (2, "parent"),
+        (3, "parent"), (3, "change"),
+    ]
+    lines = capsys.readouterr().out.splitlines()
+    for key in tool.HOST_METRICS:
+        pair_lines = [line for line in lines if line.startswith("open_mixed seed ")
+                      and f": {key} " in line]
+        assert [line.rsplit(", ", 1)[1] for line in pair_lines] == [
+            "parent first", "change first", "parent first"
+        ]
+    assert tool.start_order(0) == (0, 1) and tool.start_order(1) == (1, 0)
 
 
 def test_metric_lines_take_medians_and_count_seeds_by_declared_direction():
@@ -181,6 +221,7 @@ def test_a_checkout_is_identical_to_itself(capsys):
     # --time: per host metric one line per pair and the summary, between
     # the runs and the verdict
     assert lines[1].startswith("open_mixed seed 7: wall_run_s ")
+    assert lines[1].endswith(", parent first")
     assert lines[2].startswith("open_mixed: wall_run_s median ")
     assert " over 1 pairs, lower on " in lines[2]
     assert lines[2].endswith("/1 pairs")

@@ -231,36 +231,6 @@ class TestMixedKindsAndArrivals:
         # mean inter-arrival ~ 1/rate
         assert abs(np.diff(times).mean() - 0.01) < 0.002
 
-    def test_burst_arrivals_grouped(self, rn):
-        gen = WorkloadGenerator(rn, seed=0)
-        trace = gen.generate(
-            [
-                PhaseSpec(
-                    num_queries=10,
-                    arrival="burst",
-                    burst_size=4,
-                    burst_gap=2.0,
-                )
-            ]
-        )
-        times = [t for _q, t in trace.entries]
-        assert times == [0.0] * 4 + [2.0] * 4 + [4.0] * 2
-
-    def test_burst_gap_derived_from_rate(self, rn):
-        gen = WorkloadGenerator(rn, seed=0)
-        trace = gen.generate(
-            [
-                PhaseSpec(
-                    num_queries=8,
-                    arrival="burst",
-                    burst_size=4,
-                    arrival_rate=2.0,  # -> gap of 2.0s
-                )
-            ]
-        )
-        times = sorted({t for _q, t in trace.entries})
-        assert times == [0.0, 2.0]
-
     def test_poi_workload_honours_arrival_process(self, rn):
         gen = WorkloadGenerator(rn, seed=0)
         trace = gen.paper_poi_workload(
@@ -276,9 +246,7 @@ class TestMixedKindsAndArrivals:
         with pytest.raises(WorkloadError):
             PhaseSpec(num_queries=1, arrival="poisson")
         with pytest.raises(WorkloadError):
-            PhaseSpec(num_queries=1, arrival="burst", burst_size=0)
-        with pytest.raises(WorkloadError):
-            PhaseSpec(num_queries=1, arrival="burst")  # no gap, no rate
+            PhaseSpec(num_queries=1, arrival="burst")  # retired process
 
     def test_arrival_draws_do_not_perturb_endpoints(self, rn):
         """Switching the arrival process must not change which queries are

@@ -7,7 +7,10 @@
 Runs the measurement spine's untraced child (``python3 -m
 benchmarks.spine.child <workload> <seed> 0 <smoke>``) in two checkouts —
 each with its own working directory and ``PYTHONPATH``, every ``REPRO_*``
-variable stripped, the two sides of a pair side by side — and compares
+variable stripped, the two sides of a pair side by side, the parent's
+child started first on a workload's 1st, 3rd, ... pair and the change's
+on its 2nd, 4th, ... (the side started first can read several per cent
+faster or slower on its own) — and compares
 everything in the record that is not host time: ``end_to_end`` (the
 ``vt_*`` metrics and the latency sample count), every entry of ``layers``
 (the library-side counts: events, messages, batches, drops, checkpoints,
@@ -17,10 +20,10 @@ the differing keys; exits non-zero on a difference.
 
 ``--time`` adds what an identity transformation is made for: per workload,
 the ``wall_run_s`` and ``peak_rss_mb`` of parent and change seed by seed
-(the two sides of a pair ran at the same moment, under the same load), the
-median of the per-pair ratios and on how many pairs the change was lower
-(a gain is claimed only when it is lower on at least 9 of 10 pairs).  It
-never changes the verdict or the exit status.
+(the two sides of a pair ran at the same moment, under the same load) and
+which side started first, the median of the per-pair ratios and on how
+many pairs the change was lower (a gain is claimed only when it is lower on
+at least 9 of 10 pairs).  It never changes the verdict or the exit status.
 
 A workload whose runs differ is followed by one line per ``vt_*`` metric:
 the median and [Q1, Q3] over the seeds at parent and change, whether the
@@ -107,23 +110,33 @@ def differences(parent: Dict[str, Any], change: Dict[str, Any]) -> List[str]:
     return out
 
 
+def start_order(pair: int) -> Tuple[int, int]:
+    """Indices into ``(parent, change)`` in the order the ``pair``-th pair
+    (0-based) of a workload starts them: the parent first on even pairs,
+    the change first on odd ones."""
+    return (0, 1) if pair % 2 == 0 else (1, 0)
+
+
 def timing_lines(
-    workload: str, pairs: Sequence[Tuple[int, float, float]], key: str = "wall_run_s"
+    workload: str,
+    pairs: Sequence[Tuple[int, float, float, str]],
+    key: str = "wall_run_s",
 ) -> List[str]:
     """The ``--time`` report of one workload and one of :data:`HOST_METRICS`
-    from its ``(seed, parent value, change value)`` pairs."""
+    from its ``(seed, parent value, change value, side started first)``
+    pairs."""
     decimals, unit = HOST_METRICS[key]
     lines = [
         f"{workload} seed {seed}: {key} {parent:.{decimals}f} -> "
-        f"{change:.{decimals}f} ({change / parent - 1.0:+.0%})"
-        for seed, parent, change in pairs
+        f"{change:.{decimals}f} ({change / parent - 1.0:+.0%}), {first} first"
+        for seed, parent, change, first in pairs
     ]
-    ratio = statistics.median(change / parent for _seed, parent, change in pairs)
-    lower = sum(change < parent for _seed, parent, change in pairs)
+    ratio = statistics.median(change / parent for _s, parent, change, _f in pairs)
+    lower = sum(change < parent for _s, parent, change, _f in pairs)
     lines.append(
         f"{workload}: {key} median "
-        f"{statistics.median(p for _s, p, _c in pairs):.{decimals}f} -> "
-        f"{statistics.median(c for _s, _p, c in pairs):.{decimals}f} {unit}, "
+        f"{statistics.median(p for _s, p, _c, _f in pairs):.{decimals}f} -> "
+        f"{statistics.median(c for _s, _p, c, _f in pairs):.{decimals}f} {unit}, "
         f"median change/parent {ratio:.3f} over {len(pairs)} pairs, "
         f"lower on {lower}/{len(pairs)} pairs"
     )
@@ -192,11 +205,19 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     differing = 0
     for workload in workloads:
-        hosts: Dict[str, List[Tuple[int, float, float]]] = {k: [] for k in HOST_METRICS}
+        hosts: Dict[str, List[Tuple[int, float, float, str]]] = {
+            k: [] for k in HOST_METRICS
+        }
         tables: List[Tuple[Dict[str, Any], Dict[str, Any]]] = []
         workload_differs = False
-        for seed in args.seeds:
-            children = [start_child(c, workload, seed, args.smoke) for c in checkouts]
+        for pair, seed in enumerate(args.seeds):
+            order = start_order(pair)
+            started = {
+                side: start_child(checkouts[side], workload, seed, args.smoke)
+                for side in order
+            }
+            children = [started[0], started[1]]
+            first = ("parent", "change")[order[0]]
             try:
                 parent, change = (
                     finish_child(child, c) for child, c in zip(children, checkouts)
@@ -207,7 +228,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                         child.kill()
                         child.communicate()
             for key, series in hosts.items():
-                series.append((seed, parent[key], change[key]))
+                series.append((seed, parent[key], change[key], first))
             tables.append((parent["end_to_end"], change["end_to_end"]))
             diffs = differences(parent, change)
             if diffs:

@@ -11,7 +11,9 @@ Layout
 ------
 :mod:`repro.analysis.visitor`
     File loading, suppression-comment handling, the :class:`Rule` /
-    :class:`ProjectRule` base classes and the rule registries.
+    :class:`ProjectRule` base classes, the rule registries, and the
+    :class:`ProjectContext` memo through which every whole-program
+    analysis is built once per project.
 :mod:`repro.analysis.rules`
     The built-in per-file rule catalog (see ``docs/analysis.md``).
 :mod:`repro.analysis.callgraph`
@@ -21,7 +23,10 @@ Layout
     Interprocedural RNG stream-flow rules (stream crossing, unseeded
     escape, generator-in-signature).
 :mod:`repro.analysis.effects` / :mod:`repro.analysis.races`
-    Event-handler effect summaries and the virtual-time race rules.
+    Event-handler effect summaries and the virtual-time race rules;
+    ``effects`` is also the one home of the helpers the lifecycle and
+    protocol rules share (the statement walker, the empty-value and
+    mutator shapes, declared-tuple discovery, manifest kinds).
 :mod:`repro.analysis.lifecycle`
     State-lifecycle rules over the handler-written state inventory
     (checkpoint completeness, restore symmetry, finish-path reset
@@ -41,7 +46,7 @@ Layout
 Usage::
 
     PYTHONPATH=src python -m repro.analysis            # full pipeline
-    PYTHONPATH=src python -m repro.analysis --jobs 4 --format json src/repro/engine
+    PYTHONPATH=src python -m repro.analysis --format json src/repro/engine
     PYTHONPATH=src python -m repro.analysis --select rng-stream-crossing,virtual-time-race
 
 Suppressing a finding (the reason is mandatory)::

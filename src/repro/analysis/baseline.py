@@ -48,8 +48,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.analysis.effects import effect_analysis_for
-from repro.analysis.lifecycle import MANIFEST_KINDS, state_inventory
+from repro.analysis.effects import MANIFEST_KINDS, effect_analysis_for
+from repro.analysis.lifecycle import state_inventory
 from repro.analysis.protocol import protocol_summary
 from repro.analysis.visitor import ProjectContext
 
@@ -170,10 +170,10 @@ def render_baseline(
     """Serialize a fresh baseline; deterministic byte-for-byte."""
     if state_manifest and not project.state_manifest:
         # the protocol section summarizes each automaton state with its
-        # curated manifest classification — thread it through so a
-        # baseline regenerated from a fresh ``load_project`` doesn't
-        # demote every state to "unclassified"
-        project.state_manifest = dict(state_manifest)
+        # curated manifest classification — build the project again with
+        # it so a baseline regenerated from a fresh ``load_project``
+        # doesn't demote every state to "unclassified"
+        project = ProjectContext(project.files, state_manifest=dict(state_manifest))
     analysis = effect_analysis_for(project)
     payload = {
         "version": _VERSION,

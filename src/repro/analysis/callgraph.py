@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.visitor import FileContext, ProjectContext
+from repro.analysis.visitor import FileContext, ProjectContext, dotted_parts
 
 __all__ = [
     "TypeRef",
@@ -129,19 +129,6 @@ def subsystem_of(module: str) -> str:
     return parts[0]
 
 
-def _attr_chain(node: ast.AST) -> Optional[List[str]]:
-    """``a.b.c`` -> ["a", "b", "c"]; None when the chain has a non-name root."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return None
-
-
 class SymbolTable:
     """Modules, classes, functions and import aliases of one project."""
 
@@ -226,7 +213,7 @@ class SymbolTable:
 
     def _resolve_bases(self, info: ClassInfo) -> None:
         for base in info.node.bases:
-            chain = _attr_chain(base)
+            chain = dotted_parts(base)
             if chain is None:
                 continue
             resolved = self.resolve_symbol(info.module, chain)
@@ -289,7 +276,7 @@ class SymbolTable:
             if head_name in _CONTAINER_HEADS and args:
                 return TypeRef(elem=self.resolve_annotation(module, args[0]))
             return None
-        chain = _attr_chain(node)
+        chain = dotted_parts(node)
         if chain is None:
             return None
         resolved = self.resolve_symbol(module, chain)
@@ -304,7 +291,7 @@ class SymbolTable:
         """Literal value of an expression: constants and module constants."""
         if isinstance(node, ast.Constant):
             return node.value
-        chain = _attr_chain(node)
+        chain = dotted_parts(node)
         if chain is not None and len(chain) == 1:
             return self.constants.get(module, {}).get(chain[0])
         if chain is not None and len(chain) == 2:
@@ -401,7 +388,7 @@ class SymbolTable:
     def _infer_value_type(self, module: str, value: ast.AST) -> Optional[TypeRef]:
         """Type of a constructor-shaped expression (``C()``, ``[C() ...]``)."""
         if isinstance(value, ast.Call):
-            chain = _attr_chain(value.func)
+            chain = dotted_parts(value.func)
             if chain is None:
                 return None
             resolved = self.resolve_symbol(module, chain)
@@ -542,7 +529,7 @@ class CallGraph:
             return []
         if isinstance(func, ast.Attribute):
             # fully dotted module path first (alias.helper(), pkg.mod.fn())
-            chain = _attr_chain(func)
+            chain = dotted_parts(func)
             if chain is not None:
                 resolved = self.table.resolve_symbol(fn.module, chain)
                 if resolved in self.table.functions:
@@ -589,23 +576,7 @@ class CallGraph:
             yield self.table.functions[qname]
 
 
-#: (file-context identity tuple) -> (SymbolTable, CallGraph); every project
-#: rule of one run sees the same FileContext objects, so the substrate is
-#: built once per run instead of once per rule.  Bounded: old entries are
-#: evicted FIFO (test suites build many tiny fixture projects).
-_GRAPH_CACHE: Dict[Tuple[int, ...], Tuple[SymbolTable, CallGraph]] = {}
-_GRAPH_CACHE_LIMIT = 8
-
-
 def project_graph(project: ProjectContext) -> Tuple[SymbolTable, CallGraph]:
-    """The (symbol table, call graph) pair for a project, cached per run."""
-    key = tuple(sorted(id(ctx) for ctx in project.files))
-    cached = _GRAPH_CACHE.get(key)
-    if cached is not None:
-        return cached
-    table = SymbolTable.build(project)
-    graph = CallGraph(table)
-    if len(_GRAPH_CACHE) >= _GRAPH_CACHE_LIMIT:
-        _GRAPH_CACHE.pop(next(iter(_GRAPH_CACHE)))
-    _GRAPH_CACHE[key] = (table, graph)
-    return table, graph
+    """The (symbol table, call graph) pair for a project, built once."""
+    graph = project.memo("callgraph", lambda p: CallGraph(SymbolTable.build(p)))
+    return graph.table, graph

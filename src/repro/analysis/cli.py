@@ -79,13 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule names to run (default: all)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse input files on N threads (output is order-stable)",
-    )
-    parser.add_argument(
         "--baseline",
         default=None,
         metavar="PATH",
@@ -142,10 +135,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{name:<22} [{roles}] ({scope}) {rule.description}")
         return 0
 
-    if args.jobs < 1:
-        print("repro-lint: --jobs must be >= 1", file=sys.stderr)
-        return 2
-
     if args.paths:
         paths = [Path(p) for p in args.paths]
     else:
@@ -195,9 +184,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # benchmarks/tests neither declare handlers nor shift effect sets;
         # the curated manifest rides along so the protocol automata carry
         # real state classifications instead of "unclassified"
-        project = load_project(
-            paths, jobs=args.jobs, manifest=baseline.state_manifest
-        )
+        project = load_project(paths, manifest=baseline.state_manifest)
         if args.write_baseline:
             target = baseline_path or Path(BASELINE_NAME)
             target.write_text(
@@ -242,7 +229,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     violations = lint_project(
         paths,
         select=select,
-        jobs=args.jobs,
         accepted=baseline.accepted,
         manifest=baseline.state_manifest,
     )

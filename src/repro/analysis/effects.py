@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.callgraph import CallGraph, SymbolTable, project_graph
-from repro.analysis.visitor import ProjectContext
+from repro.analysis.visitor import FileContext, ProjectContext
 
 __all__ = [
     "HandlerEffects",
@@ -45,6 +45,13 @@ __all__ = [
     "GUARD_ATTR_RE",
     "BENIGN_CLASSES",
     "BENIGN_ATTRS",
+    "MANIFEST_KINDS",
+    "ENTER_MUTATORS",
+    "RELEASE_MUTATORS",
+    "short",
+    "is_empty_value",
+    "line_followers",
+    "declared_tuples",
 ]
 
 #: classes whose attribute writes never constitute a hazard between
@@ -64,14 +71,23 @@ GUARD_ATTR_RE = re.compile(
     r"|in_progress|inflight|in_flight|outstanding|quiesc|down|pending|active"
 )
 
-#: in-place mutators: a call ``x.attr.<m>(...)`` writes ``x.attr``
-_MUTATOR_METHODS = frozenset(
-    {
-        "append", "appendleft", "extend", "insert", "add", "discard", "remove",
-        "pop", "popleft", "popitem", "clear", "update", "setdefault", "sort",
-        "reverse", "fill", "put",
-    }
+#: legal ``kind`` values of a ``state_manifest`` entry
+MANIFEST_KINDS = ("per-query", "engine-global", "derived", "unclassified")
+
+#: in-place mutators that grow a container (park work, seed a set)
+ENTER_MUTATORS = frozenset(
+    {"append", "appendleft", "extend", "insert", "add", "setdefault",
+     "update", "put"}
 )
+#: in-place mutators that *release* a slot or empty a container
+RELEASE_MUTATORS = frozenset(
+    {"pop", "popitem", "popleft", "clear", "discard", "remove"}
+)
+#: in-place mutators: a call ``x.attr.<m>(...)`` writes ``x.attr``
+_MUTATOR_METHODS = ENTER_MUTATORS | RELEASE_MUTATORS | {"sort", "reverse", "fill"}
+
+#: constructor names whose zero-arg call is an empty-container literal
+_EMPTY_CONSTRUCTORS = frozenset({"set", "dict", "list", "frozenset", "tuple"})
 
 
 #: a schedule point: (kind or None, delay class, line, follower lines)
@@ -127,8 +143,33 @@ class HandlerEffects:
         }
 
 
-def _short(qname: str) -> str:
+def short(qname: str) -> str:
+    """``repro.engine.engine.QGraphEngine`` -> ``QGraphEngine``."""
     return qname.split(".")[-1]
+
+
+def is_empty_value(node: ast.AST) -> bool:
+    """An assigned value that empties or lowers its target.
+
+    ``None``, ``False``, an empty literal or a zero-argument container
+    constructor — the shape that clears per-query state on a finish path
+    and releases (re-seeds) a protocol state.
+    """
+    if isinstance(node, ast.Constant) and (
+        node.value is None or node.value is False
+    ):
+        return True
+    if isinstance(node, (ast.List, ast.Tuple, ast.Set)) and not node.elts:
+        return True
+    if isinstance(node, ast.Dict) and not node.keys:
+        return True
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in _EMPTY_CONSTRUCTORS
+        and not node.args
+        and not node.keywords
+    )
 
 
 def _is_schedule_call(node: ast.AST) -> bool:
@@ -144,42 +185,45 @@ def _stmt_lines(stmt: ast.stmt) -> Set[int]:
     return {n.lineno for n in ast.walk(stmt) if hasattr(n, "lineno")}
 
 
-def _schedule_followers(fn_node: ast.AST) -> Dict[int, Set[int]]:
-    """Map each schedule call (by node id) to lines that may run after it.
+def line_followers(fn_node: ast.AST) -> Dict[int, Set[int]]:
+    """Map every statement line to the lines that may execute after it.
 
     Line-number comparison alone over-reports: a ``schedule(...); return``
     branch is never followed by the statements lexically below it.  This
-    walks the statement structure instead — followers are the remaining
-    statements of every enclosing suite, cut off at ``return``/``raise``
-    (and at an ``if``/``else`` where *both* arms terminate).  Loop
-    iterations are deliberately NOT carried around: in the engine's
-    per-object loops (``for w in sorted(...)``) a later iteration's write
-    touches a *different* worker/query than the earlier iteration's
-    scheduled event, and this analysis is attribute- not object-sensitive
-    — carrying the backedge would drown the rule in cross-object noise.
+    walks the statement structure instead — a line's followers are the
+    remaining statements of every enclosing suite, cut off at
+    ``return``/``raise`` (statements after an unconditional ``raise`` are
+    dead, not followers) and at an ``if``/``else`` whose arms both
+    terminate.  Every line of one statement has the same followers, so a
+    multi-line call is looked up by its first line.  Loop iterations are
+    deliberately NOT carried around: in the engine's per-object loops
+    (``for w in sorted(...)``) a later iteration's write touches a
+    *different* worker/query than the earlier iteration's scheduled event
+    or raise, and these analyses are attribute- not object-sensitive —
+    carrying the backedge would drown the rules in cross-object noise.
     Over-approximate on ``try`` edges — extra followers only ever cost a
     reviewed finding, never hide one.
     """
     out: Dict[int, Set[int]] = {}
 
-    def process(stmts: Sequence[ast.stmt]) -> Tuple[List[int], bool]:
-        """Returns (schedule ids escaping this suite, suite terminates)."""
-        open_ids: List[int] = []
+    def process(stmts: Sequence[ast.stmt]) -> Tuple[Set[int], bool]:
+        """Returns (lines escaping this suite, suite terminates)."""
+        open_lines: Set[int] = set()
         for stmt in stmts:
             lines = _stmt_lines(stmt)
-            for sid in open_ids:
-                out[sid] |= lines
+            for ln in open_lines:
+                out[ln] |= lines
+            for ln in lines:
+                out.setdefault(ln, set())
             if isinstance(stmt, (ast.Return, ast.Raise)):
-                for node in ast.walk(stmt):
-                    if _is_schedule_call(node):
-                        out.setdefault(id(node), set())
-                return [], True
+                return set(), True
             if isinstance(stmt, (ast.Break, ast.Continue)):
-                # control re-enters at the loop level; the whole-loop line
-                # add below covers the repeated body, and post-loop
+                # control re-enters at the loop level; post-loop
                 # statements legitimately follow once the loop exits
-                return open_ids, True
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                return open_lines, True
+            if isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
                 continue  # nested scopes run at call time, not here
             sub_suites: List[Sequence[ast.stmt]] = []
             if isinstance(stmt, (ast.If, ast.While, ast.For, ast.AsyncFor)):
@@ -187,41 +231,79 @@ def _schedule_followers(fn_node: ast.AST) -> Dict[int, Set[int]]:
             elif isinstance(stmt, (ast.With, ast.AsyncWith)):
                 sub_suites = [stmt.body]
             elif isinstance(stmt, ast.Try):
-                sub_suites = [stmt.body, *[h.body for h in stmt.handlers], stmt.orelse, stmt.finalbody]
+                sub_suites = [
+                    stmt.body,
+                    *[h.body for h in stmt.handlers],
+                    stmt.orelse,
+                    stmt.finalbody,
+                ]
             if not sub_suites:
-                for node in ast.walk(stmt):
-                    if _is_schedule_call(node):
-                        out.setdefault(id(node), set())
-                        open_ids.append(id(node))
+                open_lines |= lines
                 continue
             inner = {
-                id(node)
+                ln
                 for suite in sub_suites
                 for sub in suite
-                for node in ast.walk(sub)
+                for ln in _stmt_lines(sub)
             }
-            for node in ast.walk(stmt):
-                if id(node) not in inner and _is_schedule_call(node):
-                    out.setdefault(id(node), set())
-                    open_ids.append(id(node))
-            escaped: List[int] = []
+            open_lines |= lines - inner
+            escaped: Set[int] = set()
             terms: List[bool] = []
             for suite in sub_suites:
                 if not suite:
                     terms.append(False)
                     continue
                 esc, term = process(suite)
-                escaped.extend(esc)
+                escaped |= esc
                 terms.append(term)
-            open_ids.extend(escaped)
+            open_lines |= escaped
             if isinstance(stmt, ast.If) and stmt.orelse and all(terms):
-                return [], True
-        return open_ids, False
+                return set(), True
+        return open_lines, False
 
     body = getattr(fn_node, "body", None)
     if isinstance(body, list):
         process(body)
     return out
+
+
+def declared_tuples(table: SymbolTable, name: str) -> List[Tuple[str, ...]]:
+    """The string tuples of a module-level ``name = ((...), ...)`` constant.
+
+    Scanned from every src module in module order — how
+    ``STATE_INVARIANT_GROUPS`` and ``BARRIER_ACK_PROTOCOLS`` declare the
+    couples the lifecycle and protocol rules prove the code against.
+    Non-string members are dropped; callers filter on arity.
+    """
+    declared: List[Tuple[str, ...]] = []
+    for module in sorted(table.modules):
+        ctx = table.modules[module]
+        if ctx.role != "src":
+            continue
+        for stmt in ctx.tree.body:
+            value: Optional[ast.AST] = None
+            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+                target = stmt.targets[0]
+                if isinstance(target, ast.Name) and target.id == name:
+                    value = stmt.value
+            elif isinstance(stmt, ast.AnnAssign) and isinstance(
+                stmt.target, ast.Name
+            ):
+                if stmt.target.id == name:
+                    value = stmt.value
+            if not isinstance(value, (ast.Tuple, ast.List)):
+                continue
+            for elt in value.elts:
+                if isinstance(elt, (ast.Tuple, ast.List)):
+                    declared.append(
+                        tuple(
+                            str(item.value)
+                            for item in elt.elts
+                            if isinstance(item, ast.Constant)
+                            and isinstance(item.value, str)
+                        )
+                    )
+    return declared
 
 
 class EffectAnalysis:
@@ -304,7 +386,7 @@ class EffectAnalysis:
             return None
         if base.cls not in self.table.classes:
             return None
-        return f"{_short(base.cls)}.{node.attr}"
+        return f"{short(base.cls)}.{node.attr}"
 
     @staticmethod
     def _delay_class(node: ast.AST) -> str:
@@ -324,7 +406,7 @@ class EffectAnalysis:
         fn = self.table.functions[fn_qname]
         out = _DirectEffects()
         role_src = fn.ctx.role == "src"
-        followers = _schedule_followers(fn.node) if role_src else {}
+        followers: Optional[Dict[int, Set[int]]] = None
         for node in ast.walk(fn.node):
             if isinstance(node, ast.Attribute):
                 effect = self._effect_name(fn_qname, node)
@@ -356,6 +438,8 @@ class EffectAnalysis:
                         out.writes.add(effect)
                         out.write_sites.append((effect, node.lineno))
                 if role_src and _is_schedule_call(node):
+                    if followers is None:
+                        followers = line_followers(fn.node)
                     kind_arg = node.args[1]
                     kind = (
                         kind_arg.value
@@ -368,7 +452,7 @@ class EffectAnalysis:
                             kind,
                             self._delay_class(node.args[0]),
                             node.lineno,
-                            frozenset(followers.get(id(node), ())),
+                            frozenset(followers.get(node.lineno, ())),
                         )
                     )
             elif isinstance(node, (ast.If, ast.While)):
@@ -415,6 +499,41 @@ class EffectAnalysis:
         )
 
     # ------------------------------------------------------------------
+    # helpers shared by the lifecycle and protocol rules
+    # ------------------------------------------------------------------
+    def kind_of(self, attr: str) -> str:
+        """Manifest kind of an attribute (missing -> unclassified)."""
+        entry = self.project.state_manifest.get(attr)
+        if isinstance(entry, dict):
+            kind = entry.get("kind")
+            if kind in MANIFEST_KINDS:
+                return str(kind)
+        return "unclassified"
+
+    def handler_reachable(self) -> Dict[str, Set[str]]:
+        """fn qname -> event kinds whose handlers (transitively) reach it."""
+        reached: Dict[str, Set[str]] = {}
+        for handlers in self.handlers.values():
+            for kind, effects in handlers.items():
+                for callee in self.graph.transitive(effects.qname):
+                    reached.setdefault(callee, set()).add(kind)
+        return reached
+
+    def closure_writes(self, fn_qname: str) -> Set[str]:
+        """Transitive attribute write set of ``fn``."""
+        writes: Set[str] = set()
+        for callee in self.graph.transitive(fn_qname):
+            direct = self._direct.get(callee)
+            if direct is not None:
+                writes |= direct.writes
+        return writes
+
+    def fn_anchor(self, qname: str) -> Tuple[FileContext, ast.AST]:
+        """The file and ``def`` node a finding about a function points at."""
+        fn = self.table.functions[qname]
+        return fn.ctx, fn.node
+
+    # ------------------------------------------------------------------
     # tie-eligibility
     # ------------------------------------------------------------------
     def may_tie(self, kind_a: str, kind_b: str) -> bool:
@@ -439,29 +558,11 @@ class EffectAnalysis:
                 kind: effects.summary()
                 for kind, effects in sorted(self.handlers[cls].items())
             }
-            out[_short(cls)] = per_kind
+            out[short(cls)] = per_kind
         return out
 
 
-#: (file-context identity tuple) -> analysis; same FIFO discipline as the
-#: call-graph cache in :mod:`repro.analysis.callgraph`.  One ``lint_project``
-#: run fans the same parsed files out to every project rule (each receives a
-#: fresh role-filtered ``ProjectContext`` *sharing* the ``FileContext``
-#: objects), so keying on file identity lets the race, lifecycle and
-#: protocol rules all reuse a single dispatch/effect build instead of each
-#: reconstructing it — the dominant cost of a whole-repo lint.
-_EFFECTS_CACHE: Dict[Tuple[int, ...], "EffectAnalysis"] = {}
-_EFFECTS_CACHE_LIMIT = 8
-
-
 def effect_analysis_for(project: ProjectContext) -> EffectAnalysis:
-    """The shared per-project :class:`EffectAnalysis` (built at most once)."""
-    key = tuple(sorted(id(ctx) for ctx in project.files))
-    cached = _EFFECTS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    analysis = EffectAnalysis(project)
-    if len(_EFFECTS_CACHE) >= _EFFECTS_CACHE_LIMIT:
-        _EFFECTS_CACHE.pop(next(iter(_EFFECTS_CACHE)))
-    _EFFECTS_CACHE[key] = analysis
-    return analysis
+    """The project's :class:`EffectAnalysis`, built once and shared by the
+    race, lifecycle and protocol rules."""
+    return project.memo("effects", EffectAnalysis)

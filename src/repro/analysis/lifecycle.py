@@ -40,8 +40,9 @@ state inventory
 ``finish-leak``
     A per-query attribute living *outside* the runtime class (engine-side
     maps keyed by query id) with no *clearing* write — ``pop``/``del``/
-    ``clear``/empty-literal assignment — anywhere on the dispatcher's
-    ``_finish_query`` path.
+    ``clear``/an empty-value assignment (``None``, ``False``, an empty
+    container; :func:`~repro.analysis.effects.is_empty_value`) — anywhere
+    on the dispatcher's ``_finish_query`` path.
 ``atomic-mutation``
     A function on a handler path that can ``raise`` between writes to two
     members of a declared ``STATE_INVARIANT_GROUPS`` couple, leaving
@@ -58,16 +59,19 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.callgraph import CallGraph, SymbolTable, project_graph
+from repro.analysis.callgraph import CallGraph, SymbolTable
 from repro.analysis.effects import (
+    RELEASE_MUTATORS,
     EffectAnalysis,
-    _stmt_lines,
+    declared_tuples,
     effect_analysis_for,
+    is_empty_value,
+    line_followers,
+    short,
 )
 from repro.analysis.visitor import (
-    FileContext,
     ProjectContext,
     ProjectRule,
     Violation,
@@ -75,7 +79,6 @@ from repro.analysis.visitor import (
 )
 
 __all__ = [
-    "MANIFEST_KINDS",
     "CheckpointSpec",
     "StateLifecycleAnalysis",
     "state_inventory",
@@ -85,9 +88,6 @@ __all__ = [
     "AtomicMutationRule",
 ]
 
-#: legal ``kind`` values of a ``state_manifest`` entry
-MANIFEST_KINDS = ("per-query", "engine-global", "derived", "unclassified")
-
 #: the module-level constant declaring atomicity couples; a tuple of
 #: tuples of ``"ShortClass.attr"`` strings, scanned from every src module
 INVARIANT_GROUPS_NAME = "STATE_INVARIANT_GROUPS"
@@ -95,94 +95,6 @@ INVARIANT_GROUPS_NAME = "STATE_INVARIANT_GROUPS"
 #: classes whose attributes never enter the inventory: exception payloads
 #: are diagnostics, not engine state
 _EXCEPTION_CLASS_RE = re.compile(r"(?:Error|Exception)$")
-
-#: in-place mutators that *release* a slot (vs. the additive ones —
-#: ``append``/``add``/``setdefault`` — which grow per-query state and
-#: therefore never count as a finish-path clear)
-_CLEARING_MUTATORS = frozenset(
-    {"pop", "popitem", "popleft", "clear", "discard", "remove"}
-)
-
-#: constructor names whose zero-arg call is an empty-container literal
-_EMPTY_CONSTRUCTORS = frozenset({"set", "dict", "list", "frozenset", "tuple"})
-
-
-def _short(qname: str) -> str:
-    return qname.split(".")[-1]
-
-
-def _line_followers(fn_node: ast.AST) -> Dict[int, Set[int]]:
-    """Map every statement line to the lines that may execute after it.
-
-    The atomic-mutation generalization of
-    :func:`repro.analysis.effects._schedule_followers`: instead of
-    tracking schedule *calls*, every line of every statement becomes a
-    key, and its followers are the remaining statements of each enclosing
-    suite — cut off at ``return``/``raise`` (statements after an
-    unconditional ``raise`` are dead, not followers) and at an
-    ``if``/``else`` whose arms both terminate.  Loop backedges are not
-    carried, matching the object-insensitivity rationale documented on
-    the schedule variant.
-    """
-    out: Dict[int, Set[int]] = {}
-
-    def process(stmts: Sequence[ast.stmt]) -> Tuple[Set[int], bool]:
-        """Returns (lines escaping this suite, suite terminates)."""
-        open_lines: Set[int] = set()
-        for stmt in stmts:
-            lines = _stmt_lines(stmt)
-            for ln in open_lines:
-                out[ln] |= lines
-            for ln in lines:
-                out.setdefault(ln, set())
-            if isinstance(stmt, (ast.Return, ast.Raise)):
-                return set(), True
-            if isinstance(stmt, (ast.Break, ast.Continue)):
-                return open_lines, True
-            if isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue  # nested scopes run at call time, not here
-            sub_suites: List[Sequence[ast.stmt]] = []
-            if isinstance(stmt, (ast.If, ast.While, ast.For, ast.AsyncFor)):
-                sub_suites = [stmt.body, stmt.orelse]
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                sub_suites = [stmt.body]
-            elif isinstance(stmt, ast.Try):
-                sub_suites = [
-                    stmt.body,
-                    *[h.body for h in stmt.handlers],
-                    stmt.orelse,
-                    stmt.finalbody,
-                ]
-            if not sub_suites:
-                open_lines |= lines
-                continue
-            inner = {
-                ln
-                for suite in sub_suites
-                for sub in suite
-                for ln in _stmt_lines(sub)
-            }
-            open_lines |= lines - inner
-            escaped: Set[int] = set()
-            terms: List[bool] = []
-            for suite in sub_suites:
-                if not suite:
-                    terms.append(False)
-                    continue
-                esc, term = process(suite)
-                escaped |= esc
-                terms.append(term)
-            open_lines |= escaped
-            if isinstance(stmt, ast.If) and stmt.orelse and all(terms):
-                return set(), True
-        return open_lines, False
-
-    body = getattr(fn_node, "body", None)
-    if isinstance(body, list):
-        process(body)
-    return out
 
 
 @dataclass
@@ -226,23 +138,18 @@ class StateLifecycleAnalysis:
             self.finish_methods[cls] = finish
             self.finish_clears[cls] = self._clearing_writes(finish)
         #: declared invariant groups, in declaration order
-        self.invariant_groups: List[Tuple[str, ...]] = self._find_groups()
+        self.invariant_groups: List[Tuple[str, ...]] = [
+            group
+            for group in declared_tuples(self.table, INVARIANT_GROUPS_NAME)
+            if len(group) >= 2
+        ]
 
     # ------------------------------------------------------------------
     # manifest access
     # ------------------------------------------------------------------
-    def kind_of(self, attr: str) -> str:
-        """Manifest kind of an inventory attribute (missing -> unclassified)."""
-        entry = self.project.state_manifest.get(attr)
-        if isinstance(entry, dict):
-            kind = entry.get("kind")
-            if kind in MANIFEST_KINDS:
-                return str(kind)
-        return "unclassified"
-
     def _per_query(self, attr: str) -> bool:
         """Whether rules must treat the attribute as per-query state."""
-        return self.kind_of(attr) in ("per-query", "unclassified")
+        return self.effects.kind_of(attr) in ("per-query", "unclassified")
 
     def _classification_note(self, attr: str) -> str:
         if attr in self.project.state_manifest:
@@ -289,7 +196,7 @@ class StateLifecycleAnalysis:
                 capture_qname=capture,
                 restore_qname=restore,
             )
-            runtime_short = _short(runtime)
+            runtime_short = short(runtime)
             for callee in self.graph.transitive(capture):
                 direct = self.effects._direct.get(callee)
                 if direct is None:
@@ -332,8 +239,8 @@ class StateLifecycleAnalysis:
         checkpoint slot and are deliberately not recorded.
         """
         fn = self.table.functions[spec.restore_qname]
-        runtime_short = _short(spec.runtime_cls)
-        ck_short = _short(spec.cls_qname)
+        runtime_short = short(spec.runtime_cls)
+        ck_short = short(spec.cls_qname)
         for node in ast.walk(fn.node):
             if not isinstance(node, ast.Assign):
                 continue
@@ -354,12 +261,8 @@ class StateLifecycleAnalysis:
                     spec.slot_restores.setdefault(target.attr, target.lineno)
 
     def _attr_owner(self, fn_qname: str, node: ast.Attribute) -> Optional[str]:
-        base = self.graph.expr_type(fn_qname, node.value)
-        if base is None or base.cls is None:
-            return None
-        if base.cls not in self.table.classes:
-            return None
-        return _short(base.cls)
+        effect = self.effects._effect_name(fn_qname, node)
+        return effect.partition(".")[0] if effect is not None else None
 
     # ------------------------------------------------------------------
     # finish-path clearing writes
@@ -368,7 +271,7 @@ class StateLifecycleAnalysis:
         """``ShortClass.attr`` released anywhere on the finish closure.
 
         Only *clearing* shapes count — ``pop``/``del``/``clear``/
-        empty-literal assignment.  The closure legitimately reaches
+        empty-value assignment.  The closure legitimately reaches
         ``_admit_pending`` -> ``_start_query`` (finishing one query admits
         the next), whose writes are all additive and therefore invisible
         here; counting plain writes instead would mark every attribute
@@ -384,7 +287,7 @@ class StateLifecycleAnalysis:
                     func = node.func
                     if (
                         isinstance(func, ast.Attribute)
-                        and func.attr in _CLEARING_MUTATORS
+                        and func.attr in RELEASE_MUTATORS
                         and isinstance(func.value, ast.Attribute)
                     ):
                         effect = self.effects._effect_name(callee, func.value)
@@ -404,7 +307,7 @@ class StateLifecycleAnalysis:
                             if effect is not None:
                                 cleared.add(effect)
                 elif isinstance(node, ast.Assign):
-                    if not self._is_empty_literal(node.value):
+                    if not is_empty_value(node.value):
                         continue
                     for target in node.targets:
                         if isinstance(target, ast.Attribute):
@@ -413,72 +316,9 @@ class StateLifecycleAnalysis:
                                 cleared.add(effect)
         return cleared
 
-    @staticmethod
-    def _is_empty_literal(node: ast.AST) -> bool:
-        if isinstance(node, ast.Constant) and node.value is None:
-            return True
-        if isinstance(node, (ast.List, ast.Tuple, ast.Set)) and not node.elts:
-            return True
-        if isinstance(node, ast.Dict) and not node.keys:
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in _EMPTY_CONSTRUCTORS
-            and not node.args
-            and not node.keywords
-        )
-
-    # ------------------------------------------------------------------
-    # invariant groups
-    # ------------------------------------------------------------------
-    def _find_groups(self) -> List[Tuple[str, ...]]:
-        groups: List[Tuple[str, ...]] = []
-        for module in sorted(self.table.modules):
-            ctx = self.table.modules[module]
-            if ctx.role != "src":
-                continue
-            for stmt in ctx.tree.body:
-                value: Optional[ast.AST] = None
-                if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                    target = stmt.targets[0]
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == INVARIANT_GROUPS_NAME
-                    ):
-                        value = stmt.value
-                elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ):
-                    if stmt.target.id == INVARIANT_GROUPS_NAME:
-                        value = stmt.value
-                if not isinstance(value, (ast.Tuple, ast.List)):
-                    continue
-                for elt in value.elts:
-                    if not isinstance(elt, (ast.Tuple, ast.List)):
-                        continue
-                    members = tuple(
-                        str(item.value)
-                        for item in elt.elts
-                        if isinstance(item, ast.Constant)
-                        and isinstance(item.value, str)
-                    )
-                    if len(members) >= 2:
-                        groups.append(members)
-        return groups
-
     # ------------------------------------------------------------------
     # atomic-mutation extraction
     # ------------------------------------------------------------------
-    def handler_reachable(self) -> Dict[str, Set[str]]:
-        """fn qname -> event kinds whose handlers (transitively) reach it."""
-        reached: Dict[str, Set[str]] = {}
-        for handlers in self.effects.handlers.values():
-            for kind, effects in handlers.items():
-                for callee in self.graph.transitive(effects.qname):
-                    reached.setdefault(callee, set()).add(kind)
-        return reached
-
     def group_write_sites(
         self, fn_qname: str, group: Tuple[str, ...]
     ) -> List[Tuple[str, int]]:
@@ -502,12 +342,7 @@ class StateLifecycleAnalysis:
         for callee, call_node in self.graph.sites.get(fn_qname, ()):
             if callee == fn_qname:
                 continue
-            callee_writes: Set[str] = set()
-            for sub in self.graph.transitive(callee):
-                sub_direct = self.effects._direct.get(sub)
-                if sub_direct is not None:
-                    callee_writes |= sub_direct.writes
-            for attr in sorted(callee_writes & members):
+            for attr in sorted(self.effects.closure_writes(callee) & members):
                 sites.append((attr, call_node.lineno))
         return sites
 
@@ -530,34 +365,13 @@ class StateLifecycleAnalysis:
         return lines
 
 
-#: (file-context identity tuple) -> analysis; same FIFO discipline as the
-#: call-graph cache — the four lifecycle rules of one run share one build
-_ANALYSIS_CACHE: Dict[Tuple[int, ...], StateLifecycleAnalysis] = {}
-_ANALYSIS_CACHE_LIMIT = 8
-
-
 def _analysis_for(project: ProjectContext) -> StateLifecycleAnalysis:
-    key = tuple(sorted(id(ctx) for ctx in project.files))
-    cached = _ANALYSIS_CACHE.get(key)
-    if cached is not None and cached.project.state_manifest == project.state_manifest:
-        return cached
-    analysis = StateLifecycleAnalysis(project)
-    if len(_ANALYSIS_CACHE) >= _ANALYSIS_CACHE_LIMIT:
-        _ANALYSIS_CACHE.pop(next(iter(_ANALYSIS_CACHE)))
-    _ANALYSIS_CACHE[key] = analysis
-    return analysis
+    return project.memo("lifecycle", StateLifecycleAnalysis)
 
 
 def state_inventory(project: ProjectContext) -> List[str]:
     """Sorted handler-written attribute inventory (for ``--write-baseline``)."""
     return sorted(_analysis_for(project).inventory)
-
-
-def _fn_anchor(
-    analysis: StateLifecycleAnalysis, qname: str
-) -> Tuple[FileContext, ast.AST]:
-    fn = analysis.table.functions[qname]
-    return fn.ctx, fn.node
 
 
 @register_project
@@ -573,8 +387,8 @@ class CheckpointGapRule(ProjectRule):
         analysis = _analysis_for(project)
         for cls_qname in sorted(analysis.specs):
             spec = analysis.specs[cls_qname]
-            runtime_short = _short(spec.runtime_cls)
-            ctx, node = _fn_anchor(analysis, spec.capture_qname)
+            runtime_short = short(spec.runtime_cls)
+            ctx, node = analysis.effects.fn_anchor(spec.capture_qname)
             for attr in sorted(analysis.inventory):
                 cls, _, name = attr.partition(".")
                 if cls != runtime_short or name in spec.captured:
@@ -584,12 +398,12 @@ class CheckpointGapRule(ProjectRule):
                 yield self.violation(
                     ctx,
                     node,
-                    f"{_short(cls_qname)}.capture never reads {attr}, but "
+                    f"{short(cls_qname)}.capture never reads {attr}, but "
                     "event handlers write it — the field is lost across "
                     "crash recovery; capture it or classify it as derived/"
                     "engine-global in the state_manifest"
                     + analysis._classification_note(attr),
-                    fingerprint=f"checkpoint-gap::{_short(cls_qname)}::{attr}",
+                    fingerprint=f"checkpoint-gap::{short(cls_qname)}::{attr}",
                 )
 
 
@@ -606,9 +420,9 @@ class RestoreAsymmetryRule(ProjectRule):
         analysis = _analysis_for(project)
         for cls_qname in sorted(analysis.specs):
             spec = analysis.specs[cls_qname]
-            runtime_short = _short(spec.runtime_cls)
-            ck_short = _short(cls_qname)
-            ctx, node = _fn_anchor(analysis, spec.restore_qname)
+            runtime_short = short(spec.runtime_cls)
+            ck_short = short(cls_qname)
+            ctx, node = analysis.effects.fn_anchor(spec.restore_qname)
             for name in sorted(spec.captured - spec.restored):
                 yield self.violation(
                     ctx,
@@ -651,12 +465,12 @@ class FinishLeakRule(ProjectRule):
     def check_project(self, project: ProjectContext) -> Iterator[Violation]:
         analysis = _analysis_for(project)
         runtime_shorts = {
-            _short(spec.runtime_cls) for spec in analysis.specs.values()
+            short(spec.runtime_cls) for spec in analysis.specs.values()
         }
         for cls_qname in sorted(analysis.finish_methods):
             finish = analysis.finish_methods[cls_qname]
             cleared = analysis.finish_clears[cls_qname]
-            ctx, node = _fn_anchor(analysis, finish)
+            ctx, node = analysis.effects.fn_anchor(finish)
             for attr in sorted(analysis.inventory):
                 cls, _, _name = attr.partition(".")
                 if cls in runtime_shorts or attr in cleared:
@@ -668,11 +482,11 @@ class FinishLeakRule(ProjectRule):
                     node,
                     f"per-query state {attr} is written by event handlers "
                     f"but never released (pop/del/clear) on the "
-                    f"{_short(cls_qname)}._finish_query path — it leaks "
+                    f"{short(cls_qname)}._finish_query path — it leaks "
                     "across queries; release it or classify it as "
                     "engine-global in the state_manifest with a reason"
                     + analysis._classification_note(attr),
-                    fingerprint=f"finish-leak::{_short(cls_qname)}::{attr}",
+                    fingerprint=f"finish-leak::{short(cls_qname)}::{attr}",
                 )
 
 
@@ -689,7 +503,7 @@ class AtomicMutationRule(ProjectRule):
         analysis = _analysis_for(project)
         if not analysis.invariant_groups:
             return
-        reached = analysis.handler_reachable()
+        reached = analysis.effects.handler_reachable()
         seen: Set[str] = set()
         for fn_qname in sorted(reached):
             fn = analysis.table.functions.get(fn_qname)
@@ -705,7 +519,7 @@ class AtomicMutationRule(ProjectRule):
                 if len(written_attrs) < 2:
                     continue
                 if followers is None:
-                    followers = _line_followers(fn.node)
+                    followers = line_followers(fn.node)
                 finding = self._torn_write(sites, raises, followers)
                 if finding is None:
                     continue

@@ -70,14 +70,17 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import CallGraph, SymbolTable
 from repro.analysis.effects import (
-    EffectAnalysis,
+    ENTER_MUTATORS,
     GUARD_ATTR_RE,
+    RELEASE_MUTATORS,
+    EffectAnalysis,
     HandlerEffects,
+    declared_tuples,
     effect_analysis_for,
+    is_empty_value,
+    short,
 )
-from repro.analysis.lifecycle import MANIFEST_KINDS
 from repro.analysis.visitor import (
-    FileContext,
     ProjectContext,
     ProjectRule,
     Violation,
@@ -120,41 +123,6 @@ WAITING_ATTR_RE = re.compile(
 #: protocol states (``_stop_begin_time`` records *when* the stop began,
 #: not *that* one is pending)
 _NON_WAITING_RE = re.compile(r"time|stamp|clock|count|total|history|stat")
-
-#: in-place mutators that *enter* a waiting state (park work, grow a set)
-_ENTER_MUTATORS = frozenset(
-    {"append", "appendleft", "extend", "insert", "add", "setdefault",
-     "update", "put"}
-)
-#: in-place mutators that *release* a waiting state
-_RELEASE_MUTATORS = frozenset(
-    {"pop", "popitem", "popleft", "clear", "discard", "remove"}
-)
-#: constructor names whose zero-arg call is an empty-container literal
-_EMPTY_CONSTRUCTORS = frozenset({"set", "dict", "list", "frozenset", "tuple"})
-
-
-def _short(qname: str) -> str:
-    return qname.split(".")[-1]
-
-
-def _is_reset_value(node: ast.AST) -> bool:
-    """An assignment value that empties the target (the "reset" shape)."""
-    if isinstance(node, ast.Constant) and (
-        node.value is None or node.value is False
-    ):
-        return True
-    if isinstance(node, (ast.List, ast.Tuple, ast.Set)) and not node.elts:
-        return True
-    if isinstance(node, ast.Dict) and not node.keys:
-        return True
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in _EMPTY_CONSTRUCTORS
-        and not node.args
-        and not node.keywords
-    )
 
 
 @dataclass
@@ -211,37 +179,30 @@ class ProtocolAnalysis:
     """Automaton extraction over the shared effect analysis."""
 
     def __init__(self, project: ProjectContext) -> None:
-        self.project = project
         self.effects: EffectAnalysis = effect_analysis_for(project)
         self.table: SymbolTable = self.effects.table
         self.graph: CallGraph = self.effects.graph
         #: per-function write-shape map, built lazily
         self._shapes: Dict[str, Dict[str, Set[str]]] = {}
         #: declared ack/participant/epoch couples, in declaration order
-        self.couples: List[Tuple[str, str, str]] = self._find_couples()
+        self.couples: List[Tuple[str, str, str]] = [
+            (c[0], c[1], c[2])
+            for c in declared_tuples(self.table, BARRIER_PROTOCOLS_NAME)
+            if len(c) == 3
+        ]
         #: event kind -> [(producing fn qname, schedule line)] across src
         self.kind_producers: Dict[str, List[Tuple[str, int]]] = (
             self._find_producers()
         )
         #: fn qname -> event kinds whose handlers (transitively) reach it
-        self.on_handler_path: Dict[str, Set[str]] = self._handler_reachable()
+        self.on_handler_path: Dict[str, Set[str]] = (
+            self.effects.handler_reachable()
+        )
         #: dispatcher class qname -> extracted automaton
         self.automata: Dict[str, ProtocolAutomaton] = {
             cls: self._extract_automaton(cls)
             for cls in sorted(self.effects.dispatch)
         }
-
-    # ------------------------------------------------------------------
-    # manifest access
-    # ------------------------------------------------------------------
-    def kind_of(self, attr: str) -> str:
-        """Manifest kind of an attribute (missing -> unclassified)."""
-        entry = self.project.state_manifest.get(attr)
-        if isinstance(entry, dict):
-            kind = entry.get("kind")
-            if kind in MANIFEST_KINDS:
-                return str(kind)
-        return "unclassified"
 
     # ------------------------------------------------------------------
     # write-shape classification
@@ -283,7 +244,7 @@ class ProtocolAnalysis:
             if isinstance(node, ast.Assign):
                 tags = (
                     ("release", "reset")
-                    if _is_reset_value(node.value)
+                    if is_empty_value(node.value)
                     else ("enter",)
                 )
                 for target in node.targets:
@@ -299,7 +260,7 @@ class ProtocolAnalysis:
                     node.target,
                     *(
                         ("release", "reset")
-                        if _is_reset_value(node.value)
+                        if is_empty_value(node.value)
                         else ("enter",)
                     ),
                 )
@@ -327,9 +288,9 @@ class ProtocolAnalysis:
                 if isinstance(func, ast.Attribute) and isinstance(
                     func.value, ast.Attribute
                 ):
-                    if func.attr in _ENTER_MUTATORS:
+                    if func.attr in ENTER_MUTATORS:
                         mark(func.value, "enter")
-                    elif func.attr in _RELEASE_MUTATORS:
+                    elif func.attr in RELEASE_MUTATORS:
                         mark(func.value, "release")
         self._shapes[fn_qname] = shapes
         return shapes
@@ -342,53 +303,9 @@ class ProtocolAnalysis:
                 merged.setdefault(attr, set()).update(tags)
         return merged
 
-    def closure_writes(self, fn_qname: str) -> Set[str]:
-        """Transitive attribute write set of ``fn``."""
-        writes: Set[str] = set()
-        for callee in self.graph.transitive(fn_qname):
-            direct = self.effects._direct.get(callee)
-            if direct is not None:
-                writes |= direct.writes
-        return writes
-
     # ------------------------------------------------------------------
-    # couple / producer / reachability discovery
+    # producer discovery
     # ------------------------------------------------------------------
-    def _find_couples(self) -> List[Tuple[str, str, str]]:
-        couples: List[Tuple[str, str, str]] = []
-        for module in sorted(self.table.modules):
-            ctx = self.table.modules[module]
-            if ctx.role != "src":
-                continue
-            for stmt in ctx.tree.body:
-                value: Optional[ast.AST] = None
-                if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                    target = stmt.targets[0]
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == BARRIER_PROTOCOLS_NAME
-                    ):
-                        value = stmt.value
-                elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ):
-                    if stmt.target.id == BARRIER_PROTOCOLS_NAME:
-                        value = stmt.value
-                if not isinstance(value, (ast.Tuple, ast.List)):
-                    continue
-                for elt in value.elts:
-                    if not isinstance(elt, (ast.Tuple, ast.List)):
-                        continue
-                    members = [
-                        str(item.value)
-                        for item in elt.elts
-                        if isinstance(item, ast.Constant)
-                        and isinstance(item.value, str)
-                    ]
-                    if len(members) == 3:
-                        couples.append((members[0], members[1], members[2]))
-        return couples
-
     def _find_producers(self) -> Dict[str, List[Tuple[str, int]]]:
         producers: Dict[str, List[Tuple[str, int]]] = {}
         for fn_qname in sorted(self.effects._direct):
@@ -397,14 +314,6 @@ class ProtocolAnalysis:
                 if kind is not None:
                     producers.setdefault(kind, []).append((fn_qname, line))
         return producers
-
-    def _handler_reachable(self) -> Dict[str, Set[str]]:
-        reached: Dict[str, Set[str]] = {}
-        for handlers in self.effects.handlers.values():
-            for kind, he in handlers.items():
-                for callee in self.graph.transitive(he.qname):
-                    reached.setdefault(callee, set()).add(kind)
-        return reached
 
     # ------------------------------------------------------------------
     # automaton extraction
@@ -416,7 +325,7 @@ class ProtocolAnalysis:
         barrier couple the dispatcher's handlers actually write — the
         per-query runtime objects the barrier protocol manipulates.
         """
-        classes = {_short(cls_qname)}
+        classes = {short(cls_qname)}
         written: Set[str] = set()
         for he in self.effects.handlers.get(cls_qname, {}).values():
             written |= he.writes
@@ -439,7 +348,7 @@ class ProtocolAnalysis:
             if WAITING_ATTR_RE.search(name) and not _NON_WAITING_RE.search(
                 name
             ):
-                states[attr] = self.kind_of(attr)
+                states[attr] = self.effects.kind_of(attr)
         couples = [
             c
             for c in self.couples
@@ -447,9 +356,9 @@ class ProtocolAnalysis:
         ]
         for couple in couples:
             for member in couple:
-                states.setdefault(member, self.kind_of(member))
+                states.setdefault(member, self.effects.kind_of(member))
         auto = ProtocolAutomaton(
-            dispatcher=_short(cls_qname), states=states, couples=couples
+            dispatcher=short(cls_qname), states=states, couples=couples
         )
         for kind in sorted(handlers):
             he = handlers[kind]
@@ -487,7 +396,7 @@ class ProtocolAnalysis:
     def summary(self) -> Dict[str, object]:
         """Deterministic whole-project summary for the checked-in baseline."""
         return {
-            _short(cls): auto.summary()
+            short(cls): auto.summary()
             for cls, auto in sorted(self.automata.items())
         }
 
@@ -534,24 +443,8 @@ class ProtocolAnalysis:
         return "\n".join(lines).rstrip() + "\n"
 
 
-#: (file-context identity tuple) -> analysis; same FIFO discipline as the
-#: effect-analysis cache — the four protocol rules of one run share one
-#: extraction (and, through ``effect_analysis_for``, one effect build
-#: with the race and lifecycle rules)
-_ANALYSIS_CACHE: Dict[Tuple[int, ...], ProtocolAnalysis] = {}
-_ANALYSIS_CACHE_LIMIT = 8
-
-
 def _analysis_for(project: ProjectContext) -> ProtocolAnalysis:
-    key = tuple(sorted(id(ctx) for ctx in project.files))
-    cached = _ANALYSIS_CACHE.get(key)
-    if cached is not None and cached.project.state_manifest == project.state_manifest:
-        return cached
-    analysis = ProtocolAnalysis(project)
-    if len(_ANALYSIS_CACHE) >= _ANALYSIS_CACHE_LIMIT:
-        _ANALYSIS_CACHE.pop(next(iter(_ANALYSIS_CACHE)))
-    _ANALYSIS_CACHE[key] = analysis
-    return analysis
+    return project.memo("protocol", ProtocolAnalysis)
 
 
 def protocol_summary(project: ProjectContext) -> Dict[str, object]:
@@ -562,13 +455,6 @@ def protocol_summary(project: ProjectContext) -> Dict[str, object]:
 def render_protocol_tables(project: ProjectContext) -> str:
     """Markdown automaton tables (for ``--protocol-tables`` and docs)."""
     return _analysis_for(project).render_tables()
-
-
-def _fn_anchor(
-    analysis: ProtocolAnalysis, qname: str
-) -> Tuple[FileContext, ast.AST]:
-    fn = analysis.table.functions[qname]
-    return fn.ctx, fn.node
 
 
 @register_project
@@ -615,7 +501,7 @@ class BarrierLivenessRule(ProjectRule):
                 else:
                     detail = "no handler ever releases it"
                 anchor = auto.transitions[enter_kinds[0]]
-                ctx, node = _fn_anchor(analysis, anchor.qname)
+                ctx, node = analysis.effects.fn_anchor(anchor.qname)
                 yield self.violation(
                     ctx,
                     node,
@@ -664,10 +550,10 @@ class AckCompletenessRule(ProjectRule):
             def closure_writes() -> Set[str]:
                 nonlocal closure
                 if closure is None:
-                    closure = analysis.closure_writes(fn_qname)
+                    closure = analysis.effects.closure_writes(fn_qname)
                 return closure
 
-            ctx, node = _fn_anchor(analysis, fn_qname)
+            ctx, node = analysis.effects.fn_anchor(fn_qname)
             if participants in direct_writes and ack not in closure_writes():
                 yield self.violation(
                     ctx,
@@ -714,7 +600,7 @@ class AckCompletenessRule(ProjectRule):
                     continue
                 if epoch in he.guards:
                     continue
-                ctx, node = _fn_anchor(analysis, he.qname)
+                ctx, node = analysis.effects.fn_anchor(he.qname)
                 yield self.violation(
                     ctx,
                     node,
@@ -723,7 +609,7 @@ class AckCompletenessRule(ProjectRule):
                     f"against {epoch} — a stale ack from a previous barrier "
                     "generation is accepted as current",
                     fingerprint=(
-                        f"ack-completeness::accept::{_short(cls)}::{kind}"
+                        f"ack-completeness::accept::{short(cls)}::{kind}"
                     ),
                 )
 
@@ -782,7 +668,7 @@ class EpochFenceRule(ProjectRule):
                 next(
                     c
                     for c in analysis.effects.handlers
-                    if _short(c) == auto.dispatcher
+                    if short(c) == auto.dispatcher
                 )
             ]
             for kind in sorted(handlers):
@@ -798,7 +684,7 @@ class EpochFenceRule(ProjectRule):
                     continue
                 if he.is_guarded():
                     continue
-                ctx, node = _fn_anchor(analysis, he.qname)
+                ctx, node = analysis.effects.fn_anchor(he.qname)
                 shown = ", ".join(exposed[:4]) + (
                     "…" if len(exposed) > 4 else ""
                 )
@@ -839,7 +725,7 @@ class EventKindClosureRule(ProjectRule):
             producer, line = min(
                 analysis.kind_producers[kind], key=lambda p: (p[0], p[1])
             )
-            ctx, _node = _fn_anchor(analysis, producer)
+            ctx, _node = analysis.effects.fn_anchor(producer)
             yield Violation(
                 rule=self.name,
                 path=ctx.path,
@@ -857,15 +743,15 @@ class EventKindClosureRule(ProjectRule):
                 if kind in analysis.kind_producers:
                     continue
                 he = analysis.effects.handlers[cls][kind]
-                ctx, node = _fn_anchor(analysis, he.qname)
+                ctx, node = analysis.effects.fn_anchor(he.qname)
                 yield self.violation(
                     ctx,
                     node,
-                    f"handler _on_{kind} of {_short(cls)} is reachable from "
+                    f"handler _on_{kind} of {short(cls)} is reachable from "
                     "no schedule site — dead protocol surface (or its "
                     "producer passes a non-literal kind the analysis "
                     "cannot see; schedule with a literal kind)",
                     fingerprint=(
-                        f"event-kind-closure::handler::{_short(cls)}::{kind}"
+                        f"event-kind-closure::handler::{short(cls)}::{kind}"
                     ),
                 )

@@ -31,18 +31,15 @@ effect baseline (see :mod:`repro.analysis.baseline`).
 
 from __future__ import annotations
 
-import ast
 from itertools import combinations
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator
 
 from repro.analysis.effects import (
     BENIGN_CLASSES,
-    EffectAnalysis,
     HandlerEffects,
     effect_analysis_for,
 )
 from repro.analysis.visitor import (
-    FileContext,
     ProjectContext,
     ProjectRule,
     Violation,
@@ -50,11 +47,6 @@ from repro.analysis.visitor import (
 )
 
 __all__ = ["VirtualTimeRaceRule", "EffectAfterScheduleRule"]
-
-
-def _handler_ctx(analysis: EffectAnalysis, qname: str) -> Tuple[FileContext, ast.AST]:
-    fn = analysis.table.functions[qname]
-    return fn.ctx, fn.node
 
 
 @register_project
@@ -80,7 +72,7 @@ class VirtualTimeRaceRule(ProjectRule):
                 if ha.is_guarded() or hb.is_guarded():
                     continue
                 first, second = sorted((ha, hb), key=lambda h: h.qname)
-                ctx, node = _handler_ctx(analysis, first.qname)
+                ctx, node = analysis.fn_anchor(first.qname)
                 shown = ", ".join(overlap[:4]) + ("…" if len(overlap) > 4 else "")
                 yield self.violation(
                     ctx,
@@ -128,7 +120,7 @@ class EffectAfterScheduleRule(ProjectRule):
                         if key in reported:
                             continue
                         reported.add(key)
-                        ctx, node = _handler_ctx(analysis, effects.qname)
+                        ctx, node = analysis.fn_anchor(effects.qname)
                         yield Violation(
                             rule=self.name,
                             path=ctx.path,

@@ -40,7 +40,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from repro.analysis.callgraph import (
     CallGraph,
     SymbolTable,
-    _attr_chain,
     project_graph,
     subsystem_of,
 )
@@ -50,6 +49,7 @@ from repro.analysis.visitor import (
     ProjectContext,
     ProjectRule,
     Violation,
+    dotted_parts,
     register_project,
 )
 
@@ -145,7 +145,7 @@ class RngFlowAnalysis:
                     if value is not None:
                         parts.append(_render_key_elt(value))
                     else:
-                        chain = _attr_chain(elt)
+                        chain = dotted_parts(elt)
                         parts.append(".".join(chain) if chain else "?")
                 key = "[" + ", ".join(parts) + "]"
             else:
@@ -319,7 +319,7 @@ class RngFlowAnalysis:
 
 
 def _analysis_for(project: ProjectContext) -> RngFlowAnalysis:
-    return RngFlowAnalysis(project)
+    return project.memo("rngflow", RngFlowAnalysis)
 
 
 @register_project

@@ -45,7 +45,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.visitor import FileContext, Rule, Violation, register
+from repro.analysis.visitor import FileContext, Rule, Violation, dotted_parts, register
 
 __all__ = [
     "ModuleRngRule",
@@ -63,19 +63,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # shared helpers
 # ----------------------------------------------------------------------
-def dotted_parts(node: ast.AST) -> Optional[List[str]]:
-    """``a.b.c`` -> ``["a", "b", "c"]``; None for non-name chains."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return None
-
-
 class ImportTracker(ast.NodeVisitor):
     """Resolves local names to the stdlib/numpy modules they alias.
 

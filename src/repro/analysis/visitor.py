@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import ast
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional,
+    Sequence, Set, Tuple, TypeVar,
+)
 
 __all__ = [
     "Violation",
@@ -41,7 +43,10 @@ __all__ = [
     "load_project",
     "iter_python_files",
     "infer_role",
+    "dotted_parts",
 ]
+
+_T = TypeVar("_T")
 
 #: rule applicability domains: ``src`` is library code under ``src/repro``
 #: (minus the bench harness), ``bench`` is the harness / benchmark / example
@@ -163,24 +168,50 @@ class Rule:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProjectContext:
-    """Every file of one analysis run, parsed once, for whole-program rules."""
+    """Every file of one analysis run, parsed once, for whole-program rules.
+
+    Frozen: the file set and the manifest are fixed when the project is
+    built, so everything :meth:`memo` holds stays valid for its lifetime.
+    """
 
     files: List[FileContext]
     #: checked-in state classifications (``"Cls.attr" -> {kind, reason}``)
     #: from the baseline's ``state_manifest`` — consumed by the lifecycle
     #: rules; empty when no baseline is in play
     state_manifest: Dict[str, Dict[str, str]] = field(default_factory=dict)
+    _memo: Dict[Hashable, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def by_path(self) -> Dict[str, FileContext]:
         return {ctx.path: ctx for ctx in self.files}
 
+    def memo(self, key: Hashable, build: Callable[["ProjectContext"], _T]) -> _T:
+        """``build(self)``, computed once per project and ``key``.
+
+        Every derived structure of one run — sub-projects, the call graph,
+        the effect, lifecycle, protocol and RNG-flow analyses — lives here,
+        so each is built once however many rules ask for it, and is
+        dropped with the project.
+        """
+        if key not in self._memo:
+            self._memo[key] = build(self)
+        return self._memo[key]  # type: ignore[return-value]
+
     def with_roles(self, roles: Sequence[str]) -> "ProjectContext":
-        """The sub-project visible to a rule scoped to the given roles."""
-        return ProjectContext(
-            [ctx for ctx in self.files if ctx.role in roles],
-            state_manifest=self.state_manifest,
+        """The sub-project visible to a rule scoped to the given roles.
+
+        The same roles yield the same sub-project, so rules sharing a role
+        scope share its memo.
+        """
+        return self.memo(
+            ("roles", tuple(roles)),
+            lambda project: ProjectContext(
+                [ctx for ctx in project.files if ctx.role in roles],
+                state_manifest=project.state_manifest,
+            ),
         )
 
 
@@ -258,6 +289,19 @@ def all_rules() -> Dict[str, Rule]:
 def all_project_rules() -> Dict[str, ProjectRule]:
     """The registered whole-program rule catalog, name -> rule instance."""
     return dict(_PROJECT_REGISTRY)
+
+
+def dotted_parts(node: ast.AST) -> Optional[List[str]]:
+    """``a.b.c`` -> ``["a", "b", "c"]``; None for non-name chains."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        parts.reverse()
+        return parts
+    return None
 
 
 def infer_role(path: Path) -> str:
@@ -371,30 +415,19 @@ def lint_paths(
 def load_project(
     paths: Sequence[Path],
     root: Optional[Path] = None,
-    jobs: int = 1,
     manifest: Optional[Dict[str, Dict[str, str]]] = None,
 ) -> ProjectContext:
     """Parse every ``*.py`` file under the given paths into a project.
 
-    ``jobs > 1`` reads and parses files on a thread pool (file IO releases
-    the GIL); the resulting file order is path-sorted either way, so the
-    report and the effect baseline are deterministic regardless of ``jobs``.
-    ``manifest`` is the baseline's ``state_manifest``, consumed by the
-    lifecycle and protocol analyses.
+    Files come in path-sorted order, so the report and the effect
+    baseline are deterministic.  ``manifest`` is the baseline's
+    ``state_manifest``, consumed by the lifecycle and protocol analyses.
     """
-    files = list(iter_python_files(paths))
-
-    def _load(path: Path) -> FileContext:
+    contexts = []
+    for path in iter_python_files(paths):
         rel = path.relative_to(root) if root is not None else path
-        return FileContext.parse(
-            path.read_text(encoding="utf-8"), str(rel), infer_role(rel)
-        )
-
-    if jobs > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            contexts = list(pool.map(_load, files))
-    else:
-        contexts = [_load(path) for path in files]
+        text = path.read_text(encoding="utf-8")
+        contexts.append(FileContext.parse(text, str(rel), infer_role(rel)))
     contexts.sort(key=lambda ctx: ctx.path)
     return ProjectContext(contexts, state_manifest=dict(manifest or {}))
 
@@ -421,11 +454,24 @@ def _run_project_rules(
     return findings
 
 
+def _lint_loaded(
+    project: ProjectContext,
+    select: Optional[Iterable[str]],
+    accepted: Optional[Mapping[str, str]],
+) -> List[Violation]:
+    """Per-file rules on each file, then the whole-program rules."""
+    selected = list(select) if select is not None else None
+    findings: List[Violation] = []
+    for ctx in project.files:
+        findings.extend(_lint_context(ctx, select=selected))
+    findings.extend(_run_project_rules(project, select=selected, accepted=accepted))
+    return sorted(findings, key=Violation.sort_key)
+
+
 def lint_project(
     paths: Sequence[Path],
     root: Optional[Path] = None,
     select: Optional[Iterable[str]] = None,
-    jobs: int = 1,
     accepted: Optional[Mapping[str, str]] = None,
     manifest: Optional[Dict[str, Dict[str, str]]] = None,
 ) -> List[Violation]:
@@ -436,15 +482,8 @@ def lint_project(
     :mod:`repro.analysis.baseline`).  ``manifest`` is the baseline's
     ``state_manifest`` (state classifications for the lifecycle rules).
     """
-    project = load_project(paths, root=root, jobs=jobs)
-    if manifest:
-        project.state_manifest = manifest
-    selected = list(select) if select is not None else None
-    findings: List[Violation] = []
-    for ctx in project.files:
-        findings.extend(_lint_context(ctx, select=selected))
-    findings.extend(_run_project_rules(project, select=selected, accepted=accepted))
-    return sorted(findings, key=Violation.sort_key)
+    project = load_project(paths, root=root, manifest=manifest)
+    return _lint_loaded(project, select, accepted)
 
 
 def lint_sources(
@@ -466,9 +505,4 @@ def lint_sources(
         ],
         state_manifest=dict(manifest or {}),
     )
-    selected = list(select) if select is not None else None
-    findings: List[Violation] = []
-    for ctx in project.files:
-        findings.extend(_lint_context(ctx, select=selected))
-    findings.extend(_run_project_rules(project, select=selected, accepted=accepted))
-    return sorted(findings, key=Violation.sort_key)
+    return _lint_loaded(project, select, accepted)

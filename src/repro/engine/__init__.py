@@ -1,6 +1,6 @@
 """Multi-query vertex-centric engine over the simulated cluster."""
 
-from repro.engine.barriers import BarrierKind, SyncMode
+from repro.engine.barriers import SyncMode
 from repro.engine.engine import EngineConfig, QGraphEngine
 from repro.engine.kernels import ArrayMailbox, QueryKernel
 from repro.engine.query import Query, QueryRuntime
@@ -15,7 +15,6 @@ from repro.engine.worker import IterationResult, SimWorker
 
 __all__ = [
     "SyncMode",
-    "BarrierKind",
     "EngineConfig",
     "QGraphEngine",
     "Scheduler",

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["SyncMode", "BarrierKind"]
+__all__ = ["SyncMode"]
 
 
 class SyncMode(enum.Enum):
@@ -41,18 +41,3 @@ class SyncMode(enum.Enum):
     HYBRID = "hybrid"
     GLOBAL_PER_QUERY = "global-per-query"
     SHARED_BSP = "shared-bsp"
-
-    @property
-    def per_query(self) -> bool:
-        """Whether queries own independent barriers (not lock-step)."""
-        return self is not SyncMode.SHARED_BSP
-
-
-class BarrierKind(enum.Enum):
-    """Classification of an individual barrier instance (for tracing)."""
-
-    LOCAL = "local"          # single worker, no controller round-trip
-    LIMITED = "limited"      # involved workers only
-    GLOBAL_QUERY = "global"  # all workers, one query
-    SHARED = "shared"        # all workers, all queries
-    STOP_START = "stop-start"  # repartitioning barrier

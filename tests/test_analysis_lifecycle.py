@@ -15,11 +15,8 @@ import pytest
 
 from repro.analysis import lint_sources
 from repro.analysis.baseline import load_baseline, render_manifest
-from repro.analysis.lifecycle import (
-    MANIFEST_KINDS,
-    StateLifecycleAnalysis,
-    _line_followers,
-)
+from repro.analysis.effects import MANIFEST_KINDS, line_followers
+from repro.analysis.lifecycle import StateLifecycleAnalysis
 from repro.analysis.visitor import (
     FileContext,
     ProjectContext,
@@ -300,7 +297,7 @@ class TestExtraction:
             "    raise ValueError\n"  # line 3
             "    self.b = 2\n"        # line 4: dead code
         ).body[0]
-        followers = _line_followers(fn)
+        followers = line_followers(fn)
         assert 3 in followers[2]
         assert 4 not in followers[2]
 
@@ -312,7 +309,7 @@ class TestExtraction:
             "        raise ValueError\n"  # line 4
             "    self.b = 2\n"        # line 5
         ).body[0]
-        followers = _line_followers(fn)
+        followers = line_followers(fn)
         assert {4, 5} <= followers[2]
 
 

@@ -30,7 +30,8 @@ from repro.analysis.baseline import (
 )
 from repro.analysis.callgraph import project_graph, subsystem_of
 from repro.analysis.cli import DEFAULT_PATHS, main as cli_main
-from repro.analysis.effects import EffectAnalysis
+from repro.analysis.effects import EffectAnalysis, effect_analysis_for
+from repro.analysis.protocol import protocol_summary
 from repro.analysis.visitor import (
     FileContext,
     ProjectContext,
@@ -423,11 +424,25 @@ class TestRaces:
         )
         assert findings == []
 
-    def test_effect_after_schedule_flagged_then_hoisted_clean(self):
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            "        self.queue.schedule(now + 1, 'beta', k=1)\n",
+            # the engine's multi-line keyword style: the schedule is looked
+            # up by the call's first line
+            "        self.queue.schedule(\n"
+            "            now + 1,\n"
+            "            'beta',\n"
+            "            k=1,\n"
+            "        )\n",
+        ],
+        ids=["one-line", "multi-line"],
+    )
+    def test_effect_after_schedule_flagged_then_hoisted_clean(self, schedule):
         dirty = _engine_module(
             "    def _on_alpha(self, now, payload):\n"
-            "        self.queue.schedule(now + 1, 'beta', k=1)\n"
-            "        self.state = {}\n",
+            + schedule
+            + "        self.state = {}\n",
             "    def _on_beta(self, now, payload):\n"
             "        if self.paused:\n"
             "            return\n"
@@ -440,7 +455,7 @@ class TestRaces:
         hoisted = _engine_module(
             "    def _on_alpha(self, now, payload):\n"
             "        self.state = {}\n"
-            "        self.queue.schedule(now + 1, 'beta', k=1)\n",
+            + schedule,
             "    def _on_beta(self, now, payload):\n"
             "        if self.paused:\n"
             "            return\n"
@@ -574,11 +589,27 @@ def test_state_manifest_is_current_and_fully_classified():
     )
 
 
-def test_parallel_loading_is_order_stable():
-    serial = load_project(_repo_paths(), root=REPO_ROOT, jobs=1)
-    threaded = load_project(_repo_paths(), root=REPO_ROOT, jobs=4)
-    assert [c.path for c in serial.files] == [c.path for c in threaded.files]
-    assert [c.role for c in serial.files] == [c.role for c in threaded.files]
+def test_project_memo_builds_once_per_project_and_manifest():
+    project = _project(
+        {"src/repro/engine/mini.py": _engine_module("", ""), "tests/test_x.py": ""}
+    )
+    sub = project.with_roles(("src",))
+    assert project.with_roles(("src",)) is sub
+    assert [c.path for c in sub.files] == ["src/repro/engine/mini.py"]
+    table, graph = project_graph(sub)
+    assert project_graph(sub)[0] is table and project_graph(sub)[1] is graph
+    assert effect_analysis_for(sub) is effect_analysis_for(sub)
+    # the same parsed files under two manifests are two projects, so an
+    # analysis built for one manifest is never served to the other
+    baseline = load_baseline(REPO_ROOT / BASELINE_NAME)
+    files = load_project([REPO_ROOT / "src" / "repro" / "engine"], root=REPO_ROOT).files
+    classified = protocol_summary(
+        ProjectContext(files, state_manifest=baseline.state_manifest)
+    )["QGraphEngine"]["states"]
+    bare = protocol_summary(ProjectContext(files))["QGraphEngine"]["states"]
+    assert classified.keys() == bare.keys()
+    assert "unclassified" not in classified.values()
+    assert set(bare.values()) == {"unclassified"}
 
 
 def test_project_rule_catalog():

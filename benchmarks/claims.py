@@ -530,7 +530,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
             "res.best_state.is_balanced() or "
             "state.max_imbalance() >= res.best_state.max_imbalance()",
             note="known ILS defect, strict xfail "
-            "`tests/test_core_ils.py::TestSolutionBalance` (ROADMAP item 3)",
+            "`tests/test_core_ils.py::TestSolutionBalance` (ROADMAP item 2)",
         ),
     )),
     Experiment("Fig. 7a", scaling_arms("sssp"), measure_scaling, (

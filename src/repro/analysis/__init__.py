@@ -36,8 +36,8 @@ Layout
     (barrier liveness, ack completeness, epoch-fence coverage,
     event-kind closure).
 :mod:`repro.analysis.baseline`
-    The checked-in ``analysis_baseline.json`` (effect summaries +
-    accepted-finding fingerprints + state manifest + protocol automata).
+    The checked-in ``analysis_baseline.json`` (effect summaries + state
+    manifest + protocol automata).
 :mod:`repro.analysis.reporting`
     Text and JSON reporters.
 :mod:`repro.analysis.cli`

@@ -1,21 +1,14 @@
 """Checked-in effect-summary baseline for the whole-program analyses.
 
-``analysis_baseline.json`` (repo root) pins four things:
+``analysis_baseline.json`` (repo root) pins three things:
 
 ``effects``
     The :meth:`EffectAnalysis.effect_summary` of every event handler —
     the transitive read/write/guard sets and schedule points the race
-    rules reason over.  CI regenerates the summary and uploads the drift
-    against this file as a review artifact, so an engine change that
+    rules reason over.  CI uploads this file's diff against the pull
+    request's base commit as a review artifact, so an engine change that
     silently widens a handler's write set is visible in the PR even when
     no rule fires.
-``accepted``
-    Finding fingerprints (location-independent, see
-    :attr:`Violation.fingerprint`) that are understood and intentionally
-    tolerated, each with a mandatory reason.  Whole-program findings whose
-    fingerprint appears here are dropped — CI therefore fails only on
-    *new* hazards, never on re-flagging an already-reviewed one after an
-    unrelated line shift.
 ``state_manifest``
     The state-lifecycle inventory (see :mod:`repro.analysis.lifecycle`):
     every handler-written ``Class.attr``, classified ``per-query`` /
@@ -30,12 +23,10 @@
     :mod:`repro.analysis.protocol`): per dispatcher, the waiting states
     with their manifest classification, the declared barrier-ack
     couples, and per-handler transitions (enters/releases/guards/
-    schedules).  Fully generated — ``--drift`` reports drift
-    for review artifacts.
+    schedules).  Fully generated — ``--drift`` reports its drift.
 
 Regenerate with ``python -m repro.analysis --write-baseline`` after an
-intentional engine change; the ``accepted`` block is carried over
-verbatim (it is hand-curated, never generated).  The baseline-stability
+intentional engine change.  The baseline-stability
 test asserts the checked-in file matches a fresh regeneration, so a
 stale baseline — or a stale ``state_manifest`` — fails tier-1 rather
 than rotting.
@@ -76,8 +67,6 @@ class Baseline:
     version: int = _VERSION
     #: dispatcher class -> {event kind -> handler summary}
     effects: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    #: accepted finding fingerprint -> reason
-    accepted: Dict[str, str] = field(default_factory=dict)
     #: ``"Cls.attr" -> {"kind": ..., "reason": ...}`` state classifications
     state_manifest: Dict[str, Dict[str, str]] = field(default_factory=dict)
     #: dispatcher class -> extracted protocol automaton summary
@@ -113,19 +102,12 @@ def load_baseline(path: Path) -> Baseline:
             f"{path}: unsupported baseline format "
             f"(want version {_VERSION}, got {raw.get('version')!r})"
         )
-    accepted = raw.get("accepted", {})
-    bad = [fp for fp, why in accepted.items() if not str(why).strip()]
-    if bad:
-        raise ValueError(
-            f"{path}: accepted fingerprints without a reason: {', '.join(bad)}"
-        )
     protocol = raw.get("protocol", {})
     if not isinstance(protocol, dict):
         raise ValueError(f"{path}: protocol must be an object")
     return Baseline(
         version=_VERSION,
         effects=raw.get("effects", {}),
-        accepted={fp: str(why) for fp, why in accepted.items()},
         state_manifest=_validate_manifest(path, raw.get("state_manifest", {})),
         protocol=protocol,
     )
@@ -164,7 +146,6 @@ def render_manifest(
 
 def render_baseline(
     project: ProjectContext,
-    accepted: Optional[Dict[str, str]] = None,
     state_manifest: Optional[Dict[str, Dict[str, str]]] = None,
 ) -> str:
     """Serialize a fresh baseline; deterministic byte-for-byte."""
@@ -178,7 +159,6 @@ def render_baseline(
     payload = {
         "version": _VERSION,
         "effects": analysis.effect_summary(),
-        "accepted": dict(sorted((accepted or {}).items())),
         "protocol": protocol_summary(project),
         "state_manifest": render_manifest(project, curated=state_manifest),
     }

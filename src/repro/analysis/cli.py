@@ -7,16 +7,15 @@ invocation) — per-file rules on each file, then the whole-program rules
 together.  Exit status is 0 when clean, 1 on findings, 2 on usage errors.
 
 ``analysis_baseline.json`` in the current directory is picked up
-automatically (override with ``--baseline``): its ``accepted``
-fingerprints filter whole-program findings (so CI fails only on *new*
-hazards) and its ``state_manifest`` classifies the state inventory the
-lifecycle rules check.  ``--write-baseline`` regenerates the effect
-summaries and the manifest in place (carrying the hand-curated
-``accepted`` block and existing classifications); ``--drift`` prints the
-drift between the checked-in baseline and HEAD — effect summaries, state
-manifest, protocol automata, one section each — for the CI review
-artifact, and ``--protocol-tables`` renders the extracted protocol automata as the
-markdown block embedded in ``docs/engine.md``.
+automatically (override with ``--baseline``): its ``state_manifest``
+classifies the state inventory the lifecycle rules check.
+``--write-baseline`` regenerates the effect summaries and the manifest in
+place (carrying the existing classifications); ``--drift`` prints the
+drift between the baseline and HEAD — effect summaries, state manifest,
+protocol automata, one section each — before ``--write-baseline``
+records it, and ``--protocol-tables``
+renders the extracted protocol automata as the markdown block embedded
+in ``docs/engine.md``.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            f"effect/acceptance baseline (default: ./{BASELINE_NAME} "
+            f"effect/manifest baseline (default: ./{BASELINE_NAME} "
             "when present; 'none' disables discovery)"
         ),
     )
@@ -188,11 +187,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.write_baseline:
             target = baseline_path or Path(BASELINE_NAME)
             target.write_text(
-                render_baseline(
-                    project,
-                    accepted=baseline.accepted,
-                    state_manifest=baseline.state_manifest,
-                ),
+                render_baseline(project, state_manifest=baseline.state_manifest),
                 encoding="utf-8",
             )
             print(f"repro-lint: wrote {target}")
@@ -227,10 +222,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     violations = lint_project(
-        paths,
-        select=select,
-        accepted=baseline.accepted,
-        manifest=baseline.state_manifest,
+        paths, select=select, manifest=baseline.state_manifest
     )
     renderer = {
         "json": render_json,

@@ -67,9 +67,9 @@ class Violation:
     """One finding: a rule fired at a source location.
 
     ``fingerprint`` is a location-independent identity for whole-program
-    findings (stable across unrelated edits), used by the checked-in
-    baseline to accept known hazards without pinning line numbers.  Empty
-    for per-file findings, which are never baselined.
+    findings (stable across unrelated edits), so a rule can report one
+    hazard once and a test can name it without pinning line numbers.
+    Empty for per-file findings.
     """
 
     rule: str
@@ -222,8 +222,7 @@ class ProjectRule:
     (``check_project``) — call graphs, cross-module data flow and handler
     interleavings live here.  The project it receives is already filtered
     to the rule's :attr:`roles`.  Findings should carry a location-free
-    :attr:`Violation.fingerprint` so the effect baseline can accept known
-    hazards without pinning line numbers.
+    :attr:`Violation.fingerprint`.
     """
 
     name: str = ""
@@ -435,9 +434,8 @@ def load_project(
 def _run_project_rules(
     project: ProjectContext,
     select: Optional[Iterable[str]] = None,
-    accepted: Optional[Mapping[str, str]] = None,
 ) -> List[Violation]:
-    """Run registered project rules; filter suppressions + baseline."""
+    """Run registered project rules; filter suppressions."""
     selected = set(select) if select is not None else None
     by_path = project.by_path()
     findings: List[Violation] = []
@@ -448,8 +446,6 @@ def _run_project_rules(
             ctx = by_path.get(violation.path)
             if ctx is not None and ctx.suppressed(violation):
                 continue
-            if accepted and violation.fingerprint in accepted:
-                continue
             findings.append(violation)
     return findings
 
@@ -457,14 +453,13 @@ def _run_project_rules(
 def _lint_loaded(
     project: ProjectContext,
     select: Optional[Iterable[str]],
-    accepted: Optional[Mapping[str, str]],
 ) -> List[Violation]:
     """Per-file rules on each file, then the whole-program rules."""
     selected = list(select) if select is not None else None
     findings: List[Violation] = []
     for ctx in project.files:
         findings.extend(_lint_context(ctx, select=selected))
-    findings.extend(_run_project_rules(project, select=selected, accepted=accepted))
+    findings.extend(_run_project_rules(project, select=selected))
     return sorted(findings, key=Violation.sort_key)
 
 
@@ -472,24 +467,20 @@ def lint_project(
     paths: Sequence[Path],
     root: Optional[Path] = None,
     select: Optional[Iterable[str]] = None,
-    accepted: Optional[Mapping[str, str]] = None,
     manifest: Optional[Dict[str, Dict[str, str]]] = None,
 ) -> List[Violation]:
     """Full pipeline: per-file rules on each file + whole-program rules.
 
-    ``accepted`` maps baseline fingerprints to their acceptance reasons;
-    matching whole-program findings are dropped (see
-    :mod:`repro.analysis.baseline`).  ``manifest`` is the baseline's
-    ``state_manifest`` (state classifications for the lifecycle rules).
+    ``manifest`` is the baseline's ``state_manifest`` (state
+    classifications for the lifecycle rules).
     """
     project = load_project(paths, root=root, manifest=manifest)
-    return _lint_loaded(project, select, accepted)
+    return _lint_loaded(project, select)
 
 
 def lint_sources(
     sources: Mapping[str, str],
     select: Optional[Iterable[str]] = None,
-    accepted: Optional[Mapping[str, str]] = None,
     manifest: Optional[Dict[str, Dict[str, str]]] = None,
 ) -> List[Violation]:
     """Lint a path -> source mapping as one project (fixture helper).
@@ -505,4 +496,4 @@ def lint_sources(
         ],
         state_manifest=dict(manifest or {}),
     )
-    return _lint_loaded(project, select, accepted)
+    return _lint_loaded(project, select)

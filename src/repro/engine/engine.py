@@ -498,28 +498,44 @@ class QGraphEngine:
                 arrival += link.transfer_time(0)
         return arrival
 
-    def _report_controller_iteration(
-        self, query_id: int, involved_count: int, activated: List[int], now: float
-    ) -> None:
-        """Forward a per-barrier stats report, unless faults eat it.
+    def _close_iteration(self, qr: QueryRuntime, now: float) -> None:
+        """Close ``qr``'s iteration at its barrier: commit the aggregators,
+        then count and report the workers that computed it.
 
-        A lost report (or a crashed controller) degrades adaptivity — the
-        Q-cut planner sees stale statistics — but never correctness: query
-        answers only depend on engine-side state.
+        The count includes workers that computed pre-STOP parts of an
+        interrupted iteration, so STOP/START does not misclassify
+        multi-worker iterations as local in the trace and controller
+        statistics.  The stats report goes to the controller unless faults
+        eat it: a lost report (or a crashed controller) degrades
+        adaptivity — the Q-cut planner sees stale statistics — but never
+        correctness, since query answers only depend on engine-side state.
         """
-        if self.faults is not None:
-            if self._controller_down:
-                self.trace.lost_reports += 1
-                return
-            rng = self._fault_rng
-            if (
+        query_id = qr.query.query_id
+        self._reduce_aggregators(qr)
+        involved_count = len(qr.involved | qr.prior_participants)
+        activated = qr.take_activated()
+        rng = self._fault_rng
+        if self.faults is not None and (
+            self._controller_down
+            or (
                 rng is not None
                 and self.faults.report_loss > 0.0
                 and rng.random() < self.faults.report_loss
-            ):
-                self.trace.lost_reports += 1
-                return
-        self.controller.on_iteration(query_id, involved_count, activated, now)
+            )
+        ):
+            self.trace.lost_reports += 1
+        else:
+            self.controller.on_iteration(query_id, involved_count, activated, now)
+        self.trace.iteration_executed(query_id, involved_count)
+
+    def _checkpoint_if_due(self, qr: QueryRuntime, now: float) -> None:
+        """Periodic checkpoint: snapshot ``qr`` when the iteration its
+        barrier just opened is a multiple of ``checkpoint_interval``."""
+        if (
+            self.config.checkpoint_interval > 0
+            and qr.iteration % self.config.checkpoint_interval == 0
+        ):
+            self._capture_checkpoint(qr, now)
 
     def _capture_checkpoint(
         self, qr: QueryRuntime, now: float, charge: bool = True
@@ -578,11 +594,47 @@ class QGraphEngine:
         footprint.update(qr.inflight)
         return footprint
 
-    def _halt_everyone(self) -> None:
-        """Scope the STOP in progress to the whole cluster: every worker and
-        every running query (a global repartition, a crash recovery)."""
-        self._stop_workers = set(range(self.cluster.num_workers))
-        self._stop_queries = set(self.running)
+    def _pause(self, now: float, workers: Set[int], queries: Set[int]) -> None:
+        """Open a STOP that halts ``workers`` and ``queries``; its barrier
+        begins once their in-flight computes have drained."""
+        self.paused = True
+        self._stop_scheduled = False
+        self._stop_begin_time = now
+        self._stop_workers = workers
+        self._stop_queries = queries
+        self._maybe_begin_stop(now)
+
+    def _dispatch_tasks(self, now: float, query_id: int, workers: Set[int]) -> None:
+        """The controller forwards executeQuery(q) to ``workers``: each task
+        is ready once the message crossed that worker's controller link."""
+        for w in sorted(workers):
+            self.queue.schedule(
+                now + self._ctrl_latency(w),
+                "task_ready",
+                query_id=query_id,
+                worker=w,
+            )
+
+    def _redundant_acks(self, now: float, qr: QueryRuntime, skip: Set[int]) -> None:
+        """Seraph-style global barrier: under ``GLOBAL_PER_QUERY`` every
+        worker outside ``skip`` acks ``qr``'s current barrier generation,
+        involved or not."""
+        if self.config.sync_mode is not SyncMode.GLOBAL_PER_QUERY:
+            return
+        for w in range(self.cluster.num_workers):
+            if w not in skip:
+                self.queue.schedule(
+                    now + self._ctrl_latency(w),
+                    "ack_task_ready",
+                    query_id=qr.query.query_id,
+                    worker=w,
+                    epoch=qr.barrier_epoch,
+                )
+
+    def _cluster_scope(self) -> Tuple[Set[int], Set[int]]:
+        """The (halted workers, halted queries) of a global repartition or
+        recovery STOP: every worker and every running query."""
+        return set(range(self.cluster.num_workers)), set(self.running)
 
     def _plan_scope(self, plan: MovePlan) -> Tuple[Set[int], Set[int]]:
         """The (halted workers, halted queries) of a partial STOP.
@@ -657,25 +709,10 @@ class QGraphEngine:
                 self._bsp_begin_superstep(now)
             return
 
-        # controller forwards executeQuery(q) to the involved workers
-        for w in sorted(qr.involved):
-            self.queue.schedule(
-                now + self._dispatch_cost() + self._ctrl_latency(w),
-                "task_ready",
-                query_id=query.query_id,
-                worker=w,
-            )
-        if self.config.sync_mode is SyncMode.GLOBAL_PER_QUERY:
-            # Seraph-style: the very first barrier already spans all workers
-            for w in range(self.cluster.num_workers):
-                if w not in qr.involved and w not in self._dead_workers:
-                    self.queue.schedule(
-                        now + self._dispatch_cost() + self._ctrl_latency(w),
-                        "ack_task_ready",
-                        query_id=query.query_id,
-                        worker=w,
-                        epoch=qr.barrier_epoch,
-                    )
+        dispatched = now + self._dispatch_cost()
+        self._dispatch_tasks(dispatched, query.query_id, qr.involved)
+        # the very first barrier already spans all workers
+        self._redundant_acks(dispatched, qr, qr.involved | self._dead_workers)
 
     # ------------------------------------------------------------------
     # event: a compute task becomes ready on a worker
@@ -732,16 +769,10 @@ class QGraphEngine:
                 # task_ready events are scheduled against the epoch they
                 # will run under.
                 qr.barrier_epoch += 1
-                for w in sorted(redirect):
-                    qr.involved.add(w)
-                    qr.acked.discard(w)
-                    qr.computed.discard(w)
-                    self.queue.schedule(
-                        now + self._ctrl_latency(w),
-                        "task_ready",
-                        query_id=query_id,
-                        worker=w,
-                    )
+                qr.involved |= redirect
+                qr.acked -= redirect
+                qr.computed -= redirect
+                self._dispatch_tasks(now, query_id, redirect)
                 # the bump also invalidated in-flight acks of workers that
                 # finished this iteration's compute and are not re-tasked
                 # (their mailboxes were consumed, not re-homed).  Nothing
@@ -759,18 +790,9 @@ class QGraphEngine:
                         worker=w,
                         epoch=qr.barrier_epoch,
                     )
-                if self.config.sync_mode is SyncMode.GLOBAL_PER_QUERY:
-                    # re-issue the redundant acks the epoch bump invalidated
-                    # (incl. this demoted worker's own)
-                    for w in range(self.cluster.num_workers):
-                        if w not in qr.involved and w not in qr.acked:
-                            self.queue.schedule(
-                                now + self._ctrl_latency(w),
-                                "ack_task_ready",
-                                query_id=query_id,
-                                worker=w,
-                                epoch=qr.barrier_epoch,
-                            )
+                # re-issue the redundant acks the epoch bump invalidated
+                # (incl. this demoted worker's own)
+                self._redundant_acks(now, qr, qr.involved | qr.acked)
                 if not redirect and self._required_ackers(qr).issubset(qr.acked):
                     self._resolve_query_barrier(
                         qr, now + self._dispatch_cost(), local=False
@@ -954,15 +976,7 @@ class QGraphEngine:
     # ------------------------------------------------------------------
     def _resolve_query_barrier(self, qr: QueryRuntime, now: float, local: bool) -> None:
         query_id = qr.query.query_id
-        self._reduce_aggregators(qr)
-        # count workers that computed pre-STOP parts of an interrupted
-        # iteration too, so STOP/START does not misclassify multi-worker
-        # iterations as local in the trace and controller statistics
-        involved_count = len(qr.involved | qr.prior_participants)
-        self._report_controller_iteration(
-            query_id, involved_count, qr.take_activated(), now
-        )
-        self.trace.iteration_executed(query_id, involved_count)
+        self._close_iteration(qr, now)
 
         if self._query_paused(query_id):
             self._held_resolutions.append(query_id)
@@ -981,11 +995,7 @@ class QGraphEngine:
         qr.prior_participants = set()
         if self.sanitizer is not None:
             self.sanitizer.observe_epoch(query_id, qr.barrier_epoch, now)
-        if (
-            self.config.checkpoint_interval > 0
-            and qr.iteration % self.config.checkpoint_interval == 0
-        ):
-            self._capture_checkpoint(qr, now)
+        self._checkpoint_if_due(qr, now)
 
         if local and len(next_involved) == 1:
             # stay in local mode: continue immediately on the same worker
@@ -997,18 +1007,8 @@ class QGraphEngine:
             return
 
         self.trace.barrier_releases += 1
-        if self.config.sync_mode is SyncMode.GLOBAL_PER_QUERY:
-            # every worker takes part in the barrier, involved or not
-            # (currently-dead workers are excused by _required_ackers)
-            for w in range(self.cluster.num_workers):
-                if w not in next_involved and w not in self._dead_workers:
-                    self.queue.schedule(
-                        now + self._ctrl_latency(w),
-                        "ack_task_ready",
-                        query_id=query_id,
-                        worker=w,
-                        epoch=qr.barrier_epoch,
-                    )
+        # currently-dead workers are excused by _required_ackers
+        self._redundant_acks(now, qr, next_involved | self._dead_workers)
         for w in sorted(next_involved):
             delivered = now + self._ctrl_latency(w)
             ready = max(delivered, inbox_ready.get(w, 0.0))
@@ -1258,21 +1258,13 @@ class QGraphEngine:
                 # does not advance — it stays frozen at this iteration until
                 # recovery restores its checkpoint
                 continue
-            self._reduce_aggregators(qr)
-            involved_count = len(qr.involved)
-            self._report_controller_iteration(
-                query_id, involved_count, qr.take_activated(), resolve
-            )
-            self.trace.iteration_executed(query_id, involved_count)
+            self._close_iteration(qr, resolve)
             qr.rotate_mailboxes()
             qr.iteration += 1
             if not qr.mailboxes:
                 self._finish_query(query_id, resolve)
-            elif (
-                self.config.checkpoint_interval > 0
-                and qr.iteration % self.config.checkpoint_interval == 0
-            ):
-                self._capture_checkpoint(qr, resolve)
+            else:
+                self._checkpoint_if_due(qr, resolve)
         self._bsp_participants = set()
         self._bsp_in_progress = False
         if not self.paused:
@@ -1318,14 +1310,11 @@ class QGraphEngine:
             # post-recovery Q-cut replans against fresh state)
             return
         self._pending_plan = plan
-        self.paused = True
-        self._stop_scheduled = False
-        self._stop_begin_time = now
         if self._partial_repartitioning():
-            self._stop_workers, self._stop_queries = self._plan_scope(plan)
+            workers, queries = self._plan_scope(plan)
         else:
-            self._halt_everyone()
-        self._maybe_begin_stop(now)
+            workers, queries = self._cluster_scope()
+        self._pause(now, workers, queries)
 
     def _maybe_begin_stop(self, now: float) -> None:
         if not self.paused or self._stop_scheduled:
@@ -1486,24 +1475,9 @@ class QGraphEngine:
                 # its resolution is all that is left
                 self._resolve_query_barrier(qr, now, local=False)
                 continue
-            for w in sorted(owners):
-                self.queue.schedule(
-                    now + self._ctrl_latency(w),
-                    "task_ready",
-                    query_id=query_id,
-                    worker=w,
-                )
-            if self.config.sync_mode is SyncMode.GLOBAL_PER_QUERY:
-                # re-issue the redundant all-worker acks for the new epoch
-                for w in range(self.cluster.num_workers):
-                    if w not in owners:
-                        self.queue.schedule(
-                            now + self._dispatch_cost() + self._ctrl_latency(w),
-                            "ack_task_ready",
-                            query_id=query_id,
-                            worker=w,
-                            epoch=qr.barrier_epoch,
-                        )
+            self._dispatch_tasks(now, query_id, owners)
+            # re-issue the redundant all-worker acks for the new epoch
+            self._redundant_acks(now + self._dispatch_cost(), qr, owners)
 
         # stage C (partial mode): tasks of queries that kept iterating but
         # whose frontier reached a halted worker.  Those queries were never
@@ -1514,12 +1488,7 @@ class QGraphEngine:
             qr = self.runtimes[query_id]
             if qr.finished:
                 continue
-            self.queue.schedule(
-                now + self._ctrl_latency(w),
-                "task_ready",
-                query_id=query_id,
-                worker=w,
-            )
+            self._dispatch_tasks(now, query_id, {w})
 
         # stage R (crash recovery): restored queries resume from their
         # checkpoint — a fresh dispatch to the post-rollback mailbox owners,
@@ -1529,23 +1498,9 @@ class QGraphEngine:
             qr = self.runtimes[query_id]
             if qr.finished:
                 continue
-            for w in sorted(qr.involved):
-                self.queue.schedule(
-                    now + self._dispatch_cost() + self._ctrl_latency(w),
-                    "task_ready",
-                    query_id=query_id,
-                    worker=w,
-                )
-            if self.config.sync_mode is SyncMode.GLOBAL_PER_QUERY:
-                for w in range(self.cluster.num_workers):
-                    if w not in qr.involved and w not in self._dead_workers:
-                        self.queue.schedule(
-                            now + self._dispatch_cost() + self._ctrl_latency(w),
-                            "ack_task_ready",
-                            query_id=query_id,
-                            worker=w,
-                            epoch=qr.barrier_epoch,
-                        )
+            dispatched = now + self._dispatch_cost()
+            self._dispatch_tasks(dispatched, query_id, qr.involved)
+            self._redundant_acks(dispatched, qr, qr.involved | self._dead_workers)
         self._admit_pending(now)
         if self._recovering:
             # a crash detected while this barrier was in flight could not
@@ -1673,12 +1628,9 @@ class QGraphEngine:
         """
         if not self._recovering or self.paused:
             return
-        self.paused = True
         self._recovery_active = True
-        self._stop_scheduled = False
-        self._halt_everyone()
-        self._stop_begin_time = now
-        self._maybe_begin_stop(now)
+        workers, queries = self._cluster_scope()
+        self._pause(now, workers, queries)
 
     def _do_recovery(self, now: float) -> None:
         """Rollback at a drained recovery barrier (Pregel-style, §4.2 of

@@ -22,6 +22,9 @@ from repro.simulation.network import NetworkModel, ethernet_1g, loopback_tcp
 
 __all__ = ["MachineProfile", "ClusterSpec", "M1", "M2", "C1", "make_cluster"]
 
+#: node hosting the centralized controller
+CONTROLLER_NODE = 0
+
 
 @dataclass(frozen=True)
 class MachineProfile:
@@ -89,8 +92,6 @@ class ClusterSpec:
         ``w % num_nodes``).
     intra_node / inter_node:
         Network models for co-located respectively cross-node links.
-    controller_node:
-        Node hosting the centralized controller.
     """
 
     num_workers: int
@@ -98,7 +99,6 @@ class ClusterSpec:
     num_nodes: int = 1
     intra_node: NetworkModel = field(default_factory=loopback_tcp)
     inter_node: NetworkModel = field(default_factory=ethernet_1g)
-    controller_node: int = 0
     name: str = "cluster"
 
     def __post_init__(self) -> None:
@@ -122,7 +122,7 @@ class ClusterSpec:
 
     def controller_link(self, worker: int) -> NetworkModel:
         """Network model between a worker and the controller."""
-        if self.node_of(worker) == self.controller_node:
+        if self.node_of(worker) == CONTROLLER_NODE:
             return self.intra_node
         return self.inter_node
 

@@ -336,8 +336,7 @@ class TestManifestWorkflow:
             path = tmp_path / "analysis_baseline.json"
             path.write_text(
                 json.dumps(
-                    {"version": 1, "effects": {}, "accepted": {},
-                     "state_manifest": manifest}
+                    {"version": 1, "effects": {}, "state_manifest": manifest}
                 )
             )
             return path

@@ -533,10 +533,7 @@ def _repo_paths():
 def test_repository_is_clean_under_project_rules():
     baseline = load_baseline(REPO_ROOT / BASELINE_NAME)
     findings = lint_project(
-        _repo_paths(),
-        root=REPO_ROOT,
-        accepted=baseline.accepted,
-        manifest=baseline.state_manifest,
+        _repo_paths(), root=REPO_ROOT, manifest=baseline.state_manifest
     )
     assert findings == [], [f"{v.path}:{v.line}: {v.rule}" for v in findings]
 
@@ -545,11 +542,7 @@ def test_checked_in_baseline_is_current():
     baseline_path = REPO_ROOT / BASELINE_NAME
     baseline = load_baseline(baseline_path)
     project = load_project(_repo_paths(), root=REPO_ROOT)
-    regenerated = render_baseline(
-        project,
-        accepted=baseline.accepted,
-        state_manifest=baseline.state_manifest,
-    )
+    regenerated = render_baseline(project, state_manifest=baseline.state_manifest)
     fresh = json.loads(regenerated)
     drift = diff_effects(baseline.effects, fresh["effects"]) + diff_manifest(
         baseline.state_manifest, fresh["state_manifest"]

@@ -27,7 +27,7 @@ Synchronization modes (see :mod:`repro.engine.barriers`):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import AbstractSet, Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -235,6 +235,13 @@ class QGraphEngine:
             [cluster.link(src, dst) for dst in range(cluster.num_workers)]
             for src in range(cluster.num_workers)
         ]
+        #: ``_send_costs[src][dst]``: ``count -> NetworkModel.send_cost(count)``
+        #: of that link, filled as counts occur (one memo per link model, so
+        #: the cells a model serves share it)
+        memos: Dict[NetworkModel, Dict[int, Tuple[float, int, float]]] = {}
+        self._send_costs = [
+            [memos.setdefault(link, {}) for link in row] for row in self._links
+        ]
         #: one-way control-message latency between each worker and the
         #: controller (acks, releases, redirects), resolved once likewise
         self._ctrl_latencies = [
@@ -373,6 +380,7 @@ class QGraphEngine:
         in the queue, so a later ``run()`` resumes exactly where this one
         stopped (popping it would silently drop that event).
         """
+        handlers: Dict[str, Callable[..., None]] = {}
         while True:
             if until is not None:
                 next_time = self.queue.peek_time()
@@ -388,9 +396,13 @@ class QGraphEngine:
                     "events — runaway simulation? "
                     f"[{self._budget_diagnostics()}]"
                 )
-            handler = getattr(self, f"_on_{event.kind}", None)
+            # the bound ``_on_<kind>`` method, looked up once per kind
+            handler = handlers.get(event.kind)
             if handler is None:
-                raise EngineError(f"no handler for event kind {event.kind!r}")
+                handler = getattr(self, f"_on_{event.kind}", None)
+                if handler is None:
+                    raise EngineError(f"no handler for event kind {event.kind!r}")
+                handlers[event.kind] = handler
             handler(event.time, **event.payload)
         return self.trace
 
@@ -842,15 +854,31 @@ class QGraphEngine:
         results = SimWorker.execute_iteration(
             self.workers, run, qr, self.graph, self.assignment
         )
-        deserialize_time = self.cluster.intra_node.deserialize_time
+        # the cost model's constants, read once per run: a member's base
+        # CPU seconds are task overhead + per-vertex + per-edge + per local
+        # message + deserializing its remote inbound messages (the factor of
+        # ``NetworkModel.deserialize_time``)
+        machine = self.cluster.machine
+        task_overhead = machine.task_overhead_time
+        per_vertex = machine.vertex_compute_time
+        per_edge = machine.edge_compute_time
+        per_local = machine.message_handling_time
+        per_inbound = self.cluster.intra_node.deserialize_per_message
+        faults = self.faults
         trace = self.trace
         inbox_ready = qr.inbox_ready
         local_count = remote_count = batch_count = 0
         for worker, result in zip(run, results):
             w = self.workers[worker]
+            sent = result.sent
             links = self._links[worker]
-            duration = w.compute_duration(
-                result, deserialize_time=deserialize_time(result.remote_inbound)
+            costs = self._send_costs[worker]
+            duration = (
+                task_overhead
+                + per_vertex * result.executed_vertices
+                + per_edge * result.visited_edges
+                + per_local * sent[worker]
+                + per_inbound * result.remote_inbound
             )
             # one pass over the member's non-zero remote cells, destination
             # ascending: serialization extends the compute, the wire time
@@ -858,21 +886,25 @@ class QGraphEngine:
             # order of ``duration`` and, below, the order ``_faulty_transfer``
             # draws from the fault RNG in — neither may move
             cells: List[Tuple[int, int, int, float]] = []
-            for dest, count in enumerate(result.sent):
+            for dest, count in enumerate(sent):
                 if count and dest != worker:
-                    serialize, batches, wire = links[dest].send_cost(count)
-                    duration += serialize
-                    cells.append((dest, count, batches, wire))
+                    cost = costs[dest].get(count)
+                    if cost is None:
+                        cost = costs[dest][count] = links[dest].send_cost(count)
+                    duration += cost[0]
+                    cells.append((dest, count, cost[1], cost[2]))
             start, finish = w.occupy(now, duration)
             qr.inflight[worker] = qr.inflight.get(worker, 0) + 1
             if result.executed_vertices:
                 trace.vertices_executed(worker, start, result.executed_vertices)
-            local_count += result.sent[worker]
+            local_count += sent[worker]
             for dest, count, batches, wire in cells:
                 arrival = finish + wire
-                if self.faults is not None:
+                if faults is not None:
                     arrival = self._faulty_transfer(links[dest], count, arrival)
-                inbox_ready[dest] = max(inbox_ready.get(dest, 0.0), arrival)
+                ready = inbox_ready.get(dest)
+                if ready is None or arrival > ready:
+                    inbox_ready[dest] = arrival
                 remote_count += count
                 batch_count += batches
             qr.activated.extend(result.activated)
@@ -918,7 +950,8 @@ class QGraphEngine:
 
         local_candidate = (
             self.config.sync_mode is SyncMode.HYBRID
-            and qr.involved == {worker}
+            and len(qr.involved) == 1
+            and worker in qr.involved
             and not qr.prior_participants  # interrupted iteration spanned more workers
             and not had_remote
             and not self._query_paused(query_id)
@@ -930,8 +963,9 @@ class QGraphEngine:
             self._resolve_query_barrier(qr, finish, local=True)
         else:
             self.trace.barrier_acks += 1
+            delay = 0.0 if self.faults is None else self._control_delay()
             self.queue.schedule(
-                now + self._ctrl_latency(worker) + self._control_delay(),
+                now + self._ctrl_latency(worker) + delay,
                 "barrier_ack",
                 query_id=query_id,
                 worker=worker,
@@ -960,7 +994,9 @@ class QGraphEngine:
             processing = self._dispatch_cost() * max(len(qr.acked), 1)
             self._resolve_query_barrier(qr, now + processing, local=False)
 
-    def _required_ackers(self, qr: QueryRuntime) -> Set[int]:
+    def _required_ackers(self, qr: QueryRuntime) -> AbstractSet[int]:
+        """The workers whose acks resolve ``qr``'s barrier (read-only: its
+        involved set itself outside ``GLOBAL_PER_QUERY``)."""
         if self.config.sync_mode is SyncMode.GLOBAL_PER_QUERY:
             required = set(range(self.cluster.num_workers))
             if self._dead_workers:
@@ -969,7 +1005,7 @@ class QGraphEngine:
                 # barrier strands until recovery rolls the query back
                 required -= self._dead_workers - qr.involved
             return required
-        return set(qr.involved)
+        return qr.involved
 
     # ------------------------------------------------------------------
     # barrier resolution (limited / local / global-per-query)
@@ -1041,8 +1077,9 @@ class QGraphEngine:
         w = self.workers[worker]
         _start, finish = w.occupy(now, self.cluster.machine.barrier_ack_time)
         self.trace.barrier_acks += 1
+        delay = 0.0 if self.faults is None else self._control_delay()
         self.queue.schedule(
-            finish + self._ctrl_latency(worker) + self._control_delay(),
+            finish + self._ctrl_latency(worker) + delay,
             "barrier_ack",
             query_id=query_id,
             worker=worker,

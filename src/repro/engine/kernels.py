@@ -71,13 +71,13 @@ def combine_by_vertex(
     """Collapse duplicate targets: unique sorted vertices, combined messages."""
     if vertices.size == 0:
         return vertices, messages
-    order = np.argsort(vertices, kind="stable")
+    order = vertices.argsort(kind="stable")
     sv = vertices[order]
     sm = messages[order]
     first = np.empty(sv.size, dtype=bool)
     first[0] = True
     np.not_equal(sv[1:], sv[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
+    starts = first.nonzero()[0]
     return sv[starts], combine.reduceat(sm, starts)
 
 
@@ -95,7 +95,10 @@ def contribute_partial(agg_partial: Dict[str, Any], name: str, value: Any) -> No
 
 
 def group_by_owner(
-    owners: np.ndarray, vertices: np.ndarray, messages: np.ndarray
+    owners: np.ndarray,
+    vertices: np.ndarray,
+    messages: np.ndarray,
+    counts: Optional[np.ndarray] = None,
 ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
     """Yield ``(owner, vertex_chunk, message_chunk)`` in ascending owner order.
 
@@ -105,17 +108,20 @@ def group_by_owner(
     of a fused multi-worker pass arrive here sender-major (see
     :meth:`QueryKernel.step`), so each destination's chunk is the
     concatenation of what the senders, run one after the other, would have
-    appended to that destination's mailbox.
+    appended to that destination's mailbox.  ``counts[w]`` is the number of
+    messages owned by worker ``w`` (``np.bincount(owners)``, which is what
+    runs when it is not given).
     """
     if vertices.size == 0:
         return
-    order = np.argsort(owners, kind="stable")
+    order = owners.argsort(kind="stable")
     sv = vertices[order]
     sm = messages[order]
-    counts = np.bincount(owners)
-    present = np.flatnonzero(counts)
+    if counts is None:
+        counts = np.bincount(owners)
+    present = counts.nonzero()[0]
     lo = 0
-    for owner, hi in zip(present.tolist(), np.cumsum(counts[present]).tolist()):
+    for owner, hi in zip(present.tolist(), counts[present].cumsum().tolist()):
         yield owner, sv[lo:hi], sm[lo:hi]
         lo = hi
 
@@ -127,16 +133,18 @@ def expand_edges(indptr: np.ndarray, vertices: np.ndarray) -> Tuple[np.ndarray, 
     ``indices``/``weights`` arrays and ``src_pos[i]`` is the position in
     ``vertices`` the edge ``edge_idx[i]`` originates from.
     """
-    degrees = indptr[vertices + 1] - indptr[vertices]
-    total = int(degrees.sum())
+    row_ends = indptr[vertices + 1]
+    degrees = row_ends - indptr[vertices]
+    ends = degrees.cumsum()
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    src_pos = np.repeat(np.arange(vertices.size, dtype=np.int64), degrees)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(degrees) - degrees, degrees
-    )
-    edge_idx = np.repeat(indptr[vertices], degrees) + offsets
+    src_pos = np.arange(vertices.size, dtype=np.int64).repeat(degrees)
+    # the edges of ``vertices[i]`` fill positions [ends[i] - degrees[i],
+    # ends[i]) of the output and CSR slots [row_ends[i] - degrees[i],
+    # row_ends[i]): one constant shift per source
+    edge_idx = np.arange(total, dtype=np.int64) + (row_ends - ends).repeat(degrees)
     return edge_idx, src_pos
 
 
@@ -148,23 +156,27 @@ class ArrayMailbox:
     This keeps delivery O(1) amortized and defers the sort to one place.
     """
 
-    __slots__ = ("_vertex_chunks", "_message_chunks")
+    __slots__ = ("_vertex_chunks", "_message_chunks", "_size")
 
     def __init__(self) -> None:
         self._vertex_chunks: List[np.ndarray] = []
         self._message_chunks: List[np.ndarray] = []
+        #: messages held: the sum of the chunk sizes, kept by ``append``
+        self._size = 0
 
     def append(self, vertices: np.ndarray, messages: np.ndarray) -> None:
-        if vertices.size == 0:
+        size = vertices.size
+        if size == 0:
             return
         self._vertex_chunks.append(vertices)
         self._message_chunks.append(messages)
+        self._size += size
 
     def __bool__(self) -> bool:
         return bool(self._vertex_chunks)
 
     def __len__(self) -> int:
-        return int(sum(c.size for c in self._vertex_chunks))
+        return self._size
 
     def concat(self) -> Tuple[np.ndarray, np.ndarray]:
         """All chunks concatenated (duplicates not yet combined)."""
@@ -192,6 +204,7 @@ class ArrayMailbox:
         out = ArrayMailbox()
         out._vertex_chunks = [c.copy() for c in self._vertex_chunks]
         out._message_chunks = [c.copy() for c in self._message_chunks]
+        out._size = self._size
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -349,8 +362,9 @@ class _BoundedWavefrontKernel(QueryKernel):
         messages: np.ndarray,
         agg_committed: Dict[str, Any],
     ) -> StepOutput:
-        best = np.minimum(messages, dist[vertices])
-        ip = np.flatnonzero(best < dist[vertices])
+        current = dist[vertices]
+        best = np.minimum(messages, current)
+        ip = (best < current).nonzero()[0]
         dist[vertices] = best
         ib = best[ip]
 
@@ -426,8 +440,9 @@ class BfsKernel(QueryKernel):
         messages: np.ndarray,
         agg_committed: Dict[str, Any],
     ) -> StepOutput:
-        best = np.minimum(messages, depth[vertices])
-        ip = np.flatnonzero(best < depth[vertices])
+        current = depth[vertices]
+        best = np.minimum(messages, current)
+        ip = (best < current).nonzero()[0]
         depth[vertices] = best
         ib = best[ip]
 
@@ -476,8 +491,9 @@ class KHopKernel(QueryKernel):
         messages: np.ndarray,
         agg_committed: Dict[str, Any],
     ) -> StepOutput:
-        best = np.minimum(messages, depth[vertices])
-        ip = np.flatnonzero((best < depth[vertices]) & (best < self.k))
+        current = depth[vertices]
+        best = np.minimum(messages, current)
+        ip = ((best < current) & (best < self.k)).nonzero()[0]
         depth[vertices] = best
         ib = best[ip]
 
@@ -512,7 +528,7 @@ class ReachabilityKernel(QueryKernel):
         messages: np.ndarray,
         agg_committed: Dict[str, Any],
     ) -> StepOutput:
-        fp = np.flatnonzero(~visited[vertices])
+        fp = (~visited[vertices]).nonzero()[0]
         visited[vertices] = True
 
         contribs: Contributions = {}
@@ -581,7 +597,7 @@ class LocalPageRankKernel(QueryKernel):
         csr = graph.csr()
         degrees = csr.indptr[vertices + 1] - csr.indptr[vertices]
         thresholds = self.epsilon * np.maximum(degrees, 1)
-        pp = np.flatnonzero(r[vertices] >= thresholds)
+        pp = (r[vertices] >= thresholds).nonzero()[0]
         if pp.size == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, np.empty(0, dtype=np.float64), empty, {}
@@ -657,8 +673,9 @@ class LocalWccKernel(QueryKernel):
         messages: np.ndarray,
         agg_committed: Dict[str, Any],
     ) -> StepOutput:
-        best = np.minimum(messages, keys[vertices])
-        ip = np.flatnonzero(best < keys[vertices])
+        current = keys[vertices]
+        best = np.minimum(messages, current)
+        ip = (best < current).nonzero()[0]
         keys[vertices] = best
         ib = best[ip]
         hops = self.max_hops - ib % self._base

@@ -34,7 +34,7 @@ from repro.simulation.cluster import MachineProfile
 __all__ = ["SimWorker", "IterationResult"]
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationResult:
     """Counters produced by one (query, iteration, worker) compute task."""
 
@@ -169,7 +169,6 @@ class SimWorker:
         """
         kernel = qr.kernel
         r = len(run)
-        results = [IterationResult() for _ in run]
         boxes = []
         for wid in run:
             box = qr.mailboxes.pop(wid, None) or ArrayMailbox()
@@ -179,32 +178,34 @@ class SimWorker:
                 for name in qr.agg_committed:
                     agg_partial.setdefault(name, None)
 
-        # combine: one stable sort on the (run position, vertex) key
-        n = qr.scope_mask.size
+        # combine: one stable sort on the (run position, vertex) key; a lone
+        # member's key is the vertex itself
         vertices, messages = ArrayMailbox.concat_all(boxes)
-        keys = np.repeat(np.arange(r) * n, [len(box) for box in boxes]) + vertices
-        keys, messages = kernel.combine_arrays(keys, messages)
-        member_of, vertices = np.divmod(keys, n)
+        if r == 1:
+            vertices, messages = kernel.combine_arrays(vertices, messages)
+            member_of = np.zeros(vertices.size, dtype=np.int64)
+        else:
+            n = qr.scope_mask.size
+            keys = (np.arange(r) * n).repeat([len(box) for box in boxes]) + vertices
+            keys, messages = kernel.combine_arrays(keys, messages)
+            member_of, vertices = np.divmod(keys, n)
 
         indptr = graph.csr().indptr
         degrees = indptr[vertices + 1] - indptr[vertices]
         executed = np.bincount(member_of, minlength=r).tolist()
         edges = np.bincount(member_of, weights=degrees, minlength=r).tolist()
-        for result, num_vertices, num_edges in zip(results, executed, edges):
-            result.executed_vertices = num_vertices
-            result.visited_edges = int(num_edges)
 
         fresh = ~qr.scope_mask[vertices]
         newly = vertices[fresh]
         if newly.size:
             qr.scope_mask[newly] = True
             activated = newly.tolist()
-            hi = 0
-            for result, count in zip(
-                results, np.bincount(member_of[fresh], minlength=r).tolist()
-            ):
-                lo, hi = hi, hi + count
-                result.activated = activated[lo:hi]
+            bounds = np.bincount(member_of[fresh], minlength=r).cumsum().tolist()
+            activated_of = [
+                activated[lo:hi] for lo, hi in zip([0] + bounds, bounds)
+            ]
+        else:
+            activated_of = [[] for _ in run]
 
         targets, out_messages, sources, contribs = kernel.step(
             graph, qr.kstate, vertices, messages, qr.agg_committed
@@ -232,7 +233,9 @@ class SimWorker:
         owners = assignment[targets]
         # cell = member * k + destination; a lone member is row 0
         cells = owners if r == 1 else member_of[sources] * k + owners
-        rows = np.bincount(cells, minlength=r * k).reshape(r, k).tolist()
+        sent = np.bincount(cells, minlength=r * k).reshape(r, k)
+        # per destination: the column sums, what group_by_owner bincounts
+        per_dest = sent[0] if r == 1 else sent.sum(axis=0)
 
         # replayed per member: member i pops its inbound count *after* the
         # members before it added their next-iteration sends to it, and a
@@ -241,38 +244,30 @@ class SimWorker:
         # rebucket and checkpoints walk)
         pending = qr.pending_remote_inbound
         next_boxes = qr.next_mailboxes
-        for wid, result, row in zip(run, results, rows):
-            result.sent = row
-            result.remote_inbound = pending.pop(wid, 0)
+        results = []
+        for wid, row, num_vertices, num_edges, member_activated in zip(
+            run, sent.tolist(), executed, edges, activated_of
+        ):
+            results.append(
+                IterationResult(
+                    num_vertices,
+                    int(num_edges),
+                    pending.pop(wid, 0),
+                    row,
+                    member_activated,
+                )
+            )
             for dest, count in enumerate(row):
                 if count:
                     if dest != wid:
                         pending[dest] = pending.get(dest, 0) + count
                     if dest not in next_boxes:
                         next_boxes[dest] = ArrayMailbox()
-        for dest, vchunk, mchunk in group_by_owner(owners, targets, out_messages):
+        for dest, vchunk, mchunk in group_by_owner(
+            owners, targets, out_messages, per_dest
+        ):
             qr.deliver_array(dest, vchunk, mchunk)
         return results
-
-    # ------------------------------------------------------------------
-    def compute_duration(
-        self, result: IterationResult, deserialize_time: float = 0.0
-    ) -> float:
-        """CPU seconds of the iteration under the machine cost model, before
-        sender-side serialization (the engine adds that per remote cell of
-        ``result.sent``, from the link to each destination).
-
-        ``deserialize_time`` is the receiver-side cost of the remote
-        messages this task consumed from its inbox.
-        """
-        m = self.machine
-        return (
-            m.task_overhead_time
-            + m.vertex_compute_time * result.executed_vertices
-            + m.edge_compute_time * result.visited_edges
-            + m.message_handling_time * result.sent[self.wid]
-            + deserialize_time
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimWorker(wid={self.wid}, busy_until={self.busy_until:.6f})"

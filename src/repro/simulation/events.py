@@ -49,11 +49,12 @@ class EventQueue:
 
     def schedule(self, time: float, kind: str, **payload: Any) -> Event:
         """Add an event; returns it."""
-        if time < self._now - 1e-12:
-            raise SimulationError(
-                f"cannot schedule {kind!r} at {time} before now={self._now}"
-            )
-        time = max(time, self._now)
+        if time < self._now:
+            if time < self._now - 1e-12:
+                raise SimulationError(
+                    f"cannot schedule {kind!r} at {time} before now={self._now}"
+                )
+            time = self._now
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, seq, kind, payload)

@@ -17,8 +17,9 @@ maximum of 32 vertex messages per batch and 32 kilobytes batch size").
   (barrier ack / release, stats).
 
 :meth:`NetworkModel.send_cost` returns the three vertex-message charges of
-one (sender, destination) cell in one call — the compute path pays it once
-per non-zero remote cell.
+one (sender, destination) cell in one call.  The engine keeps its results
+in a memo per link model and count, so it computes each (link, count) once;
+the formulas live here only.
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference_impls import generic_path
 from repro.core import Controller
@@ -22,6 +24,7 @@ from repro.engine.kernels import (
     expand_edges,
     group_by_owner,
 )
+from repro.engine.checkpoint import QueryCheckpoint
 from repro.engine.query import QueryRuntime
 from repro.graph import (
     DiGraph,
@@ -379,6 +382,24 @@ class TestKernelPrimitives:
         got = list(zip(src_pos.tolist(), g.indices[edge_idx].tolist()))
         assert got == expected
 
+    def test_expand_edges_skips_vertices_without_out_edges(self):
+        """Zero-degree sources in any position, repeated sources: each
+        source's edges in CSR order, sources in the order given."""
+        # out-edges 0 -> 1, 2; 2 -> 3; 4 -> 0, 1, 5; vertices 1, 3, 5 have none
+        g = DiGraph(
+            np.array([0, 2, 2, 3, 3, 6, 6]), np.array([1, 2, 3, 0, 1, 5]), np.ones(6)
+        )
+        for order in ([1, 0, 3, 4], [4, 1, 1, 2, 5], [0], [3, 5], [4, 4, 0]):
+            vertices = np.array(order, dtype=np.int64)
+            edge_idx, src_pos = expand_edges(g.indptr, vertices)
+            expected = [
+                (pos, int(nbr))
+                for pos, v in enumerate(order)
+                for nbr in g.out_neighbors(v)
+            ]
+            got = list(zip(src_pos.tolist(), g.indices[edge_idx].tolist()))
+            assert got == expected
+
     def test_expand_edges_empty(self):
         g = grid_graph(2, 2)
         edge_idx, src_pos = expand_edges(g.indptr, np.empty(0, dtype=np.int64))
@@ -408,6 +429,14 @@ class TestKernelPrimitives:
             1: ([1, 1], [1.0, 4.0]),
             2: ([3], [3.0]),
         }
+        # per-owner counts from the caller (as the worker's send matrix
+        # gives them, one entry per worker) group the same way
+        counts = np.array([2, 2, 1, 0, 0], dtype=np.int64)
+        with_counts = {
+            owner: (vc.tolist(), mc.tolist())
+            for owner, vc, mc in group_by_owner(assignment[v], v, m, counts)
+        }
+        assert with_counts == groups
 
     def test_wcc_key_roundtrip(self):
         kernel = LocalWccKernel(max_hops=5)
@@ -426,3 +455,64 @@ class TestKernelPrimitives:
         assert view.indptr is g.indptr
         g._invalidate_csr()
         assert view is not g.csr()
+
+
+def _mailbox_sizes_hold(box):
+    """``len(box)`` — kept by ``append`` — against what the chunks hold."""
+    chunk_sum = sum(chunk.size for chunk in box._vertex_chunks)
+    assert len(box) == chunk_sum == box.concat()[0].size
+    assert sum(chunk.size for chunk in box._message_chunks) == chunk_sum
+    assert bool(box) == (chunk_sum > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_array_mailbox_length_is_the_sum_of_its_chunks(data):
+    """An ``ArrayMailbox`` counts its messages as they are appended instead
+    of summing its chunks on every ``len``: the count equals the chunk sum
+    after ``append`` (empty chunks included), ``clone``, ``rebucket`` (full
+    and partial), checkpoint capture and restore, and ``concat_all``."""
+    g = grid_graph(3, 4)
+    n, k = g.num_vertices, data.draw(st.integers(1, 4), label="k")
+    assignments = st.lists(st.integers(0, k - 1), min_size=n, max_size=n).map(
+        lambda owners: np.array(owners, dtype=np.int64)
+    )
+    qr = QueryRuntime(Query(0, SsspProgram(0), (0,)), g)
+    chunks = st.lists(st.integers(0, n - 1), max_size=6).map(
+        lambda vs: np.array(vs, dtype=np.int64)
+    )
+    for _chunk in range(data.draw(st.integers(0, 8), label="chunks")):
+        vertices = data.draw(chunks, label="vertices")
+        qr.deliver_array(
+            data.draw(st.integers(0, k - 1), label="worker"),
+            vertices,
+            np.arange(vertices.size, dtype=np.float64),
+            to_next=data.draw(st.booleans(), label="next"),
+        )
+
+    def all_boxes(*generations):
+        return [box for boxes in generations for box in boxes.values()]
+
+    def check(*generations):
+        boxes = all_boxes(*generations)
+        for box in boxes:
+            _mailbox_sizes_hold(box)
+        assert ArrayMailbox.concat_all(boxes)[0].size == sum(map(len, boxes))
+
+    check(qr.mailboxes, qr.next_mailboxes)
+    total = sum(map(len, all_boxes(qr.mailboxes, qr.next_mailboxes)))
+    for box in all_boxes(qr.mailboxes):
+        copy = box.clone()
+        _mailbox_sizes_hold(copy)
+        assert len(copy) == len(box)
+    checkpoint = QueryCheckpoint.capture(qr)
+    check(checkpoint.mailboxes, checkpoint.next_mailboxes)
+    halted = data.draw(
+        st.none() | st.sets(st.integers(0, k - 1)), label="rebucketed workers"
+    )
+    qr.rebucket(data.draw(assignments, label="assignment"), halted)
+    check(qr.mailboxes, qr.next_mailboxes)
+    assert sum(map(len, all_boxes(qr.mailboxes, qr.next_mailboxes))) == total
+    checkpoint.restore(qr, data.draw(assignments, label="restore assignment"))
+    check(qr.mailboxes, qr.next_mailboxes)
+    assert sum(map(len, all_boxes(qr.mailboxes, qr.next_mailboxes))) == total

@@ -21,7 +21,9 @@ with one chunk per destination and charges virtual time from one
 * the event budget and ``run(until=...)`` count coalesced events as events.
 """
 
+import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List
 from unittest.mock import patch
@@ -405,6 +407,10 @@ def test_generic_programs_loop_over_the_run():
         for w in (0, 1)
     ]
     assert got == want
+    # a slotted dataclass still compares field by field
+    assert not hasattr(got[0], "__dict__")
+    assert got[0] != dataclasses.replace(got[0], visited_edges=got[0].visited_edges + 1)
+    assert got[0] != dataclasses.replace(got[0], sent=got[0].sent[::-1] + [0])
     assert [len(result.sent) for result in got] == [2, 2]
     assert sum(sum(result.sent) for result in got) == sum(
         len(box) for box in together.next_mailboxes.values()
@@ -531,6 +537,31 @@ def _draw_pass(rng, k):
     return run, results
 
 
+def _charged_state(engine, qr):
+    """Everything charging writes: the events (drained), the worker clocks,
+    ``inbox_ready``, the counters, the workload buckets, the in-flight map,
+    the activations and the next draw of the fault RNG."""
+    trace = engine.trace
+    return (
+        [(e.time, e.seq, e.kind, e.payload) for e in engine.queue.drain()],
+        [w.busy_until for w in engine.workers],
+        list(qr.inbox_ready.items()),
+        (trace.local_messages, trace.remote_messages, trace.remote_batches,
+         trace.dropped_batches, trace.duplicated_batches),
+        trace._workload,
+        (qr.inflight, qr.activated),
+        None if engine._fault_rng is None else engine._fault_rng.random(),
+    )
+
+
+def _charge(engine, qr, run, results, now):
+    """``_execute_compute`` of a run whose kernel pass returns ``results``."""
+    with patch.object(
+        SimWorker, "execute_iteration", lambda *_args, results=results: results
+    ):
+        engine._execute_compute(qr, run, now)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     cluster_name=st.sampled_from(sorted(CHARGING_CLUSTERS)),
@@ -554,26 +585,10 @@ def test_charging_equals_the_per_destination_oracle(cluster_name, faulty, seed):
     for _pass in range(int(rng.integers(1, 5))):
         now += float(rng.random() < 0.7) * float(rng.random()) * 1e-3
         run, results = _draw_pass(rng, k)
-        with patch.object(
-            SimWorker, "execute_iteration", lambda *_args, results=results: results
-        ):
-            engine._execute_compute(qr, run, now)
+        _charge(engine, qr, run, results, now)
         oracle_charge(oracle, oracle_qr, run, results, now)
 
-    def observed(eng, runtime):
-        trace = eng.trace
-        return (
-            [(e.time, e.seq, e.kind, e.payload) for e in eng.queue.drain()],
-            [w.busy_until for w in eng.workers],
-            list(runtime.inbox_ready.items()),
-            (trace.local_messages, trace.remote_messages, trace.remote_batches,
-             trace.dropped_batches, trace.duplicated_batches),
-            trace._workload,
-            (runtime.inflight, runtime.activated),
-            None if eng._fault_rng is None else eng._fault_rng.random(),
-        )
-
-    got, want = observed(engine, qr), observed(oracle, oracle_qr)
+    got, want = _charged_state(engine, qr), _charged_state(oracle, oracle_qr)
     assert got == want
     events, busy, inbox, counters = got[:4]
     assert [e[3]["had_remote"] for e in events] and all(
@@ -601,6 +616,74 @@ def test_send_cost_is_the_three_single_formulas():
             )
             assert link.transfer(count) == oracle_transfer(link, count)
         assert link.transfer(0) == (0, 0.0)
+
+
+@pytest.mark.parametrize("faulty", [False, True])
+def test_link_cost_memo_is_send_cost_and_serves_repeated_counts(faulty):
+    """Charging reads ``NetworkModel.send_cost`` through a per-link memo.
+    On C1 at k = 16 (intra- and inter-node links in one row), with and
+    without message drop and duplication, over the same passes twice: every
+    memo entry is the three single formulas of its link, a (link, count) is
+    computed the first time it is charged and served from the memo after,
+    and the charges equal the per-destination oracle's."""
+    plan = (
+        FaultPlan(seed=11, message_drop=0.2, message_duplicate=0.1)
+        if faulty else None
+    )
+    (engine, qr), (oracle, oracle_qr) = (
+        _charging_engine(make_cluster("C1", 16), plan) for _side in range(2)
+    )
+    rng = np.random.default_rng(16)
+    passes = [_draw_pass(rng, 16) for _pass in range(4)]
+    computed = []
+    send_cost = NetworkModel.send_cost
+
+    def counted(link, count):
+        computed.append((link, count))
+        return send_cost(link, count)
+
+    def memo_entries():
+        return {
+            (link, count)
+            for links, row in zip(engine._links, engine._send_costs)
+            for link, memo in zip(links, row)
+            for count in memo
+        }
+
+    seen = set()
+    for now, (run, results) in enumerate(passes + passes):
+        del computed[:]
+        with patch.object(NetworkModel, "send_cost", counted):
+            _charge(engine, qr, run, results, now * 1e-3)
+        oracle_charge(oracle, oracle_qr, run, results, now * 1e-3)
+        charged = {
+            (engine._links[src][dest], count)
+            for src, result in zip(run, results)
+            for dest, count in enumerate(result.sent)
+            if count and dest != src
+        }
+        if now >= len(passes):
+            assert charged <= seen  # the second round repeats every count
+        if not faulty:
+            # one call per (link, count) charged for the first time (with
+            # faults, retransmissions price their batches through send_cost
+            # as well, outside the memo)
+            assert Counter(computed) == Counter(charged - seen)
+        seen |= charged
+        assert memo_entries() == seen
+    assert _charged_state(engine, qr) == _charged_state(oracle, oracle_qr)
+
+    memos = {}
+    for links, row in zip(engine._links, engine._send_costs):
+        for link, memo in zip(links, row):
+            assert memos.setdefault(link, memo) is memo  # one memo per model
+            for count, cost in memo.items():
+                assert cost == link.send_cost(count) == (
+                    link.serialize_time(count),
+                    link.num_batches(count),
+                    link.transfer_time(count),
+                )
+    assert len(memos) == 2  # C1: the intra-node and the inter-node model
 
 
 # ----------------------------------------------------------------------

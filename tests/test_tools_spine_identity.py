@@ -68,6 +68,9 @@ def test_timing_lines_pair_by_seed_and_take_the_median_of_the_ratios():
         # 0.75 is the middle ratio; 8.00 and 5.00 the middle walls
         "churn_recovery: wall_run_s median 8.00 -> 5.00 s, "
         "median change/parent 0.750 over 3 pairs, lower on 2/3 pairs",
+        # 3.0 apart, the parent's IQR is 9.0 - 6.0
+        "churn_recovery: wall_run_s median 8 [6, 9] -> 5 [4.7, 5.5], "
+        "unresolved (parent IQR 3)",
     ]
 
 
@@ -84,6 +87,8 @@ def test_timing_lines_report_peak_rss_in_mib():
         # 90.0 / 126.2 is the middle ratio
         "static_hotspot: peak_rss_mb median 125.9 -> 90.0 MiB, "
         "median change/parent 0.713 over 3 pairs, lower on 3/3 pairs",
+        "static_hotspot: peak_rss_mb median 125.94 [125.47, 126.07] -> "
+        "90 [89.855, 95], resolved (parent IQR 0.6)",
     ]
 
 
@@ -92,11 +97,27 @@ def test_timing_lines_count_the_pairs_the_change_is_lower_on():
     counts as not lower."""
     pairs = [(seed, 100.0, 90.0, "parent") for seed in range(1, 9)]
     pairs += [(9, 100.0, 100.0, "parent"), (10, 100.0, 101.0, "change")]
-    summary = tool.timing_lines("adaptive_disturbance", pairs, "peak_rss_mb")[-1]
+    summary = tool.timing_lines("adaptive_disturbance", pairs, "peak_rss_mb")[-2]
     assert summary.endswith(", lower on 8/10 pairs")
     pairs[8] = (9, 100.0, 99.9, "parent")
-    summary = tool.timing_lines("adaptive_disturbance", pairs, "peak_rss_mb")[-1]
+    summary = tool.timing_lines("adaptive_disturbance", pairs, "peak_rss_mb")[-2]
     assert summary.endswith(", lower on 9/10 pairs")
+
+
+def test_timing_lines_resolve_a_gain_only_beyond_the_parent_iqr():
+    """The other half of a gain claim: the medians of the two sides further
+    apart than the parent's interquartile range, as for ``vt_*``."""
+    steady = [(seed, 10.0 + 0.1 * (seed % 2), 9.0, "parent") for seed in range(1, 11)]
+    assert tool.timing_lines("static_hotspot", steady)[-1] == (
+        "static_hotspot: wall_run_s median 10.05 [10, 10.1] -> 9 [9, 9], "
+        "resolved (parent IQR 0.1)"
+    )
+    # the same medians, but the parent's runs spread over 2 s: 9/10 lower
+    # pairs alone would claim this one
+    noisy = [(seed, 9.0 + 0.25 * seed, 9.0 + 0.2 * seed, "parent") for seed in range(1, 11)]
+    lines = tool.timing_lines("static_hotspot", noisy)
+    assert lines[-2].endswith(", lower on 10/10 pairs")
+    assert lines[-1].endswith(", unresolved (parent IQR 1.125)")
 
 
 def test_pairs_alternate_which_side_starts_first(monkeypatch, capsys):
@@ -225,9 +246,14 @@ def test_a_checkout_is_identical_to_itself(capsys):
     assert lines[2].startswith("open_mixed: wall_run_s median ")
     assert " over 1 pairs, lower on " in lines[2]
     assert lines[2].endswith("/1 pairs")
-    assert lines[3].startswith("open_mixed seed 7: peak_rss_mb ")
-    assert lines[4].startswith("open_mixed: peak_rss_mb median ")
-    assert " MiB, median change/parent " in lines[4]
-    assert " over 1 pairs, lower on " in lines[4]
-    assert lines[4].endswith("/1 pairs")
-    assert lines[-1] == "ALL IDENTICAL" and len(lines) == 6
+    # one seed: each side's quartiles are its one value
+    assert lines[3].startswith("open_mixed: wall_run_s median ")
+    assert lines[3].endswith(" (parent IQR 0)")
+    assert lines[4].startswith("open_mixed seed 7: peak_rss_mb ")
+    assert lines[5].startswith("open_mixed: peak_rss_mb median ")
+    assert " MiB, median change/parent " in lines[5]
+    assert " over 1 pairs, lower on " in lines[5]
+    assert lines[5].endswith("/1 pairs")
+    assert lines[6].startswith("open_mixed: peak_rss_mb median ")
+    assert lines[6].endswith(" (parent IQR 0)")
+    assert lines[-1] == "ALL IDENTICAL" and len(lines) == 8

@@ -23,7 +23,10 @@ the ``wall_run_s`` and ``peak_rss_mb`` of parent and change seed by seed
 (the two sides of a pair ran at the same moment, under the same load) and
 which side started first, the median of the per-pair ratios and on how
 many pairs the change was lower (a gain is claimed only when it is lower on
-at least 9 of 10 pairs).  It never changes the verdict or the exit status.
+at least 9 of 10 pairs), then each side's median and [Q1, Q3] over the
+seeds, ``resolved`` when the medians are further apart than the parent's
+IQR (the other half of that claim).  It never changes the verdict or the
+exit status.
 
 A workload whose runs differ is followed by one line per ``vt_*`` metric:
 the median and [Q1, Q3] over the seeds at parent and change, whether the
@@ -124,22 +127,25 @@ def timing_lines(
 ) -> List[str]:
     """The ``--time`` report of one workload and one of :data:`HOST_METRICS`
     from its ``(seed, parent value, change value, side started first)``
-    pairs."""
+    pairs: one line per pair, the paired summary, the spread summary."""
     decimals, unit = HOST_METRICS[key]
     lines = [
         f"{workload} seed {seed}: {key} {parent:.{decimals}f} -> "
         f"{change:.{decimals}f} ({change / parent - 1.0:+.0%}), {first} first"
         for seed, parent, change, first in pairs
     ]
-    ratio = statistics.median(change / parent for _s, parent, change, _f in pairs)
-    lower = sum(change < parent for _s, parent, change, _f in pairs)
+    parent = [p for _s, p, _c, _f in pairs]
+    change = [c for _s, _p, c, _f in pairs]
+    ratio = statistics.median(c / p for p, c in zip(parent, change))
+    lower = sum(c < p for p, c in zip(parent, change))
     lines.append(
         f"{workload}: {key} median "
-        f"{statistics.median(p for _s, p, _c, _f in pairs):.{decimals}f} -> "
-        f"{statistics.median(c for _s, _p, c, _f in pairs):.{decimals}f} {unit}, "
+        f"{statistics.median(parent):.{decimals}f} -> "
+        f"{statistics.median(change):.{decimals}f} {unit}, "
         f"median change/parent {ratio:.3f} over {len(pairs)} pairs, "
         f"lower on {lower}/{len(pairs)} pairs"
     )
+    lines.append(f"{workload}: {key} median {spread_text(parent, change)}")
     return lines
 
 
@@ -193,8 +199,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="repeatable; default: every workload of BENCHMARK.json")
     parser.add_argument("--smoke", action="store_true", help="smoke-size workloads")
     parser.add_argument("--time", action="store_true",
-                        help="also print the paired wall_run_s and peak_rss_mb "
-                        "and their median ratios")
+                        help="also print the paired wall_run_s and peak_rss_mb, "
+                        "their median ratios and each side's quartiles")
     args = parser.parse_args(argv)
 
     checkouts = [os.path.abspath(args.parent_dir), os.path.abspath(args.change_dir)]

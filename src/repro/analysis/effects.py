@@ -1,13 +1,14 @@
 """Event-handler effect analysis: dispatch tables and read/write sets.
 
-The engine routes every popped event through ``getattr(self,
-f"_on_{event.kind}")`` — the dispatch table is implicit in method names.
-This module recovers it statically and computes, for every handler, the
-*transitive* set of attributes it reads and writes across the call graph
-(attributed to the class owning the attribute: ``QGraphEngine.paused``,
-``QueryRuntime.acked``, ``SimWorker.busy_until``, …), the *guard*
-attributes it tests in conditionals (epoch/phase fencing), and every
-event it schedules (with a coarse delay class).  The race rules in
+The engine routes every popped event through the ``kind -> handler``
+table it declares (``self._handlers = {"arrival": self._on_arrival,
+...}``); a kind missing from it raises only when it fires, so the
+``event-kind-closure`` rule checks schedule sites against it first.  This
+module reads that table and computes, for every handler, the
+*transitive* attributes it reads and writes across the call graph (named
+by owning class: ``QGraphEngine.paused``, ``QueryRuntime.acked``, …), the
+*guard* attributes it tests in conditionals (epoch/phase fencing), and
+every event it schedules (with a coarse delay class).  The race rules in
 :mod:`repro.analysis.races` and the checked-in effect baseline are both
 built from these summaries.
 
@@ -170,6 +171,13 @@ def is_empty_value(node: ast.AST) -> bool:
         and not node.args
         and not node.keywords
     )
+
+
+def _container_root(node: ast.AST) -> ast.AST:
+    """``x.attr`` of ``x.attr[i][j]``: the expression under any subscripts."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return node
 
 
 def _is_schedule_call(node: ast.AST) -> bool:
@@ -337,44 +345,26 @@ class EffectAnalysis:
     # ------------------------------------------------------------------
     # dispatch-table extraction
     # ------------------------------------------------------------------
-    @staticmethod
-    def _is_handler_getattr(node: ast.Call) -> bool:
-        """Matches ``getattr(self, f"_on_{...}", ...)``."""
-        if not (isinstance(node.func, ast.Name) and node.func.id == "getattr"):
-            return False
-        if len(node.args) < 2:
-            return False
-        pattern = node.args[1]
-        if not isinstance(pattern, ast.JoinedStr) or not pattern.values:
-            return False
-        first = pattern.values[0]
-        return (
-            isinstance(first, ast.Constant)
-            and isinstance(first.value, str)
-            and first.value.startswith("_on_")
-        )
-
     def _extract_dispatch_tables(self) -> Dict[str, Dict[str, str]]:
+        """Each class's declared ``kind -> handler`` table: a dict literal of
+        string keys to ``self.<method>`` values, resolved via the ancestors."""
         tables: Dict[str, Dict[str, str]] = {}
         for cls_qname, info in self.table.classes.items():
-            dispatches = False
             for method_qname in info.methods.values():
-                fn = self.table.functions[method_qname]
-                for node in ast.walk(fn.node):
-                    if isinstance(node, ast.Call) and self._is_handler_getattr(node):
-                        dispatches = True
-                        break
-                if dispatches:
-                    break
-            if not dispatches:
-                continue
-            kinds: Dict[str, str] = {}
-            for ancestor in self.table.ancestors(cls_qname):
-                for name, method_qname in self.table.classes[ancestor].methods.items():
-                    if name.startswith("_on_") and len(name) > 4:
-                        kinds.setdefault(name[4:], method_qname)
-            if kinds:
-                tables[cls_qname] = kinds
+                for node in ast.walk(self.table.functions[method_qname].node):
+                    if not isinstance(node, ast.Dict) or not node.keys:
+                        continue
+                    kinds = {
+                        key.value: self.table.method(cls_qname, value.attr) or ""
+                        for key, value in zip(node.keys, node.values)
+                        if isinstance(key, ast.Constant)
+                        and isinstance(key.value, str)
+                        and isinstance(value, ast.Attribute)
+                        and isinstance(value.value, ast.Name)
+                        and value.value.id == "self"
+                    }
+                    if len(kinds) == len(node.keys) and all(kinds.values()):
+                        tables.setdefault(cls_qname, {}).update(kinds)
         return tables
 
     # ------------------------------------------------------------------
@@ -407,6 +397,35 @@ class EffectAnalysis:
         out = _DirectEffects()
         role_src = fn.ctx.role == "src"
         followers: Optional[Dict[int, Set[int]]] = None
+        #: local name -> attributes it was bound from (``y = x.attr`` or
+        #: ``y = x.attr[i]``): a slot store into ``y`` writes ``x.attr``
+        aliases: Dict[str, Set[str]] = {}
+        for node in ast.walk(fn.node):
+            if not isinstance(node, ast.Assign):
+                continue
+            source = _container_root(node.value)
+            effect = (
+                self._effect_name(fn_qname, source)
+                if isinstance(source, ast.Attribute)
+                else None
+            )
+            if effect is None:
+                continue
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    aliases.setdefault(target.id, set()).add(effect)
+
+        def written(container: ast.AST) -> List[str]:
+            """Attributes a slot store into (or an in-place mutator call
+            on) ``container`` writes."""
+            if isinstance(container, ast.Attribute):
+                effect = self._effect_name(fn_qname, container)
+                return [effect] if effect else []
+            root = _container_root(container)
+            if isinstance(root, ast.Name):
+                return sorted(aliases.get(root.id, ()))
+            return []
+
         for node in ast.walk(fn.node):
             if isinstance(node, ast.Attribute):
                 effect = self._effect_name(fn_qname, node)
@@ -419,22 +438,14 @@ class EffectAnalysis:
                     out.reads.add(effect)
             elif isinstance(node, ast.Subscript):
                 # ``x.attr[i] = v`` / ``del x.attr[i]`` writes the slot
-                if isinstance(node.ctx, (ast.Store, ast.Del)) and isinstance(
-                    node.value, ast.Attribute
-                ):
-                    effect = self._effect_name(fn_qname, node.value)
-                    if effect is not None:
+                if isinstance(node.ctx, (ast.Store, ast.Del)):
+                    for effect in written(node.value):
                         out.writes.add(effect)
                         out.write_sites.append((effect, node.lineno))
             elif isinstance(node, ast.Call):
                 func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in _MUTATOR_METHODS
-                    and isinstance(func.value, ast.Attribute)
-                ):
-                    effect = self._effect_name(fn_qname, func.value)
-                    if effect is not None:
+                if isinstance(func, ast.Attribute) and func.attr in _MUTATOR_METHODS:
+                    for effect in written(func.value):
                         out.writes.add(effect)
                         out.write_sites.append((effect, node.lineno))
                 if role_src and _is_schedule_call(node):

@@ -50,11 +50,10 @@ the protocols over the automata:
     unfenced handler applies stale work (the PR 8 stale-dispatch bug
     class).
 ``event-kind-closure``
-    Every kind passed to ``schedule`` resolves to a handler of some
-    dispatcher, and every ``_on_*`` handler is reachable from at least
-    one schedule site — a typo'd kind is silently dropped by the
-    dispatch ``getattr`` default, and an unscheduled handler is dead
-    protocol surface.
+    Every kind passed to ``schedule`` is a key of some dispatcher's
+    declared handler table, and every table entry is reachable from at
+    least one schedule site — a typo'd kind raises only when it fires,
+    and an unscheduled handler is dead protocol surface.
 
 Like everything built on the call graph this under-approximates
 reachability (an unresolvable helper contributes no effects), so a clean
@@ -474,6 +473,7 @@ class BarrierLivenessRule(ProjectRule):
             # generation counters are monotonic by design — bumping one is
             # not a wait, so they have no release transition to demand
             epochs = {couple[2] for couple in auto.couples}
+            names = {k: short(t.qname) for k, t in auto.transitions.items()}
             for attr in sorted(auto.states):
                 if attr in epochs:
                     continue
@@ -495,7 +495,7 @@ class BarrierLivenessRule(ProjectRule):
                 if release_kinds:
                     detail = (
                         "its only release transitions "
-                        f"({', '.join('_on_' + k for k in release_kinds)}) "
+                        f"({', '.join(names[k] for k in release_kinds)}) "
                         "are handlers no schedule site ever produces"
                     )
                 else:
@@ -506,7 +506,7 @@ class BarrierLivenessRule(ProjectRule):
                     ctx,
                     node,
                     f"waiting state {attr} is entered by handler(s) "
-                    f"{', '.join('_on_' + k for k in enter_kinds)} but "
+                    f"{', '.join(names[k] for k in enter_kinds)} but "
                     f"{detail} — a terminal waiting state strands the "
                     "protocol at the barrier; add a release path or drop "
                     "the parked state",
@@ -604,7 +604,7 @@ class AckCompletenessRule(ProjectRule):
                 yield self.violation(
                     ctx,
                     node,
-                    f"_on_{kind} counts acks into {ack} and carries an "
+                    f"{short(he.qname)} counts acks into {ack} and carries an "
                     f"epoch-shaped payload parameter, but never compares it "
                     f"against {epoch} — a stale ack from a previous barrier "
                     "generation is accepted as current",
@@ -691,7 +691,7 @@ class EpochFenceRule(ProjectRule):
                 yield self.violation(
                     ctx,
                     node,
-                    f"_on_{kind} consumes a schedulable message and writes "
+                    f"{short(he.qname)} consumes a schedulable message and writes "
                     f"{shown} with no epoch/phase guard anywhere on its "
                     "path — a message produced before a STOP/recovery "
                     "boundary is applied unfenced after it (the "
@@ -707,8 +707,8 @@ class EpochFenceRule(ProjectRule):
 class EventKindClosureRule(ProjectRule):
     name = "event-kind-closure"
     description = (
-        "a scheduled event kind with no handler (silently dropped) or a "
-        "handler no schedule site ever produces (dead protocol surface)"
+        "a scheduled event kind missing from every handler table or a "
+        "table entry no schedule site ever produces (dead protocol surface)"
     )
     roles = ("src",)
 
@@ -716,9 +716,7 @@ class EventKindClosureRule(ProjectRule):
         analysis = _analysis_for(project)
         if not analysis.effects.dispatch:
             return
-        handled: Set[str] = set()
-        for kinds in analysis.effects.dispatch.values():
-            handled |= set(kinds)
+        handled = {k for kinds in analysis.effects.dispatch.values() for k in kinds}
         for kind in sorted(analysis.kind_producers):
             if kind in handled:
                 continue
@@ -733,8 +731,8 @@ class EventKindClosureRule(ProjectRule):
                 col=0,
                 message=(
                     f"{producer} schedules event kind '{kind}' but no "
-                    "dispatcher defines _on_" + kind + " — the dispatch "
-                    "getattr silently drops it (typo'd or dead kind)"
+                    "dispatcher's handler table declares it — the run "
+                    "raises when it fires (typo'd or dead kind)"
                 ),
                 fingerprint=f"event-kind-closure::kind::{kind}",
             )
@@ -747,10 +745,11 @@ class EventKindClosureRule(ProjectRule):
                 yield self.violation(
                     ctx,
                     node,
-                    f"handler _on_{kind} of {short(cls)} is reachable from "
-                    "no schedule site — dead protocol surface (or its "
-                    "producer passes a non-literal kind the analysis "
-                    "cannot see; schedule with a literal kind)",
+                    f"handler {short(he.qname)} ('{kind}' in {short(cls)}'s "
+                    "table) is reachable from no schedule site — dead "
+                    "protocol surface (or its producer passes a non-literal "
+                    "kind the analysis cannot see; schedule with a literal "
+                    "kind)",
                     fingerprint=(
                         f"event-kind-closure::handler::{short(cls)}::{kind}"
                     ),

@@ -38,6 +38,7 @@ from repro.analysis.effects import (
     BENIGN_CLASSES,
     HandlerEffects,
     effect_analysis_for,
+    short,
 )
 from repro.analysis.visitor import (
     ProjectContext,
@@ -77,8 +78,8 @@ class VirtualTimeRaceRule(ProjectRule):
                 yield self.violation(
                     ctx,
                     node,
-                    f"handlers _on_{kind_a} and _on_{kind_b} can run at the "
-                    f"same virtual timestamp and both write {shown} with no "
+                    f"handlers {short(ha.qname)} and {short(hb.qname)} can run "
+                    f"at the same virtual timestamp and both write {shown} with no "
                     "epoch/phase guard on either side — their order is an "
                     "accident of schedule order; fence one on the barrier "
                     "epoch (or prove they cannot tie)",
@@ -127,10 +128,10 @@ class EffectAfterScheduleRule(ProjectRule):
                             line=write_line,
                             col=getattr(node, "col_offset", 0),
                             message=(
-                                f"_on_{kind} mutates {attr} at line "
+                                f"{short(effects.qname)} mutates {attr} at line "
                                 f"{write_line} after scheduling "
                                 f"'{sched_kind}' (line {sched_line}), whose "
-                                f"handler _on_{sched_kind} reads {attr} — "
+                                f"handler {short(target.qname)} reads {attr} — "
                                 "hoist the mutation above the schedule so "
                                 "the scheduled event's input state is "
                                 "explicit"

@@ -226,6 +226,25 @@ class QGraphEngine:
             raise EngineError("controller worker count != cluster worker count")
         self.trace = trace or MetricsTrace()
         self.queue = EventQueue()
+        #: event kind -> handler: the one dispatch table, bound through ``self``
+        self._handlers: Dict[str, Callable[..., None]] = {
+            "arrival": self._on_arrival,
+            "task_ready": self._on_task_ready,
+            "compute_done": self._on_compute_done,
+            "barrier_ack": self._on_barrier_ack,
+            "ack_task_ready": self._on_ack_task_ready,
+            "graph_update": self._on_graph_update,
+            "bsp_compute": self._on_bsp_compute,
+            "bsp_next": self._on_bsp_next,
+            "qcut_done": self._on_qcut_done,
+            "global_stop": self._on_global_stop,
+            "global_start": self._on_global_start,
+            "worker_crash": self._on_worker_crash,
+            "worker_recover": self._on_worker_recover,
+            "controller_crash": self._on_controller_crash,
+            "controller_recover": self._on_controller_recover,
+            "heartbeat": self._on_heartbeat,
+        }
         self.workers = [
             SimWorker(w, cluster.machine) for w in range(cluster.num_workers)
         ]
@@ -380,7 +399,7 @@ class QGraphEngine:
         in the queue, so a later ``run()`` resumes exactly where this one
         stopped (popping it would silently drop that event).
         """
-        handlers: Dict[str, Callable[..., None]] = {}
+        handlers = self._handlers
         while True:
             if until is not None:
                 next_time = self.queue.peek_time()
@@ -396,13 +415,9 @@ class QGraphEngine:
                     "events — runaway simulation? "
                     f"[{self._budget_diagnostics()}]"
                 )
-            # the bound ``_on_<kind>`` method, looked up once per kind
             handler = handlers.get(event.kind)
             if handler is None:
-                handler = getattr(self, f"_on_{event.kind}", None)
-                if handler is None:
-                    raise EngineError(f"no handler for event kind {event.kind!r}")
-                handlers[event.kind] = handler
+                raise EngineError(f"no handler for event kind {event.kind!r}")
             handler(event.time, **event.payload)
         return self.trace
 
@@ -643,6 +658,29 @@ class QGraphEngine:
                     epoch=qr.barrier_epoch,
                 )
 
+    def _release_iteration(self, now: float, qr: QueryRuntime) -> None:
+        """One controller dispatch releases ``qr``'s iteration to its
+        involved workers, as at a query start; under ``GLOBAL_PER_QUERY``
+        the first barrier already spans every live worker."""
+        dispatched = now + self._dispatch_cost()
+        self._dispatch_tasks(dispatched, qr.query.query_id, qr.involved)
+        self._redundant_acks(dispatched, qr, qr.involved | self._dead_workers)
+
+    def _send_barrier_ack(
+        self, now: float, query_id: int, worker: int, epoch: int
+    ) -> None:
+        """``worker`` acks barrier generation ``epoch`` of ``query_id`` to
+        the controller at ``now``; control loss can delay the ack."""
+        self.trace.barrier_acks += 1
+        delay = 0.0 if self.faults is None else self._control_delay()
+        self.queue.schedule(
+            now + self._ctrl_latency(worker) + delay,
+            "barrier_ack",
+            query_id=query_id,
+            worker=worker,
+            epoch=epoch,
+        )
+
     def _cluster_scope(self) -> Tuple[Set[int], Set[int]]:
         """The (halted workers, halted queries) of a global repartition or
         recovery STOP: every worker and every running query."""
@@ -721,10 +759,7 @@ class QGraphEngine:
                 self._bsp_begin_superstep(now)
             return
 
-        dispatched = now + self._dispatch_cost()
-        self._dispatch_tasks(dispatched, query.query_id, qr.involved)
-        # the very first barrier already spans all workers
-        self._redundant_acks(dispatched, qr, qr.involved | self._dead_workers)
+        self._release_iteration(now, qr)
 
     # ------------------------------------------------------------------
     # event: a compute task becomes ready on a worker
@@ -962,15 +997,7 @@ class QGraphEngine:
             _start, finish = w.occupy(now, LOCAL_BARRIER_COST)
             self._resolve_query_barrier(qr, finish, local=True)
         else:
-            self.trace.barrier_acks += 1
-            delay = 0.0 if self.faults is None else self._control_delay()
-            self.queue.schedule(
-                now + self._ctrl_latency(worker) + delay,
-                "barrier_ack",
-                query_id=query_id,
-                worker=worker,
-                epoch=qr.barrier_epoch,
-            )
+            self._send_barrier_ack(now, query_id, worker, qr.barrier_epoch)
 
         if self.paused:
             self._maybe_begin_stop(now)
@@ -1076,14 +1103,8 @@ class QGraphEngine:
             return
         w = self.workers[worker]
         _start, finish = w.occupy(now, self.cluster.machine.barrier_ack_time)
-        self.trace.barrier_acks += 1
-        delay = 0.0 if self.faults is None else self._control_delay()
-        self.queue.schedule(
-            finish + self._ctrl_latency(worker) + delay,
-            "barrier_ack",
-            query_id=query_id,
-            worker=worker,
-            epoch=qr.barrier_epoch if epoch is None else epoch,
+        self._send_barrier_ack(
+            finish, query_id, worker, qr.barrier_epoch if epoch is None else epoch
         )
 
     def _reduce_aggregators(self, qr: QueryRuntime) -> None:
@@ -1535,9 +1556,7 @@ class QGraphEngine:
             qr = self.runtimes[query_id]
             if qr.finished:
                 continue
-            dispatched = now + self._dispatch_cost()
-            self._dispatch_tasks(dispatched, query_id, qr.involved)
-            self._redundant_acks(dispatched, qr, qr.involved | self._dead_workers)
+            self._release_iteration(now, qr)
         self._admit_pending(now)
         if self._recovering:
             # a crash detected while this barrier was in flight could not

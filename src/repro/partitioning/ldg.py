@@ -58,21 +58,29 @@ def ldg_place_vertices(
             [graph.out_neighbors(int(v)), graph.in_neighbors(int(v))]
         )
         owners = combined[neighbors] if neighbors.size else np.empty(0, np.int64)
-        neighbor_counts = np.bincount(
-            owners[owners >= 0], minlength=k
-        ).astype(np.float64)[:k]
-        penalty = 1.0 - sizes / capacity
-        scores = neighbor_counts * np.maximum(penalty, 0.0)
-        best = np.flatnonzero(scores == scores.max())
-        if best.size > 1:
-            best = best[np.argsort(sizes[best], kind="stable")]
-        choice = int(best[0])
-        if sizes[choice] >= capacity:
-            choice = int(np.argmin(sizes))
-        combined[v] = choice
-        placed[i] = choice
-        sizes[choice] += 1
+        combined[v] = placed[i] = _place(owners, sizes, capacity, k)
     return placed
+
+
+def _place(owners: np.ndarray, sizes: np.ndarray, capacity: float, k: int) -> int:
+    """LDG's scoring step for one streamed vertex: the partition with the
+    highest ``|N(v) ∩ P_i| * (1 - |P_i| / C)`` over the neighbours'
+    ``owners`` (``-1``: not placed yet), ties toward the least loaded, then
+    the lowest index; the least loaded partition when that one is full.
+    Counts the vertex into ``sizes``."""
+    neighbor_counts = np.bincount(
+        owners[owners >= 0], minlength=k
+    ).astype(np.float64)[:k]
+    penalty = 1.0 - sizes / capacity
+    scores = neighbor_counts * np.maximum(penalty, 0.0)
+    best = np.flatnonzero(scores == scores.max())
+    if best.size > 1:
+        best = best[np.argsort(sizes[best], kind="stable")]
+    choice = int(best[0])
+    if sizes[choice] >= capacity:
+        choice = int(np.argmin(sizes))
+    sizes[choice] += 1
+    return choice
 
 
 class LdgPartitioner(Partitioner):
@@ -139,18 +147,5 @@ class LdgPartitioner(Partitioner):
         ):
             for i in range(chunk.size):
                 owners = assignment[neighbors[offsets[i] : offsets[i + 1]]]
-                neighbor_counts = np.bincount(
-                    owners[owners >= 0], minlength=k
-                ).astype(np.float64)
-                penalty = 1.0 - sizes / capacity
-                scores = neighbor_counts * np.maximum(penalty, 0.0)
-                best = np.flatnonzero(scores == scores.max())
-                if best.size > 1:
-                    # tie-break toward the least loaded, then lowest index
-                    best = best[np.argsort(sizes[best], kind="stable")]
-                choice = int(best[0])
-                if sizes[choice] >= capacity:
-                    choice = int(np.argmin(sizes))
-                assignment[chunk[i]] = choice
-                sizes[choice] += 1
+                assignment[chunk[i]] = _place(owners, sizes, capacity, k)
         return assignment

@@ -29,12 +29,15 @@ class AckEngine:
         self.acked: Set[int] = set()
         self.involved: Set[int] = set()
         self.barrier_epoch = 0
+        self._handlers = {
+            "global_stop": self._on_global_stop,
+            "barrier_ack": self._on_barrier_ack,
+            "global_start": self._on_global_start,
+        }
 
     def step(self):
         event = self.queue.pop()
-        handler = getattr(self, f"_on_{event.kind}", None)
-        if handler is not None:
-            handler(event.time, event.payload)
+        self._handlers[event.kind](event.time, event.payload)
 
     def _on_global_stop(self, now, payload):
         # BUG distilled: a fresh barrier generation is seeded without

@@ -28,12 +28,11 @@ class AtomEngine:
         self.queue = queue
         self.assignment: Dict[int, int] = {}
         self.mailboxes: Dict[int, Dict[int, float]] = {}
+        self._handlers = {"rebalance": self._on_rebalance}
 
     def step(self):
         event = self.queue.pop()
-        handler = getattr(self, f"_on_{event.kind}", None)
-        if handler is not None:
-            handler(event.time, event.payload)
+        self._handlers[event.kind](event.time, event.payload)
 
     def _on_rebalance(self, now, payload):
         # first half of the couple commits...

@@ -24,12 +24,15 @@ class ParkEngine:
         self.stopped = False
         self._held_tasks: List[int] = []
         self.mailboxes: Dict[int, float] = {}
+        self._handlers = {
+            "global_stop": self._on_global_stop,
+            "global_start": self._on_global_start,
+            "task_ready": self._on_task_ready,
+        }
 
     def step(self):
         event = self.queue.pop()
-        handler = getattr(self, f"_on_{event.kind}", None)
-        if handler is not None:
-            handler(event.time, event.payload)
+        self._handlers[event.kind](event.time, event.payload)
 
     def begin_stop(self, now):
         self.queue.schedule(now, "global_stop")

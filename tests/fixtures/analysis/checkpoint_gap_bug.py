@@ -43,12 +43,11 @@ class GapEngine:
     def __init__(self, queue):
         self.queue = queue
         self.runtimes: Dict[int, GapRuntime] = {}
+        self._handlers = {"advance": self._on_advance}
 
     def step(self):
         event = self.queue.pop()
-        handler = getattr(self, f"_on_{event.kind}", None)
-        if handler is not None:
-            handler(event.time, event.payload)
+        self._handlers[event.kind](event.time, event.payload)
 
     def _on_advance(self, now, payload):
         qr = self.runtimes[payload["query"]]

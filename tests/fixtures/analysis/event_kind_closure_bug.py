@@ -1,13 +1,13 @@
 """Distilled event-kind closure holes (typo'd kind + dead handler).
 
-The dispatch idiom ``getattr(self, f"_on_{kind}", None)`` silently drops
-any kind with no matching handler — a typo in a schedule site is not an
-error, it is a no-op, and the protocol just stalls.  The mirror hole is a
-handler no schedule site ever produces: dead protocol surface that reads
-as load-bearing.  ``_on_advance`` here schedules the typo'd
-``"compute_dne"`` (no ``_on_compute_dne`` exists) while the real
-``_on_compute_done`` cleanup handler is never produced — both directions
-of ``event-kind-closure`` provably flag it (see
+A kind missing from the declared ``kind -> handler`` table raises only
+when its event fires — a typo in a schedule site passes every run that
+never reaches it, so the lint catches it first.  The mirror hole is a
+table entry no schedule site ever produces: dead protocol surface that
+reads as load-bearing.  ``_on_advance`` here schedules the typo'd
+``"compute_dne"`` (not in the table) while the real ``"compute_done"``
+cleanup handler is never produced — both directions of
+``event-kind-closure`` provably flag it (see
 tests/test_analysis_protocol.py).
 
 Lint this file directly to reproduce the findings::
@@ -23,20 +23,22 @@ class ClosureEngine:
     def __init__(self, queue):
         self.queue = queue
         self.frontier: Dict[int, float] = {}
+        self._handlers = {
+            "advance": self._on_advance,
+            "compute_done": self._on_compute_done,
+        }
 
     def step(self):
         event = self.queue.pop()
-        handler = getattr(self, f"_on_{event.kind}", None)
-        if handler is not None:
-            handler(event.time, event.payload)
+        self._handlers[event.kind](event.time, event.payload)
 
     def submit(self, now, vertex):
         self.queue.schedule(now, "advance", vertex=vertex)
 
     def _on_advance(self, now, payload):
         self.frontier[payload["vertex"]] = now
-        # BUG distilled: typo'd kind — there is no _on_compute_dne, the
-        # dispatch getattr drops the event and the frontier never drains
+        # BUG distilled: typo'd kind — "compute_dne" is not in the table,
+        # so the dispatch raises when the event fires
         self.queue.schedule(now + 1, "compute_dne", vertex=payload["vertex"])
 
     def _on_compute_done(self, now, payload):

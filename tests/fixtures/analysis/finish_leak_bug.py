@@ -25,12 +25,11 @@ class LeakEngine:
         self.progress: Dict[int, float] = {}
         #: query -> accumulated partial results
         self.partials: Dict[int, List[float]] = {}
+        self._handlers = {"tick": self._on_tick}
 
     def step(self):
         event = self.queue.pop()
-        handler = getattr(self, f"_on_{event.kind}", None)
-        if handler is not None:
-            handler(event.time, event.payload)
+        self._handlers[event.kind](event.time, event.payload)
 
     def _on_tick(self, now, payload):
         query = payload["query"]

@@ -21,12 +21,14 @@ class MiniBspEngine:
         self.superstep = 0
         self.frontier = {}
         self.assignment = {}
+        self._handlers = {
+            "bsp_compute": self._on_bsp_compute,
+            "global_stop": self._on_global_stop,
+        }
 
     def step(self):
         event = self.queue.pop()
-        handler = getattr(self, f"_on_{event.kind}", None)
-        if handler is not None:
-            handler(event.time, event.payload)
+        self._handlers[event.kind](event.time, event.payload)
 
     def _on_bsp_compute(self, now, payload):
         # advances the shared superstep state with no pause fence

@@ -51,12 +51,11 @@ class SymEngine:
     def __init__(self, queue):
         self.queue = queue
         self.runtimes: Dict[int, SymRuntime] = {}
+        self._handlers = {"charge": self._on_charge}
 
     def step(self):
         event = self.queue.pop()
-        handler = getattr(self, f"_on_{event.kind}", None)
-        if handler is not None:
-            handler(event.time, event.payload)
+        self._handlers[event.kind](event.time, event.payload)
 
     def _on_charge(self, now, payload):
         qr = self.runtimes[payload["query"]]

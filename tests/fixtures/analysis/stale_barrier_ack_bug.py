@@ -21,12 +21,14 @@ class MiniBarrierController:
         self.barrier_epoch = 0
         self.acked = set()
         self.involved = set()
+        self._handlers = {
+            "task_ready": self._on_task_ready,
+            "barrier_ack": self._on_barrier_ack,
+        }
 
     def step(self):
         event = self.queue.pop()
-        handler = getattr(self, f"_on_{event.kind}", None)
-        if handler is not None:
-            handler(event.time, event.payload)
+        self._handlers[event.kind](event.time, event.payload)
 
     def _on_task_ready(self, now, payload):
         self.queue.schedule(

@@ -78,12 +78,11 @@ class MiniEngine:
         self.assignment: Dict[int, int] = {{}}
         self.runtimes: Dict[int, MiniRuntime] = {{}}
         self.progress: Dict[int, float] = {{}}
+        self._handlers = {{"tick": self._on_tick, "rebalance": self._on_rebalance}}
 
     def step(self):
         event = self.queue.pop()
-        handler = getattr(self, f"_on_{{event.kind}}", None)
-        if handler is not None:
-            handler(event.time, event.payload)
+        self._handlers[event.kind](event.time, event.payload)
 
     def _on_tick(self, now, payload):
         qr = self.runtimes[payload["query"]]

@@ -17,6 +17,7 @@ import json
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis import lint_sources
@@ -40,6 +41,9 @@ from repro.analysis.visitor import (
     lint_project,
     load_project,
 )
+from repro.engine import QGraphEngine
+from repro.graph import grid_graph
+from repro.simulation.cluster import make_cluster
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "analysis"
@@ -185,11 +189,11 @@ class TestCallGraph:
     def test_real_engine_dispatch_table_is_complete(self):
         project = load_project([REPO_ROOT / "src"], root=REPO_ROOT)
         analysis = EffectAnalysis(project)
-        table = analysis.handlers["repro.engine.engine.QGraphEngine"]
-        # every _on_* method of the engine is reachable from the
-        # getattr-dispatch — a missing kind here means the race detector
-        # silently stopped seeing a handler
-        assert {
+        # the engine's declared kind -> handler table, read statically: a
+        # kind missing here means the race detector silently stopped
+        # seeing a handler
+        engine = "repro.engine.engine.QGraphEngine"
+        kinds = (
             "arrival",
             "task_ready",
             "compute_done",
@@ -206,7 +210,98 @@ class TestCallGraph:
             "controller_crash",
             "controller_recover",
             "heartbeat",
-        } <= set(table)
+        )
+        assert analysis.dispatch == {
+            engine: {kind: f"{engine}._on_{kind}" for kind in kinds}
+        }
+        # ... and it is the table a constructed engine dispatches through
+        eng = QGraphEngine(grid_graph(2, 2), make_cluster("M2", 2), np.zeros(4))
+        assert {
+            kind: f"{handler.__module__}.{handler.__qualname__}"
+            for kind, handler in eng._handlers.items()
+        } == analysis.dispatch[engine]
+
+    def test_declared_table_resolves_handlers_through_ancestors(self):
+        project = _project(
+            {
+                "src/repro/engine/mini.py": (
+                    "class Base:\n"
+                    "    def _on_alpha(self, now):\n"
+                    "        pass\n"
+                    "class Mini(Base):\n"
+                    "    def __init__(self):\n"
+                    '        self._handlers = {"alpha": self._on_alpha}\n'
+                    '        self.labels = {"alpha": "a", "beta": self.missing}\n'
+                ),
+            }
+        )
+        assert EffectAnalysis(project).dispatch == {
+            "repro.engine.mini.Mini": {"alpha": "repro.engine.mini.Base._on_alpha"}
+        }
+
+
+# ----------------------------------------------------------------------
+# handler write inventory: writes through a local alias
+# ----------------------------------------------------------------------
+_ALIAS_ENGINE = (
+    "from typing import Dict, List\n"
+    "class Runtime:\n"
+    "    def __init__(self):\n"
+    "        self.inflight: Dict[int, int] = {}\n"
+    "        self.pending: Dict[int, int] = {}\n"
+    "class Mini:\n"
+    "    def __init__(self, queue):\n"
+    "        self.queue = queue\n"
+    "        self.runtimes: Dict[int, Runtime] = {}\n"
+    "        self._send_costs: List[List[Dict[int, float]]] = []\n"
+    "        self.state: Dict[int, float] = {}\n"
+    '        self._handlers = {"alpha": self._on_alpha}\n'
+    "    def _on_alpha(self, now, payload):\n"
+)
+
+
+def _alias_writes(body):
+    project = _project({"src/repro/engine/mini.py": _ALIAS_ENGINE + body})
+    return EffectAnalysis(project).handlers["repro.engine.mini.Mini"]["alpha"].writes
+
+
+class TestAliasWrites:
+    @pytest.mark.parametrize(
+        "body, attr",
+        [
+            # engine.py's link-cost memo: a slot store through a memo row
+            (
+                "        costs = self._send_costs[payload['w']]\n"
+                "        costs[payload['d']][payload['n']] = now\n",
+                "Mini._send_costs",
+            ),
+            (
+                "        qr = self.runtimes[payload['q']]\n"
+                "        inflight = qr.inflight\n"
+                "        inflight[payload['w']] = inflight.get(payload['w'], 0) + 1\n",
+                "Runtime.inflight",
+            ),
+            # an in-place mutator call through the alias
+            (
+                "        qr = self.runtimes[payload['q']]\n"
+                "        pending = qr.pending\n"
+                "        pending.pop(payload['w'], 0)\n",
+                "Runtime.pending",
+            ),
+        ],
+        ids=["memo-row", "runtime-field", "mutator"],
+    )
+    def test_write_through_a_local_alias_writes_the_attribute(self, body, attr):
+        assert attr in _alias_writes(body)
+
+    def test_a_copy_or_a_read_is_not_a_write(self):
+        writes = _alias_writes(
+            "        snapshot = dict(self.state)\n"
+            "        snapshot[payload['k']] = now\n"
+            "        inflight = self.runtimes[payload['q']].inflight\n"
+            "        total = inflight.get(payload['w'], 0)\n"
+        )
+        assert writes == set()
 
 
 # ----------------------------------------------------------------------
@@ -332,9 +427,7 @@ class TestRngFlow:
 _DISPATCH = (
     "    def step(self):\n"
     "        event = self.queue.pop()\n"
-    '        handler = getattr(self, f"_on_{event.kind}", None)\n'
-    "        if handler is not None:\n"
-    "            handler(event.time, event.payload)\n"
+    "        self._handlers[event.kind](event.time, event.payload)\n"
 )
 
 
@@ -345,6 +438,7 @@ def _engine_module(handler_a, handler_b):
         "        self.queue = queue\n"
         "        self.state = {}\n"
         "        self.paused = False\n"
+        '        self._handlers = {"alpha": self._on_alpha, "beta": self._on_beta}\n'
         + _DISPATCH
         + handler_a
         + handler_b

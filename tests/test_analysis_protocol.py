@@ -71,12 +71,15 @@ class ParkEngine:
         self._held_tasks: List[int] = []
         self.mailboxes: Dict[int, float] = {}
         self._stop_begin_time = 0.0
+        self._handlers = {
+            "global_stop": self._on_global_stop,
+            "global_start": self._on_global_start,
+            "task_ready": self._on_task_ready,
+        }
 
     def step(self):
         event = self.queue.pop()
-        handler = getattr(self, f"_on_{event.kind}", None)
-        if handler is not None:
-            handler(event.time, event.payload)
+        self._handlers[event.kind](event.time, event.payload)
 
     def begin_stop(self, now):
         self.queue.schedule(now, "global_stop")
@@ -122,12 +125,15 @@ class AckEngine:
         self.acked: Set[int] = set()
         self.involved: Set[int] = set()
         self.barrier_epoch = 0
+        self._handlers = {
+            "global_stop": self._on_global_stop,
+            "barrier_ack": self._on_barrier_ack,
+            "global_start": self._on_global_start,
+        }
 
     def step(self):
         event = self.queue.pop()
-        handler = getattr(self, f"_on_{event.kind}", None)
-        if handler is not None:
-            handler(event.time, event.payload)
+        self._handlers[event.kind](event.time, event.payload)
 
     def _on_global_stop(self, now, payload):
         __STOP_BODY__
@@ -391,12 +397,15 @@ class FenceEngine:
         self.stopped = False
         self._held_tasks: List[int] = []
         self.mailboxes: Dict[int, float] = {}
+        self._handlers = {
+            "global_stop": self._on_global_stop,
+            "global_start": self._on_global_start,
+            "task_ready": self._on_task_ready,
+        }
 
     def step(self):
         event = self.queue.pop()
-        handler = getattr(self, f"_on_{event.kind}", None)
-        if handler is not None:
-            handler(event.time, event.payload)
+        self._handlers[event.kind](event.time, event.payload)
 
     def submit(self, now, task):
         self.queue.schedule(now, "task_ready", task=task)
@@ -452,12 +461,11 @@ class PlainEngine:
     def __init__(self, queue):
         self.queue = queue
         self.frontier = {}
+        self._handlers = {"advance": self._on_advance}
 
     def step(self):
         event = self.queue.pop()
-        handler = getattr(self, f"_on_{event.kind}", None)
-        if handler is not None:
-            handler(event.time, event.payload)
+        self._handlers[event.kind](event.time, event.payload)
 
     def submit(self, now, vertex):
         self.queue.schedule(now, "advance", vertex=vertex)
@@ -482,12 +490,14 @@ class ClosureEngine:
     def __init__(self, queue):
         self.queue = queue
         self.frontier: Dict[int, float] = {}
+        self._handlers = {
+            "advance": self._on_advance,
+            "compute_done": self._on_compute_done,
+        }
 
     def step(self):
         event = self.queue.pop()
-        handler = getattr(self, f"_on_{event.kind}", None)
-        if handler is not None:
-            handler(event.time, event.payload)
+        self._handlers[event.kind](event.time, event.payload)
 
     def submit(self, now, vertex):
         self.queue.schedule(now, "advance", vertex=vertex)

@@ -58,6 +58,12 @@ class TestLifecycle:
         with pytest.raises(QueryError):
             Query(0, SsspProgram(0), ())
 
+    def test_unknown_event_kind_raises(self):
+        eng = build_engine(grid_graph(3, 3))
+        eng.queue.schedule(0.0, "compute_dne")
+        with pytest.raises(EngineError, match="no handler for event kind 'compute_dne'"):
+            eng.run()
+
     def test_unknown_query_result(self):
         g = grid_graph(3, 3)
         eng = build_engine(g)

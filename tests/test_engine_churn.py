@@ -20,11 +20,11 @@ import numpy as np
 import pytest
 
 from admission_policies import POLICIES, scheduler_for
+from engine_harness import build_engine, controller_config, fingerprint, road_network
 from reference_impls import generic_path
-from repro.core.controller import Controller, ControllerConfig
+from repro.core.controller import Controller
 from repro.core.scopes import ScopeStore
 from repro.engine.barriers import SyncMode
-from repro.engine.engine import EngineConfig, QGraphEngine
 from repro.errors import EngineError
 from repro.graph import (
     DiGraph,
@@ -35,83 +35,14 @@ from repro.graph import (
     fresh_rebuild,
     grid_graph,
 )
-from repro.graph.road_network import generate_road_network
-from repro.partitioning import HashPartitioner
 from repro.queries.sssp import SsspProgram
 from repro.engine.query import Query
-from repro.simulation.cluster import make_cluster
 from repro.workload.generator import PhaseSpec, WorkloadGenerator
 
 
-def _controller_config(**overrides):
-    base = dict(
-        mu=0.5,
-        phi=0.9,
-        delta=0.25,
-        max_tracked_queries=64,
-        qcut_compute_time=0.002,
-        qcut_cooldown=0.01,
-        min_queries_for_qcut=6,
-        ils_rounds=30,
-        seed=0,
-    )
-    base.update(overrides)
-    return ControllerConfig(**base)
-
-
-def _road_network():
-    return generate_road_network(
-        num_cities=4,
-        num_urban_vertices=1200,
-        seed=13,
-        region_size=60.0,
-        zipf_exponent=0.5,
-    )
-
-
-def _build_engine(
-    graph,
-    k=4,
-    adaptive=True,
-    sync_mode=SyncMode.HYBRID,
-    repartition_mode="global",
-    scheduler="fifo",
-):
-    assignment = HashPartitioner(seed=0).partition(graph, k)
-    controller = Controller(k, _controller_config())
-    return QGraphEngine(
-        graph,
-        make_cluster("M2", k),
-        assignment,
-        controller=controller,
-        config=EngineConfig(
-            adaptive=adaptive,
-            sync_mode=sync_mode,
-            repartition_mode=repartition_mode,
-            scheduler=scheduler,
-        ),
-    )
-
-
-def _fingerprint(engine, trace):
-    return (
-        {
-            qid: (r.start_time, r.end_time, r.iterations, r.local_iterations)
-            for qid, r in trace.queries.items()
-        },
-        [(r.time, r.moved_vertices, r.num_moves) for r in trace.repartitions],
-        trace.local_messages,
-        trace.remote_messages,
-        trace.remote_batches,
-        trace.barrier_acks,
-        trace.barrier_releases,
-        engine._events_processed,
-    )
-
-
 def _run(graph, churn=(), **engine_kwargs):
-    rn = _road_network()
-    engine = _build_engine(graph, **engine_kwargs)
+    rn = road_network()
+    engine = build_engine(graph, **engine_kwargs)
     workload = WorkloadGenerator(rn, seed=5).generate(
         [PhaseSpec(num_queries=48, kind="sssp", label="churn")]
     )
@@ -128,7 +59,7 @@ def _run(graph, churn=(), **engine_kwargs):
 class TestSubmitUpdate:
     def test_requires_mutable_graph(self):
         g = grid_graph(4, 4)
-        engine = _build_engine(g, k=2)
+        engine = build_engine(g, k=2)
         with pytest.raises(EngineError, match="MutableDiGraph"):
             engine.submit_update(GraphDelta(delete_edges=[(0, 1)]))
 
@@ -139,22 +70,22 @@ class TestZeroChurnIdentity:
         [SyncMode.HYBRID, SyncMode.GLOBAL_PER_QUERY, SyncMode.SHARED_BSP],
     )
     def test_mutable_graph_without_churn_is_identical(self, sync_mode):
-        rn = _road_network()
+        rn = road_network()
         plain = rn.graph
         wrapped = MutableDiGraph.from_digraph(plain)
         e1, t1, r1 = _run(plain, sync_mode=sync_mode)
         e2, t2, r2 = _run(wrapped, sync_mode=sync_mode)
-        assert _fingerprint(e1, t1) == _fingerprint(e2, t2)
+        assert fingerprint(e1, t1) == fingerprint(e2, t2)
         assert r1 == r2
         assert not t2.churn_events
 
     def test_mutable_graph_without_churn_identical_partial_mode(self):
-        rn = _road_network()
+        rn = road_network()
         e1, t1, r1 = _run(rn.graph, repartition_mode="partial")
         e2, t2, r2 = _run(
             MutableDiGraph.from_digraph(rn.graph), repartition_mode="partial"
         )
-        assert _fingerprint(e1, t1) == _fingerprint(e2, t2)
+        assert fingerprint(e1, t1) == fingerprint(e2, t2)
         assert r1 == r2
 
 
@@ -193,9 +124,9 @@ class TestChurnExecution:
     @pytest.mark.parametrize("repartition_mode", ["global", "partial"])
     @pytest.mark.parametrize("scheduler", POLICIES)
     def test_churn_completes_under_all_modes(self, repartition_mode, scheduler):
-        rn = _road_network()
+        rn = road_network()
         graph = MutableDiGraph.from_digraph(rn.graph)
-        engine = _build_engine(
+        engine = build_engine(
             graph,
             repartition_mode=repartition_mode,
             scheduler=scheduler_for(scheduler),
@@ -220,21 +151,21 @@ class TestChurnExecution:
         [SyncMode.HYBRID, SyncMode.GLOBAL_PER_QUERY, SyncMode.SHARED_BSP],
     )
     def test_churn_completes_under_sync_modes(self, sync_mode):
-        rn = _road_network()
+        rn = road_network()
         graph = MutableDiGraph.from_digraph(rn.graph)
-        engine = _build_engine(graph, sync_mode=sync_mode)
+        engine = build_engine(graph, sync_mode=sync_mode)
         workload = _generated_churn(rn)
         workload.submit_all(engine)
         trace = engine.run()
         assert len(trace.finished_queries()) == 48
         assert trace.churn_events
-        digest = hashlib.sha256(repr(_fingerprint(engine, trace)).encode())
+        digest = hashlib.sha256(repr(fingerprint(engine, trace)).encode())
         assert digest.hexdigest()[:16] == _CHURN_FINGERPRINTS[sync_mode]
 
     def test_churn_completes_generic_path(self):
-        rn = _road_network()
+        rn = road_network()
         graph = MutableDiGraph.from_digraph(rn.graph)
-        engine = _build_engine(graph)
+        engine = build_engine(graph)
         workload = _generated_churn(rn)
         workload.submit_all(engine)
         with generic_path():
@@ -246,10 +177,10 @@ class TestChurnExecution:
     def test_vertex_growth_mid_query(self):
         """New vertices appear while queries run: dense kernel buffers grow
         and the LDG placement extends the assignment deterministically."""
-        rn = _road_network()
+        rn = road_network()
         graph = MutableDiGraph.from_digraph(rn.graph)
         n0 = graph.num_vertices
-        engine = _build_engine(graph, adaptive=False)
+        engine = build_engine(graph, adaptive=False)
         workload = WorkloadGenerator(rn, seed=5).generate(
             [PhaseSpec(num_queries=24, kind="sssp")]
         )
@@ -296,7 +227,7 @@ class TestChurnIsolation:
 
         def run(churn):
             graph = MutableDiGraph.from_digraph(base)
-            engine = _build_engine(graph, k=2, adaptive=False)
+            engine = build_engine(graph, k=2, adaptive=False)
             for q in queries:
                 engine.submit(q, 0.0)
             for time, delta in churn:
@@ -318,7 +249,7 @@ class TestChurnIsolation:
         the wave routes around / dies there."""
         base = self._two_component_graph()
         graph = MutableDiGraph.from_digraph(base)
-        engine = _build_engine(graph, k=2, adaptive=False)
+        engine = build_engine(graph, k=2, adaptive=False)
         engine.submit(
             Query(query_id=0, program=SsspProgram(start=16), initial_vertices=(16,)),
             0.0,
@@ -335,7 +266,7 @@ class TestChurnIsolation:
 
 class TestControllerChurnHygiene:
     def test_scope_store_truncated_on_removal(self):
-        controller = Controller(2, _controller_config())
+        controller = Controller(2, controller_config())
         controller.on_query_started(1, 0.0)
         controller.on_iteration(1, 1, [3, 4, 5], 0.0)
         assert controller.scopes.scope_array(1).tolist() == [3, 4, 5]
@@ -354,9 +285,9 @@ class TestControllerChurnHygiene:
         assert store.scope_array(7).tolist() == [1, 3, 4]
 
     def test_snapshots_never_plan_moves_of_dead_ids(self):
-        rn = _road_network()
+        rn = road_network()
         graph = MutableDiGraph.from_digraph(rn.graph)
-        engine = _build_engine(graph, adaptive=True)
+        engine = build_engine(graph, adaptive=True)
         workload = _generated_churn(rn, rate=120.0, span=0.4)
         workload.submit_all(engine)
         engine.run()
@@ -376,7 +307,7 @@ class TestControllerChurnHygiene:
         g = MutableDiGraph.from_digraph(b.build())
         g.add_vertex(NewVertexSpec(edges=((0, 1.0), (1, 1.0))))
         g.flush()
-        controller = Controller(2, _controller_config())
+        controller = Controller(2, controller_config())
         assignment = np.array([0, 0, 1, 1, 0, 1], dtype=np.int64)
         owners = controller.place_new_vertices(
             g, np.array([6], dtype=np.int64), assignment

@@ -15,13 +15,11 @@ helper each.  Any change that only restructures host code must reproduce
 them.  A change that re-times events on purpose re-pins them.
 """
 
-import hashlib
-
 import numpy as np
 import pytest
 
-from test_engine_run_coalescing import LoggedQueue
-from repro.core import Controller, ControllerConfig
+from engine_harness import LoggedQueue, controller_config, digest
+from repro.core import Controller
 from repro.engine import EngineConfig, QGraphEngine, Query, SimWorker, SyncMode
 from repro.graph import MutableDiGraph, grid_graph
 from repro.graph.road_network import generate_road_network
@@ -32,24 +30,6 @@ from repro.simulation.faults import ControllerCrash, FaultPlan, WorkerCrash
 from repro.workload.generator import PhaseSpec, WorkloadGenerator
 
 _SYNC_MODES = [SyncMode.HYBRID, SyncMode.GLOBAL_PER_QUERY, SyncMode.SHARED_BSP]
-
-
-def _controller_config():
-    return ControllerConfig(
-        mu=0.5,
-        phi=0.9,
-        delta=0.25,
-        max_tracked_queries=64,
-        qcut_compute_time=0.002,
-        qcut_cooldown=0.005,
-        min_queries_for_qcut=4,
-        ils_rounds=20,
-        seed=0,
-    )
-
-
-def _digest(log):
-    return hashlib.sha256(repr(log).encode()).hexdigest()[:16]
 
 
 def _logged_run(monkeypatch, case, sync_mode):
@@ -97,7 +77,12 @@ def _logged_run(monkeypatch, case, sync_mode):
         graph,
         make_cluster("M2", k),
         assignment,
-        controller=Controller(k, _controller_config()),
+        controller=Controller(
+            k,
+            controller_config(
+                qcut_cooldown=0.005, min_queries_for_qcut=4, ils_rounds=20
+            ),
+        ),
         config=EngineConfig(**config),
         faults=faults,
     )
@@ -107,7 +92,7 @@ def _logged_run(monkeypatch, case, sync_mode):
     return engine, trace
 
 
-#: ``_digest`` of the popped-event log of each ``_logged_run``
+#: ``digest`` of the popped-event log of each ``_logged_run``
 _PINNED_LOGS = {
     ("partial", SyncMode.HYBRID): "b2efe3a3ba48b33a",
     ("partial", SyncMode.GLOBAL_PER_QUERY): "243b8229a8a6d44c",
@@ -134,10 +119,10 @@ def test_event_log_is_pinned(monkeypatch, case, sync_mode):
     else:
         assert trace.repartitions and trace.churn_events
     assert engine._events_processed == len(engine.queue.log)
-    assert _digest(engine.queue.log) == _PINNED_LOGS[case, sync_mode]
+    assert digest(engine.queue.log) == _PINNED_LOGS[case, sync_mode]
 
 
-#: ``_digest`` of the popped-event log of the redirect race below
+#: ``digest`` of the popped-event log of the redirect race below
 _PINNED_REDIRECT_LOGS = {
     SyncMode.HYBRID: "b6187995d4b51fa9",
     SyncMode.GLOBAL_PER_QUERY: "03edeed8b9c863cd",
@@ -184,4 +169,4 @@ def test_stale_dispatch_redirect_log_is_pinned(monkeypatch, sync_mode):
     engine._on_task_ready(engine.now, 0, 1)
     engine.run()
     assert qr.finished
-    assert _digest(engine.queue.log) == _PINNED_REDIRECT_LOGS[sync_mode]
+    assert digest(engine.queue.log) == _PINNED_REDIRECT_LOGS[sync_mode]

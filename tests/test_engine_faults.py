@@ -16,105 +16,30 @@ The contract of the subsystem:
 """
 
 import contextlib
+import functools
 import hashlib
 
 import numpy as np
 import pytest
 
 from admission_policies import POLICIES, scheduler_for
+from engine_harness import build_engine, digest, fingerprint, road_network
 from reference_impls import generic_path
-from repro.core.controller import Controller, ControllerConfig
 from repro.engine.barriers import SyncMode
 from repro.engine.checkpoint import QueryCheckpoint
-from repro.engine.engine import EngineConfig, QGraphEngine
 from repro.engine.kernels import ArrayMailbox
 from repro.engine.query import QueryRuntime
 from repro.errors import EngineError, SimulationError
 from repro.graph import MutableDiGraph
 from repro.graph.road_network import generate_road_network
-from repro.partitioning import HashPartitioner
-from repro.simulation.cluster import make_cluster
 from repro.simulation.faults import ControllerCrash, FaultPlan, WorkerCrash
 from repro.workload.generator import PhaseSpec, WorkloadGenerator
 
 
-def _controller_config(**overrides):
-    base = dict(
-        mu=0.5,
-        phi=0.9,
-        delta=0.25,
-        max_tracked_queries=64,
-        qcut_compute_time=0.002,
-        qcut_cooldown=0.01,
-        min_queries_for_qcut=6,
-        ils_rounds=30,
-        seed=0,
-    )
-    base.update(overrides)
-    return ControllerConfig(**base)
+_build_engine = functools.partial(build_engine, adaptive=False)
 
 
-def _road_network():
-    return generate_road_network(
-        num_cities=4,
-        num_urban_vertices=1200,
-        seed=13,
-        region_size=60.0,
-        zipf_exponent=0.5,
-    )
-
-
-def _build_engine(
-    graph,
-    k=4,
-    faults=None,
-    checkpoint_interval=0,
-    adaptive=False,
-    sync_mode=SyncMode.HYBRID,
-    repartition_mode="global",
-    scheduler="fifo",
-    max_events=50_000_000,
-):
-    assignment = HashPartitioner(seed=0).partition(graph, k)
-    controller = Controller(k, _controller_config())
-    return QGraphEngine(
-        graph,
-        make_cluster("M2", k),
-        assignment,
-        controller=controller,
-        config=EngineConfig(
-            adaptive=adaptive,
-            sync_mode=sync_mode,
-            repartition_mode=repartition_mode,
-            scheduler=scheduler,
-            checkpoint_interval=checkpoint_interval,
-            max_events=max_events,
-        ),
-        faults=faults,
-    )
-
-
-def _fingerprint(engine, trace):
-    return (
-        {
-            qid: (r.start_time, r.end_time, r.iterations, r.local_iterations)
-            for qid, r in trace.queries.items()
-        },
-        [(r.time, r.moved_vertices, r.num_moves) for r in trace.repartitions],
-        trace.local_messages,
-        trace.remote_messages,
-        trace.remote_batches,
-        trace.barrier_acks,
-        trace.barrier_releases,
-        engine._events_processed,
-    )
-
-
-def _digest(fingerprint):
-    return hashlib.sha256(repr(fingerprint).encode()).hexdigest()[:16]
-
-
-#: ``_digest(_fingerprint(...))`` of the crash runs below, recorded at the
+#: ``digest(fingerprint(...))`` of the crash runs below, recorded at the
 #: commit before per-query state moved onto ``QueryRuntime`` (PR 15): that
 #: move, and any later host-side-only change, must reproduce these runs
 #: event for event.  A change that re-times events on purpose re-pins them.
@@ -199,13 +124,13 @@ class TestFaultPlanValidation:
         assert not FaultPlan(message_drop=0.1).is_noop()
 
     def test_crashes_require_checkpointing(self):
-        rn = _road_network()
+        rn = road_network()
         plan = FaultPlan(crashes=(WorkerCrash(time=0.1, worker=0),))
         with pytest.raises(EngineError, match="checkpoint_interval"):
             _build_engine(rn.graph, faults=plan, checkpoint_interval=0)
 
     def test_generator_fault_plan_deterministic(self):
-        rn = _road_network()
+        rn = road_network()
         a = WorkloadGenerator(rn, seed=9).fault_plan(num_workers=4, crashes=3)
         b = WorkloadGenerator(rn, seed=9).fault_plan(num_workers=4, crashes=3)
         assert a == b
@@ -218,7 +143,7 @@ class TestFaultPlanValidation:
         assert a != c
 
     def test_generator_fault_plan_independent_of_workload_draws(self):
-        rn = _road_network()
+        rn = road_network()
         g1 = WorkloadGenerator(rn, seed=9)
         g1.generate([PhaseSpec(num_queries=8, kind="sssp")])
         g2 = WorkloadGenerator(rn, seed=9)
@@ -230,7 +155,7 @@ class TestFaultPlanValidation:
 # ----------------------------------------------------------------------
 class TestCheckpoint:
     def test_capture_restore_roundtrip(self):
-        rn = _road_network()
+        rn = road_network()
         engine, trace, _ = _run(rn, num_queries=8, checkpoint_interval=2)
         assert trace.checkpoints_taken > 0
         qid, qr = next(iter(sorted(engine.runtimes.items())))
@@ -245,7 +170,7 @@ class TestCheckpoint:
         assert qr.involved == set(qr.mailboxes)
 
     def test_restore_rehomes_mailboxes(self):
-        rn = _road_network()
+        rn = road_network()
         engine, _, _ = _run(rn, num_queries=8, checkpoint_interval=2)
         qr = next(iter(engine.runtimes.values()))
         ck = QueryCheckpoint.capture(qr)
@@ -256,7 +181,7 @@ class TestCheckpoint:
 
     def test_restore_is_repeatable(self):
         """The checkpoint survives its own restore (copies go out)."""
-        rn = _road_network()
+        rn = road_network()
         engine, _, _ = _run(rn, num_queries=8, checkpoint_interval=2)
         qr = next(iter(engine.runtimes.values()))
         ck = QueryCheckpoint.capture(qr)
@@ -276,15 +201,15 @@ class TestZeroFaultIdentity:
         [SyncMode.HYBRID, SyncMode.GLOBAL_PER_QUERY, SyncMode.SHARED_BSP],
     )
     def test_noop_plan_is_event_for_event_identical(self, sync_mode):
-        rn = _road_network()
+        rn = road_network()
         e1, t1, r1 = _run(rn, sync_mode=sync_mode)
         e2, t2, r2 = _run(rn, sync_mode=sync_mode, faults=FaultPlan(seed=1))
         assert e2.faults is None  # normalized away at construction
-        assert _fingerprint(e1, t1) == _fingerprint(e2, t2)
+        assert fingerprint(e1, t1) == fingerprint(e2, t2)
         _assert_identical_results(r2, r1)
 
     def test_checkpointing_alone_does_not_change_answers(self):
-        rn = _road_network()
+        rn = road_network()
         _, t1, r1 = _run(rn)
         _, t2, r2 = _run(rn, checkpoint_interval=2)
         assert t2.checkpoints_taken > 0
@@ -297,7 +222,7 @@ class TestZeroFaultIdentity:
 # ----------------------------------------------------------------------
 class TestEventBudget:
     def test_budget_error_carries_engine_state(self):
-        rn = _road_network()
+        rn = road_network()
         engine = _build_engine(rn.graph, max_events=50)
         workload = WorkloadGenerator(rn, seed=5).generate(
             [PhaseSpec(num_queries=16, kind="sssp")]
@@ -343,7 +268,7 @@ class TestCrashRecovery:
         [SyncMode.HYBRID, SyncMode.GLOBAL_PER_QUERY, SyncMode.SHARED_BSP],
     )
     def test_recovery_identity_across_sync_modes(self, sync_mode):
-        rn = _road_network()
+        rn = road_network()
         _, t_clean, r_clean = _run(rn, sync_mode=sync_mode, checkpoint_interval=2)
         plan = _crash_plan(t_clean.makespan())
         engine, t_fault, r_fault = _run(
@@ -353,10 +278,10 @@ class TestCrashRecovery:
         assert len(t_fault.recoveries) == 1
         assert t_fault.recoveries[0].rehomed_vertices > 0
         _assert_identical_results(r_fault, r_clean)
-        assert _digest(_fingerprint(engine, t_fault)) == _CRASH_FINGERPRINTS[sync_mode]
+        assert digest(fingerprint(engine, t_fault)) == _CRASH_FINGERPRINTS[sync_mode]
 
     def test_permanent_crash_finishes_on_survivors(self):
-        rn = _road_network()
+        rn = road_network()
         _, t_clean, r_clean = _run(rn, checkpoint_interval=2)
         plan = _crash_plan(t_clean.makespan(), downtime=None)
         engine, t_fault, r_fault = _run(rn, checkpoint_interval=2, faults=plan)
@@ -365,7 +290,7 @@ class TestCrashRecovery:
         _assert_identical_results(r_fault, r_clean)
 
     def test_transient_crash_rejoins(self):
-        rn = _road_network()
+        rn = road_network()
         _, t_clean, r_clean = _run(rn, checkpoint_interval=2)
         makespan = t_clean.makespan()
         plan = _crash_plan(makespan, downtime=0.2 * makespan)
@@ -385,7 +310,7 @@ class TestCrashRecovery:
         ],
     )
     def test_quick_rejoin_after_transient_crash(self, sync_mode):
-        rn = _road_network()
+        rn = road_network()
         _, t_clean, r_clean = _run(rn, sync_mode=sync_mode, checkpoint_interval=2)
         makespan = t_clean.makespan()
         plan = _crash_plan(makespan, downtime=0.01 * makespan)
@@ -397,7 +322,7 @@ class TestCrashRecovery:
         _assert_identical_results(r_fault, r_clean)
 
     def test_recovery_rolls_back_iterations(self):
-        rn = _road_network()
+        rn = road_network()
         _, t_clean, r_clean = _run(rn, checkpoint_interval=3)
         plan = _crash_plan(t_clean.makespan(), at=0.35)
         _, t_fault, r_fault = _run(rn, checkpoint_interval=3, faults=plan)
@@ -408,7 +333,7 @@ class TestCrashRecovery:
         _assert_identical_results(r_fault, r_clean)
 
     def test_crash_during_adaptive_partial_repartitioning(self):
-        rn = _road_network()
+        rn = road_network()
         _, t_clean, r_clean = _run(
             rn, adaptive=True, repartition_mode="partial", checkpoint_interval=2
         )
@@ -424,14 +349,14 @@ class TestCrashRecovery:
         assert len(t_fault.recoveries) == 1
         _assert_identical_results(r_fault, r_clean)
         assert (
-            _digest(_fingerprint(engine, t_fault))
+            digest(fingerprint(engine, t_fault))
             == _CRASH_FINGERPRINTS["adaptive-partial"]
         )
 
     def test_crash_racing_churn_flush(self):
         """Topology mutations land and flush before the crash; replay after
         rollback must see the same post-churn graph."""
-        rn = _road_network()
+        rn = road_network()
         # the churn span ends well before the crash fires, so both arms
         # replay on the same post-churn topology
         churn = dict(churn_rate=2500.0, churn_span=0.0015)
@@ -450,7 +375,7 @@ class TestCrashRecovery:
         _assert_identical_results(r_fault, r_clean)
 
     def test_two_staggered_crashes(self):
-        rn = _road_network()
+        rn = road_network()
         _, t_clean, r_clean = _run(rn, checkpoint_interval=2)
         makespan = t_clean.makespan()
         plan = FaultPlan(
@@ -471,7 +396,7 @@ class TestCrashRecovery:
 # ----------------------------------------------------------------------
 class TestMessageFaults:
     def test_drop_and_duplicate_preserve_answers(self):
-        rn = _road_network()
+        rn = road_network()
         _, t_clean, r_clean = _run(rn)
         plan = FaultPlan(seed=0, message_drop=0.15, message_duplicate=0.1)
         _, t_fault, r_fault = _run(rn, faults=plan)
@@ -480,7 +405,7 @@ class TestMessageFaults:
         _assert_identical_results(r_fault, r_clean)
 
     def test_drops_delay_the_run(self):
-        rn = _road_network()
+        rn = road_network()
         _, t_clean, _ = _run(rn)
         plan = FaultPlan(seed=0, message_drop=0.3)
         _, t_fault, _ = _run(rn, faults=plan)
@@ -493,7 +418,7 @@ class TestMessageFaults:
 class TestControlPlaneFaults:
     @pytest.mark.parametrize("scheduler", POLICIES)
     def test_control_loss_retries_and_preserves_answers(self, scheduler):
-        rn = _road_network()
+        rn = road_network()
         _, t_clean, r_clean = _run(rn, scheduler=scheduler_for(scheduler))
         plan = FaultPlan(seed=0, control_loss=0.2, report_loss=0.2)
         _, t_fault, r_fault = _run(
@@ -504,7 +429,7 @@ class TestControlPlaneFaults:
         _assert_identical_results(r_fault, r_clean)
 
     def test_controller_crash_degrades_gracefully(self):
-        rn = _road_network()
+        rn = road_network()
         _, t_clean, r_clean = _run(rn, adaptive=True)
         makespan = t_clean.makespan()
         plan = FaultPlan(
@@ -525,7 +450,7 @@ class TestControlPlaneFaults:
 # ----------------------------------------------------------------------
 class TestFinishReleasesPerQueryState:
     def test_finished_queries_leave_no_per_query_engine_state(self):
-        rn = _road_network()
+        rn = road_network()
         engine, trace, results = _run(rn, num_queries=8, checkpoint_interval=2)
         # the per-query fields were populated during the run...
         assert trace.checkpoints_taken > 0
@@ -580,7 +505,7 @@ class TestFinishReleasesPerQueryState:
 
     def test_recovery_after_finish_ignores_finished_queries(self):
         """A crash after queries finished must not roll them back."""
-        rn = _road_network()
+        rn = road_network()
         plan = FaultPlan(
             seed=0, crashes=(WorkerCrash(time=0.05, worker=2, downtime=0.2),)
         )
@@ -599,7 +524,7 @@ class TestFinishReleasesPerQueryState:
 # ----------------------------------------------------------------------
 class TestRecoveryPrecondition:
     def test_missing_checkpoint_raises_before_any_mutation(self):
-        rn = _road_network()
+        rn = road_network()
         engine, _, results = _run(rn, num_queries=4, checkpoint_interval=2)
         qid = min(results)
         # resurrect a running query whose checkpoint is gone, with a dead

@@ -33,7 +33,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Controller, ControllerConfig
+from engine_harness import LoggedQueue, controller_config, road_network
+from repro.core import Controller
 from repro.engine import (
     EngineConfig,
     IterationResult,
@@ -48,7 +49,6 @@ from repro.engine.vertex_program import reduce_aggregator
 from repro.errors import EngineError
 from repro.graph import DiGraph, grid_graph, watts_strogatz
 from repro.graph.delta import MutableDiGraph
-from repro.graph.road_network import generate_road_network
 from repro.partitioning import HashPartitioner
 from repro.queries import (
     BfsProgram,
@@ -689,25 +689,6 @@ def test_link_cost_memo_is_send_cost_and_serves_repeated_counts(faulty):
 # ----------------------------------------------------------------------
 # (iii) run formation
 # ----------------------------------------------------------------------
-class LoggedQueue(EventQueue):
-    """Records every popped event (followers are popped through ``pop``)."""
-
-    def __init__(self):
-        super().__init__()
-        self.log = []
-
-    def pop(self):
-        event = super().pop()
-        if event is not None:
-            scalars = sorted(
-                (key, value)
-                for key, value in event.payload.items()
-                if isinstance(value, (int, float, bool, type(None)))
-            )
-            self.log.append((event.time, event.seq, event.kind, scalars))
-        return event
-
-
 class BlindQueue(LoggedQueue):
     """``peek()`` never shows the head, so no run gets a follower: the
     engine executes task by task, as it did before run coalescing."""
@@ -886,13 +867,6 @@ class TestRunFormation:
 # ----------------------------------------------------------------------
 # coalesced == per-task, event for event, on full workloads
 # ----------------------------------------------------------------------
-def _road_network():
-    return generate_road_network(
-        num_cities=4, num_urban_vertices=1200, seed=13,
-        region_size=60.0, zipf_exponent=0.5,
-    )
-
-
 def _workload_engine(monkeypatch, queue_cls, rn, kind, sync_mode, faults,
                      max_events=50_000_000, cluster=("M2", 4)):
     monkeypatch.setattr("repro.engine.engine.EventQueue", queue_cls)
@@ -900,11 +874,7 @@ def _workload_engine(monkeypatch, queue_cls, rn, kind, sync_mode, faults,
     graph = MutableDiGraph.from_digraph(rn.graph)
     controller = Controller(
         k,
-        ControllerConfig(
-            mu=0.5, phi=0.9, delta=0.25, max_tracked_queries=64,
-            qcut_compute_time=0.002, qcut_cooldown=0.01,
-            min_queries_for_qcut=6, ils_rounds=30, seed=0,
-        ),
+        controller_config(),
     )
     engine = RecordingEngine(
         graph,
@@ -960,7 +930,7 @@ def test_coalesced_run_is_event_for_event_the_per_task_run(
     recovery, message and control loss — every popped event (time, sequence
     number, kind, payload), every counter and every answer is the same
     with and without run coalescing."""
-    rn = _road_network()
+    rn = road_network()
     plan = FaultPlan(
         seed=3,
         crashes=(WorkerCrash(time=0.012, worker=1, downtime=0.01),),
@@ -995,7 +965,7 @@ class TestEventBudgetAndHorizon:
         """Budgets that run out on the head of a run, on its second member
         and on its last: both engines stop on the same event, in the same
         state, with the same diagnostics."""
-        rn = _road_network()
+        rn = road_network()
         whole, _workload = _workload_engine(
             monkeypatch, LoggedQueue, rn, "sssp", SyncMode.HYBRID, None
         )
@@ -1030,7 +1000,7 @@ class TestEventBudgetAndHorizon:
             assert outcomes[0][2] == budget + 1
 
     def test_run_until_then_run_equals_one_run(self, monkeypatch):
-        rn = _road_network()
+        rn = road_network()
         whole, workload = _workload_engine(
             monkeypatch, LoggedQueue, rn, "sssp", SyncMode.HYBRID, None
         )

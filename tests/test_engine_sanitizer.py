@@ -9,12 +9,13 @@ the scope store, shrink a dense buffer) and assert the corresponding
 must be event-for-event identical with the sanitizer on and off.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
-from repro.core.controller import Controller, ControllerConfig
+from engine_harness import build_engine, fingerprint, road_network
 from repro.engine.barriers import SyncMode
-from repro.engine.engine import EngineConfig, QGraphEngine
 from repro.engine.kernels import ArrayMailbox
 from repro.engine.query import Query, QueryRuntime
 from repro.engine.sanitizer import (
@@ -24,78 +25,16 @@ from repro.engine.sanitizer import (
     sanitizer_enabled,
 )
 from repro.graph import GraphDelta, MutableDiGraph, grid_graph
-from repro.graph.road_network import generate_road_network
-from repro.partitioning import HashPartitioner
 from repro.queries.sssp import SsspProgram
-from repro.simulation.cluster import make_cluster
 from repro.workload.generator import PhaseSpec, WorkloadGenerator
 
 
-def _controller_config(**overrides):
-    base = dict(
-        mu=0.5,
-        phi=0.9,
-        delta=0.25,
-        max_tracked_queries=64,
-        qcut_compute_time=0.002,
-        qcut_cooldown=0.01,
-        min_queries_for_qcut=6,
-        ils_rounds=30,
-        seed=0,
-    )
-    base.update(overrides)
-    return ControllerConfig(**base)
-
-
-def _road_network():
-    return generate_road_network(
-        num_cities=4,
-        num_urban_vertices=1200,
-        seed=13,
-        region_size=60.0,
-        zipf_exponent=0.5,
-    )
-
-
-def _build_engine(graph, k=4, sanitizer=True, **config_overrides):
-    config = dict(
-        adaptive=True,
-        sync_mode=SyncMode.HYBRID,
-        repartition_mode="global",
-        scheduler="fifo",
-        sanitizer=sanitizer,
-    )
-    config.update(config_overrides)
-    assignment = HashPartitioner(seed=0).partition(graph, k)
-    controller = Controller(k, _controller_config())
-    return QGraphEngine(
-        graph,
-        make_cluster("M2", k),
-        assignment,
-        controller=controller,
-        config=EngineConfig(**config),
-    )
+_build_engine = functools.partial(build_engine, sanitizer=True)
 
 
 def _workload(rn, num_queries=48, **phase_kwargs):
     return WorkloadGenerator(rn, seed=5).generate(
         [PhaseSpec(num_queries=num_queries, kind="sssp", label="san", **phase_kwargs)]
-    )
-
-
-def _fingerprint(engine, trace):
-    return (
-        {
-            qid: (r.start_time, r.end_time, r.iterations, r.local_iterations)
-            for qid, r in trace.queries.items()
-        },
-        [(r.time, r.moved_vertices, r.num_moves) for r in trace.repartitions],
-        trace.local_messages,
-        trace.remote_messages,
-        trace.remote_batches,
-        trace.barrier_acks,
-        trace.barrier_releases,
-        engine._events_processed,
     )
 
 
@@ -150,7 +89,7 @@ class TestCleanRunIdentity:
         "sync_mode", [SyncMode.HYBRID, SyncMode.SHARED_BSP]
     )
     def test_sanitized_run_is_identical(self, sync_mode):
-        rn = _road_network()
+        rn = road_network()
         runs = []
         for sanitizer in (False, True):
             engine = _build_engine(rn.graph, sanitizer=sanitizer, sync_mode=sync_mode)
@@ -161,7 +100,7 @@ class TestCleanRunIdentity:
                 q.query_id: engine.query_result(q.query_id)
                 for q in workload.queries()
             }
-            runs.append((engine, _fingerprint(engine, trace), results, trace))
+            runs.append((engine, fingerprint(engine, trace), results, trace))
         (plain, fp_plain, res_plain, _), (san, fp_san, res_san, trace_san) = runs
         assert fp_plain == fp_san
         assert res_plain == res_san
@@ -172,7 +111,7 @@ class TestCleanRunIdentity:
         assert trace_san.repartitions
 
     def test_sanitized_churn_run_is_identical(self):
-        rn = _road_network()
+        rn = road_network()
         runs = []
         for sanitizer in (False, True):
             graph = MutableDiGraph.from_digraph(rn.graph)
@@ -180,7 +119,7 @@ class TestCleanRunIdentity:
             workload = _workload(rn, churn_rate=60.0, churn_span=0.4)
             workload.submit_all(engine)
             trace = engine.run()
-            runs.append((engine, _fingerprint(engine, trace), trace))
+            runs.append((engine, fingerprint(engine, trace), trace))
         (_, fp_plain, _), (san, fp_san, trace_san) = runs
         assert fp_plain == fp_san
         assert trace_san.churn_events  # on_graph_flush hooks were exercised
@@ -432,7 +371,7 @@ class TestEndToEndMigrationFault:
                         break
 
         monkeypatch.setattr(QueryRuntime, "rebucket", lossy_rebucket)
-        rn = _road_network()
+        rn = road_network()
         engine = _build_engine(rn.graph)
         _workload(rn).submit_all(engine)
         with pytest.raises(SanitizerError, match="message-conservation"):

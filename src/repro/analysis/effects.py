@@ -8,9 +8,11 @@ module reads that table and computes, for every handler, the
 *transitive* attributes it reads and writes across the call graph (named
 by owning class: ``QGraphEngine.paused``, ``QueryRuntime.acked``, …), the
 *guard* attributes it tests in conditionals (epoch/phase fencing), and
-every event it schedules (with a coarse delay class).  The race rules in
-:mod:`repro.analysis.races` and the checked-in effect baseline are both
-built from these summaries.
+every event it schedules (with a coarse delay class).  A called method
+is not a read; a property or a bound method passed on as a value is.
+Each write is classified here, once, by shape (see
+:attr:`_DirectEffects.writes`); the race, lifecycle and protocol rules and
+the checked-in effect baseline are all built from these records.
 
 Delay classes for schedule points:
 
@@ -47,10 +49,7 @@ __all__ = [
     "BENIGN_CLASSES",
     "BENIGN_ATTRS",
     "MANIFEST_KINDS",
-    "ENTER_MUTATORS",
-    "RELEASE_MUTATORS",
     "short",
-    "is_empty_value",
     "line_followers",
     "declared_tuples",
 ]
@@ -75,17 +74,26 @@ GUARD_ATTR_RE = re.compile(
 #: legal ``kind`` values of a ``state_manifest`` entry
 MANIFEST_KINDS = ("per-query", "engine-global", "derived", "unclassified")
 
-#: in-place mutators that grow a container (park work, seed a set)
-ENTER_MUTATORS = frozenset(
-    {"append", "appendleft", "extend", "insert", "add", "setdefault",
-     "update", "put"}
-)
-#: in-place mutators that *release* a slot or empty a container
-RELEASE_MUTATORS = frozenset(
-    {"pop", "popitem", "popleft", "clear", "discard", "remove"}
-)
-#: in-place mutators: a call ``x.attr.<m>(...)`` writes ``x.attr``
-_MUTATOR_METHODS = ENTER_MUTATORS | RELEASE_MUTATORS | {"sort", "reverse", "fill"}
+#: write shapes (see :attr:`_DirectEffects.writes`)
+_ENTER = frozenset({"enter"})
+_CLEAR = frozenset({"clear"})
+_RESET = frozenset({"clear", "reset"})
+_DECREMENT = frozenset({"decrement"})
+_UNSHAPED: FrozenSet[str] = frozenset()
+
+#: in-place mutators: a call ``x.attr.<m>(...)`` writes ``x.attr``, growing
+#: it (park work, seed a set), releasing a slot or emptying it, or neither
+_MUTATOR_SHAPES: Dict[str, FrozenSet[str]] = {
+    **dict.fromkeys(
+        ("append", "appendleft", "extend", "insert", "add", "setdefault",
+         "update", "put"),
+        _ENTER,
+    ),
+    **dict.fromkeys(
+        ("pop", "popitem", "popleft", "clear", "discard", "remove"), _CLEAR
+    ),
+    **dict.fromkeys(("sort", "reverse", "fill"), _UNSHAPED),
+}
 
 #: constructor names whose zero-arg call is an empty-container literal
 _EMPTY_CONSTRUCTORS = frozenset({"set", "dict", "list", "frozenset", "tuple"})
@@ -97,12 +105,18 @@ _SchedulePoint = Tuple[Optional[str], str, int, FrozenSet[int]]
 
 @dataclass
 class _DirectEffects:
-    """Per-function direct effects (before call-graph propagation)."""
+    """One function's effects, or their union over a call-graph closure."""
 
     reads: Set[str] = field(default_factory=set)
-    writes: Set[str] = field(default_factory=set)
+    #: written attribute -> the shapes of its writes: ``enter`` (a growth
+    #: mutator, a slot store, ``+=``, a non-empty assignment), ``clear`` (a
+    #: release mutator, ``del``, an empty-value assignment), ``reset`` (the
+    #: empty-value assignment) and ``decrement`` (``-=``); empty for a write
+    #: of none of these shapes (``sort``, a ``for`` target)
+    writes: Dict[str, Set[str]] = field(default_factory=dict)
     guards: Set[str] = field(default_factory=set)
-    #: (attr effect, line) for ordered effect-after-schedule checks
+    #: (attr effect, line) of the function's own writes, for ordered
+    #: effect-after-schedule checks (empty in a closure)
     write_sites: List[Tuple[str, int]] = field(default_factory=list)
     schedules: List[_SchedulePoint] = field(default_factory=list)
 
@@ -149,7 +163,7 @@ def short(qname: str) -> str:
     return qname.split(".")[-1]
 
 
-def is_empty_value(node: ast.AST) -> bool:
+def _is_empty_value(node: ast.AST) -> bool:
     """An assigned value that empties or lowers its target.
 
     ``None``, ``False``, an empty literal or a zero-argument container
@@ -171,13 +185,6 @@ def is_empty_value(node: ast.AST) -> bool:
         and not node.args
         and not node.keywords
     )
-
-
-def _container_root(node: ast.AST) -> ast.AST:
-    """``x.attr`` of ``x.attr[i][j]``: the expression under any subscripts."""
-    while isinstance(node, ast.Subscript):
-        node = node.value
-    return node
 
 
 def _is_schedule_call(node: ast.AST) -> bool:
@@ -327,6 +334,17 @@ class EffectAnalysis:
         self._direct: Dict[str, _DirectEffects] = {}
         for fn in self.graph.iter_functions():
             self._direct[fn.qname] = self._direct_effects(fn.qname)
+        self._closures: Dict[str, _DirectEffects] = {}
+        #: event kind -> every (fn qname, line, delay class) schedule site
+        #: in the project, in function order — producers outside handlers
+        #: count too, for tie-eligibility and kind closure
+        self.schedule_sites: Dict[str, List[Tuple[str, int, str]]] = {}
+        for fn_qname, direct in self._direct.items():
+            for kind, delay, line, _followers in direct.schedules:
+                if kind is not None:
+                    self.schedule_sites.setdefault(kind, []).append(
+                        (fn_qname, line, delay)
+                    )
         #: dispatcher class qname -> {kind -> HandlerEffects}
         self.handlers: Dict[str, Dict[str, HandlerEffects]] = {}
         for cls, kinds in self.dispatch.items():
@@ -334,13 +352,6 @@ class EffectAnalysis:
                 kind: self._summarize(kind, handler)
                 for kind, handler in kinds.items()
             }
-        #: every (kind, delay class) schedule point in the project — used
-        #: for tie-eligibility, so producers outside handlers count too
-        self.kind_delays: Dict[str, Set[str]] = {}
-        for direct in self._direct.values():
-            for kind, delay, *_ in direct.schedules:
-                if kind is not None:
-                    self.kind_delays.setdefault(kind, set()).add(delay)
 
     # ------------------------------------------------------------------
     # dispatch-table extraction
@@ -392,62 +403,92 @@ class EffectAnalysis:
                 return EffectAnalysis._delay_class(left)
         return "unknown"
 
+    def _resolve(
+        self,
+        fn_qname: str,
+        place: ast.AST,
+        aliases: Dict[str, Set[Tuple[str, int]]],
+    ) -> List[Tuple[str, int]]:
+        """The (attribute, depth) pairs a write into ``place`` lands in.
+
+        The root under any subscripts is an attribute, or a local name
+        standing for the attributes it was bound from; ``depth`` counts
+        the subscripts between the attribute and the written place.
+        """
+        depth = 0
+        while isinstance(place, ast.Subscript):
+            place, depth = place.value, depth + 1
+        if isinstance(place, ast.Attribute):
+            effect = self._effect_name(fn_qname, place)
+            return [(effect, depth)] if effect else []
+        if isinstance(place, ast.Name):
+            return sorted(
+                (attr, bound + depth) for attr, bound in aliases.get(place.id, ())
+            )
+        return []
+
     def _direct_effects(self, fn_qname: str) -> _DirectEffects:
         fn = self.table.functions[fn_qname]
         out = _DirectEffects()
         role_src = fn.ctx.role == "src"
         followers: Optional[Dict[int, Set[int]]] = None
-        #: local name -> attributes it was bound from (``y = x.attr`` or
-        #: ``y = x.attr[i]``): a slot store into ``y`` writes ``x.attr``
-        aliases: Dict[str, Set[str]] = {}
+        #: local name -> (attribute, depth) it was bound from (``y = x.attr``
+        #: at depth 0, ``y = x.attr[i]`` at 1): a write into ``y`` writes
+        #: ``x.attr``
+        aliases: Dict[str, Set[Tuple[str, int]]] = {}
+        #: id(written place) -> (shapes of the write, deepest subscript
+        #: depth at which it keeps them): a write deeper into the
+        #: container only enters it, except that ``del x.attr[k]`` clears
+        forms: Dict[int, Tuple[FrozenSet[str], int]] = {}
         for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Assign):
-                continue
-            source = _container_root(node.value)
-            effect = (
-                self._effect_name(fn_qname, source)
-                if isinstance(source, ast.Attribute)
-                else None
-            )
-            if effect is None:
-                continue
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    aliases.setdefault(target.id, set()).add(effect)
+            if (
+                isinstance(node, (ast.Assign, ast.AnnAssign))
+                and node.value is not None
+            ):
+                shapes = _RESET if _is_empty_value(node.value) else _ENTER
+                bound = self._resolve(fn_qname, node.value, {})
+                targets = (
+                    node.targets if isinstance(node, ast.Assign) else [node.target]
+                )
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        aliases.setdefault(target.id, set()).update(bound)
+                    for place in ast.walk(target):
+                        forms[id(place)] = (shapes, 0)
+            elif isinstance(node, ast.AugAssign):
+                shapes = _DECREMENT if isinstance(node.op, ast.Sub) else _ENTER
+                forms[id(node.target)] = (shapes, 0)
+            elif isinstance(node, ast.Delete):
+                for target in node.targets:
+                    for place in ast.walk(target):
+                        forms[id(place)] = (_CLEAR, 1)
 
-        def written(container: ast.AST) -> List[str]:
-            """Attributes a slot store into (or an in-place mutator call
-            on) ``container`` writes."""
-            if isinstance(container, ast.Attribute):
-                effect = self._effect_name(fn_qname, container)
-                return [effect] if effect else []
-            root = _container_root(container)
-            if isinstance(root, ast.Name):
-                return sorted(aliases.get(root.id, ()))
-            return []
+        def record(
+            place: ast.AST, form: Tuple[FrozenSet[str], int], line: int
+        ) -> None:
+            shapes, keep_depth = form
+            for effect, depth in self._resolve(fn_qname, place, aliases):
+                out.writes.setdefault(effect, set()).update(
+                    shapes if depth <= keep_depth else _ENTER
+                )
+                out.write_sites.append((effect, line))
 
+        #: ``func`` nodes of calls: a method reference called is not a read
+        called: Set[int] = set()
         for node in ast.walk(fn.node):
-            if isinstance(node, ast.Attribute):
+            if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(
+                node.ctx, (ast.Store, ast.Del)
+            ):
+                record(node, forms.get(id(node), (_UNSHAPED, 0)), node.lineno)
+            elif isinstance(node, ast.Attribute):
                 effect = self._effect_name(fn_qname, node)
-                if effect is None:
-                    continue
-                if isinstance(node.ctx, (ast.Store, ast.Del)):
-                    out.writes.add(effect)
-                    out.write_sites.append((effect, node.lineno))
-                else:
+                if effect is not None and id(node) not in called:
                     out.reads.add(effect)
-            elif isinstance(node, ast.Subscript):
-                # ``x.attr[i] = v`` / ``del x.attr[i]`` writes the slot
-                if isinstance(node.ctx, (ast.Store, ast.Del)):
-                    for effect in written(node.value):
-                        out.writes.add(effect)
-                        out.write_sites.append((effect, node.lineno))
             elif isinstance(node, ast.Call):
                 func = node.func
-                if isinstance(func, ast.Attribute) and func.attr in _MUTATOR_METHODS:
-                    for effect in written(func.value):
-                        out.writes.add(effect)
-                        out.write_sites.append((effect, node.lineno))
+                called.add(id(func))
+                if isinstance(func, ast.Attribute) and func.attr in _MUTATOR_SHAPES:
+                    record(func.value, (_MUTATOR_SHAPES[func.attr], 0), node.lineno)
                 if role_src and _is_schedule_call(node):
                     if followers is None:
                         followers = line_followers(fn.node)
@@ -486,26 +527,34 @@ class EffectAnalysis:
     # ------------------------------------------------------------------
     # transitive summaries
     # ------------------------------------------------------------------
-    def _summarize(self, kind: str, handler_qname: str) -> HandlerEffects:
-        reads: Set[str] = set()
-        writes: Set[str] = set()
-        guards: Set[str] = set()
-        schedules: List[_SchedulePoint] = []
-        for callee in sorted(self.graph.transitive(handler_qname)):
+    def closure(self, fn_qname: str) -> _DirectEffects:
+        """The direct effects of ``fn`` and of every transitive callee,
+        unioned in sorted callee order (memoized)."""
+        merged = self._closures.get(fn_qname)
+        if merged is not None:
+            return merged
+        merged = _DirectEffects()
+        for callee in sorted(self.graph.transitive(fn_qname)):
             direct = self._direct.get(callee)
             if direct is None:
                 continue
-            reads |= direct.reads
-            writes |= direct.writes
-            guards |= direct.guards
-            schedules.extend(direct.schedules)
+            merged.reads |= direct.reads
+            for attr, shapes in direct.writes.items():
+                merged.writes.setdefault(attr, set()).update(shapes)
+            merged.guards |= direct.guards
+            merged.schedules.extend(direct.schedules)
+        self._closures[fn_qname] = merged
+        return merged
+
+    def _summarize(self, kind: str, handler_qname: str) -> HandlerEffects:
+        closure = self.closure(handler_qname)
         return HandlerEffects(
             kind=kind,
             qname=handler_qname,
-            reads=reads,
-            writes=writes,
-            guards=guards,
-            schedules=schedules,
+            reads=closure.reads,
+            writes=set(closure.writes),
+            guards=closure.guards,
+            schedules=closure.schedules,
             direct=self._direct[handler_qname],
         )
 
@@ -530,15 +579,6 @@ class EffectAnalysis:
                     reached.setdefault(callee, set()).add(kind)
         return reached
 
-    def closure_writes(self, fn_qname: str) -> Set[str]:
-        """Transitive attribute write set of ``fn``."""
-        writes: Set[str] = set()
-        for callee in self.graph.transitive(fn_qname):
-            direct = self._direct.get(callee)
-            if direct is not None:
-                writes |= direct.writes
-        return writes
-
     def fn_anchor(self, qname: str) -> Tuple[FileContext, ast.AST]:
         """The file and ``def`` node a finding about a function points at."""
         fn = self.table.functions[qname]
@@ -555,11 +595,11 @@ class EffectAnalysis:
         ``unknown`` schedule point (or a kind with no visible producer —
         an external entry point) makes ties possible.
         """
-        delays_a = self.kind_delays.get(kind_a, {"unknown"})
-        delays_b = self.kind_delays.get(kind_b, {"unknown"})
-        ties_a = delays_a != {"delayed"}
-        ties_b = delays_b != {"delayed"}
-        return ties_a or ties_b
+        return any(
+            {delay for _fn, _line, delay in self.schedule_sites.get(kind, ())}
+            != {"delayed"}
+            for kind in (kind_a, kind_b)
+        )
 
     def effect_summary(self) -> Dict[str, Dict[str, object]]:
         """Deterministic whole-project summary for the checked-in baseline."""

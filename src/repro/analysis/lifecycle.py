@@ -39,10 +39,11 @@ state inventory
     never captured.
 ``finish-leak``
     A per-query attribute living *outside* the runtime class (engine-side
-    maps keyed by query id) with no *clearing* write — ``pop``/``del``/
-    ``clear``/an empty-value assignment (``None``, ``False``, an empty
-    container; :func:`~repro.analysis.effects.is_empty_value`) — anywhere
-    on the dispatcher's ``_finish_query`` path.
+    maps keyed by query id) with no write of the effect inventory's
+    ``clear`` shape — ``pop``/``del``/``clear``/an empty-value assignment
+    (``None``, ``False``, an empty container), also through a local bound
+    from the attribute — anywhere on the dispatcher's ``_finish_query``
+    path.
 ``atomic-mutation``
     A function on a handler path that can ``raise`` between writes to two
     members of a declared ``STATE_INVARIANT_GROUPS`` couple, leaving
@@ -63,11 +64,9 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import CallGraph, SymbolTable
 from repro.analysis.effects import (
-    RELEASE_MUTATORS,
     EffectAnalysis,
     declared_tuples,
     effect_analysis_for,
-    is_empty_value,
     line_followers,
     short,
 )
@@ -127,16 +126,12 @@ class StateLifecycleAnalysis:
         self.inventory: Set[str] = self._build_inventory()
         #: checkpoint specs, keyed by checkpoint class qname
         self.specs: Dict[str, CheckpointSpec] = self._find_checkpoints()
-        #: dispatcher class qname -> attrs cleared on its finish path
-        self.finish_clears: Dict[str, Set[str]] = {}
         #: dispatcher class qname -> its ``_finish_query`` qname
         self.finish_methods: Dict[str, str] = {}
         for cls in self.effects.dispatch:
             finish = self.table.method(cls, "_finish_query")
-            if finish is None:
-                continue
-            self.finish_methods[cls] = finish
-            self.finish_clears[cls] = self._clearing_writes(finish)
+            if finish is not None:
+                self.finish_methods[cls] = finish
         #: declared invariant groups, in declaration order
         self.invariant_groups: List[Tuple[str, ...]] = [
             group
@@ -196,23 +191,17 @@ class StateLifecycleAnalysis:
                 capture_qname=capture,
                 restore_qname=restore,
             )
-            runtime_short = short(runtime)
-            for callee in self.graph.transitive(capture):
-                direct = self.effects._direct.get(callee)
-                if direct is None:
-                    continue
-                for attr in direct.reads:
-                    cls, _, name = attr.partition(".")
-                    if cls == runtime_short:
-                        spec.captured.add(name)
-            for callee in self.graph.transitive(restore):
-                direct = self.effects._direct.get(callee)
-                if direct is None:
-                    continue
-                for attr in direct.writes:
-                    cls, _, name = attr.partition(".")
-                    if cls == runtime_short:
-                        spec.restored.add(name)
+            owner = short(runtime) + "."
+            spec.captured = {
+                attr[len(owner):]
+                for attr in self.effects.closure(capture).reads
+                if attr.startswith(owner)
+            }
+            spec.restored = {
+                attr[len(owner):]
+                for attr in self.effects.closure(restore).writes
+                if attr.startswith(owner)
+            }
             self._extract_slot_restores(spec)
             specs[cls_qname] = spec
         return specs
@@ -265,58 +254,6 @@ class StateLifecycleAnalysis:
         return effect.partition(".")[0] if effect is not None else None
 
     # ------------------------------------------------------------------
-    # finish-path clearing writes
-    # ------------------------------------------------------------------
-    def _clearing_writes(self, finish_qname: str) -> Set[str]:
-        """``ShortClass.attr`` released anywhere on the finish closure.
-
-        Only *clearing* shapes count — ``pop``/``del``/``clear``/
-        empty-value assignment.  The closure legitimately reaches
-        ``_admit_pending`` -> ``_start_query`` (finishing one query admits
-        the next), whose writes are all additive and therefore invisible
-        here; counting plain writes instead would mark every attribute
-        "released" the moment the next query starts.
-        """
-        cleared: Set[str] = set()
-        for callee in sorted(self.graph.transitive(finish_qname)):
-            fn = self.table.functions.get(callee)
-            if fn is None or fn.ctx.role != "src":
-                continue
-            for node in ast.walk(fn.node):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    if (
-                        isinstance(func, ast.Attribute)
-                        and func.attr in RELEASE_MUTATORS
-                        and isinstance(func.value, ast.Attribute)
-                    ):
-                        effect = self.effects._effect_name(callee, func.value)
-                        if effect is not None:
-                            cleared.add(effect)
-                elif isinstance(node, ast.Delete):
-                    for target in node.targets:
-                        attr_node: Optional[ast.AST] = None
-                        if isinstance(target, ast.Attribute):
-                            attr_node = target
-                        elif isinstance(target, ast.Subscript) and isinstance(
-                            target.value, ast.Attribute
-                        ):
-                            attr_node = target.value
-                        if isinstance(attr_node, ast.Attribute):
-                            effect = self.effects._effect_name(callee, attr_node)
-                            if effect is not None:
-                                cleared.add(effect)
-                elif isinstance(node, ast.Assign):
-                    if not is_empty_value(node.value):
-                        continue
-                    for target in node.targets:
-                        if isinstance(target, ast.Attribute):
-                            effect = self.effects._effect_name(callee, target)
-                            if effect is not None:
-                                cleared.add(effect)
-        return cleared
-
-    # ------------------------------------------------------------------
     # atomic-mutation extraction
     # ------------------------------------------------------------------
     def group_write_sites(
@@ -342,7 +279,8 @@ class StateLifecycleAnalysis:
         for callee, call_node in self.graph.sites.get(fn_qname, ()):
             if callee == fn_qname:
                 continue
-            for attr in sorted(self.effects.closure_writes(callee) & members):
+            written = self.effects.closure(callee).writes
+            for attr in sorted(members.intersection(written)):
                 sites.append((attr, call_node.lineno))
         return sites
 
@@ -469,7 +407,12 @@ class FinishLeakRule(ProjectRule):
         }
         for cls_qname in sorted(analysis.finish_methods):
             finish = analysis.finish_methods[cls_qname]
-            cleared = analysis.finish_clears[cls_qname]
+            # only clearing shapes count: the finish closure reaches
+            # ``_admit_pending`` -> ``_start_query`` (finishing one query
+            # admits the next), whose additive writes would otherwise mark
+            # every attribute released the moment the next query starts
+            writes = analysis.effects.closure(finish).writes
+            cleared = {a for a, shapes in writes.items() if "clear" in shapes}
             ctx, node = analysis.effects.fn_anchor(finish)
             for attr in sorted(analysis.inventory):
                 cls, _, _name = attr.partition(".")

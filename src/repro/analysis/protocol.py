@@ -62,21 +62,17 @@ report means "no hole *found*", never "protocol proven live".
 
 from __future__ import annotations
 
-import ast
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.analysis.callgraph import CallGraph, SymbolTable
 from repro.analysis.effects import (
-    ENTER_MUTATORS,
     GUARD_ATTR_RE,
-    RELEASE_MUTATORS,
     EffectAnalysis,
     HandlerEffects,
     declared_tuples,
     effect_analysis_for,
-    is_empty_value,
     short,
 )
 from repro.analysis.visitor import (
@@ -181,18 +177,12 @@ class ProtocolAnalysis:
         self.effects: EffectAnalysis = effect_analysis_for(project)
         self.table: SymbolTable = self.effects.table
         self.graph: CallGraph = self.effects.graph
-        #: per-function write-shape map, built lazily
-        self._shapes: Dict[str, Dict[str, Set[str]]] = {}
         #: declared ack/participant/epoch couples, in declaration order
         self.couples: List[Tuple[str, str, str]] = [
             (c[0], c[1], c[2])
             for c in declared_tuples(self.table, BARRIER_PROTOCOLS_NAME)
             if len(c) == 3
         ]
-        #: event kind -> [(producing fn qname, schedule line)] across src
-        self.kind_producers: Dict[str, List[Tuple[str, int]]] = (
-            self._find_producers()
-        )
         #: fn qname -> event kinds whose handlers (transitively) reach it
         self.on_handler_path: Dict[str, Set[str]] = (
             self.effects.handler_reachable()
@@ -202,117 +192,6 @@ class ProtocolAnalysis:
             cls: self._extract_automaton(cls)
             for cls in sorted(self.effects.dispatch)
         }
-
-    # ------------------------------------------------------------------
-    # write-shape classification
-    # ------------------------------------------------------------------
-    def write_shapes(self, fn_qname: str) -> Dict[str, Set[str]]:
-        """``attr -> {"enter"|"release"|"reset"}`` for one function.
-
-        ``enter`` grows/sets protocol state (park a task, seed a counter,
-        raise a flag); ``release`` clears it (pop, decrement, lower the
-        flag); ``reset`` is the release subcase that re-seeds a container
-        to empty — the shape that starts a fresh barrier generation.
-        """
-        cached = self._shapes.get(fn_qname)
-        if cached is not None:
-            return cached
-        shapes: Dict[str, Set[str]] = {}
-        fn = self.table.functions.get(fn_qname)
-        if fn is None or fn.ctx.role != "src":
-            self._shapes[fn_qname] = shapes
-            return shapes
-
-        def mark(node: ast.AST, *tags: str) -> None:
-            attr_node: Optional[ast.Attribute] = None
-            if isinstance(node, ast.Attribute):
-                attr_node = node
-            elif isinstance(node, ast.Subscript) and isinstance(
-                node.value, ast.Attribute
-            ):
-                # a slot write grows the container, never empties it
-                attr_node = node.value
-                tags = ("enter",) if "enter" not in tags else tags
-            if attr_node is None:
-                return
-            effect = self.effects._effect_name(fn_qname, attr_node)
-            if effect is not None:
-                shapes.setdefault(effect, set()).update(tags)
-
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Assign):
-                tags = (
-                    ("release", "reset")
-                    if is_empty_value(node.value)
-                    else ("enter",)
-                )
-                for target in node.targets:
-                    elts = (
-                        list(target.elts)
-                        if isinstance(target, (ast.Tuple, ast.List))
-                        else [target]
-                    )
-                    for elt in elts:
-                        mark(elt, *tags)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                mark(
-                    node.target,
-                    *(
-                        ("release", "reset")
-                        if is_empty_value(node.value)
-                        else ("enter",)
-                    ),
-                )
-            elif isinstance(node, ast.AugAssign):
-                mark(
-                    node.target,
-                    "release" if isinstance(node.op, ast.Sub) else "enter",
-                )
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    if isinstance(target, ast.Attribute):
-                        mark(target, "release")
-                    elif isinstance(target, ast.Subscript):
-                        # ``del x.attr[k]`` releases the slot
-                        if isinstance(target.value, ast.Attribute):
-                            effect = self.effects._effect_name(
-                                fn_qname, target.value
-                            )
-                            if effect is not None:
-                                shapes.setdefault(effect, set()).add(
-                                    "release"
-                                )
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if isinstance(func, ast.Attribute) and isinstance(
-                    func.value, ast.Attribute
-                ):
-                    if func.attr in ENTER_MUTATORS:
-                        mark(func.value, "enter")
-                    elif func.attr in RELEASE_MUTATORS:
-                        mark(func.value, "release")
-        self._shapes[fn_qname] = shapes
-        return shapes
-
-    def closure_shapes(self, fn_qname: str) -> Dict[str, Set[str]]:
-        """Write shapes of ``fn`` unioned over its transitive callees."""
-        merged: Dict[str, Set[str]] = {}
-        for callee in sorted(self.graph.transitive(fn_qname)):
-            for attr, tags in self.write_shapes(callee).items():
-                merged.setdefault(attr, set()).update(tags)
-        return merged
-
-    # ------------------------------------------------------------------
-    # producer discovery
-    # ------------------------------------------------------------------
-    def _find_producers(self) -> Dict[str, List[Tuple[str, int]]]:
-        producers: Dict[str, List[Tuple[str, int]]] = {}
-        for fn_qname in sorted(self.effects._direct):
-            direct = self.effects._direct[fn_qname]
-            for kind, _delay, line, _followers in direct.schedules:
-                if kind is not None:
-                    producers.setdefault(kind, []).append((fn_qname, line))
-        return producers
 
     # ------------------------------------------------------------------
     # automaton extraction
@@ -361,14 +240,14 @@ class ProtocolAnalysis:
         )
         for kind in sorted(handlers):
             he = handlers[kind]
-            shapes = self.closure_shapes(he.qname)
+            shapes = self.effects.closure(he.qname).writes
             enters = sorted(
                 a for a, tags in shapes.items() if a in states and "enter" in tags
             )
             releases = sorted(
                 a
                 for a, tags in shapes.items()
-                if a in states and "release" in tags
+                if a in states and tags & {"clear", "decrement"}
             )
             guards = sorted(
                 g
@@ -467,7 +346,7 @@ class BarrierLivenessRule(ProjectRule):
 
     def check_project(self, project: ProjectContext) -> Iterator[Violation]:
         analysis = _analysis_for(project)
-        scheduled = set(analysis.kind_producers)
+        scheduled = analysis.effects.schedule_sites
         for cls in sorted(analysis.automata):
             auto = analysis.automata[cls]
             # generation counters are monotonic by design — bumping one is
@@ -538,23 +417,17 @@ class AckCompletenessRule(ProjectRule):
         participants: str,
         epoch: str,
     ) -> Iterator[Violation]:
+        closure = analysis.effects.closure
         for fn_qname in sorted(analysis.on_handler_path):
             fn = analysis.table.functions.get(fn_qname)
             if fn is None or fn.ctx.role != "src":
                 continue
-            shapes = analysis.write_shapes(fn_qname)
-            direct = analysis.effects._direct.get(fn_qname)
-            direct_writes = direct.writes if direct is not None else set()
-            closure: Optional[Set[str]] = None
-
-            def closure_writes() -> Set[str]:
-                nonlocal closure
-                if closure is None:
-                    closure = analysis.effects.closure_writes(fn_qname)
-                return closure
-
+            direct = analysis.effects._direct[fn_qname]
             ctx, node = analysis.effects.fn_anchor(fn_qname)
-            if participants in direct_writes and ack not in closure_writes():
+            if (
+                participants in direct.writes
+                and ack not in closure(fn_qname).writes
+            ):
                 yield self.violation(
                     ctx,
                     node,
@@ -564,7 +437,10 @@ class AckCompletenessRule(ProjectRule):
                     "membership never joined",
                     fingerprint=f"ack-completeness::seed::{fn_qname}::{participants}",
                 )
-            if "reset" in shapes.get(ack, set()) and epoch not in closure_writes():
+            if (
+                "reset" in direct.writes.get(ack, ())
+                and epoch not in closure(fn_qname).writes
+            ):
                 yield self.violation(
                     ctx,
                     node,
@@ -574,7 +450,10 @@ class AckCompletenessRule(ProjectRule):
                     "the new barrier (the stale-ack bug class)",
                     fingerprint=f"ack-completeness::reseed::{fn_qname}::{ack}",
                 )
-            if epoch in direct_writes and ack not in closure_writes():
+            if (
+                epoch in direct.writes
+                and ack not in closure(fn_qname).writes
+            ):
                 yield self.violation(
                     ctx,
                     node,
@@ -626,8 +505,7 @@ class AckCompletenessRule(ProjectRule):
             fn = analysis.table.functions.get(callee)
             if fn is None:
                 continue
-            shapes = analysis.write_shapes(callee)
-            if "enter" not in shapes.get(ack, set()):
+            if "enter" not in analysis.effects._direct[callee].writes.get(ack, ()):
                 continue
             args = fn.node.args
             named = (
@@ -673,7 +551,7 @@ class EpochFenceRule(ProjectRule):
             ]
             for kind in sorted(handlers):
                 he = handlers[kind]
-                if kind not in analysis.kind_producers:
+                if kind not in analysis.effects.schedule_sites:
                     continue  # event-kind-closure owns unreachable handlers
                 exposed = sorted(
                     attr
@@ -717,12 +595,11 @@ class EventKindClosureRule(ProjectRule):
         if not analysis.effects.dispatch:
             return
         handled = {k for kinds in analysis.effects.dispatch.values() for k in kinds}
-        for kind in sorted(analysis.kind_producers):
+        sites = analysis.effects.schedule_sites
+        for kind in sorted(sites):
             if kind in handled:
                 continue
-            producer, line = min(
-                analysis.kind_producers[kind], key=lambda p: (p[0], p[1])
-            )
+            producer, line, _delay = min(sites[kind])
             ctx, _node = analysis.effects.fn_anchor(producer)
             yield Violation(
                 rule=self.name,
@@ -738,7 +615,7 @@ class EventKindClosureRule(ProjectRule):
             )
         for cls in sorted(analysis.effects.dispatch):
             for kind in sorted(analysis.effects.dispatch[cls]):
-                if kind in analysis.kind_producers:
+                if kind in sites:
                     continue
                 he = analysis.effects.handlers[cls][kind]
                 ctx, node = analysis.effects.fn_anchor(he.qname)

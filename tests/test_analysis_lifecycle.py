@@ -195,8 +195,18 @@ class TestRulesDifferentially:
         )
         assert _lint(src, select=["restore-asymmetry"]) == []
 
-    def test_finish_leak_fires_on_unreleased_per_query_map(self):
-        src = _engine(finish_body="now = self.progress[query]")
+    @pytest.mark.parametrize(
+        "finish_body",
+        [
+            "now = self.progress[query]",
+            # an alias bound from a slot never invents a release: clearing
+            # one entry's value does not release the entry
+            "entry = self.progress[query]\n        entry.clear()",
+        ],
+        ids=["read", "slot-alias"],
+    )
+    def test_finish_leak_fires_on_unreleased_per_query_map(self, finish_body):
+        src = _engine(finish_body=finish_body)
         findings = _lint(src, select=["finish-leak"])
         assert [v.fingerprint for v in findings] == [
             "finish-leak::MiniEngine::MiniEngine.progress"
@@ -208,6 +218,15 @@ class TestRulesDifferentially:
             "self.progress.pop(query, None)",
             "del self.progress[query]",
             "self.progress = {}",
+            # the same releases through a local bound from the map
+            pytest.param(
+                "progress = self.progress\n        progress.pop(query, None)",
+                id="aliased-pop",
+            ),
+            pytest.param(
+                "progress = self.progress\n        del progress[query]",
+                id="aliased-del",
+            ),
         ],
     )
     def test_finish_leak_accepts_every_clearing_shape(self, clearing):

@@ -241,7 +241,7 @@ class TestCallGraph:
 
 
 # ----------------------------------------------------------------------
-# handler write inventory: writes through a local alias
+# handler write inventory: writes through a local alias or subscripts
 # ----------------------------------------------------------------------
 _ALIAS_ENGINE = (
     "from typing import Dict, List\n"
@@ -255,14 +255,20 @@ _ALIAS_ENGINE = (
     "        self.runtimes: Dict[int, Runtime] = {}\n"
     "        self._send_costs: List[List[Dict[int, float]]] = []\n"
     "        self.state: Dict[int, float] = {}\n"
+    "        self.grid: Dict[int, Dict[int, float]] = {}\n"
+    "        self.box: Dict[int, List[float]] = {}\n"
     '        self._handlers = {"alpha": self._on_alpha}\n'
     "    def _on_alpha(self, now, payload):\n"
 )
 
 
-def _alias_writes(body):
+def _alias_effects(body):
     project = _project({"src/repro/engine/mini.py": _ALIAS_ENGINE + body})
-    return EffectAnalysis(project).handlers["repro.engine.mini.Mini"]["alpha"].writes
+    return EffectAnalysis(project).handlers["repro.engine.mini.Mini"]["alpha"]
+
+
+def _alias_writes(body):
+    return _alias_effects(body).writes
 
 
 class TestAliasWrites:
@@ -288,8 +294,11 @@ class TestAliasWrites:
                 "        pending.pop(payload['w'], 0)\n",
                 "Runtime.pending",
             ),
+            # the direct forms of the first and the last, under subscripts
+            ("        self.grid[payload['k']][payload['k']] = now\n", "Mini.grid"),
+            ("        self.box[payload['k']].append(now)\n", "Mini.box"),
         ],
-        ids=["memo-row", "runtime-field", "mutator"],
+        ids=["memo-row", "runtime-field", "mutator", "nested-slot", "slot-mutator"],
     )
     def test_write_through_a_local_alias_writes_the_attribute(self, body, attr):
         assert attr in _alias_writes(body)
@@ -302,6 +311,19 @@ class TestAliasWrites:
             "        total = inflight.get(payload['w'], 0)\n"
         )
         assert writes == set()
+
+    def test_a_called_method_is_not_a_read(self):
+        effects = _alias_effects(
+            "        self._bump(payload)\n"
+            "    def _bump(self, payload):\n"
+            "        self.state[payload['k']] = 1.0\n"
+        )
+        # the helper's effects are the handler's, its name is not state
+        assert effects.writes == {"Mini.state"}
+        assert effects.reads == {"Mini.state"}
+        # a bound method passed on as a value is still read
+        effects = _alias_effects("        callback = self._on_alpha\n")
+        assert effects.reads == {"Mini._on_alpha"}
 
 
 # ----------------------------------------------------------------------

@@ -95,10 +95,17 @@ class ParkEngine:
 
     def _on_task_ready(self, now, payload):
         if self.stopped:
-            self._held_tasks.append(payload["task"])
+            __PARK__
             return
         self.mailboxes[payload["task"]] = now
 '''
+
+_PARK = "self._held_tasks.append(payload[\"task\"])"
+#: the same park through a local bound from the buffer
+_ALIASED_PARK = (
+    "held = self._held_tasks\n"
+    "            held.append(payload[\"task\"])"
+)
 
 _DRAIN = (
     "while self._held_tasks:\n"
@@ -107,8 +114,13 @@ _DRAIN = (
 )
 
 
-def _park_engine(drain="pass"):
-    return _PARK_ENGINE.replace("__DRAIN__", drain)
+_EACH_PARK = pytest.mark.parametrize(
+    "park", [_PARK, _ALIASED_PARK], ids=["direct", "aliased"]
+)
+
+
+def _park_engine(drain="pass", park=_PARK):
+    return _PARK_ENGINE.replace("__DRAIN__", drain).replace("__PARK__", park)
 
 
 _ACK_ENGINE = '''
@@ -230,7 +242,7 @@ class TestAutomatonExtraction:
         analysis = self._analysis(
             {"src/repro/engine/mini.py": _park_engine(_DRAIN)}
         )
-        produced = set(analysis.kind_producers)
+        produced = set(analysis.effects.schedule_sites)
         # begin_stop (not a handler) produces global_stop; the START
         # drain re-produces task_ready
         assert {"global_stop", "global_start", "task_ready"} <= produced
@@ -240,9 +252,10 @@ class TestAutomatonExtraction:
 # barrier-liveness
 # ----------------------------------------------------------------------
 class TestBarrierLiveness:
-    def test_undrained_parked_buffer_fires(self):
+    @_EACH_PARK
+    def test_undrained_parked_buffer_fires(self, park):
         findings = lint_sources(
-            {"src/repro/engine/mini.py": _park_engine("pass")},
+            {"src/repro/engine/mini.py": _park_engine("pass", park)},
             select=["barrier-liveness"],
         )
         assert _rules_of(findings) == ["barrier-liveness"]
@@ -252,9 +265,10 @@ class TestBarrierLiveness:
             "barrier-liveness::ParkEngine::ParkEngine._held_tasks"
         )
 
-    def test_drained_buffer_is_clean(self):
+    @_EACH_PARK
+    def test_drained_buffer_is_clean(self, park):
         findings = lint_sources(
-            {"src/repro/engine/mini.py": _park_engine(_DRAIN)},
+            {"src/repro/engine/mini.py": _park_engine(_DRAIN, park)},
             select=["barrier-liveness"],
         )
         assert findings == []

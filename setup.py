@@ -18,5 +18,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.11",
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy"],
+    # scipy is the tests' and the measurement spine's oracle, not a
+    # dependency of the library
+    extras_require={"test": ["scipy", "pytest", "hypothesis"]},
 )

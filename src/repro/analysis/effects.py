@@ -9,7 +9,9 @@ module reads that table and computes, for every handler, the
 by owning class: ``QGraphEngine.paused``, ``QueryRuntime.acked``, …), the
 *guard* attributes it tests in conditionals (epoch/phase fencing), and
 every event it schedules (with a coarse delay class).  A called method
-is not a read; a property or a bound method passed on as a value is.
+is not a read; a property or a bound method passed on as a value is.  A
+method called in a conditional is not a guard either: the attributes it
+reads itself are, so a fence tested behind a helper stays visible.
 Each write is classified here, once, by shape (see
 :attr:`_DirectEffects.writes`); the race, lifecycle and protocol rules and
 the checked-in effect baseline are all built from these records.
@@ -115,6 +117,9 @@ class _DirectEffects:
     #: of none of these shapes (``sort``, a ``for`` target)
     writes: Dict[str, Set[str]] = field(default_factory=dict)
     guards: Set[str] = field(default_factory=set)
+    #: methods called inside the function's conditionals; their own reads
+    #: join ``guards`` once every function's direct effects exist
+    guard_calls: Set[str] = field(default_factory=set)
     #: (attr effect, line) of the function's own writes, for ordered
     #: effect-after-schedule checks (empty in a closure)
     write_sites: List[Tuple[str, int]] = field(default_factory=list)
@@ -334,6 +339,10 @@ class EffectAnalysis:
         self._direct: Dict[str, _DirectEffects] = {}
         for fn in self.graph.iter_functions():
             self._direct[fn.qname] = self._direct_effects(fn.qname)
+        for direct in self._direct.values():
+            for callee in direct.guard_calls:
+                if callee in self._direct:
+                    direct.guards |= self._direct[callee].reads
         self._closures: Dict[str, _DirectEffects] = {}
         #: event kind -> every (fn qname, line, delay class) schedule site
         #: in the project, in function order — producers outside handlers
@@ -518,8 +527,15 @@ class EffectAnalysis:
     def _collect_guards(
         self, fn_qname: str, test: ast.AST, out: _DirectEffects
     ) -> None:
+        """The attributes a conditional tests; a method it calls goes to
+        ``guard_calls`` instead (``ast.walk`` visits a call before its
+        ``func``)."""
+        called: Set[int] = set()
         for node in ast.walk(test):
-            if isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Call):
+                called.add(id(node.func))
+                out.guard_calls.update(self.graph.resolve_call(fn_qname, node))
+            elif isinstance(node, ast.Attribute) and id(node) not in called:
                 effect = self._effect_name(fn_qname, node)
                 if effect is not None:
                     out.guards.add(effect)

@@ -24,9 +24,12 @@ rewriting it:
     rebuilds the forward CSR (in the same ``(src, dst)`` lexicographic order
     :class:`~repro.graph.builder.GraphBuilder` produces, so a rebuilt graph
     is array-for-array identical to fresh construction from the same edge
-    list), rebuilds the reverse CSR, and invalidates the cached
+    list) and invalidates the cached
     :meth:`~repro.graph.digraph.DiGraph.csr` / ``csr_in`` views the kernels
-    and batched partitioners hold.  Reads always reflect the last flush.
+    and batched partitioners hold.  The reverse CSR is not rebuilt: it is
+    derived again on the next in-adjacency read, so churn epochs that no
+    partitioner reads between cost no reverse build.  Reads always reflect
+    the last flush.
 
 Vertex removal is by *tombstone*: the id space ``0 .. n-1`` stays dense
 (everything downstream — assignment arrays, kernel state buffers, scope
@@ -142,12 +145,13 @@ class MutableDiGraph(DiGraph):
     """A CSR graph with buffered mutations and periodic rebuilds.
 
     Mutation methods append to a pending :class:`GraphDelta`;
-    :meth:`flush` applies the buffer in one vectorized rebuild.  The cached
-    ``csr()`` / ``csr_in()`` views are invalidated on every rebuild (this is
-    the mutating subclass :meth:`DiGraph._invalidate_csr` anticipated), so
-    kernel iterations dispatched after a flush see the new topology while
-    borrowed views from before the flush keep referencing the old arrays —
-    never a torn state.
+    :meth:`flush` applies the buffer in one vectorized rebuild of the
+    forward CSR.  The cached ``csr()`` view and the in-adjacency behind
+    ``csr_in()`` are dropped on every rebuild (this is the mutating
+    subclass :meth:`DiGraph._invalidate_csr` anticipated) and rebuilt on
+    their next read, so kernel iterations dispatched after a flush see the
+    new topology while borrowed views from before the flush keep
+    referencing the old arrays — never a torn state.
 
     ``auto_flush_threshold`` bounds the buffer: exceeding it triggers a
     flush on the next mutation, so interactive use cannot accumulate an
@@ -401,7 +405,6 @@ class MutableDiGraph(DiGraph):
             src, dst, w, n
         )
         self._invalidate_csr()
-        self._rindptr, self._rindices, self._rweights = self._build_reverse()
 
         result = DeltaResult(
             first_new_vertex=first_new,

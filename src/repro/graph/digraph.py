@@ -6,12 +6,14 @@ with per-edge travel-time weights; we use the classic CSR layout on top of
 numpy arrays, which gives O(1) out-neighbour slicing and a compact memory
 footprint even for the GY-scale graphs.
 
-Both the out-adjacency (for message sending) and the in-adjacency (for
-reverse traversals and some analytics) are materialised.  The graph is
-immutable after construction; bulk construction happens through
-:class:`repro.graph.builder.GraphBuilder`, and streaming topology mutation
-through the :class:`repro.graph.delta.MutableDiGraph` subclass (batched
-deltas with periodic CSR rebuilds).
+The out-adjacency (for message sending) is the graph; the in-adjacency
+(for the streaming partitioners and reverse traversals) is a reverse CSR
+derived from it on the first read and cached until the adjacency changes —
+the engine's kernels never read it, so a graph they run on never pays for
+it.  The graph is immutable after construction; bulk construction happens
+through :class:`repro.graph.builder.GraphBuilder`, and streaming topology
+mutation through the :class:`repro.graph.delta.MutableDiGraph` subclass
+(batched deltas with periodic CSR rebuilds).
 
 Vertices are dense integer ids ``0 .. n-1``.  Optional per-vertex attributes
 used by the reproduction:
@@ -73,9 +75,6 @@ class DiGraph:
         "_indptr",
         "_indices",
         "_weights",
-        "_rindptr",
-        "_rindices",
-        "_rweights",
         "_coords",
         "_tags",
         "_csr_view",
@@ -132,7 +131,6 @@ class DiGraph:
 
         self._csr_view: Optional[CSRView] = None
         self._csr_in_view: Optional[CSRView] = None
-        self._rindptr, self._rindices, self._rweights = self._build_reverse()
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -205,17 +203,20 @@ class DiGraph:
         """Cached :class:`CSRView` of the in-adjacency (reverse CSR).
 
         The batched streaming partitioners score a vertex's undirected
-        neighbourhood from one forward and one reverse CSR slice; like
-        :meth:`csr` the view is built on first use and cached.
+        neighbourhood from one forward and one reverse CSR slice.  The
+        reverse arrays are built from the out-adjacency on first use and
+        cached until :meth:`_invalidate_csr`; every in-adjacency read goes
+        through here.
         """
         view = self._csr_in_view
         if view is None:
-            view = CSRView(self._rindptr, self._rindices, self._rweights)
+            view = CSRView(*self._build_reverse())
             self._csr_in_view = view
         return view
 
     def _invalidate_csr(self) -> None:
-        """Drop the cached CSR views (call after mutating adjacency arrays)."""
+        """Drop the cached CSR views and the in-adjacency (call after
+        mutating adjacency arrays)."""
         self._csr_view = None
         self._csr_in_view = None
 
@@ -247,12 +248,14 @@ class DiGraph:
     def in_neighbors(self, v: int) -> np.ndarray:
         """In-neighbour ids of ``v`` as a numpy view."""
         self._check_vertex(v)
-        return self._rindices[self._rindptr[v] : self._rindptr[v + 1]]
+        rin = self.csr_in()
+        return rin.indices[rin.indptr[v] : rin.indptr[v + 1]]
 
     def in_weights(self, v: int) -> np.ndarray:
         """Weights of the in-edges of ``v``, aligned with :meth:`in_neighbors`."""
         self._check_vertex(v)
-        return self._rweights[self._rindptr[v] : self._rindptr[v + 1]]
+        rin = self.csr_in()
+        return rin.weights[rin.indptr[v] : rin.indptr[v + 1]]
 
     def out_degree(self, v: int) -> int:
         """Number of out-edges of ``v``."""
@@ -262,7 +265,8 @@ class DiGraph:
     def in_degree(self, v: int) -> int:
         """Number of in-edges of ``v``."""
         self._check_vertex(v)
-        return int(self._rindptr[v + 1] - self._rindptr[v])
+        rindptr = self.csr_in().indptr
+        return int(rindptr[v + 1] - rindptr[v])
 
     def out_degrees(self) -> np.ndarray:
         """Vector of out-degrees for all vertices."""
@@ -270,7 +274,7 @@ class DiGraph:
 
     def in_degrees(self) -> np.ndarray:
         """Vector of in-degrees for all vertices."""
-        return np.diff(self._rindptr)
+        return np.diff(self.csr_in().indptr)
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the directed edge ``u -> v`` exists."""

@@ -11,7 +11,9 @@ networks at a configurable scale:
 * a dense urban street grid per city whose size is proportional to the
   city's population (urban streets, low speed limit);
 * inter-city highways along a Delaunay triangulation of the city centres
-  (sparse, high speed limit), discretised into highway segments; and
+  (sparse, high speed limit), discretised into highway segments — the
+  triangulation is computed in numpy, so the generator needs nothing else;
+  and
 * point-of-interest tags assigned with a fixed per-vertex probability,
   mirroring the paper's gas-station tagging for the POI query.
 
@@ -212,33 +214,65 @@ def _urban_streets(
     )
 
 
+#: triples tested against every centre per vectorized step of
+#: :func:`_delaunay_edges` (bounds its temporaries to a few hundred KiB)
+_TRIPLE_CHUNK = 256
+
+
 def _delaunay_edges(centers: np.ndarray) -> Set[Tuple[int, int]]:
     """Highway corridors between cities: Delaunay edges of the centres.
 
-    Falls back to a chain plus nearest-neighbour links when scipy is not
-    available (``ImportError``) or the point set is degenerate
-    (``QhullError``).  Any other error — a malformed centres array, say —
-    propagates instead of silently changing the highway topology.
+    A triple of centres is a Delaunay triangle iff it is not collinear and
+    no other centre lies strictly inside its circumcircle; with the 16 – 64
+    centres of the presets every triple is tested, in chunks of
+    ``_TRIPLE_CHUNK`` triples.  Centres in general position (no four on a
+    circle) have exactly one such triangulation, the one Qhull computes;
+    four or more on one empty circle keep both crossing diagonals, which
+    the generator's randomly placed centres never produce.  All-collinear
+    centres have no triangle and fall back to a chain plus
+    nearest-neighbour links.  A non-finite centre raises ``ValueError``
+    instead of silently changing the highway topology.
     """
     n = centers.shape[0]
+    if not np.isfinite(centers).all():
+        raise ValueError("city centres must be finite")
     if n <= 1:
         return set()
     if n == 2:
         return {(0, 1)}
-    try:
-        # local import keeps scipy optional
-        from scipy.spatial import Delaunay, QhullError
-    except ImportError:
-        return _fallback_corridors(centers)
-    try:
-        tri = Delaunay(centers)
-    except QhullError:
-        return _fallback_corridors(centers)
+    # translated to the centroid, so the lifted |p|^2 terms stay small
+    pts = centers - centers.mean(axis=0)
+    x, y = pts[:, 0], pts[:, 1]
     edges: Set[Tuple[int, int]] = set()
-    for simplex in tri.simplices:
-        for a in range(3):
-            u, v = int(simplex[a]), int(simplex[(a + 1) % 3])
-            edges.add((min(u, v), max(u, v)))
+    for a in range(n - 2):
+        # every centre p, translated by a
+        wx, wy = x - x[a], y - y[a]
+        w2 = wx * wx + wy * wy
+        pairs = np.triu_indices(n - a - 1, 1)
+        for lo in range(0, pairs[0].size, _TRIPLE_CHUNK):
+            b = pairs[0][lo : lo + _TRIPLE_CHUNK] + a + 1
+            c = pairs[1][lo : lo + _TRIPLE_CHUNK] + a + 1
+            ux, uy, u2 = wx[b], wy[b], w2[b]
+            vx, vy, v2 = wx[c], wy[c], w2[c]
+            cross = ux * vy - uy * vx
+            # in-circle determinant of p against (a, b, c): negative for p
+            # strictly inside when the triple is counter-clockwise, so it
+            # is taken times the orientation's sign
+            sign = np.sign(cross)
+            cx = (uy * v2 - u2 * vy) * sign
+            cy = (u2 * vx - ux * v2) * sign
+            inside = (
+                cx[:, None] * wx + cy[:, None] * wy + np.abs(cross)[:, None] * w2
+            ) < 0
+            rows = np.arange(b.size)
+            inside[rows, b] = False
+            inside[rows, c] = False
+            inside[:, a] = False
+            hit = (cross != 0) & ~inside.any(axis=1)
+            for j, k in zip(b[hit].tolist(), c[hit].tolist()):
+                edges.update(((a, j), (a, k), (j, k)))
+    if not edges:
+        return _fallback_corridors(centers)
     return edges
 
 

@@ -45,6 +45,10 @@ def ldg_place_vertices(
     tie-breaks, where ``N(v)`` is the undirected neighbourhood already
     materialised in the graph.  Earlier new vertices count as placed when
     scoring later ones.  Returns the owner of each id in ``new_ids``.
+
+    The in-neighbours come from one pass over the forward CSR (the edges
+    into a new id), so a churn epoch never builds the reverse CSR; their
+    order differs from ``in_neighbors``' but :func:`_place` only counts them.
     """
     new_ids = np.asarray(new_ids, dtype=np.int64)
     sizes = np.bincount(assignment, minlength=k)[:k].astype(np.int64)
@@ -52,13 +56,25 @@ def ldg_place_vertices(
     capacity = (1.0 + slack) * total / k if total else 1.0
     combined = np.full(graph.num_vertices, -1, dtype=np.int64)
     combined[: assignment.size] = assignment
+    out = graph.csr()
+    is_new = np.zeros(graph.num_vertices, dtype=bool)
+    is_new[new_ids] = True
+    into = np.flatnonzero(is_new[out.indices])
+    targets = out.indices[into]
+    order = np.argsort(targets, kind="stable")
+    targets = targets[order]
+    sources = np.searchsorted(out.indptr, into[order], side="right") - 1
+    first = np.searchsorted(targets, new_ids, side="left")
+    last = np.searchsorted(targets, new_ids, side="right")
     placed = np.empty(new_ids.size, dtype=np.int64)
-    for i, v in enumerate(new_ids):
+    for i, v in enumerate(new_ids.tolist()):
         neighbors = np.concatenate(
-            [graph.out_neighbors(int(v)), graph.in_neighbors(int(v))]
+            [
+                out.indices[out.indptr[v] : out.indptr[v + 1]],
+                sources[first[i] : last[i]],
+            ]
         )
-        owners = combined[neighbors] if neighbors.size else np.empty(0, np.int64)
-        combined[v] = placed[i] = _place(owners, sizes, capacity, k)
+        combined[v] = placed[i] = _place(combined[neighbors], sizes, capacity, k)
     return placed
 
 

@@ -9,6 +9,11 @@ vectorized paths replaced, kept only to check those paths against.
 * :func:`ldg_partition_reference` / :func:`fennel_partition_reference` —
   the per-neighbour scoring loops behind the batched LDG and FENNEL
   partitioners;
+* :func:`ldg_place_vertices_reference` — churn's new-vertex placement
+  reading in-neighbours from the reverse CSR, behind
+  :func:`~repro.partitioning.ldg.ldg_place_vertices`' forward-CSR pass;
+* :func:`reverse_csr_reference` — the in-adjacency as an edge-by-edge
+  loop, behind :meth:`~repro.graph.digraph.DiGraph.csr_in`;
 * :func:`generic_path` — runs built-in vertex programs on the engine's
   generic per-vertex path instead of their vectorized kernels;
 * :class:`ListEdgeBuilder` — the three Python edge lists behind
@@ -214,6 +219,36 @@ def ldg_partition_reference(
     return assignment
 
 
+def ldg_place_vertices_reference(
+    graph: DiGraph,
+    new_ids: np.ndarray,
+    assignment: np.ndarray,
+    k: int,
+    slack: float = 0.1,
+) -> np.ndarray:
+    """Streaming LDG placement of appended vertices with a per-neighbour
+    scoring loop over ``out_neighbors`` and ``in_neighbors``."""
+    sizes = np.bincount(assignment, minlength=k)[:k].astype(np.int64)
+    total = assignment.size + len(new_ids)
+    capacity = (1.0 + slack) * total / k if total else 1.0
+    combined = np.full(graph.num_vertices, -1, dtype=np.int64)
+    combined[: assignment.size] = assignment
+    placed = []
+    for v in new_ids:
+        penalty = 1.0 - sizes / capacity
+        scores = _neighbor_counts(graph, int(v), combined, k) * np.maximum(penalty, 0.0)
+        best = np.flatnonzero(scores == scores.max())
+        if best.size > 1:
+            best = best[np.argsort(sizes[best], kind="stable")]
+        choice = int(best[0])
+        if sizes[choice] >= capacity:
+            choice = int(np.argmin(sizes))
+        combined[v] = choice
+        sizes[choice] += 1
+        placed.append(choice)
+    return np.asarray(placed, dtype=np.int64)
+
+
 def fennel_partition_reference(
     partitioner: FennelPartitioner, graph: DiGraph, k: int
 ) -> np.ndarray:
@@ -324,3 +359,27 @@ class ListEdgeBuilder:
             dst = np.asarray([v for _u, v in pairs], dtype=np.int64)
             w = np.asarray([best[p] for p in pairs], dtype=np.float64)
         return csr_arrays_from_edges(src, dst, w, self.num_vertices)
+
+
+# ----------------------------------------------------------------------
+# graph storage
+# ----------------------------------------------------------------------
+def reverse_csr_reference(
+    graph: DiGraph,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rindptr, rindices, rweights)``: each vertex's in-edges in forward
+    CSR order (source, then position in the source's row), parallel edges
+    kept."""
+    n = graph.num_vertices
+    incoming: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
+    for u, v, w in graph.edges():
+        incoming[v].append((u, w))
+    rindptr = np.zeros(n + 1, dtype=np.int64)
+    rindptr[1:] = np.cumsum([len(edges) for edges in incoming])
+    sources = [u for edges in incoming for u, _w in edges]
+    weights = [w for edges in incoming for _u, w in edges]
+    return (
+        rindptr,
+        np.asarray(sources, dtype=np.int64),
+        np.asarray(weights, dtype=np.float64),
+    )

@@ -325,6 +325,21 @@ class TestAliasWrites:
         effects = _alias_effects("        callback = self._on_alpha\n")
         assert effects.reads == {"Mini._on_alpha"}
 
+    def test_a_method_called_in_a_condition_guards_with_its_own_reads(self):
+        inline = _alias_effects(
+            "        if self.state and payload['k'] in self.box:\n"
+            "            self.grid[payload['k']] = {}\n"
+        )
+        behind = _alias_effects(
+            "        if self._ready(payload):\n"
+            "            self.grid[payload['k']] = {}\n"
+            "    def _ready(self, payload):\n"
+            "        return self.state and payload['k'] in self.box\n"
+        )
+        # extracting the test into a helper moves no guard, and the
+        # helper's name is not one
+        assert inline.guards == behind.guards == {"Mini.state", "Mini.box"}
+
 
 # ----------------------------------------------------------------------
 # RNG stream flow
@@ -492,6 +507,23 @@ class TestRaces:
             "        if self.paused:\n"
             "            return\n"
             "        self.state = {}\n",
+        )
+        findings = lint_sources(
+            {"src/repro/engine/mini.py": src}, select=["virtual-time-race"]
+        )
+        assert findings == []
+
+    def test_a_fence_behind_a_called_helper_is_clean(self):
+        src = _engine_module(
+            "    def _on_alpha(self, now, payload):\n"
+            "        self.state[payload['k']] = payload['v']\n"
+            "        self.queue.schedule(now, 'alpha', k=1, v=2)\n",
+            "    def _on_beta(self, now, payload):\n"
+            "        if self._skip(payload):\n"
+            "            return\n"
+            "        self.state = {}\n"
+            "    def _skip(self, payload):\n"
+            "        return self.paused and payload['q'] > 0\n",
         )
         findings = lint_sources(
             {"src/repro/engine/mini.py": src}, select=["virtual-time-race"]

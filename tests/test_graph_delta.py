@@ -234,6 +234,26 @@ class TestRebuildEquivalence:
             mg.apply_delta(delta)
             self._assert_fresh_equivalent(mg)
 
+    def test_flush_drops_the_in_adjacency_and_rebuilds_it_on_read(self):
+        mg = _mutable_grid(4, 4)
+        before = mg.csr_in()
+        mg.apply_delta(
+            GraphDelta(
+                insert_edges=[(0, 5, 2.0), (0, 5, 0.5), (3, 5, 1.0), (16, 5, 4.0)],
+                delete_edges=[(1, 2)],
+                new_vertices=[NewVertexSpec(edges=((5, 3.0), (5, 1.5)))],
+            )
+        )
+        assert mg._csr_in_view is None, "a flush must not rebuild the reverse CSR"
+        fresh = fresh_rebuild(mg).csr_in()
+        rin = mg.csr_in()
+        assert rin is not before
+        assert np.array_equal(rin.indptr, fresh.indptr)
+        assert np.array_equal(rin.indices, fresh.indices)
+        assert np.array_equal(rin.weights, fresh.weights)
+        # two parallel 0 -> 5 edges, 3 -> 5 and three parallel 16 -> 5 edges
+        assert mg.in_degree(5) == before.indptr[6] - before.indptr[5] + 6
+
     def test_equivalence_with_removals(self):
         mg = _mutable_grid(5, 5)
         mg.apply_delta(GraphDelta(remove_vertices=[0, 7, 24]))

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.errors import GraphError
 import repro.graph.builder as builder_module
-from reference_impls import ListEdgeBuilder
+from benchmarks.spine.workloads import WORKLOADS, build
+from reference_impls import ListEdgeBuilder, reverse_csr_reference
 from repro.graph import DiGraph, GraphBuilder, csr_arrays_from_edges
 
 
@@ -129,6 +130,75 @@ class TestAdjacency:
         assert len(src) == g.num_edges
         rebuilt = set(zip(src.tolist(), dst.tolist()))
         assert rebuilt == {(u, v) for u, v, _ in g.edges()}
+
+
+def multigraph(seed=3, n=9, m=40):
+    """A random multigraph: parallel edges, self loops and sinks."""
+    rng = np.random.default_rng(seed)
+    b = GraphBuilder(n)
+    for u, v in rng.integers(0, n, size=(m, 2)):
+        b.add_edge(int(u), int(v), float(rng.uniform(0.5, 9.0)))
+    return b.build()
+
+
+class TestLazyInAdjacency:
+    """The reverse CSR is derived on the first in-adjacency read, never
+    before, and equals an edge-by-edge build."""
+
+    def test_never_built_unless_read(self):
+        g = multigraph()
+        g.csr()
+        g.out_neighbors(0)
+        g.out_weights(0)
+        g.out_degrees()
+        g.edge_array()
+        g.has_edge(0, 1)
+        g.subgraph_edge_count([0, 1, 2])
+        assert g._csr_in_view is None
+        assert g == multigraph()  # equality reads the out-adjacency only
+        assert g._csr_in_view is None
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda g: g.csr_in(),
+            lambda g: g.in_neighbors(0),
+            lambda g: g.in_weights(0),
+            lambda g: g.in_degree(0),
+            lambda g: g.in_degrees(),
+        ],
+        ids=["csr_in", "in_neighbors", "in_weights", "in_degree", "in_degrees"],
+    )
+    def test_any_in_read_builds_it_once(self, read):
+        g = multigraph()
+        read(g)
+        view = g._csr_in_view
+        assert view is not None
+        read(g)
+        assert g.csr_in() is view
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_equals_the_edge_by_edge_reverse(self, seed):
+        g = multigraph(seed)
+        rindptr, rindices, rweights = reverse_csr_reference(g)
+        # built through the per-vertex accessors first, then the view
+        for v in range(g.num_vertices):
+            lo, hi = rindptr[v], rindptr[v + 1]
+            assert g.in_degree(v) == hi - lo
+            assert np.array_equal(g.in_neighbors(v), rindices[lo:hi])
+            assert np.array_equal(g.in_weights(v), rweights[lo:hi])
+        rin = g.csr_in()
+        assert np.array_equal(rin.indptr, rindptr)
+        assert np.array_equal(rin.indices, rindices)
+        assert np.array_equal(rin.weights, rweights)
+        assert np.array_equal(g.in_degrees(), np.diff(rindptr))
+
+    @pytest.mark.parametrize("name", ["static_hotspot", "churn_recovery"])
+    def test_a_spine_run_never_builds_it(self, name):
+        built = build(WORKLOADS[name], seed=7, smoke=True)
+        built.engine.run()
+        assert built.engine.graph._csr_in_view is None
+        assert built.road_network.graph._csr_in_view is None
 
 
 class TestAttributes:

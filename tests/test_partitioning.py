@@ -2,10 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference_impls import fennel_partition_reference, ldg_partition_reference
+from reference_impls import (
+    fennel_partition_reference,
+    ldg_partition_reference,
+    ldg_place_vertices_reference,
+)
 from repro.errors import PartitioningError
 from repro.graph import (
+    GraphBuilder,
+    GraphDelta,
+    MutableDiGraph,
+    NewVertexSpec,
     edge_cut,
     generate_road_network,
     grid_graph,
@@ -18,6 +28,7 @@ from repro.partitioning import (
     HashPartitioner,
     LdgPartitioner,
     group_cities_geographically,
+    ldg_place_vertices,
     validate_partitioning,
 )
 
@@ -142,6 +153,46 @@ class TestBatchedEquivalence:
             assert np.array_equal(
                 p.partition(g, k), fennel_partition_reference(p, g, k)
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_ldg_place_vertices_matches_reference(self, data):
+        """Churn's placement takes new vertices' in-neighbours from the
+        forward CSR; the owners are the ones the reverse CSR gives."""
+        n = data.draw(st.integers(2, 12), label="n")
+        k = data.draw(st.integers(1, min(n, 4)), label="k")
+        ids = st.integers(0, n - 1)
+        weight = st.floats(0.1, 5.0)
+        b = GraphBuilder(n)
+        for u, v, w in data.draw(st.lists(st.tuples(ids, ids, weight), max_size=30)):
+            b.add_edge(u, v, w)
+        graph = MutableDiGraph.from_digraph(b.build())
+        added = data.draw(st.integers(1, 5), label="added")
+        new = st.integers(n, n + added - 1)
+        specs = [
+            NewVertexSpec(
+                edges=tuple(data.draw(st.lists(st.tuples(ids, weight), max_size=3))),
+                bidirectional=data.draw(st.booleans()),
+            )
+            for _ in range(added)
+        ]
+        # edges into the new vertices from old and new ones, parallel ones too
+        into_new = data.draw(
+            st.lists(st.tuples(st.one_of(ids, new), new, weight), max_size=8)
+        )
+        result = graph.apply_delta(
+            GraphDelta(insert_edges=into_new, new_vertices=specs)
+        )
+        new_ids = np.arange(n, n + result.added_vertices, dtype=np.int64)
+        assignment = np.asarray(
+            data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+        owners = ldg_place_vertices(graph, new_ids, assignment, k)
+        assert graph._csr_in_view is None
+        assert np.array_equal(
+            owners, ldg_place_vertices_reference(graph, new_ids, assignment, k)
+        )
 
     def test_single_vertex_graph(self):
         from repro.graph import GraphBuilder

@@ -5,10 +5,12 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph import baden_wuerttemberg_like, generate_road_network, germany_like
-from repro.graph.road_network import _delaunay_edges
+from repro.graph.road_network import _delaunay_edges, _place_city_centers
 
 
 @pytest.fixture(scope="module")
@@ -134,18 +136,50 @@ class TestHighwayCorridors:
         centers = np.array([[2.0, 2.0], [0.0, 0.0], [1.0, 1.0], [3.0, 3.0]])
         assert _delaunay_edges(centers) == {(0, 2), (0, 3), (1, 2)}
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(3, 64),
+        placement=st.sampled_from(["cities", "uniform"]),
+    )
+    def test_matches_qhull_in_general_position(self, seed, count, placement):
+        """The edge set of scipy's (Qhull's) Delaunay triangulation, for
+        centres as the generator places them and for uniform points (both
+        in general position with probability one)."""
+        from scipy.spatial import Delaunay
+
+        rng = np.random.default_rng(seed)
+        if placement == "cities":
+            centers = _place_city_centers(count, 200.0, rng)
+        else:
+            centers = rng.uniform(-50.0, 50.0, size=(count, 2))
+        expected = set()
+        for simplex in Delaunay(centers).simplices:
+            for a in range(3):
+                u, v = int(simplex[a]), int(simplex[(a + 1) % 3])
+                expected.add((min(u, v), max(u, v)))
+        assert _delaunay_edges(centers) == expected
+
+
+def build_peak_bytes_per_edge(preset):
+    tracemalloc.start()
+    try:
+        network = preset(scale=1.0)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / network.graph.num_edges
+
 
 class TestBuildMemory:
     def test_bw_build_peaks_under_128_bytes_per_edge(self):
         """The builder keeps its edges as array chunks (24 B an edge), not
         three Python lists: the whole BW-like build peaks at <= 128 B per
         edge under tracemalloc (193 B with the lists)."""
-        import scipy.spatial  # noqa: F401  # imported outside the measurement
+        assert build_peak_bytes_per_edge(baden_wuerttemberg_like) <= 128
 
-        tracemalloc.start()
-        try:
-            network = baden_wuerttemberg_like(scale=1.0)
-            _current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 128 * network.graph.num_edges
+    def test_gy_build_peaks_under_128_bytes_per_edge(self):
+        """The same bound with 64 cities, where the Delaunay triangulation
+        tests 41 664 triples of centres: it does so in chunks small enough
+        not to set the build's peak."""
+        assert build_peak_bytes_per_edge(germany_like) <= 128

@@ -13,14 +13,20 @@ Quickstart::
 
     result = run_scenario(Scenario(name="demo", main_queries=64))
     print(result.summary())
+
+The subpackages load on first use (a PEP 562 module ``__getattr__``), so
+``import repro.graph`` loads the graph layer alone.
 """
+
+import importlib
+from typing import Any
+
+from repro.errors import ReproError
 
 __version__ = "1.0.0"
 
-from repro import bench, core, engine, graph, partitioning, queries, simulation, workload
-from repro.errors import ReproError
-
-__all__ = [
+#: the subpackages, imported by :func:`__getattr__` on first access
+_SUBPACKAGES = (
     "bench",
     "core",
     "engine",
@@ -29,6 +35,17 @@ __all__ = [
     "queries",
     "simulation",
     "workload",
+)
+
+__all__ = [
+    *_SUBPACKAGES,
     "ReproError",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """PEP 562: ``repro.<subpackage>`` imports that subpackage."""
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f"repro.{name}")
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")

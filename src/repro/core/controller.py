@@ -20,7 +20,7 @@ The controller owns the MAPE loop:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from repro.core.scopes import ScopeStore
 from repro.core.state import Fragment, QcutState
 from repro.errors import ControllerError
 from repro.graph.digraph import DiGraph
+from repro.util import in_sorted, sorted_unique
 
 __all__ = ["ControllerConfig", "MovePlan", "Controller"]
 
@@ -136,10 +137,10 @@ class Controller:
         #: Q-cuts stop improving (the workload's locality has plateaued at
         #: its balance-constrained optimum — no point thrashing)
         self._backoff = 1.0
-        #: vertices tombstoned by graph churn — future activation reports
-        #: (workers may still be flushing pre-churn iterations) are
-        #: filtered against this so dead ids never re-enter the scopes
-        self._dead_vertices: Set[int] = set()
+        #: vertices tombstoned by graph churn, ascending — future activation
+        #: reports (workers may still be flushing pre-churn iterations) are
+        #: masked against this so dead ids never re-enter the scopes
+        self._dead_vertices: np.ndarray = np.empty(0, dtype=np.int64)
         #: workers currently known crashed (fault tolerance): placement and
         #: move planning must not target them until they recover
         self._down_workers: FrozenSet[int] = frozenset()
@@ -183,19 +184,21 @@ class Controller:
         self,
         query_id: int,
         involved_workers: int,
-        activated_vertices: List[int],
+        activated_vertices: "np.ndarray | Sequence[int]",
         now: float,
     ) -> None:
-        """Digest one piggybacked stats + barrierSynch round for a query."""
+        """Digest one piggybacked stats + barrierSynch round for a query.
+
+        ``activated_vertices`` is the iteration's scope additions, an
+        ``int64`` array as the engine reports them (any sequence of ids is
+        taken too)."""
         for evicted in self.monitor.record_iteration(query_id, involved_workers, now):
             self.scopes.drop(evicted)
-        if activated_vertices:
-            if self._dead_vertices:
-                activated_vertices = [
-                    v for v in activated_vertices if v not in self._dead_vertices
-                ]
-            if activated_vertices:
-                self.scopes.add_activations(query_id, activated_vertices)
+        activated = np.asarray(activated_vertices, dtype=np.int64)
+        if activated.size and self._dead_vertices.size:
+            activated = activated[~in_sorted(activated, self._dead_vertices)]
+        if activated.size:
+            self.scopes.add_activations(query_id, activated)
 
     def on_query_finished(self, query_id: int, now: float) -> None:
         self.monitor.record_finish(query_id, now)
@@ -211,8 +214,11 @@ class Controller:
         """
         if not removed_vertices:
             return
-        self._dead_vertices.update(int(v) for v in removed_vertices)
-        self.scopes.remove_vertices(removed_vertices)
+        removed = np.asarray(removed_vertices, dtype=np.int64)
+        self._dead_vertices = sorted_unique(
+            np.concatenate([self._dead_vertices, removed])
+        )
+        self.scopes.remove_vertices(removed)
 
     def place_new_vertices(
         self, graph: DiGraph, new_ids: np.ndarray, assignment: np.ndarray

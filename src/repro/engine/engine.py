@@ -267,6 +267,8 @@ class QGraphEngine:
             cluster.controller_link(w).control_latency
             for w in range(cluster.num_workers)
         ]
+        #: controller CPU seconds per dispatch or handled ack message
+        self._dispatch_time = cluster.machine.controller_dispatch_time
         self.runtimes: Dict[int, QueryRuntime] = {}
         #: every query id ever submitted (duplicate detection, including
         #: queries still waiting in the admission queue)
@@ -400,25 +402,28 @@ class QGraphEngine:
         stopped (popping it would silently drop that event).
         """
         handlers = self._handlers
+        queue = self.queue
+        max_events = self.config.max_events
         while True:
             if until is not None:
-                next_time = self.queue.peek_time()
+                next_time = queue.peek_time()
                 if next_time is None or next_time > until:
                     break
-            event = self.queue.pop()
+            event = queue.pop()
             if event is None:
                 break
             self._events_processed += 1
-            if self._events_processed > self.config.max_events:
+            if self._events_processed > max_events:
                 raise EngineError(
-                    f"event budget exhausted after {self.config.max_events} "
+                    f"event budget exhausted after {max_events} "
                     "events — runaway simulation? "
                     f"[{self._budget_diagnostics()}]"
                 )
-            handler = handlers.get(event.kind)
+            time, _seq, kind, payload = event
+            handler = handlers.get(kind)
             if handler is None:
-                raise EngineError(f"no handler for event kind {event.kind!r}")
-            handler(event.time, **event.payload)
+                raise EngineError(f"no handler for event kind {kind!r}")
+            handler(time, **payload)
         return self.trace
 
     @property
@@ -440,12 +445,6 @@ class QGraphEngine:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _ctrl_latency(self, worker: int) -> float:
-        return self._ctrl_latencies[worker]
-
-    def _dispatch_cost(self) -> float:
-        return self.cluster.machine.controller_dispatch_time
-
     def _budget_diagnostics(self) -> str:
         """One-line engine-state snapshot for the runaway-budget error."""
         parts = [
@@ -539,7 +538,10 @@ class QGraphEngine:
         """
         query_id = qr.query.query_id
         self._reduce_aggregators(qr)
-        involved_count = len(qr.involved | qr.prior_participants)
+        involved = qr.involved
+        if qr.prior_participants:
+            involved = involved | qr.prior_participants
+        involved_count = len(involved)
         activated = qr.take_activated()
         rng = self._fault_rng
         if self.faults is not None and (
@@ -636,22 +638,24 @@ class QGraphEngine:
         is ready once the message crossed that worker's controller link."""
         for w in sorted(workers):
             self.queue.schedule(
-                now + self._ctrl_latency(w),
+                now + self._ctrl_latencies[w],
                 "task_ready",
                 query_id=query_id,
                 worker=w,
             )
 
-    def _redundant_acks(self, now: float, qr: QueryRuntime, skip: Set[int]) -> None:
+    def _redundant_acks(
+        self, now: float, qr: QueryRuntime, *skips: AbstractSet[int]
+    ) -> None:
         """Seraph-style global barrier: under ``GLOBAL_PER_QUERY`` every
-        worker outside ``skip`` acks ``qr``'s current barrier generation,
-        involved or not."""
+        worker in none of ``skips`` acks ``qr``'s current barrier
+        generation, involved or not."""
         if self.config.sync_mode is not SyncMode.GLOBAL_PER_QUERY:
             return
         for w in range(self.cluster.num_workers):
-            if w not in skip:
+            if not any(w in skip for skip in skips):
                 self.queue.schedule(
-                    now + self._ctrl_latency(w),
+                    now + self._ctrl_latencies[w],
                     "ack_task_ready",
                     query_id=qr.query.query_id,
                     worker=w,
@@ -662,9 +666,9 @@ class QGraphEngine:
         """One controller dispatch releases ``qr``'s iteration to its
         involved workers, as at a query start; under ``GLOBAL_PER_QUERY``
         the first barrier already spans every live worker."""
-        dispatched = now + self._dispatch_cost()
+        dispatched = now + self._dispatch_time
         self._dispatch_tasks(dispatched, qr.query.query_id, qr.involved)
-        self._redundant_acks(dispatched, qr, qr.involved | self._dead_workers)
+        self._redundant_acks(dispatched, qr, qr.involved, self._dead_workers)
 
     def _send_barrier_ack(
         self, now: float, query_id: int, worker: int, epoch: int
@@ -674,7 +678,7 @@ class QGraphEngine:
         self.trace.barrier_acks += 1
         delay = 0.0 if self.faults is None else self._control_delay()
         self.queue.schedule(
-            now + self._ctrl_latency(worker) + delay,
+            now + self._ctrl_latencies[worker] + delay,
             "barrier_ack",
             query_id=query_id,
             worker=worker,
@@ -831,7 +835,7 @@ class QGraphEngine:
                     if w in qr.inflight:
                         continue
                     self.queue.schedule(
-                        now + self._ctrl_latency(w),
+                        now + self._ctrl_latencies[w],
                         "barrier_ack",
                         query_id=query_id,
                         worker=w,
@@ -839,10 +843,10 @@ class QGraphEngine:
                     )
                 # re-issue the redundant acks the epoch bump invalidated
                 # (incl. this demoted worker's own)
-                self._redundant_acks(now, qr, qr.involved | qr.acked)
+                self._redundant_acks(now, qr, qr.involved, qr.acked)
                 if not redirect and self._required_ackers(qr).issubset(qr.acked):
                     self._resolve_query_barrier(
-                        qr, now + self._dispatch_cost(), local=False
+                        qr, now + self._dispatch_time, local=False
                     )
             return
         # Run coalescing: the tasks a barrier release hands to this query's
@@ -861,31 +865,36 @@ class QGraphEngine:
         # the run and stays queued for ``run()``: its side effects keep
         # their sequence numbers behind the members' ``compute_done``.
         run = [worker]
-        while not self.paused and self._events_processed < self.config.max_events:
-            follower = self.queue.peek()
-            if (
-                follower is None
-                or follower.kind != "task_ready"
-                or follower.time != now
-                or follower.payload["query_id"] != query_id
-            ):
-                break
-            w = follower.payload["worker"]
-            if w in run or w in self._dead_workers or w not in qr.mailboxes:
-                break
-            self.queue.pop()
-            self._events_processed += 1
-            run.append(w)
+        if not self.paused:
+            # nothing runs between the pops below: the pause flag, the dead
+            # set and the mailbox map stay as read here
+            queue = self.queue
+            max_events = self.config.max_events
+            dead = self._dead_workers
+            mailboxes = qr.mailboxes
+            while self._events_processed < max_events:
+                follower = queue.peek()
+                if follower is None:
+                    break
+                time, _seq, kind, payload = follower
+                if kind != "task_ready" or time != now or payload["query_id"] != query_id:
+                    break
+                w = payload["worker"]
+                if w in run or w in dead or w not in mailboxes:
+                    break
+                queue.pop()
+                self._events_processed += 1
+                run.append(w)
         self._execute_compute(qr, run, now)
 
     def _execute_compute(self, qr: QueryRuntime, run: List[int], now: float) -> None:
         """Execute one run (distinct workers of ``qr``, all ready ``now``)
         as one kernel pass, then charge virtual time member by member."""
         query_id = qr.query.query_id
-        for worker in run:
-            if self.sanitizer is not None:
+        if self.sanitizer is not None:
+            for worker in run:
                 self.sanitizer.check_compute_allowed(query_id, worker, now)
-            qr.computed.add(worker)
+        qr.computed.update(run)
         results = SimWorker.execute_iteration(
             self.workers, run, qr, self.graph, self.assignment
         )
@@ -902,38 +911,36 @@ class QGraphEngine:
         faults = self.faults
         trace = self.trace
         inbox_ready = qr.inbox_ready
+        inflight = qr.inflight
         local_count = remote_count = batch_count = 0
-        for worker, result in zip(run, results):
-            w = self.workers[worker]
-            sent = result.sent
+        for worker, (executed, visited, inbound, local, remote) in zip(run, results):
             links = self._links[worker]
             costs = self._send_costs[worker]
             duration = (
                 task_overhead
-                + per_vertex * result.executed_vertices
-                + per_edge * result.visited_edges
-                + per_local * sent[worker]
-                + per_inbound * result.remote_inbound
+                + per_vertex * executed
+                + per_edge * visited
+                + per_local * local
+                + per_inbound * inbound
             )
-            # one pass over the member's non-zero remote cells, destination
-            # ascending: serialization extends the compute, the wire time
-            # is charged from its finish.  The order is the float summation
-            # order of ``duration`` and, below, the order ``_faulty_transfer``
-            # draws from the fault RNG in — neither may move
-            cells: List[Tuple[int, int, int, float]] = []
-            for dest, count in enumerate(sent):
-                if count and dest != worker:
-                    cost = costs[dest].get(count)
-                    if cost is None:
-                        cost = costs[dest][count] = links[dest].send_cost(count)
-                    duration += cost[0]
-                    cells.append((dest, count, cost[1], cost[2]))
-            start, finish = w.occupy(now, duration)
-            qr.inflight[worker] = qr.inflight.get(worker, 0) + 1
-            if result.executed_vertices:
-                trace.vertices_executed(worker, start, result.executed_vertices)
-            local_count += sent[worker]
-            for dest, count, batches, wire in cells:
+            # the member's non-zero remote cells, destination ascending:
+            # serialization extends the compute, the wire time is charged
+            # from its finish.  The order is the float summation order of
+            # ``duration`` and, below, the order ``_faulty_transfer`` draws
+            # from the fault RNG in — neither may move
+            cell_costs = []
+            for dest, count in remote:
+                cost = costs[dest].get(count)
+                if cost is None:
+                    cost = costs[dest][count] = links[dest].send_cost(count)
+                duration += cost[0]
+                cell_costs.append(cost)
+            start, finish = self.workers[worker].occupy(now, duration)
+            inflight[worker] = inflight.get(worker, 0) + 1
+            if executed:
+                trace.vertices_executed(worker, start, executed)
+            local_count += local
+            for (dest, count), (_serialize, batches, wire) in zip(remote, cell_costs):
                 arrival = finish + wire
                 if faults is not None:
                     arrival = self._faulty_transfer(links[dest], count, arrival)
@@ -942,13 +949,12 @@ class QGraphEngine:
                     inbox_ready[dest] = arrival
                 remote_count += count
                 batch_count += batches
-            qr.activated.extend(result.activated)
             self.queue.schedule(
                 finish,
                 "compute_done",
                 query_id=query_id,
                 worker=worker,
-                had_remote=bool(cells),
+                had_remote=bool(remote),
             )
         trace.local_messages += local_count
         trace.remote_messages += remote_count
@@ -978,13 +984,14 @@ class QGraphEngine:
                 self._maybe_begin_stop(now)
             return
 
-        if self.config.sync_mode is SyncMode.SHARED_BSP:
+        sync_mode = self.config.sync_mode
+        if sync_mode is SyncMode.SHARED_BSP:
             qr.acked.add(worker)
             self._bsp_task_settled(now)
             return
 
         local_candidate = (
-            self.config.sync_mode is SyncMode.HYBRID
+            sync_mode is SyncMode.HYBRID
             and len(qr.involved) == 1
             and worker in qr.involved
             and not qr.prior_participants  # interrupted iteration spanned more workers
@@ -1015,10 +1022,14 @@ class QGraphEngine:
         if self.sanitizer is not None:
             self.sanitizer.observe_ack_accepted(query_id, epoch, now)
         qr.acked.add(worker)
-        required = self._required_ackers(qr)
-        if required.issubset(qr.acked):
+        required = (
+            self._required_ackers(qr)
+            if self.config.sync_mode is SyncMode.GLOBAL_PER_QUERY
+            else qr.involved
+        )
+        if required <= qr.acked:
             # the controller handles each ack message before releasing
-            processing = self._dispatch_cost() * max(len(qr.acked), 1)
+            processing = self._dispatch_time * max(len(qr.acked), 1)
             self._resolve_query_barrier(qr, now + processing, local=False)
 
     def _required_ackers(self, qr: QueryRuntime) -> AbstractSet[int]:
@@ -1045,14 +1056,15 @@ class QGraphEngine:
             self._held_resolutions.append(query_id)
             return
 
-        next_involved = qr.next_involved_workers()
+        inbox_ready = qr.inbox_ready  # rotate_mailboxes rebinds, not clears
+        qr.rotate_mailboxes()
+        next_involved = set(qr.mailboxes)
         if not next_involved:
+            # nothing was sent: the rotated-out state is released with the rest
             self._finish_query(query_id, now)
             self._maybe_trigger_adaptation(now)
             return
 
-        inbox_ready = dict(qr.inbox_ready)
-        qr.rotate_mailboxes()
         qr.iteration += 1
         qr.open_generation(next_involved)
         qr.prior_participants = set()
@@ -1071,9 +1083,9 @@ class QGraphEngine:
 
         self.trace.barrier_releases += 1
         # currently-dead workers are excused by _required_ackers
-        self._redundant_acks(now, qr, next_involved | self._dead_workers)
+        self._redundant_acks(now, qr, next_involved, self._dead_workers)
         for w in sorted(next_involved):
-            delivered = now + self._ctrl_latency(w)
+            delivered = now + self._ctrl_latencies[w]
             ready = max(delivered, inbox_ready.get(w, 0.0))
             self.queue.schedule(ready, "task_ready", query_id=query_id, worker=w)
         self._maybe_trigger_adaptation(now)
@@ -1108,15 +1120,18 @@ class QGraphEngine:
         )
 
     def _reduce_aggregators(self, qr: QueryRuntime) -> None:
-        specs = qr.query.program.aggregators()
-        if not specs:
-            qr.agg_partials.clear()
-            return
-        for _w, partials in qr.agg_partials.items():
+        """Fold every worker's partials into the committed values.  A
+        partial that holds no contribution (``None``: the worker computed
+        but contributed nothing) is skipped — ``reduce_aggregator`` returns
+        the committed value unchanged for it."""
+        specs = qr.agg_specs
+        committed = qr.agg_committed
+        for partials in qr.agg_partials.values():
             for name, partial in partials.items():
-                qr.agg_committed[name] = reduce_aggregator(
-                    specs[name], qr.agg_committed[name], partial
-                )
+                if partial:
+                    committed[name] = reduce_aggregator(
+                        specs[name], committed[name], partial
+                    )
         qr.agg_partials.clear()
 
     def _finish_query(self, query_id: int, now: float) -> None:
@@ -1267,7 +1282,7 @@ class QGraphEngine:
         self._bsp_outstanding = len(participants)
         for query_id, w in participants:
             qr = self.runtimes[query_id]
-            ready = max(now + self._ctrl_latency(w), qr.inbox_ready.get(w, 0.0))
+            ready = max(now + self._ctrl_latencies[w], qr.inbox_ready.get(w, 0.0))
             self.queue.schedule(
                 ready, "bsp_compute", query_id=query_id, worker=w
             )
@@ -1300,8 +1315,8 @@ class QGraphEngine:
             if w.wid in self._dead_workers:
                 continue  # crash-stop: no ack from a dead worker
             _s, finish = w.occupy(w.busy_until, self.cluster.machine.barrier_ack_time)
-            ack_finish = max(ack_finish, finish + self._ctrl_latency(w.wid))
-        resolve = ack_finish + self._dispatch_cost()
+            ack_finish = max(ack_finish, finish + self._ctrl_latencies[w.wid])
+        resolve = ack_finish + self._dispatch_time
         self.trace.barrier_releases += 1
         self.trace.barrier_acks += self.cluster.num_workers - len(self._dead_workers)
 
@@ -1406,7 +1421,7 @@ class QGraphEngine:
             _s, finish = w.occupy(
                 max(w.busy_until, now), self.cluster.machine.barrier_ack_time
             )
-            stop_time = max(stop_time, finish + self._ctrl_latency(w.wid))
+            stop_time = max(stop_time, finish + self._ctrl_latencies[w.wid])
         self.queue.schedule(stop_time, "global_stop")
 
     def _on_global_stop(self, now: float) -> None:
@@ -1535,7 +1550,7 @@ class QGraphEngine:
                 continue
             self._dispatch_tasks(now, query_id, owners)
             # re-issue the redundant all-worker acks for the new epoch
-            self._redundant_acks(now + self._dispatch_cost(), qr, owners)
+            self._redundant_acks(now + self._dispatch_time, qr, owners)
 
         # stage C (partial mode): tasks of queries that kept iterating but
         # whose frontier reached a halted worker.  Those queries were never
@@ -1625,7 +1640,7 @@ class QGraphEngine:
                 if qr.finished or worker in qr.involved:
                     continue
                 self.queue.schedule(
-                    now + self._ctrl_latency(worker),
+                    now + self._ctrl_latencies[worker],
                     "ack_task_ready",
                     query_id=query_id,
                     worker=worker,

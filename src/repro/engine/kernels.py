@@ -95,10 +95,7 @@ def contribute_partial(agg_partial: Dict[str, Any], name: str, value: Any) -> No
 
 
 def group_by_owner(
-    owners: np.ndarray,
-    vertices: np.ndarray,
-    messages: np.ndarray,
-    counts: Optional[np.ndarray] = None,
+    owners: np.ndarray, vertices: np.ndarray, messages: np.ndarray
 ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
     """Yield ``(owner, vertex_chunk, message_chunk)`` in ascending owner order.
 
@@ -108,17 +105,14 @@ def group_by_owner(
     of a fused multi-worker pass arrive here sender-major (see
     :meth:`QueryKernel.step`), so each destination's chunk is the
     concatenation of what the senders, run one after the other, would have
-    appended to that destination's mailbox.  ``counts[w]`` is the number of
-    messages owned by worker ``w`` (``np.bincount(owners)``, which is what
-    runs when it is not given).
+    appended to that destination's mailbox.
     """
     if vertices.size == 0:
         return
     order = owners.argsort(kind="stable")
     sv = vertices[order]
     sm = messages[order]
-    if counts is None:
-        counts = np.bincount(owners)
+    counts = np.bincount(owners)
     present = counts.nonzero()[0]
     lo = 0
     for owner, hi in zip(present.tolist(), counts[present].cumsum().tolist()):

@@ -27,13 +27,15 @@ import numpy as np
 
 from repro.errors import QueryError
 from repro.engine.kernels import ArrayMailbox, group_by_owner, scope_columns
-from repro.engine.vertex_program import VertexProgram
+from repro.engine.vertex_program import AggregatorSpec, VertexProgram
 from repro.graph.digraph import DiGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.checkpoint import QueryCheckpoint
 
 __all__ = ["Query", "QueryRuntime"]
+
+_NO_VERTICES = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,7 @@ class QueryRuntime:
         "computed",
         "prior_participants",
         "barrier_epoch",
+        "agg_specs",
         "agg_committed",
         "agg_partials",
         "activated",
@@ -150,12 +153,15 @@ class QueryRuntime:
         #: bumped whenever ``acked`` is reset; barrier acks from an older
         #: epoch (e.g. in flight across a STOP/START barrier) are discarded
         self.barrier_epoch = 0
+        #: the program's aggregator declarations, read once
+        self.agg_specs: Dict[str, AggregatorSpec] = query.program.aggregators()
         #: committed aggregator values (visible to compute this iteration)
         self.agg_committed: Dict[str, Any] = {}
         #: per-worker aggregator partials gathered during the current iteration
         self.agg_partials: Dict[int, Dict[str, Any]] = {}
-        #: vertices activated since the last controller report
-        self.activated: List[int] = []
+        #: vertices activated since the last controller report: ``int64``
+        #: chunks, one per compute that activated any, in compute order
+        self.activated: List[np.ndarray] = []
         #: worker -> computes whose ``compute_done`` has not fired yet
         #: (a partial STOP drains these)
         self.inflight: Dict[int, int] = {}
@@ -175,7 +181,7 @@ class QueryRuntime:
         #: ``(scope ids, *state columns gathered at them)``
         self.answer: Optional[Tuple[np.ndarray, ...]] = None
 
-        for name, (_fn, identity) in query.program.aggregators().items():
+        for name, (_fn, identity) in self.agg_specs.items():
             self.agg_committed[name] = identity
 
     # ------------------------------------------------------------------
@@ -225,10 +231,6 @@ class QueryRuntime:
         self.next_mailboxes = {}
         self.inbox_ready = {}
 
-    def next_involved_workers(self) -> Set[int]:
-        """Workers that will participate in the next iteration."""
-        return {w for w, box in self.next_mailboxes.items() if box}
-
     def rebucket(
         self, assignment: np.ndarray, workers: Optional[Set[int]] = None
     ) -> None:
@@ -273,12 +275,14 @@ class QueryRuntime:
         self.computed = set()
         self.barrier_epoch += 1
 
-    def take_activated(self) -> List[int]:
+    def take_activated(self) -> np.ndarray:
         """Hand over (and clear) the activations gathered since the last
-        controller report."""
-        activated = self.activated
+        controller report, as one ``int64`` array."""
+        chunks = self.activated
         self.activated = []
-        return activated
+        if not chunks:
+            return _NO_VERTICES
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
     def reset_barrier_protocol(self) -> None:
         """Invalidate all in-flight barrier traffic for this query.
@@ -372,10 +376,10 @@ class QueryRuntime:
         from the columns on demand.  A generic query keeps its sparse
         ``state`` dict.  Every working structure is freed — dense buffers,
         both mailbox generations, barrier bookkeeping, activation buffer,
-        in-flight map, checkpoint.  Event handlers reach a finished runtime
-        only behind their ``qr.finished`` guard, and the barrier reset
-        (over the now empty mailboxes) fences whatever acks are still on
-        the wire.
+        in-flight map, checkpoint, aggregator declarations.  Event handlers
+        reach a finished runtime only behind their ``qr.finished`` guard,
+        and the barrier reset (over the now empty mailboxes) fences
+        whatever acks are still on the wire.
         """
         if self.scope_mask is not None:
             self.answer = scope_columns(self.kstate, self.scope_mask)
@@ -389,6 +393,7 @@ class QueryRuntime:
         self.reset_barrier_protocol()
         self.inflight = {}
         self.checkpoint = None
+        self.agg_specs = {}
 
     def snapshot_result(self, graph: DiGraph) -> Any:
         """The query answer per the program's result extractor."""

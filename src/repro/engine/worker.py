@@ -20,8 +20,7 @@ kernel pass — the temporal half stays per worker: every member gets its own
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -34,19 +33,23 @@ from repro.simulation.cluster import MachineProfile
 __all__ = ["SimWorker", "IterationResult"]
 
 
-@dataclass(slots=True)
-class IterationResult:
+class IterationResult(NamedTuple):
     """Counters produced by one (query, iteration, worker) compute task."""
 
-    executed_vertices: int = 0
-    visited_edges: int = 0
+    executed_vertices: int
+    visited_edges: int
     #: raw remote messages consumed from this worker's inbox (deserialization)
-    remote_inbound: int = 0
-    #: ``sent[dest]``: raw (pre-combining) messages this task sent to each
-    #: of the k workers; ``sent[own wid]`` are the local ones
-    sent: List[int] = field(default_factory=list)
-    #: newly activated vertices on this worker (scope additions)
-    activated: List[int] = field(default_factory=list)
+    remote_inbound: int
+    #: raw (pre-combining) messages this task sent to its own worker
+    local: int
+    #: ``(destination, count)`` of the raw messages sent to each other
+    #: worker, the non-zero cells only, destination ascending
+    remote: List[Tuple[int, int]]
+
+
+#: builds an :class:`IterationResult` from its field tuple without the
+#: generated ``__new__``'s Python-level call (one per member of a run)
+_new_result = tuple.__new__
 
 
 class SimWorker:
@@ -90,28 +93,21 @@ class SimWorker:
         would produce.
         """
         if qr.kernel is None:
-            results = [
+            return [
                 workers[w]._execute_generic(qr, graph, assignment, len(workers))
                 for w in run
             ]
-        else:
-            results = SimWorker._execute_vectorized(
-                run, qr, graph, assignment, len(workers)
-            )
-        for w, result in zip(run, results):
-            workers[w].vertex_executions += result.executed_vertices
-        return results
+        return SimWorker._execute_vectorized(workers, run, qr, graph, assignment)
 
     def _execute_generic(
         self, qr: QueryRuntime, graph: DiGraph, assignment: np.ndarray, k: int
     ) -> IterationResult:
         """One worker's iteration through ``VertexProgram.compute`` (dict
         mailboxes): the path of programs without a kernel."""
-        result = IterationResult(sent=[0] * k)
-        result.remote_inbound = qr.pending_remote_inbound.pop(self.wid, 0)
+        remote_inbound = qr.pending_remote_inbound.pop(self.wid, 0)
         mailbox = qr.mailboxes.pop(self.wid, None)
         if not mailbox:
-            return result
+            return IterationResult(0, 0, remote_inbound, 0, [])
 
         program = qr.query.program
         agg_partial = qr.agg_partials.setdefault(self.wid, {})
@@ -119,33 +115,44 @@ class SimWorker:
             agg_partial.setdefault(name, None)
         ctx = ComputeContext(graph, qr.agg_committed, agg_partial)
 
+        executed = visited = 0
+        sent = [0] * k
+        activated: List[int] = []
         for vertex, message in mailbox.items():
             if vertex not in qr.state:
-                result.activated.append(vertex)
+                activated.append(vertex)
             ctx._reset(vertex, qr.iteration)
             old_state = qr.state.get(vertex)
             new_state = program.compute(ctx, vertex, old_state, message)
             qr.state[vertex] = new_state
-            result.executed_vertices += 1
-            result.visited_edges += graph.out_degree(vertex)
+            executed += 1
+            visited += graph.out_degree(vertex)
             for target, msg in ctx._drain():
                 owner = int(assignment[target])
                 qr.deliver(owner, target, msg, to_next=True)
-                result.sent[owner] += 1
+                sent[owner] += 1
                 if owner != self.wid:
                     qr.pending_remote_inbound[owner] = (
                         qr.pending_remote_inbound.get(owner, 0) + 1
                     )
-        return result
+        self.vertex_executions += executed
+        if activated:
+            qr.activated.append(np.array(activated, dtype=np.int64))
+        remote = [
+            (dest, count)
+            for dest, count in enumerate(sent)
+            if count and dest != self.wid
+        ]
+        return IterationResult(executed, visited, remote_inbound, sent[self.wid], remote)
 
     # ------------------------------------------------------------------
     @staticmethod
     def _execute_vectorized(
+        workers: Sequence["SimWorker"],
         run: Sequence[int],
         qr: QueryRuntime,
         graph: DiGraph,
         assignment: np.ndarray,
-        k: int,
     ) -> List[IterationResult]:
         """One fused pass of ``qr``'s kernel over the mailboxes of a run.
 
@@ -160,7 +167,10 @@ class SimWorker:
         per-task counter is a segment of the fused arrays**: executed
         vertices and visited edges by run position of the frontier,
         message counts by (source position, destination) of the sends —
-        one ``bincount`` matrix whose row *i* is member *i*'s ``sent``.
+        one ``bincount`` matrix whose row *i* holds member *i*'s ``local``
+        count and ``remote`` cells.  The run's scope additions go to
+        ``qr.activated`` as one chunk, not per member: the controller reads
+        them only as a set.
 
         Counter-for-counter equivalent to the generic loop too: executed
         vertices and visited edges are the combined frontier, message
@@ -169,14 +179,17 @@ class SimWorker:
         """
         kernel = qr.kernel
         r = len(run)
+        k = len(workers)
         boxes = []
         for wid in run:
-            box = qr.mailboxes.pop(wid, None) or ArrayMailbox()
-            boxes.append(box)
+            box = qr.mailboxes.pop(wid, None)
             if box:
                 agg_partial = qr.agg_partials.setdefault(wid, {})
                 for name in qr.agg_committed:
                     agg_partial.setdefault(name, None)
+            else:
+                box = ArrayMailbox()
+            boxes.append(box)
 
         # combine: one stable sort on the (run position, vertex) key; a lone
         # member's key is the vertex itself
@@ -195,17 +208,12 @@ class SimWorker:
         executed = np.bincount(member_of, minlength=r).tolist()
         edges = np.bincount(member_of, weights=degrees, minlength=r).tolist()
 
-        fresh = ~qr.scope_mask[vertices]
-        newly = vertices[fresh]
+        # the run's scope additions, one chunk: the frontier is sorted by run
+        # position, so they are in run order, each member's in vertex order
+        newly = vertices[~qr.scope_mask[vertices]]
         if newly.size:
             qr.scope_mask[newly] = True
-            activated = newly.tolist()
-            bounds = np.bincount(member_of[fresh], minlength=r).cumsum().tolist()
-            activated_of = [
-                activated[lo:hi] for lo, hi in zip([0] + bounds, bounds)
-            ]
-        else:
-            activated_of = [[] for _ in run]
+            qr.activated.append(newly)
 
         targets, out_messages, sources, contribs = kernel.step(
             graph, qr.kstate, vertices, messages, qr.agg_committed
@@ -214,7 +222,7 @@ class SimWorker:
         # are folded with the program's own reduce function (they are rare —
         # a target or tagged vertex improved — so this is a plain loop)
         for name, (positions, values) in contribs.items():
-            spec = qr.query.program.aggregators()[name]
+            spec = qr.agg_specs[name]
             by_member: Dict[int, List[Any]] = {}
             for member, value in zip(member_of[positions].tolist(), values.tolist()):
                 by_member.setdefault(member, []).append(value)
@@ -233,39 +241,36 @@ class SimWorker:
         owners = assignment[targets]
         # cell = member * k + destination; a lone member is row 0
         cells = owners if r == 1 else member_of[sources] * k + owners
-        sent = np.bincount(cells, minlength=r * k).reshape(r, k)
-        # per destination: the column sums, what group_by_owner bincounts
-        per_dest = sent[0] if r == 1 else sent.sum(axis=0)
+        sent = np.bincount(cells, minlength=r * k).reshape(r, k).tolist()
 
-        # replayed per member: member i pops its inbound count *after* the
-        # members before it added their next-iteration sends to it, and a
-        # mailbox nobody wrote to yet is created by its first sender — both
-        # as when the members run one after the other (dict order is what
-        # rebucket and checkpoints walk)
+        # one walk over the (member, destination) cells, row-major, replays
+        # what the members run one after the other would do: member i pops
+        # its inbound count *after* the members before it added their
+        # next-iteration sends to it, and a mailbox nobody wrote to yet is
+        # created by its first sender (dict order is what rebucket and
+        # checkpoints walk).  Its non-zero remote cells, destination
+        # ascending, are all the charging reads of a member's sends
         pending = qr.pending_remote_inbound
         next_boxes = qr.next_mailboxes
         results = []
-        for wid, row, num_vertices, num_edges, member_activated in zip(
-            run, sent.tolist(), executed, edges, activated_of
-        ):
-            results.append(
-                IterationResult(
-                    num_vertices,
-                    int(num_edges),
-                    pending.pop(wid, 0),
-                    row,
-                    member_activated,
-                )
-            )
+        for wid, row, num_vertices, num_edges in zip(run, sent, executed, edges):
+            workers[wid].vertex_executions += num_vertices
+            inbound = pending.pop(wid, 0)
+            remote = []
             for dest, count in enumerate(row):
                 if count:
-                    if dest != wid:
-                        pending[dest] = pending.get(dest, 0) + count
                     if dest not in next_boxes:
                         next_boxes[dest] = ArrayMailbox()
-        for dest, vchunk, mchunk in group_by_owner(
-            owners, targets, out_messages, per_dest
-        ):
+                    if dest != wid:
+                        remote.append((dest, count))
+                        pending[dest] = pending.get(dest, 0) + count
+            results.append(
+                _new_result(
+                    IterationResult,
+                    (num_vertices, int(num_edges), inbound, row[wid], remote),
+                )
+            )
+        for dest, vchunk, mchunk in group_by_owner(owners, targets, out_messages):
             qr.deliver_array(dest, vchunk, mchunk)
         return results
 

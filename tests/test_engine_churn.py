@@ -275,6 +275,9 @@ class TestControllerChurnHygiene:
         # late activation reports of dead ids are filtered too
         controller.on_iteration(1, 1, [4, 6], 0.001)
         assert controller.scopes.scope_array(1).tolist() == [3, 5, 6]
+        # ... also in the engine's form, one int64 array per report
+        controller.on_iteration(1, 1, np.array([7, 4], dtype=np.int64), 0.002)
+        assert controller.scopes.scope_array(1).tolist() == [3, 5, 6, 7]
 
     def test_scope_store_pending_buffers_truncated(self):
         store = ScopeStore()
@@ -299,6 +302,44 @@ class TestControllerChurnHygiene:
         for qid in store.queries():
             scope = store.scope_array(qid)
             assert not np.isin(scope, dead).any()
+
+    @pytest.mark.parametrize(
+        "case", ["closed_loop", "closed_loop_generic", "churn_removals"]
+    )
+    def test_reported_scopes_equal_the_runtime_scopes(self, case):
+        """The activation reports rebuild each query's scope exactly: after
+        a closed-loop run (either execution path) and a churn run that
+        removes vertices, every query the controller tracks has
+        ``scope_array`` equal to its runtime's scope minus the dead ids."""
+        rn = road_network()
+        if case == "churn_removals":
+            graph = MutableDiGraph.from_digraph(rn.graph)
+            workload = _generated_churn(rn, rate=120.0, span=0.4)
+        else:
+            graph = rn.graph
+            workload = WorkloadGenerator(rn, seed=5).generate(
+                [PhaseSpec(num_queries=48, kind="sssp", label="closed")]
+            )
+        engine = build_engine(graph)
+        workload.submit_all(engine)
+        if case == "closed_loop_generic":
+            with generic_path():
+                trace = engine.run()
+        else:
+            trace = engine.run()
+        assert len(trace.finished_queries()) == 48
+        dead = np.flatnonzero(graph.dead_mask) if case == "churn_removals" else []
+        if case == "churn_removals":
+            assert dead.size and sum(e.removed_vertices for e in trace.churn_events)
+        store = engine.controller.scopes
+        assert len(store.queries()) == 48
+        removed = 0
+        for qid in store.queries():
+            scope = engine.runtimes[qid].scope_vertices()
+            live = scope[~np.isin(scope, dead)]
+            removed += scope.size - live.size
+            assert store.scope_array(qid).tolist() == live.tolist(), qid
+        assert removed > 0 or case != "churn_removals"
 
     def test_place_new_vertices_prefers_neighbour_partition(self):
         b = GraphBuilder(6)

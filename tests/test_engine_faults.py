@@ -494,6 +494,7 @@ class TestFinishReleasesPerQueryState:
                 "mailboxes", "next_mailboxes", "inbox_ready",
                 "pending_remote_inbound", "involved", "acked", "computed",
                 "prior_participants", "agg_partials", "activated", "inflight",
+                "agg_specs",
             ):
                 assert not held[name], (query.query_id, name)
             answers.update(

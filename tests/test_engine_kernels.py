@@ -429,14 +429,6 @@ class TestKernelPrimitives:
             1: ([1, 1], [1.0, 4.0]),
             2: ([3], [3.0]),
         }
-        # per-owner counts from the caller (as the worker's send matrix
-        # gives them, one entry per worker) group the same way
-        counts = np.array([2, 2, 1, 0, 0], dtype=np.int64)
-        with_counts = {
-            owner: (vc.tolist(), mc.tolist())
-            for owner, vc, mc in group_by_owner(assignment[v], v, m, counts)
-        }
-        assert with_counts == groups
 
     def test_wcc_key_roundtrip(self):
         kernel = LocalWccKernel(max_hops=5)

@@ -21,7 +21,6 @@ with one chunk per destination and charges virtual time from one
 * the event budget and ``run(until=...)`` count coalesced events as events.
 """
 
-import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -252,19 +251,26 @@ def _assert_same_runtime(fused, oracle):
         assert box and _box_bytes(box) == _box_bytes(oracle.next_mailboxes[w])
 
 
-def _assert_same_result(fused, oracle, wid, k):
-    sent = fused.sent
-    assert len(sent) == k and all(type(c) is int for c in sent)
-    assert sent[wid] == oracle.local_messages
+def _assert_same_result(fused, oracle):
+    assert fused.local == oracle.local_messages and type(fused.local) is int
     # the oracle's dict is destination-ascending: the order of the charging
-    assert [
-        (dest, count) for dest, count in enumerate(sent) if count and dest != wid
-    ] == list(oracle.remote_messages.items())
-    assert [type(v) for v in fused.activated] == [int] * len(fused.activated)
-    for name in ("executed_vertices", "visited_edges", "remote_inbound",
-                 "activated"):
+    assert fused.remote == list(oracle.remote_messages.items())
+    assert all(type(d) is int and type(c) is int for d, c in fused.remote)
+    for name in ("executed_vertices", "visited_edges", "remote_inbound"):
         assert getattr(fused, name) == getattr(oracle, name)
         assert type(getattr(fused, name)) is type(getattr(oracle, name))
+
+
+def _assert_same_activations(fused, oracle_results):
+    """The run's scope additions are one ``int64`` chunk: the per-task
+    oracle's activations concatenated in run order (no chunk when none)."""
+    chunks, fused.activated = fused.activated, []
+    want = [v for result in oracle_results for v in result.activated]
+    if not want:
+        assert chunks == []
+        return
+    assert len(chunks) == 1 and chunks[0].dtype == np.int64
+    assert chunks[0].tolist() == want
 
 
 def _chunk_counts(qr):
@@ -325,16 +331,16 @@ def test_fused_run_equals_per_task_oracle(kind, k, seed):
                 for w in run
             ]
             assert len(got) == len(want)
-            for wid, a, b in zip(run, got, want):
-                _assert_same_result(a, b, wid, k)
+            for a, b in zip(got, want):
+                _assert_same_result(a, b)
+            _assert_same_activations(fused, want)
             _assert_same_runtime(fused, oracle)
             # one chunk per destination per pass, however many members sent
             after = _chunk_counts(fused)
             assert all(after[w] - before.get(w, 0) <= 1 for w in after)
-            sent_to = np.array([a.sent for a in got]).sum(axis=0)
-            assert sum(after.values()) - sum(before.values()) == np.count_nonzero(
-                sent_to
-            )
+            sent_to = {dest for a in got for dest, _count in a.remote}
+            sent_to.update(wid for wid, a in zip(run, got) if a.local)
+            assert sum(after.values()) - sum(before.values()) == len(sent_to)
         assert [w.vertex_executions for w in workers[0]] == [
             w.vertex_executions for w in workers[1]
         ]
@@ -407,14 +413,19 @@ def test_generic_programs_loop_over_the_run():
         for w in (0, 1)
     ]
     assert got == want
-    # a slotted dataclass still compares field by field
+    # a named tuple: no per-instance dict, compared field by field
     assert not hasattr(got[0], "__dict__")
-    assert got[0] != dataclasses.replace(got[0], visited_edges=got[0].visited_edges + 1)
-    assert got[0] != dataclasses.replace(got[0], sent=got[0].sent[::-1] + [0])
-    assert [len(result.sent) for result in got] == [2, 2]
-    assert sum(sum(result.sent) for result in got) == sum(
-        len(box) for box in together.next_mailboxes.values()
-    ) > 0
+    assert got[0] != got[0]._replace(visited_edges=got[0].visited_edges + 1)
+    assert got[0] != got[0]._replace(remote=got[0].remote + [(1, 1)])
+    assert sum(
+        result.local + sum(count for _dest, count in result.remote)
+        for result in got
+    ) == sum(len(box) for box in together.next_mailboxes.values()) > 0
+    # the scope additions: one int64 chunk per member that activated any
+    assert [chunk.dtype for chunk in together.activated] == [np.int64] * 2
+    assert [chunk.tolist() for chunk in together.activated] == [
+        chunk.tolist() for chunk in apart.activated
+    ] == [[0], [1]]
     assert together.state == apart.state
     assert together.next_mailboxes == apart.next_mailboxes
     assert together.pending_remote_inbound == apart.pending_remote_inbound
@@ -444,12 +455,8 @@ def oracle_charge(engine, qr, run, results, now):
     for worker, result in zip(run, results):
         w = engine.workers[worker]
         links = [cluster.link(worker, dest) for dest in range(cluster.num_workers)]
-        local_messages = result.sent[worker]
-        remote_messages = {
-            dest: count
-            for dest, count in enumerate(result.sent)
-            if count and dest != worker
-        }
+        local_messages = result.local
+        remote_messages = dict(result.remote)
         m = w.machine
         duration = (
             m.task_overhead_time
@@ -474,7 +481,6 @@ def oracle_charge(engine, qr, run, results, now):
             qr.inbox_ready[dest] = max(qr.inbox_ready.get(dest, 0.0), arrival)
             trace.remote_messages += count
             trace.remote_batches += batches
-        qr.activated.extend(result.activated)
         engine.queue.schedule(
             finish, "compute_done", query_id=qr.query.query_id, worker=worker,
             had_remote=bool(remote_messages),
@@ -523,15 +529,19 @@ def _draw_pass(rng, k):
     half the cells empty, counts that span several wire batches."""
     run = [int(w) for w in rng.permutation(k)[: int(rng.integers(1, k + 1))]]
     results = []
-    for _member in run:
-        sent = rng.integers(1, 200, k) * (rng.random(k) < 0.5)
+    for member in run:
+        sent = (rng.integers(1, 200, k) * (rng.random(k) < 0.5)).tolist()
         results.append(
             IterationResult(
                 executed_vertices=int(rng.integers(0, 60)),
                 visited_edges=int(rng.integers(0, 400)),
                 remote_inbound=int(rng.integers(0, 50)),
-                sent=sent.tolist(),
-                activated=rng.integers(0, 16, int(rng.integers(0, 3))).tolist(),
+                local=sent[member],
+                remote=[
+                    (dest, count)
+                    for dest, count in enumerate(sent)
+                    if count and dest != member
+                ],
             )
         )
     return run, results
@@ -539,8 +549,8 @@ def _draw_pass(rng, k):
 
 def _charged_state(engine, qr):
     """Everything charging writes: the events (drained), the worker clocks,
-    ``inbox_ready``, the counters, the workload buckets, the in-flight map,
-    the activations and the next draw of the fault RNG."""
+    ``inbox_ready``, the counters, the workload buckets, the in-flight map
+    and the next draw of the fault RNG."""
     trace = engine.trace
     return (
         [(e.time, e.seq, e.kind, e.payload) for e in engine.queue.drain()],
@@ -549,7 +559,7 @@ def _charged_state(engine, qr):
         (trace.local_messages, trace.remote_messages, trace.remote_batches,
          trace.dropped_batches, trace.duplicated_batches),
         trace._workload,
-        (qr.inflight, qr.activated),
+        qr.inflight,
         None if engine._fault_rng is None else engine._fault_rng.random(),
     )
 
@@ -659,8 +669,7 @@ def test_link_cost_memo_is_send_cost_and_serves_repeated_counts(faulty):
         charged = {
             (engine._links[src][dest], count)
             for src, result in zip(run, results)
-            for dest, count in enumerate(result.sent)
-            if count and dest != src
+            for dest, count in result.remote
         }
         if now >= len(passes):
             assert charged <= seen  # the second round repeats every count

@@ -77,3 +77,43 @@ def test_presets_build_the_pinned_csr(child):
 def test_building_and_running_imports_no_scipy(child):
     assert child["queries"] == 10
     assert child["scipy"] == []
+
+
+_LAZY_CHILD = """
+import json, sys
+import repro.graph
+
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "repro")
+import repro
+
+print(json.dumps({
+    "loaded": loaded,
+    "scenario": repro.bench.Scenario.__name__,
+    "all": repro.__all__,
+}))
+"""
+
+
+def test_graph_import_loads_no_other_layer():
+    """``repro``'s subpackages load on first use: importing the graph layer
+    loads no engine, controller, harness or workload module, and
+    ``repro.bench`` still resolves as an attribute afterwards."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_CHILD],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    child = json.loads(proc.stdout.strip().splitlines()[-1])
+    layers = {name.split(".")[1] for name in child["loaded"] if "." in name}
+    assert "graph" in layers
+    assert layers.isdisjoint({"engine", "core", "bench", "workload"}), layers
+    assert child["scenario"] == "Scenario"
+    assert child["all"] == [
+        "bench", "core", "engine", "graph", "partitioning", "queries",
+        "simulation", "workload", "ReproError", "__version__",
+    ]

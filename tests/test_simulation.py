@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.simulation import (
     ClusterSpec,
+    Event,
     EventQueue,
     MetricsTrace,
     NetworkModel,
@@ -59,6 +62,76 @@ class TestEventQueue:
         q = EventQueue()
         q.schedule(1.0, "x", foo=42)
         assert q.pop().payload == {"foo": 42}
+
+
+#: a scheduled time relative to ``now``: far back (raises), just back
+#: (clamped to ``now``), ``now`` itself and a few steps ahead (ties)
+_OFFSETS = st.sampled_from([-1.0, -1e-9, -5e-13, 0.0, 0.0, 0.25, 0.5, 1.0])
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), _OFFSETS, st.sampled_from(["a", "b"])),
+        st.tuples(st.sampled_from(["pop", "peek", "peek_time", "drain"])),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_OPS)
+def test_event_queue_matches_a_sorted_list(ops):
+    """Interleaved ``schedule`` / ``pop`` / ``peek`` / ``peek_time`` /
+    ``drain`` against a sorted-list model: events pop by time, same-time
+    events in schedule order, ``now`` follows the popped events, a time at
+    most 1e-12 before ``now`` is clamped to it and one further back raises
+    (scheduling nothing), and every popped event is an :class:`Event` whose
+    ``time`` / ``seq`` / ``kind`` / ``payload`` are its fields."""
+    q = EventQueue()
+    model = []  # (time, seq, kind, payload), kept sorted
+    now = 0.0
+    seq = 0
+
+    def check_event(event, want):
+        assert type(event) is Event
+        assert (event.time, event.seq, event.kind, event.payload) == want
+        assert tuple(event) == want
+
+    for index, op in enumerate(ops):
+        if op[0] == "schedule":
+            _name, offset, kind = op
+            time = now + offset
+            if time < now - 1e-12:
+                with pytest.raises(SimulationError):
+                    q.schedule(time, kind, index=index)
+                continue
+            event = q.schedule(time, kind, index=index)
+            want = (max(time, now), seq, kind, {"index": index})
+            check_event(event, want)
+            model.append(want)
+            model.sort(key=lambda entry: (entry[0], entry[1]))
+            seq += 1
+        elif op[0] == "pop":
+            event = q.pop()
+            if not model:
+                assert event is None
+                continue
+            want = model.pop(0)
+            check_event(event, want)
+            now = want[0]
+        elif op[0] == "peek":
+            event = q.peek()
+            assert event is None if not model else tuple(event) == model[0]
+        elif op[0] == "peek_time":
+            assert q.peek_time() == (model[0][0] if model else None)
+        else:
+            drained = q.drain()
+            assert len(drained) == len(model)
+            for event, want in zip(drained, model):
+                check_event(event, want)
+            if model:
+                now = model[-1][0]
+            model = []
+        assert q.now == now
+        assert len(q) == len(model)
 
 
 class TestNetworkModel:

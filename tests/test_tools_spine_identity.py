@@ -120,6 +120,27 @@ def test_timing_lines_resolve_a_gain_only_beyond_the_parent_iqr():
     assert lines[-1].endswith(", unresolved (parent IQR 1.125)")
 
 
+def test_per_event_line_divides_wall_time_by_the_event_count():
+    """Host µs per simulated event, each side's median [Q1, Q3] over the
+    pairs: the event path's fixed cost without a traced run."""
+
+    def record(wall, events):
+        out = copy.deepcopy(RECORD)
+        out["wall_run_s"] = wall
+        out["layers"]["engine.events"] = events
+        return out
+
+    pairs = [
+        (record(2.0, 100_000), record(1.8, 100_000)),  # 20 -> 18 us
+        (record(2.2, 100_000), record(1.7, 100_000)),  # 22 -> 17 us
+        (record(4.2, 200_000), record(3.8, 200_000)),  # 21 -> 19 us
+    ]
+    assert tool.per_event_line("static_hotspot", pairs) == (
+        "static_hotspot: us per event median 21 [20.5, 21.5] -> 18 [17.5, 18.5], "
+        "resolved (parent IQR 1)"
+    )
+
+
 def test_pairs_alternate_which_side_starts_first(monkeypatch, capsys):
     """The parent's child starts first on a workload's 1st, 3rd, ... pair
     and the change's on its 2nd, 4th, ...; every ``--time`` line of a pair
@@ -256,4 +277,6 @@ def test_a_checkout_is_identical_to_itself(capsys):
     assert lines[5].endswith("/1 pairs")
     assert lines[6].startswith("open_mixed: peak_rss_mb median ")
     assert lines[6].endswith(" (parent IQR 0)")
-    assert lines[-1] == "ALL IDENTICAL" and len(lines) == 8
+    assert lines[7].startswith("open_mixed: us per event median ")
+    assert lines[7].endswith(" (parent IQR 0)")
+    assert lines[-1] == "ALL IDENTICAL" and len(lines) == 9

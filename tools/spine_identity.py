@@ -25,8 +25,10 @@ which side started first, the median of the per-pair ratios and on how
 many pairs the change was lower (a gain is claimed only when it is lower on
 at least 9 of 10 pairs), then each side's median and [Q1, Q3] over the
 seeds, ``resolved`` when the medians are further apart than the parent's
-IQR (the other half of that claim).  It never changes the verdict or the
-exit status.
+IQR (the other half of that claim).  Last comes each side's host time per
+simulated event, ``wall_run_s / engine.events`` in µs, median and
+[Q1, Q3]: the event path's fixed cost, readable without a traced run.  It
+never changes the verdict or the exit status.
 
 A workload whose runs differ is followed by one line per ``vt_*`` metric:
 the median and [Q1, Q3] over the seeds at parent and change, whether the
@@ -149,6 +151,20 @@ def timing_lines(
     return lines
 
 
+def per_event_line(
+    workload: str, pairs: Sequence[Tuple[Dict[str, Any], Dict[str, Any]]]
+) -> str:
+    """Each side's host µs per simulated event (``wall_run_s /
+    engine.events``) over the ``(parent, change)`` records of a workload's
+    pairs: median [Q1, Q3] of both, resolved as in :func:`spread_text`."""
+    parent, change = (
+        [record["wall_run_s"] / record["layers"]["engine.events"] * 1e6
+         for record in side]
+        for side in zip(*pairs)
+    )
+    return f"{workload}: us per event median {spread_text(parent, change)}"
+
+
 def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
     """``(Q1, median, Q3)``, linearly interpolated (numpy's default)."""
     if len(values) == 1:
@@ -200,7 +216,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--smoke", action="store_true", help="smoke-size workloads")
     parser.add_argument("--time", action="store_true",
                         help="also print the paired wall_run_s and peak_rss_mb, "
-                        "their median ratios and each side's quartiles")
+                        "their median ratios and each side's quartiles, and "
+                        "each side's host us per event")
     args = parser.parse_args(argv)
 
     checkouts = [os.path.abspath(args.parent_dir), os.path.abspath(args.change_dir)]
@@ -215,6 +232,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             k: [] for k in HOST_METRICS
         }
         tables: List[Tuple[Dict[str, Any], Dict[str, Any]]] = []
+        records: List[Tuple[Dict[str, Any], Dict[str, Any]]] = []
         workload_differs = False
         for pair, seed in enumerate(args.seeds):
             order = start_order(pair)
@@ -236,6 +254,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             for key, series in hosts.items():
                 series.append((seed, parent[key], change[key], first))
             tables.append((parent["end_to_end"], change["end_to_end"]))
+            records.append((parent, change))
             diffs = differences(parent, change)
             if diffs:
                 differing += 1
@@ -256,6 +275,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.time:
             for key, series in hosts.items():
                 print("\n".join(timing_lines(workload, series, key)), flush=True)
+            print(per_event_line(workload, records), flush=True)
     if differing:
         print(f"{differing} of {len(workloads) * len(args.seeds)} runs DIFFER")
         return 1

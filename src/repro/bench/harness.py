@@ -36,7 +36,6 @@ from repro.graph.road_network import (
 from repro.partitioning import (
     BfsRegionPartitioner,
     DomainPartitioner,
-    FennelPartitioner,
     HashPartitioner,
     LdgPartitioner,
 )
@@ -103,6 +102,8 @@ def default_controller_config(**overrides) -> ControllerConfig:
 class Scenario:
     """One experiment arm.
 
+    ``partitioner`` names the initial static partitioning: ``"hash"``,
+    ``"domain"``, ``"ldg"`` or ``"bfs"``.
     ``scheduler`` selects the admission policy (``"fifo"`` — the
     historical order — or ``"locality"``); ``arrival``/``arrival_rate``
     select the arrival process of the workload phases (``"batch"`` —
@@ -201,9 +202,7 @@ def _build_partitioner(name: str, rn: RoadNetwork, seed: int):
     if name == "domain":
         return DomainPartitioner(road_network=rn, seed=seed)
     if name == "ldg":
-        return LdgPartitioner(seed=seed)
-    if name == "fennel":
-        return FennelPartitioner(seed=seed)
+        return LdgPartitioner()
     if name == "bfs":
         return BfsRegionPartitioner(seed=seed)
     raise ReproError(f"unknown partitioner {name!r}")

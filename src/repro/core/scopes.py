@@ -82,12 +82,14 @@ class ScopeStore:
     # ingestion
     # ------------------------------------------------------------------
     def add_activations(self, query_id: int, vertices: Iterable[int]) -> None:
-        """Record vertices activated by a query (workers' stats messages)."""
+        """Record vertices activated by a query (workers' stats messages).
+
+        The store keeps an ``int64`` array it is given, without a copy,
+        until its next read: the caller hands it over and must not write
+        to it afterwards (the controller's report is a fresh array)."""
         query_id = int(query_id)
         if isinstance(vertices, np.ndarray):
-            # always copy: the chunk is buffered until the next read, so an
-            # alias of a caller-reused buffer would corrupt the scope
-            chunk = vertices.astype(np.int64, copy=True)
+            chunk = vertices.astype(np.int64, copy=False)
         else:
             chunk = np.asarray(list(vertices), dtype=np.int64)
         self._arrays.setdefault(query_id, _EMPTY)

@@ -212,11 +212,6 @@ class QcutState:
                 self._cost = float((totals - maxima).sum())
         return self._cost
 
-    def unit_cost(self, unit: int) -> float:
-        """Cost contribution of one cluster."""
-        row = self.weighted[unit]
-        return float(row.sum() - row.max())
-
     # ------------------------------------------------------------------
     # moves
     # ------------------------------------------------------------------

@@ -430,11 +430,6 @@ class QGraphEngine:
     def now(self) -> float:
         return self.queue.now
 
-    @property
-    def pending(self) -> List[Query]:
-        """Snapshot of queries waiting in the admission queue."""
-        return self.scheduler.pending_queries()
-
     def query_result(self, query_id: int) -> Any:
         """Answer of a finished query."""
         qr = self.runtimes.get(query_id)
@@ -1120,18 +1115,14 @@ class QGraphEngine:
         )
 
     def _reduce_aggregators(self, qr: QueryRuntime) -> None:
-        """Fold every worker's partials into the committed values.  A
-        partial that holds no contribution (``None``: the worker computed
-        but contributed nothing) is skipped — ``reduce_aggregator`` returns
-        the committed value unchanged for it."""
+        """Fold every worker's partials into the committed values.  Only a
+        worker that contributed has a partial, and it holds only the
+        aggregators it contributed to."""
         specs = qr.agg_specs
         committed = qr.agg_committed
         for partials in qr.agg_partials.values():
             for name, partial in partials.items():
-                if partial:
-                    committed[name] = reduce_aggregator(
-                        specs[name], committed[name], partial
-                    )
+                committed[name] = reduce_aggregator(specs[name], committed[name], partial)
         qr.agg_partials.clear()
 
     def _finish_query(self, query_id: int, now: float) -> None:

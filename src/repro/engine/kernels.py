@@ -33,6 +33,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 import numpy as np
 
+from repro.engine.vertex_program import AggregatorSpec, reduce_aggregator
 from repro.errors import EngineError
 from repro.graph.digraph import DiGraph
 
@@ -81,17 +82,25 @@ def combine_by_vertex(
     return sv[starts], combine.reduceat(sm, starts)
 
 
-def contribute_partial(agg_partial: Dict[str, Any], name: str, value: Any) -> None:
-    """Add one contribution to a worker's aggregator partial.
+def contribute_partial(
+    agg_partials: Dict[int, Dict[str, Any]],
+    worker: int,
+    specs: Dict[str, AggregatorSpec],
+    name: str,
+    values: Tuple[Any, ...],
+) -> None:
+    """Fold one worker's ``values`` for aggregator ``name`` into one
+    contribution to that worker's partial.
 
-    Mirrors :meth:`ComputeContext.aggregate`: partials are ``None`` or a
-    tuple of contributions, folded by ``reduce_aggregator`` at the barrier.
+    Mirrors :meth:`ComputeContext.aggregate`: a worker's partial is created
+    at its first contribution and holds a tuple of contributions per
+    aggregator, folded by ``reduce_aggregator`` at the barrier.
     """
-    if name not in agg_partial:
+    spec = specs.get(name)
+    if spec is None:
         raise EngineError(f"unknown aggregator {name!r}")
-    agg_partial[name] = (
-        (value,) if agg_partial[name] is None else agg_partial[name] + (value,)
-    )
+    partial = agg_partials.setdefault(worker, {})
+    partial[name] = partial.get(name, ()) + (reduce_aggregator(spec, None, values),)
 
 
 def group_by_owner(

@@ -105,11 +105,9 @@ class ComputeContext:
 
     def aggregate(self, name: str, value: Any) -> None:
         """Contribute ``value`` to aggregator ``name`` (visible next iteration)."""
-        if name not in self._agg_partial:
+        if name not in self._agg_committed:
             raise EngineError(f"unknown aggregator {name!r}")
-        self._agg_partial[name] = (value,) if self._agg_partial[name] is None else (
-            self._agg_partial[name] + (value,)
-        )
+        self._agg_partial[name] = self._agg_partial.get(name, ()) + (value,)
 
     def aggregated(self, name: str) -> Any:
         """Aggregator value committed at the previous barrier (or identity)."""

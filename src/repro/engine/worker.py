@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.engine.kernels import ArrayMailbox, contribute_partial, group_by_owner
 from repro.engine.query import QueryRuntime
-from repro.engine.vertex_program import ComputeContext, reduce_aggregator
+from repro.engine.vertex_program import ComputeContext
 from repro.graph.digraph import DiGraph
 from repro.simulation.cluster import MachineProfile
 
@@ -110,9 +110,7 @@ class SimWorker:
             return IterationResult(0, 0, remote_inbound, 0, [])
 
         program = qr.query.program
-        agg_partial = qr.agg_partials.setdefault(self.wid, {})
-        for name in qr.agg_committed:
-            agg_partial.setdefault(name, None)
+        agg_partial = qr.agg_partials.get(self.wid, {})
         ctx = ComputeContext(graph, qr.agg_committed, agg_partial)
 
         executed = visited = 0
@@ -136,6 +134,9 @@ class SimWorker:
                         qr.pending_remote_inbound.get(owner, 0) + 1
                     )
         self.vertex_executions += executed
+        if agg_partial:
+            # created at the first contribution, like the kernel path's
+            qr.agg_partials[self.wid] = agg_partial
         if activated:
             qr.activated.append(np.array(activated, dtype=np.int64))
         remote = [
@@ -180,16 +181,7 @@ class SimWorker:
         kernel = qr.kernel
         r = len(run)
         k = len(workers)
-        boxes = []
-        for wid in run:
-            box = qr.mailboxes.pop(wid, None)
-            if box:
-                agg_partial = qr.agg_partials.setdefault(wid, {})
-                for name in qr.agg_committed:
-                    agg_partial.setdefault(name, None)
-            else:
-                box = ArrayMailbox()
-            boxes.append(box)
+        boxes = [qr.mailboxes.pop(wid, None) or ArrayMailbox() for wid in run]
 
         # combine: one stable sort on the (run position, vertex) key; a lone
         # member's key is the vertex itself
@@ -222,15 +214,12 @@ class SimWorker:
         # are folded with the program's own reduce function (they are rare —
         # a target or tagged vertex improved — so this is a plain loop)
         for name, (positions, values) in contribs.items():
-            spec = qr.agg_specs[name]
             by_member: Dict[int, List[Any]] = {}
             for member, value in zip(member_of[positions].tolist(), values.tolist()):
                 by_member.setdefault(member, []).append(value)
             for member, member_values in by_member.items():
                 contribute_partial(
-                    qr.agg_partials[run[member]],
-                    name,
-                    reduce_aggregator(spec, None, tuple(member_values)),
+                    qr.agg_partials, run[member], qr.agg_specs, name, tuple(member_values)
                 )
 
         # count by (member, destination), route by destination alone.  The

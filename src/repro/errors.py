@@ -16,10 +16,6 @@ class GraphError(ReproError):
     """Raised for malformed graph construction or out-of-range vertex ids."""
 
 
-class GraphFormatError(GraphError):
-    """Raised when a persisted graph file cannot be parsed."""
-
-
 class PartitioningError(ReproError):
     """Raised when a partitioner receives inconsistent inputs
     (e.g. ``k`` larger than the vertex count, or an unbalanced request

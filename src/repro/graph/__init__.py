@@ -1,4 +1,4 @@
-"""Graph substrate: CSR storage, builders, IO, generators, metrics."""
+"""Graph substrate: CSR storage, builders, mutation, generators, metrics."""
 
 from repro.graph.builder import GraphBuilder, csr_arrays_from_edges
 from repro.graph.delta import (
@@ -14,21 +14,15 @@ from repro.graph.generators import (
     NY_DISTRICT_NAMES,
     NY_QUERY_SCOPES,
     barabasi_albert,
-    erdos_renyi,
     grid_graph,
     new_york_districts,
-    random_geometric,
     rmat_graph,
     watts_strogatz,
 )
-from repro.graph.io import load_edge_list, load_npz, save_edge_list, save_npz
 from repro.graph.metrics import (
-    edge_balance,
     edge_cut,
     partition_sizes,
-    replication_factor,
     vertex_balance,
-    vertex_cut,
 )
 from repro.graph.road_network import (
     City,
@@ -53,20 +47,11 @@ __all__ = [
     "NY_DISTRICT_NAMES",
     "NY_QUERY_SCOPES",
     "grid_graph",
-    "erdos_renyi",
-    "random_geometric",
     "watts_strogatz",
     "barabasi_albert",
-    "load_edge_list",
-    "save_edge_list",
-    "load_npz",
-    "save_npz",
     "edge_cut",
-    "vertex_cut",
     "vertex_balance",
-    "edge_balance",
     "partition_sizes",
-    "replication_factor",
     "City",
     "RoadNetwork",
     "generate_road_network",

@@ -44,7 +44,7 @@ def csr_arrays_from_edges(
     Edges are ordered by ``(src, dst)`` lexicographically, parallel edges
     in the order given.  This is *the* construction every CSR producer
     shares (:meth:`GraphBuilder.build`, the churn layer's
-    :meth:`~repro.graph.delta.MutableDiGraph.flush` rebuild and its
+    :meth:`~repro.graph.delta.MutableDiGraph.apply_delta` rebuild and its
     :func:`~repro.graph.delta.fresh_rebuild` oracle), so a rebuilt graph is
     array-for-array identical to fresh construction by design rather than
     by parallel-maintained copies.

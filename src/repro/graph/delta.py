@@ -1,4 +1,4 @@
-"""Streaming topology mutation: delta buffers over the CSR graph.
+"""Streaming topology mutation: deltas applied to the CSR graph.
 
 The reproduction's :class:`~repro.graph.digraph.DiGraph` is immutable — the
 right call for the steady-state hot path, where the kernels want stable CSR
@@ -10,7 +10,7 @@ This module adds mutation as a layer on top of the CSR substrate instead of
 rewriting it:
 
 :class:`GraphDelta`
-    A batched buffer of topology mutations — edge inserts, edge deletes,
+    A batch of topology mutations — edge inserts, edge deletes,
     weight updates, vertex additions (:class:`NewVertexSpec`) and vertex
     removals.  Deltas are plain data: workload generators build them against
     the initial topology and the engine applies them later, so application
@@ -19,17 +19,16 @@ rewriting it:
     an error (exactly like a road authority's change feed).
 
 :class:`MutableDiGraph`
-    A :class:`DiGraph` subclass with a pending-delta buffer and a periodic
-    CSR rebuild.  Mutations accumulate in the buffer; :meth:`~MutableDiGraph.flush`
-    rebuilds the forward CSR (in the same ``(src, dst)`` lexicographic order
+    A :class:`DiGraph` subclass whose :meth:`~MutableDiGraph.apply_delta`
+    applies one delta in one CSR rebuild: the forward CSR is rebuilt (in
+    the same ``(src, dst)`` lexicographic order
     :class:`~repro.graph.builder.GraphBuilder` produces, so a rebuilt graph
     is array-for-array identical to fresh construction from the same edge
-    list) and invalidates the cached
-    :meth:`~repro.graph.digraph.DiGraph.csr` / ``csr_in`` views the kernels
-    and batched partitioners hold.  The reverse CSR is not rebuilt: it is
-    derived again on the next in-adjacency read, so churn epochs that no
-    partitioner reads between cost no reverse build.  Reads always reflect
-    the last flush.
+    list) and the cached :meth:`~repro.graph.digraph.DiGraph.csr` /
+    ``csr_in`` views the kernels and batched partitioners hold are
+    invalidated.  The reverse CSR is not rebuilt: it is derived again on the
+    next in-adjacency read, so churn epochs that no partitioner reads
+    between cost no reverse build.
 
 Vertex removal is by *tombstone*: the id space ``0 .. n-1`` stays dense
 (everything downstream — assignment arrays, kernel state buffers, scope
@@ -37,7 +36,7 @@ stores — indexes by vertex id), the vertex keeps its slot but loses all
 incident edges and is marked dead in :attr:`MutableDiGraph.dead_mask`.
 Vertex addition appends fresh ids at the end; callers that hold per-vertex
 dense state (the engine's assignment, the kernels' distance buffers) grow
-their arrays when :meth:`MutableDiGraph.flush` reports growth.
+their arrays when :meth:`MutableDiGraph.apply_delta` reports growth.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ class NewVertexSpec:
 
 @dataclass
 class GraphDelta:
-    """A batch of topology mutations, applied atomically by one flush."""
+    """A batch of topology mutations, applied atomically by one rebuild."""
 
     #: ``(u, v, weight)`` directed edges to insert
     insert_edges: List[Tuple[int, int, float]] = field(default_factory=list)
@@ -97,33 +96,15 @@ class GraphDelta:
             or self.remove_vertices
         )
 
-    @property
-    def num_mutations(self) -> int:
-        return (
-            len(self.insert_edges)
-            + len(self.delete_edges)
-            + len(self.update_weights)
-            + len(self.new_vertices)
-            + len(self.remove_vertices)
-        )
-
-    def merge(self, other: "GraphDelta") -> None:
-        """Append another delta's mutations (application order preserved)."""
-        self.insert_edges.extend(other.insert_edges)
-        self.delete_edges.extend(other.delete_edges)
-        self.update_weights.extend(other.update_weights)
-        self.new_vertices.extend(other.new_vertices)
-        self.remove_vertices.extend(other.remove_vertices)
-
 
 @dataclass(frozen=True)
 class DeltaResult:
-    """What one flush actually changed (after tolerance filtering)."""
+    """What one rebuild actually changed (after tolerance filtering)."""
 
     #: id of the first appended vertex (``None`` when none were added)
     first_new_vertex: Optional[int] = None
     added_vertices: int = 0
-    #: ids newly tombstoned by this flush
+    #: ids newly tombstoned by this rebuild
     removed_vertices: Tuple[int, ...] = ()
     inserted_edges: int = 0
     deleted_edges: int = 0
@@ -142,38 +123,28 @@ class DeltaResult:
 
 
 class MutableDiGraph(DiGraph):
-    """A CSR graph with buffered mutations and periodic rebuilds.
+    """A CSR graph that :meth:`apply_delta` rebuilds, one delta at a time.
 
-    Mutation methods append to a pending :class:`GraphDelta`;
-    :meth:`flush` applies the buffer in one vectorized rebuild of the
-    forward CSR.  The cached ``csr()`` view and the in-adjacency behind
-    ``csr_in()`` are dropped on every rebuild (this is the mutating
-    subclass :meth:`DiGraph._invalidate_csr` anticipated) and rebuilt on
-    their next read, so kernel iterations dispatched after a flush see the
-    new topology while borrowed views from before the flush keep
-    referencing the old arrays — never a torn state.
-
-    ``auto_flush_threshold`` bounds the buffer: exceeding it triggers a
-    flush on the next mutation, so interactive use cannot accumulate an
-    unbounded delta.  The engine flushes explicitly at every
+    The cached ``csr()`` view and the in-adjacency behind ``csr_in()`` are
+    dropped on every rebuild (this is the mutating subclass
+    :meth:`DiGraph._invalidate_csr` anticipated) and rebuilt on their next
+    read, so kernel iterations dispatched after a rebuild see the new
+    topology while borrowed views from before it keep referencing the old
+    arrays — never a torn state.  The engine applies one delta at every
     ``graph_update`` event (one event = one churn epoch).
     """
 
-    __slots__ = ("_pending", "_dead", "auto_flush_threshold", "churn_epochs")
+    __slots__ = ("_dead", "churn_epochs")
 
-    def __init__(self, *args, auto_flush_threshold: int = 100_000, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._pending = GraphDelta()
         self._dead = np.zeros(self.num_vertices, dtype=bool)
-        self.auto_flush_threshold = int(auto_flush_threshold)
-        #: completed flushes that changed anything
+        #: completed rebuilds that changed anything
         self.churn_epochs = 0
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_digraph(
-        cls, graph: DiGraph, auto_flush_threshold: int = 100_000
-    ) -> "MutableDiGraph":
+    def from_digraph(cls, graph: DiGraph) -> "MutableDiGraph":
         """A mutable deep copy of an (immutable) graph.
 
         Copies the CSR arrays so mutating never corrupts the source — the
@@ -188,91 +159,35 @@ class MutableDiGraph(DiGraph):
             coords=coords,
             tags=tags,
             name=graph.name,
-            auto_flush_threshold=auto_flush_threshold,
         )
         if isinstance(graph, MutableDiGraph):
             out._dead = graph.dead_mask.copy()
-            # buffered-but-unflushed mutations are part of the source's
-            # logical state; the entries are immutable tuples/specs, so
-            # extending a fresh delta with them is a safe deep-enough copy
-            out._pending.merge(graph._pending)
         return out
 
-    # ------------------------------------------------------------------
-    # mutation buffer
-    # ------------------------------------------------------------------
     @property
     def dead_mask(self) -> np.ndarray:
-        """Boolean tombstone mask (read-only view; reflects the last flush)."""
+        """Boolean tombstone mask (read-only view)."""
         return self._dead
-
-    @property
-    def num_live_vertices(self) -> int:
-        return int(self.num_vertices - np.count_nonzero(self._dead))
-
-    @property
-    def pending_mutations(self) -> int:
-        return self._pending.num_mutations
-
-    def _maybe_auto_flush(self) -> None:
-        if self._pending.num_mutations >= self.auto_flush_threshold:
-            self.flush()
-
-    def insert_edge(self, u: int, v: int, weight: float = 1.0) -> None:
-        """Buffer a directed edge insertion."""
-        if weight < 0:
-            raise GraphError("negative edge weights are not supported")
-        self._pending.insert_edges.append((int(u), int(v), float(weight)))
-        self._maybe_auto_flush()
-
-    def delete_edge(self, u: int, v: int) -> None:
-        """Buffer the deletion of all parallel ``u -> v`` edges."""
-        self._pending.delete_edges.append((int(u), int(v)))
-        self._maybe_auto_flush()
-
-    def update_weight(self, u: int, v: int, weight: float) -> None:
-        """Buffer a weight change for all parallel ``u -> v`` edges."""
-        if weight < 0:
-            raise GraphError("negative edge weights are not supported")
-        self._pending.update_weights.append((int(u), int(v), float(weight)))
-        self._maybe_auto_flush()
-
-    def add_vertex(self, spec: NewVertexSpec) -> None:
-        """Buffer a vertex addition (id assigned at the next flush)."""
-        self._pending.new_vertices.append(spec)
-        self._maybe_auto_flush()
-
-    def remove_vertex(self, v: int) -> None:
-        """Buffer a vertex tombstone (drops all incident edges at flush)."""
-        self._pending.remove_vertices.append(int(v))
-        self._maybe_auto_flush()
-
-    def apply_delta(self, delta: GraphDelta) -> DeltaResult:
-        """Buffer ``delta`` and flush immediately (one churn epoch)."""
-        self._pending.merge(delta)
-        return self.flush()
 
     # ------------------------------------------------------------------
     # the rebuild
     # ------------------------------------------------------------------
-    def flush(self) -> DeltaResult:
-        """Apply the pending buffer in one vectorized CSR rebuild.
+    def apply_delta(self, delta: GraphDelta) -> DeltaResult:
+        """Apply ``delta`` in one vectorized CSR rebuild (one churn epoch).
 
         Ordering matters only between conflicting mutations on the same
-        edge; the application order within one flush is: weight updates,
+        edge; the application order within one delta is: weight updates,
         deletions, vertex removals, then insertions / vertex additions (a
         delta that deletes and re-inserts the same edge ends up with the
         edge present).
         """
-        delta = self._pending
-        self._pending = GraphDelta()
         if not delta:
             return DeltaResult()
 
         # negative weights violate the graph invariant everywhere else
-        # (constructor, builder, the buffering mutation methods) — a delta
-        # carrying one is a programming error, not a change-feed conflict,
-        # so reject it up front before any state is touched
+        # (constructor, builder) — a delta carrying one is a programming
+        # error, not a change-feed conflict, so reject it up front before
+        # any state is touched
         negative = (
             any(wt < 0 for _u, _v, wt in delta.update_weights)
             or any(wt < 0 for _u, _v, wt in delta.insert_edges)
@@ -289,7 +204,7 @@ class MutableDiGraph(DiGraph):
         # encoded (u, v) edge keys, ascending: the CSR is in canonical
         # (src, dst) order (csr_arrays_from_edges), so weight updates and
         # deletions binary-search them as they stand.  Only a graph handed
-        # to the constructor with unsorted rows, before its first flush,
+        # to the constructor with unsorted rows, before its first rebuild,
         # needs sorting — by the rebuild's own stable order, so the result
         # is the same
         keys = edge_keys(src, dst, old_n)
@@ -309,7 +224,7 @@ class MutableDiGraph(DiGraph):
                 first = np.searchsorted(keys, want, side="left").tolist()
                 last = np.searchsorted(keys, want, side="right").tolist()
                 # applied in delta order: the last update to the same (u, v)
-                # within one flush wins
+                # within one delta wins
                 for lo, hi, weight in zip(first, last, uw.tolist()):
                     if lo == hi:
                         skipped += 1
@@ -339,7 +254,8 @@ class MutableDiGraph(DiGraph):
         newly_dead: Tuple[int, ...] = ()
         if delta.remove_vertices:
             rv = sorted_unique(np.asarray(delta.remove_vertices, dtype=np.int64))
-            valid = (rv >= 0) & (rv < old_n) & ~self._dead[rv]
+            valid = (rv >= 0) & (rv < old_n)
+            valid[valid] = ~self._dead[rv[valid]]
             skipped += int(np.count_nonzero(~valid))
             rv = rv[valid]
             if rv.size:
@@ -422,8 +338,7 @@ class MutableDiGraph(DiGraph):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"MutableDiGraph(name={self.name!r}, n={self.num_vertices}, "
-            f"m={self.num_edges}, dead={int(np.count_nonzero(self._dead))}, "
-            f"pending={self.pending_mutations})"
+            f"m={self.num_edges}, dead={int(np.count_nonzero(self._dead))})"
         )
 
 
@@ -453,7 +368,7 @@ def fresh_rebuild(graph: DiGraph) -> DiGraph:
 
     Uses the same array pipeline as :class:`~repro.graph.builder.GraphBuilder`
     (stable sort by ``(src, dst)``); the churn-equivalence tests assert a
-    flushed :class:`MutableDiGraph` matches this array-for-array.
+    rebuilt :class:`MutableDiGraph` matches this array-for-array.
     """
     src, dst, w = graph.edge_array()
     n = graph.num_vertices

@@ -28,7 +28,7 @@ used by the reproduction:
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -324,13 +324,6 @@ class DiGraph:
         self._check_vertex(u)
         self._check_vertex(v)
         return float(np.linalg.norm(self._coords[u] - self._coords[v]))
-
-    def subgraph_edge_count(self, vertex_set: Sequence[int]) -> int:
-        """Number of edges with both endpoints inside ``vertex_set``."""
-        members = np.zeros(self.num_vertices, dtype=bool)
-        members[np.asarray(list(vertex_set), dtype=np.int64)] = True
-        sources, targets, _ = self.edge_array()
-        return int(np.count_nonzero(members[sources] & members[targets]))
 
     # ------------------------------------------------------------------
     # dunder

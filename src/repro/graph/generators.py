@@ -35,8 +35,6 @@ __all__ = [
     "NY_CUTS",
     "NY_QUERY_SCOPES",
     "grid_graph",
-    "erdos_renyi",
-    "random_geometric",
     "watts_strogatz",
     "barabasi_albert",
     "rmat_graph",
@@ -141,55 +139,6 @@ def grid_graph(rows: int, cols: int, weight: float = 1.0) -> DiGraph:
             if r + 1 < rows:
                 builder.add_bidirectional_edge(v, v + cols, weight)
     return builder.build(name=f"grid-{rows}x{cols}")
-
-
-def erdos_renyi(n: int, p: float, seed: int = 0, weight: float = 1.0) -> DiGraph:
-    """G(n, p) random directed graph (both directions sampled independently)."""
-    if not 0.0 <= p <= 1.0:
-        raise GraphError("p must be in [0, 1]")
-    rng = np.random.default_rng(seed)
-    builder = GraphBuilder(n)
-    # Vectorised sampling of the adjacency matrix upper/lower triangles would
-    # need O(n^2) memory for large n; sample per-row instead.
-    for u in range(n):
-        draws = rng.random(n)
-        targets = np.flatnonzero(draws < p)
-        for v in targets:
-            if v != u:
-                builder.add_edge(u, int(v), weight)
-    return builder.build(name=f"er-{n}-{p}")
-
-
-def random_geometric(
-    n: int, radius: float, seed: int = 0, box: float = 1.0
-) -> DiGraph:
-    """Random geometric graph: vertices uniform in a box, edges within radius.
-
-    Edge weights are the Euclidean distances, making the graph a reasonable
-    unit-disk stand-in for ad-hoc spatial networks.
-    """
-    rng = np.random.default_rng(seed)
-    pts = rng.random((n, 2)) * box
-    builder = GraphBuilder(n)
-    for v in range(n):
-        builder.set_coord(v, pts[v, 0], pts[v, 1])
-    # simple cell-grid spatial index to stay near O(n) for sparse radii
-    cell = max(radius, 1e-12)
-    grid: Dict[Tuple[int, int], List[int]] = {}
-    for v in range(n):
-        key = (int(pts[v, 0] / cell), int(pts[v, 1] / cell))
-        grid.setdefault(key, []).append(v)
-    for v in range(n):
-        cx, cy = int(pts[v, 0] / cell), int(pts[v, 1] / cell)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for u in grid.get((cx + dx, cy + dy), ()):
-                    if u <= v:
-                        continue
-                    d = float(np.linalg.norm(pts[u] - pts[v]))
-                    if d <= radius:
-                        builder.add_bidirectional_edge(v, u, d)
-    return builder.build(name=f"rgg-{n}")
 
 
 def watts_strogatz(

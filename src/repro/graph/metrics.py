@@ -1,28 +1,19 @@
 """Partitioning-quality metrics on graphs.
 
-These are the classic *query-agnostic* metrics (edge-cut, vertex-cut,
-vertex/edge balance) that the paper's Figure 1 contrasts against the
-*query-aware* query-cut metric (which lives in :mod:`repro.core.cost`
-because it needs query scopes, not just structure).
+These are the classic *query-agnostic* metrics (edge-cut, vertex balance)
+that the paper's Figure 1 contrasts against the *query-aware* query-cut
+metric (which lives in :mod:`repro.core.cost` because it needs query
+scopes, not just structure).
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 import numpy as np
 
 from repro.errors import PartitioningError
 from repro.graph.digraph import DiGraph
 
-__all__ = [
-    "edge_cut",
-    "vertex_cut",
-    "vertex_balance",
-    "edge_balance",
-    "partition_sizes",
-    "replication_factor",
-]
+__all__ = ["edge_cut", "vertex_balance", "partition_sizes"]
 
 
 def _validate_assignment(graph: DiGraph, assignment: np.ndarray) -> np.ndarray:
@@ -43,21 +34,6 @@ def edge_cut(graph: DiGraph, assignment: np.ndarray) -> int:
     return int(np.count_nonzero(assignment[sources] != assignment[targets]))
 
 
-def vertex_cut(graph: DiGraph, assignment: np.ndarray) -> int:
-    """Number of vertices with at least one neighbour on a different worker.
-
-    This is the (edge-partitioning dual) metric PowerGraph-style systems
-    minimise; for a vertex partitioning it counts frontier vertices.
-    """
-    assignment = _validate_assignment(graph, assignment)
-    sources, targets, _ = graph.edge_array()
-    boundary = assignment[sources] != assignment[targets]
-    cut_vertices = np.zeros(graph.num_vertices, dtype=bool)
-    cut_vertices[sources[boundary]] = True
-    cut_vertices[targets[boundary]] = True
-    return int(np.count_nonzero(cut_vertices))
-
-
 def partition_sizes(graph: DiGraph, assignment: np.ndarray, k: int) -> np.ndarray:
     """Vertices per worker as a length-``k`` vector."""
     assignment = _validate_assignment(graph, assignment)
@@ -73,39 +49,3 @@ def vertex_balance(graph: DiGraph, assignment: np.ndarray, k: int) -> float:
     if mean == 0:
         return 1.0
     return float(sizes.max() / mean)
-
-
-def edge_balance(graph: DiGraph, assignment: np.ndarray, k: int) -> float:
-    """Max/mean out-edge-count ratio across workers; 1.0 is perfect."""
-    assignment = _validate_assignment(graph, assignment)
-    if assignment.size and assignment.max() >= k:
-        raise PartitioningError("assignment references worker >= k")
-    sources, _, _ = graph.edge_array()
-    counts = np.bincount(assignment[sources], minlength=k).astype(np.float64)
-    mean = counts.mean()
-    if mean == 0:
-        return 1.0
-    return float(counts.max() / mean)
-
-
-def replication_factor(graph: DiGraph, assignment: np.ndarray) -> float:
-    """Average number of distinct workers adjacent to a vertex (incl. its own).
-
-    Used when discussing the future-work item of partial vertex replication
-    (§6 of the paper): a lower replication factor means cheaper mirroring.
-    """
-    assignment = _validate_assignment(graph, assignment)
-    n = graph.num_vertices
-    if n == 0:
-        return 0.0
-    sources, targets, _ = graph.edge_array()
-    owners: Dict[int, set] = {}
-    for u, v in zip(sources.tolist(), targets.tolist()):
-        owners.setdefault(u, set()).add(int(assignment[v]))
-        owners.setdefault(v, set()).add(int(assignment[u]))
-    total = 0
-    for v in range(n):
-        touching = owners.get(v, set())
-        touching.add(int(assignment[v]))
-        total += len(touching)
-    return total / n

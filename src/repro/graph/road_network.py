@@ -90,11 +90,6 @@ class RoadNetwork:
         pops = np.array([c.population for c in self.cities], dtype=np.float64)
         return pops / pops.sum()
 
-    def nearest_city(self, x: float, y: float) -> int:
-        """Id of the city whose centre is closest to ``(x, y)``."""
-        centers = np.array([c.center for c in self.cities])
-        return int(np.argmin(np.hypot(centers[:, 0] - x, centers[:, 1] - y)))
-
 
 def _zipf_populations(
     num_cities: int, total_population: int, exponent: float, rng: np.random.Generator

@@ -6,7 +6,6 @@ from repro.partitioning.domain_partitioner import (
     DomainPartitioner,
     group_cities_geographically,
 )
-from repro.partitioning.fennel import FennelPartitioner
 from repro.partitioning.hash_partitioner import HashPartitioner
 from repro.partitioning.ldg import LdgPartitioner, ldg_place_vertices
 
@@ -18,6 +17,5 @@ __all__ = [
     "group_cities_geographically",
     "LdgPartitioner",
     "ldg_place_vertices",
-    "FennelPartitioner",
     "BfsRegionPartitioner",
 ]

@@ -8,7 +8,7 @@ stream; vertex ``v`` goes to the partition maximising
 
     |N(v) ∩ P_i| * (1 - |P_i| / C)
 
-where ``C = (1 + slack) * n / k`` is the per-partition capacity.  Ties are
+where ``C = (1 + SLACK) * n / k`` is the per-partition capacity.  Ties are
 broken toward the smaller partition, then the lower index (deterministic).
 
 :meth:`~LdgPartitioner.partition` is *batched*: the stream is processed in
@@ -19,8 +19,6 @@ over its slice.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from repro.graph.digraph import DiGraph
@@ -28,13 +26,15 @@ from repro.partitioning.base import Partitioner, iter_neighbor_chunks
 
 __all__ = ["LdgPartitioner", "ldg_place_vertices"]
 
+#: capacity slack: a partition holds at most ``(1 + SLACK) * n / k`` vertices
+SLACK = 0.1
+
 
 def ldg_place_vertices(
     graph: DiGraph,
     new_ids: np.ndarray,
     assignment: np.ndarray,
     k: int,
-    slack: float = 0.1,
 ) -> np.ndarray:
     """Streaming LDG placement of vertices appended to a running system.
 
@@ -53,7 +53,7 @@ def ldg_place_vertices(
     new_ids = np.asarray(new_ids, dtype=np.int64)
     sizes = np.bincount(assignment, minlength=k)[:k].astype(np.int64)
     total = assignment.size + new_ids.size
-    capacity = (1.0 + slack) * total / k if total else 1.0
+    capacity = (1.0 + SLACK) * total / k if total else 1.0
     combined = np.full(graph.num_vertices, -1, dtype=np.int64)
     combined[: assignment.size] = assignment
     out = graph.csr()
@@ -100,66 +100,20 @@ def _place(owners: np.ndarray, sizes: np.ndarray, capacity: float, k: int) -> in
 
 
 class LdgPartitioner(Partitioner):
-    """Streaming LDG with configurable stream order.
-
-    Parameters
-    ----------
-    slack:
-        Capacity slack; capacity per partition is ``(1 + slack) * n / k``.
-    order:
-        ``"natural"`` (vertex id order — spatially correlated for our road
-        networks, the favourable case), ``"random"``, or ``"bfs"``.
-    """
+    """Streaming LDG over the vertices in id order — spatially correlated
+    for our road networks, the favourable case."""
 
     name = "ldg"
 
-    def __init__(self, slack: float = 0.1, order: str = "natural", seed: int = 0) -> None:
-        if order not in ("natural", "random", "bfs"):
-            raise ValueError(f"unknown stream order {order!r}")
-        self.slack = float(slack)
-        self.order = order
-        self.seed = int(seed)
-
-    # ------------------------------------------------------------------
-    def _stream(self, graph: DiGraph) -> np.ndarray:
-        n = graph.num_vertices
-        if self.order == "natural":
-            return np.arange(n, dtype=np.int64)
-        if self.order == "random":
-            rng = np.random.default_rng(self.seed)
-            return rng.permutation(n).astype(np.int64)
-        return np.asarray(self._bfs_order(graph), dtype=np.int64)
-
-    def _bfs_order(self, graph: DiGraph) -> Iterable[int]:
-        n = graph.num_vertices
-        seen = np.zeros(n, dtype=bool)
-        order = []
-        from collections import deque
-
-        for root in range(n):
-            if seen[root]:
-                continue
-            seen[root] = True
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                order.append(u)
-                for v in graph.out_neighbors(u):
-                    if not seen[v]:
-                        seen[v] = True
-                        queue.append(int(v))
-        return order
-
-    # ------------------------------------------------------------------
     def partition(self, graph: DiGraph, k: int) -> np.ndarray:
         self._check_k(graph, k)
         n = graph.num_vertices
         assignment = np.full(n, -1, dtype=np.int64)
         sizes = np.zeros(k, dtype=np.int64)
-        capacity = (1.0 + self.slack) * n / k if n else 1.0
+        capacity = (1.0 + SLACK) * n / k if n else 1.0
 
         for chunk, neighbors, offsets in iter_neighbor_chunks(
-            graph, self._stream(graph)
+            graph, np.arange(n, dtype=np.int64)
         ):
             for i in range(chunk.size):
                 owners = assignment[neighbors[offsets[i] : offsets[i + 1]]]

@@ -5,12 +5,11 @@ from repro.queries.khop import KHopProgram
 from repro.queries.pagerank_local import LocalPageRankProgram
 from repro.queries.poi import PoiProgram
 from repro.queries.reachability import ReachabilityProgram
-from repro.queries.sssp import SsspProgram, sssp_query_result
+from repro.queries.sssp import SsspProgram
 from repro.queries.wcc_local import LocalWccProgram
 
 __all__ = [
     "SsspProgram",
-    "sssp_query_result",
     "PoiProgram",
     "BfsProgram",
     "LocalPageRankProgram",

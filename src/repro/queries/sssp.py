@@ -25,7 +25,7 @@ from repro.engine.vertex_program import ComputeContext, VertexProgram
 from repro.errors import QueryError
 from repro.graph.digraph import DiGraph
 
-__all__ = ["SsspProgram", "sssp_query_result"]
+__all__ = ["SsspProgram"]
 
 
 class SsspProgram(VertexProgram):
@@ -100,9 +100,3 @@ class SsspProgram(VertexProgram):
         else:
             out["distances"] = dict(state)
         return out
-
-
-def sssp_query_result(engine, query_id: int) -> Optional[float]:
-    """Convenience: the target distance of a finished SSSP query."""
-    result = engine.query_result(query_id)
-    return result.get("distance")

@@ -6,9 +6,8 @@ vectorized paths replaced, kept only to check those paths against.
   :class:`~repro.core.scopes.ScopeStore`;
 * :func:`reference_snapshot` / :func:`reference_controller` — the set-based
   Q-cut snapshot builder behind ``Controller._build_snapshot``;
-* :func:`ldg_partition_reference` / :func:`fennel_partition_reference` —
-  the per-neighbour scoring loops behind the batched LDG and FENNEL
-  partitioners;
+* :func:`ldg_partition_reference` — the per-neighbour scoring loop behind
+  the batched LDG partitioner;
 * :func:`ldg_place_vertices_reference` — churn's new-vertex placement
   reading in-neighbours from the reverse CSR, behind
   :func:`~repro.partitioning.ldg.ldg_place_vertices`' forward-CSR pass;
@@ -36,7 +35,8 @@ from repro.core.state import Fragment
 from repro.engine import VertexProgram
 from repro.graph.builder import csr_arrays_from_edges
 from repro.graph.digraph import DiGraph
-from repro.partitioning import FennelPartitioner, LdgPartitioner
+from repro.partitioning import LdgPartitioner
+from repro.partitioning.ldg import SLACK
 
 
 # ----------------------------------------------------------------------
@@ -204,8 +204,8 @@ def ldg_partition_reference(
     n = graph.num_vertices
     assignment = np.full(n, -1, dtype=np.int64)
     sizes = np.zeros(k, dtype=np.int64)
-    capacity = (1.0 + partitioner.slack) * n / k if n else 1.0
-    for v in partitioner._stream(graph):
+    capacity = (1.0 + SLACK) * n / k if n else 1.0
+    for v in range(n):
         penalty = 1.0 - sizes / capacity
         scores = _neighbor_counts(graph, v, assignment, k) * np.maximum(penalty, 0.0)
         best = np.flatnonzero(scores == scores.max())
@@ -224,13 +224,12 @@ def ldg_place_vertices_reference(
     new_ids: np.ndarray,
     assignment: np.ndarray,
     k: int,
-    slack: float = 0.1,
 ) -> np.ndarray:
     """Streaming LDG placement of appended vertices with a per-neighbour
     scoring loop over ``out_neighbors`` and ``in_neighbors``."""
     sizes = np.bincount(assignment, minlength=k)[:k].astype(np.int64)
     total = assignment.size + len(new_ids)
-    capacity = (1.0 + slack) * total / k if total else 1.0
+    capacity = (1.0 + SLACK) * total / k if total else 1.0
     combined = np.full(graph.num_vertices, -1, dtype=np.int64)
     combined[: assignment.size] = assignment
     placed = []
@@ -247,32 +246,6 @@ def ldg_place_vertices_reference(
         sizes[choice] += 1
         placed.append(choice)
     return np.asarray(placed, dtype=np.int64)
-
-
-def fennel_partition_reference(
-    partitioner: FennelPartitioner, graph: DiGraph, k: int
-) -> np.ndarray:
-    """FENNEL with a per-neighbour scoring loop."""
-    partitioner._check_k(graph, k)
-    n = graph.num_vertices
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    gamma = partitioner.gamma
-    alpha = np.sqrt(k) * graph.num_edges / max(n**1.5, 1.0)
-    capacity = (1.0 + partitioner.balance_slack) * n / k
-    assignment = np.full(n, -1, dtype=np.int64)
-    sizes = np.zeros(k, dtype=np.float64)
-    for v in partitioner._stream(graph):
-        penalty = alpha * gamma * np.power(np.maximum(sizes, 0.0), gamma - 1.0)
-        scores = _neighbor_counts(graph, v, assignment, k) - penalty
-        scores[sizes >= capacity] = -np.inf
-        best = np.flatnonzero(scores == scores.max())
-        if best.size > 1:
-            best = best[np.argsort(sizes[best], kind="stable")]
-        choice = int(best[0])
-        assignment[v] = choice
-        sizes[choice] += 1.0
-    return assignment
 
 
 # ----------------------------------------------------------------------

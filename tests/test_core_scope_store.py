@@ -167,13 +167,17 @@ class TestStoreEquivalence:
         store.add_activations(0, np.array([3, 1, 1, 2]))
         assert store.scope_array(0).tolist() == [1, 2, 3]
 
-    def test_caller_buffer_mutation_does_not_leak(self):
-        """Ingested arrays are copied, not aliased."""
+    def test_an_int64_array_is_kept_not_copied(self):
+        """The store takes ownership of an ``int64`` report; other dtypes
+        are converted."""
         store = ScopeStore()
-        buffer = np.array([1, 2, 3], dtype=np.int64)
-        store.add_activations(0, buffer)
-        buffer[:] = 99  # caller reuses its buffer before the next read
+        report = np.array([3, 1, 2], dtype=np.int64)
+        store.add_activations(0, report)
+        assert store._pending[0][0] is report
+        store.add_activations(1, np.array([2, 1], dtype=np.int32))
+        assert store._pending[1][0].dtype == np.int64
         assert store.scope_array(0).tolist() == [1, 2, 3]
+        assert store.scope_array(1).tolist() == [1, 2]
 
     def test_incidence_alignment(self):
         _, store = build_both([(3, [5, 6]), (1, [7])])

@@ -47,11 +47,6 @@ class TestCost:
         # unit 0: total 22, max 14 -> 8; unit 1 fully local -> 0
         assert st.cost() == 8.0
 
-    def test_unit_cost(self):
-        st = two_unit_state()
-        assert st.unit_cost(0) == 8.0
-        assert st.unit_cost(1) == 0.0
-
     def test_zero_cost_when_all_fused(self):
         st = two_unit_state()
         st.apply_move(0, 1, 0)

@@ -346,8 +346,7 @@ class TestControllerChurnHygiene:
         b.add_bidirectional_edge(0, 1, 1.0)
         b.add_bidirectional_edge(2, 3, 1.0)
         g = MutableDiGraph.from_digraph(b.build())
-        g.add_vertex(NewVertexSpec(edges=((0, 1.0), (1, 1.0))))
-        g.flush()
+        g.apply_delta(GraphDelta(new_vertices=[NewVertexSpec(edges=((0, 1.0), (1, 1.0)))]))
         controller = Controller(2, controller_config())
         assignment = np.array([0, 0, 1, 1, 0, 1], dtype=np.int64)
         owners = controller.place_new_vertices(

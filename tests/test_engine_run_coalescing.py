@@ -43,7 +43,6 @@ from repro.engine import (
     SimWorker,
     SyncMode,
 )
-from repro.engine.kernels import contribute_partial
 from repro.engine.vertex_program import reduce_aggregator
 from repro.errors import EngineError
 from repro.graph import DiGraph, grid_graph, watts_strogatz
@@ -138,7 +137,9 @@ def oracle_execute(worker, qr, graph, assignment):
     )
     for name, (_positions, values) in contribs.items():
         reduced = values.min().item() if name == "bound" else True
-        contribute_partial(agg_partial, name, reduced)
+        agg_partial[name] = (
+            (reduced,) if agg_partial[name] is None else agg_partial[name] + (reduced,)
+        )
 
     for dest, vchunk, mchunk in oracle_group_by_owner(
         assignment, targets, out_messages
@@ -237,11 +238,22 @@ def _box_bytes(box):
     return (vertices.dtype, vertices.tolist(), messages.dtype, messages.tobytes())
 
 
+def _contributions(agg_partials):
+    """The partials without the entries that carry no contribution: the
+    oracle gives every computing member a partial pre-filled with ``None``,
+    the fused pass creates one at a member's first contribution."""
+    kept = {
+        w: {name: partial for name, partial in partials.items() if partial is not None}
+        for w, partials in agg_partials.items()
+    }
+    return {w: partials for w, partials in kept.items() if partials}
+
+
 def _assert_same_runtime(fused, oracle):
     assert _kstate_bytes(fused.kstate) == _kstate_bytes(oracle.kstate)
     assert np.array_equal(fused.scope_mask, oracle.scope_mask)
     # repr: dict order, tuple contents and int/float/bool types in one go
-    assert repr(fused.agg_partials) == repr(oracle.agg_partials)
+    assert repr(fused.agg_partials) == repr(_contributions(oracle.agg_partials))
     assert list(fused.pending_remote_inbound.items()) == list(
         oracle.pending_remote_inbound.items()
     )
@@ -371,6 +383,67 @@ def test_poi_partials_stay_per_worker():
     for w in run:
         mine = distances[assignment[tagged] == w]
         assert qr.agg_partials[w] == {"bound": (float(mine.min()),)}
+
+
+@pytest.mark.parametrize("path", ["kernel", "generic"])
+def test_a_member_that_contributes_nothing_has_no_partial(path):
+    """A worker's partial is created at its first contribution: a member
+    that computes only untagged vertices leaves no entry at all."""
+    assignment = np.arange(N) % 2
+    machine = make_cluster("M2", 2).machine
+    graph = GRAPH if path == "kernel" else None  # no graph: no kernel
+    qr = QueryRuntime(Query(0, PoiProgram(0), (0,)), graph)
+    assert (qr.kernel is not None) == (path == "kernel")
+    tagged = np.flatnonzero(GRAPH.tags & (assignment == 0))[:3]
+    untagged = np.flatnonzero(~GRAPH.tags & (assignment == 1))[:3]
+    for vertices in (tagged, untagged):
+        distances = np.linspace(3.0, 1.0, vertices.size)
+        if path == "kernel":
+            owner = int(assignment[vertices[0]])
+            qr.deliver_array(owner, vertices, distances, to_next=False)
+        else:
+            for v, d in zip(vertices.tolist(), distances.tolist()):
+                qr.deliver(int(assignment[v]), v, d, to_next=False)
+    SimWorker.execute_iteration(
+        [SimWorker(w, machine) for w in range(2)], [0, 1], qr, GRAPH, assignment
+    )
+    assert sorted(qr.agg_partials) == [0]
+    assert set(qr.agg_partials[0]) == {"bound"}
+
+
+def test_unknown_aggregator_raises_on_the_kernel_path():
+    """A kernel contribution to an aggregator the program does not declare
+    is an ``EngineError``, not a partial."""
+    assignment = np.arange(N) % 2
+    qr = QueryRuntime(Query(0, PoiProgram(0), (0,)), GRAPH)
+    step = qr.kernel.step
+
+    def renamed(*args):
+        targets, messages, sources, contribs = step(*args)
+        return targets, messages, sources, {"nope": (np.array([0]), np.array([1.0]))}
+
+    qr.kernel.step = renamed
+    qr.deliver_array(0, np.array([0]), np.array([0.0]), to_next=False)
+    workers = [SimWorker(w, make_cluster("M2", 2).machine) for w in range(2)]
+    with pytest.raises(EngineError, match="unknown aggregator 'nope'"):
+        SimWorker.execute_iteration(workers, [0], qr, GRAPH, assignment)
+    assert qr.agg_partials == {}
+
+
+def test_unknown_aggregator_raises_on_the_generic_path():
+    class Misnamed(SsspProgram):
+        def compute(self, ctx, vertex, state, message):
+            ctx.aggregate("nope", 1.0)
+            return super().compute(ctx, vertex, state, message)
+
+    qr = QueryRuntime(Query(0, Misnamed(0), (0,)))  # no graph: no kernel
+    qr.deliver(0, 0, 0.0, to_next=False)
+    workers = [SimWorker(0, make_cluster("M2", 1).machine)]
+    with pytest.raises(EngineError, match="unknown aggregator 'nope'"):
+        SimWorker.execute_iteration(
+            workers, [0], qr, grid_graph(2, 2), np.zeros(4, dtype=np.int64)
+        )
+    assert qr.agg_partials == {}
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))

@@ -25,69 +25,47 @@ class TestMutableBasics:
         g = grid_graph(3, 3)
         mg = MutableDiGraph.from_digraph(g)
         assert mg == g
-        mg.delete_edge(0, 1)
-        mg.flush()
+        mg.apply_delta(GraphDelta(delete_edges=[(0, 1)]))
         assert g.has_edge(0, 1), "mutating the copy touched the source"
         assert not mg.has_edge(0, 1)
 
-    def test_reads_reflect_last_flush_only(self):
-        mg = _mutable_grid()
-        mg.delete_edge(0, 1)
-        assert mg.has_edge(0, 1), "unflushed delta visible to reads"
-        assert mg.pending_mutations == 1
-        mg.flush()
-        assert not mg.has_edge(0, 1)
-        assert mg.pending_mutations == 0
-
-    def test_empty_flush_is_a_noop(self):
+    def test_empty_delta_is_a_noop(self):
         mg = _mutable_grid()
         before = mg.churn_epochs
-        result = mg.flush()
+        result = mg.apply_delta(GraphDelta())
         assert not result
         assert mg.churn_epochs == before
 
-    def test_csr_views_invalidated_on_flush(self):
+    def test_csr_views_invalidated_on_rebuild(self):
         mg = _mutable_grid()
         view = mg.csr()
         rview = mg.csr_in()
-        mg.delete_edge(0, 1)
-        mg.flush()
+        mg.apply_delta(GraphDelta(delete_edges=[(0, 1)]))
         assert mg.csr() is not view
         assert mg.csr_in() is not rview
-        # the old borrowed view still references the pre-flush arrays
+        # the old borrowed view still references the pre-rebuild arrays
         assert view.indices.size == mg.num_edges + 1
 
     def test_weight_update(self):
         mg = _mutable_grid()
-        mg.update_weight(0, 1, 7.5)
-        mg.flush()
+        mg.apply_delta(GraphDelta(update_weights=[(0, 1, 7.5)]))
         assert mg.edge_weight(0, 1) == 7.5
 
-    def test_weight_update_last_wins_within_one_flush(self):
+    def test_weight_update_last_wins_within_one_delta(self):
         mg = _mutable_grid()
-        mg.update_weight(0, 1, 7.5)
-        mg.update_weight(0, 1, 3.25)
-        mg.flush()
+        mg.apply_delta(GraphDelta(update_weights=[(0, 1, 7.5), (0, 1, 3.25)]))
         assert mg.edge_weight(0, 1) == 3.25
 
     def test_insert_edge(self):
         mg = _mutable_grid()
         assert not mg.has_edge(0, 15)
-        mg.insert_edge(0, 15, 2.0)
-        mg.flush()
+        mg.apply_delta(GraphDelta(insert_edges=[(0, 15, 2.0)]))
         assert mg.edge_weight(0, 15) == 2.0
         assert 0 in mg.in_neighbors(15)
 
-    def test_negative_weights_rejected(self):
-        mg = _mutable_grid()
-        with pytest.raises(GraphError):
-            mg.insert_edge(0, 1, -1.0)
-        with pytest.raises(GraphError):
-            mg.update_weight(0, 1, -1.0)
-
-    def test_negative_weights_in_raw_delta_rejected_at_flush(self):
-        """A hand-built delta must not bypass the buffering methods'
-        validation; flush rejects it before touching any state."""
+    def test_negative_weights_in_raw_delta_rejected_at_rebuild(self):
+        """A delta carrying a negative weight is rejected before any state
+        is touched."""
         for bad in (
             GraphDelta(insert_edges=[(0, 1, -5.0)]),
             GraphDelta(update_weights=[(0, 1, -9.0)]),
@@ -99,23 +77,14 @@ class TestMutableBasics:
                 mg.apply_delta(bad)
             assert mg.num_edges == edges_before
 
-    def test_from_digraph_carries_pending_buffer(self):
-        mg = _mutable_grid()
-        mg.insert_edge(0, 15, 2.0)  # buffered, not flushed
-        copy = MutableDiGraph.from_digraph(mg)
-        assert copy.pending_mutations == 1
-        copy.flush()
-        mg.flush()
-        assert mg.has_edge(0, 15) and copy.has_edge(0, 15)
-
     def test_add_vertex_extends_coords_and_tags(self):
         rn = generate_road_network(
             num_cities=3, num_urban_vertices=200, seed=1, region_size=40.0
         )
         mg = MutableDiGraph.from_digraph(rn.graph)
         n = mg.num_vertices
-        mg.add_vertex(NewVertexSpec(x=1.0, y=2.0, tag=True, edges=((0, 1.5),)))
-        res = mg.flush()
+        spec = NewVertexSpec(x=1.0, y=2.0, tag=True, edges=((0, 1.5),))
+        res = mg.apply_delta(GraphDelta(new_vertices=[spec]))
         assert res.first_new_vertex == n
         assert mg.num_vertices == n + 1
         assert mg.coords.shape == (n + 1, 2)
@@ -126,19 +95,17 @@ class TestMutableBasics:
     def test_remove_vertex_tombstones(self):
         mg = _mutable_grid()
         n = mg.num_vertices
-        mg.remove_vertex(5)
-        res = mg.flush()
+        res = mg.apply_delta(GraphDelta(remove_vertices=[5]))
         assert res.removed_vertices == (5,)
         assert mg.num_vertices == n  # id space unchanged
-        assert mg.num_live_vertices == n - 1
+        assert np.flatnonzero(mg.dead_mask).tolist() == [5]
         assert mg.out_degree(5) == 0 and mg.in_degree(5) == 0
         assert not any(5 in mg.out_neighbors(v) for v in range(n))
 
     def test_tolerant_application(self):
         """Conflicting mutations are skipped, not errors (change-feed replay)."""
         mg = _mutable_grid()
-        mg.remove_vertex(5)
-        mg.flush()
+        mg.apply_delta(GraphDelta(remove_vertices=[5]))
         delta = GraphDelta(
             delete_edges=[(5, 6), (0, 1)],       # (5,6) already gone
             insert_edges=[(5, 2, 1.0), (0, 2, 1.0)],  # 5 is dead
@@ -155,19 +122,241 @@ class TestMutableBasics:
         assert mg.edge_weight(1, 2) == 2.0
         assert mg.has_edge(0, 2)
 
-    def test_auto_flush_threshold(self):
-        mg = MutableDiGraph.from_digraph(grid_graph(3, 3), auto_flush_threshold=2)
-        mg.delete_edge(0, 1)
-        assert mg.has_edge(0, 1)
-        mg.delete_edge(1, 0)  # hits the threshold -> auto flush
-        assert mg.pending_mutations == 0
-        assert not mg.has_edge(0, 1) and not mg.has_edge(1, 0)
+    def test_reads_reflect_the_last_applied_delta_only(self):
+        """A delta is plain data: building or editing one touches no graph,
+        and editing it after it was applied changes nothing either."""
+        mg = _mutable_grid()
+        delta = GraphDelta(delete_edges=[(0, 1)])
+        delta.update_weights.append((1, 2, 9.0))
+        assert mg.has_edge(0, 1) and mg.edge_weight(1, 2) == 1.0
+        mg.apply_delta(delta)
+        assert not mg.has_edge(0, 1) and mg.edge_weight(1, 2) == 9.0
+        delta.insert_edges.append((0, 1, 4.0))
+        delta.update_weights.clear()
+        assert not mg.has_edge(0, 1) and mg.edge_weight(1, 2) == 9.0
+
+    def test_from_digraph_carries_the_tombstones(self):
+        mg = _mutable_grid()
+        mg.apply_delta(GraphDelta(remove_vertices=[3, 9]))
+        copy = MutableDiGraph.from_digraph(mg)
+        assert copy == mg
+        assert np.flatnonzero(copy.dead_mask).tolist() == [3, 9]
+        assert copy.dead_mask is not mg.dead_mask
+        res = copy.apply_delta(GraphDelta(insert_edges=[(3, 4, 1.0)]))
+        assert (res.inserted_edges, res.skipped) == (0, 1)
+
+    def test_delete_removes_every_parallel_edge(self):
+        mg = _mutable_grid()
+        mg.apply_delta(GraphDelta(insert_edges=[(0, 1, 5.0), (0, 1, 0.5)]))
+        assert mg.out_neighbors(0).tolist().count(1) == 3
+        res = mg.apply_delta(GraphDelta(delete_edges=[(0, 1), (0, 1)]))
+        assert (res.deleted_edges, res.skipped) == (3, 0)
+        assert not mg.has_edge(0, 1)
+
+    def test_delete_then_reinsert_in_one_delta_keeps_the_edge(self):
+        mg = _mutable_grid()
+        res = mg.apply_delta(
+            GraphDelta(delete_edges=[(0, 1)], insert_edges=[(0, 1, 6.0)])
+        )
+        assert (res.deleted_edges, res.inserted_edges) == (1, 1)
+        assert mg.edge_weight(0, 1) == 6.0
+
+    def test_one_way_new_vertex(self):
+        mg = _mutable_grid()
+        n = mg.num_vertices
+        mg.apply_delta(
+            GraphDelta(new_vertices=[NewVertexSpec(edges=((2, 1.0),), bidirectional=False)])
+        )
+        assert mg.has_edge(n, 2) and not mg.has_edge(2, n)
+
+    def test_new_vertex_edges_to_dead_neighbours_are_skipped(self):
+        mg = _mutable_grid()
+        n = mg.num_vertices
+        res = mg.apply_delta(
+            GraphDelta(
+                remove_vertices=[2],
+                new_vertices=[NewVertexSpec(edges=((2, 1.0), (7, 1.0)))],
+            )
+        )
+        assert res.first_new_vertex == n
+        # both directions of the edge to the removed vertex are skipped
+        assert (res.inserted_edges, res.skipped) == (2, 2)
+        assert sorted(mg.out_neighbors(n).tolist()) == [7]
+
+    def test_a_tagged_new_vertex_on_an_untagged_graph_creates_tags(self):
+        mg = _mutable_grid()
+        assert mg.tags is None and mg.coords is not None
+        n = mg.num_vertices
+        mg.apply_delta(
+            GraphDelta(new_vertices=[NewVertexSpec(), NewVertexSpec(tag=True)])
+        )
+        assert np.flatnonzero(mg.tags).tolist() == [n + 1]
+        # a new vertex without coordinates sits at the origin
+        assert mg.coords[n].tolist() == [0.0, 0.0]
+
+    def test_an_all_skipped_delta_is_no_churn_epoch(self):
+        mg = _mutable_grid()
+        before = (mg.churn_epochs, mg.edge_array())
+        res = mg.apply_delta(
+            GraphDelta(delete_edges=[(0, 15)], update_weights=[(0, 15, 2.0)])
+        )
+        assert not res and res.skipped == 2
+        assert mg.churn_epochs == before[0]
+        for got, want in zip(mg.edge_array(), before[1]):
+            assert np.array_equal(got, want)
+
+    def test_out_of_range_removal_is_skipped(self):
+        """Removal ids outside the id space are tolerated like every other
+        conflicting mutation: counted as skipped, not an ``IndexError``."""
+        mg = _mutable_grid()
+        n = mg.num_vertices
+        res = mg.apply_delta(GraphDelta(remove_vertices=[n, n + 7, -1, 4]))
+        assert res.removed_vertices == (4,)
+        assert res.skipped == 3
+        assert np.flatnonzero(mg.dead_mask).tolist() == [4]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("insert_edges", (0, 1, 1.0)),
+        ("delete_edges", (0, 1)),
+        ("update_weights", (0, 1, 1.0)),
+        ("new_vertices", NewVertexSpec()),
+        ("remove_vertices", 0),
+    ],
+)
+def test_any_one_mutation_makes_a_delta_true(field, value):
+    """The engine and the workloads test ``bool(delta)`` for "anything to
+    apply": every kind of mutation counts on its own."""
+    delta = GraphDelta()
+    assert not delta
+    getattr(delta, field).append(value)
+    assert delta
+
+
+class _EdgeListModel:
+    """The documented semantics of ``apply_delta`` over a plain edge list:
+    weight updates, deletions, vertex removals, then insertions and vertex
+    additions, every conflicting mutation counted as skipped."""
+
+    def __init__(self, graph):
+        self.n = graph.num_vertices
+        self.edges = [(u, v, w) for u, v, w in graph.edges()]
+        self.dead = set()
+
+    def _alive(self, u, v, n):
+        return 0 <= u < n and 0 <= v < n and u not in self.dead and v not in self.dead
+
+    def apply(self, delta):
+        counts = dict(updated=0, deleted=0, inserted=0, skipped=0)
+        for u, v, w in delta.update_weights:
+            hits = [i for i, e in enumerate(self.edges) if e[:2] == (u, v)]
+            if not self._alive(u, v, self.n) or not hits:
+                counts["skipped"] += 1
+            for i in hits:
+                self.edges[i] = (u, v, w)
+            counts["updated"] += len(hits)
+        wanted = set()
+        for u, v in delta.delete_edges:
+            if 0 <= u < self.n and 0 <= v < self.n:
+                wanted.add((u, v))
+            else:
+                counts["skipped"] += 1
+        present = {e[:2] for e in self.edges}
+        counts["skipped"] += len(wanted - present)
+        counts["deleted"] += sum(e[:2] in wanted for e in self.edges)
+        self.edges = [e for e in self.edges if e[:2] not in wanted]
+        removed = []
+        for v in sorted(set(delta.remove_vertices)):
+            if 0 <= v < self.n and v not in self.dead:
+                removed.append(v)
+            else:
+                counts["skipped"] += 1
+        self.dead.update(removed)
+        kept = [e for e in self.edges if e[0] not in self.dead and e[1] not in self.dead]
+        counts["deleted"] += len(self.edges) - len(kept)
+        self.edges = kept
+        inserts = list(delta.insert_edges)
+        for i, spec in enumerate(delta.new_vertices):
+            vid = self.n + i
+            for neighbor, w in spec.edges:
+                inserts.append((vid, neighbor, w))
+                if spec.bidirectional:
+                    inserts.append((neighbor, vid, w))
+        self.n += len(delta.new_vertices)
+        for u, v, w in inserts:
+            if self._alive(u, v, self.n):
+                self.edges.append((u, v, w))
+                counts["inserted"] += 1
+            else:
+                counts["skipped"] += 1
+        return counts, tuple(removed)
+
+
+def _random_delta(rng, model):
+    """A delta of valid and conflicting mutations: live, absent, dead,
+    out-of-range and repeated endpoints."""
+    delta = GraphDelta()
+    span = model.n + 2  # a few ids past the end
+
+    def pair():
+        if model.edges and rng.random() < 0.6:
+            u, v, _w = model.edges[int(rng.integers(len(model.edges)))]
+            return u, v
+        return int(rng.integers(-1, span)), int(rng.integers(-1, span))
+
+    for _ in range(int(rng.integers(0, 5))):
+        delta.update_weights.append(pair() + (float(rng.integers(1, 9)),))
+    for _ in range(int(rng.integers(0, 4))):
+        delta.delete_edges.append(pair())
+    for _ in range(int(rng.integers(0, 3))):
+        delta.remove_vertices.append(int(rng.integers(-1, span)))
+    for _ in range(int(rng.integers(0, 5))):
+        delta.insert_edges.append(pair() + (float(rng.integers(1, 9)),))
+    for _ in range(int(rng.integers(0, 3))):
+        edges = tuple(
+            (int(rng.integers(0, model.n)), float(rng.integers(1, 9)))
+            for _ in range(int(rng.integers(0, 3)))
+        )
+        delta.new_vertices.append(
+            NewVertexSpec(edges=edges, bidirectional=bool(rng.random() < 0.7))
+        )
+    return delta
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_apply_delta_matches_the_edge_list_model(seed):
+    """Random deltas, conflicts included, over several churn epochs: the
+    rebuilt graph, its tombstones and every ``DeltaResult`` count equal what
+    the plain edge-list model derives from the documented order."""
+    rng = np.random.default_rng(seed)
+    mg = _mutable_grid(3, 3)
+    model = _EdgeListModel(mg)
+    epochs = 0
+    for _epoch in range(12):
+        delta = _random_delta(rng, model)
+        n_before = model.n
+        counts, removed = model.apply(delta)
+        res = mg.apply_delta(delta)
+        assert res.updated_weights == counts["updated"]
+        assert res.deleted_edges == counts["deleted"]
+        assert res.inserted_edges == counts["inserted"]
+        assert res.skipped == counts["skipped"]
+        assert res.removed_vertices == removed
+        assert res.added_vertices == len(delta.new_vertices)
+        assert res.first_new_vertex == (n_before if delta.new_vertices else None)
+        assert mg.num_vertices == model.n
+        assert sorted(mg.edges()) == sorted(model.edges)
+        assert set(np.flatnonzero(mg.dead_mask).tolist()) == model.dead
+        epochs += bool(res)
+        assert mg.churn_epochs == epochs
 
 
 class TestRowsInAnyOrder:
-    """``flush`` binary-searches the edge keys in canonical CSR order; a
-    graph handed to the constructor with unsorted rows is valid CSR all the
-    same and must flush to what its canonical twin flushes to."""
+    """``apply_delta`` binary-searches the edge keys in canonical CSR order;
+    a graph handed to the constructor with unsorted rows is valid CSR all
+    the same and must rebuild to what its canonical twin rebuilds to."""
 
     def _twins(self):
         indptr = np.array([0, 4, 5, 7, 7])
@@ -193,7 +382,7 @@ class TestRowsInAnyOrder:
 
 
 class TestRebuildEquivalence:
-    """A flushed MutableDiGraph must be array-for-array identical to a
+    """A rebuilt MutableDiGraph must be array-for-array identical to a
     DiGraph built fresh from the same edge list (the churn-epoch invariant)."""
 
     def _assert_fresh_equivalent(self, mg):
@@ -234,7 +423,7 @@ class TestRebuildEquivalence:
             mg.apply_delta(delta)
             self._assert_fresh_equivalent(mg)
 
-    def test_flush_drops_the_in_adjacency_and_rebuilds_it_on_read(self):
+    def test_rebuild_drops_the_in_adjacency_and_rebuilds_it_on_read(self):
         mg = _mutable_grid(4, 4)
         before = mg.csr_in()
         mg.apply_delta(
@@ -244,7 +433,7 @@ class TestRebuildEquivalence:
                 new_vertices=[NewVertexSpec(edges=((5, 3.0), (5, 1.5)))],
             )
         )
-        assert mg._csr_in_view is None, "a flush must not rebuild the reverse CSR"
+        assert mg._csr_in_view is None, "apply_delta must not rebuild the reverse CSR"
         fresh = fresh_rebuild(mg).csr_in()
         rin = mg.csr_in()
         assert rin is not before

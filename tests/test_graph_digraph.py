@@ -153,7 +153,6 @@ class TestLazyInAdjacency:
         g.out_degrees()
         g.edge_array()
         g.has_edge(0, 1)
-        g.subgraph_edge_count([0, 1, 2])
         assert g._csr_in_view is None
         assert g == multigraph()  # equality reads the out-adjacency only
         assert g._csr_in_view is None
@@ -228,11 +227,6 @@ class TestAttributes:
         g = small_graph()
         assert not g.has_tags()
         assert g.tagged_vertices().size == 0
-
-    def test_subgraph_edge_count(self):
-        g = small_graph()
-        assert g.subgraph_edge_count([0, 1, 2]) == 3
-        assert g.subgraph_edge_count([0]) == 0
 
 
 class TestBuilderArrays:

@@ -10,10 +10,9 @@ from repro.graph import (
     NY_CUTS,
     NY_QUERY_SCOPES,
     barabasi_albert,
-    erdos_renyi,
     grid_graph,
     new_york_districts,
-    random_geometric,
+    rmat_graph,
     watts_strogatz,
 )
 from repro.graph.metrics import edge_cut
@@ -98,28 +97,6 @@ class TestGrid:
 
 
 class TestRandomModels:
-    def test_erdos_renyi_determinism(self):
-        a = erdos_renyi(40, 0.1, seed=5)
-        b = erdos_renyi(40, 0.1, seed=5)
-        assert a == b
-
-    def test_erdos_renyi_density(self):
-        g = erdos_renyi(100, 0.05, seed=1)
-        expected = 100 * 99 * 0.05
-        assert 0.5 * expected < g.num_edges < 1.5 * expected
-
-    def test_erdos_renyi_bad_p(self):
-        with pytest.raises(GraphError):
-            erdos_renyi(10, 1.5)
-
-    def test_random_geometric_edges_within_radius(self):
-        g = random_geometric(80, 0.2, seed=2)
-        coords = g.coords
-        for u, v, w in g.edges():
-            dist = np.linalg.norm(coords[u] - coords[v])
-            assert dist <= 0.2 + 1e-9
-            assert w == pytest.approx(dist)
-
     def test_watts_strogatz_degree_and_clustering(self):
         g = watts_strogatz(60, 6, 0.1, seed=3)
         # total degree preserved by rewiring
@@ -149,3 +126,30 @@ class TestRandomModels:
         g = barabasi_albert(50, 3, seed=0)
         # (n - m) vertices each add m undirected edges -> 2m(n-m) directed
         assert g.num_edges == 2 * 3 * (50 - 3)
+
+    def test_rmat_determinism_and_shape(self):
+        g = rmat_graph(300, 4, seed=5)
+        assert g == rmat_graph(300, 4, seed=5)
+        assert g != rmat_graph(300, 4, seed=6)
+        # exactly n vertices for an n that is no power of two; self-loops dropped
+        assert g.num_vertices == 300
+        assert 0 < g.num_edges <= 300 * 4
+        src, dst, w = g.edge_array()
+        assert not np.any(src == dst)
+        assert w.min() >= 1.0 and w.max() < 2.0
+
+    def test_rmat_degrees_are_skewed(self):
+        degrees = rmat_graph(1024, 8, seed=1).out_degrees()
+        assert degrees.max() >= 8 * degrees.mean()
+
+    def test_rmat_unweighted(self):
+        g = rmat_graph(64, 2, seed=0, weight_range=(3.0, 3.0))
+        assert np.all(g.weights == 3.0)
+
+    def test_rmat_validation(self):
+        with pytest.raises(GraphError):
+            rmat_graph(1)
+        with pytest.raises(GraphError):
+            rmat_graph(16, 0)
+        with pytest.raises(GraphError):
+            rmat_graph(16, 2, a=0.6, b=0.3, c=0.3)

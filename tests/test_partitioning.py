@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_impls import (
-    fennel_partition_reference,
     ldg_partition_reference,
     ldg_place_vertices_reference,
 )
@@ -24,7 +23,6 @@ from repro.graph import (
 from repro.partitioning import (
     BfsRegionPartitioner,
     DomainPartitioner,
-    FennelPartitioner,
     HashPartitioner,
     LdgPartitioner,
     group_cities_geographically,
@@ -47,8 +45,7 @@ def grid():
 
 ALL_PARTITIONERS = [
     HashPartitioner(seed=1),
-    LdgPartitioner(seed=1),
-    FennelPartitioner(seed=1),
+    LdgPartitioner(),
     BfsRegionPartitioner(seed=1),
 ]
 
@@ -69,6 +66,25 @@ class TestContract:
         a = p.partition(grid, 4)
         b = p.partition(grid, 4)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rn: HashPartitioner(seed=1),
+            lambda rn: LdgPartitioner(),
+            lambda rn: BfsRegionPartitioner(seed=1),
+            lambda rn: DomainPartitioner(road_network=rn),
+        ],
+        ids=["hash", "ldg", "bfs-regions", "domain"],
+    )
+    def test_contract_on_a_road_network(self, rn, make):
+        """The static arms run on road networks: each assigns every vertex,
+        uses every worker and repeats itself exactly."""
+        p = make(rn)
+        assignment = p.partition(rn.graph, 4)
+        validate_partitioning(rn.graph, assignment, 4)
+        assert set(np.unique(assignment)) == {0, 1, 2, 3}
+        assert np.array_equal(assignment, p.partition(rn.graph, 4))
 
     def test_k_too_large(self, grid):
         with pytest.raises(PartitioningError):
@@ -103,30 +119,9 @@ class TestLdg:
         assert edge_cut(grid, ldg) < edge_cut(grid, hsh)
 
     def test_respects_capacity_slack(self, grid):
-        assignment = LdgPartitioner(slack=0.1).partition(grid, 4)
+        assignment = LdgPartitioner().partition(grid, 4)
         sizes = np.bincount(assignment, minlength=4)
         assert sizes.max() <= (1.1 * grid.num_vertices / 4) + 1
-
-    def test_stream_orders(self, grid):
-        for order in ("natural", "random", "bfs"):
-            assignment = LdgPartitioner(order=order, seed=2).partition(grid, 4)
-            validate_partitioning(grid, assignment, 4)
-
-    def test_unknown_order(self):
-        with pytest.raises(ValueError):
-            LdgPartitioner(order="bogus")
-
-
-class TestFennel:
-    def test_better_locality_than_hash(self, grid):
-        fen = FennelPartitioner().partition(grid, 4)
-        hsh = HashPartitioner().partition(grid, 4)
-        assert edge_cut(grid, fen) < edge_cut(grid, hsh)
-
-    def test_capacity_respected(self, grid):
-        assignment = FennelPartitioner(balance_slack=0.2).partition(grid, 4)
-        sizes = np.bincount(assignment, minlength=4)
-        assert sizes.max() <= (1.2 * grid.num_vertices / 4) + 1
 
 
 class TestBatchedEquivalence:
@@ -138,21 +133,11 @@ class TestBatchedEquivalence:
 
         return rmat_graph(3000, 6, seed=4)
 
-    @pytest.mark.parametrize("order", ["natural", "random", "bfs"])
     @pytest.mark.parametrize("k", [2, 5])
-    def test_ldg_matches_reference(self, grid, rmat, order, k):
+    def test_ldg_matches_reference(self, grid, rmat, k):
         for g in (grid, rmat):
-            p = LdgPartitioner(order=order, seed=3)
+            p = LdgPartitioner()
             assert np.array_equal(p.partition(g, k), ldg_partition_reference(p, g, k))
-
-    @pytest.mark.parametrize("order", ["natural", "random"])
-    @pytest.mark.parametrize("k", [2, 5])
-    def test_fennel_matches_reference(self, grid, rmat, order, k):
-        for g in (grid, rmat):
-            p = FennelPartitioner(order=order, seed=3)
-            assert np.array_equal(
-                p.partition(g, k), fennel_partition_reference(p, g, k)
-            )
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -194,12 +179,24 @@ class TestBatchedEquivalence:
             owners, ldg_place_vertices_reference(graph, new_ids, assignment, k)
         )
 
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_ldg_is_the_incremental_placement_from_an_empty_system(
+        self, grid, rmat, rn, k
+    ):
+        """LDG streams the vertices in id order: partitioning a graph equals
+        placing all of its ids, in order, into an empty running system."""
+        empty = np.empty(0, dtype=np.int64)
+        for g in (grid, rmat, rn.graph):
+            ids = np.arange(g.num_vertices, dtype=np.int64)
+            assert np.array_equal(
+                LdgPartitioner().partition(g, k), ldg_place_vertices(g, ids, empty, k)
+            )
+
     def test_single_vertex_graph(self):
         from repro.graph import GraphBuilder
 
         g = GraphBuilder(1).build()
         assert LdgPartitioner().partition(g, 1).tolist() == [0]
-        assert FennelPartitioner().partition(g, 1).tolist() == [0]
 
     def test_chunk_boundary_independence(self, grid):
         """Assignments must not depend on the streaming chunk size."""

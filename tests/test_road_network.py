@@ -73,11 +73,6 @@ class TestStructure:
     def test_population_weights_sum_to_one(self, small_network):
         assert small_network.population_weights().sum() == pytest.approx(1.0)
 
-    def test_nearest_city(self, small_network):
-        rn = small_network
-        for city in rn.cities[:3]:
-            assert rn.nearest_city(*city.center) == city.city_id
-
     def test_city_vertices_bad_id(self, small_network):
         with pytest.raises(GraphError):
             small_network.city_vertices(99)

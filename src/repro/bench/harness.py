@@ -21,8 +21,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from repro.core.controller import Controller, ControllerConfig
 from repro.engine.barriers import SyncMode
 from repro.engine.engine import EngineConfig, QGraphEngine
@@ -42,7 +40,7 @@ from repro.partitioning import (
 from repro.simulation.cluster import make_cluster
 from repro.simulation.faults import FaultPlan
 from repro.simulation.tracing import MetricsTrace
-from repro.workload.generator import PhaseSpec, WorkloadGenerator
+from repro.workload.generator import WorkloadGenerator
 
 __all__ = [
     "Scenario",

@@ -3,13 +3,12 @@
 Pregel-style fault tolerance (Malewicz et al. §4.2) adapted to the
 multi-query engine: at configurable barrier intervals
 (``EngineConfig.checkpoint_interval``) the engine snapshots each query's
-complete logical state — vertex data (sparse dict, or dense kernel buffers
-with their scope mask), both mailbox generations, aggregator commits, and
-the iteration counter.  A checkpoint is everything needed to replay the
-query from that barrier on a *different* vertex assignment: restore copies
-the buffers back, re-homes the mailboxes with :meth:`QueryRuntime.rebucket`,
-and resets the barrier protocol with an epoch bump so in-flight pre-crash
-traffic is fenced out.
+complete logical state — the dense kernel buffers with their scope mask,
+both mailbox generations, aggregator commits, and the iteration counter.
+A checkpoint is everything needed to replay the query from that barrier on
+a *different* vertex assignment: restore copies the buffers back, re-homes
+the mailboxes with :meth:`QueryRuntime.rebucket`, and resets the barrier
+protocol with an epoch bump so in-flight pre-crash traffic is fenced out.
 
 Checkpoints are aligned to barriers on purpose: at a barrier the query has
 no in-flight compute and ``next_mailboxes`` has just been rotated away, so
@@ -31,20 +30,12 @@ from repro.engine.query import QueryRuntime
 __all__ = ["QueryCheckpoint", "copy_mailboxes", "mailbox_sizes"]
 
 
-def copy_mailboxes(boxes: Dict[int, Any]) -> Dict[int, Any]:
-    """Deep-enough copy of a ``{worker: mailbox}`` map.
-
-    Dict boxes are copied per worker (message values are treated as
-    immutable, matching the engine's delivery semantics); array boxes are
-    cloned chunk-by-chunk.
-    """
-    out: Dict[int, Any] = {}
-    for worker, box in boxes.items():
-        out[worker] = box.clone() if isinstance(box, ArrayMailbox) else dict(box)
-    return out
+def copy_mailboxes(boxes: Dict[int, ArrayMailbox]) -> Dict[int, ArrayMailbox]:
+    """A ``{worker: mailbox}`` map with every box cloned chunk by chunk."""
+    return {worker: box.clone() for worker, box in boxes.items()}
 
 
-def mailbox_sizes(boxes: Dict[int, Any]) -> Dict[int, int]:
+def mailbox_sizes(boxes: Dict[int, ArrayMailbox]) -> Dict[int, int]:
     """Messages per worker — used to size the checkpoint-write cost."""
     return {worker: len(box) for worker, box in boxes.items()}
 
@@ -54,7 +45,6 @@ class QueryCheckpoint:
 
     __slots__ = (
         "iteration",
-        "state",
         "mailboxes",
         "next_mailboxes",
         "pending_remote_inbound",
@@ -67,17 +57,15 @@ class QueryCheckpoint:
     def __init__(
         self,
         iteration: int,
-        state: Dict[int, Any],
-        mailboxes: Dict[int, Any],
-        next_mailboxes: Dict[int, Any],
+        mailboxes: Dict[int, ArrayMailbox],
+        next_mailboxes: Dict[int, ArrayMailbox],
         pending_remote_inbound: Dict[int, int],
         agg_committed: Dict[str, Any],
         kstate: Any,
-        scope_mask: Optional[np.ndarray],
+        scope_mask: np.ndarray,
         fingerprint: Optional[Tuple[Any, ...]] = None,
     ) -> None:
         self.iteration = iteration
-        self.state = state
         self.mailboxes = mailboxes
         self.next_mailboxes = next_mailboxes
         self.pending_remote_inbound = pending_remote_inbound
@@ -94,13 +82,12 @@ class QueryCheckpoint:
         """Snapshot ``qr`` at its current barrier."""
         return cls(
             iteration=qr.iteration,
-            state=dict(qr.state),
             mailboxes=copy_mailboxes(qr.mailboxes),
             next_mailboxes=copy_mailboxes(qr.next_mailboxes),
             pending_remote_inbound=dict(qr.pending_remote_inbound),
             agg_committed=dict(qr.agg_committed),
             kstate=copy_kernel_state(qr.kstate),
-            scope_mask=None if qr.scope_mask is None else qr.scope_mask.copy(),
+            scope_mask=qr.scope_mask.copy(),
         )
 
     def message_count(self) -> int:
@@ -121,15 +108,12 @@ class QueryCheckpoint:
         """
         rolled = qr.iteration - self.iteration
         qr.iteration = self.iteration
-        qr.state = dict(self.state)
         qr.mailboxes = copy_mailboxes(self.mailboxes)
         qr.next_mailboxes = copy_mailboxes(self.next_mailboxes)
         qr.pending_remote_inbound = dict(self.pending_remote_inbound)
         qr.agg_committed = dict(self.agg_committed)
         qr.kstate = copy_kernel_state(self.kstate)
-        qr.scope_mask = (
-            None if self.scope_mask is None else self.scope_mask.copy()
-        )
+        qr.scope_mask = self.scope_mask.copy()
         qr.rebucket(assignment)
         qr.reset_barrier_protocol()
         return rolled

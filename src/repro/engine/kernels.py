@@ -1,39 +1,47 @@
-"""Vectorized iteration kernels (the engine's hot path).
+"""Iteration kernels: how one iteration of one query runs.
 
-The generic execution path runs :meth:`VertexProgram.compute` once per active
-vertex through Python dicts — flexible, but it caps every benchmark at toy
-scale.  For the built-in vertex programs the per-vertex work is a handful of
-arithmetic operations over the CSR arrays, so one iteration of one query —
-on one worker, or on all its workers that are ready at the same instant —
-can be expressed as a few numpy operations over the whole frontier at once.
-That is what a :class:`QueryKernel` provides:
+Every running query executes through a :class:`QueryKernel`.  One
+iteration of one query — on one worker, or on all its workers that are
+ready at the same instant — is one :meth:`QueryKernel.step` over the whole
+frontier.  A kernel provides:
 
-* dense per-query *state buffers* (``make_state``) replacing the sparse
-  ``{vertex: state}`` dict,
-* an *array mailbox* representation (:class:`ArrayMailbox`): per-worker
-  frontiers are ``(vertices, messages)`` array pairs, combined lazily with
-  the program's combiner ufunc when the worker consumes them,
-* a vectorized :meth:`QueryKernel.step` that mirrors the program's
-  ``compute`` exactly — same improvement checks, same aggregator
-  contributions, same pruning rules, same message values — so the two paths
-  produce identical query answers (bit-identical for the ``min``-combining
-  programs; the sum-combining PageRank kernel may differ in the last float
-  bits because vector summation reorders the additions).
+* dense per-query *state buffers* (``make_state``), one slot per vertex;
+* the message encoding of the *array mailbox* (:class:`ArrayMailbox`):
+  per-worker frontiers are ``(vertices, messages)`` array pairs, combined
+  lazily per target vertex when the worker consumes them;
+* :meth:`QueryKernel.step`, one iteration over a combined frontier.
 
-A program opts in by returning a kernel from
-:meth:`VertexProgram.make_kernel`; programs that return ``None`` (the
-default) transparently fall back to the generic per-vertex path, so custom
-user programs keep working unchanged.
+The built-in programs each bring a vectorized kernel: a few numpy
+operations over the CSR arrays that mirror the program's ``compute``
+exactly — same improvement checks, same aggregator contributions, same
+pruning rules, same message values — so the answers equal the scalar
+reference (bit-identical for the ``min``-combining programs; the
+sum-combining PageRank kernel may differ in the last float bits because
+vector summation reorders the additions).
+
+A program without a kernel of its own (``make_kernel`` returns ``None``,
+the default) runs through :class:`VertexFunctionKernel`: an object-dtype
+state column and object message arrays, with :meth:`VertexProgram.compute`
+called once per frontier vertex and ``program.combine`` folding each
+vertex's messages.  So there is one representation of query state, and a
+custom program goes through the same mailboxes, scope tracking,
+checkpoints and rebucketing as the built-in ones.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.vertex_program import AggregatorSpec, reduce_aggregator
+from repro.engine.vertex_program import (
+    AggregatorSpec,
+    ComputeContext,
+    VertexProgram,
+    reduce_aggregator,
+)
 from repro.errors import EngineError
 from repro.graph.digraph import DiGraph
 
@@ -51,6 +59,7 @@ __all__ = [
     "LocalPageRankKernel",
     "LocalWccKernel",
     "PoiKernel",
+    "VertexFunctionKernel",
     "combine_by_vertex",
     "expand_edges",
 ]
@@ -66,20 +75,34 @@ Contributions = Dict[str, Tuple[np.ndarray, np.ndarray]]
 StepOutput = Tuple[np.ndarray, np.ndarray, np.ndarray, Contributions]
 
 
+def _runs_by_vertex(
+    vertices: np.ndarray, messages: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable sort by vertex: the sorted vertices, the messages in that
+    order (each vertex's in mailbox order) and where each vertex's run
+    starts.  ``vertices`` must not be empty."""
+    order = vertices.argsort(kind="stable")
+    sv = vertices[order]
+    first = np.empty(sv.size, dtype=bool)
+    first[0] = True
+    np.not_equal(sv[1:], sv[:-1], out=first[1:])
+    return sv, messages[order], first.nonzero()[0]
+
+
 def combine_by_vertex(
     vertices: np.ndarray, messages: np.ndarray, combine: np.ufunc
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Collapse duplicate targets: unique sorted vertices, combined messages."""
     if vertices.size == 0:
         return vertices, messages
-    order = vertices.argsort(kind="stable")
-    sv = vertices[order]
-    sm = messages[order]
-    first = np.empty(sv.size, dtype=bool)
-    first[0] = True
-    np.not_equal(sv[1:], sv[:-1], out=first[1:])
-    starts = first.nonzero()[0]
+    sv, sm, starts = _runs_by_vertex(vertices, messages)
     return sv[starts], combine.reduceat(sm, starts)
+
+
+def _object_array(items: Sequence[Any]) -> np.ndarray:
+    """A 1-D object array holding ``items`` as they are (``np.asarray``
+    would turn equal-length tuples into a 2-D array)."""
+    return np.fromiter(items, dtype=object, count=len(items))
 
 
 def contribute_partial(
@@ -224,23 +247,20 @@ def scope_columns(state: Any, scope_mask: np.ndarray) -> Tuple[np.ndarray, ...]:
 
 
 def copy_kernel_state(state: Any) -> Any:
-    """Deep-copy a kernel's dense state (ndarray or tuple of ndarrays).
-
-    Used by the checkpoint layer; ``None`` (no kernel state) passes through.
-    """
-    if state is None:
-        return None
+    """Copy a kernel's dense state (ndarray or tuple of ndarrays) for the
+    checkpoint layer.  An object column's entries are shared, not copied:
+    ``compute`` returns a new state rather than mutating the old one."""
     if isinstance(state, tuple):
         return tuple(part.copy() for part in state)
     return state.copy()
 
 
 class QueryKernel(abc.ABC):
-    """Vectorized counterpart of one :class:`VertexProgram`.
+    """How the iterations of one :class:`VertexProgram` run.
 
     Subclasses define the dense state layout and one frontier step; the
     runtime/worker layers own scope tracking, message routing and the
-    aggregator barrier protocol (shared with the generic path).
+    aggregator barrier protocol.
     """
 
     #: dtype of the message array
@@ -249,7 +269,8 @@ class QueryKernel(abc.ABC):
     combine: np.ufunc = np.minimum
     #: fill value for state slots of vertices added after ``make_state``
     #: (kernels whose state is a single dense array use the default
-    #: :meth:`grow_state`; tuple-state kernels override it)
+    #: :meth:`grow_state`; tuple-state kernels override it).  ``None`` is
+    #: :class:`VertexFunctionKernel`'s "no state yet"
     state_fill: Any = None
 
     # ------------------------------------------------------------------
@@ -265,10 +286,6 @@ class QueryKernel(abc.ABC):
         ``make_state`` would have used.  The default handles the common
         single-array state via :attr:`state_fill`.
         """
-        if self.state_fill is None:
-            raise EngineError(
-                f"{type(self).__name__} does not support vertex growth"
-            )
         if state.size >= new_n:
             return state
         grown = np.full(new_n, self.state_fill, dtype=state.dtype)
@@ -301,15 +318,15 @@ class QueryKernel(abc.ABC):
           member-major, and routing by destination alone (one stable sort)
           then leaves every mailbox the bytes sequential execution gives it;
         * ``contributions`` — aggregator name -> ``(positions, values)``,
-          one entry per contributing frontier vertex.  The worker layer
+          one entry per contribution of a frontier vertex.  The worker layer
           folds them per worker with the program's own reduce function.
         """
 
     def answer_dict(self, scope: np.ndarray, *columns: np.ndarray) -> Dict[int, Any]:
-        """Sparse ``{vertex: state}`` view matching the generic path's dict,
-        built from :func:`scope_columns`.  The default fits a single-column
-        state whose entries are the generic path's values; ``.tolist()``
-        gives the same Python types ``compute`` stores."""
+        """Sparse ``{vertex: state}`` view, built from :func:`scope_columns`:
+        what ``program.result`` reads.  The default fits a single-column
+        state whose entries are the values ``compute`` returns; ``.tolist()``
+        gives the same Python types (on an object column, the objects)."""
         (values,) = columns
         return dict(zip(scope.tolist(), values.tolist()))
 
@@ -317,12 +334,15 @@ class QueryKernel(abc.ABC):
     def encode_messages(
         self, pairs: Iterable[Tuple[int, Any]]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Convert ``(vertex, message)`` pairs (e.g. seeds) into arrays."""
+        """Convert ``(vertex, message)`` pairs (e.g. seeds) into arrays, one
+        message per entry (a tuple message stays one object entry)."""
         pairs = list(pairs)
         vertices = np.fromiter(
             (v for v, _ in pairs), dtype=np.int64, count=len(pairs)
         )
-        messages = np.asarray([m for _, m in pairs], dtype=self.message_dtype)
+        messages = np.fromiter(
+            (m for _, m in pairs), dtype=self.message_dtype, count=len(pairs)
+        )
         return vertices, messages
 
     def combine_arrays(
@@ -561,7 +581,7 @@ class LocalPageRankKernel(QueryKernel):
     :class:`repro.queries.pagerank_local.LocalPageRankProgram`).
 
     Note: messages combine by summation, so the vectorized path may differ
-    from the generic path in the last float bits (addition order).
+    from the scalar ``compute`` in the last float bits (addition order).
     """
 
     message_dtype = np.float64
@@ -695,3 +715,81 @@ class LocalWccKernel(QueryKernel):
     def answer_dict(self, scope: np.ndarray, *columns: np.ndarray) -> Dict[int, Any]:
         (keys,) = columns
         return dict(zip(scope.tolist(), map(self.decode_key, keys.tolist())))
+
+
+# ----------------------------------------------------------------------
+# the scalar vertex function, for programs without a kernel of their own
+# ----------------------------------------------------------------------
+class VertexFunctionKernel(QueryKernel):
+    """Runs :meth:`VertexProgram.compute` once per frontier vertex.
+
+    The kernel of every program whose ``make_kernel`` returns ``None``.
+    Its state is one object column (``None``: no state yet); its messages
+    are object arrays, and each vertex's messages fold with
+    ``program.combine`` in mailbox order, as the program's own combiner
+    would see them.  Sends and aggregator contributions come back
+    sender-ordered, like every kernel's.
+    """
+
+    message_dtype = object
+
+    def __init__(self, program: VertexProgram) -> None:
+        self.program = program
+
+    def make_state(self, graph: DiGraph) -> np.ndarray:
+        return np.full(graph.num_vertices, None, dtype=object)
+
+    def combine_arrays(
+        self, vertices: np.ndarray, messages: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        if vertices.size == 0:
+            return vertices, messages
+        sv, sm, starts = _runs_by_vertex(vertices, messages)
+        values = sm.tolist()
+        bounds = starts.tolist() + [len(values)]
+        folded = [
+            functools.reduce(self.program.combine, values[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        return sv[starts], _object_array(folded)
+
+    def step(
+        self,
+        graph: DiGraph,
+        state: np.ndarray,
+        vertices: np.ndarray,
+        messages: np.ndarray,
+        agg_committed: Dict[str, Any],
+    ) -> StepOutput:
+        compute = self.program.compute
+        ctx = ComputeContext(graph, agg_committed)
+        targets: List[int] = []
+        sent: List[Any] = []
+        sources: List[int] = []
+        contributed: Dict[str, Tuple[List[int], List[Any]]] = {}
+        for position, (vertex, message) in enumerate(
+            zip(vertices.tolist(), messages.tolist())
+        ):
+            ctx._reset(vertex)
+            state[vertex] = compute(ctx, vertex, state[vertex], message)
+            for target, out in ctx._sent:
+                targets.append(target)
+                sent.append(out)
+                sources.append(position)
+            for name, value in ctx._aggregated:
+                positions, values = contributed.setdefault(name, ([], []))
+                positions.append(position)
+                values.append(value)
+        contribs: Contributions = {
+            name: (np.array(positions, dtype=np.int64), _object_array(values))
+            for name, (positions, values) in contributed.items()
+        }
+        return (
+            np.array(targets, dtype=np.int64),
+            _object_array(sent),
+            np.array(sources, dtype=np.int64),
+            contribs,
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"VertexFunctionKernel({self.program!r})"

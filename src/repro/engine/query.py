@@ -5,28 +5,26 @@ initial subset of active vertices Vsub ⊆ V."*  :class:`Query` is that tuple
 plus bookkeeping labels; :class:`QueryRuntime` is the engine-internal mutable
 execution state (query-local vertex data, per-worker mailboxes, barrier
 bookkeeping) — the "separate query-specific vertex data" that prevents write
-conflicts between parallel queries.
+conflicts between parallel queries.  Every runtime holds its vertex data in
+its kernel's dense buffers and its messages in array mailboxes, whether the
+kernel is the program's own or the per-vertex
+:class:`~repro.engine.kernels.VertexFunctionKernel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.errors import QueryError
-from repro.engine.kernels import ArrayMailbox, group_by_owner, scope_columns
+from repro.engine.kernels import (
+    ArrayMailbox,
+    VertexFunctionKernel,
+    group_by_owner,
+    scope_columns,
+)
 from repro.engine.vertex_program import AggregatorSpec, VertexProgram
 from repro.graph.digraph import DiGraph
 
@@ -77,32 +75,25 @@ class QueryRuntime:
     mailboxes, barrier bookkeeping, the activation report buffer, the
     in-flight compute counts and the latest checkpoint all live here (the
     engine keeps no map keyed by query id besides ``runtimes`` itself).
-    :meth:`release` ends that lifetime at finish: the answer stays for
-    ``query_result()`` — the sparse ``state`` dict on the generic path, the
-    ``answer`` columns on the vectorized path — every working structure goes.
+    :meth:`release` ends that lifetime at finish: the ``answer`` columns
+    stay for ``query_result()``, every working structure goes.
 
-    Two mailbox/state representations coexist:
+    Mailboxes are ``{worker: ArrayMailbox}``; the vertex data lives in the
+    kernel's dense buffers (``kstate``) with the scope tracked by
+    ``scope_mask``.  At finish the dense buffers shrink to ``answer``: the
+    scope ids and each state column gathered at them.  The kernel is the
+    program's own, or :class:`~repro.engine.kernels.VertexFunctionKernel`
+    when ``make_kernel`` returns ``None``; this constructor is the one
+    place that decides.
 
-    * **generic path** (``kernel is None``): mailboxes are
-      ``{worker: {vertex: combined message}}`` dicts and ``state`` is a
-      sparse ``{vertex: Dv}`` dict, as in the original implementation;
-    * **vectorized path** (``kernel`` set, for programs that provide a
-      :class:`~repro.engine.kernels.QueryKernel`): mailboxes are
-      ``{worker: ArrayMailbox}`` and the vertex data lives in the kernel's
-      dense numpy buffers (``kstate``) with scope tracked by ``scope_mask``;
-      ``state`` stays empty, and at finish the dense buffers shrink to
-      ``answer``: the scope ids and each state column gathered at them.
-
-    The query scope GS(q) has one representation per path and phase —
-    ``scope_mask`` while a kernel query runs, ``answer[0]`` once it has
-    finished, the keys of ``state`` on the generic path — read through
+    The query scope GS(q) has one representation per phase — ``scope_mask``
+    while the query runs, ``answer[0]`` once it has finished — read through
     :meth:`scope_vertices`; the ``{vertex: Dv}`` view is built on demand by
     :meth:`materialized_state`, from the same gather on both phases.
     """
 
     __slots__ = (
         "query",
-        "state",
         "mailboxes",
         "next_mailboxes",
         "inbox_ready",
@@ -126,14 +117,12 @@ class QueryRuntime:
         "answer",
     )
 
-    def __init__(self, query: Query, graph: Optional[DiGraph] = None) -> None:
+    def __init__(self, query: Query, graph: DiGraph) -> None:
         self.query = query
-        #: query-local vertex data Dv (sparse: only activated vertices)
-        self.state: Dict[int, Any] = {}
-        #: worker -> {vertex -> combined message} for the *current* iteration
-        self.mailboxes: Dict[int, Any] = {}
-        #: worker -> {vertex -> combined message} being filled for the next one
-        self.next_mailboxes: Dict[int, Any] = {}
+        #: worker -> messages for the *current* iteration
+        self.mailboxes: Dict[int, ArrayMailbox] = {}
+        #: worker -> messages being gathered for the next one
+        self.next_mailboxes: Dict[int, ArrayMailbox] = {}
         #: worker -> virtual time when its inbox for the next iteration is complete
         self.inbox_ready: Dict[int, float] = {}
         #: worker -> raw remote messages awaiting deserialization there
@@ -168,16 +157,17 @@ class QueryRuntime:
         #: latest barrier-aligned checkpoint (None until the first capture)
         self.checkpoint: Optional["QueryCheckpoint"] = None
         self.finished = False
-        #: vectorized iteration kernel (None -> generic per-vertex path)
-        self.kernel = query.program.make_kernel(graph) if graph is not None else None
-        #: kernel-owned dense state buffers
-        self.kstate: Any = None
-        #: dense activation flags: the query scope on the vectorized path
-        self.scope_mask: Optional[np.ndarray] = None
-        if self.kernel is not None:
-            self.kstate = self.kernel.make_state(graph)
-            self.scope_mask = np.zeros(graph.num_vertices, dtype=bool)
-        #: a finished kernel query's answer, written once by :meth:`release`:
+        #: the iteration kernel: the program's own, else its vertex function
+        self.kernel = query.program.make_kernel(graph) or VertexFunctionKernel(
+            query.program
+        )
+        #: kernel-owned dense state buffers (None once released)
+        self.kstate: Any = self.kernel.make_state(graph)
+        #: dense activation flags: the query scope while the query runs
+        self.scope_mask: Optional[np.ndarray] = np.zeros(
+            graph.num_vertices, dtype=bool
+        )
+        #: a finished query's answer, written once by :meth:`release`:
         #: ``(scope ids, *state columns gathered at them)``
         self.answer: Optional[Tuple[np.ndarray, ...]] = None
 
@@ -185,15 +175,6 @@ class QueryRuntime:
             self.agg_committed[name] = identity
 
     # ------------------------------------------------------------------
-    def deliver(self, worker: int, vertex: int, message: Any, to_next: bool = True) -> None:
-        """Merge a message into a worker's (next-)iteration mailbox."""
-        target = self.next_mailboxes if to_next else self.mailboxes
-        box = target.setdefault(worker, {})
-        if vertex in box:
-            box[vertex] = self.query.program.combine(box[vertex], message)
-        else:
-            box[vertex] = message
-
     def deliver_array(
         self,
         worker: int,
@@ -213,11 +194,7 @@ class QueryRuntime:
     def seed_messages(
         self, pairs: Iterable[Tuple[int, Any]], assignment: np.ndarray
     ) -> None:
-        """Deliver the program's seed messages through the active path."""
-        if self.kernel is None:
-            for vertex, message in pairs:
-                self.deliver(int(assignment[vertex]), vertex, message, to_next=True)
-            return
+        """Deliver the program's seed messages to their owners' next mailboxes."""
         vertices, messages = self.kernel.encode_messages(pairs)
         vertices, messages = self.kernel.combine_arrays(vertices, messages)
         for owner, vchunk, mchunk in group_by_owner(
@@ -236,12 +213,9 @@ class QueryRuntime:
     ) -> None:
         """Re-home mailbox entries after vertices moved between workers.
 
-        Handles both mailbox generations and both representations (dict
-        boxes on the generic path, :class:`ArrayMailbox` chunks on the
-        vectorized path).  When two old boxes each hold a message for the
-        same vertex, the re-homed entries are merged with
-        ``program.combine`` (array boxes defer combining to consumption
-        time) — overwriting would silently drop a message.
+        Handles both mailbox generations.  When two old boxes each hold a
+        message for the same vertex, both chunks go to the new owner;
+        combining waits for consumption, so no message is dropped.
 
         ``workers`` restricts the pass to mailboxes currently homed on
         those workers (partial STOP/START: every message addressed to a
@@ -254,12 +228,9 @@ class QueryRuntime:
         atomic-mutation and checkpoint rules reason over exactly these
         attribute stores.
         """
-        combine = self.query.program.combine
-        self.mailboxes = _rebucket_boxes(
-            self.mailboxes, assignment, workers, combine
-        )
+        self.mailboxes = _rebucket_boxes(self.mailboxes, assignment, workers)
         self.next_mailboxes = _rebucket_boxes(
-            self.next_mailboxes, assignment, workers, combine
+            self.next_mailboxes, assignment, workers
         )
 
     def open_generation(self, involved: Set[int]) -> None:
@@ -301,10 +272,8 @@ class QueryRuntime:
 
     def grow(self, new_n: int) -> None:
         """Extend the dense kernel buffers after a graph mutation appended
-        vertices (no-op on the generic path, whose state dict is sparse)."""
-        if self.kernel is None or self.scope_mask is None:
-            return
-        if self.scope_mask.size >= new_n:
+        vertices."""
+        if self.scope_mask is None or self.scope_mask.size >= new_n:
             return
         self.kstate = self.kernel.grow_state(self.kstate, new_n)
         grown = np.zeros(new_n, dtype=bool)
@@ -323,58 +292,43 @@ class QueryRuntime:
         dies there.  Returns the number of messages dropped.
         """
         dropped = 0
-        fresh: Dict[int, Any] = {}
+        fresh: Dict[int, ArrayMailbox] = {}
         for w, box in self.next_mailboxes.items():
-            if isinstance(box, ArrayMailbox):
-                vertices, messages = box.concat()
-                if vertices.size == 0:
-                    continue
-                keep = ~dead_mask[vertices]
-                dropped += int(vertices.size - np.count_nonzero(keep))
-                if keep.all():
-                    fresh[w] = box
-                elif keep.any():
-                    kept = ArrayMailbox()
-                    kept.append(vertices[keep], messages[keep])
-                    fresh[w] = kept
-            else:
-                kept_box = {
-                    v: msg for v, msg in box.items() if not dead_mask[v]
-                }
-                dropped += len(box) - len(kept_box)
-                if kept_box:
-                    fresh[w] = kept_box
+            vertices, messages = box.concat()
+            if vertices.size == 0:
+                continue
+            keep = ~dead_mask[vertices]
+            dropped += int(vertices.size - np.count_nonzero(keep))
+            if keep.all():
+                fresh[w] = box
+            elif keep.any():
+                kept = ArrayMailbox()
+                kept.append(vertices[keep], messages[keep])
+                fresh[w] = kept
         self.next_mailboxes = fresh
         return dropped
 
     def materialized_state(self) -> Dict[int, Any]:
-        """The sparse ``{vertex: Dv}`` view, whichever path is active."""
+        """The sparse ``{vertex: Dv}`` view, running or finished."""
         columns = self.answer
         if self.scope_mask is not None:
             columns = scope_columns(self.kstate, self.scope_mask)
-        if columns is None:
-            return self.state
         return self.kernel.answer_dict(*columns)
 
     def scope_vertices(self) -> np.ndarray:
         """The query scope GS(q): every vertex activated so far (sorted)."""
         if self.scope_mask is not None:
             return np.flatnonzero(self.scope_mask)
-        if self.answer is not None:
-            return self.answer[0].copy()
-        scope = np.fromiter(self.state, dtype=np.int64, count=len(self.state))
-        scope.sort()
-        return scope
+        return self.answer[0].copy()
 
     def release(self) -> None:
         """End of the query's lifetime: keep the answer, drop the rest.
 
-        A kernel query keeps its answer as columns in ``answer`` — the
-        ``int64`` scope ids and each dense state column gathered at them,
-        16 B per SSSP entry — and no dict: ``materialized_state()``,
+        The query keeps its answer as columns in ``answer`` — the ``int64``
+        scope ids and each dense state column gathered at them, 16 B per
+        SSSP entry — and no dict: ``materialized_state()``,
         ``query_result()`` and ``scope_vertices()`` rebuild their values
-        from the columns on demand.  A generic query keeps its sparse
-        ``state`` dict.  Every working structure is freed — dense buffers,
+        from the columns on demand.  Every working structure is freed — dense buffers,
         both mailbox generations, barrier bookkeeping, activation buffer,
         in-flight map, checkpoint, aggregator declarations.  Event handlers
         reach a finished runtime only behind their ``qr.finished`` guard,
@@ -407,18 +361,17 @@ class QueryRuntime:
 
 
 def _rebucket_boxes(
-    old: Dict[int, Any],
+    old: Dict[int, ArrayMailbox],
     assignment: np.ndarray,
     workers: Optional[Set[int]],
-    combine: Callable[[Any, Any], Any],
-) -> Dict[int, Any]:
+) -> Dict[int, ArrayMailbox]:
     """One mailbox generation re-homed onto ``assignment``.
 
     Pure with respect to the runtime: takes the old ``{worker: box}`` map,
     returns the fresh one; :meth:`QueryRuntime.rebucket` assigns the result
     back so the attribute store stays statically visible.
     """
-    fresh: Dict[int, Any] = {}
+    fresh: Dict[int, ArrayMailbox] = {}
     scanned = []
     for w, box in old.items():
         if workers is not None and w not in workers:
@@ -426,20 +379,12 @@ def _rebucket_boxes(
         else:
             scanned.append(box)
     for box in scanned:
-        if isinstance(box, ArrayMailbox):
-            vertices, messages = box.concat()
-            for owner, vchunk, mchunk in group_by_owner(
-                assignment[vertices], vertices, messages
-            ):
-                dest = fresh.get(owner)
-                if dest is None:
-                    dest = fresh[owner] = ArrayMailbox()
-                dest.append(vchunk, mchunk)
-        else:
-            for v, msg in box.items():
-                dict_dest = fresh.setdefault(int(assignment[v]), {})
-                if v in dict_dest:
-                    dict_dest[v] = combine(dict_dest[v], msg)
-                else:
-                    dict_dest[v] = msg
+        vertices, messages = box.concat()
+        for owner, vchunk, mchunk in group_by_owner(
+            assignment[vertices], vertices, messages
+        ):
+            dest = fresh.get(owner)
+            if dest is None:
+                dest = fresh[owner] = ArrayMailbox()
+            dest.append(vchunk, mchunk)
     return fresh

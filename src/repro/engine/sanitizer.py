@@ -21,9 +21,8 @@ Invariant catalog
 -----------------
 ``message-conservation``
     Rebucketing a query's mailboxes across a repartition preserves the
-    addressed vertices (multiset on the array path, where combining is
-    deferred; set on the dict path, where same-vertex entries legally
-    merge through ``program.combine``).
+    multiset of addressed vertices (combining is deferred to consumption,
+    so no two entries merge on the way).
 ``mailbox-homing``
     After a rebucket, every mailbox entry lives on ``assignment[vertex]``.
 ``epoch-monotonicity``
@@ -125,35 +124,12 @@ class SanitizerError(EngineError):
         super().__init__(f"[sanitizer] {message} ({', '.join(context)})")
 
 
-#: per-generation mailbox fingerprint: (sorted vertex array, exact-multiset?)
-_BoxFingerprint = Tuple[np.ndarray, bool]
-
-
-def _mailbox_fingerprint(boxes: Dict[int, Any]) -> _BoxFingerprint:
-    """Order-insensitive fingerprint of one mailbox generation.
-
-    Array mailboxes defer combining, so rebucketing must preserve the raw
-    *multiset* of addressed vertices.  Dict mailboxes legally merge two
-    entries for the same vertex via ``program.combine`` when a move makes
-    them share a worker, so only the vertex *set* is invariant there.
-    """
-    chunks: List[np.ndarray] = []
-    exact = True
-    for box in boxes.values():
-        if isinstance(box, ArrayMailbox):
-            vertices, _messages = box.concat()
-            chunks.append(np.asarray(vertices, dtype=np.int64))
-        else:
-            exact = False
-            chunks.append(np.fromiter(box.keys(), dtype=np.int64, count=len(box)))
-    if not chunks:
-        return np.empty(0, dtype=np.int64), exact
-    merged = np.concatenate(chunks)
-    if not exact:
-        merged = np.unique(merged)
-    else:
-        merged = np.sort(merged, kind="stable")
-    return merged, exact
+def _mailbox_fingerprint(boxes: Dict[int, ArrayMailbox]) -> np.ndarray:
+    """Order-insensitive fingerprint of one mailbox generation: the sorted
+    multiset of addressed vertices (mailboxes defer combining, so
+    rebucketing must preserve every raw entry)."""
+    vertices, _messages = ArrayMailbox.concat_all(list(boxes.values()))
+    return np.sort(vertices, kind="stable")
 
 
 class SimulationSanitizer:
@@ -282,9 +258,9 @@ class SimulationSanitizer:
     # ------------------------------------------------------------------
     # message-conservation + mailbox-homing (rebucket/migration)
     # ------------------------------------------------------------------
-    def snapshot_mailboxes(self) -> Dict[int, Tuple[_BoxFingerprint, _BoxFingerprint]]:
+    def snapshot_mailboxes(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
         """Fingerprint every live runtime's mailboxes before a rebucket."""
-        snapshot: Dict[int, Tuple[_BoxFingerprint, _BoxFingerprint]] = {}
+        snapshot: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         for query_id in sorted(self.engine.running):
             qr = self.engine.runtimes[query_id]
             snapshot[query_id] = (
@@ -295,7 +271,7 @@ class SimulationSanitizer:
 
     def check_rebucket(
         self,
-        pre: Dict[int, Tuple[_BoxFingerprint, _BoxFingerprint]],
+        pre: Dict[int, Tuple[np.ndarray, np.ndarray]],
         assignment: np.ndarray,
         now: float,
     ) -> None:
@@ -304,14 +280,12 @@ class SimulationSanitizer:
             qr = self.engine.runtimes[query_id]
             if qr.finished:
                 continue
-            for generation, pre_fp, boxes in (
+            for generation, pre_vertices, boxes in (
                 ("mailboxes", pre_current, qr.mailboxes),
                 ("next_mailboxes", pre_next, qr.next_mailboxes),
             ):
                 self.checks_performed += 1
-                post_fp = _mailbox_fingerprint(boxes)
-                pre_vertices, _pre_exact = pre_fp
-                post_vertices, _post_exact = post_fp
+                post_vertices = _mailbox_fingerprint(boxes)
                 if not np.array_equal(pre_vertices, post_vertices):
                     raise SanitizerError(
                         "message-conservation",
@@ -326,12 +300,7 @@ class SimulationSanitizer:
                         },
                     )
                 for worker, box in boxes.items():
-                    if isinstance(box, ArrayMailbox):
-                        vertices, _messages = box.concat()
-                    else:
-                        vertices = np.fromiter(
-                            box.keys(), dtype=np.int64, count=len(box)
-                        )
+                    vertices, _messages = box.concat()
                     if vertices.size and not np.all(assignment[vertices] == worker):
                         stray = vertices[assignment[vertices] != worker]
                         raise SanitizerError(
@@ -352,7 +321,7 @@ class SimulationSanitizer:
     # ------------------------------------------------------------------
     def checkpoint_fingerprint(
         self, qr: "QueryRuntime"
-    ) -> Tuple[_BoxFingerprint, _BoxFingerprint]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Fingerprint both mailbox generations at checkpoint capture."""
         return (
             _mailbox_fingerprint(qr.mailboxes),
@@ -363,7 +332,7 @@ class SimulationSanitizer:
         self,
         query_id: int,
         qr: "QueryRuntime",
-        fingerprint: Optional[Tuple[_BoxFingerprint, _BoxFingerprint]],
+        fingerprint: Optional[Tuple[np.ndarray, np.ndarray]],
         assignment: np.ndarray,
         now: float,
     ) -> None:
@@ -378,13 +347,12 @@ class SimulationSanitizer:
         # the restore legitimately re-bases the observed epoch
         self._epochs[query_id] = qr.barrier_epoch
         if fingerprint is not None:
-            for generation, pre_fp, boxes in (
+            for generation, pre_vertices, boxes in (
                 ("mailboxes", fingerprint[0], qr.mailboxes),
                 ("next_mailboxes", fingerprint[1], qr.next_mailboxes),
             ):
                 self.checks_performed += 1
-                post_vertices, _exact = _mailbox_fingerprint(boxes)
-                pre_vertices, _pre_exact = pre_fp
+                post_vertices = _mailbox_fingerprint(boxes)
                 if not np.array_equal(pre_vertices, post_vertices):
                     raise SanitizerError(
                         "recovery-conservation",
@@ -400,10 +368,7 @@ class SimulationSanitizer:
                     )
         for worker, box in qr.mailboxes.items():
             self.checks_performed += 1
-            if isinstance(box, ArrayMailbox):
-                vertices, _messages = box.concat()
-            else:
-                vertices = np.fromiter(box.keys(), dtype=np.int64, count=len(box))
+            vertices, _messages = box.concat()
             if vertices.size and not np.all(assignment[vertices] == worker):
                 stray = vertices[assignment[vertices] != worker]
                 raise SanitizerError(
@@ -488,8 +453,6 @@ class SimulationSanitizer:
             )
         for query_id in sorted(engine.running):
             qr = engine.runtimes[query_id]
-            if qr.kernel is None:
-                continue
             self.checks_performed += 1
             if qr.scope_mask is None or qr.scope_mask.size != n:
                 raise SanitizerError(

@@ -22,10 +22,13 @@ Three extension points matter:
     Message combiner — merged sender-side and receiver-side, like Pregel
     combiners.  Must be commutative and associative.
 
-A fourth, optional extension point is ``make_kernel``: returning a
-:class:`repro.engine.kernels.QueryKernel` switches the engine to the
-numpy-vectorized iteration path for this program (all built-in query types
-do); returning ``None`` keeps the generic per-vertex path below.
+A fourth, optional extension point is ``make_kernel``: a
+:class:`repro.engine.kernels.QueryKernel` that runs a whole frontier in a
+few numpy operations (every built-in query type has one).  A program that
+returns ``None``, the default, runs through
+:class:`~repro.engine.kernels.VertexFunctionKernel`, which calls
+``compute`` once per frontier vertex; either way the engine keeps one
+representation of query state.
 
 Aggregators mirror Pregel aggregators: values contributed during iteration
 ``i`` are reduced at the barrier and visible to every vertex in iteration
@@ -51,42 +54,26 @@ class ComputeContext:
     """Per-(vertex, iteration) facade handed to :meth:`VertexProgram.compute`.
 
     Collects outgoing messages and aggregator contributions; exposes the
-    graph, the current vertex id and iteration number, and the aggregator
-    values committed at the previous barrier.
+    graph, the current vertex id, and the aggregator values committed at
+    the previous barrier.
     """
 
-    __slots__ = (
-        "graph",
-        "vertex",
-        "iteration",
-        "_sent",
-        "_agg_partial",
-        "_agg_committed",
-    )
+    __slots__ = ("graph", "vertex", "_sent", "_aggregated", "_agg_committed")
 
-    def __init__(
-        self,
-        graph: DiGraph,
-        agg_committed: Dict[str, Any],
-        agg_partial: Dict[str, Any],
-    ) -> None:
+    def __init__(self, graph: DiGraph, agg_committed: Dict[str, Any]) -> None:
         self.graph = graph
         self.vertex = -1
-        self.iteration = 0
+        #: ``(target, message)`` sent by the current vertex, in send order
         self._sent: List[Tuple[int, Any]] = []
-        self._agg_partial = agg_partial
+        #: ``(aggregator, value)`` contributed by the current vertex
+        self._aggregated: List[Tuple[str, Any]] = []
         self._agg_committed = agg_committed
 
     # -- engine side -----------------------------------------------------
-    def _reset(self, vertex: int, iteration: int) -> None:
+    def _reset(self, vertex: int) -> None:
         self.vertex = vertex
-        self.iteration = iteration
         self._sent = []
-
-    def _drain(self) -> List[Tuple[int, Any]]:
-        sent = self._sent
-        self._sent = []
-        return sent
+        self._aggregated = []
 
     # -- program side ----------------------------------------------------
     def send(self, target: int, message: Any) -> None:
@@ -107,7 +94,7 @@ class ComputeContext:
         """Contribute ``value`` to aggregator ``name`` (visible next iteration)."""
         if name not in self._agg_committed:
             raise EngineError(f"unknown aggregator {name!r}")
-        self._agg_partial[name] = self._agg_partial.get(name, ()) + (value,)
+        self._aggregated.append((name, value))
 
     def aggregated(self, name: str) -> Any:
         """Aggregator value committed at the previous barrier (or identity)."""
@@ -149,11 +136,12 @@ class VertexProgram(abc.ABC):
     def make_kernel(self, graph: DiGraph) -> Optional["Any"]:
         """Vectorized iteration kernel for this program, or ``None``.
 
-        Returning a :class:`repro.engine.kernels.QueryKernel` opts the
-        program into the numpy-vectorized per-worker iteration path; the
-        kernel's ``step`` must be semantically identical to :meth:`compute`
-        (see ``docs/engine.md``).  The default ``None`` keeps the generic
-        per-vertex path, so custom programs work without a kernel.
+        A returned :class:`repro.engine.kernels.QueryKernel` runs the
+        program's iterations; its ``step`` must be semantically identical
+        to :meth:`compute` (see ``docs/engine.md``).  With the default
+        ``None`` the program runs through
+        :class:`~repro.engine.kernels.VertexFunctionKernel`, which calls
+        :meth:`compute` itself, so custom programs work without a kernel.
         """
         return None
 

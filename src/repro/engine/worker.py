@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.engine.kernels import ArrayMailbox, contribute_partial, group_by_owner
 from repro.engine.query import QueryRuntime
-from repro.engine.vertex_program import ComputeContext
 from repro.graph.digraph import DiGraph
 from repro.simulation.cluster import MachineProfile
 
@@ -81,7 +80,8 @@ class SimWorker:
         graph: DiGraph,
         assignment: np.ndarray,
     ) -> List[IterationResult]:
-        """Run the vertex function on the active vertices of a *run*.
+        """Run the vertex function on the active vertices of a *run*: one
+        fused pass of ``qr``'s kernel over the members' mailboxes.
 
         ``run`` names distinct workers (ids into ``workers``, the cluster's
         executors) whose tasks for ``qr`` are ready at the same instant;
@@ -91,74 +91,8 @@ class SimWorker:
         time).  Returns one :class:`IterationResult` per member, in run
         order, equal to what executing the members one after the other
         would produce.
-        """
-        if qr.kernel is None:
-            return [
-                workers[w]._execute_generic(qr, graph, assignment, len(workers))
-                for w in run
-            ]
-        return SimWorker._execute_vectorized(workers, run, qr, graph, assignment)
 
-    def _execute_generic(
-        self, qr: QueryRuntime, graph: DiGraph, assignment: np.ndarray, k: int
-    ) -> IterationResult:
-        """One worker's iteration through ``VertexProgram.compute`` (dict
-        mailboxes): the path of programs without a kernel."""
-        remote_inbound = qr.pending_remote_inbound.pop(self.wid, 0)
-        mailbox = qr.mailboxes.pop(self.wid, None)
-        if not mailbox:
-            return IterationResult(0, 0, remote_inbound, 0, [])
-
-        program = qr.query.program
-        agg_partial = qr.agg_partials.get(self.wid, {})
-        ctx = ComputeContext(graph, qr.agg_committed, agg_partial)
-
-        executed = visited = 0
-        sent = [0] * k
-        activated: List[int] = []
-        for vertex, message in mailbox.items():
-            if vertex not in qr.state:
-                activated.append(vertex)
-            ctx._reset(vertex, qr.iteration)
-            old_state = qr.state.get(vertex)
-            new_state = program.compute(ctx, vertex, old_state, message)
-            qr.state[vertex] = new_state
-            executed += 1
-            visited += graph.out_degree(vertex)
-            for target, msg in ctx._drain():
-                owner = int(assignment[target])
-                qr.deliver(owner, target, msg, to_next=True)
-                sent[owner] += 1
-                if owner != self.wid:
-                    qr.pending_remote_inbound[owner] = (
-                        qr.pending_remote_inbound.get(owner, 0) + 1
-                    )
-        self.vertex_executions += executed
-        if agg_partial:
-            # created at the first contribution, like the kernel path's
-            qr.agg_partials[self.wid] = agg_partial
-        if activated:
-            qr.activated.append(np.array(activated, dtype=np.int64))
-        remote = [
-            (dest, count)
-            for dest, count in enumerate(sent)
-            if count and dest != self.wid
-        ]
-        return IterationResult(executed, visited, remote_inbound, sent[self.wid], remote)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _execute_vectorized(
-        workers: Sequence["SimWorker"],
-        run: Sequence[int],
-        qr: QueryRuntime,
-        graph: DiGraph,
-        assignment: np.ndarray,
-    ) -> List[IterationResult]:
-        """One fused pass of ``qr``'s kernel over the mailboxes of a run.
-
-        Equal, member by member, to stepping the workers one after the
-        other.  **Vertex ownership is disjoint across the run**: every
+        **Vertex ownership is disjoint across the run**: every
         message for a vertex sits in its owner's mailbox, so the fused
         state writes (``kstate``, ``scope_mask``) touch the cells the
         separate steps would, with the same values, and the stable
@@ -169,14 +103,10 @@ class SimWorker:
         vertices and visited edges by run position of the frontier,
         message counts by (source position, destination) of the sends —
         one ``bincount`` matrix whose row *i* holds member *i*'s ``local``
-        count and ``remote`` cells.  The run's scope additions go to
-        ``qr.activated`` as one chunk, not per member: the controller reads
-        them only as a set.
-
-        Counter-for-counter equivalent to the generic loop too: executed
-        vertices and visited edges are the combined frontier, message
-        counts are the raw (pre-combining) sends, so the virtual-time cost
-        model charges both paths identically.
+        count and ``remote`` cells.  Executed vertices and visited edges
+        are the combined frontier, message counts the raw (pre-combining)
+        sends.  The run's scope additions go to ``qr.activated`` as one
+        chunk, not per member: the controller reads them only as a set.
         """
         kernel = qr.kernel
         r = len(run)

@@ -26,7 +26,7 @@ weights are travel times in minutes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 

@@ -32,8 +32,9 @@ def _gather_ranges(
     dst[concat_ranges(dst_starts, counts)] = src[concat_ranges(starts, counts)]
 
 
-def iter_neighbor_chunks(graph: DiGraph, order: np.ndarray, chunk_size: int = 2048):
-    """Stream ``order`` in chunks with pre-gathered undirected neighbourhoods.
+def iter_neighbor_chunks(graph: DiGraph, chunk_size: int = 2048):
+    """Stream the vertex ids ``0 .. n-1`` in chunks with pre-gathered
+    undirected neighbourhoods.
 
     For each chunk of stream vertices this yields ``(vertices, neighbors,
     offsets)`` where ``neighbors[offsets[i] : offsets[i+1]]`` are the out-
@@ -45,8 +46,9 @@ def iter_neighbor_chunks(graph: DiGraph, order: np.ndarray, chunk_size: int = 20
     """
     out = graph.csr()
     rin = graph.csr_in()
-    for lo in range(0, order.size, chunk_size):
-        vs = order[lo : lo + chunk_size]
+    n = graph.num_vertices
+    for lo in range(0, n, chunk_size):
+        vs = np.arange(lo, min(lo + chunk_size, n), dtype=np.int64)
         out_counts = out.indptr[vs + 1] - out.indptr[vs]
         in_counts = rin.indptr[vs + 1] - rin.indptr[vs]
         degrees = out_counts + in_counts

@@ -112,9 +112,7 @@ class LdgPartitioner(Partitioner):
         sizes = np.zeros(k, dtype=np.int64)
         capacity = (1.0 + SLACK) * n / k if n else 1.0
 
-        for chunk, neighbors, offsets in iter_neighbor_chunks(
-            graph, np.arange(n, dtype=np.int64)
-        ):
+        for chunk, neighbors, offsets in iter_neighbor_chunks(graph):
             for i in range(chunk.size):
                 owners = assignment[neighbors[offsets[i] : offsets[i + 1]]]
                 assignment[chunk[i]] = _place(owners, sizes, capacity, k)

@@ -18,7 +18,7 @@ start/end, reproducing the localized global query scopes that Q-cut exploits.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.engine.kernels import SsspKernel
 from repro.engine.vertex_program import ComputeContext, VertexProgram

@@ -3,13 +3,15 @@
 The fault, churn, sanitizer, event-log and run-coalescing tests pin
 fingerprints and digests of runs built from the same pieces: the Q-cut
 controller configuration, the 4-city road network, a Hash-partitioned
-engine on the ``M2`` cluster, the run fingerprint, and an event queue that
-logs every event it pops.  They live here once.
+engine on the ``M2`` cluster, the run fingerprint, an event queue that
+logs every event it pops, and a controller that fires one scripted move
+plan.  They live here once.
 """
 
 import hashlib
 
-from repro.core.controller import Controller, ControllerConfig
+from repro.core.api import MoveRequest
+from repro.core.controller import Controller, ControllerConfig, MovePlan
 from repro.engine.engine import EngineConfig, QGraphEngine
 from repro.graph.road_network import generate_road_network
 from repro.partitioning import HashPartitioner
@@ -23,6 +25,7 @@ __all__ = [
     "fingerprint",
     "digest",
     "LoggedQueue",
+    "ScriptedController",
 ]
 
 
@@ -104,3 +107,29 @@ class LoggedQueue(EventQueue):
             )
             self.log.append((event.time, event.seq, event.kind, scalars))
         return event
+
+
+class ScriptedController(Controller):
+    """Fires one scripted move plan at the first adaptation opportunity."""
+
+    def __init__(self, k, vertices, src=0, dst=1):
+        super().__init__(k)
+        self._scripted = MoveRequest(src=src, dst=dst, vertices=vertices)
+        self._fired = False
+
+    def should_trigger_qcut(self, now, assignment=None):
+        return not self._fired and not self._qcut_running
+
+    def begin_qcut(self, assignment, now, saturated=True):
+        self._qcut_running = True
+        return 5.0e-4
+
+    def complete_qcut(self, now):
+        self._qcut_running = False
+        self._fired = True
+        self.last_qcut_time = now
+        plan = MovePlan(moves=[self._scripted], cost_before=1.0, cost_after=0.5)
+        plan.involved_workers = frozenset(
+            {self._scripted.src, self._scripted.dst}
+        )
+        return plan

@@ -388,10 +388,9 @@ class TestManifestWorkflow:
             "QueryRuntime.inflight",
         ):
             assert manifest[attr]["kind"] == "derived", attr
-        # the eight checkpointed runtime fields
+        # the seven checkpointed runtime fields
         for attr in (
             "QueryRuntime.iteration",
-            "QueryRuntime.state",
             "QueryRuntime.mailboxes",
             "QueryRuntime.next_mailboxes",
             "QueryRuntime.pending_remote_inbound",

@@ -194,26 +194,27 @@ class TestLocalityAccounting:
 
 
 class TestRuntimeHelpers:
-    def test_deliver_combines(self):
+    def test_seed_messages_combine(self):
         q = Query(0, SsspProgram(0, 1), (0,))
-        qr = QueryRuntime(q)
-        qr.deliver(0, 5, 3.0)
-        qr.deliver(0, 5, 1.0)
-        assert qr.next_mailboxes[0][5] == 1.0  # min combiner
+        qr = QueryRuntime(q, grid_graph(4, 4))
+        qr.seed_messages([(5, 3.0), (5, 1.0)], np.zeros(16, dtype=np.int64))
+        vertices, messages = qr.next_mailboxes[0].concat()
+        assert vertices.tolist() == [5]
+        assert messages.tolist() == [1.0]  # min combiner
 
     def test_rotate(self):
         q = Query(0, SsspProgram(0, 1), (0,))
-        qr = QueryRuntime(q)
-        qr.deliver(1, 5, 1.0)
+        qr = QueryRuntime(q, grid_graph(4, 4))
+        qr.deliver_array(1, np.array([5]), np.array([1.0]))
         qr.rotate_mailboxes()
         assert 1 in qr.mailboxes
         assert qr.next_mailboxes == {}
 
     def test_rebucket(self):
         q = Query(0, SsspProgram(0, 1), (0,))
-        qr = QueryRuntime(q)
-        qr.deliver(0, 5, 1.0, to_next=False)
-        assignment = np.zeros(10, dtype=np.int64)
+        qr = QueryRuntime(q, grid_graph(4, 4))
+        qr.deliver_array(0, np.array([5]), np.array([1.0]), to_next=False)
+        assignment = np.zeros(16, dtype=np.int64)
         assignment[5] = 3
         qr.rebucket(assignment)
-        assert 5 in qr.mailboxes[3]
+        assert qr.mailboxes[3].concat()[0].tolist() == [5]

@@ -25,6 +25,7 @@ from reference_impls import generic_path
 from repro.core.controller import Controller
 from repro.core.scopes import ScopeStore
 from repro.engine.barriers import SyncMode
+from repro.engine.kernels import VertexFunctionKernel
 from repro.errors import EngineError
 from repro.graph import (
     DiGraph,
@@ -170,7 +171,10 @@ class TestChurnExecution:
         workload.submit_all(engine)
         with generic_path():
             trace = engine.run()
-        assert all(qr.kernel is None for qr in engine.runtimes.values())
+        assert all(
+            isinstance(qr.kernel, VertexFunctionKernel)
+            for qr in engine.runtimes.values()
+        )
         assert len(trace.finished_queries()) == 48
         assert trace.churn_events
 

@@ -27,7 +27,7 @@ from engine_harness import build_engine, digest, fingerprint, road_network
 from reference_impls import generic_path
 from repro.engine.barriers import SyncMode
 from repro.engine.checkpoint import QueryCheckpoint
-from repro.engine.kernels import ArrayMailbox
+from repro.engine.kernels import VertexFunctionKernel
 from repro.engine.query import QueryRuntime
 from repro.errors import EngineError, SimulationError
 from repro.graph import MutableDiGraph
@@ -153,41 +153,78 @@ class TestFaultPlanValidation:
 # ----------------------------------------------------------------------
 # checkpoint capture/restore
 # ----------------------------------------------------------------------
+def _holds_mail(qr):
+    return any(len(box) for box in qr.mailboxes.values()) or any(
+        len(box) for box in qr.next_mailboxes.values()
+    )
+
+
+def _advance_until(engine, ready=_holds_mail):
+    """Advance ``engine`` one event timestamp at a time until some running
+    query is ``ready`` (by default: holds undelivered messages); return
+    those queries' runtimes."""
+    runtimes = {}
+    while not runtimes:
+        next_time = engine.queue.peek_time()
+        if next_time is None:
+            break
+        engine.run(until=next_time)
+        runtimes = {
+            qid: engine.runtimes[qid]
+            for qid in sorted(engine.running)
+            if ready(engine.runtimes[qid])
+        }
+    assert runtimes, "no query was ever mid-flight in the wanted state"
+    return runtimes
+
+
+def _mid_flight():
+    """A checkpointing engine stopped while a query holds both vertex state
+    and undelivered messages, and that query's runtime."""
+    rn = road_network()
+    engine = _build_engine(rn.graph, checkpoint_interval=2)
+    WorkloadGenerator(rn, seed=5).generate(
+        [PhaseSpec(num_queries=8, kind="sssp", label="faults")]
+    ).submit_all(engine)
+    runtimes = _advance_until(
+        engine, lambda qr: _holds_mail(qr) and bool(qr.scope_mask.any())
+    )
+    return engine, runtimes[min(runtimes)]
+
+
 class TestCheckpoint:
     def test_capture_restore_roundtrip(self):
-        rn = road_network()
-        engine, trace, _ = _run(rn, num_queries=8, checkpoint_interval=2)
-        assert trace.checkpoints_taken > 0
-        qid, qr = next(iter(sorted(engine.runtimes.items())))
+        engine, qr = _mid_flight()
+        assert qr.checkpoint is not None
         ck = QueryCheckpoint.capture(qr)
-        saved_iter, saved_state = qr.iteration, dict(qr.state)
+        saved_iter, saved_state = qr.iteration, qr.materialized_state()
+        assert saved_state
         qr.iteration += 3
-        qr.state = {}
+        qr.kstate = qr.kernel.make_state(engine.graph)
+        qr.scope_mask[:] = False
         rolled = ck.restore(qr, engine.assignment)
         assert rolled == 3
         assert qr.iteration == saved_iter
-        assert qr.state == saved_state
+        assert qr.materialized_state() == saved_state
         assert qr.involved == set(qr.mailboxes)
 
     def test_restore_rehomes_mailboxes(self):
-        rn = road_network()
-        engine, _, _ = _run(rn, num_queries=8, checkpoint_interval=2)
-        qr = next(iter(engine.runtimes.values()))
+        engine, qr = _mid_flight()
         ck = QueryCheckpoint.capture(qr)
         # move every vertex to worker 0: the restored boxes must follow
         assignment = np.zeros_like(engine.assignment)
         ck.restore(qr, assignment)
-        assert set(qr.mailboxes) <= {0}
+        assert set(qr.mailboxes) | set(qr.next_mailboxes) == {0}
 
     def test_restore_is_repeatable(self):
         """The checkpoint survives its own restore (copies go out)."""
-        rn = road_network()
-        engine, _, _ = _run(rn, num_queries=8, checkpoint_interval=2)
-        qr = next(iter(engine.runtimes.values()))
+        engine, qr = _mid_flight()
         ck = QueryCheckpoint.capture(qr)
         before = ck.message_count()
+        assert before > 0
         ck.restore(qr, engine.assignment)
-        qr.state.clear()
+        qr.kstate = qr.kernel.make_state(engine.graph)
+        qr.mailboxes = {}
         ck.restore(qr, engine.assignment)
         assert ck.message_count() == before
 
@@ -578,11 +615,8 @@ def _mailbox_pairs(boxes):
     """
     pairs = []
     for box in boxes.values():
-        if isinstance(box, ArrayMailbox):
-            vertices, messages = box.concat()
-            pairs.extend(zip(vertices.tolist(), np.asarray(messages).tolist()))
-        else:
-            pairs.extend((int(v), m) for v, m in box.items())
+        vertices, messages = box.concat()
+        pairs.extend(zip(vertices.tolist(), messages.tolist()))
     return sorted(pairs, key=lambda p: (p[0], repr(p[1])))
 
 
@@ -629,40 +663,27 @@ class TestCheckpointRestoreFixedPoint:
             [PhaseSpec(num_queries=4, kind=kind, label="fixed-point")]
         )
         workload.submit_all(engine)
-        # stop the simulation mid-flight: advance one event timestamp at a
-        # time until some running query holds undelivered messages, so the
-        # captured state exercises the mailbox re-homing path
-        runtimes = {}
+        # stop the simulation mid-flight, so the captured state exercises
+        # the mailbox re-homing path
         with generic_path() if generic else contextlib.nullcontext():
-            while not runtimes:
-                next_time = engine.queue.peek_time()
-                if next_time is None:
-                    break
-                engine.run(until=next_time)
-                runtimes = {
-                    qid: qr
-                    for qid in sorted(engine.running)
-                    for qr in [engine.runtimes[qid]]
-                    if any(len(box) for box in qr.mailboxes.values())
-                    or any(len(box) for box in qr.next_mailboxes.values())
-                }
-        assert runtimes, "no query was ever mid-flight with live mailboxes"
-        assert all((qr.kernel is None) == generic for qr in runtimes.values())
+            runtimes = _advance_until(engine)
+        assert all(
+            isinstance(qr.kernel, VertexFunctionKernel) == generic
+            for qr in runtimes.values()
+        )
         permuted = (engine.assignment + 1) % engine.cluster.num_workers
         assert not np.array_equal(permuted, engine.assignment)
         for qid, qr in sorted(runtimes.items()):
             scope = qr.scope_vertices()
             ck1 = QueryCheckpoint.capture(qr)
-            # wipe the live scope: the restore has to bring it back, not
-            # find it still lying there
-            qr.state = {}
-            if qr.scope_mask is not None:
-                qr.scope_mask[:] = False
+            # wipe the live state and scope: the restore has to bring them
+            # back, not find them still lying there
+            qr.kstate = qr.kernel.make_state(engine.graph)
+            qr.scope_mask[:] = False
             ck1.restore(qr, permuted)
             ck2 = QueryCheckpoint.capture(qr)
             label = f"{kind}/q{qid}"
             assert ck2.iteration == ck1.iteration, label
-            assert _deep_equal(ck2.state, ck1.state), label
             assert _deep_equal(
                 ck2.pending_remote_inbound, ck1.pending_remote_inbound
             ), label
@@ -679,9 +700,5 @@ class TestCheckpointRestoreFixedPoint:
             # and the restore really re-homed: every box now lives on the
             # worker the permuted assignment names
             for worker, box in qr.mailboxes.items():
-                if isinstance(box, ArrayMailbox):
-                    vertices, _ = box.concat()
-                    owners = set(permuted[vertices].tolist())
-                else:
-                    owners = {int(permuted[v]) for v in box}
-                assert owners <= {worker}, label
+                vertices, _ = box.concat()
+                assert set(permuted[vertices].tolist()) <= {worker}, label

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from engine_harness import ScriptedController
 from reference_impls import generic_path
 from repro.core import Controller
 from repro.engine import (
@@ -20,6 +21,7 @@ from repro.engine import (
 )
 from repro.engine.kernels import (
     LocalWccKernel,
+    VertexFunctionKernel,
     combine_by_vertex,
     expand_edges,
     group_by_owner,
@@ -28,6 +30,7 @@ from repro.engine.checkpoint import QueryCheckpoint
 from repro.engine.query import QueryRuntime
 from repro.graph import (
     DiGraph,
+    GraphBuilder,
     GraphDelta,
     MutableDiGraph,
     NewVertexSpec,
@@ -93,9 +96,9 @@ PINNED_SCOPES = {
 
 def assert_same_scope(graph, query, vec, gen, case):
     """``scope_vertices()`` is one more field the two paths agree on —
-    half-way through the run (kernel: ``scope_mask``; generic: ``state``
-    keys) and after finish (both: the materialized ``state``) — and equals
-    what the scope set it replaced held."""
+    half-way through the run (``scope_mask``) and after finish (the
+    ``answer`` columns) — and equals what the scope set it replaced
+    held."""
     qid = query.query_id
     end = vec.trace.queries[qid].end_time
     mid_vec, mid_gen = run_both(graph, [query], until=end / 2)
@@ -131,8 +134,8 @@ class TestEquivalence:
         factory, seeds = PROGRAM_CASES[case]
         q = Query(0, factory(), seeds)
         vec, gen = run_both(social, [q])
-        assert vec.runtimes[0].kernel is not None
-        assert gen.runtimes[0].kernel is None
+        assert not isinstance(vec.runtimes[0].kernel, VertexFunctionKernel)
+        assert isinstance(gen.runtimes[0].kernel, VertexFunctionKernel)
         assert vec.query_result(0) == gen.query_result(0)
         assert_same_scope(social, q, vec, gen, case)
 
@@ -174,7 +177,7 @@ class TestEquivalence:
         tagged = DiGraph(g.indptr, g.indices, g.weights, tags=tags)
         q = Query(0, PoiProgram(0), (0,))
         vec, gen = run_both(tagged, [q])
-        assert vec.runtimes[0].kernel is not None
+        assert not isinstance(vec.runtimes[0].kernel, VertexFunctionKernel)
         assert vec.query_result(0) == gen.query_result(0)
         assert_same_scope(tagged, q, vec, gen, "poi")
 
@@ -193,35 +196,188 @@ class TestEquivalence:
 
 
 class _TupleEcho(VertexProgram):
-    """A custom program with no kernel — must use the generic path."""
+    """A custom program with no kernel, so it runs through the
+    vertex-function kernel.  Its messages and states are equal-length
+    tuples — what ``np.asarray`` would stack into a 2-D array: each vertex
+    keeps ``(hops, seed)`` of its nearest seed within ``max_hops``."""
 
     kind = "echo"
 
+    def __init__(self, max_hops=6):
+        self.max_hops = max_hops
+
     def init_messages(self, graph, initial_vertices):
-        return [(v, 1) for v in initial_vertices]
+        return [(v, (0, v)) for v in initial_vertices]
+
+    def combine(self, a, b):
+        return min(a, b)
 
     def compute(self, ctx, vertex, state, message):
-        if state is None:
+        if state is not None and state <= message:
+            return state
+        hops, seed = message
+        if hops < self.max_hops:
             for nbr in ctx.graph.out_neighbors(vertex):
-                ctx.send(int(nbr), 1)
-        return (state or 0) + 1
+                ctx.send(int(nbr), (hops + 1, seed))
+        return message
+
+
+def _echo_oracle(graph, seeds, max_hops):
+    """``_TupleEcho``'s answer by a plain multi-source BFS."""
+    best = {v: (0, v) for v in seeds}
+    frontier = sorted(best)
+    for hops in range(1, max_hops + 1):
+        reached = {}
+        for v in frontier:
+            for nbr in graph.out_neighbors(v).tolist():
+                candidate = (hops, best[v][1])
+                if nbr not in best and candidate < reached.get(nbr, (hops, np.inf)):
+                    reached[nbr] = candidate
+        best.update(reached)
+        frontier = sorted(reached)
+    return best
+
+
+def _assert_flat_tuple_boxes(qr):
+    """Every mailbox holds a 1-D object array of 2-tuples."""
+    for box in (*qr.mailboxes.values(), *qr.next_mailboxes.values()):
+        vertices, messages = box.concat()
+        assert messages.shape == vertices.shape and messages.dtype == object
+        assert all(type(m) is tuple and len(m) == 2 for m in messages.tolist())
+
+
+class _Collect(VertexProgram):
+    """Keeps the combined message; the default ``combine`` collects a
+    vertex's messages into a tuple, so it shows their order."""
+
+    def init_messages(self, graph, initial_vertices):
+        return []
+
+    def compute(self, ctx, vertex, state, message):
+        return message
+
+
+def test_vertex_function_kernel_folds_in_mailbox_order():
+    """Each vertex's messages fold left with ``program.combine`` in mailbox
+    order; the vertices come out sorted, and a tuple message stays one
+    object entry."""
+    kernel = VertexFunctionKernel(_Collect())
+    vertices, messages = kernel.encode_messages(
+        [(5, 3), (2, "x"), (5, 1), (9, (7, 8)), (5, 2)]
+    )
+    assert messages.shape == (5,) and messages.dtype == object
+    vertices, messages = kernel.combine_arrays(vertices, messages)
+    assert vertices.tolist() == [2, 5, 9]
+    assert messages.tolist() == ["x", (3, 1, 2), (7, 8)]
 
 
 class TestFallback:
     def test_custom_program_uses_generic_path(self, social):
         eng = build_engine(social)
-        eng.submit(Query(0, _TupleEcho(), (0,)))
+        eng.submit(Query(0, _TupleEcho(), (0, 150)))
         eng.run()
-        assert eng.runtimes[0].kernel is None
+        assert isinstance(eng.runtimes[0].kernel, VertexFunctionKernel)
         assert eng.runtimes[0].finished
-        assert eng.query_result(0)[0] >= 1
+        assert eng.query_result(0) == _echo_oracle(social, (0, 150), 6)
+
+    def test_tuple_state_capture_restore_capture(self, social):
+        """capture . restore . capture == capture for tuple state and tuple
+        messages, on a permuted assignment; and a worker crash (a real
+        checkpoint restore with re-homing) leaves the answers of the
+        static run."""
+        eng = build_engine(social, checkpoint_interval=2)
+        for qid, seeds in enumerate([(0, 150), (40,), (77, 201, 260)]):
+            eng.submit(Query(qid, _TupleEcho(), seeds))
+        live = {}
+        while not live:
+            eng.run(until=eng.queue.peek_time())
+            live = {
+                qid: eng.runtimes[qid]
+                for qid in sorted(eng.running)
+                if eng.runtimes[qid].scope_mask.any()
+                and any(eng.runtimes[qid].next_mailboxes.values())
+            }
+        permuted = (eng.assignment + 1) % eng.cluster.num_workers
+        for qr in live.values():
+            _assert_flat_tuple_boxes(qr)
+            ck1 = QueryCheckpoint.capture(qr)
+            qr.kstate = qr.kernel.make_state(social)
+            qr.scope_mask[:] = False
+            ck1.restore(qr, permuted)
+            _assert_flat_tuple_boxes(qr)
+            ck2 = QueryCheckpoint.capture(qr)
+            assert ck2.kstate.shape == ck1.kstate.shape == (social.num_vertices,)
+            assert ck2.kstate.tolist() == ck1.kstate.tolist()
+            assert np.array_equal(ck2.scope_mask, ck1.scope_mask)
+            for generation in ("mailboxes", "next_mailboxes"):
+                pairs = [
+                    sorted(
+                        (v, m)
+                        for box in getattr(ck, generation).values()
+                        for v, m in zip(*(part.tolist() for part in box.concat()))
+                    )
+                    for ck in (ck1, ck2)
+                ]
+                assert pairs[0] == pairs[1]
+            for worker, box in qr.mailboxes.items():
+                assert set(permuted[box.concat()[0]].tolist()) <= {worker}
+
+        static = build_engine(social)
+        crashed = build_engine(
+            social,
+            checkpoint_interval=2,
+            faults=FaultPlan(seed=0, crashes=(WorkerCrash(time=2.0e-4, worker=1),)),
+        )
+        for engine in (static, crashed):
+            for qid, seeds in enumerate([(0, 150), (40,), (77, 201, 260)]):
+                engine.submit(Query(qid, _TupleEcho(), seeds))
+            engine.run()
+        assert [r.queries_rolled_back for r in crashed.trace.recoveries] == [3]
+        for qid, seeds in enumerate([(0, 150), (40,), (77, 201, 260)]):
+            answer = static.query_result(qid)
+            assert answer == _echo_oracle(social, seeds, 6)
+            assert crashed.query_result(qid) == answer
+
+    def test_tuple_messages_survive_a_partial_rebucket(self, monkeypatch):
+        """A partial STOP/START re-homes a kernel-less query's tuple
+        messages mid-flight; its answer equals the static run's."""
+        n = 400
+        builder = GraphBuilder(n)
+        for i in range(n - 1):
+            builder.add_bidirectional_edge(i, i + 1, 1.0)
+        graph = builder.build()
+        rebucketed = []
+        rebucket = QueryRuntime.rebucket
+
+        def spy(qr, assignment, workers=None):
+            held = sum(map(len, (*qr.mailboxes.values(), *qr.next_mailboxes.values())))
+            rebucket(qr, assignment, workers)
+            _assert_flat_tuple_boxes(qr)
+            rebucketed.append(held)
+
+        monkeypatch.setattr(QueryRuntime, "rebucket", spy)
+        answers = []
+        for adaptive in (True, False):
+            engine = QGraphEngine(
+                graph,
+                make_cluster("M2", 4),
+                np.repeat(np.arange(4, dtype=np.int64), 100),
+                controller=ScriptedController(4, np.arange(50, dtype=np.int64)),
+                config=EngineConfig(adaptive=adaptive, repartition_mode="partial"),
+            )
+            engine.submit(Query(0, _TupleEcho(max_hops=n), (0,)))
+            trace = engine.run()
+            assert len(trace.repartitions) == int(adaptive)
+            answers.append(engine.query_result(0))
+        assert rebucketed and rebucketed[0] > 0
+        assert answers[0] == answers[1] == _echo_oracle(graph, (0,), n)
 
     def test_generic_path_helper_forces_generic(self, social):
         eng = build_engine(social)
         eng.submit(Query(0, SsspProgram(0), (0,)))
         with generic_path():
             eng.run()
-        assert eng.runtimes[0].kernel is None
+        assert isinstance(eng.runtimes[0].kernel, VertexFunctionKernel)
 
     def test_generic_path_helper_restores_kernels_on_error(self, social):
         with pytest.raises(RuntimeError):
@@ -230,7 +386,7 @@ class TestFallback:
         eng = build_engine(social)
         eng.submit(Query(0, SsspProgram(0), (0,)))
         eng.run()
-        assert eng.runtimes[0].kernel is not None
+        assert not isinstance(eng.runtimes[0].kernel, VertexFunctionKernel)
 
     def test_generic_path_helper_nests(self, social):
         """An inner block's exit leaves the outer block in force."""
@@ -242,8 +398,8 @@ class TestFallback:
                 pass
             engines[0].run()
         engines[1].run()
-        assert engines[0].runtimes[0].kernel is None
-        assert engines[1].runtimes[0].kernel is not None
+        assert isinstance(engines[0].runtimes[0].kernel, VertexFunctionKernel)
+        assert not isinstance(engines[1].runtimes[0].kernel, VertexFunctionKernel)
 
     def test_state_materialized_after_finish(self, social):
         eng = build_engine(social)
@@ -328,7 +484,9 @@ class TestFinishedAnswerColumns:
         )
         gen, _ = run_scenario(tagged_social, case, scenario, at, generic_path())
         qr, ref = vec.runtimes[0], gen.runtimes[0]
-        assert qr.finished and qr.kernel is not None and ref.kernel is None
+        assert qr.finished
+        assert not isinstance(qr.kernel, VertexFunctionKernel)
+        assert isinstance(ref.kernel, VertexFunctionKernel)
         assert qr.kstate is None and qr.scope_mask is None
         assert vec.trace.queries[0].end_time > at
         if scenario == "churn":

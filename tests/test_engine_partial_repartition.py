@@ -9,9 +9,9 @@ Covers the plan-scoped barrier pipeline (``EngineConfig.repartition_mode ==
 * partial mode with an all-workers plan reproduces global mode
   event-for-event (same query records, repartition records, counters, and
   event count);
-* ``QueryRuntime.rebucket`` merges colliding vertices with the program's
-  combiner instead of overwriting (generic dict path), and conserves
-  mailbox mass on both representations;
+* ``QueryRuntime.rebucket`` keeps every message of colliding vertices, so
+  the consumer combines them instead of one overwriting the other, and
+  conserves mailbox mass;
 * migration cost groups payloads per directed link (two moves sharing a
   link serialize instead of being charged as concurrent transfers);
 * ``RepartitionRecord.stall_duration`` measures the actual STOP-begin →
@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from admission_policies import POLICIES, scheduler_for
+from engine_harness import ScriptedController
 from reference_impls import generic_path
 from repro.core import Controller, ControllerConfig
 from repro.core.api import MoveRequest
@@ -335,32 +336,6 @@ class TestPartialModeBasics:
         assert res == res_static
 
 
-class ScriptedController(Controller):
-    """Fires one scripted move plan at the first adaptation opportunity."""
-
-    def __init__(self, k, vertices, src=0, dst=1):
-        super().__init__(k)
-        self._scripted = MoveRequest(src=src, dst=dst, vertices=vertices)
-        self._fired = False
-
-    def should_trigger_qcut(self, now, assignment=None):
-        return not self._fired and not self._qcut_running
-
-    def begin_qcut(self, assignment, now, saturated=True):
-        self._qcut_running = True
-        return 5.0e-4
-
-    def complete_qcut(self, now):
-        self._qcut_running = False
-        self._fired = True
-        self.last_qcut_time = now
-        plan = MovePlan(moves=[self._scripted], cost_before=1.0, cost_after=0.5)
-        plan.involved_workers = frozenset(
-            {self._scripted.src, self._scripted.dst}
-        )
-        return plan
-
-
 def _path_engine(
     adaptive,
     connected,
@@ -561,26 +536,16 @@ class TestAllWorkersEquivalence:
         )
 
 
-class TestRebucketCollisions:
-    def test_dict_path_combines_on_collision(self):
-        """Two old boxes holding a message for the same vertex must merge
-        with the program combiner (min for SSSP), not overwrite."""
-        qr = QueryRuntime(Query(0, SsspProgram(0), (0,)))
-        qr.deliver(0, 5, 7.0, to_next=False)
-        qr.deliver(1, 5, 3.0, to_next=False)
-        qr.deliver(0, 6, 1.0, to_next=True)
-        qr.deliver(1, 6, 4.0, to_next=True)
-        assignment = np.zeros(10, dtype=np.int64)
-        assignment[5] = 2
-        assignment[6] = 2
-        qr.rebucket(assignment)
-        assert qr.mailboxes == {2: {5: 3.0}}
-        assert qr.next_mailboxes == {2: {6: 1.0}}
+def _combined(qr, box):
+    """A mailbox as ``{vertex: combined message}``, as its consumer sees it."""
+    vertices, messages = qr.kernel.combine_arrays(*box.concat())
+    return dict(zip(vertices.tolist(), messages.tolist()))
 
+
+class TestRebucketCollisions:
     def test_array_path_collision_combined_at_consume(self):
         g = grid_graph(4, 4)
         qr = QueryRuntime(Query(0, SsspProgram(0), (0,)), g)
-        assert qr.kernel is not None
         qr.deliver_array(0, np.array([5], dtype=np.int64), np.array([7.0]))
         qr.deliver_array(1, np.array([5], dtype=np.int64), np.array([3.0]))
         assignment = np.zeros(16, dtype=np.int64)
@@ -591,28 +556,6 @@ class TestRebucketCollisions:
         )
         assert vertices.tolist() == [5]
         assert messages.tolist() == [3.0]
-
-    def test_dict_mass_conserved(self):
-        """Every (vertex, message) survives a rebucket: vertices are the
-        union of the old boxes', values the combine over all deliveries."""
-        qr = QueryRuntime(Query(0, SsspProgram(0), (0,)))
-        deliveries = [(0, 1, 5.0), (1, 1, 2.0), (2, 3, 9.0), (0, 4, 1.5), (2, 1, 8.0)]
-        for w, v, m in deliveries:
-            qr.deliver(w, v, m, to_next=False)
-        assignment = np.array([0, 1, 1, 0, 1], dtype=np.int64)
-        qr.rebucket(assignment)
-        merged = {}
-        for box in qr.mailboxes.values():
-            for v, m in box.items():
-                assert v not in merged, "same vertex homed on two workers"
-                merged[v] = m
-        expected = {}
-        for _w, v, m in deliveries:
-            expected[v] = min(expected.get(v, np.inf), m)
-        assert merged == expected
-        for v, m in merged.items():
-            assert int(assignment[v]) in qr.mailboxes
-            assert qr.mailboxes[int(assignment[v])][v] == m
 
     def test_array_mass_conserved(self):
         g = grid_graph(4, 4)
@@ -633,25 +576,29 @@ class TestRebucketCollisions:
             assert (assignment[box.concat()[0]] == w).all()
 
     def test_scoped_rebucket_keeps_out_of_scope_boxes(self):
-        qr = QueryRuntime(Query(0, SsspProgram(0), (0,)))
-        qr.deliver(0, 1, 5.0, to_next=False)
-        qr.deliver(1, 2, 2.0, to_next=False)
-        assignment = np.array([0, 2, 2], dtype=np.int64)
+        qr = QueryRuntime(Query(0, SsspProgram(0), (0,)), grid_graph(2, 2))
+        qr.deliver_array(0, np.array([1]), np.array([5.0]), to_next=False)
+        qr.deliver_array(1, np.array([2]), np.array([2.0]), to_next=False)
+        assignment = np.array([0, 2, 2, 0], dtype=np.int64)
         # only worker 0's boxes are in scope: worker 1's stays put even
         # though the assignment disagrees (the caller guarantees no moved
         # vertex has messages outside the scanned workers)
         qr.rebucket(assignment, workers={0})
-        assert qr.mailboxes == {1: {2: 2.0}, 2: {1: 5.0}}
+        assert sorted(qr.mailboxes) == [1, 2]
+        assert _combined(qr, qr.mailboxes[1]) == {2: 2.0}
+        assert _combined(qr, qr.mailboxes[2]) == {1: 5.0}
 
     def test_scoped_rebucket_merges_into_kept_box(self):
-        qr = QueryRuntime(Query(0, SsspProgram(0), (0,)))
-        qr.deliver(0, 1, 5.0, to_next=False)
-        qr.deliver(1, 1, 2.0, to_next=False)
-        assignment = np.array([0, 1], dtype=np.int64)
+        qr = QueryRuntime(Query(0, SsspProgram(0), (0,)), grid_graph(2, 2))
+        qr.deliver_array(0, np.array([1]), np.array([5.0]), to_next=False)
+        qr.deliver_array(1, np.array([1]), np.array([2.0]), to_next=False)
+        assignment = np.array([0, 1, 0, 0], dtype=np.int64)
         # vertex 1 re-homes from the scanned worker 0 onto worker 1, whose
-        # own (kept) box already holds a message for it -> combine
+        # own (kept) box already holds a message for it -> combined when
+        # worker 1 consumes the box
         qr.rebucket(assignment, workers={0})
-        assert qr.mailboxes == {1: {1: 2.0}}
+        assert sorted(qr.mailboxes) == [1]
+        assert _combined(qr, qr.mailboxes[1]) == {1: 2.0}
 
 
 class TestRedirectAckLiveness:

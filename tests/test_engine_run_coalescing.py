@@ -21,6 +21,7 @@ with one chunk per destination and charges virtual time from one
 * the event budget and ``run(until=...)`` count coalesced events as events.
 """
 
+import contextlib
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -33,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engine_harness import LoggedQueue, controller_config, road_network
+from reference_impls import generic_path
 from repro.core import Controller
 from repro.engine import (
     EngineConfig,
@@ -43,6 +45,7 @@ from repro.engine import (
     SimWorker,
     SyncMode,
 )
+from repro.engine.kernels import VertexFunctionKernel
 from repro.engine.vertex_program import reduce_aggregator
 from repro.errors import EngineError
 from repro.graph import DiGraph, grid_graph, watts_strogatz
@@ -391,19 +394,22 @@ def test_a_member_that_contributes_nothing_has_no_partial(path):
     that computes only untagged vertices leaves no entry at all."""
     assignment = np.arange(N) % 2
     machine = make_cluster("M2", 2).machine
-    graph = GRAPH if path == "kernel" else None  # no graph: no kernel
-    qr = QueryRuntime(Query(0, PoiProgram(0), (0,)), graph)
-    assert (qr.kernel is not None) == (path == "kernel")
+    with generic_path() if path == "generic" else contextlib.nullcontext():
+        qr = QueryRuntime(Query(0, PoiProgram(0), (0,)), GRAPH)
+    assert isinstance(qr.kernel, VertexFunctionKernel) == (path == "generic")
     tagged = np.flatnonzero(GRAPH.tags & (assignment == 0))[:3]
     untagged = np.flatnonzero(~GRAPH.tags & (assignment == 1))[:3]
-    for vertices in (tagged, untagged):
-        distances = np.linspace(3.0, 1.0, vertices.size)
-        if path == "kernel":
-            owner = int(assignment[vertices[0]])
-            qr.deliver_array(owner, vertices, distances, to_next=False)
-        else:
-            for v, d in zip(vertices.tolist(), distances.tolist()):
-                qr.deliver(int(assignment[v]), v, d, to_next=False)
+    qr.seed_messages(
+        [
+            (v, d)
+            for vertices in (tagged, untagged)
+            for v, d in zip(
+                vertices.tolist(), np.linspace(3.0, 1.0, vertices.size).tolist()
+            )
+        ],
+        assignment,
+    )
+    qr.rotate_mailboxes()
     SimWorker.execute_iteration(
         [SimWorker(w, machine) for w in range(2)], [0, 1], qr, GRAPH, assignment
     )
@@ -436,13 +442,15 @@ def test_unknown_aggregator_raises_on_the_generic_path():
             ctx.aggregate("nope", 1.0)
             return super().compute(ctx, vertex, state, message)
 
-    qr = QueryRuntime(Query(0, Misnamed(0), (0,)))  # no graph: no kernel
-    qr.deliver(0, 0, 0.0, to_next=False)
+    graph, assignment = grid_graph(2, 2), np.zeros(4, dtype=np.int64)
+    with generic_path():
+        qr = QueryRuntime(Query(0, Misnamed(0), (0,)), graph)
+    assert isinstance(qr.kernel, VertexFunctionKernel)
+    qr.seed_messages([(0, 0.0)], assignment)
+    qr.rotate_mailboxes()
     workers = [SimWorker(0, make_cluster("M2", 1).machine)]
     with pytest.raises(EngineError, match="unknown aggregator 'nope'"):
-        SimWorker.execute_iteration(
-            workers, [0], qr, grid_graph(2, 2), np.zeros(4, dtype=np.int64)
-        )
+        SimWorker.execute_iteration(workers, [0], qr, graph, assignment)
     assert qr.agg_partials == {}
 
 
@@ -464,17 +472,19 @@ def test_step_sources_name_the_sender(kind):
         assert target in GRAPH.out_neighbors(int(vertices[source]))
 
 
-def test_generic_programs_loop_over_the_run():
-    """A kernel-less runtime takes the dict path once per member, and fills
-    the same ``sent`` row."""
+def test_a_kernelless_run_equals_its_members_one_by_one():
+    """A runtime on the vertex-function kernel fuses a run like any kernel:
+    the same results, ``sent`` rows and runtime state as its members
+    executed one after the other."""
     g = grid_graph(4, 4)
     assignment = np.arange(16) % 2
     machine = make_cluster("M2", 2).machine
 
     def runtime():
-        qr = QueryRuntime(Query(0, SsspProgram(0), (0, 1)))  # no graph: no kernel
-        qr.deliver(0, 0, 0.0, to_next=False)
-        qr.deliver(1, 1, 0.0, to_next=False)
+        with generic_path():
+            qr = QueryRuntime(Query(0, SsspProgram(0), (0, 1)), g)
+        qr.seed_messages([(0, 0.0), (1, 0.0)], assignment)
+        qr.rotate_mailboxes()
         return qr
 
     together, apart = runtime(), runtime()
@@ -494,13 +504,23 @@ def test_generic_programs_loop_over_the_run():
         result.local + sum(count for _dest, count in result.remote)
         for result in got
     ) == sum(len(box) for box in together.next_mailboxes.values()) > 0
-    # the scope additions: one int64 chunk per member that activated any
-    assert [chunk.dtype for chunk in together.activated] == [np.int64] * 2
-    assert [chunk.tolist() for chunk in together.activated] == [
-        chunk.tolist() for chunk in apart.activated
-    ] == [[0], [1]]
-    assert together.state == apart.state
-    assert together.next_mailboxes == apart.next_mailboxes
+    # the scope additions: one int64 chunk for the run, in run order
+    assert [chunk.dtype for chunk in together.activated] == [np.int64]
+    assert (
+        np.concatenate(together.activated).tolist()
+        == np.concatenate(apart.activated).tolist()
+        == [0, 1]
+    )
+    assert together.materialized_state() == apart.materialized_state()
+
+    def boxes(qr):
+        return {
+            w: [part.tolist() for part in box.concat()]
+            for w, box in qr.next_mailboxes.items()
+        }
+
+    assert boxes(together) == boxes(apart)
+    assert list(together.next_mailboxes) == list(apart.next_mailboxes)
     assert together.pending_remote_inbound == apart.pending_remote_inbound
 
 
@@ -792,7 +812,7 @@ class RecordingEngine(QGraphEngine):
 
     def _execute_compute(self, qr, run, now):
         self.runs.append((now, qr.query.query_id, list(run)))
-        if qr.kernel is not None and len(run) > 1:
+        if len(run) > 1:
             seen = np.concatenate([qr.mailboxes[w].concat()[0] for w in run])
             owners = np.concatenate(
                 [np.full(len(qr.mailboxes[w]), w) for w in run]

@@ -208,7 +208,7 @@ class TestBatchedEquivalence:
 
         original = ldg_mod.iter_neighbor_chunks
         ldg_mod.iter_neighbor_chunks = (
-            lambda graph, order, chunk_size=2048: original(graph, order, 3)
+            lambda graph, chunk_size=2048: original(graph, 3)
         )
         try:
             tiny_chunks = p.partition(grid, 4)
@@ -217,7 +217,7 @@ class TestBatchedEquivalence:
         assert np.array_equal(baseline, tiny_chunks)
         # sanity: the helper yields every vertex exactly once
         seen = np.concatenate(
-            [vs for vs, _, _ in iter_neighbor_chunks(grid, np.arange(grid.num_vertices), 7)]
+            [vs for vs, _, _ in iter_neighbor_chunks(grid, 7)]
         )
         assert np.array_equal(seen, np.arange(grid.num_vertices))
 

@@ -17,7 +17,9 @@ exactly — same improvement checks, same aggregator contributions, same
 pruning rules, same message values — so the answers equal the scalar
 reference (bit-identical for the ``min``-combining programs; the
 sum-combining PageRank kernel may differ in the last float bits because
-vector summation reorders the additions).
+vector summation reorders the additions).  SSSP, POI, BFS and k-hop are
+one min-label wavefront and share :class:`WavefrontKernel`; reachability,
+local PageRank and local WCC have one kernel each.
 
 A program without a kernel of its own (``make_kernel`` returns ``None``,
 the default) runs through :class:`VertexFunctionKernel`: an object-dtype
@@ -52,13 +54,10 @@ __all__ = [
     "contribute_partial",
     "copy_kernel_state",
     "scope_columns",
-    "SsspKernel",
-    "BfsKernel",
-    "KHopKernel",
+    "WavefrontKernel",
     "ReachabilityKernel",
     "LocalPageRankKernel",
     "LocalWccKernel",
-    "PoiKernel",
     "VertexFunctionKernel",
     "combine_by_vertex",
     "expand_edges",
@@ -355,131 +354,65 @@ class QueryKernel(abc.ABC):
 
 
 # ----------------------------------------------------------------------
-# distance-wavefront kernels (SSSP / POI / BFS / k-hop)
+# the min-label wavefront (SSSP / POI / BFS / k-hop)
 # ----------------------------------------------------------------------
-class _BoundedWavefrontKernel(QueryKernel):
-    """Shared body of the weighted min-wavefront kernels (SSSP / POI).
+class WavefrontKernel(QueryKernel):
+    """One step of the min-label wavefront (mirrors
+    :meth:`repro.queries.wavefront.WavefrontProgram.compute`).
 
-    One step: improve distances, contribute the ``bound`` aggregator from
-    terminal vertices (which stay silent), prune vertices and relayed
-    candidates against the committed bound, expand weighted out-edges.
-    Subclasses define only the terminal mask.
+    ``unit`` picks ``int64`` hop labels and edge cost 1, else ``float64``
+    distances and the CSR weights.  A vertex whose label improved and that
+    is terminal (``== target``, or tagged when ``tagged``) contributes its
+    label to the ``bound`` aggregator and stays silent.  Any other improved
+    vertex is pruned when its label reaches the committed bound, then when
+    it reaches ``max_depth``; it relays ``label + cost`` to each
+    out-neighbour, and only candidates below the bound are sent.
     """
 
-    message_dtype = np.float64
     combine = np.minimum
-    state_fill = np.inf
+
+    def __init__(
+        self,
+        unit: bool = False,
+        target: Optional[int] = None,
+        tagged: bool = False,
+        max_depth: Optional[int] = None,
+    ) -> None:
+        self.unit = unit
+        self.target = target
+        self.tagged = tagged
+        self.max_depth = max_depth
+        self.message_dtype = np.int64 if unit else np.float64
+        self.state_fill = _INT_UNSET if unit else np.inf
 
     def make_state(self, graph: DiGraph) -> np.ndarray:
-        return np.full(graph.num_vertices, np.inf, dtype=np.float64)
-
-    def terminal_mask(self, graph: DiGraph, iv: np.ndarray) -> Optional[np.ndarray]:
-        """Boolean mask of improved vertices that terminate the wave there."""
-        raise NotImplementedError
+        return np.full(graph.num_vertices, self.state_fill, dtype=self.message_dtype)
 
     def step(
         self,
         graph: DiGraph,
-        dist: np.ndarray,
+        labels: np.ndarray,
         vertices: np.ndarray,
         messages: np.ndarray,
         agg_committed: Dict[str, Any],
     ) -> StepOutput:
-        current = dist[vertices]
+        current = labels[vertices]
         best = np.minimum(messages, current)
         ip = (best < current).nonzero()[0]
-        dist[vertices] = best
+        labels[vertices] = best
         ib = best[ip]
 
         contribs: Contributions = {}
-        terminal = self.terminal_mask(graph, vertices[ip])
-        if terminal is not None:
+        if self.tagged or self.target is not None:
+            improved = vertices[ip]
+            terminal = graph.tags[improved] if self.tagged else improved == self.target
             if terminal.any():
                 contribs["bound"] = (ip[terminal], ib[terminal])
-            ip = ip[~terminal]
-            ib = ib[~terminal]
+                ip = ip[~terminal]
+                ib = ib[~terminal]
         bound = agg_committed.get("bound")
         if bound is not None:
             keep = ib < bound
-            ip = ip[keep]
-            ib = ib[keep]
-
-        csr = graph.csr()
-        edge_idx, src_pos = expand_edges(csr.indptr, vertices[ip])
-        targets = csr.indices[edge_idx]
-        candidates = ib[src_pos] + csr.weights[edge_idx]
-        sources = ip[src_pos]
-        if bound is not None:
-            keep = candidates < bound
-            targets = targets[keep]
-            candidates = candidates[keep]
-            sources = sources[keep]
-        return targets, candidates, sources, contribs
-
-
-class SsspKernel(_BoundedWavefrontKernel):
-    """Bellman-Ford wavefront with optional target pruning (mirrors
-    :class:`repro.queries.sssp.SsspProgram`)."""
-
-    def __init__(self, target: Optional[int] = None) -> None:
-        self.target = target
-
-    def terminal_mask(self, graph: DiGraph, iv: np.ndarray) -> Optional[np.ndarray]:
-        return iv == self.target if self.target is not None else None
-
-
-class PoiKernel(_BoundedWavefrontKernel):
-    """Expanding ring toward the nearest tagged vertex (mirrors
-    :class:`repro.queries.poi.PoiProgram`)."""
-
-    def terminal_mask(self, graph: DiGraph, iv: np.ndarray) -> Optional[np.ndarray]:
-        if graph.tags is None:
-            raise EngineError("POI kernel requires a tagged graph")
-        return graph.tags[iv]
-
-
-class BfsKernel(QueryKernel):
-    """Hop wavefront with target pruning and depth cap (mirrors
-    :class:`repro.queries.bfs.BfsProgram`)."""
-
-    message_dtype = np.int64
-    combine = np.minimum
-    state_fill = _INT_UNSET
-
-    def __init__(
-        self, target: Optional[int] = None, max_depth: Optional[int] = None
-    ) -> None:
-        self.target = target
-        self.max_depth = max_depth
-
-    def make_state(self, graph: DiGraph) -> np.ndarray:
-        return np.full(graph.num_vertices, _INT_UNSET, dtype=np.int64)
-
-    def step(
-        self,
-        graph: DiGraph,
-        depth: np.ndarray,
-        vertices: np.ndarray,
-        messages: np.ndarray,
-        agg_committed: Dict[str, Any],
-    ) -> StepOutput:
-        current = depth[vertices]
-        best = np.minimum(messages, current)
-        ip = (best < current).nonzero()[0]
-        depth[vertices] = best
-        ib = best[ip]
-
-        contribs: Contributions = {}
-        if self.target is not None:
-            at_target = vertices[ip] == self.target
-            if at_target.any():
-                contribs["bound"] = (ip[at_target], ib[at_target])
-            ip = ip[~at_target]
-            ib = ib[~at_target]
-        bound = agg_committed.get("bound")
-        if bound is not None:
-            # a vertex whose relayed depth+1 cannot beat the bound stays silent
-            keep = ib + 1 < bound
             ip = ip[keep]
             ib = ib[keep]
         if self.max_depth is not None:
@@ -490,40 +423,12 @@ class BfsKernel(QueryKernel):
         csr = graph.csr()
         edge_idx, src_pos = expand_edges(csr.indptr, vertices[ip])
         targets = csr.indices[edge_idx]
-        return targets, ib[src_pos] + 1, ip[src_pos], contribs
-
-
-class KHopKernel(QueryKernel):
-    """Bounded hop exploration (mirrors :class:`repro.queries.khop.KHopProgram`)."""
-
-    message_dtype = np.int64
-    combine = np.minimum
-    state_fill = _INT_UNSET
-
-    def __init__(self, k: int) -> None:
-        self.k = int(k)
-
-    def make_state(self, graph: DiGraph) -> np.ndarray:
-        return np.full(graph.num_vertices, _INT_UNSET, dtype=np.int64)
-
-    def step(
-        self,
-        graph: DiGraph,
-        depth: np.ndarray,
-        vertices: np.ndarray,
-        messages: np.ndarray,
-        agg_committed: Dict[str, Any],
-    ) -> StepOutput:
-        current = depth[vertices]
-        best = np.minimum(messages, current)
-        ip = ((best < current) & (best < self.k)).nonzero()[0]
-        depth[vertices] = best
-        ib = best[ip]
-
-        csr = graph.csr()
-        edge_idx, src_pos = expand_edges(csr.indptr, vertices[ip])
-        targets = csr.indices[edge_idx]
-        return targets, ib[src_pos] + 1, ip[src_pos], {}
+        candidates = ib[src_pos] + (1 if self.unit else csr.weights[edge_idx])
+        sources = ip[src_pos]
+        if bound is not None:
+            keep = candidates < bound
+            return targets[keep], candidates[keep], sources[keep], contribs
+        return targets, candidates, sources, contribs
 
 
 # ----------------------------------------------------------------------

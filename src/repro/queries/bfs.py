@@ -1,69 +1,26 @@
 """Breadth-first search over hop counts.
 
-Unweighted counterpart of SSSP — useful for social-network queries
-(friend-of-friend distance) and as a simple, fast test program.  Supports
-target pruning like :class:`~repro.queries.sssp.SsspProgram` and an optional
-maximum depth, which turns it into a bounded exploration.
+The unit-cost wavefront (:mod:`repro.queries.wavefront`): the unweighted
+counterpart of SSSP, for social-network queries (friend-of-friend
+distance).  An optional ``target`` prunes it like SSSP's, and an optional
+``max_depth`` turns it into a bounded exploration.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict
 
-from repro.engine.kernels import BfsKernel
-from repro.engine.vertex_program import ComputeContext, VertexProgram
-from repro.errors import QueryError
 from repro.graph.digraph import DiGraph
+from repro.queries.wavefront import WavefrontProgram
 
 __all__ = ["BfsProgram"]
 
 
-class BfsProgram(VertexProgram):
+class BfsProgram(WavefrontProgram):
     """Hop distances from ``start``; optional ``target`` and ``max_depth``."""
 
     kind = "bfs"
-
-    def __init__(
-        self,
-        start: int,
-        target: Optional[int] = None,
-        max_depth: Optional[int] = None,
-    ) -> None:
-        if start < 0:
-            raise QueryError("start vertex must be non-negative")
-        if max_depth is not None and max_depth < 0:
-            raise QueryError("max_depth must be non-negative")
-        self.start = int(start)
-        self.target = int(target) if target is not None else None
-        self.max_depth = max_depth
-
-    def init_messages(self, graph: DiGraph, initial_vertices: Tuple[int, ...]):
-        return [(v, 0) for v in initial_vertices]
-
-    def combine(self, a: int, b: int) -> int:
-        return a if a <= b else b
-
-    def aggregators(self):
-        return {"bound": (min, None)}
-
-    def make_kernel(self, graph: DiGraph) -> BfsKernel:
-        return BfsKernel(target=self.target, max_depth=self.max_depth)
-
-    def compute(self, ctx: ComputeContext, vertex: int, state: Any, message: Any) -> Any:
-        depth = message if state is None else (message if message < state else state)
-        if state is not None and depth >= state:
-            return state
-        if self.target is not None and vertex == self.target:
-            ctx.aggregate("bound", depth)
-            return depth
-        bound = ctx.aggregated("bound")
-        if bound is not None and depth + 1 >= bound:
-            return depth
-        if self.max_depth is not None and depth >= self.max_depth:
-            return depth
-        for nbr in ctx.graph.out_neighbors(vertex):
-            ctx.send(int(nbr), depth + 1)
-        return depth
+    unit = True
 
     def result(self, state: Dict[int, Any], graph: DiGraph) -> Dict[str, Any]:
         out: Dict[str, Any] = {"start": self.start, "reached": len(state)}

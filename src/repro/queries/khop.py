@@ -2,53 +2,30 @@
 
 NScale [33] runs queries "in a k-hop neighborhood around a specified
 vertex"; Q-Graph supports this as an ordinary query whose scope grows and
-shrinks dynamically.  The program collects every vertex within ``k`` hops,
-optionally evaluating a per-vertex predicate (e.g. counting tagged
-vertices in the neighbourhood — a social-circle statistic).
+shrinks dynamically.  It is the unit-cost wavefront
+(:mod:`repro.queries.wavefront`) capped at depth ``k``, with no target;
+the answer lists the members and counts the tagged ones (a social-circle
+statistic).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict
 
-from repro.engine.kernels import KHopKernel
-from repro.engine.vertex_program import ComputeContext, VertexProgram
-from repro.errors import QueryError
 from repro.graph.digraph import DiGraph
+from repro.queries.wavefront import WavefrontProgram
 
 __all__ = ["KHopProgram"]
 
 
-class KHopProgram(VertexProgram):
+class KHopProgram(WavefrontProgram):
     """Collect the ``k``-hop out-neighbourhood of ``center``."""
 
     kind = "khop"
+    unit = True
 
     def __init__(self, center: int, k: int) -> None:
-        if center < 0:
-            raise QueryError("center vertex must be non-negative")
-        if k < 0:
-            raise QueryError("k must be non-negative")
-        self.center = int(center)
-        self.k = int(k)
-
-    def init_messages(self, graph: DiGraph, initial_vertices: Tuple[int, ...]):
-        return [(v, 0) for v in initial_vertices]
-
-    def combine(self, a: int, b: int) -> int:
-        return a if a <= b else b
-
-    def make_kernel(self, graph: DiGraph) -> KHopKernel:
-        return KHopKernel(self.k)
-
-    def compute(self, ctx: ComputeContext, vertex: int, state: Any, message: Any) -> Any:
-        depth = message if state is None else (message if message < state else state)
-        if state is not None and depth >= state:
-            return state
-        if depth < self.k:
-            for nbr in ctx.graph.out_neighbors(vertex):
-                ctx.send(int(nbr), depth + 1)
-        return depth
+        super().__init__(center, max_depth=k)
 
     def result(self, state: Dict[int, Any], graph: DiGraph) -> Dict[str, Any]:
         members = sorted(state)
@@ -57,8 +34,8 @@ class KHopProgram(VertexProgram):
             tags = graph.tags
             tagged = sum(1 for v in members if tags[v])
         return {
-            "center": self.center,
-            "k": self.k,
+            "center": self.start,
+            "k": self.max_depth,
             "size": len(members),
             "members": members,
             "tagged_members": tagged,

@@ -3,9 +3,8 @@
 *"POI retrieves the closest vertex with a specified tag (e.g. gas station)
 to a given start vertex."*
 
-An expanding Bellman-Ford ring from the start vertex; whenever the wave
-reaches a tagged vertex its distance tightens a shared ``min`` bound, which
-prunes the remaining expansion — the ring stops growing once every frontier
+A weighted wavefront (:mod:`repro.queries.wavefront`) whose terminal
+vertices are the tagged ones: the ring stops growing once every frontier
 vertex is farther than the nearest point of interest found so far.
 """
 
@@ -13,69 +12,27 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-from repro.engine.kernels import PoiKernel
-from repro.engine.vertex_program import ComputeContext, VertexProgram
 from repro.errors import QueryError
 from repro.graph.digraph import DiGraph
+from repro.queries.wavefront import WavefrontProgram
 
 __all__ = ["PoiProgram"]
 
 
-class PoiProgram(VertexProgram):
+class PoiProgram(WavefrontProgram):
     """Nearest tagged vertex from ``start`` (distance = travel time)."""
 
     kind = "poi"
+    tagged = True
 
     def __init__(self, start: int) -> None:
-        if start < 0:
-            raise QueryError("start vertex must be non-negative")
-        self.start = int(start)
+        super().__init__(start)
 
-    # ------------------------------------------------------------------
     def init_messages(self, graph: DiGraph, initial_vertices: Tuple[int, ...]):
         if not graph.has_tags():
             raise QueryError("POI query requires a tagged graph")
-        return [(v, 0.0) for v in initial_vertices]
+        return super().init_messages(graph, initial_vertices)
 
-    def combine(self, a: float, b: float) -> float:
-        return a if a <= b else b
-
-    def aggregators(self):
-        return {"bound": (min, None)}
-
-    def make_kernel(self, graph: DiGraph):
-        return PoiKernel() if graph.has_tags() else None
-
-    def compute(self, ctx: ComputeContext, vertex: int, state: Any, message: Any) -> Any:
-        best = message if state is None else (message if message < state else state)
-        if state is not None and best >= state:
-            return state
-
-        graph = ctx.graph
-        if graph.tags is not None and graph.tags[vertex]:
-            ctx.aggregate("bound", best)
-            return best  # found a POI; no need to search past it
-
-        bound = ctx.aggregated("bound")
-        if bound is not None and best >= bound:
-            return best
-
-        lo = graph.indptr[vertex]
-        hi = graph.indptr[vertex + 1]
-        indices = graph.indices
-        weights = graph.weights
-        send = ctx.send
-        if bound is None:
-            for i in range(lo, hi):
-                send(int(indices[i]), best + float(weights[i]))
-        else:
-            for i in range(lo, hi):
-                candidate = best + float(weights[i])
-                if candidate < bound:
-                    send(int(indices[i]), candidate)
-        return best
-
-    # ------------------------------------------------------------------
     def result(self, state: Dict[int, Any], graph: DiGraph) -> Dict[str, Any]:
         """The nearest tagged vertex and its distance (None when not found)."""
         nearest: Optional[int] = None

@@ -22,6 +22,7 @@ from repro.engine import (
 from repro.engine.kernels import (
     LocalWccKernel,
     VertexFunctionKernel,
+    WavefrontKernel,
     combine_by_vertex,
     expand_edges,
     group_by_owner,
@@ -38,6 +39,7 @@ from repro.graph import (
     rmat_graph,
     watts_strogatz,
 )
+from repro.graph.builder import csr_arrays_from_edges
 from repro.partitioning import HashPartitioner
 from repro.queries import (
     BfsProgram,
@@ -666,3 +668,86 @@ def test_array_mailbox_length_is_the_sum_of_its_chunks(data):
     checkpoint.restore(qr, data.draw(assignments, label="restore assignment"))
     check(qr.mailboxes, qr.next_mailboxes)
     assert sum(map(len, all_boxes(qr.mailboxes, qr.next_mailboxes))) == total
+
+
+def _vertices(n):
+    return st.integers(0, n - 1)
+
+
+#: the four wavefront programs on ``n`` vertices, drawn with the parameters
+#: that pick their terminal rule (none, a target, the tags) and depth cap
+WAVEFRONT_PROGRAMS = {
+    "sssp": lambda n: st.builds(SsspProgram, _vertices(n)),
+    "sssp-target": lambda n: st.builds(SsspProgram, _vertices(n), _vertices(n)),
+    "poi": lambda n: st.builds(PoiProgram, _vertices(n)),
+    "bfs": lambda n: st.builds(
+        BfsProgram, _vertices(n), st.none() | _vertices(n), st.none() | st.integers(0, 4)
+    ),
+    "khop": lambda n: st.builds(KHopProgram, _vertices(n), st.integers(0, 4)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), case=st.sampled_from(sorted(WAVEFRONT_PROGRAMS)))
+def test_wavefront_step_is_the_scalar_vertex_function(data, case):
+    """One ``WavefrontKernel.step`` from a random prior state equals the
+    same program's ``compute`` run through ``VertexFunctionKernel``: the
+    same state, targets, messages, sources and contributions, with no
+    committed bound and with a drawn one."""
+    n = data.draw(st.integers(1, 8), label="n")
+    edges = data.draw(
+        st.lists(
+            st.tuples(_vertices(n), _vertices(n), st.integers(0, 4)),
+            min_size=n,
+            max_size=4 * n,
+        ),
+        label="edges",
+    )
+    src = np.array([u for u, _v, _w in edges], dtype=np.int64)
+    dst = np.array([v for _u, v, _w in edges], dtype=np.int64)
+    weights = np.array([w / 2.0 for _u, _v, w in edges], dtype=np.float64)
+    tags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="tags")
+    graph = DiGraph(
+        *csr_arrays_from_edges(src, dst, weights, n), tags=np.array(tags, dtype=bool)
+    )
+    program = data.draw(WAVEFRONT_PROGRAMS[case](n), label="program")
+    kernel = program.make_kernel(graph)
+    assert isinstance(kernel, WavefrontKernel)
+    reference = VertexFunctionKernel(program)
+
+    # labels on a half-unit grid, so that a message often ties the state,
+    # a candidate the bound, and a zero-weight edge relays its own label
+    grid = [x if program.unit else x / 2.0 for x in range(7)]
+    label = st.sampled_from(grid)
+    prior = data.draw(st.lists(st.none() | label, min_size=n, max_size=n), label="prior")
+    order = data.draw(st.permutations(range(n)), label="order")
+    frontier = order[: data.draw(st.integers(0, n), label="frontier size")]
+    vertices = np.array(frontier, dtype=np.int64)
+    messages = data.draw(
+        st.lists(label, min_size=vertices.size, max_size=vertices.size), label="messages"
+    )
+
+    for bound in (None, data.draw(label, label="bound")):
+        committed = {"bound": bound}
+        state = kernel.make_state(graph)
+        ref_state = reference.make_state(graph)
+        for vertex, value in enumerate(prior):
+            if value is not None:
+                state[vertex] = ref_state[vertex] = value
+        targets, sent, sources, contribs = kernel.step(
+            graph, state, vertices, np.array(messages, dtype=kernel.message_dtype), committed
+        )
+        ref_targets, ref_sent, ref_sources, ref_contribs = reference.step(
+            graph, ref_state, vertices, np.array(messages, dtype=object), committed
+        )
+
+        unset = kernel.state_fill
+        assert [None if x == unset else x for x in state.tolist()] == ref_state.tolist()
+        assert targets.tolist() == ref_targets.tolist()
+        assert sent.dtype == kernel.message_dtype
+        assert sent.tolist() == ref_sent.tolist()
+        assert sources.tolist() == ref_sources.tolist()
+        assert contribs.keys() == ref_contribs.keys()
+        for name, (positions, values) in contribs.items():
+            assert positions.tolist() == ref_contribs[name][0].tolist()
+            assert values.tolist() == ref_contribs[name][1].tolist()

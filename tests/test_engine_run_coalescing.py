@@ -9,8 +9,9 @@ with one chunk per destination and charges virtual time from one
 * the fused pass ``==`` the per-task execution it replaced, which survives
   below as the oracle (``oracle_execute`` is that commit's
   ``_execute_vectorized`` with its own ``np.r_`` helpers), member by member
-  and field by field, over all seven kernels — mailboxes compared as the
-  bytes of their concatenation, which is all any reader sees of them;
+  and field by field, over the kernels of all seven programs — mailboxes
+  compared as the bytes of their concatenation, which is all any reader
+  sees of them;
 * the charging loop ``==`` the per-destination dict loop it replaced
   (``oracle_charge``: that commit's ``compute_duration`` + ``transfer`` +
   ``_faulty_transfer`` order with its own copies of the three formulas),

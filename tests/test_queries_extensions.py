@@ -15,7 +15,9 @@ from repro.queries import (
     KHopProgram,
     LocalPageRankProgram,
     LocalWccProgram,
+    PoiProgram,
     ReachabilityProgram,
+    SsspProgram,
 )
 from repro.simulation.cluster import make_cluster
 
@@ -174,3 +176,23 @@ class TestLocalWcc:
         g = grid_graph(4, 4)
         result = run_query(g, LocalWccProgram(max_hops=8), (0,), k=2)
         assert result["component_sizes"] == {0: 16}
+
+
+#: each wavefront program and the argument tuples it must refuse
+INVALID_WAVEFRONT_ARGS = {
+    "sssp": (SsspProgram, [(-1,), (0, -1)]),
+    "poi": (PoiProgram, [(-1,)]),
+    "bfs": (BfsProgram, [(-1,), (0, -1), (0, None, -1)]),
+    "khop": (KHopProgram, [(-1, 2), (0, -1)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INVALID_WAVEFRONT_ARGS))
+def test_wavefront_programs_refuse_negative_vertices_and_depths(kind):
+    """A negative start, target or depth cap is refused by every wavefront
+    program that takes one: a negative target would match no vertex, so
+    the query would run unpruned and answer ``None``."""
+    program, invalid = INVALID_WAVEFRONT_ARGS[kind]
+    for args in invalid:
+        with pytest.raises(QueryError):
+            program(*args)

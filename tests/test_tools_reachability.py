@@ -176,3 +176,22 @@ def test_every_kept_pattern_names_a_library_function():
         if not any(fnmatch.fnmatchcase(name, pattern) for name in names)
     ]
     assert stale == []
+
+
+def test_an_edit_while_the_runs_go_does_not_unreach_a_function(tmp_path, monkeypatch):
+    """The inventory is taken before the runs: a run that prepends lines to
+    a module it already imported must not shift that module's functions
+    away from the line numbers its calls carry."""
+    package = _package(tmp_path)
+    lib = _import(tmp_path, monkeypatch, "reach_demo.lib")
+
+    def edits_its_module_then_calls():
+        lib_file = package / "lib.py"
+        lib_file.write_text("# an edit made during the audit\n\n" + lib_file.read_text())
+        lib.helper()
+        lib.unused()
+
+    text, missing = tool.audit(
+        [edits_its_module_then_calls], package, skip=("reach_demo.caller",), kept={}
+    )
+    assert (text, missing) == ("0 of 2 functions unreached, 0 of 4 lines", 0)

@@ -90,10 +90,18 @@ def real_runs():
     yield lambda: evaluate(EXPERIMENTS)
 
 
+def audit(runs, src=ROOT / "src" / "repro", skip=("repro.analysis",), kept=None):
+    """:func:`report` on what ``runs`` (their output silenced) reach of the package ``src``.  The
+    inventory is read before the runs start, which is when they import the library, so a file
+    edited while they run cannot shift its line numbers away from those the calls carry."""
+    functions = inventory(src, skip)
+    with contextlib.redirect_stdout(io.StringIO()):
+        called = reached(runs)
+    return report(functions, called, load_kept() if kept is None else kept)
+
+
 if __name__ == "__main__":
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-    with contextlib.redirect_stdout(io.StringIO()):
-        called = reached(real_runs())
-    text, missing = report(inventory(ROOT / "src" / "repro", skip=("repro.analysis",)), called, load_kept())
+    text, missing = audit(real_runs())
     print(text)
     sys.exit(1 if missing else 0)

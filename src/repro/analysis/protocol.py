@@ -1,7 +1,7 @@
 """Protocol-liveness analysis: barrier automata over the event handlers.
 
 Q-graph's coordination protocols — the STOP/START repartition barrier
-(stages A/B/C), recovery stage R, the SHARED_BSP superstep barrier and
+(stages A/B/C), recovery stage R, the SHARED_BSP superstep release and
 the heartbeat/retry control plane — are all implemented as flag/counter
 mutations spread across the engine's ``_on_*`` event handlers.  Every
 protocol bug fixed so far (stale acks in PR 1, stranded barriers in
@@ -12,7 +12,7 @@ automaton** whose
 
 states
     are the dispatcher's phase flags, epoch counters and parked-work
-    buffers (``paused``, ``_bsp_outstanding``, ``_held_tasks``,
+    buffers (``paused``, ``_superstep_outstanding``, ``_held_tasks``,
     ``barrier_epoch``, … — the waiting-shaped subset of PR 9's
     ``state_manifest`` inventory, each summarized with its manifest
     classification), plus the members of every declared barrier-ack

@@ -11,21 +11,30 @@ C) **global barrier** — a STOP/START pair across *all* workers used for
    repartitioning (§3.4).
 
 We implement three engine-wide synchronization modes to reproduce the
-comparisons of Table 1 and Figure 6d:
+comparisons of Table 1 and Figure 6d.  Each is one barrier rule — a
+*participant set* and a *release rule* — and the modes differ only in how
+wide the set is (Hauck et al.'s intra- vs inter-query synchronization):
 
 ``SyncMode.HYBRID``
-    The paper's model: limited + local query barriers, periodic global
-    STOP/START barriers for adaptation.
+    The paper's model.  Participants: the workers a query's iteration
+    involves.  Released per query by the controller (limited barrier), or
+    on the worker itself when that set is one worker (local barrier);
+    periodic STOP/START barriers for adaptation.
 ``SyncMode.GLOBAL_PER_QUERY``
-    The Seraph-style state of the art [44]: each query gets an independent
-    barrier, but every barrier spans *all* workers — even those without any
-    active vertex for the query (they still must process the barrier ack,
-    which is exactly the "redundant global barriers cause communication
-    overhead" problem).
+    The Seraph-style state of the art [44].  Participants: every live
+    worker, per query — even those without any active vertex for the
+    query (they still must process the barrier ack, which is exactly the
+    "redundant global barriers cause communication overhead" problem).
+    Released per query by the controller.
 ``SyncMode.SHARED_BSP``
-    Classic Pregel: one barrier shared by every query; all queries advance
-    in lock-step supersteps, so every query waits for the slowest one (the
-    straggler problem of §3.3).
+    Classic Pregel.  Participants: every live worker × every running
+    query.  Released together once the superstep's last task settled, so
+    every query waits for the slowest one (the straggler problem of
+    §3.3); a query that starts meanwhile joins the next superstep.
+
+Everything else — compute dispatch, the ack path, releasing a started or
+restored query, rotating a released iteration — is one path shared by the
+three (see ``docs/engine.md`` § "Synchronization modes").
 """
 
 from __future__ import annotations

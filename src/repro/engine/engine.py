@@ -21,7 +21,9 @@ Synchronization modes (see :mod:`repro.engine.barriers`):
   the plan keep iterating through the repartition).
 * ``GLOBAL_PER_QUERY`` — Seraph-style [44]: per-query barriers spanning all
   workers (non-involved workers still process barrier acks).
-* ``SHARED_BSP`` — Pregel-style: one barrier shared by all queries.
+* ``SHARED_BSP`` — Pregel-style: one barrier shared by all queries, whose
+  participants (every worker × every running query) are released
+  together at the end of each superstep.
 """
 
 from __future__ import annotations
@@ -124,6 +126,8 @@ HEARTBEAT_TIMEOUT = 0.004
 CONTROL_RETRY_TIMEOUT = 1.0e-3
 CONTROL_RETRY_BACKOFF = 2.0
 CONTROL_MAX_RETRIES = 8
+#: the inbox-ready map of a dispatch that waits for no message (never written)
+_NO_INBOX: Dict[int, float] = {}
 
 
 @dataclass(frozen=True)
@@ -152,9 +156,10 @@ class EngineConfig:
         state lives on them); queries disjoint from that closure keep
         iterating through the repartition.  A partial plan involving every
         worker reproduces global mode event-for-event.  Under
-        ``SyncMode.SHARED_BSP`` the shared superstep barrier already
-        synchronizes everyone, so ``"partial"`` degrades to global
-        behaviour there.
+        ``SyncMode.SHARED_BSP`` a superstep's participant set is every
+        worker and every running query, so a STOP is taken at the
+        superstep barrier and ``"partial"`` degrades to global behaviour
+        there.
     vertex_state_bytes:
         Bytes transferred per vertex during repartitioning moves.
     max_events:
@@ -234,8 +239,7 @@ class QGraphEngine:
             "barrier_ack": self._on_barrier_ack,
             "ack_task_ready": self._on_ack_task_ready,
             "graph_update": self._on_graph_update,
-            "bsp_compute": self._on_bsp_compute,
-            "bsp_next": self._on_bsp_next,
+            "superstep_release": self._on_superstep_release,
             "qcut_done": self._on_qcut_done,
             "global_stop": self._on_global_stop,
             "global_start": self._on_global_start,
@@ -299,10 +303,12 @@ class QGraphEngine:
         #: graph deltas that arrived while a STOP (or a shared-BSP
         #: superstep) was in progress — applied at the next safe boundary
         self._held_updates: List[GraphDelta] = []
-        # --- shared-BSP state ---
-        self._bsp_in_progress = False
-        self._bsp_outstanding = 0
-        self._bsp_participants: Set[int] = set()
+        #: ``SHARED_BSP``: the queries of the current superstep, held from
+        #: its dispatch until its release (empty when none is held) ...
+        self._superstep_participants: Set[int] = set()
+        #: ... and its dispatched tasks that have not settled yet (computed,
+        #: lost to a crash or void); non-zero while the superstep computes
+        self._superstep_outstanding = 0
         self._events_processed = 0
         # --- fault-tolerance state (inert on fault-free runs) ---
         #: the active fault plan; ``None`` when the run is fault-free (a
@@ -589,9 +595,9 @@ class QGraphEngine:
     def _partial_repartitioning(self) -> bool:
         """Whether STOP/START barriers run in plan-scoped (partial) mode.
 
-        The shared-BSP superstep barrier already synchronizes every worker
-        and query, so partial mode has nothing to scope there — it degrades
-        to global behaviour.
+        A shared-BSP superstep's participant set is every live worker and
+        every running query, so a plan-scoped STOP has nothing to scope
+        there — it degrades to global behaviour.
         """
         return (
             self.config.repartition_mode == "partial"
@@ -628,12 +634,20 @@ class QGraphEngine:
         self._stop_queries = queries
         self._maybe_begin_stop(now)
 
-    def _dispatch_tasks(self, now: float, query_id: int, workers: Set[int]) -> None:
+    def _dispatch_tasks(
+        self,
+        now: float,
+        query_id: int,
+        workers: Set[int],
+        inbox_ready: Dict[int, float] = _NO_INBOX,
+    ) -> None:
         """The controller forwards executeQuery(q) to ``workers``: each task
-        is ready once the message crossed that worker's controller link."""
+        is ready once the message crossed that worker's controller link and
+        the worker's inbox for the iteration is complete (``inbox_ready``,
+        filled by the closed iteration's remote sends)."""
         for w in sorted(workers):
             self.queue.schedule(
-                now + self._ctrl_latencies[w],
+                max(now + self._ctrl_latencies[w], inbox_ready.get(w, 0.0)),
                 "task_ready",
                 query_id=query_id,
                 worker=w,
@@ -658,9 +672,17 @@ class QGraphEngine:
                 )
 
     def _release_iteration(self, now: float, qr: QueryRuntime) -> None:
-        """One controller dispatch releases ``qr``'s iteration to its
-        involved workers, as at a query start; under ``GLOBAL_PER_QUERY``
-        the first barrier already spans every live worker."""
+        """Release ``qr``'s iteration outside a barrier of its own (a query
+        start, a recovery restore).
+
+        One controller dispatch sends it to its involved workers; under
+        ``GLOBAL_PER_QUERY`` the first barrier already spans every live
+        worker.  Under ``SHARED_BSP`` the query joins the next superstep:
+        one begins now unless a superstep is held."""
+        if self.config.sync_mode is SyncMode.SHARED_BSP:
+            if not self._superstep_participants:
+                self._begin_superstep(now)
+            return
         dispatched = now + self._dispatch_time
         self._dispatch_tasks(dispatched, qr.query.query_id, qr.involved)
         self._redundant_acks(dispatched, qr, qr.involved, self._dead_workers)
@@ -753,11 +775,6 @@ class QGraphEngine:
             # seeded state even before the first periodic checkpoint
             self._capture_checkpoint(qr, now, charge=False)
 
-        if self.config.sync_mode is SyncMode.SHARED_BSP:
-            if not self._bsp_in_progress:
-                self._bsp_begin_superstep(now)
-            return
-
         self._release_iteration(now, qr)
 
     # ------------------------------------------------------------------
@@ -772,10 +789,10 @@ class QGraphEngine:
             qr = self.runtimes[query_id]
             if not qr.finished and qr.mailboxes.get(worker):
                 self._tainted_queries.add(query_id)
-            if self.paused:
-                self._maybe_begin_stop(now)
+            self._task_settled(now)
             return
-        if self.paused:
+        if self.paused and not self._superstep_outstanding:
+            # a STOP halts work; a superstep still computing drains first
             if self._query_paused(query_id) or self.runtimes[query_id].finished:
                 self._held_tasks.append((query_id, worker))
                 self._maybe_begin_stop(now)
@@ -966,6 +983,10 @@ class QGraphEngine:
         if not qr.inflight[worker]:
             del qr.inflight[worker]
 
+        # the worker's ack, then its sync mode's release rule: a superstep
+        # counts it (the shared barrier is charged at the release), a local
+        # query barrier resolves on the worker, anything else acks to the
+        # controller
         if self.faults is not None and worker in self._dead_workers:
             # the worker crashed mid-compute: its results (messages already
             # materialized into mailboxes, its barrier ack) died with it.
@@ -973,35 +994,33 @@ class QGraphEngine:
             # rolls it back to the last checkpoint and replays.
             self._tainted_queries.add(query_id)
             self.trace.lost_computes += 1
-            if self.config.sync_mode is SyncMode.SHARED_BSP:
-                self._bsp_task_settled(now)
-            elif self.paused:
-                self._maybe_begin_stop(now)
-            return
-
-        sync_mode = self.config.sync_mode
-        if sync_mode is SyncMode.SHARED_BSP:
+        elif self._superstep_outstanding:
             qr.acked.add(worker)
-            self._bsp_task_settled(now)
-            return
-
-        local_candidate = (
-            sync_mode is SyncMode.HYBRID
+        elif (
+            self.config.sync_mode is SyncMode.HYBRID
             and len(qr.involved) == 1
             and worker in qr.involved
             and not qr.prior_participants  # interrupted iteration spanned more workers
             and not had_remote
             and not self._query_paused(query_id)
-        )
-        if local_candidate:
+        ):
             # local query barrier: resolve on the worker, no controller trip
             w = self.workers[worker]
             _start, finish = w.occupy(now, LOCAL_BARRIER_COST)
             self._resolve_query_barrier(qr, finish, local=True)
         else:
             self._send_barrier_ack(now, query_id, worker, qr.barrier_epoch)
+        self._task_settled(now)
 
-        if self.paused:
+    def _task_settled(self, now: float) -> None:
+        """A dispatched task ran, was lost to a crash or found its worker
+        dead.  The last task of a superstep settles it; otherwise a pending
+        STOP re-checks whether its drain is complete."""
+        if self._superstep_outstanding:
+            self._superstep_outstanding -= 1
+            if not self._superstep_outstanding:
+                self._settle_superstep(now)
+        elif self.paused:
             self._maybe_begin_stop(now)
 
     def _on_barrier_ack(
@@ -1017,19 +1036,17 @@ class QGraphEngine:
         if self.sanitizer is not None:
             self.sanitizer.observe_ack_accepted(query_id, epoch, now)
         qr.acked.add(worker)
-        required = (
-            self._required_ackers(qr)
-            if self.config.sync_mode is SyncMode.GLOBAL_PER_QUERY
-            else qr.involved
-        )
-        if required <= qr.acked:
+        if self._required_ackers(qr) <= qr.acked:
             # the controller handles each ack message before releasing
             processing = self._dispatch_time * max(len(qr.acked), 1)
             self._resolve_query_barrier(qr, now + processing, local=False)
 
     def _required_ackers(self, qr: QueryRuntime) -> AbstractSet[int]:
-        """The workers whose acks resolve ``qr``'s barrier (read-only: its
-        involved set itself outside ``GLOBAL_PER_QUERY``)."""
+        """The workers whose acks resolve ``qr``'s barrier: its involved
+        workers, widened to every worker not excused by a crash under
+        ``GLOBAL_PER_QUERY`` (read-only: the involved set itself otherwise;
+        under ``SHARED_BSP`` the superstep's release charges the other
+        workers' acks)."""
         if self.config.sync_mode is SyncMode.GLOBAL_PER_QUERY:
             required = set(range(self.cluster.num_workers))
             if self._dead_workers:
@@ -1052,15 +1069,10 @@ class QGraphEngine:
             return
 
         inbox_ready = qr.inbox_ready  # rotate_mailboxes rebinds, not clears
-        qr.rotate_mailboxes()
-        next_involved = set(qr.mailboxes)
-        if not next_involved:
-            # nothing was sent: the rotated-out state is released with the rest
-            self._finish_query(query_id, now)
+        if not self._advance_iteration(qr, now):
             self._maybe_trigger_adaptation(now)
             return
-
-        qr.iteration += 1
+        next_involved = set(qr.mailboxes)
         qr.open_generation(next_involved)
         qr.prior_participants = set()
         if self.sanitizer is not None:
@@ -1073,17 +1085,24 @@ class QGraphEngine:
             # CPU clock in _on_compute_done before this resolution)
             only = next(iter(next_involved))
             self.queue.schedule(now, "task_ready", query_id=query_id, worker=only)
-            self._maybe_trigger_adaptation(now)
-            return
-
-        self.trace.barrier_releases += 1
-        # currently-dead workers are excused by _required_ackers
-        self._redundant_acks(now, qr, next_involved, self._dead_workers)
-        for w in sorted(next_involved):
-            delivered = now + self._ctrl_latencies[w]
-            ready = max(delivered, inbox_ready.get(w, 0.0))
-            self.queue.schedule(ready, "task_ready", query_id=query_id, worker=w)
+        else:
+            self.trace.barrier_releases += 1
+            # currently-dead workers are excused by _required_ackers
+            self._redundant_acks(now, qr, next_involved, self._dead_workers)
+            self._dispatch_tasks(now, query_id, next_involved, inbox_ready)
         self._maybe_trigger_adaptation(now)
+
+    def _advance_iteration(self, qr: QueryRuntime, now: float) -> bool:
+        """Rotate ``qr``'s mailboxes at its barrier's release: the query
+        finishes when its closed iteration sent nothing (False), else its
+        next iteration is counted (True)."""
+        qr.rotate_mailboxes()
+        if not qr.mailboxes:
+            # nothing was sent: the rotated-out state is released with the rest
+            self._finish_query(qr.query.query_id, now)
+            return False
+        qr.iteration += 1
+        return True
 
     def _on_ack_task_ready(
         self, now: float, query_id: int, worker: int, epoch: Optional[int] = None
@@ -1162,7 +1181,7 @@ class QGraphEngine:
         programs are monotone wavefronts, for which that interleaving is
         just another legal message ordering of a streaming system.
         """
-        if self.paused or self._bsp_in_progress:
+        if self.paused or self._superstep_outstanding:
             self._held_updates.append(delta)
             return
         self._apply_graph_update(now, delta)
@@ -1239,13 +1258,14 @@ class QGraphEngine:
             self.sanitizer.on_graph_flush(now)
 
     # ------------------------------------------------------------------
-    # shared-BSP mode
+    # shared-BSP mode: one barrier over every live worker and running query
     # ------------------------------------------------------------------
-    def _bsp_begin_superstep(self, now: float) -> None:
+    def _begin_superstep(self, now: float) -> None:
+        """Dispatch a superstep to every running query a crash has not
+        frozen, on the workers holding its mailboxes."""
         if self.paused:
             return
-        participants: List[Tuple[int, int]] = []
-        self._bsp_participants = set()
+        superstep: Set[int] = set()
         for query_id in sorted(self.running):
             qr = self.runtimes[query_id]
             if self.faults is not None and query_id in self._tainted_queries:
@@ -1262,88 +1282,50 @@ class QGraphEngine:
             # sharing an epoch with the generation it replaced
             qr.open_generation(involved)
             qr.prior_participants = set()
-            if qr.involved:
-                self._bsp_participants.add(query_id)
-            for w in sorted(qr.involved):
-                participants.append((query_id, w))
-        if not participants:
-            self._bsp_in_progress = False
-            return
-        self._bsp_in_progress = True
-        self._bsp_outstanding = len(participants)
-        for query_id, w in participants:
+            if involved:
+                superstep.add(query_id)
+        self._superstep_participants = superstep
+        for query_id in sorted(superstep):
             qr = self.runtimes[query_id]
-            ready = max(now + self._ctrl_latencies[w], qr.inbox_ready.get(w, 0.0))
-            self.queue.schedule(
-                ready, "bsp_compute", query_id=query_id, worker=w
-            )
+            self._superstep_outstanding += len(qr.involved)
+            self._dispatch_tasks(now, query_id, qr.involved, qr.inbox_ready)
 
-    def _on_bsp_compute(self, now: float, query_id: int, worker: int) -> None:
-        if worker in self._dead_workers:
-            # the worker crashed after the superstep dispatched: its slice
-            # of the superstep is lost, the query freezes until rollback
-            self._tainted_queries.add(query_id)
-            self.trace.lost_computes += 1
-            self._bsp_task_settled(now)
-            return
-        qr = self.runtimes[query_id]
-        if worker not in qr.mailboxes:
-            self._bsp_task_settled(now)
-            return
-        self._execute_compute(qr, [worker], now)
-
-    def _bsp_task_settled(self, now: float) -> None:
-        """One dispatched ``bsp_compute`` ran, was lost or was void; the
-        last one of the superstep resolves the shared barrier."""
-        self._bsp_outstanding -= 1
-        if self._bsp_outstanding == 0:
-            self._bsp_resolve_superstep(now)
-
-    def _bsp_resolve_superstep(self, now: float) -> None:
-        # every (live) worker participates in the shared barrier
-        ack_finish = now
-        for w in self.workers:
-            if w.wid in self._dead_workers:
-                continue  # crash-stop: no ack from a dead worker
-            _s, finish = w.occupy(w.busy_until, self.cluster.machine.barrier_ack_time)
-            ack_finish = max(ack_finish, finish + self._ctrl_latencies[w.wid])
-        resolve = ack_finish + self._dispatch_time
+    def _settle_superstep(self, now: float) -> None:
+        """The superstep's last task settled: every live worker acks the
+        shared barrier as soon as its CPU is free, and the superstep's
+        queries advance together at the release."""
+        k = self.cluster.num_workers
+        release = self._ack_round(now, 0.0, set(range(k))) + self._dispatch_time
         self.trace.barrier_releases += 1
-        self.trace.barrier_acks += self.cluster.num_workers - len(self._dead_workers)
-
-        # only queries that took part in this superstep advance; queries that
-        # arrived mid-superstep keep their seed mailbox for the next one
-        for query_id in sorted(self._bsp_participants):
+        self.trace.barrier_acks += k - len(self._dead_workers)
+        # queries started during the superstep keep their seed mailboxes for
+        # the next one
+        for query_id in sorted(self._superstep_participants):
             qr = self.runtimes[query_id]
-            if qr.finished:
-                continue
             if self.faults is not None and query_id in self._tainted_queries:
                 # crash mid-superstep: results are incomplete, so the query
                 # does not advance — it stays frozen at this iteration until
                 # recovery restores its checkpoint
                 continue
-            self._close_iteration(qr, resolve)
-            qr.rotate_mailboxes()
-            qr.iteration += 1
-            if not qr.mailboxes:
-                self._finish_query(query_id, resolve)
-            else:
-                self._checkpoint_if_due(qr, resolve)
-        self._bsp_participants = set()
-        self._bsp_in_progress = False
-        if not self.paused:
-            # superstep barrier: churn deltas held during the superstep
-            # apply here, before the next superstep's computes dispatch
-            self._apply_held_updates(resolve)
-        self._maybe_trigger_adaptation(resolve)
+            self._close_iteration(qr, release)
+            if self._advance_iteration(qr, release):
+                self._checkpoint_if_due(qr, release)
+        self._superstep_participants = set()
         if self.paused:
-            self._maybe_begin_stop(resolve)
+            # the STOP is taken at this barrier; START releases it
+            self._maybe_begin_stop(release)
             return
-        self.queue.schedule(resolve, "bsp_next")
+        # churn deltas held during the superstep apply before the next
+        # superstep's computes dispatch
+        self._apply_held_updates(release)
+        self._maybe_trigger_adaptation(release)
+        self.queue.schedule(release, "superstep_release")
 
-    def _on_bsp_next(self, now: float) -> None:
-        if not self._bsp_in_progress:
-            self._bsp_begin_superstep(now)
+    def _on_superstep_release(self, now: float) -> None:
+        """The shared barrier releases: the next superstep begins.  Stale
+        when START already began one."""
+        if not self._superstep_participants:
+            self._begin_superstep(now)
 
     # ------------------------------------------------------------------
     # adaptation: async Q-cut + global STOP/START barrier (§3.4)
@@ -1383,12 +1365,11 @@ class QGraphEngine:
     def _maybe_begin_stop(self, now: float) -> None:
         if not self.paused or self._stop_scheduled:
             return
-        if self._bsp_in_progress:
-            # shared-BSP: the STOP aligns with the superstep barrier.  An
-            # in-flight superstep finishes first (its computes may not even
+        if self._superstep_outstanding:
+            # shared-BSP: the STOP aligns with the superstep barrier.  A
+            # computing superstep settles first (its tasks may not even
             # have started — the in-flight maps cannot see dispatched
-            # ``bsp_compute`` events); ``_bsp_resolve_superstep`` re-calls
-            # us once the barrier resolves.
+            # ``task_ready`` events); ``_settle_superstep`` re-calls us.
             return
         # drain the halted queries' computes (wherever they run — stage B's
         # barrier reset at START must not race an in-flight ack) and any
@@ -1401,19 +1382,22 @@ class QGraphEngine:
             ):
                 return
         self._stop_scheduled = True
-        # STOP barrier: the halted workers ack the halt (a crashed worker
-        # cannot ack — crash-stop counts as already halted).  The loop runs
-        # over the worker objects themselves so their ``occupy`` writes stay
-        # visible to the static effect analysis
-        stop_time = now
+        # STOP barrier: the halted workers ack the halt
+        self.queue.schedule(self._ack_round(now, now, self._stop_workers), "global_stop")
+
+    def _ack_round(self, now: float, ready: float, workers: AbstractSet[int]) -> float:
+        """Every live worker in ``workers`` acks a cluster barrier once its
+        CPU is free, from ``ready`` on (a crashed worker cannot ack —
+        crash-stop counts as already there).  Returns when the last ack
+        reached the controller, ``now`` at the earliest.  The loop runs over
+        the worker objects themselves so their ``occupy`` writes stay
+        visible to the static effect analysis."""
+        done = now
         for w in self.workers:
-            if w.wid not in self._stop_workers or w.wid in self._dead_workers:
-                continue
-            _s, finish = w.occupy(
-                max(w.busy_until, now), self.cluster.machine.barrier_ack_time
-            )
-            stop_time = max(stop_time, finish + self._ctrl_latencies[w.wid])
-        self.queue.schedule(stop_time, "global_stop")
+            if w.wid in workers and w.wid not in self._dead_workers:
+                _s, finish = w.occupy(ready, self.cluster.machine.barrier_ack_time)
+                done = max(done, finish + self._ctrl_latencies[w.wid])
+        return done
 
     def _on_global_stop(self, now: float) -> None:
         if self._recovery_active:
@@ -1502,8 +1486,13 @@ class QGraphEngine:
         self._restored_queries = []
 
         if self.config.sync_mode is SyncMode.SHARED_BSP:
+            # START releases the superstep barrier the STOP was taken at.
+            # Nothing is held per query, and restored queries join the next
+            # superstep: the first admitted query begins it, else the
+            # release event does
+            self._superstep_participants = set()
             self._admit_pending(now)
-            self.queue.schedule(now, "bsp_next")
+            self.queue.schedule(now, "superstep_release")
             if self._recovering:
                 # a crash detected during this barrier waits its own turn
                 self._maybe_schedule_recovery(now)
@@ -1622,20 +1611,20 @@ class QGraphEngine:
         # fresh process: the old CPU reservation died with it
         self.workers[worker].busy_until = now
         self.controller.set_down_workers(frozenset(self._dead_workers))
-        if self.config.sync_mode is SyncMode.GLOBAL_PER_QUERY:
-            # rejoin the redundant ack round of every barrier in flight it
-            # was excused from; the ack is stamped with the epoch current
-            # when it fires, so post-rollback epochs drop stale rejoins
-            for query_id in sorted(self.running):
-                qr = self.runtimes[query_id]
-                if qr.finished or worker in qr.involved:
-                    continue
-                self.queue.schedule(
-                    now + self._ctrl_latencies[worker],
-                    "ack_task_ready",
-                    query_id=query_id,
-                    worker=worker,
-                )
+        # rejoin the redundant ack round of every barrier in flight it was
+        # excused from (the participants beyond the involved workers; only
+        # ``GLOBAL_PER_QUERY`` has any); the ack is stamped with the epoch
+        # current when it fires, so post-rollback epochs drop stale rejoins
+        for query_id in sorted(self.running):
+            qr = self.runtimes[query_id]
+            if worker in qr.involved or worker not in self._required_ackers(qr):
+                continue
+            self.queue.schedule(
+                now + self._ctrl_latencies[worker],
+                "ack_task_ready",
+                query_id=query_id,
+                worker=worker,
+            )
 
     def _on_controller_crash(
         self, now: float, downtime: Optional[float]

@@ -56,7 +56,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.barriers import SyncMode
 from repro.engine.kernels import ArrayMailbox
 from repro.errors import EngineError
 
@@ -207,10 +206,10 @@ class SimulationSanitizer:
     def check_compute_allowed(self, query_id: int, worker: int, now: float) -> None:
         """No compute may run on a halted worker / for a halted query.
 
-        Under ``SHARED_BSP`` the in-flight superstep legitimately drains its
-        computes after ``paused`` is set (the STOP begins only once the
-        superstep barrier resolves), so the fence there is the scheduled
-        STOP itself rather than the pause flag.
+        A superstep still computing is not halted yet: the STOP waits for
+        its last task (``SHARED_BSP`` aligns the STOP with the superstep
+        barrier), so its tasks run after ``paused`` is set, as the engine
+        dispatches them.
         """
         self.checks_performed += 1
         engine = self.engine
@@ -223,18 +222,7 @@ class SimulationSanitizer:
                 worker=worker,
                 details={"dead_workers": sorted(engine._dead_workers)},
             )
-        if not engine.paused:
-            return
-        if engine.config.sync_mode is SyncMode.SHARED_BSP:
-            if engine._stop_scheduled:
-                raise SanitizerError(
-                    "halted-compute",
-                    "compute executed between the shared-BSP STOP barrier "
-                    "and START",
-                    time=now,
-                    query_id=query_id,
-                    worker=worker,
-                )
+        if not engine.paused or engine._superstep_outstanding:
             return
         if worker in engine._stop_workers:
             raise SanitizerError(

@@ -200,8 +200,7 @@ class TestCallGraph:
             "barrier_ack",
             "ack_task_ready",
             "graph_update",
-            "bsp_compute",
-            "bsp_next",
+            "superstep_release",
             "qcut_done",
             "global_stop",
             "global_start",

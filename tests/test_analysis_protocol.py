@@ -680,8 +680,8 @@ def test_engine_automaton_covers_the_protocol_surface():
     analysis = ProtocolAnalysis(_repo_project().with_roles(("src",)))
     (cls,) = [c for c in analysis.automata if c.endswith("QGraphEngine")]
     auto = analysis.automata[cls]
-    # the sixteen handlers are all transitions
-    assert len(auto.transitions) == 16
+    # the fifteen handlers are all transitions
+    assert len(auto.transitions) == 15
     # the paper's couple is declared and extracted
     assert auto.couples == [
         (
@@ -695,7 +695,7 @@ def test_engine_automaton_covers_the_protocol_surface():
         "QGraphEngine.paused",
         "QGraphEngine._held_tasks",
         "QGraphEngine._recovery_active",
-        "QGraphEngine._bsp_outstanding",
+        "QGraphEngine._superstep_outstanding",
         "QueryRuntime.acked",
     ):
         assert state in auto.states, state

@@ -159,23 +159,24 @@ class TestSharedBspBarrier:
         eng.submit(Query(0, SsspProgram(0, 24), (0,)))
         eng.submit(Query(1, SsspProgram(24, 0), (24,)))
 
-        seeds = []  # (query_id, epoch) recorded at each superstep seed
-        original = eng._bsp_begin_superstep
-
-        def recording(now):
-            before = {qid: qr.barrier_epoch for qid, qr in eng.runtimes.items()}
-            original(now)
-            for qid in sorted(eng.runtimes):
-                qr = eng.runtimes[qid]
-                if qr.involved and qr.barrier_epoch != before.get(qid):
+        # step the run one timestamp at a time and record every new epoch a
+        # running query shows (a started query holds epoch 0 until its first
+        # seed): a seed and its tasks are at different timestamps, so each
+        # seed is seen
+        seeds = []  # (query_id, epoch), in order of observation
+        seen = {}
+        while eng.queue.peek_time() is not None:
+            eng.run(until=eng.queue.peek_time())
+            for qid, qr in sorted(eng.runtimes.items()):
+                if not qr.finished and qr.barrier_epoch != seen.get(qid, 0):
+                    seen[qid] = qr.barrier_epoch
                     seeds.append((qid, qr.barrier_epoch))
-
-        eng._bsp_begin_superstep = recording
-        trace = eng.run()
+        trace = eng.trace
         assert len(trace.finished_queries()) == 2
         assert len(seeds) > 2  # the run actually exercised several supersteps
         for qid in (0, 1):
             epochs = [epoch for q, epoch in seeds if q == qid]
             # strictly increasing: no two generations ever share an epoch
             assert epochs == sorted(set(epochs))
-            assert len(epochs) == len(set(epochs))
+            # one fresh epoch per superstep the query took part in
+            assert len(epochs) == trace.queries[qid].iterations

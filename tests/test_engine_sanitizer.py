@@ -214,14 +214,16 @@ class TestHaltedCompute:
         engine.sanitizer.check_compute_allowed(0, 0, 0.0)
 
     def test_shared_bsp_inflight_superstep_legal(self):
-        """Under SHARED_BSP, pause + in-flight superstep computes are the
-        documented protocol; only computes after the STOP barrier are bugs."""
+        """Under SHARED_BSP, pause + a superstep still computing are the
+        documented protocol (the STOP waits for its last task); a compute
+        once the superstep has settled is a bug."""
         engine = _build_engine(grid_graph(6, 6), k=2, sync_mode=SyncMode.SHARED_BSP)
         engine.paused = True
-        engine._stop_scheduled = False
+        engine._stop_workers, engine._stop_queries = engine._cluster_scope()
+        engine._superstep_outstanding = 1
         engine.sanitizer.check_compute_allowed(0, 0, 0.2)  # legal drain
-        engine._stop_scheduled = True
-        with pytest.raises(SanitizerError, match="shared-BSP STOP"):
+        engine._superstep_outstanding = 0
+        with pytest.raises(SanitizerError, match="worker halted by a STOP"):
             engine.sanitizer.check_compute_allowed(0, 0, 0.2)
 
 

@@ -1293,7 +1293,10 @@ class QGraphEngine:
     def _settle_superstep(self, now: float) -> None:
         """The superstep's last task settled: every live worker acks the
         shared barrier as soon as its CPU is free, and the superstep's
-        queries advance together at the release."""
+        queries advance together at the release.  The superstep stays held
+        until its release (the release event, or START when a STOP takes
+        the cluster here): a query started in between joins the next
+        superstep instead of dispatching one before the release."""
         k = self.cluster.num_workers
         release = self._ack_round(now, 0.0, set(range(k))) + self._dispatch_time
         self.trace.barrier_releases += 1
@@ -1310,7 +1313,6 @@ class QGraphEngine:
             self._close_iteration(qr, release)
             if self._advance_iteration(qr, release):
                 self._checkpoint_if_due(qr, release)
-        self._superstep_participants = set()
         if self.paused:
             # the STOP is taken at this barrier; START releases it
             self._maybe_begin_stop(release)
@@ -1324,8 +1326,10 @@ class QGraphEngine:
     def _on_superstep_release(self, now: float) -> None:
         """The shared barrier releases: the next superstep begins.  Stale
         when START already began one."""
-        if not self._superstep_participants:
-            self._begin_superstep(now)
+        if self._superstep_outstanding:
+            return
+        self._superstep_participants = set()
+        self._begin_superstep(now)
 
     # ------------------------------------------------------------------
     # adaptation: async Q-cut + global STOP/START barrier (§3.4)

@@ -9,6 +9,7 @@ from repro.graph import GraphBuilder, grid_graph
 from repro.partitioning import HashPartitioner
 from repro.queries import BfsProgram, SsspProgram
 from repro.simulation.cluster import make_cluster
+from repro.simulation.events import EventQueue
 
 
 def engine_for(graph, k, mode, assignment=None):
@@ -145,6 +146,57 @@ class TestSharedBspBarrier:
         trace = eng.run()
         assert len(trace.finished_queries()) == 2
         assert eng.query_result(1)["distance"] == pytest.approx(8.0)
+
+    def test_arrival_never_starts_a_superstep_before_the_release(self, monkeypatch):
+        """A query arriving while a superstep is releasing (its last task
+        settled, its release event still ahead) joins the next superstep;
+        it does not dispatch one before the shared barrier released.
+
+        Swept over arrival times across the first query's lifetime: no
+        superstep task is dispatched while a release is pending, and the
+        arrival never lets the running query finish sooner than it does
+        alone, which lock-step supersteps cannot do."""
+
+        class ReleaseWatch(EventQueue):
+            """Counts task dispatches made while a superstep release is
+            still pending in the queue."""
+
+            def __init__(self):
+                super().__init__()
+                self.pending = []
+                self.early = 0
+
+            def schedule(self, time, kind, **payload):
+                if kind == "task_ready" and any(t > self.now for t in self.pending):
+                    self.early += 1
+                event = super().schedule(time, kind, **payload)
+                if kind == "superstep_release":
+                    self.pending.append(event.time)
+                return event
+
+            def pop(self):
+                event = super().pop()
+                if event is not None and event.kind == "superstep_release":
+                    self.pending.remove(event.time)
+                return event
+
+        monkeypatch.setattr("repro.engine.engine.EventQueue", ReleaseWatch)
+        g = grid_graph(6, 6)
+
+        def run(arrival=None):
+            eng = engine_for(g, 3, SyncMode.SHARED_BSP)
+            eng.submit(Query(0, SsspProgram(0, 35), (0,)))
+            if arrival is not None:
+                eng.submit(Query(1, SsspProgram(35, 0), (35,)), arrival_time=arrival)
+            trace = eng.run()
+            assert len(trace.finished_queries()) == (1 if arrival is None else 2)
+            return trace.queries[0].latency, eng.queue.early
+
+        alone, _ = run()
+        for arrival in np.linspace(0.0, alone, 101):
+            latency, early = run(float(arrival))
+            assert early == 0, arrival
+            assert latency >= alone, arrival
 
     def test_each_superstep_seed_gets_a_fresh_epoch(self):
         """Every BSP re-seed of a query's ack set bumps its barrier epoch.

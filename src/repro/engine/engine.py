@@ -1262,10 +1262,9 @@ class QGraphEngine:
     # ------------------------------------------------------------------
     def _begin_superstep(self, now: float) -> None:
         """Dispatch a superstep to every running query a crash has not
-        frozen, on the workers holding its mailboxes."""
+        frozen, on the workers holding its mailboxes (none is held)."""
         if self.paused:
             return
-        superstep: Set[int] = set()
         for query_id in sorted(self.running):
             qr = self.runtimes[query_id]
             if self.faults is not None and query_id in self._tainted_queries:
@@ -1283,12 +1282,9 @@ class QGraphEngine:
             qr.open_generation(involved)
             qr.prior_participants = set()
             if involved:
-                superstep.add(query_id)
-        self._superstep_participants = superstep
-        for query_id in sorted(superstep):
-            qr = self.runtimes[query_id]
-            self._superstep_outstanding += len(qr.involved)
-            self._dispatch_tasks(now, query_id, qr.involved, qr.inbox_ready)
+                self._superstep_participants.add(query_id)
+                self._superstep_outstanding += len(involved)
+                self._dispatch_tasks(now, query_id, involved, qr.inbox_ready)
 
     def _settle_superstep(self, now: float) -> None:
         """The superstep's last task settled: every live worker acks the
@@ -1326,10 +1322,9 @@ class QGraphEngine:
     def _on_superstep_release(self, now: float) -> None:
         """The shared barrier releases: the next superstep begins.  Stale
         when START already began one."""
-        if self._superstep_outstanding:
-            return
-        self._superstep_participants = set()
-        self._begin_superstep(now)
+        if not self._superstep_outstanding:
+            self._superstep_participants = set()
+            self._begin_superstep(now)
 
     # ------------------------------------------------------------------
     # adaptation: async Q-cut + global STOP/START barrier (§3.4)

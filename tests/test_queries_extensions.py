@@ -2,7 +2,6 @@
 
 from collections import deque
 
-import numpy as np
 import pytest
 
 from repro.core import Controller

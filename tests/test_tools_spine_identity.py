@@ -68,9 +68,8 @@ def test_timing_lines_pair_by_seed_and_take_the_median_of_the_ratios():
         # 0.75 is the middle ratio; 8.00 and 5.00 the middle walls
         "churn_recovery: wall_run_s median 8.00 -> 5.00 s, "
         "median change/parent 0.750 over 3 pairs, lower on 2/3 pairs",
-        # 3.0 apart, the parent's IQR is 9.0 - 6.0
-        "churn_recovery: wall_run_s median 8 [6, 9] -> 5 [4.7, 5.5], "
-        "unresolved (parent IQR 3)",
+        # [4.7, 5.5] lies wholly below [6, 9]
+        "churn_recovery: wall_run_s median 8 [6, 9] -> 5 [4.7, 5.5], resolved",
     ]
 
 
@@ -88,7 +87,7 @@ def test_timing_lines_report_peak_rss_in_mib():
         "static_hotspot: peak_rss_mb median 125.9 -> 90.0 MiB, "
         "median change/parent 0.713 over 3 pairs, lower on 3/3 pairs",
         "static_hotspot: peak_rss_mb median 125.94 [125.47, 126.07] -> "
-        "90 [89.855, 95], resolved (parent IQR 0.6)",
+        "90 [89.855, 95], resolved",
     ]
 
 
@@ -104,20 +103,22 @@ def test_timing_lines_count_the_pairs_the_change_is_lower_on():
     assert summary.endswith(", lower on 9/10 pairs")
 
 
-def test_timing_lines_resolve_a_gain_only_beyond_the_parent_iqr():
-    """The other half of a gain claim: the medians of the two sides further
-    apart than the parent's interquartile range, as for ``vt_*``."""
+def test_timing_lines_resolve_a_gain_only_when_the_iqrs_are_disjoint():
+    """The other half of a gain claim: the two sides' interquartile ranges
+    do not overlap, as for ``vt_*``."""
     steady = [(seed, 10.0 + 0.1 * (seed % 2), 9.0, "parent") for seed in range(1, 11)]
     assert tool.timing_lines("static_hotspot", steady)[-1] == (
-        "static_hotspot: wall_run_s median 10.05 [10, 10.1] -> 9 [9, 9], "
-        "resolved (parent IQR 0.1)"
+        "static_hotspot: wall_run_s median 10.05 [10, 10.1] -> 9 [9, 9], resolved"
     )
-    # the same medians, but the parent's runs spread over 2 s: 9/10 lower
-    # pairs alone would claim this one
+    # the parent's runs spread over 2 s: 10/10 lower pairs alone would
+    # claim this one, but the two ranges overlap
     noisy = [(seed, 9.0 + 0.25 * seed, 9.0 + 0.2 * seed, "parent") for seed in range(1, 11)]
     lines = tool.timing_lines("static_hotspot", noisy)
     assert lines[-2].endswith(", lower on 10/10 pairs")
-    assert lines[-1].endswith(", unresolved (parent IQR 1.125)")
+    assert lines[-1] == (
+        "static_hotspot: wall_run_s median 10.375 [9.8125, 10.9375] -> "
+        "10.1 [9.65, 10.55], unresolved"
+    )
 
 
 def test_per_event_line_divides_wall_time_by_the_event_count():
@@ -137,7 +138,7 @@ def test_per_event_line_divides_wall_time_by_the_event_count():
     ]
     assert tool.per_event_line("static_hotspot", pairs) == (
         "static_hotspot: us per event median 21 [20.5, 21.5] -> 18 [17.5, 18.5], "
-        "resolved (parent IQR 1)"
+        "resolved"
     )
 
 
@@ -189,14 +190,15 @@ def test_metric_lines_take_medians_and_count_seeds_by_declared_direction():
     ]
     better = {"vt_makespan_s": "lower", "vt_locality": "higher", "wall_run_s": "lower"}
     assert tool.metric_lines("churn_recovery", pairs, better) == [
+        # the two ranges overlap on [1.05, 1.1]
         "churn_recovery: vt_makespan_s median 1.1 [1.05, 1.15] -> 0.9 [0.85, 1.1], "
-        "resolved (parent IQR 0.1), change better on 2/3 seeds",
+        "unresolved, change better on 2/3 seeds",
         # seed 2 is a tie: it counts for neither side
         "churn_recovery: vt_locality median 0.6 [0.55, 0.65] -> 0.6 [0.5, 0.7], "
-        "unresolved (parent IQR 0.1), change better on 1/3 seeds",
+        "unresolved, change better on 1/3 seeds",
         # no declared direction: no seed count
         "churn_recovery: vt_stall_s median 0.2 [0.15, 0.25] -> 0 [0, 0.05], "
-        "resolved (parent IQR 0.1)",
+        "resolved",
     ]
 
 
@@ -205,13 +207,18 @@ def test_quartiles_interpolate_like_numpy_and_tolerate_one_seed():
     assert tool.quartiles([5.0]) == (5.0, 5.0, 5.0)
 
 
-def test_spread_text_calls_a_shift_resolved_only_beyond_the_parent_iqr():
-    parent = [1.0, 2.0, 3.0, 4.0]  # IQR 1.5 around a median of 2.5
+def test_spread_text_calls_a_shift_resolved_only_when_the_iqrs_are_disjoint():
+    parent = [1.0, 2.0, 3.0, 4.0]  # IQR [1.75, 3.25] around a median of 2.5
     assert tool.spread_text(parent, [4.0, 4.0, 4.0, 4.0]) == (
-        "2.5 [1.75, 3.25] -> 4 [4, 4], unresolved (parent IQR 1.5)"
+        "2.5 [1.75, 3.25] -> 4 [4, 4], resolved"
     )
     assert tool.spread_text(parent, [0.5, 0.9, 1.0, 1.2]) == (
-        "2.5 [1.75, 3.25] -> 0.95 [0.8, 1.05], resolved (parent IQR 1.5)"
+        "2.5 [1.75, 3.25] -> 0.95 [0.8, 1.05], resolved"
+    )
+    # the medians are further apart (1.6) than the parent's IQR (1.5), but
+    # the change's own range reaches into the parent's
+    assert tool.spread_text(parent, [0.0, 0.5, 0.9, 2.0, 10.0]) == (
+        "2.5 [1.75, 3.25] -> 0.9 [0.5, 2], unresolved"
     )
 
 
@@ -243,9 +250,9 @@ def test_differing_runs_add_the_summary_and_keep_the_verdict(monkeypatch, capsys
         "churn_recovery seed 2: DIFFERENT (1 keys)",
         "    end_to_end.vt_makespan_s: 0.25 != 0.2",
         "churn_recovery: vt_makespan_s median 0.25 [0.25, 0.25] -> 0.2 [0.2, 0.2], "
-        "resolved (parent IQR 0), change better on 2/2 seeds",
+        "resolved, change better on 2/2 seeds",
         "churn_recovery: vt_locality median 0.5 [0.5, 0.5] -> 0.5 [0.5, 0.5], "
-        "unresolved (parent IQR 0), change better on 0/2 seeds",
+        "unresolved, change better on 0/2 seeds",
         "2 of 2 runs DIFFER",
     ]
 
@@ -267,16 +274,18 @@ def test_a_checkout_is_identical_to_itself(capsys):
     assert lines[2].startswith("open_mixed: wall_run_s median ")
     assert " over 1 pairs, lower on " in lines[2]
     assert lines[2].endswith("/1 pairs")
-    # one seed: each side's quartiles are its one value
+    # one seed: each side's quartiles are its one value, so the verdict
+    # only says whether the two values differ
+    verdicts = ("resolved", "unresolved")
     assert lines[3].startswith("open_mixed: wall_run_s median ")
-    assert lines[3].endswith(" (parent IQR 0)")
+    assert lines[3].rsplit(", ", 1)[1] in verdicts
     assert lines[4].startswith("open_mixed seed 7: peak_rss_mb ")
     assert lines[5].startswith("open_mixed: peak_rss_mb median ")
     assert " MiB, median change/parent " in lines[5]
     assert " over 1 pairs, lower on " in lines[5]
     assert lines[5].endswith("/1 pairs")
     assert lines[6].startswith("open_mixed: peak_rss_mb median ")
-    assert lines[6].endswith(" (parent IQR 0)")
+    assert lines[6].rsplit(", ", 1)[1] in verdicts
     assert lines[7].startswith("open_mixed: us per event median ")
-    assert lines[7].endswith(" (parent IQR 0)")
+    assert lines[7].rsplit(", ", 1)[1] in verdicts
     assert lines[-1] == "ALL IDENTICAL" and len(lines) == 9

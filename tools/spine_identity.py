@@ -24,16 +24,15 @@ the ``wall_run_s`` and ``peak_rss_mb`` of parent and change seed by seed
 which side started first, the median of the per-pair ratios and on how
 many pairs the change was lower (a gain is claimed only when it is lower on
 at least 9 of 10 pairs), then each side's median and [Q1, Q3] over the
-seeds, ``resolved`` when the medians are further apart than the parent's
-IQR (the other half of that claim).  Last comes each side's host time per
+seeds, ``resolved`` only when the two sides' [Q1, Q3] ranges are disjoint
+(the other half of that claim).  Last comes each side's host time per
 simulated event, ``wall_run_s / engine.events`` in µs, median and
 [Q1, Q3]: the event path's fixed cost, readable without a traced run.  It
 never changes the verdict or the exit status.
 
 A workload whose runs differ is followed by one line per ``vt_*`` metric:
-the median and [Q1, Q3] over the seeds at parent and change, whether the
-medians are further apart than the parent's IQR (``resolved``, the
-convention ``docs/experiments.md`` reports by) and, for the metrics
+the median and [Q1, Q3] over the seeds at parent and change, whether those
+two ranges are disjoint (``resolved``) and, for the metrics
 ``BENCHMARK.json`` gives a direction (``better``), on how many seeds the
 change is better.  That is what a change that means to move ``vt_*`` reads;
 it never changes the verdict or the exit status either.
@@ -174,15 +173,13 @@ def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
 
 
 def spread_text(parent: Sequence[float], change: Sequence[float]) -> str:
-    """``median [Q1, Q3] -> median [Q1, Q3], (un)resolved (parent IQR x)``:
-    resolved when the medians are further apart than the parent's IQR."""
+    """``median [Q1, Q3] -> median [Q1, Q3], (un)resolved``: resolved only
+    when the two [Q1, Q3] ranges are disjoint, so that a shift no wider than
+    either side's own spread never reads as one."""
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
-    verdict = "resolved" if abs(cm - pm) > p3 - p1 else "unresolved"
-    return (
-        f"{pm:.6g} [{p1:.6g}, {p3:.6g}] -> {cm:.6g} [{c1:.6g}, {c3:.6g}], "
-        f"{verdict} (parent IQR {p3 - p1:.6g})"
-    )
+    verdict = "resolved" if c3 < p1 or c1 > p3 else "unresolved"
+    return f"{pm:.6g} [{p1:.6g}, {p3:.6g}] -> {cm:.6g} [{c1:.6g}, {c3:.6g}], {verdict}"
 
 
 def metric_lines(

@@ -126,7 +126,7 @@ HEARTBEAT_TIMEOUT = 0.004
 CONTROL_RETRY_TIMEOUT = 1.0e-3
 CONTROL_RETRY_BACKOFF = 2.0
 CONTROL_MAX_RETRIES = 8
-#: the inbox-ready map of a dispatch that waits for no message (never written)
+#: the inbox-ready times of a dispatch that waits for no message (never written)
 _NO_INBOX: Dict[int, float] = {}
 
 
@@ -303,11 +303,10 @@ class QGraphEngine:
         #: graph deltas that arrived while a STOP (or a shared-BSP
         #: superstep) was in progress — applied at the next safe boundary
         self._held_updates: List[GraphDelta] = []
-        #: ``SHARED_BSP``: the queries of the current superstep, held from
-        #: its dispatch until its release (empty when none is held) ...
+        #: ``SHARED_BSP``: the queries of the superstep held from its dispatch
+        #: until its release, and its tasks not settled yet (non-zero while
+        #: it computes)
         self._superstep_participants: Set[int] = set()
-        #: ... and its dispatched tasks that have not settled yet (computed,
-        #: lost to a crash or void); non-zero while the superstep computes
         self._superstep_outstanding = 0
         self._events_processed = 0
         # --- fault-tolerance state (inert on fault-free runs) ---
@@ -635,16 +634,11 @@ class QGraphEngine:
         self._maybe_begin_stop(now)
 
     def _dispatch_tasks(
-        self,
-        now: float,
-        query_id: int,
-        workers: Set[int],
-        inbox_ready: Dict[int, float] = _NO_INBOX,
+        self, now: float, query_id: int, workers: Set[int], inbox_ready: Dict[int, float] = _NO_INBOX
     ) -> None:
         """The controller forwards executeQuery(q) to ``workers``: each task
         is ready once the message crossed that worker's controller link and
-        the worker's inbox for the iteration is complete (``inbox_ready``,
-        filled by the closed iteration's remote sends)."""
+        its inbox for the iteration is complete (``inbox_ready``)."""
         for w in sorted(workers):
             self.queue.schedule(
                 max(now + self._ctrl_latencies[w], inbox_ready.get(w, 0.0)),
@@ -672,13 +666,11 @@ class QGraphEngine:
                 )
 
     def _release_iteration(self, now: float, qr: QueryRuntime) -> None:
-        """Release ``qr``'s iteration outside a barrier of its own (a query
-        start, a recovery restore).
-
-        One controller dispatch sends it to its involved workers; under
-        ``GLOBAL_PER_QUERY`` the first barrier already spans every live
-        worker.  Under ``SHARED_BSP`` the query joins the next superstep:
-        one begins now unless a superstep is held."""
+        """One controller dispatch releases ``qr``'s iteration to its
+        involved workers, as at a query start; under ``GLOBAL_PER_QUERY``
+        the first barrier already spans every live worker.  Under
+        ``SHARED_BSP`` the query joins the next superstep, which begins now
+        unless one is held."""
         if self.config.sync_mode is SyncMode.SHARED_BSP:
             if not self._superstep_participants:
                 self._begin_superstep(now)
@@ -983,10 +975,9 @@ class QGraphEngine:
         if not qr.inflight[worker]:
             del qr.inflight[worker]
 
-        # the worker's ack, then its sync mode's release rule: a superstep
-        # counts it (the shared barrier is charged at the release), a local
-        # query barrier resolves on the worker, anything else acks to the
-        # controller
+        # the worker's ack goes to its sync mode's release rule: a superstep
+        # counts it, a local query barrier resolves on the worker, anything
+        # else acks to the controller
         if self.faults is not None and worker in self._dead_workers:
             # the worker crashed mid-compute: its results (messages already
             # materialized into mailboxes, its barrier ack) died with it.
@@ -1013,9 +1004,8 @@ class QGraphEngine:
         self._task_settled(now)
 
     def _task_settled(self, now: float) -> None:
-        """A dispatched task ran, was lost to a crash or found its worker
-        dead.  The last task of a superstep settles it; otherwise a pending
-        STOP re-checks whether its drain is complete."""
+        """A dispatched task ran or was lost to a crash: the last task of a
+        superstep settles it, else a pending STOP re-checks its drain."""
         if self._superstep_outstanding:
             self._superstep_outstanding -= 1
             if not self._superstep_outstanding:
@@ -1042,11 +1032,9 @@ class QGraphEngine:
             self._resolve_query_barrier(qr, now + processing, local=False)
 
     def _required_ackers(self, qr: QueryRuntime) -> AbstractSet[int]:
-        """The workers whose acks resolve ``qr``'s barrier: its involved
-        workers, widened to every worker not excused by a crash under
-        ``GLOBAL_PER_QUERY`` (read-only: the involved set itself otherwise;
-        under ``SHARED_BSP`` the superstep's release charges the other
-        workers' acks)."""
+        """The participants whose acks resolve ``qr``'s barrier: its involved
+        workers, widened to every worker a crash does not excuse under
+        ``GLOBAL_PER_QUERY`` (read-only: the involved set itself otherwise)."""
         if self.config.sync_mode is SyncMode.GLOBAL_PER_QUERY:
             required = set(range(self.cluster.num_workers))
             if self._dead_workers:
@@ -1093,9 +1081,8 @@ class QGraphEngine:
         self._maybe_trigger_adaptation(now)
 
     def _advance_iteration(self, qr: QueryRuntime, now: float) -> bool:
-        """Rotate ``qr``'s mailboxes at its barrier's release: the query
-        finishes when its closed iteration sent nothing (False), else its
-        next iteration is counted (True)."""
+        """Rotate ``qr``'s mailboxes at its barrier's release: finish it when
+        its closed iteration sent nothing (False), else count the next (True)."""
         qr.rotate_mailboxes()
         if not qr.mailboxes:
             # nothing was sent: the rotated-out state is released with the rest
@@ -1287,12 +1274,10 @@ class QGraphEngine:
                 self._dispatch_tasks(now, query_id, involved, qr.inbox_ready)
 
     def _settle_superstep(self, now: float) -> None:
-        """The superstep's last task settled: every live worker acks the
-        shared barrier as soon as its CPU is free, and the superstep's
-        queries advance together at the release.  The superstep stays held
-        until its release (the release event, or START when a STOP takes
-        the cluster here): a query started in between joins the next
-        superstep instead of dispatching one before the release."""
+        """The superstep's last task settled: every live worker acks as soon
+        as its CPU is free, and the queries advance together at the release.
+        They stay held until the release event (or START) fires, so a query
+        started in between joins the next superstep."""
         k = self.cluster.num_workers
         release = self._ack_round(now, 0.0, set(range(k))) + self._dispatch_time
         self.trace.barrier_releases += 1
@@ -1386,11 +1371,9 @@ class QGraphEngine:
 
     def _ack_round(self, now: float, ready: float, workers: AbstractSet[int]) -> float:
         """Every live worker in ``workers`` acks a cluster barrier once its
-        CPU is free, from ``ready`` on (a crashed worker cannot ack —
-        crash-stop counts as already there).  Returns when the last ack
-        reached the controller, ``now`` at the earliest.  The loop runs over
-        the worker objects themselves so their ``occupy`` writes stay
-        visible to the static effect analysis."""
+        CPU is free from ``ready`` on; returns when the last ack reached the
+        controller (``now`` at the earliest).  Loops over the worker objects
+        so their ``occupy`` writes stay visible to the effect analysis."""
         done = now
         for w in self.workers:
             if w.wid in workers and w.wid not in self._dead_workers:
@@ -1485,10 +1468,9 @@ class QGraphEngine:
         self._restored_queries = []
 
         if self.config.sync_mode is SyncMode.SHARED_BSP:
-            # START releases the superstep barrier the STOP was taken at.
-            # Nothing is held per query, and restored queries join the next
-            # superstep: the first admitted query begins it, else the
-            # release event does
+            # START releases the superstep barrier the STOP was taken at;
+            # restored queries join the next superstep, which the first
+            # admitted query begins, else the release event
             self._superstep_participants = set()
             self._admit_pending(now)
             self.queue.schedule(now, "superstep_release")
@@ -1610,10 +1592,10 @@ class QGraphEngine:
         # fresh process: the old CPU reservation died with it
         self.workers[worker].busy_until = now
         self.controller.set_down_workers(frozenset(self._dead_workers))
-        # rejoin the redundant ack round of every barrier in flight it was
-        # excused from (the participants beyond the involved workers; only
-        # ``GLOBAL_PER_QUERY`` has any); the ack is stamped with the epoch
-        # current when it fires, so post-rollback epochs drop stale rejoins
+        # rejoin the redundant ack round (``GLOBAL_PER_QUERY``'s participants
+        # beyond the involved workers) of every barrier in flight it was
+        # excused from; the ack is stamped with the epoch current when it
+        # fires, so post-rollback epochs drop stale rejoins
         for query_id in sorted(self.running):
             qr = self.runtimes[query_id]
             if worker in qr.involved or worker not in self._required_ackers(qr):

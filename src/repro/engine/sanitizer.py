@@ -207,9 +207,8 @@ class SimulationSanitizer:
         """No compute may run on a halted worker / for a halted query.
 
         A superstep still computing is not halted yet: the STOP waits for
-        its last task (``SHARED_BSP`` aligns the STOP with the superstep
-        barrier), so its tasks run after ``paused`` is set, as the engine
-        dispatches them.
+        its last task (``SHARED_BSP`` takes the STOP at the superstep
+        barrier), so its tasks run while ``paused`` is set.
         """
         self.checks_performed += 1
         engine = self.engine

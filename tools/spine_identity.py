@@ -174,8 +174,8 @@ def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
 
 def spread_text(parent: Sequence[float], change: Sequence[float]) -> str:
     """``median [Q1, Q3] -> median [Q1, Q3], (un)resolved``: resolved only
-    when the two [Q1, Q3] ranges are disjoint, so that a shift no wider than
-    either side's own spread never reads as one."""
+    when the two [Q1, Q3] ranges are disjoint; overlapping ranges never
+    read as a shift."""
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
     verdict = "resolved" if c3 < p1 or c1 > p3 else "unresolved"

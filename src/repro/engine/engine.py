@@ -669,11 +669,12 @@ class QGraphEngine:
         """One controller dispatch releases ``qr``'s iteration to its
         involved workers, as at a query start; under ``GLOBAL_PER_QUERY``
         the first barrier already spans every live worker.  Under
-        ``SHARED_BSP`` the query joins the next superstep, which begins now
-        unless one is held."""
+        ``SHARED_BSP`` the query joins the next superstep: with none held, a
+        release at ``now`` begins it, so every query started at this instant
+        joins it."""
         if self.config.sync_mode is SyncMode.SHARED_BSP:
             if not self._superstep_participants:
-                self._begin_superstep(now)
+                self.queue.schedule(now, "superstep_release")
             return
         dispatched = now + self._dispatch_time
         self._dispatch_tasks(dispatched, qr.query.query_id, qr.involved)
@@ -978,7 +979,7 @@ class QGraphEngine:
         # the worker's ack goes to its sync mode's release rule: a superstep
         # counts it, a local query barrier resolves on the worker, anything
         # else acks to the controller
-        if self.faults is not None and worker in self._dead_workers:
+        if worker in self._dead_workers:
             # the worker crashed mid-compute: its results (messages already
             # materialized into mailboxes, its barrier ack) died with it.
             # The query is tainted — it must not finish before a recovery
@@ -1017,7 +1018,10 @@ class QGraphEngine:
         self, now: float, query_id: int, worker: int, epoch: int
     ) -> None:
         qr = self.runtimes[query_id]
-        if qr.finished:
+        if qr.finished or query_id in self._held_resolutions:
+            # a held query's barrier already resolved: a late ack of its
+            # generation (one a crashed, excused worker sent before it died,
+            # or a rejoined worker's redundant one) must not close it again
             return
         if self.sanitizer is not None:
             self.sanitizer.observe_epoch(query_id, qr.barrier_epoch, now)
@@ -1052,7 +1056,10 @@ class QGraphEngine:
         query_id = qr.query.query_id
         self._close_iteration(qr, now)
 
-        if self._query_paused(query_id):
+        if self._query_paused(query_id) or query_id in self._tainted_queries:
+            # a STOP halts the query, or a crash froze it until recovery
+            # rolls it back: START (stage A, or stage R after a rollback)
+            # releases it
             self._held_resolutions.append(query_id)
             return
 
@@ -1132,7 +1139,7 @@ class QGraphEngine:
         qr.agg_partials.clear()
 
     def _finish_query(self, query_id: int, now: float) -> None:
-        if self.faults is not None and query_id in self._tainted_queries:
+        if query_id in self._tainted_queries:
             # a query that lost compute results to a crash must strand at
             # its barrier until recovery rolls it back; finishing instead
             # means the fault protocol leaked a lossy answer
@@ -1249,19 +1256,13 @@ class QGraphEngine:
     # ------------------------------------------------------------------
     def _begin_superstep(self, now: float) -> None:
         """Dispatch a superstep to every running query a crash has not
-        frozen, on the workers holding its mailboxes (none is held)."""
-        if self.paused:
-            return
+        frozen, on the workers holding its mailboxes; a task that lands on
+        a dead worker taints its query (``_on_task_ready``)."""
         for query_id in sorted(self.running):
             qr = self.runtimes[query_id]
-            if self.faults is not None and query_id in self._tainted_queries:
+            if query_id in self._tainted_queries:
                 continue  # frozen until recovery rolls it back
             involved = set(qr.mailboxes)
-            if involved & self._dead_workers:
-                # part of the frontier lives on a crashed worker: freeze the
-                # whole query (its mailboxes stay intact for the rollback)
-                self._tainted_queries.add(query_id)
-                continue
             # every barrier generation is uniquely numbered, superstep
             # seeds included: recovery's stale-ack fencing (and the
             # ack-completeness proof) rely on a re-seeded ack set never
@@ -1286,7 +1287,7 @@ class QGraphEngine:
         # the next one
         for query_id in sorted(self._superstep_participants):
             qr = self.runtimes[query_id]
-            if self.faults is not None and query_id in self._tainted_queries:
+            if query_id in self._tainted_queries:
                 # crash mid-superstep: results are incomplete, so the query
                 # does not advance — it stays frozen at this iteration until
                 # recovery restores its checkpoint
@@ -1306,10 +1307,16 @@ class QGraphEngine:
 
     def _on_superstep_release(self, now: float) -> None:
         """The shared barrier releases: the next superstep begins.  Stale
-        when START already began one."""
-        if not self._superstep_outstanding:
-            self._superstep_participants = set()
-            self._begin_superstep(now)
+        when an earlier release already began one; under a STOP, which is
+        taken at this barrier, every running query stays held for START to
+        release."""
+        if self._superstep_outstanding:
+            return
+        if self.paused:
+            self._superstep_participants = set(self.running)
+            return
+        self._superstep_participants = set()
+        self._begin_superstep(now)
 
     # ------------------------------------------------------------------
     # adaptation: async Q-cut + global STOP/START barrier (§3.4)
@@ -1467,17 +1474,10 @@ class QGraphEngine:
         restored = self._restored_queries
         self._restored_queries = []
 
-        if self.config.sync_mode is SyncMode.SHARED_BSP:
+        if self._superstep_participants:
             # START releases the superstep barrier the STOP was taken at;
-            # restored queries join the next superstep, which the first
-            # admitted query begins, else the release event
-            self._superstep_participants = set()
-            self._admit_pending(now)
+            # restored and admitted queries join the superstep it begins
             self.queue.schedule(now, "superstep_release")
-            if self._recovering:
-                # a crash detected during this barrier waits its own turn
-                self._maybe_schedule_recovery(now)
-            return
 
         # stage A: queries whose barrier resolution was deferred
         for query_id in held_res:

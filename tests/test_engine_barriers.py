@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from engine_harness import LoggedQueue
 from repro.core import Controller, ControllerConfig
 from repro.engine import EngineConfig, QGraphEngine, Query, SyncMode
 from repro.graph import GraphBuilder, grid_graph
@@ -146,6 +147,28 @@ class TestSharedBspBarrier:
         trace = eng.run()
         assert len(trace.finished_queries()) == 2
         assert eng.query_result(1)["distance"] == pytest.approx(8.0)
+
+    def test_same_instant_starts_share_the_first_superstep(self, monkeypatch):
+        """Queries started at one instant all join the superstep that
+        instant releases: each has a task dispatched before the first
+        task computed."""
+        monkeypatch.setattr("repro.engine.engine.EventQueue", LoggedQueue)
+        g = grid_graph(6, 6)
+        eng = engine_for(g, 3, SyncMode.SHARED_BSP)
+        for qid, (src, dst) in enumerate([(0, 35), (35, 0), (5, 30), (30, 5)]):
+            eng.submit(Query(qid, SsspProgram(src, dst), (src,)))
+        trace = eng.run()
+        assert len(trace.finished_queries()) == 4
+        first_done = next(
+            i for i, (_t, _s, kind, _p) in enumerate(eng.queue.log)
+            if kind == "compute_done"
+        )
+        first_superstep = {
+            dict(payload)["query_id"]
+            for _t, _s, kind, payload in eng.queue.log[:first_done]
+            if kind == "task_ready"
+        }
+        assert first_superstep == {0, 1, 2, 3}
 
     def test_arrival_never_starts_a_superstep_before_the_release(self, monkeypatch):
         """A query arriving while a superstep is releasing (its last task

@@ -349,6 +349,29 @@ class TestCrashRecovery:
         assert t_fault.worker_recoveries == 1
         _assert_identical_results(r_fault, r_clean)
 
+    @pytest.mark.parametrize(
+        "sync_mode",
+        [SyncMode.HYBRID, SyncMode.GLOBAL_PER_QUERY, SyncMode.SHARED_BSP],
+    )
+    def test_quick_rejoin_sweep(self, sync_mode):
+        """Crash time x downtime, both as fractions of the fault-free
+        makespan (19 - 24 ms; every downtime but the last is far inside
+        HEARTBEAT_TIMEOUT, 4 ms): wherever the crash lands and however soon
+        the worker rejoins, the run finishes after one recovery with the
+        answers of the fault-free run."""
+        rn = road_network()
+        _, t_clean, r_clean = _run(rn, sync_mode=sync_mode, checkpoint_interval=2)
+        makespan = t_clean.makespan()
+        for at in (0.05, 0.1, 0.2, 0.3):
+            for downtime in (0.005, 0.01, 0.02, 0.05):
+                plan = _crash_plan(makespan, at=at, downtime=downtime * makespan)
+                _, t_fault, r_fault = _run(
+                    rn, sync_mode=sync_mode, checkpoint_interval=2, faults=plan
+                )
+                assert t_fault.worker_recoveries == 1, (at, downtime)
+                assert len(t_fault.recoveries) == 1, (at, downtime)
+                _assert_identical_results(r_fault, r_clean)
+
     def test_recovery_rolls_back_iterations(self):
         rn = road_network()
         _, t_clean, r_clean = _run(rn, checkpoint_interval=3)

@@ -1053,13 +1053,18 @@ class QGraphEngine:
     # barrier resolution (limited / local / global-per-query)
     # ------------------------------------------------------------------
     def _resolve_query_barrier(self, qr: QueryRuntime, now: float, local: bool) -> None:
-        query_id = qr.query.query_id
+        """``qr``'s barrier resolved: close its iteration, then release it."""
         self._close_iteration(qr, now)
+        self._release_barrier(qr, now, local)
 
+    def _release_barrier(self, qr: QueryRuntime, now: float, local: bool) -> None:
+        """Release ``qr`` past the barrier of its closed iteration: rotate
+        and dispatch the next iteration, or finish.  While a STOP halts the
+        query, or a crash froze it until recovery rolls it back, it is held
+        instead; START releases it (stage A, or stage R after a rollback)
+        without closing the iteration again."""
+        query_id = qr.query.query_id
         if self._query_paused(query_id) or query_id in self._tainted_queries:
-            # a STOP halts the query, or a crash froze it until recovery
-            # rolls it back: START (stage A, or stage R after a rollback)
-            # releases it
             self._held_resolutions.append(query_id)
             return
 
@@ -1479,12 +1484,13 @@ class QGraphEngine:
             # restored and admitted queries join the superstep it begins
             self.queue.schedule(now, "superstep_release")
 
-        # stage A: queries whose barrier resolution was deferred
+        # stage A: queries held at a barrier that already resolved (their
+        # iteration is closed)
         for query_id in held_res:
             qr = self.runtimes[query_id]
             if qr.finished:
                 continue
-            self._resolve_query_barrier(qr, now, local=False)
+            self._release_barrier(qr, now, local=False)
 
         # stage B: released queries whose compute dispatch was deferred.
         # Only the post-rebucket mailbox owners participate in the resumed

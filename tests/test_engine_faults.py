@@ -59,8 +59,10 @@ _CRASH_FINGERPRINTS = {
     # max_parallel_queries queries waiting stopped trading cost for balance:
     # the post-recovery snapshot is such a one, and its zero-cost plan now
     # keeps the first zero-cost state (33 relocated fragments, imbalance
-    # 0.40) rather than a better-balanced one (32, 0.22)
-    "adaptive-partial": "cc4a98fc61573c56",
+    # 0.40) rather than a better-balanced one (32, 0.22).  Re-pinned again
+    # when a query held at a STOP stopped closing its iteration a second
+    # time at START: 192 closes, not 216, the same makespan
+    "adaptive-partial": "07e201fbd9829495",
 }
 
 

@@ -30,11 +30,18 @@ wide the set is (Hauck et al.'s intra- vs inter-query synchronization):
     Classic Pregel.  Participants: every live worker × every running
     query.  Released together once the superstep's last task settled, so
     every query waits for the slowest one (the straggler problem of
-    §3.3); a query that starts meanwhile joins the next superstep.
+    §3.3).
 
 Everything else — compute dispatch, the ack path, releasing a started or
 restored query, rotating a released iteration — is one path shared by the
-three (see ``docs/engine.md`` § "Synchronization modes").
+three, and so are two rules (see ``docs/engine.md`` § "Synchronization
+modes"):
+
+* a query tainted by a crash waits at its barrier, as under a STOP,
+  until the recovery's rollback releases it;
+* a started query joins the next release: its own first dispatch, or
+  under ``SHARED_BSP`` the next superstep, which every query started at
+  the same instant shares.
 """
 
 from __future__ import annotations

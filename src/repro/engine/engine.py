@@ -159,7 +159,7 @@ class EngineConfig:
         ``SyncMode.SHARED_BSP`` a superstep's participant set is every
         worker and every running query, so a STOP is taken at the
         superstep barrier and ``"partial"`` degrades to global behaviour
-        there.
+        there; the queries START restores or admits join its next superstep.
     vertex_state_bytes:
         Bytes transferred per vertex during repartitioning moves.
     max_events:
@@ -172,8 +172,8 @@ class EngineConfig:
         it).  Every running query snapshots its complete logical state at
         each barrier whose (post-rotate) iteration number is a multiple of
         the interval; crash recovery rolls queries back to their latest
-        snapshot.  Required (> 0) when a :class:`FaultPlan` schedules
-        worker crashes.
+        snapshot; a crash-tainted query waits at its barrier for the rollback.
+        Required (> 0) when a :class:`FaultPlan` schedules worker crashes.
     sanitizer:
         Runtime invariant checking (see :mod:`repro.engine.sanitizer`):
         ``True`` weaves epoch-guarded conservation/monotonicity/liveness
@@ -669,9 +669,8 @@ class QGraphEngine:
         """One controller dispatch releases ``qr``'s iteration to its
         involved workers, as at a query start; under ``GLOBAL_PER_QUERY``
         the first barrier already spans every live worker.  Under
-        ``SHARED_BSP`` the query joins the next superstep: with none held, a
-        release at ``now`` begins it, so every query started at this instant
-        joins it."""
+        ``SHARED_BSP`` it joins the next superstep, which every query started
+        at ``now`` shares."""
         if self.config.sync_mode is SyncMode.SHARED_BSP:
             if not self._superstep_participants:
                 self.queue.schedule(now, "superstep_release")
@@ -1019,10 +1018,7 @@ class QGraphEngine:
     ) -> None:
         qr = self.runtimes[query_id]
         if qr.finished or query_id in self._held_resolutions:
-            # a held query's barrier already resolved: a late ack of its
-            # generation (one a crashed, excused worker sent before it died,
-            # or a rejoined worker's redundant one) must not close it again
-            return
+            return  # a held query's barrier resolved: a late ack is void
         if self.sanitizer is not None:
             self.sanitizer.observe_epoch(query_id, qr.barrier_epoch, now)
         if epoch != qr.barrier_epoch:
@@ -1058,11 +1054,9 @@ class QGraphEngine:
         self._release_barrier(qr, now, local)
 
     def _release_barrier(self, qr: QueryRuntime, now: float, local: bool) -> None:
-        """Release ``qr`` past the barrier of its closed iteration: rotate
-        and dispatch the next iteration, or finish.  While a STOP halts the
-        query, or a crash froze it until recovery rolls it back, it is held
-        instead; START releases it (stage A, or stage R after a rollback)
-        without closing the iteration again."""
+        """Rotate ``qr`` past its closed iteration: dispatch or finish.  A
+        query a STOP halts or a crash froze is held instead, for START to
+        release (stage A, or stage R after the rollback)."""
         query_id = qr.query.query_id
         if self._query_paused(query_id) or query_id in self._tainted_queries:
             self._held_resolutions.append(query_id)
@@ -1261,8 +1255,7 @@ class QGraphEngine:
     # ------------------------------------------------------------------
     def _begin_superstep(self, now: float) -> None:
         """Dispatch a superstep to every running query a crash has not
-        frozen, on the workers holding its mailboxes; a task that lands on
-        a dead worker taints its query (``_on_task_ready``)."""
+        frozen, on the workers holding its mailboxes."""
         for query_id in sorted(self.running):
             qr = self.runtimes[query_id]
             if query_id in self._tainted_queries:
@@ -1311,10 +1304,8 @@ class QGraphEngine:
         self.queue.schedule(release, "superstep_release")
 
     def _on_superstep_release(self, now: float) -> None:
-        """The shared barrier releases: the next superstep begins.  Stale
-        when an earlier release already began one; under a STOP, which is
-        taken at this barrier, every running query stays held for START to
-        release."""
+        """The shared barrier releases: the next superstep begins (stale if
+        one began); a STOP holds every running query here until START."""
         if self._superstep_outstanding:
             return
         if self.paused:
@@ -1484,8 +1475,7 @@ class QGraphEngine:
             # restored and admitted queries join the superstep it begins
             self.queue.schedule(now, "superstep_release")
 
-        # stage A: queries held at a barrier that already resolved (their
-        # iteration is closed)
+        # stage A: queries held at a resolved barrier (iteration closed)
         for query_id in held_res:
             qr = self.runtimes[query_id]
             if qr.finished:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from engine_harness import LoggedQueue
+from engine_harness import LoggedQueue, ScriptedController
 from repro.core import Controller, ControllerConfig
 from repro.engine import EngineConfig, QGraphEngine, Query, SyncMode
 from repro.graph import GraphBuilder, grid_graph
@@ -169,6 +169,41 @@ class TestSharedBspBarrier:
             if kind == "task_ready"
         }
         assert first_superstep == {0, 1, 2, 3}
+
+    def test_start_at_the_instant_a_stop_opens_runs_after_start(self, monkeypatch):
+        """A query that starts, with no superstep held, at the instant a
+        Q-cut's STOP opens: its release fires during the STOP, and START
+        must still begin the superstep it joins.
+
+        A first run learns when the scripted plan's ``qcut_done`` fires
+        (after the only other query finished); the second run submits a
+        query arriving at exactly that time, which the queue pops first."""
+        monkeypatch.setattr("repro.engine.engine.EventQueue", LoggedQueue)
+        g = grid_graph(4, 4)
+
+        def run(late_arrival=None):
+            eng = QGraphEngine(
+                g,
+                make_cluster("M2", 2),
+                HashPartitioner(seed=0).partition(g, 2),
+                controller=ScriptedController(2, np.array([1, 2], dtype=np.int64)),
+                config=EngineConfig(sync_mode=SyncMode.SHARED_BSP),
+            )
+            eng.submit(Query(0, BfsProgram(0, None, max_depth=1), (0,)))
+            if late_arrival is not None:
+                eng.submit(Query(1, SsspProgram(15, 0), (15,)), arrival_time=late_arrival)
+            return eng, eng.run()
+
+        eng, trace = run()
+        (stop_time,) = [t for t, _s, kind, _p in eng.queue.log if kind == "qcut_done"]
+        assert trace.queries[0].end_time < stop_time
+        eng, trace = run(stop_time)
+        assert [kind for t, _s, kind, _p in eng.queue.log if t == stop_time] == [
+            "arrival", "qcut_done", "superstep_release"
+        ]
+        assert len(trace.repartitions) == 1
+        assert len(trace.finished_queries()) == 2
+        assert eng.query_result(1)["distance"] == pytest.approx(6.0)
 
     def test_arrival_never_starts_a_superstep_before_the_release(self, monkeypatch):
         """A query arriving while a superstep is releasing (its last task

@@ -337,30 +337,12 @@ class TestCrashRecovery:
         [SyncMode.HYBRID, SyncMode.GLOBAL_PER_QUERY, SyncMode.SHARED_BSP],
     )
     def test_quick_rejoin_after_transient_crash(self, sync_mode):
-        """A worker that rejoins (downtime 1 % of the makespan) before the
-        heartbeat declares it dead: every query tainted by the crash waits
-        at its barrier for the rollback instead of finishing."""
-        rn = road_network()
-        _, t_clean, r_clean = _run(rn, sync_mode=sync_mode, checkpoint_interval=2)
-        makespan = t_clean.makespan()
-        plan = _crash_plan(makespan, downtime=0.01 * makespan)
-        _, t_fault, r_fault = _run(
-            rn, sync_mode=sync_mode, checkpoint_interval=2, faults=plan
-        )
-        assert t_fault.worker_crashes == 1
-        assert t_fault.worker_recoveries == 1
-        _assert_identical_results(r_fault, r_clean)
-
-    @pytest.mark.parametrize(
-        "sync_mode",
-        [SyncMode.HYBRID, SyncMode.GLOBAL_PER_QUERY, SyncMode.SHARED_BSP],
-    )
-    def test_quick_rejoin_sweep(self, sync_mode):
-        """Crash time x downtime, both as fractions of the fault-free
-        makespan (19 - 24 ms; every downtime but the last is far inside
-        HEARTBEAT_TIMEOUT, 4 ms): wherever the crash lands and however soon
-        the worker rejoins, the run finishes after one recovery with the
-        answers of the fault-free run."""
+        """A worker that rejoins before the heartbeat declares it dead:
+        every query tainted by the crash waits at its barrier for the
+        rollback instead of finishing.  Swept over crash time x downtime,
+        both as fractions of the fault-free makespan (19 - 24 ms; every
+        downtime but the last is far inside HEARTBEAT_TIMEOUT, 4 ms): each
+        run finishes after one recovery with the fault-free answers."""
         rn = road_network()
         _, t_clean, r_clean = _run(rn, sync_mode=sync_mode, checkpoint_interval=2)
         makespan = t_clean.makespan()
@@ -370,6 +352,7 @@ class TestCrashRecovery:
                 _, t_fault, r_fault = _run(
                     rn, sync_mode=sync_mode, checkpoint_interval=2, faults=plan
                 )
+                assert t_fault.worker_crashes == 1, (at, downtime)
                 assert t_fault.worker_recoveries == 1, (at, downtime)
                 assert len(t_fault.recoveries) == 1, (at, downtime)
                 _assert_identical_results(r_fault, r_clean)

@@ -36,7 +36,7 @@ from repro.queries.poi import PoiProgram
 from repro.queries.reachability import ReachabilityProgram
 from repro.queries.sssp import SsspProgram
 from repro.queries.wcc_local import LocalWccProgram
-from repro.workload.hotspots import HotspotSampler
+from repro.workload.hotspots import HotspotSampler, draw_from_table
 
 __all__ = [
     "PhaseSpec",
@@ -329,11 +329,10 @@ class WorkloadGenerator:
     def _churn_city_vertex(self) -> int:
         """A population-weighted hotspot vertex on the churn RNG stream.
 
-        Deliberately does *not* go through the sampler (whose RNG feeds the
+        Uses the sampler's city table but never its RNG (which feeds the
         query endpoints) — churn draws must never perturb the workload.
         """
-        weights = self.rn.population_weights()
-        city = int(self._churn_rng.choice(weights.size, p=weights))
+        city = draw_from_table(self.sampler.city_table, self._churn_rng)
         ids = self.rn.city_vertices(city)
         return int(ids[int(self._churn_rng.integers(0, ids.size))])
 

@@ -28,7 +28,7 @@ trace starts with a steep drop before the first perturbation marker).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -111,7 +111,20 @@ def iterated_local_search(
             return a.cost() < b.cost()
         return (a.max_imbalance(), a.cost()) < (b.max_imbalance(), b.cost())
 
-    incumbent = local_search(initial.copy())
+    #: placement -> the local minimum local search descends to from it.
+    #: The placement determines the state and local search is
+    #: deterministic, so a candidate met again descends once; perturbation
+    #: copies its input, so no memoised state is mutated afterwards
+    descended: Dict[Tuple[int, ...], QcutState] = {}
+
+    def descend(state: QcutState) -> QcutState:
+        key = tuple(state.placement.values())
+        found = descended.get(key)
+        if found is None:
+            found = descended[key] = local_search(state)
+        return found
+
+    incumbent = descend(initial.copy())
     initial_cost = initial.cost()
     best_cost = incumbent.cost()
     trace: List[Tuple[int, float]] = [(0, best_cost)]
@@ -124,7 +137,7 @@ def iterated_local_search(
         rounds = round_idx
         candidate = perturb(incumbent, words)
         perturbation_rounds.append(round_idx)
-        candidate = local_search(candidate)
+        candidate = descend(candidate)
         if better(candidate, incumbent):
             incumbent = candidate
             best_cost = candidate.cost()

@@ -308,6 +308,9 @@ class QGraphEngine:
         #: it computes)
         self._superstep_participants: Set[int] = set()
         self._superstep_outstanding = 0
+        #: ``SHARED_BSP``: the instant of the last ``superstep_release``
+        #: queued and not yet fired (``None`` when none is)
+        self._superstep_release_at: Optional[float] = None
         self._events_processed = 0
         # --- fault-tolerance state (inert on fault-free runs) ---
         #: the active fault plan; ``None`` when the run is fault-free (a
@@ -673,7 +676,7 @@ class QGraphEngine:
         at ``now`` shares."""
         if self.config.sync_mode is SyncMode.SHARED_BSP:
             if not self._superstep_participants:
-                self.queue.schedule(now, "superstep_release")
+                self._schedule_superstep_release(now)
             return
         dispatched = now + self._dispatch_time
         self._dispatch_tasks(dispatched, qr.query.query_id, qr.involved)
@@ -1301,11 +1304,21 @@ class QGraphEngine:
         # superstep's computes dispatch
         self._apply_held_updates(release)
         self._maybe_trigger_adaptation(release)
-        self.queue.schedule(release, "superstep_release")
+        self._schedule_superstep_release(release)
+
+    def _schedule_superstep_release(self, at: float) -> None:
+        """Queue the shared barrier's release at ``at`` unless one is queued
+        for that instant: the starts of one instant share it, as they share
+        the superstep it begins."""
+        if at != self._superstep_release_at:
+            self._superstep_release_at = at
+            self.queue.schedule(at, "superstep_release")
 
     def _on_superstep_release(self, now: float) -> None:
         """The shared barrier releases: the next superstep begins (stale if
         one began); a STOP holds every running query here until START."""
+        if now == self._superstep_release_at:
+            self._superstep_release_at = None
         if self._superstep_outstanding:
             return
         if self.paused:
@@ -1473,7 +1486,7 @@ class QGraphEngine:
         if self._superstep_participants:
             # START releases the superstep barrier the STOP was taken at;
             # restored and admitted queries join the superstep it begins
-            self.queue.schedule(now, "superstep_release")
+            self._schedule_superstep_release(now)
 
         # stage A: queries held at a resolved barrier (iteration closed)
         for query_id in held_res:

@@ -104,18 +104,21 @@ _PINNED_LOGS = {
     # one instant began to join the superstep that instant releases: the 12
     # queries admitted at t = 0 share the first superstep (it ran query 0
     # alone), and each case needs fewer supersteps (29 -> 28, 27 -> 23,
-    # 14 -> 12)
-    ("partial", SyncMode.SHARED_BSP): "a4debdc959719628",
+    # 14 -> 12); all three again when the starts of one instant began to
+    # queue one superstep release between them instead of one each: the 11
+    # stale releases at t = 0 are gone and every per-query start and end
+    # time, answer and counter is unchanged (fewer stale events only)
+    ("partial", SyncMode.SHARED_BSP): "e0663104cacef4ef",
     # re-pinned when a crash-tainted query began to wait at its barrier for
     # the rollback: the resolutions that used to rotate on into lost
     # iterations (4 under HYBRID, 2 under GLOBAL_PER_QUERY) now hold, and a
     # held barrier drops the late ack that re-resolved one of them
     ("crash", SyncMode.HYBRID): "bb0664f566e26caf",
     ("crash", SyncMode.GLOBAL_PER_QUERY): "75e8e99ac82a0508",
-    ("crash", SyncMode.SHARED_BSP): "7a4f605509e17634",
+    ("crash", SyncMode.SHARED_BSP): "91fa12dd3e6be950",
     ("churn", SyncMode.HYBRID): "62b349cbe1ead4df",
     ("churn", SyncMode.GLOBAL_PER_QUERY): "02f18dd2be83cd6f",
-    ("churn", SyncMode.SHARED_BSP): "0a7c2074971ea4dd",
+    ("churn", SyncMode.SHARED_BSP): "7fe7ead7ef18bb4f",
 }
 
 
@@ -133,6 +136,18 @@ def test_event_log_is_pinned(monkeypatch, case, sync_mode):
         assert trace.repartitions and trace.churn_events
     assert engine._events_processed == len(engine.queue.log)
     assert digest(engine.queue.log) == _PINNED_LOGS[case, sync_mode]
+
+
+@pytest.mark.parametrize("case", ["partial", "crash", "churn"])
+def test_shared_bsp_queues_one_release_per_instant(monkeypatch, case):
+    """The 12 queries admitted at t = 0 share one ``superstep_release``
+    (each used to queue its own, 11 of them stale); no two releases are
+    queued for one instant."""
+    engine, _ = _logged_run(monkeypatch, case, SyncMode.SHARED_BSP)
+    times = [time for time, _, kind, _ in engine.queue.log if kind == "superstep_release"]
+    assert times and times[0] == 0.0
+    assert len(set(times)) == len(times)
+    assert engine._superstep_release_at is None
 
 
 #: ``digest`` of the popped-event log of the redirect race below

@@ -233,10 +233,8 @@ class HotspotSampler:
         if top is None:
             d = np.linalg.norm(self._centers - self._centers[city_id], axis=1)
             d[city_id] = np.inf
-            # only finite-distance entries are candidates: the self city's
-            # inf sentinel must not survive into the top-3 slice on small
-            # maps (with <= 3 cities it used to, silently sampling the same
-            # city)
+            # only finite-distance entries are candidates: on a map of <= 3
+            # cities the self city's inf sentinel would enter the top 3
             order = np.argsort(d)
             order = order[np.isfinite(d[order])]
             top = self._neighbors[city_id] = order[: min(3, order.size)]

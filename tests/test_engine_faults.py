@@ -25,13 +25,16 @@ import pytest
 from admission_policies import POLICIES, scheduler_for
 from engine_harness import build_engine, digest, fingerprint, road_network
 from reference_impls import generic_path
+from repro.core.controller import Controller
 from repro.engine.barriers import SyncMode
 from repro.engine.checkpoint import QueryCheckpoint
+from repro.engine.engine import EngineConfig, QGraphEngine
 from repro.engine.kernels import VertexFunctionKernel
 from repro.engine.query import QueryRuntime
 from repro.errors import EngineError, SimulationError
-from repro.graph import MutableDiGraph
+from repro.graph import MutableDiGraph, grid_graph
 from repro.graph.road_network import generate_road_network
+from repro.simulation.cluster import make_cluster
 from repro.simulation.faults import ControllerCrash, FaultPlan, WorkerCrash
 from repro.workload.generator import PhaseSpec, WorkloadGenerator
 
@@ -579,6 +582,80 @@ class TestRecoveryPrecondition:
         with pytest.raises(EngineError, match="no checkpoint at recovery"):
             engine._do_recovery(1.0)
         assert np.array_equal(engine.assignment, before)
+
+
+# ----------------------------------------------------------------------
+# recovery charge: re-homed partitions reload over their new owner's
+# controller link, one summed payload per destination
+# ----------------------------------------------------------------------
+class TestRecoveryCharge:
+    NOW = 1.0
+
+    def _recovered(self, kind, handled, still_down):
+        """A 6 x 6 grid on 4 ``kind`` workers, 9 contiguous vertices each;
+        ``handled`` are recovered in one ``_do_recovery`` call, of which
+        ``still_down`` have not rejoined.  Returns the engine and the time of
+        the ``global_start`` the recovery scheduled."""
+        g = grid_graph(6, 6)
+        assignment = np.repeat(np.arange(4, dtype=np.int64), 9)
+        engine = QGraphEngine(
+            g,
+            make_cluster(kind, 4),
+            assignment,
+            controller=Controller(4),
+            config=EngineConfig(adaptive=False),
+        )
+        engine._dead_workers.update(still_down)
+        engine._recovering = [(w, self.NOW - 0.01, self.NOW) for w in handled]
+        engine._stop_begin_time = self.NOW
+        engine._do_recovery(self.NOW)
+        event = engine.queue.pop()
+        assert event.kind == "global_start"
+        return engine, event.time
+
+    def _expected_start(self, engine, counts):
+        """``now`` + the slowest destination's reload of its summed payload."""
+        stall = 0.0
+        for dst, count in counts.items():
+            link = engine.cluster.controller_link(dst)
+            payload = count * engine.config.vertex_state_bytes
+            stall = max(stall, link.latency + payload / link.bandwidth)
+        return self.NOW + stall
+
+    @pytest.mark.parametrize("kind", ["M2", "C1"])
+    def test_two_dead_workers_sum_onto_each_destination(self, kind):
+        engine, start = self._recovered(kind, handled=(1, 2), still_down=(1, 2))
+        # ids 9..26 go round-robin to the survivors {0, 3} in ascending order
+        expected = np.repeat(np.arange(4, dtype=np.int64), 9)
+        expected[9:27] = np.tile([0, 3], 9)
+        assert engine.assignment.tolist() == expected.tolist()
+        record = engine.trace.recoveries[0]
+        assert record.workers == (1, 2)
+        assert record.rehomed_vertices == 18
+        # each survivor reloads 9 vertices: 5 of worker 1's and 4 of worker
+        # 2's onto worker 0, 4 and 5 onto worker 3.  The payloads of both
+        # dead workers add up on the one controller link they share
+        assert start == pytest.approx(
+            self._expected_start(engine, {0: 9, 3: 9}), rel=1e-12
+        )
+        split = self._expected_start(engine, {0: 5, 3: 5})
+        assert start > split
+        assert record.stall_duration == pytest.approx(start - self.NOW, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["M2", "C1"])
+    def test_rejoined_worker_keeps_its_vertices_and_receives_others(self, kind):
+        engine, start = self._recovered(kind, handled=(1, 2), still_down=(1,))
+        # worker 2 rejoined before the barrier: only worker 1's ids 9..17
+        # move, round-robin over {0, 2, 3}
+        expected = np.repeat(np.arange(4, dtype=np.int64), 9)
+        expected[9:18] = np.tile([0, 2, 3], 3)
+        assert engine.assignment.tolist() == expected.tolist()
+        record = engine.trace.recoveries[0]
+        assert record.workers == (1, 2)
+        assert record.rehomed_vertices == 9
+        assert start == pytest.approx(
+            self._expected_start(engine, {0: 3, 2: 3, 3: 3}), rel=1e-12
+        )
 
 
 # ----------------------------------------------------------------------

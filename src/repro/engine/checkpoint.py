@@ -27,17 +27,12 @@ import numpy as np
 from repro.engine.kernels import ArrayMailbox, copy_kernel_state
 from repro.engine.query import QueryRuntime
 
-__all__ = ["QueryCheckpoint", "copy_mailboxes", "mailbox_sizes"]
+__all__ = ["QueryCheckpoint", "copy_mailboxes"]
 
 
 def copy_mailboxes(boxes: Dict[int, ArrayMailbox]) -> Dict[int, ArrayMailbox]:
     """A ``{worker: mailbox}`` map with every box cloned chunk by chunk."""
     return {worker: box.clone() for worker, box in boxes.items()}
-
-
-def mailbox_sizes(boxes: Dict[int, ArrayMailbox]) -> Dict[int, int]:
-    """Messages per worker — used to size the checkpoint-write cost."""
-    return {worker: len(box) for worker, box in boxes.items()}
 
 
 class QueryCheckpoint:
@@ -88,12 +83,6 @@ class QueryCheckpoint:
             agg_committed=dict(qr.agg_committed),
             kstate=copy_kernel_state(qr.kstate),
             scope_mask=qr.scope_mask.copy(),
-        )
-
-    def message_count(self) -> int:
-        """Total checkpointed messages (sizing the write cost)."""
-        return sum(mailbox_sizes(self.mailboxes).values()) + sum(
-            mailbox_sizes(self.next_mailboxes).values()
         )
 
     # ------------------------------------------------------------------

@@ -33,6 +33,7 @@ from typing import AbstractSet, Any, Callable, Dict, List, Optional, Set, Tuple,
 
 import numpy as np
 
+from repro.core.api import MoveRequest
 from repro.core.controller import Controller, MovePlan
 from repro.engine.barriers import SyncMode
 from repro.engine.checkpoint import QueryCheckpoint
@@ -1397,6 +1398,31 @@ class QGraphEngine:
                 done = max(done, finish + self._ctrl_latencies[w.wid])
         return done
 
+    def _migrate(
+        self,
+        moves: List[MoveRequest],
+        link_for: Callable[[int, int], Tuple[Any, NetworkModel]],
+    ) -> Tuple[int, float]:
+        """Apply ``moves`` at a drained STOP; return (vertices moved, stall).
+
+        A move takes only the vertices still on its source, so the first move
+        in plan order wins a vertex.  ``link_for(src, dst)`` names the
+        ``(key, link)`` a move's payload is charged to: payloads under one
+        key serialize, distinct keys transfer concurrently.
+        """
+        counts: Dict[Tuple[Any, NetworkModel], int] = {}
+        for move in moves:
+            vertices = move.vertices[self.assignment[move.vertices] == move.src]
+            if vertices.size:
+                self.assignment[vertices] = move.dst
+                charge = link_for(move.src, move.dst)
+                counts[charge] = counts.get(charge, 0) + vertices.size
+        duration = 0.0
+        for (_key, link), count in counts.items():
+            payload = count * self.config.vertex_state_bytes
+            duration = max(duration, link.latency + payload / link.bandwidth)
+        return sum(counts.values()), duration
+
     def _on_global_stop(self, now: float) -> None:
         if self._recovery_active:
             # this STOP is a crash-recovery barrier: the cluster is drained,
@@ -1416,32 +1442,16 @@ class QGraphEngine:
             # mailbox so the rebucket below can prove it lost nothing
             self.sanitizer.check_csr_integrity(now)
             mailbox_snapshot = self.sanitizer.snapshot_mailboxes()
-        moved_total = 0
-        # migration cost is contention-aware: payloads serialize within a
-        # directed link, so two moves sharing (src, dst) are charged the
-        # combined transfer, and the stall is the max over links (links
-        # transfer concurrently)
-        link_payloads: Dict[Tuple[int, int], int] = {}
+        moves: List[MoveRequest] = []
         for move in plan.moves:
-            if move.src in self._dead_workers or move.dst in self._dead_workers:
-                # belt and braces with the controller-side filter: a crashed
-                # worker can neither ship nor receive migration state
-                continue
-            mask = self.assignment[move.vertices] == move.src
-            vertices = move.vertices[mask]
-            if vertices.size == 0:
-                continue
-            self.assignment[vertices] = move.dst
-            moved_total += int(vertices.size)
-            key = (move.src, move.dst)
-            link_payloads[key] = (
-                link_payloads.get(key, 0)
-                + int(vertices.size) * self.config.vertex_state_bytes
-            )
-        duration = 0.0
-        for (src, dst), payload in link_payloads.items():
-            link = self.cluster.link(src, dst)
-            duration = max(duration, link.latency + payload / link.bandwidth)
+            # belt and braces with the controller-side filter: a crashed
+            # worker can neither ship nor receive migration state
+            if move.src not in self._dead_workers and move.dst not in self._dead_workers:
+                moves.append(move)
+        # a migration rides the worker link between the move's two workers
+        moved_total, duration = self._migrate(
+            moves, lambda src, dst: ((src, dst), self._links[src][dst])
+        )
         for query_id in sorted(self.running):
             self.runtimes[query_id].rebucket(
                 self.assignment, workers=self._stop_workers
@@ -1665,7 +1675,7 @@ class QGraphEngine:
 
         Reuses the STOP/START drain machinery: the cluster drains exactly
         like a global repartition STOP, then ``_on_global_stop`` routes to
-        :meth:`_do_recovery` instead of a migration.
+        :meth:`_do_recovery` instead of applying a move plan.
         """
         if not self._recovering or self.paused:
             return
@@ -1675,25 +1685,22 @@ class QGraphEngine:
 
     def _do_recovery(self, now: float) -> None:
         """Rollback at a drained recovery barrier (Pregel-style, §4.2 of
-        Malewicz et al.): re-home the dead workers' partitions onto the
-        survivors, restore *every* running query from its latest
-        checkpoint, and re-dispatch at the START that follows.
+        Malewicz et al.): re-home the dead workers' vertices onto the
+        survivors through :meth:`_migrate`, each reload charged to its new
+        owner's controller link, restore *every* running query from its
+        latest checkpoint, and re-dispatch at the START that follows.
 
-        Classic (non-confined) recovery on purpose: all running queries
-        roll back, not just the tainted ones, because barrier-aligned
-        checkpoints of different queries are cut at different virtual
-        times and only a full rollback puts the whole engine on one
-        consistent cut.  Confined recovery is a ROADMAP item.
+        All running queries roll back, not just the tainted ones: their
+        barrier-aligned checkpoints are cut at different virtual times, and
+        a full rollback puts the whole engine on one consistent cut.
+        Confined recovery is a ROADMAP item.
         """
         handled = self._recovering
         self._recovering = []
         self._recovery_active = False
-        k = self.cluster.num_workers
         # workers still down now — one that already rejoined keeps its
-        # (empty) partitions and receives restored state like any survivor
-        dead_now = sorted(
-            {w for w, _crash, _detect in handled if w in self._dead_workers}
-        )
+        # vertices and receives re-homed ones like any survivor
+        dead_now = sorted({w for w, _crash, _detect in handled if w in self._dead_workers})
         # validate the whole restore set BEFORE mutating anything: raising
         # mid-rollback after the assignment was re-homed would leave
         # mailboxes bucketed for owners the assignment no longer names —
@@ -1708,39 +1715,33 @@ class QGraphEngine:
                     f"running query {query_id} has no checkpoint at recovery"
                 )
             checkpoints[query_id] = ck
-        rehomed = 0
-        duration = 0.0
-        if dead_now:
-            live = [w for w in range(k) if w not in self._dead_workers]
-            if not live:
-                raise EngineError(
-                    "every worker is down — recovery has no survivors to "
-                    "re-home partitions onto"
-                )
-            vids = np.flatnonzero(np.isin(self.assignment, dead_now))
-            if vids.size:
-                targets = np.asarray(live, dtype=np.int64)[
-                    np.arange(vids.size) % len(live)
-                ]
-                self.assignment[vids] = targets
-                rehomed = int(vids.size)
-                # reloading a partition from stable storage rides the
-                # controller link of its new owner; links load concurrently
-                payloads = np.bincount(targets, minlength=k)
-                for dst in live:
-                    payload = int(payloads[dst]) * self.config.vertex_state_bytes
-                    if payload == 0:
-                        continue
-                    link = self.cluster.controller_link(dst)
-                    duration = max(duration, link.latency + payload / link.bandwidth)
-        restored: List[int] = []
+        live = [w for w in range(self.cluster.num_workers) if w not in self._dead_workers]
+        if not live:
+            raise EngineError(
+                "every worker is down — recovery has no survivors to "
+                "re-home partitions onto"
+            )
+        # dead workers' vertices go round-robin, in ascending id order, to the
+        # survivors (none move when every handled worker has already rejoined)
+        vids = np.flatnonzero(np.isin(self.assignment, dead_now))
+        sources = self.assignment[vids]
+        targets = np.asarray(live, dtype=np.int64)[np.arange(vids.size) % len(live)]
+        moves = [
+            MoveRequest(src, dst, vids[(sources == src) & (targets == dst)])
+            for src in dead_now for dst in live
+        ]
+        # reloading a partition from stable storage rides the controller
+        # link of its new owner, whichever dead worker it came from
+        rehomed, duration = self._migrate(
+            moves, lambda _src, dst: (dst, self.cluster.controller_link(dst))
+        )
+        restored = sorted(self.running)
         rolled_iters = 0
-        for query_id in sorted(self.running):
+        for query_id in restored:
             qr = self.runtimes[query_id]
             ck = checkpoints[query_id]
             rolled_iters += ck.restore(qr, self.assignment)
             qr.grow(self.graph.num_vertices)
-            restored.append(query_id)
             if self.sanitizer is not None:
                 self.sanitizer.on_query_restored(
                     query_id, qr, ck.fingerprint, self.assignment, now
@@ -1752,11 +1753,7 @@ class QGraphEngine:
         self._held_tasks.clear()
         self._held_other_tasks.clear()
         self._restored_queries = restored
-        self.scheduler.on_assignment_changed(self.assignment)
-        self.controller.set_down_workers(frozenset(self._dead_workers))
-        detection = max(
-            (detect - crash for _w, crash, detect in handled), default=0.0
-        )
+        detection = max((detect - crash for _w, crash, detect in handled), default=0.0)
         self.trace.recovered(
             RecoveryRecord(
                 time=now,

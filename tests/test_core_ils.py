@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Fragment, QcutState, iterated_local_search, local_search
@@ -182,3 +182,22 @@ class TestSolutionBalance:
         res = iterated_local_search(state, max_rounds=60, seed=seed)
         best = res.best_state
         assert best.is_balanced() or best.max_imbalance() <= state.max_imbalance()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the ILS balance defect above, stated for every small state: "
+        "the explicit pairwise-drift example ends unbalanced on every run "
+        "(the `fig6g-balance` row of the claims table in docs/experiments.md)",
+    )
+    @given(integer_mass_states(), st.integers(0, 2**31 - 1))
+    @example(pairwise_drift_state(), 0)
+    @settings(max_examples=40, deadline=None)
+    def test_balanced_input_stays_balanced_and_unbalanced_never_worsens(
+        self, state, seed
+    ):
+        before = state.max_imbalance()
+        best = iterated_local_search(state, max_rounds=20, seed=seed).best_state
+        if state.is_balanced():
+            assert best.is_balanced()
+        else:
+            assert best.max_imbalance() <= before

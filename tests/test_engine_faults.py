@@ -235,13 +235,18 @@ class TestCheckpoint:
         """The checkpoint survives its own restore (copies go out)."""
         engine, qr = _mid_flight()
         ck = QueryCheckpoint.capture(qr)
-        before = ck.message_count()
+
+        def messages():
+            boxes = (*ck.mailboxes.values(), *ck.next_mailboxes.values())
+            return sum(len(box) for box in boxes)
+
+        before = messages()
         assert before > 0
         ck.restore(qr, engine.assignment)
         qr.kstate = qr.kernel.make_state(engine.graph)
         qr.mailboxes = {}
         ck.restore(qr, engine.assignment)
-        assert ck.message_count() == before
+        assert messages() == before
 
 
 # ----------------------------------------------------------------------
